@@ -27,6 +27,7 @@ from .harness import (
     EnsembleMIResult,
     csv_lines_from_dicts,
     format_value,
+    json_float,
     load_experiment_config,
     load_trajectory_dicts,
     parse_policies_json,
@@ -37,12 +38,6 @@ from .harness import (
     save_trajectories_json,
 )
 from .oracle import run_all_lemma_checks
-
-
-def _enc(x: float):
-    """JSON-ready float: non-finite values become their string names."""
-    f = float(x)
-    return format_value(f) if (math.isinf(f) or math.isnan(f)) else f
 
 
 def _say(quiet: bool, text: str) -> None:
@@ -134,7 +129,7 @@ def cmd_verify_lemmas(args) -> int:
                 {
                     "name": r.name,
                     "trials": r.trials,
-                    "max_violation": _enc(r.max_violation),
+                    "max_violation": json_float(r.max_violation),
                     "tolerance": r.tolerance,
                     "passed": r.passed,
                     "details": r.details,
@@ -185,11 +180,11 @@ def _comparison_payload(result: ComparisonResult) -> dict:
     def arm_dict(arm):
         return {
             "name": arm.name,
-            "median_terminal_kl": _enc(arm.median_terminal_kl),
-            "median_terminal_safe_mass": _enc(arm.median_terminal_safe_mass),
-            "terminal_kl": {str(s): _enc(v) for s, v in arm.terminal_kl.items()},
+            "median_terminal_kl": json_float(arm.median_terminal_kl),
+            "median_terminal_safe_mass": json_float(arm.median_terminal_safe_mass),
+            "terminal_kl": {str(s): json_float(v) for s, v in arm.terminal_kl.items()},
             "terminal_safe_mass": {
-                str(s): _enc(v) for s, v in arm.terminal_safe_mass.items()
+                str(s): json_float(v) for s, v in arm.terminal_safe_mass.items()
             },
             "failures": {str(s): msg for s, msg in arm.failures.items()},
         }
@@ -198,7 +193,7 @@ def _comparison_payload(result: ComparisonResult) -> dict:
         "baseline": arm_dict(result.baseline),
         "arms": [arm_dict(a) for a in result.arms],
         "paired_kl_diff": {
-            name: {str(s): _enc(v) for s, v in diffs.items()}
+            name: {str(s): json_float(v) for s, v in diffs.items()}
             for name, diffs in result.paired_kl_diff.items()
         },
     }
@@ -257,7 +252,7 @@ def cmd_ensemble_mi(args) -> int:
         _say(args.quiet, f"csv -> {args.csv}")
     if args.json:
         payload = {
-            "mi_series": [_enc(v) for v in result.mi_series],
+            "mi_series": [json_float(v) for v in result.mi_series],
             "quantizer": result.quantizer,
             "bins": result.bins,
             "runs_per_ref": result.runs_per_ref,

@@ -7,6 +7,10 @@ One round maps a population of agent distributions to its successor:
     D    = n i.i.d. draws from pt               (sampling)
     each agent := estimator fitted to D         (update)
 
+With per-agent datasets the round draws n * M outcomes instead and agent m is
+fitted to its own block of n. _round is the one implementation of this
+operator; step() and run() both call it.
+
 This module deliberately knows nothing about the safety reference. It does
 not import SafetyReference and no function here accepts one; the closed loop
 cannot read the target it is drifting from. Measurement probes and
@@ -243,7 +247,7 @@ _REWARD_SOURCES = ("fixed", "mixture-loglik")
 
 @dataclass(frozen=True)
 class UpdateRule:
-    """How every agent refits itself to the shared round dataset.
+    """How an agent refits itself to its round dataset.
 
     kinds:
       mle                   empirical frequencies
@@ -323,12 +327,11 @@ def memory_preset(
 
 
 def roll_memory(
-    memory: tuple[int, ...], samples: np.ndarray, capacity: int
-) -> tuple[int, ...]:
+    memory: Sequence[int] | np.ndarray, samples: np.ndarray, capacity: int
+) -> np.ndarray:
     """Append the round's samples and keep the most recent `capacity` entries."""
-    merged = list(memory)
-    merged.extend(int(s) for s in samples)
-    return tuple(merged[-capacity:])
+    merged = np.concatenate([np.asarray(memory, dtype=np.int64), samples])
+    return merged[-capacity:]
 
 
 def _empirical(space: OutcomeSpace, samples: np.ndarray) -> np.ndarray:
@@ -340,13 +343,15 @@ def update_agents(
     pop: Population,
     data: Dataset,
     rule: UpdateRule,
-    memory: tuple[int, ...] = (),
+    memory: Sequence[int] | np.ndarray = (),
 ) -> Population:
-    """Refit every agent to the shared dataset; weights are unchanged.
+    """Fit the estimator to `data` and give the result to every agent.
 
-    All agents see the same data and the same estimator, so they coincide
-    after the update. `memory` is the pre-round buffer for the memory-buffer
-    rule and is ignored by the other kinds.
+    Weights are unchanged. In a shared-data round this is the whole update,
+    so all agents coincide afterwards; a per-agent round keeps only agent m
+    of the fit to agent m's dataset. `memory` is the buffer already rolled
+    over this round's samples (see roll_memory), read by the memory-buffer
+    rule and ignored by the other kinds.
     """
     if len(data) == 0:
         raise ValueError("cannot update from an empty dataset")
@@ -363,8 +368,9 @@ def update_agents(
         counts = np.bincount(samples, minlength=k_space).astype(np.float64)
         mass = (counts + rule.lam) / (n + rule.lam * k_space)
     elif rule.kind == "memory-buffer":
-        merged = roll_memory(memory, samples, rule.capacity)
-        buffer_emp = _empirical(space, np.asarray(merged, dtype=np.int64))
+        if len(memory) == 0:
+            raise ValueError("the memory-buffer rule needs the rolled buffer")
+        buffer_emp = _empirical(space, np.asarray(memory, dtype=np.int64))
         data_emp = _empirical(space, samples)
         mass = rule.alpha_mem * buffer_emp + (1.0 - rule.alpha_mem) * data_emp
     elif rule.kind == "reward-reweighted-mle":
@@ -414,6 +420,15 @@ def neighborhood(space: OutcomeSpace, indices: Iterable[int], radius: int) -> np
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """One closed-loop run.
+
+    By default a round draws one dataset of sample_size outcomes and every
+    agent refits to it, so all agents coincide after round 1. With
+    per_agent_datasets the round draws sample_size * M outcomes in one call
+    and agent m refits to the m-th block of sample_size, so agents stay
+    distinct.
+    """
+
     sample_size: int
     rounds: int
     selection: SelectionRule = field(default_factory=lambda: SelectionRule("identity"))
@@ -438,43 +453,128 @@ class EvolutionConfig:
 
 class StepResult(NamedTuple):
     """One applied round. The first three fields are the operator's output
-    proper; memory is the rolled buffer state for the memory-buffer rule
-    (empty tuple otherwise)."""
+    proper (with per-agent datasets, dataset holds every agent's block in
+    agent order); memory is the buffer as an int64 array, rolled over the
+    round's samples under the memory-buffer rule."""
 
     population: Population
     dataset: Dataset
     training_dist: ProbVector
-    memory: tuple[int, ...]
+    memory: np.ndarray
+
+
+# a round that raises one of these aborts the run as a SimulationError
+_ROUND_ERRORS = (
+    DegenerateSelectionError,
+    VerifierAnnihilationError,
+    ValueError,
+    FloatingPointError,
+)
+
+
+class _Round(NamedTuple):
+    """State one _round call hands to the next, plus what its record needs."""
+
+    population: Population
+    memory: np.ndarray
+    training_dist: ProbVector | None = None  # what the next round samples from
+    next_fired: tuple[str, ...] = ()  # diversity policies that shaped it
+    datasets: tuple[Dataset, ...] = ()  # consumed by this round's update
+    fired: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
+
+
+def _round(
+    prev: _Round,
+    cfg: EvolutionConfig,
+    rng: np.random.Generator,
+    r: int,
+    groups: dict[str, list],
+    checkpoints: dict[int, Population],
+) -> _Round:
+    """Round r of the operator; the set-up before round 1 if prev has no pt.
+
+    Round r samples from prev.training_dist, screens each dataset with the
+    verifiers in agent order, refits, then applies entropy release and
+    cooling. Every call ends by mixing and selecting the resulting population,
+    diversity for round r+1 included. That distribution is both what round
+    r+1 samples from and what the record of round r measures.
+    """
+    pop, memory = prev.population, prev.memory
+    fired, notes = list(prev.next_fired), []
+    datasets: list[Dataset] = []
+    if prev.training_dist is not None:
+        blocks = pop.size if cfg.per_agent_datasets else 1
+        draw = sample_dataset(prev.training_dist, cfg.sample_size * blocks, rng, r)
+        datasets = [draw] if blocks == 1 else [
+            Dataset(block, r) for block in np.split(draw.samples, blocks)
+        ]
+        live = list(range(len(datasets)))
+        for pol in groups["verifier"]:
+            if not live:
+                break
+            if pol.fires(r, pop):
+                fired.append(pol.kind)
+                for m in tuple(live):
+                    try:
+                        datasets[m] = pol.filter_dataset(datasets[m], rng)
+                    except VerifierAnnihilationError:
+                        notes.append("verifier-annihilation: update skipped")
+                        live.remove(m)
+        rule = cfg.update
+        if live and cfg.per_agent_datasets:
+            agents = list(pop.agents)
+            for m in live:
+                agents[m] = update_agents(pop, datasets[m], rule).agents[m]
+            pop = Population(tuple(agents), pop.weights)
+        elif live:
+            if rule.kind == "memory-buffer":
+                memory = roll_memory(memory, datasets[0].samples, rule.capacity)
+            pop = update_agents(pop, datasets[0], rule, memory)
+        for pol in groups["entropy-release"]:
+            if pol.fires(r, pop):
+                pop = pol.adjust_population(pop)
+                fired.append(pol.kind)
+                if getattr(pol, "prune_memory", False) and len(memory):
+                    kept = pol.prune_buffer(memory)
+                    if len(kept) != len(memory):
+                        notes.append(f"memory prune dropped {len(memory) - len(kept)} samples")
+                    memory = kept
+        for pol in groups["cooling"]:
+            if pol.fires(r, pop):
+                pop, checkpoints[id(pol)], rolled = pol.cool(pop, checkpoints[id(pol)])
+                if rolled:
+                    fired.append(pol.kind)
+                    notes.append("cooling-rollback")
+                else:
+                    notes.append("cooling-refresh")
+    pt = apply_selection(mixture(pop), cfg.selection)
+    next_fired = []
+    for pol in groups["diversity"]:
+        if pol.fires(r + 1, pop):
+            pt = pol.adjust_training(pt)
+            next_fired.append(pol.kind)
+    return _Round(
+        pop, memory, pt, tuple(next_fired), tuple(datasets), tuple(fired), tuple(notes)
+    )
 
 
 def step(
     pop: Population,
     cfg: EvolutionConfig,
     rng: np.random.Generator,
-    memory: tuple[int, ...] = (),
+    memory: Sequence[int] | np.ndarray = (),
     round_index: int = 1,
 ) -> StepResult:
     """Apply one bare round (no interventions)."""
-    pbar = mixture(pop)
-    pt = apply_selection(pbar, cfg.selection)
-    if cfg.per_agent_datasets:
-        draws = sample_indices(pt, cfg.sample_size * pop.size, rng)
-        data = Dataset(draws, int(round_index))
-        agents = []
-        for m in range(pop.size):
-            chunk = Dataset(draws[m * cfg.sample_size : (m + 1) * cfg.sample_size], int(round_index))
-            agents.append(update_agents(pop, chunk, cfg.update, memory).agents[m])
-        new_pop = Population(tuple(agents), pop.weights)
-        new_memory = memory
-    else:
-        data = sample_dataset(pt, cfg.sample_size, rng, round_index)
-        new_pop = update_agents(pop, data, cfg.update, memory)
-        new_memory = (
-            roll_memory(memory, data.samples, cfg.update.capacity)
-            if cfg.update.kind == "memory-buffer"
-            else memory
-        )
-    return StepResult(new_pop, data, pt, new_memory)
+    groups = _group_policies(None)
+    start = _Round(pop, np.asarray(memory, dtype=np.int64))
+    start = _round(start, cfg, rng, round_index - 1, groups, {})
+    out = _round(start, cfg, rng, round_index, groups, {})
+    samples = np.concatenate([d.samples for d in out.datasets])
+    return StepResult(
+        out.population, Dataset(samples, round_index), start.training_dist, out.memory
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +591,9 @@ class TrajectoryRecord:
     plus a diversity modification when one is scheduled for the next
     sampling event). The dataset drawn in round r+1 comes from exactly the
     distribution record r describes. monitor_absent[name] says whether the
-    dataset consumed in THIS round missed the monitored set's neighborhood
-    entirely (None for record 0, which precedes any dataset).
+    data consumed in THIS round (every agent's dataset, after the verifier)
+    missed the monitored set's neighborhood entirely (None for record 0,
+    which precedes any dataset).
     """
 
     round: int
@@ -527,10 +628,7 @@ class Trajectory:
 
 def _group_policies(intervention) -> dict[str, list]:
     groups: dict[str, list] = {
-        "diversity": [],
-        "verifier": [],
-        "entropy-release": [],
-        "cooling": [],
+        kind: [] for kind in ("diversity", "verifier", "entropy-release", "cooling")
     }
     if intervention is None:
         return groups
@@ -557,7 +655,7 @@ def run(
     ref=None,
     monitors: Mapping[str, Iterable[int]] | None = None,
     keep_states: bool = False,
-    initial_memory: tuple[int, ...] = (),
+    initial_memory: Sequence[int] | np.ndarray = (),
 ) -> Trajectory:
     """Execute cfg.rounds rounds and record per-round measurements.
 
@@ -569,7 +667,7 @@ def run(
     verifier -> update -> entropy-release -> cooling regardless of the order
     given. monitors maps names to outcome sets whose training mass and
     dataset-absence flags are recorded every round (the raw material for
-    decay estimation).
+    decay estimation). initial_memory seeds the memory-buffer rule's buffer.
     """
     if probes and ref is None:
         raise ConfigError("probes were requested but no reference was given")
@@ -592,113 +690,35 @@ def run(
             monitor_hoods[name] = hood_mask
             monitor_names[name] = tuple(int(i) for i in idx)
 
-    def snapshot_dist(pop: Population, next_round: int) -> ProbVector:
-        pt = apply_selection(mixture(pop), cfg.selection)
-        for pol in groups["diversity"]:
-            if pol.fires(next_round, pop):
-                pt = pol.adjust_training(pt)
-        return pt
-
-    def make_record(
-        r: int,
-        pop: Population,
-        data: Dataset | None,
-        fired: tuple[str, ...],
-        notes: tuple[str, ...],
-    ) -> TrajectoryRecord:
-        pt = snapshot_dist(pop, r + 1)
+    def make_record(r: int, state: _Round) -> TrajectoryRecord:
+        pt, pop = state.training_dist, state.population
         values = {p.name: float(p.evaluator(r, pt, pop, ref)) for p in probes}
         mon_mass = {
             name: float(pt.mass[idx].sum()) for name, idx in monitor_sets.items()
         }
-        mon_absent: dict[str, bool | None] = {}
-        for name, hood in monitor_hoods.items():
-            if data is None:
-                mon_absent[name] = None
-            else:
-                mon_absent[name] = not bool(hood[data.samples].any())
-        return TrajectoryRecord(r, values, fired, notes, mon_mass, mon_absent)
+        mon_absent = {
+            name: None if r == 0 else not any(hood[d.samples].any() for d in state.datasets)
+            for name, hood in monitor_hoods.items()
+        }
+        return TrajectoryRecord(r, values, state.fired, state.notes, mon_mass, mon_absent)
 
-    pop = pop0
-    memory = tuple(initial_memory)
     checkpoints = {id(pol): pol.initial_checkpoint(pop0) for pol in groups["cooling"]}
-    try:
-        records = [make_record(0, pop0, None, (), ())]
-    except (DegenerateSelectionError, ValueError) as exc:
-        raise SimulationError(0, exc) from exc
-    states = [pop0] if keep_states else None
-
-    for r in range(1, cfg.rounds + 1):
-        fired: list[str] = []
-        notes: list[str] = []
+    state = _Round(pop0, np.asarray(initial_memory, dtype=np.int64))
+    records, states = [], []
+    for r in range(cfg.rounds + 1):
         try:
-            pbar = mixture(pop)
-            pt = apply_selection(pbar, cfg.selection)
-            for pol in groups["diversity"]:
-                if pol.fires(r, pop):
-                    pt = pol.adjust_training(pt)
-                    fired.append(pol.kind)
-            data = sample_dataset(pt, cfg.sample_size, rng, r)
-            skip_update = False
-            for pol in groups["verifier"]:
-                if pol.fires(r, pop):
-                    fired.append(pol.kind)
-                    try:
-                        data = pol.filter_dataset(data, rng)
-                    except VerifierAnnihilationError:
-                        notes.append("verifier-annihilation: update skipped")
-                        skip_update = True
-                        break
-            if skip_update:
-                new_pop, new_memory = pop, memory
-            else:
-                new_pop = update_agents(pop, data, cfg.update, memory)
-                new_memory = (
-                    roll_memory(memory, data.samples, cfg.update.capacity)
-                    if cfg.update.kind == "memory-buffer"
-                    else memory
-                )
-            for pol in groups["entropy-release"]:
-                if pol.fires(r, new_pop):
-                    new_pop = pol.adjust_population(new_pop)
-                    fired.append(pol.kind)
-                    if getattr(pol, "prune_memory", False) and new_memory:
-                        kept = pol.prune_buffer(new_memory)
-                        if len(kept) != len(new_memory):
-                            notes.append(
-                                f"memory prune dropped {len(new_memory) - len(kept)} samples"
-                            )
-                        new_memory = kept
-            for pol in groups["cooling"]:
-                if pol.fires(r, new_pop):
-                    cooled, new_ckpt, rolled = pol.cool(new_pop, checkpoints[id(pol)])
-                    checkpoints[id(pol)] = new_ckpt
-                    new_pop = cooled
-                    if rolled:
-                        fired.append(pol.kind)
-                        notes.append("cooling-rollback")
-                    else:
-                        notes.append("cooling-refresh")
-        except (
-            DegenerateSelectionError,
-            VerifierAnnihilationError,
-            ValueError,
-            FloatingPointError,
-        ) as exc:
-            raise SimulationError(r, exc) from exc
-        pop, memory = new_pop, new_memory
-        try:
-            records.append(make_record(r, pop, data, tuple(fired), tuple(notes)))
-        except (DegenerateSelectionError, ValueError) as exc:
+            state = _round(state, cfg, rng, r, groups, checkpoints)
+            records.append(make_record(r, state))
+        except _ROUND_ERRORS as exc:
             raise SimulationError(r, exc) from exc
         if keep_states:
-            states.append(pop)
+            states.append(state.population)
 
     return Trajectory(
         seed=int(cfg.seed),
         probe_names=tuple(p.name for p in probes),
         records=tuple(records),
         monitors=monitor_names,
-        final_population=pop,
+        final_population=state.population,
         states=tuple(states) if keep_states else None,
     )

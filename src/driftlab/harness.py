@@ -37,6 +37,7 @@ import scipy.stats
 from .core import (
     OutcomeSpace,
     SafetyReference,
+    _default_epsilon,
     _top_fraction_set,
     dirichlet_reference,
     make_prob_vector,
@@ -46,6 +47,7 @@ from .core import (
 )
 from .errors import ConfigError, SimulationError
 from .evolution import (
+    MAX_SEED,
     EvolutionConfig,
     Population,
     SelectionRule,
@@ -68,6 +70,8 @@ _INIT_STREAM = 0x496E6974  # distinguishes init draws from trajectory draws
 # probes the drift experiment needs even when not requested (classification)
 _REQUIRED_DRIFT_PROBES = ("safe_mass", "in_safe_term")
 DEFAULT_PROBES = ("kl_safety", "safe_mass", "internal_entropy", "coverage")
+# largest seed count or range a config may ask for
+MAX_SEED_COUNT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +177,34 @@ def _as_ints(key: str, value: str) -> tuple[int, ...]:
 
 
 def parse_seed_spec(value: str) -> tuple[int, ...]:
-    """Seed list forms: a count ("20"), a range ("3..7"), or a list ("0,4,9")."""
+    """Seed list forms: a count ("20"), a range ("3..7"), or a list ("0,4,9").
+
+    Every seed must lie in [0, MAX_SEED) and a count or range may hold at
+    most MAX_SEED_COUNT seeds; both are checked before any tuple is built.
+    """
     value = value.strip()
     if ".." in value:
         lo_s, _, hi_s = value.partition("..")
         lo, hi = _as_int("experiment.seeds", lo_s), _as_int("experiment.seeds", hi_s)
         if hi < lo:
             raise ConfigError(f"seed range {value!r} is empty")
-        return tuple(range(lo, hi + 1))
-    if "," in value:
-        return _as_ints("experiment.seeds", value)
-    count = _as_int("experiment.seeds", value)
-    if count < 1:
-        raise ConfigError(f"seed count must be >= 1, got {count}")
-    return tuple(range(count))
+        seeds = range(lo, hi + 1)
+    elif "," in value:
+        seeds = _as_ints("experiment.seeds", value)
+        lo, hi = min(seeds), max(seeds)
+    else:
+        count = _as_int("experiment.seeds", value)
+        if count < 1:
+            raise ConfigError(f"seed count must be >= 1, got {count}")
+        lo, hi = 0, count - 1
+        seeds = range(count)
+    # a range's len() overflows past 2**63, so count from its bounds
+    count = hi - lo + 1 if isinstance(seeds, range) else len(seeds)
+    if count > MAX_SEED_COUNT:
+        raise ConfigError(f"a seed sweep holds at most {MAX_SEED_COUNT} seeds, got {count}")
+    if lo < 0 or hi >= MAX_SEED:
+        raise ConfigError(f"seeds must lie in [0, 2**64), got {value!r}")
+    return tuple(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +499,7 @@ def build_reference(cfg: ExperimentConfig) -> SafetyReference:
         space = OutcomeSpace(size)
         pi = make_prob_vector(space, spec.weights)
         safe = _parse_safe_set(spec.safe_set, pi.mass, space)
-        eps = spec.epsilon
-        if eps is None:
-            safe_mass = float(pi.mass[list(safe)].sum())
-            eps = min(1.0 - 1e-9, max(1e-9, 1.0 - safe_mass + 1e-9))
+        eps = _default_epsilon(float(pi.mass[list(safe)].sum()), spec.epsilon)
         return make_safety_reference(pi, safe, eps)
     raise ConfigError(
         f"unknown reference generator {spec.generator!r}; "
@@ -739,6 +754,17 @@ class DriftResult:
         return counts
 
 
+def _evolution_config(cfg: ExperimentConfig, seed: int) -> EvolutionConfig:
+    return EvolutionConfig(
+        sample_size=cfg.sample_size,
+        rounds=cfg.rounds,
+        selection=cfg.selection,
+        update=cfg.update,
+        seed=seed,
+        per_agent_datasets=cfg.per_agent_datasets,
+    )
+
+
 def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
     """Isolated seed sweep with trend statistics and terminal classification.
 
@@ -764,17 +790,13 @@ def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
     failures: dict[int, str] = {}
     for seed in cfg.seeds:
         pop0 = build_population(cfg.population, ref, seed)
-        ecfg = EvolutionConfig(
-            sample_size=cfg.sample_size,
-            rounds=cfg.rounds,
-            selection=cfg.selection,
-            update=cfg.update,
-            seed=seed,
-            per_agent_datasets=cfg.per_agent_datasets,
-        )
         try:
             trajectories[seed] = run(
-                pop0, ecfg, probes, None, ref=ref, monitors={"rare-safe": monitored}
+                pop0,
+                _evolution_config(cfg, seed),
+                probes,
+                ref=ref,
+                monitors={"rare-safe": monitored},
             )
         except SimulationError as exc:
             failures[seed] = str(exc)
@@ -864,16 +886,8 @@ def _run_arm(
     for seed in cfg.seeds:
         pop0 = build_population(cfg.population, ref, seed)
         policy = [realize_policy(spec, ref, pop0)] if spec is not None else None
-        ecfg = EvolutionConfig(
-            sample_size=cfg.sample_size,
-            rounds=cfg.rounds,
-            selection=cfg.selection,
-            update=cfg.update,
-            seed=seed,
-            per_agent_datasets=cfg.per_agent_datasets,
-        )
         try:
-            traj = run(pop0, ecfg, probes, policy, ref=ref)
+            traj = run(pop0, _evolution_config(cfg, seed), probes, policy, ref=ref)
         except SimulationError as exc:
             failures[seed] = str(exc)
             continue
@@ -980,15 +994,7 @@ def run_ensemble_mi(
         for j in range(runs):
             seed = base_seed + i * runs + j
             pop0 = build_population(cfg.population, ref, seed)
-            ecfg = EvolutionConfig(
-                sample_size=cfg.sample_size,
-                rounds=rounds,
-                selection=cfg.selection,
-                update=cfg.update,
-                seed=seed,
-                per_agent_datasets=cfg.per_agent_datasets,
-            )
-            traj = run(pop0, ecfg, (), None, monitors={"ens": statistic_set})
+            traj = run(pop0, _evolution_config(cfg, seed), monitors={"ens": statistic_set})
             for rec in traj.records:
                 mass = rec.monitor_mass["ens"]
                 b = min(bins - 1, int(mass / q))
@@ -1035,13 +1041,14 @@ def _parse_value(v) -> float:
     return float(v)
 
 
+def json_float(x: float):
+    """JSON-ready float: non-finite values become their string names."""
+    f = float(x)
+    return f if math.isfinite(f) else format_value(f)
+
+
 def trajectory_to_dict(traj: Trajectory) -> dict:
     """JSON-ready nested form; non-finite floats become their string names."""
-
-    def enc(x: float):
-        f = float(x)
-        return format_value(f) if (math.isinf(f) or math.isnan(f)) else f
-
     return {
         "seed": traj.seed,
         "probe_names": list(traj.probe_names),
@@ -1049,10 +1056,10 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
         "records": [
             {
                 "round": rec.round,
-                "values": {k: enc(v) for k, v in rec.values.items()},
+                "values": {k: json_float(v) for k, v in rec.values.items()},
                 "fired": list(rec.fired),
                 "notes": list(rec.notes),
-                "monitor_mass": {k: enc(v) for k, v in rec.monitor_mass.items()},
+                "monitor_mass": {k: json_float(v) for k, v in rec.monitor_mass.items()},
                 "monitor_absent": dict(rec.monitor_absent),
             }
             for rec in traj.records

@@ -32,6 +32,7 @@ Strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -248,50 +249,6 @@ class EntropyReleasePolicy(_Scheduled):
             agents.append(make_prob_vector(pop.space, blended))
         return Population(tuple(agents), pop.weights)
 
-    def prune_buffer(self, memory: tuple[int, ...]) -> tuple[int, ...]:
-        mask = self.ref.safe_mask
-        return tuple(s for s in memory if mask[s])
-
-
-def release_vector(
-    agent: ProbVector, anchor: ProbVector, gamma: float, prune_floor: float = 0.0
-) -> ProbVector:
-    """Single-vector form of the entropy release, handy for direct checks."""
-    policy = EntropyReleasePolicy(gamma=gamma, prune_floor=prune_floor, anchor=anchor)
-    pop = Population.equal_weights([agent])
-    return policy.adjust_population(pop).agents[0]
-
-
-def verifier_filter(
-    data: Dataset,
-    ref: SafetyReference,
-    fp: float,
-    fn_rate: float,
-    rng: np.random.Generator,
-    budget: int | None = None,
-) -> Dataset:
-    """Functional form of the verifier screen (see VerifierPolicy)."""
-    return VerifierPolicy(ref, fp, fn_rate, budget).filter_dataset(data, rng)
-
-
-def cooling_check(
-    pop: Population,
-    ref: SafetyReference,
-    checkpoint: Population,
-    kl_threshold: float,
-    blend: float = 1.0,
-) -> tuple[Population, Population, bool]:
-    """Functional form of the cooling check (see CoolingPolicy)."""
-    return CoolingPolicy(ref, kl_threshold, blend).cool(pop, checkpoint)
-
-
-def diversity_inject(
-    pt: ProbVector, ref: SafetyReference, temperature: float, rho: float
-) -> ProbVector:
-    """Functional form of the diversity injection (see DiversityPolicy)."""
-    return DiversityPolicy(ref, temperature, rho).adjust_training(pt)
-
-
-def entropy_release(pop: Population, policy: EntropyReleasePolicy) -> Population:
-    """Functional form of the entropy release (see EntropyReleasePolicy)."""
-    return policy.adjust_population(pop)
+    def prune_buffer(self, memory: Sequence[int] | np.ndarray) -> np.ndarray:
+        memory = np.asarray(memory, dtype=np.int64)
+        return memory[self.ref.safe_mask[memory]]

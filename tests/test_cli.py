@@ -50,6 +50,13 @@ def test_simulate_writes_csv_and_json(tmp_path, tiny_cfg):
     assert csv_a.read_bytes() == csv_b.read_bytes()
 
 
+def test_huge_seed_count_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.cfg"
+    path.write_text(TINY.replace("experiment.seeds=2", "experiment.seeds=18446744073709551615"))
+    assert main(["simulate", str(path), "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_simulate_reports_failures(tmp_path, capsys):
     path = tmp_path / "dead.cfg"
     path.write_text(FAILING)

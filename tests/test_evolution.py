@@ -197,14 +197,15 @@ def test_smoothed_mle_frozen():
 def test_memory_buffer_frozen():
     pop = Population.equal_weights([pv(0.5, 0.5)])
     rule = memory_preset(capacity=4, alpha_mem=0.5)
-    out = update_agents(pop, _data(1, 1), rule, memory=(0, 0))
+    data = _data(1, 1)
+    out = update_agents(pop, data, rule, memory=roll_memory((0, 0), data.samples, 4))
     # buffer (0,0,1,1) gives (0.5, 0.5); fresh data gives (0, 1); blend halves
     np.testing.assert_allclose(out.agents[0].mass, [0.25, 0.75], atol=1e-15)
 
 
 def test_roll_memory_keeps_most_recent():
-    assert roll_memory((1, 2, 3), np.array([4, 5]), 4) == (2, 3, 4, 5)
-    assert roll_memory((), np.array([1]), 3) == (1,)
+    assert roll_memory((1, 2, 3), np.array([4, 5]), 4).tolist() == [2, 3, 4, 5]
+    assert roll_memory((), np.array([1]), 3).tolist() == [1]
 
 
 def test_reward_reweighted_update_fixed():
@@ -343,21 +344,65 @@ def test_run_is_deterministic_and_seed_sensitive():
     )
 
 
-def test_run_matches_manual_step_replay():
+def test_per_agent_run_differs_from_shared_run():
+    ref = two_tier_reference(1000, safe_mass=0.95, safe_fraction=0.5)
+    pop0 = Population.equal_weights([ref.pi_star] * 4)
+    shared = run(pop0, EvolutionConfig(sample_size=200, rounds=5, seed=3), keep_states=True)
+    per_agent = run(
+        pop0,
+        EvolutionConfig(sample_size=200, rounds=5, seed=3, per_agent_datasets=True),
+        keep_states=True,
+    )
+    final = [tuple(a.mass.tolist()) for a in per_agent.final_population.agents]
+    assert len(set(final)) == 4
+    assert len({tuple(a.mass.tolist()) for a in shared.final_population.agents}) == 1
+    assert not np.array_equal(
+        mixture(shared.final_population).mass, mixture(per_agent.final_population).mass
+    )
+
+
+@pytest.mark.parametrize(
+    "rule, per_agent",
+    [
+        (UpdateRule("smoothed-mle", lam=0.5), False),
+        (UpdateRule("mle"), True),
+        (UpdateRule("smoothed-mle", lam=0.5), True),
+    ],
+    ids=["smoothed-mle-shared", "mle-per-agent", "smoothed-mle-per-agent"],
+)
+def test_run_matches_manual_step_replay(rule, per_agent):
     """run() must consume randomness exactly like the documented step sequence."""
     ref = two_tier_reference(30, safe_mass=0.9, safe_fraction=0.5)
     pop0 = Population.equal_weights([ref.pi_star] * 3)
     cfg = EvolutionConfig(
-        sample_size=25, rounds=8, seed=21, update=UpdateRule("smoothed-mle", lam=0.5)
+        sample_size=25, rounds=8, seed=21, update=rule, per_agent_datasets=per_agent
     )
     traj = run(pop0, cfg, keep_states=True)
     rng = make_rng(cfg.seed)
     pop, memory = pop0, ()
     for r in range(1, cfg.rounds + 1):
         res = step(pop, cfg, rng, memory, r)
+        assert len(res.dataset) == (3 if per_agent else 1) * 25
         pop, memory = res.population, res.memory
         for manual, recorded in zip(pop.agents, traj.states[r].agents):
             assert np.array_equal(manual.mass, recorded.mass)
+    # per-agent datasets keep the agents apart; shared data makes them coincide
+    assert len({tuple(a.mass.tolist()) for a in pop.agents}) == (3 if per_agent else 1)
+
+
+def test_per_agent_verifier_annihilation_skips_only_that_agent():
+    from driftlab import VerifierPolicy, make_safety_reference
+
+    ref = make_safety_reference(pv(0.9, 0.1), [0], 0.2)
+    pop0 = Population.equal_weights([pv(0.5, 0.5)] * 4)
+    # one sample per agent: the perfect verifier empties exactly the chunks
+    # that drew the unsafe outcome (agents 1 and 2 at this seed)
+    cfg = EvolutionConfig(sample_size=1, rounds=1, seed=4, per_agent_datasets=True)
+    traj = run(pop0, cfg, intervention=VerifierPolicy(ref), keep_states=True)
+    masses = [a.mass.tolist() for a in traj.states[1].agents]
+    assert masses == [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]
+    assert traj.records[1].fired == ("verifier",)
+    assert traj.records[1].notes == ("verifier-annihilation: update skipped",) * 2
 
 
 def test_isolation_reference_cannot_touch_dynamics():
@@ -395,7 +440,8 @@ def test_simulation_error_carries_round_index():
 
 
 def test_uniform_population_mixture_unchanged_by_update_shape():
-    # agents coincide after update regardless of how distinct they start
+    # with shared data, agents coincide after the update regardless of how
+    # distinct they start
     pop = Population.equal_weights([pv(0.9, 0.1), pv(0.1, 0.9)])
     cfg = EvolutionConfig(sample_size=100, rounds=1, seed=9)
     res = step(pop, cfg, make_rng(9))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,12 +166,36 @@ def test_parse_seed_spec_forms():
     assert parse_seed_spec("4") == (0, 1, 2, 3)
     assert parse_seed_spec("3..7") == (3, 4, 5, 6, 7)
     assert parse_seed_spec("0,4,9") == (0, 4, 9)
+    assert parse_seed_spec("18446744073709551615,0") == (2**64 - 1, 0)
     with pytest.raises(ConfigError):
         parse_seed_spec("7..3")
     with pytest.raises(ConfigError):
         parse_seed_spec("0")
     with pytest.raises(ConfigError):
         parse_seed_spec("many")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "18446744073709551615",  # 2**64 - 1 as a count
+        "0..18446744073709551615",
+        "1000001",  # one past MAX_SEED_COUNT
+        "18446744073709551616,3",  # 2**64 in a list
+        "-1..4",
+    ],
+)
+def test_parse_seed_spec_rejects_out_of_bounds_before_building(spec):
+    # the bound is checked before any seed tuple exists, so rejecting even
+    # the 2**64 - 1 count allocates next to nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            parse_seed_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_config_defaults_match_documented_experiment():

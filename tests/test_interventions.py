@@ -19,16 +19,11 @@ from driftlab import (
     UpdateRule,
     VerifierAnnihilationError,
     VerifierPolicy,
-    cooling_check,
-    diversity_inject,
-    entropy_release,
     make_rng,
     make_safety_reference,
     memory_preset,
-    release_vector,
     run,
     two_tier_reference,
-    verifier_filter,
 )
 
 
@@ -91,7 +86,7 @@ def test_schedule_validation():
 
 def test_perfect_verifier_keeps_exactly_the_safe_samples():
     data = _data(0, 1, 2, 3, 0, 2)
-    out = verifier_filter(data, REF4, fp=0.0, fn_rate=0.0, rng=make_rng(0))
+    out = VerifierPolicy(REF4).filter_dataset(data, make_rng(0))
     assert out.samples.tolist() == [0, 1, 0]
     assert out.round == data.round
 
@@ -99,26 +94,27 @@ def test_perfect_verifier_keeps_exactly_the_safe_samples():
 def test_inverted_verifier_keeps_exactly_the_unsafe_samples():
     # fp = 1 drops every safe sample, fn_rate = 1 passes every unsafe one
     data = _data(0, 1, 2, 3, 0, 2)
-    out = verifier_filter(data, REF4, fp=1.0, fn_rate=1.0, rng=make_rng(0))
+    out = VerifierPolicy(REF4, fp=1.0, fn_rate=1.0).filter_dataset(data, make_rng(0))
     assert out.samples.tolist() == [2, 3, 2]
 
 
 def test_verifier_budget_limits_inspection_to_the_head():
     data = _data(2, 3, 0, 1)
-    out = verifier_filter(data, REF4, fp=0.0, fn_rate=0.0, rng=make_rng(0), budget=2)
+    out = VerifierPolicy(REF4, budget=2).filter_dataset(data, make_rng(0))
     # the unsafe head is inspected and dropped, the tail passes unexamined
     assert out.samples.tolist() == [0, 1]
 
 
 def test_verifier_annihilation_is_an_error():
     with pytest.raises(VerifierAnnihilationError):
-        verifier_filter(_data(2, 3), REF4, fp=0.0, fn_rate=0.0, rng=make_rng(0))
+        VerifierPolicy(REF4).filter_dataset(_data(2, 3), make_rng(0))
 
 
 def test_verifier_miss_rate_is_stochastic_and_seeded():
     data = Dataset(np.full(10_000, 2, dtype=np.int64), 1)
-    a = verifier_filter(data, REF4, fp=0.0, fn_rate=0.5, rng=make_rng(3))
-    b = verifier_filter(data, REF4, fp=0.0, fn_rate=0.5, rng=make_rng(3))
+    verifier = VerifierPolicy(REF4, fn_rate=0.5)
+    a = verifier.filter_dataset(data, make_rng(3))
+    b = verifier.filter_dataset(data, make_rng(3))
     assert np.array_equal(a.samples, b.samples)
     assert 4500 < len(a) < 5500
 
@@ -138,7 +134,7 @@ def test_verifier_policy_validation():
 def test_cooling_within_threshold_refreshes_checkpoint():
     pop = Population.equal_weights([REF2.pi_star])
     stale = Population.equal_weights([pv(0.8, 0.2)])
-    out_pop, out_ckpt, rolled = cooling_check(pop, REF2, stale, kl_threshold=0.5)
+    out_pop, out_ckpt, rolled = CoolingPolicy(REF2, kl_threshold=0.5).cool(pop, stale)
     assert not rolled
     assert np.array_equal(out_pop.agents[0].mass, pop.agents[0].mass)
     # the checkpoint moves up to the current population
@@ -148,7 +144,7 @@ def test_cooling_within_threshold_refreshes_checkpoint():
 def test_cooling_full_rollback_restores_checkpoint():
     drifted = Population.equal_weights([pv(0.5, 0.5)])
     ckpt = Population.equal_weights([REF2.pi_star])
-    out_pop, out_ckpt, rolled = cooling_check(drifted, REF2, ckpt, kl_threshold=0.1)
+    out_pop, out_ckpt, rolled = CoolingPolicy(REF2, kl_threshold=0.1).cool(drifted, ckpt)
     assert rolled
     assert np.array_equal(out_pop.agents[0].mass, ckpt.agents[0].mass)
     assert np.array_equal(out_ckpt.agents[0].mass, ckpt.agents[0].mass)
@@ -158,9 +154,8 @@ def test_cooling_partial_blend_frozen_example():
     # blend 0.5 of checkpoint (0.5, 0.5) with current (0.9, 0.1) -> (0.7, 0.3)
     drifted = Population.equal_weights([pv(0.9, 0.1)])
     ckpt = Population.equal_weights([pv(0.5, 0.5)])
-    out_pop, out_ckpt, rolled = cooling_check(
-        drifted, REF2_SOFT, ckpt, kl_threshold=0.05, blend=0.5
-    )
+    policy = CoolingPolicy(REF2_SOFT, kl_threshold=0.05, blend=0.5)
+    out_pop, out_ckpt, rolled = policy.cool(drifted, ckpt)
     assert rolled
     np.testing.assert_allclose(out_pop.agents[0].mass, [0.7, 0.3], atol=1e-12)
     # a partial blend keeps the old checkpoint instead of refreshing it
@@ -171,7 +166,7 @@ def test_cooling_checkpoint_shape_mismatch():
     pop = Population.equal_weights([pv(0.5, 0.5)])
     ckpt = Population.equal_weights([pv(0.5, 0.5), pv(0.5, 0.5)])
     with pytest.raises(ConfigError):
-        cooling_check(pop, REF2, ckpt, kl_threshold=0.1)
+        CoolingPolicy(REF2, kl_threshold=0.1).cool(pop, ckpt)
 
 
 def test_cooling_policy_validation():
@@ -196,20 +191,20 @@ def test_cooling_initial_checkpoint_defaults_to_start_population():
 def test_diversity_injection_frozen_example():
     # T = 1 keeps pt, rho = 0.5 mixes half the reference in:
     # 0.5*(0.9, 0.1) + 0.5*(0.75, 0.25) = (0.825, 0.175)
-    out = diversity_inject(pv(0.9, 0.1), REF2_SOFT, temperature=1.0, rho=0.5)
+    out = DiversityPolicy(REF2_SOFT, temperature=1.0, rho=0.5).adjust_training(pv(0.9, 0.1))
     np.testing.assert_allclose(out.mass, [0.825, 0.175], atol=1e-15)
 
 
 def test_diversity_temperature_frozen_example():
     # sqrt-tempering (0.9, 0.1) lands exactly on (0.75, 0.25)
-    out = diversity_inject(pv(0.9, 0.1), REF2_SOFT, temperature=2.0, rho=0.0)
+    out = DiversityPolicy(REF2_SOFT, temperature=2.0, rho=0.0).adjust_training(pv(0.9, 0.1))
     np.testing.assert_allclose(out.mass, [0.75, 0.25], atol=1e-12)
 
 
 def test_diversity_tempering_raises_entropy():
     pt = pv(0.9, 0.05, 0.03, 0.02)
     ref = two_tier_reference(4, safe_mass=0.9, safe_fraction=0.5)
-    out = diversity_inject(pt, ref, temperature=3.0, rho=0.0)
+    out = DiversityPolicy(ref, temperature=3.0, rho=0.0).adjust_training(pt)
     assert entropy_of(out.mass) > entropy_of(pt.mass)
 
 
@@ -224,7 +219,7 @@ def test_diversity_floor_property(raw, rho, temperature):
     ref = two_tier_reference(6, safe_mass=0.9, safe_fraction=0.5)
     total = sum(raw)
     pt = pv(*[x / total for x in raw])
-    out = diversity_inject(pt, ref, temperature=temperature, rho=rho)
+    out = DiversityPolicy(ref, temperature=temperature, rho=rho).adjust_training(pt)
     assert np.all(out.mass >= rho * ref.pi_star.mass - 1e-12)
 
 
@@ -238,9 +233,15 @@ def test_diversity_policy_validation():
 # --- entropy release -------------------------------------------------------------
 
 
+def _release_one(agent, **policy_args):
+    """Entropy release of a single agent, as a one-agent population."""
+    pop = Population.equal_weights([agent])
+    return EntropyReleasePolicy(**policy_args).adjust_population(pop).agents[0]
+
+
 def test_release_uniform_anchor_frozen_example():
     space = OutcomeSpace(2)
-    out = release_vector(pv(1.0, 0.0), ProbVector(space, [0.5, 0.5]), gamma=0.1)
+    out = _release_one(pv(1.0, 0.0), gamma=0.1, anchor=ProbVector(space, [0.5, 0.5]))
     np.testing.assert_allclose(out.mass, [0.95, 0.05], atol=1e-15)
 
 
@@ -248,20 +249,20 @@ def test_release_prune_frozen_example():
     # anchor = agent makes the blend a no-op, isolating the prune:
     # (0.75, 0.1875, 0.0625) with floor 0.1 -> (0.8, 0.2, 0)
     agent = pv(0.75, 0.1875, 0.0625)
-    out = release_vector(agent, agent, gamma=0.5, prune_floor=0.1)
+    out = _release_one(agent, gamma=0.5, prune_floor=0.1, anchor=agent)
     np.testing.assert_allclose(out.mass, [0.8, 0.2, 0.0], atol=1e-15)
 
 
 def test_release_pruning_everything_is_an_error():
     agent = pv(0.5, 0.5)
     with pytest.raises(ValueError):
-        release_vector(agent, agent, gamma=0.5, prune_floor=0.9)
+        _release_one(agent, gamma=0.5, prune_floor=0.9, anchor=agent)
 
 
 def test_release_population_anchor_is_per_agent():
     pop = Population.equal_weights([pv(1.0, 0.0), pv(0.0, 1.0)])
     anchor = Population.equal_weights([pv(0.0, 1.0), pv(1.0, 0.0)])
-    out = entropy_release(pop, EntropyReleasePolicy(gamma=0.5, anchor=anchor))
+    out = EntropyReleasePolicy(gamma=0.5, anchor=anchor).adjust_population(pop)
     np.testing.assert_allclose(out.agents[0].mass, [0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(out.agents[1].mass, [0.5, 0.5], atol=1e-15)
 
@@ -289,7 +290,7 @@ def test_release_policy_validation():
 
 def test_release_prune_buffer_keeps_safe_samples():
     policy = EntropyReleasePolicy(gamma=0.05, prune_memory=True, ref=REF4)
-    assert policy.prune_buffer((0, 1, 2, 3, 0)) == (0, 1, 0)
+    assert policy.prune_buffer((0, 1, 2, 3, 0)).tolist() == [0, 1, 0]
 
 
 @given(
@@ -301,7 +302,7 @@ def test_release_toward_uniform_never_lowers_entropy(raw, gamma):
     total = sum(raw)
     agent = pv(*[x / total for x in raw])
     uniform = ProbVector(agent.space, [1.0 / agent.space.size] * agent.space.size)
-    out = release_vector(agent, uniform, gamma=gamma)
+    out = _release_one(agent, gamma=gamma, anchor=uniform)
     assert entropy_of(out.mass) >= entropy_of(agent.mass) - 1e-12
 
 
