@@ -45,6 +45,13 @@ def _say(quiet: bool, text: str) -> None:
         print(text)
 
 
+def _write_json(path: str, payload: dict, quiet: bool) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    _say(quiet, f"json -> {path}")
+
+
 def _load_cfg(args):
     cfg = load_experiment_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -137,10 +144,7 @@ def cmd_verify_lemmas(args) -> int:
                 for r in reports
             ],
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        _say(args.quiet, f"json -> {args.json}")
+        _write_json(args.json, payload, args.quiet)
     if not all_passed:
         for r in reports:
             if not r.passed:
@@ -201,6 +205,9 @@ def _comparison_payload(result: ComparisonResult) -> dict:
 
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
+    if cfg.output_csv:
+        raise ConfigError("compare writes no CSV; remove output.csv")
+    json_path = args.json or cfg.output_json
     specs = None
     if args.policies:
         try:
@@ -210,11 +217,8 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"cannot read policies file {args.policies!r}: {exc}") from exc
     result = run_intervention_comparison(cfg, specs)
     _print_comparison(result, args.quiet)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(_comparison_payload(result), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        _say(args.quiet, f"json -> {args.json}")
+    if json_path:
+        _write_json(json_path, _comparison_payload(result), args.quiet)
     failed = bool(result.baseline.failures) or any(a.failures for a in result.arms)
     return 1 if failed else 0
 
@@ -244,13 +248,15 @@ def cmd_ensemble_mi(args) -> int:
     cfg = _load_cfg(args)
     result = run_ensemble_mi(cfg)
     _print_ensemble(result, args.quiet)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+    csv_path = args.csv or cfg.output_csv
+    json_path = args.json or cfg.output_json
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("round,mi\n")
             for t, v in enumerate(result.mi_series):
                 fh.write(f"{t},{format_value(v)}\n")
-        _say(args.quiet, f"csv -> {args.csv}")
-    if args.json:
+        _say(args.quiet, f"csv -> {csv_path}")
+    if json_path:
         payload = {
             "mi_series": [json_float(v) for v in result.mi_series],
             "quantizer": result.quantizer,
@@ -258,10 +264,7 @@ def cmd_ensemble_mi(args) -> int:
             "runs_per_ref": result.runs_per_ref,
             "n_refs": result.n_refs,
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        _say(args.quiet, f"json -> {args.json}")
+        _write_json(json_path, payload, args.quiet)
     return 0
 
 

@@ -11,6 +11,9 @@ Conventions:
   - outcomes are the integers 0..K-1
   - probability vectors are float64, renormalized on construction; a sum off
     by more than 1e-6 is a hard error, anything closer is silently rescaled
+  - inputs are checked once, at construction; the round builds the
+    distributions it derives from checked ones with _derived, which only
+    renormalizes and freezes
   - all randomness flows through numpy Philox generators created by callers
 """
 
@@ -91,7 +94,10 @@ class ProbVector:
                 f"mass vector sums to {total!r}, beyond the {NORMALIZATION_HARD_LIMIT} "
                 "normalization limit; use make_prob_vector for unnormalized weights"
             )
-        arr /= total
+        self._freeze(arr)
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        arr /= float(arr.sum())
         arr.setflags(write=False)
         object.__setattr__(self, "mass", arr)
 
@@ -101,6 +107,18 @@ class ProbVector:
     @property
     def support_size(self) -> int:
         return int(np.count_nonzero(self.mass))
+
+
+def _derived(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:
+    """ProbVector over a fresh float64 array computed from validated vectors.
+
+    The round's derived distributions cannot fail ProbVector's checks, so
+    this only normalizes and freezes `arr` in place, as construction ends.
+    """
+    pv = object.__new__(ProbVector)
+    object.__setattr__(pv, "space", space)
+    pv._freeze(arr)
+    return pv
 
 
 def require_same_space(a: ProbVector, b: ProbVector) -> OutcomeSpace:
@@ -225,6 +243,22 @@ def _top_fraction_set(weights: np.ndarray, fraction: float) -> np.ndarray:
     return np.sort(order[:count])
 
 
+def _reference_on(
+    pi: ProbVector,
+    safe_set: Iterable[int] | None,
+    safe_fraction: float,
+    epsilon: float | None,
+) -> SafetyReference:
+    """pi_star on safe_set (default: its heaviest safe_fraction of outcomes),
+    with epsilon or else the smallest tolerance the set's mass supports."""
+    if safe_set is None:
+        idx = _top_fraction_set(pi.mass, safe_fraction)
+    else:
+        idx = pi.space.validate_indices(safe_set)
+    eps = _default_epsilon(float(pi.mass[idx].sum()), epsilon)
+    return SafetyReference(pi, tuple(int(i) for i in idx), eps)
+
+
 def two_tier_reference(
     size: int,
     safe_mass: float = 0.95,
@@ -265,12 +299,7 @@ def zipf_reference(
     ranks = np.arange(1, size + 1, dtype=np.float64)
     weights = ranks ** (-float(exponent))
     pi = make_prob_vector(space, weights)
-    if safe_set is None:
-        idx = _top_fraction_set(pi.mass, safe_fraction)
-    else:
-        idx = space.validate_indices(safe_set)
-    eps = _default_epsilon(float(pi.mass[idx].sum()), epsilon)
-    return SafetyReference(pi, tuple(int(i) for i in idx), eps)
+    return _reference_on(pi, safe_set, safe_fraction, epsilon)
 
 
 def dirichlet_reference(
@@ -294,9 +323,4 @@ def dirichlet_reference(
     # guard against exact zeros from extreme alpha draws
     weights = np.maximum(weights, 1e-300)
     pi = make_prob_vector(space, weights)
-    if safe_set is None:
-        idx = _top_fraction_set(pi.mass, safe_fraction)
-    else:
-        idx = space.validate_indices(safe_set)
-    eps = _default_epsilon(float(pi.mass[idx].sum()), epsilon)
-    return SafetyReference(pi, tuple(int(i) for i in idx), eps)
+    return _reference_on(pi, safe_set, safe_fraction, epsilon)

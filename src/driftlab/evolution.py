@@ -27,12 +27,13 @@ reproducible for a given (config, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import OutcomeSpace, ProbVector, require_same_space
+from .core import OutcomeSpace, ProbVector, _derived, require_same_space
 from .errors import (
     ConfigError,
     DegenerateSelectionError,
@@ -92,9 +93,17 @@ class Population:
     @classmethod
     def equal_weights(cls, agents: Sequence[ProbVector]) -> "Population":
         m = len(agents)
-        if m == 0:
-            raise ConfigError("population needs at least one agent")
-        return cls(tuple(agents), np.full(m, 1.0 / m))
+        # an empty population is rejected by __post_init__
+        return cls(tuple(agents), np.full(m, 1.0 / max(m, 1)))
+
+    def _successor(self, agents: Sequence[ProbVector]) -> "Population":
+        """The next population: `agents`, derived from this one's on its
+        space, with this one's validated weights."""
+        pop = object.__new__(Population)
+        object.__setattr__(pop, "agents", tuple(agents))
+        object.__setattr__(pop, "weights", self.weights)
+        object.__setattr__(pop, "_space", self._space)  # type: ignore[attr-defined]
+        return pop
 
 
 def mixture(pop: Population) -> ProbVector:
@@ -102,7 +111,7 @@ def mixture(pop: Population) -> ProbVector:
     stacked = np.stack([a.mass for a in pop.agents])
     # broadcast-and-sum instead of a BLAS dot keeps summation order fixed
     pbar = (pop.weights[:, None] * stacked).sum(axis=0)
-    return ProbVector(pop.space, pbar)
+    return _derived(pop.space, pbar)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +119,19 @@ def mixture(pop: Population) -> ProbVector:
 # ---------------------------------------------------------------------------
 
 _SELECTION_KINDS = ("identity", "indicator", "top-mass", "reward-reweight")
+
+
+def _check_beta(owner: str, beta: float) -> None:
+    if not 0.0 <= beta < math.inf:
+        raise ConfigError(f"{owner} beta must be finite and >= 0, got {beta}")
+
+
+def _finite_rewards(owner: str, reward: Sequence[float]) -> tuple[float, ...]:
+    """The reward vector as floats; r - max(r) must not overflow to -inf."""
+    r = tuple(float(x) for x in reward)
+    if not all(math.isfinite(x) for x in r) or (r and not math.isfinite(max(r) - min(r))):
+        raise ConfigError(f"{owner} reward entries and their spread must be finite")
+    return r
 
 
 @dataclass(frozen=True)
@@ -149,9 +171,8 @@ class SelectionRule:
         if self.kind == "reward-reweight":
             if self.reward is None:
                 raise ConfigError("reward-reweight selection needs a reward vector")
-            if self.beta < 0.0:
-                raise ConfigError(f"selection beta must be >= 0, got {self.beta}")
-            object.__setattr__(self, "reward", tuple(float(r) for r in self.reward))
+            _check_beta("selection", self.beta)
+            object.__setattr__(self, "reward", _finite_rewards("selection", self.reward))
         if self.kind == "indicator":
             object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 
@@ -172,14 +193,13 @@ def acceptance_vector(rule: SelectionRule, pbar: ProbVector) -> np.ndarray:
         a = np.zeros(k_space)
         a[order[: rule.k]] = 1.0
         return a
-    if rule.kind == "reward-reweight":
-        r = np.asarray(rule.reward, dtype=np.float64)
-        if r.shape[0] != k_space:
-            raise ConfigError(
-                f"selection reward vector has length {r.shape[0]}, space is {k_space}"
-            )
-        return np.exp(rule.beta * (r - r.max()))
-    raise ConfigError(f"unknown selection kind {rule.kind!r}")
+    # reward-reweight; SelectionRule admits no other kind
+    r = np.asarray(rule.reward, dtype=np.float64)
+    if r.shape[0] != k_space:
+        raise ConfigError(
+            f"selection reward vector has length {r.shape[0]}, space is {k_space}"
+        )
+    return np.exp(rule.beta * (r - r.max()))
 
 
 def apply_selection(pbar: ProbVector, rule: SelectionRule) -> ProbVector:
@@ -192,7 +212,7 @@ def apply_selection(pbar: ProbVector, rule: SelectionRule) -> ProbVector:
             f"selection {rule.kind!r} accepts zero total mass; no training "
             "distribution exists"
         )
-    return ProbVector(pbar.space, scaled / z)
+    return _derived(pbar.space, scaled / z)
 
 
 # ---------------------------------------------------------------------------
@@ -200,41 +220,22 @@ def apply_selection(pbar: ProbVector, rule: SelectionRule) -> ProbVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Outcome indices drawn in one round."""
+def sample_dataset(pt: ProbVector, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n inverse-CDF draws from pt as a read-only int64 index array.
 
-    samples: np.ndarray
-    round: int
-
-    def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.int64, copy=True)
-        if arr.ndim != 1:
-            raise ValueError(f"samples must be a 1-D index array, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    def __len__(self) -> int:
-        return int(self.samples.shape[0])
-
-
-def sample_indices(pt: ProbVector, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n inverse-CDF draws; exact boundary ties go to the lower index."""
+    Exact boundary ties go to the lower index.
+    """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
     cum = np.cumsum(pt.mass)
-    u = rng.random(n)
+    u = rng.random(int(n))
     idx = np.searchsorted(cum, u, side="left")
     # u beyond the last cumulative point (float shortfall) lands on the last
     # positive-mass outcome, never on trailing zero-mass outcomes
-    last_positive = int(np.max(np.nonzero(pt.mass > 0.0)[0]))
-    return np.minimum(idx, last_positive).astype(np.int64)
-
-
-def sample_dataset(
-    pt: ProbVector, n: int, rng: np.random.Generator, round_index: int = 1
-) -> Dataset:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
-    return Dataset(sample_indices(pt, int(n), rng), int(round_index))
+    last_positive = int(np.flatnonzero(pt.mass)[-1])
+    samples = np.minimum(idx, last_positive).astype(np.int64)
+    samples.setflags(write=False)
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +279,8 @@ class UpdateRule:
             raise ConfigError(
                 f"unknown update kind {self.kind!r}; one of {_UPDATE_KINDS}"
             )
-        if self.kind == "smoothed-mle" and self.lam <= 0.0:
-            raise ConfigError(f"smoothed-mle needs lam > 0, got {self.lam}")
+        if self.kind == "smoothed-mle" and not 0.0 < self.lam < math.inf:
+            raise ConfigError(f"smoothed-mle needs a finite lam > 0, got {self.lam}")
         if self.kind == "memory-buffer":
             if self.capacity < 1:
                 raise ConfigError(f"memory-buffer needs capacity >= 1, got {self.capacity}")
@@ -294,10 +295,9 @@ class UpdateRule:
                 )
             if self.reward_source == "fixed" and self.reward is None:
                 raise ConfigError("fixed-reward update needs a reward vector")
-            if self.beta < 0.0:
-                raise ConfigError(f"update beta must be >= 0, got {self.beta}")
+            _check_beta("update", self.beta)
             if self.reward is not None:
-                object.__setattr__(self, "reward", tuple(float(r) for r in self.reward))
+                object.__setattr__(self, "reward", _finite_rewards("update", self.reward))
         if self.neighborhood_radius < 0:
             raise ConfigError(
                 f"neighborhood radius must be >= 0, got {self.neighborhood_radius}"
@@ -341,11 +341,11 @@ def _empirical(space: OutcomeSpace, samples: np.ndarray) -> np.ndarray:
 
 def update_agents(
     pop: Population,
-    data: Dataset,
+    samples: np.ndarray,
     rule: UpdateRule,
     memory: Sequence[int] | np.ndarray = (),
 ) -> Population:
-    """Fit the estimator to `data` and give the result to every agent.
+    """Fit the estimator to the int64 `samples` and give the result to every agent.
 
     Weights are unchanged. In a shared-data round this is the whole update,
     so all agents coincide afterwards; a per-agent round keeps only agent m
@@ -353,27 +353,30 @@ def update_agents(
     over this round's samples (see roll_memory), read by the memory-buffer
     rule and ignored by the other kinds.
     """
-    if len(data) == 0:
+    if len(samples) == 0:
         raise ValueError("cannot update from an empty dataset")
     space = pop.space
-    samples = data.samples
+    # an index past K would lengthen the bincount into a wrong-shaped agent
     if int(samples.min()) < 0 or int(samples.max()) >= space.size:
         raise ValueError("dataset contains out-of-space outcome indices")
-    n = float(len(data))
+    n = float(len(samples))
     k_space = space.size
 
     if rule.kind == "mle":
         mass = _empirical(space, samples)
     elif rule.kind == "smoothed-mle":
         counts = np.bincount(samples, minlength=k_space).astype(np.float64)
-        mass = (counts + rule.lam) / (n + rule.lam * k_space)
+        denominator = n + rule.lam * k_space
+        if denominator == math.inf:
+            raise ValueError(f"smoothing lam={rule.lam} times K={k_space} overflows")
+        mass = (counts + rule.lam) / denominator
     elif rule.kind == "memory-buffer":
         if len(memory) == 0:
             raise ValueError("the memory-buffer rule needs the rolled buffer")
         buffer_emp = _empirical(space, np.asarray(memory, dtype=np.int64))
         data_emp = _empirical(space, samples)
         mass = rule.alpha_mem * buffer_emp + (1.0 - rule.alpha_mem) * data_emp
-    elif rule.kind == "reward-reweighted-mle":
+    else:  # reward-reweighted-mle; UpdateRule admits no other kind
         counts = np.bincount(samples, minlength=k_space).astype(np.float64)
         if rule.reward_source == "mixture-loglik":
             pbar = mixture(pop)
@@ -395,11 +398,8 @@ def update_agents(
                 "the reweighted estimate is undefined"
             )
         mass = weighted / total
-    else:  # unreachable, UpdateRule validates kind
-        raise ConfigError(f"unknown update kind {rule.kind!r}")
 
-    agent = ProbVector(space, mass)
-    return Population(tuple([agent] * pop.size), pop.weights)
+    return pop._successor((_derived(space, mass),) * pop.size)
 
 
 def neighborhood(space: OutcomeSpace, indices: Iterable[int], radius: int) -> np.ndarray:
@@ -458,7 +458,7 @@ class StepResult(NamedTuple):
     round's samples under the memory-buffer rule."""
 
     population: Population
-    dataset: Dataset
+    dataset: np.ndarray
     training_dist: ProbVector
     memory: np.ndarray
 
@@ -479,7 +479,7 @@ class _Round(NamedTuple):
     memory: np.ndarray
     training_dist: ProbVector | None = None  # what the next round samples from
     next_fired: tuple[str, ...] = ()  # diversity policies that shaped it
-    datasets: tuple[Dataset, ...] = ()  # consumed by this round's update
+    datasets: tuple[np.ndarray, ...] = ()  # consumed by this round's update
     fired: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -502,13 +502,11 @@ def _round(
     """
     pop, memory = prev.population, prev.memory
     fired, notes = list(prev.next_fired), []
-    datasets: list[Dataset] = []
+    datasets: list[np.ndarray] = []
     if prev.training_dist is not None:
         blocks = pop.size if cfg.per_agent_datasets else 1
-        draw = sample_dataset(prev.training_dist, cfg.sample_size * blocks, rng, r)
-        datasets = [draw] if blocks == 1 else [
-            Dataset(block, r) for block in np.split(draw.samples, blocks)
-        ]
+        draw = sample_dataset(prev.training_dist, cfg.sample_size * blocks, rng)
+        datasets = np.split(draw, blocks)
         live = list(range(len(datasets)))
         for pol in groups["verifier"]:
             if not live:
@@ -526,10 +524,10 @@ def _round(
             agents = list(pop.agents)
             for m in live:
                 agents[m] = update_agents(pop, datasets[m], rule).agents[m]
-            pop = Population(tuple(agents), pop.weights)
+            pop = pop._successor(agents)
         elif live:
             if rule.kind == "memory-buffer":
-                memory = roll_memory(memory, datasets[0].samples, rule.capacity)
+                memory = roll_memory(memory, datasets[0], rule.capacity)
             pop = update_agents(pop, datasets[0], rule, memory)
         for pol in groups["entropy-release"]:
             if pol.fires(r, pop):
@@ -571,10 +569,9 @@ def step(
     start = _Round(pop, np.asarray(memory, dtype=np.int64))
     start = _round(start, cfg, rng, round_index - 1, groups, {})
     out = _round(start, cfg, rng, round_index, groups, {})
-    samples = np.concatenate([d.samples for d in out.datasets])
-    return StepResult(
-        out.population, Dataset(samples, round_index), start.training_dist, out.memory
-    )
+    samples = np.concatenate(out.datasets)
+    samples.setflags(write=False)
+    return StepResult(out.population, samples, start.training_dist, out.memory)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +694,7 @@ def run(
             name: float(pt.mass[idx].sum()) for name, idx in monitor_sets.items()
         }
         mon_absent = {
-            name: None if r == 0 else not any(hood[d.samples].any() for d in state.datasets)
+            name: None if r == 0 else not any(hood[d].any() for d in state.datasets)
             for name, hood in monitor_hoods.items()
         }
         return TrajectoryRecord(r, values, state.fired, state.notes, mon_mass, mon_absent)

@@ -37,11 +37,9 @@ import scipy.stats
 from .core import (
     OutcomeSpace,
     SafetyReference,
-    _default_epsilon,
-    _top_fraction_set,
+    _reference_on,
     dirichlet_reference,
     make_prob_vector,
-    make_safety_reference,
     two_tier_reference,
     zipf_reference,
 )
@@ -152,9 +150,12 @@ def _as_int(key: str, value: str) -> int:
 
 def _as_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(key: str, value: str) -> bool:
@@ -287,8 +288,12 @@ class ExperimentConfig:
             raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.margin <= 0.0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
+        if not 0.0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be finite and positive, got {self.margin}")
+        if not 0.0 < self.visibility_c < math.inf:
+            raise ConfigError(
+                f"visibility_c must be finite and positive, got {self.visibility_c}"
+            )
         if not (0.0 < self.quantizer <= 0.5):
             raise ConfigError(f"quantizer must lie in (0, 0.5], got {self.quantizer}")
 
@@ -301,64 +306,37 @@ class ExperimentConfig:
         return replace(self, seeds=tuple(base + i for i in range(len(self.seeds))))
 
 
-_SELECTION_KEYS = ("selection.kind", "selection.indices", "selection.k",
-                   "selection.beta", "selection.reward")
-_UPDATE_KEYS = ("update.kind", "update.lam", "update.capacity", "update.alpha_mem",
-                "update.beta", "update.reward", "update.reward_source",
-                "update.neighborhood_radius")
-_KNOWN_KEYS = set(
-    (
-        "space.size",
-        "reference.generator", "reference.safe_mass", "reference.safe_fraction",
-        "reference.epsilon", "reference.exponent", "reference.alpha",
-        "reference.draw_seed", "reference.weights", "reference.safe_set",
-        "population.size", "population.init", "population.sigma", "population.alpha",
-        "evolution.sample_size", "evolution.rounds", "evolution.per_agent_datasets",
-        "experiment.seeds", "experiment.probes", "experiment.delta",
-        "experiment.visibility_c", "experiment.margin", "experiment.tau",
-        "intervention.kind", "intervention.schedule",
-        "ensemble.safe_masses", "ensemble.runs_per_ref", "ensemble.quantizer",
-        "output.csv", "output.json",
-    )
-    + _SELECTION_KEYS
-    + _UPDATE_KEYS
-)
+# rule fields a config may set (besides kind), each with its parser
+_SELECTION_FIELDS = {"indices": _as_ints, "k": _as_int, "beta": _as_float, "reward": _as_floats}
+_UPDATE_FIELDS = {
+    "lam": _as_float, "capacity": _as_int, "alpha_mem": _as_float, "beta": _as_float,
+    "reward": _as_floats, "reward_source": lambda key, value: value,
+    "neighborhood_radius": _as_int,
+}
+_KNOWN_KEYS = {
+    "space.size",
+    "reference.generator", "reference.safe_mass", "reference.safe_fraction",
+    "reference.epsilon", "reference.exponent", "reference.alpha",
+    "reference.draw_seed", "reference.weights", "reference.safe_set",
+    "population.size", "population.init", "population.sigma", "population.alpha",
+    "evolution.sample_size", "evolution.rounds", "evolution.per_agent_datasets",
+    "experiment.seeds", "experiment.probes", "experiment.delta",
+    "experiment.visibility_c", "experiment.margin", "experiment.tau",
+    "intervention.kind", "intervention.schedule",
+    "ensemble.safe_masses", "ensemble.runs_per_ref", "ensemble.quantizer",
+    "output.csv", "output.json",
+    *(f"selection.{name}" for name in ("kind", *_SELECTION_FIELDS)),
+    *(f"update.{name}" for name in ("kind", *_UPDATE_FIELDS)),
+}
 
 
-def _build_selection(flat: Mapping[str, str]) -> SelectionRule:
-    kind = flat.get("selection.kind", "identity")
-    kwargs = {}
-    if "selection.indices" in flat:
-        kwargs["indices"] = _as_ints("selection.indices", flat["selection.indices"])
-    if "selection.k" in flat:
-        kwargs["k"] = _as_int("selection.k", flat["selection.k"])
-    if "selection.beta" in flat:
-        kwargs["beta"] = _as_float("selection.beta", flat["selection.beta"])
-    if "selection.reward" in flat:
-        kwargs["reward"] = _as_floats("selection.reward", flat["selection.reward"])
-    return SelectionRule(kind, **kwargs)
-
-
-def _build_update(flat: Mapping[str, str]) -> UpdateRule:
-    kind = flat.get("update.kind", "mle")
-    kwargs = {}
-    if "update.lam" in flat:
-        kwargs["lam"] = _as_float("update.lam", flat["update.lam"])
-    if "update.capacity" in flat:
-        kwargs["capacity"] = _as_int("update.capacity", flat["update.capacity"])
-    if "update.alpha_mem" in flat:
-        kwargs["alpha_mem"] = _as_float("update.alpha_mem", flat["update.alpha_mem"])
-    if "update.beta" in flat:
-        kwargs["beta"] = _as_float("update.beta", flat["update.beta"])
-    if "update.reward" in flat:
-        kwargs["reward"] = _as_floats("update.reward", flat["update.reward"])
-    if "update.reward_source" in flat:
-        kwargs["reward_source"] = flat["update.reward_source"]
-    if "update.neighborhood_radius" in flat:
-        kwargs["neighborhood_radius"] = _as_int(
-            "update.neighborhood_radius", flat["update.neighborhood_radius"]
-        )
-    return UpdateRule(kind, **kwargs)
+def _build_rule(flat: Mapping[str, str], section: str, rule_cls, default_kind: str, fields):
+    kwargs = {
+        name: parse(f"{section}.{name}", flat[f"{section}.{name}"])
+        for name, parse in fields.items()
+        if f"{section}.{name}" in flat
+    }
+    return rule_cls(flat.get(f"{section}.kind", default_kind), **kwargs)
 
 
 def _optional_float(flat: Mapping[str, str], key: str) -> float | None:
@@ -370,23 +348,25 @@ def _optional_float(flat: Mapping[str, str], key: str) -> float | None:
 
 def config_from_mapping(flat: Mapping[str, str]) -> ExperimentConfig:
     """Typed ExperimentConfig from the flat dotted-key mapping."""
-    intervention_param_keys = {
-        k for k in flat if k.startswith("intervention.params.")
-    }
-    unknown = set(flat) - _KNOWN_KEYS - intervention_param_keys
+    param_prefix = "intervention.params."
+    params = tuple(
+        sorted((k[len(param_prefix) :], v) for k, v in flat.items() if k.startswith(param_prefix))
+    )
+    unknown = {k for k in flat if not k.startswith(param_prefix)} - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+    def get(parse, key: str, default: str):
+        return parse(key, flat.get(key, default))
+
     ref = ReferenceSpec(
         generator=flat.get("reference.generator", "two-tier"),
-        safe_mass=_as_float("reference.safe_mass", flat.get("reference.safe_mass", "0.95")),
-        safe_fraction=_as_float(
-            "reference.safe_fraction", flat.get("reference.safe_fraction", "0.5")
-        ),
+        safe_mass=get(_as_float, "reference.safe_mass", "0.95"),
+        safe_fraction=get(_as_float, "reference.safe_fraction", "0.5"),
         epsilon=_optional_float(flat, "reference.epsilon"),
-        exponent=_as_float("reference.exponent", flat.get("reference.exponent", "1.1")),
-        alpha=_as_float("reference.alpha", flat.get("reference.alpha", "1.0")),
-        draw_seed=_as_int("reference.draw_seed", flat.get("reference.draw_seed", "0")),
+        exponent=get(_as_float, "reference.exponent", "1.1"),
+        alpha=get(_as_float, "reference.alpha", "1.0"),
+        draw_seed=get(_as_int, "reference.draw_seed", "0"),
         weights=(
             _as_floats("reference.weights", flat["reference.weights"])
             if "reference.weights" in flat
@@ -395,29 +375,16 @@ def config_from_mapping(flat: Mapping[str, str]) -> ExperimentConfig:
         safe_set=flat.get("reference.safe_set") or None,
     )
     pop = PopulationSpec(
-        size=_as_int("population.size", flat.get("population.size", "4")),
+        size=get(_as_int, "population.size", "4"),
         init=flat.get("population.init", "copy"),
-        sigma=_as_float("population.sigma", flat.get("population.sigma", "0.05")),
-        alpha=_as_float("population.alpha", flat.get("population.alpha", "1.0")),
+        sigma=get(_as_float, "population.sigma", "0.05"),
+        alpha=get(_as_float, "population.alpha", "1.0"),
     )
     intervention: tuple[PolicySpec, ...] = ()
     int_kind = flat.get("intervention.kind", "").strip()
     if int_kind and int_kind != "none":
-        params = tuple(
-            sorted(
-                (k[len("intervention.params.") :], v)
-                for k, v in flat.items()
-                if k.startswith("intervention.params.")
-            )
-        )
-        intervention = (
-            PolicySpec(
-                name=int_kind,
-                kind=int_kind,
-                params=params,
-                schedule=flat.get("intervention.schedule", "every:1"),
-            ),
-        )
+        schedule = flat.get("intervention.schedule", "every:1")
+        intervention = (PolicySpec(int_kind, int_kind, params, schedule),)
     probes_raw = flat.get("experiment.probes", "")
     probes = (
         tuple(p.strip() for p in probes_raw.split(",") if p.strip())
@@ -425,35 +392,24 @@ def config_from_mapping(flat: Mapping[str, str]) -> ExperimentConfig:
         else DEFAULT_PROBES
     )
     return ExperimentConfig(
-        space_size=_as_int("space.size", flat.get("space.size", "1000")),
+        space_size=get(_as_int, "space.size", "1000"),
         reference=ref,
         population=pop,
-        sample_size=_as_int(
-            "evolution.sample_size", flat.get("evolution.sample_size", "200")
-        ),
-        rounds=_as_int("evolution.rounds", flat.get("evolution.rounds", "100")),
-        selection=_build_selection(flat),
-        update=_build_update(flat),
-        per_agent_datasets=_as_bool(
-            "evolution.per_agent_datasets",
-            flat.get("evolution.per_agent_datasets", "false"),
-        ),
+        sample_size=get(_as_int, "evolution.sample_size", "200"),
+        rounds=get(_as_int, "evolution.rounds", "100"),
+        selection=_build_rule(flat, "selection", SelectionRule, "identity", _SELECTION_FIELDS),
+        update=_build_rule(flat, "update", UpdateRule, "mle", _UPDATE_FIELDS),
+        per_agent_datasets=get(_as_bool, "evolution.per_agent_datasets", "false"),
         seeds=parse_seed_spec(flat.get("experiment.seeds", "20")),
         probes=probes,
-        delta=_as_float("experiment.delta", flat.get("experiment.delta", "0.02")),
-        visibility_c=_as_float(
-            "experiment.visibility_c", flat.get("experiment.visibility_c", "1.0")
-        ),
-        margin=_as_float("experiment.margin", flat.get("experiment.margin", "0.05")),
+        delta=get(_as_float, "experiment.delta", "0.02"),
+        visibility_c=get(_as_float, "experiment.visibility_c", "1.0"),
+        margin=get(_as_float, "experiment.margin", "0.05"),
         tau=_optional_float(flat, "experiment.tau"),
         intervention=intervention,
-        ensemble_safe_masses=_as_floats(
-            "ensemble.safe_masses", flat.get("ensemble.safe_masses", "0.95,0.75")
-        ),
-        runs_per_ref=_as_int(
-            "ensemble.runs_per_ref", flat.get("ensemble.runs_per_ref", "200")
-        ),
-        quantizer=_as_float("ensemble.quantizer", flat.get("ensemble.quantizer", "0.05")),
+        ensemble_safe_masses=get(_as_floats, "ensemble.safe_masses", "0.95,0.75"),
+        runs_per_ref=get(_as_int, "ensemble.runs_per_ref", "200"),
+        quantizer=get(_as_float, "ensemble.quantizer", "0.05"),
         output_csv=flat.get("output.csv") or None,
         output_json=flat.get("output.json") or None,
     )
@@ -468,43 +424,46 @@ def load_experiment_config(path: str, environ: Mapping[str, str] | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _parse_safe_set(spec: str, pi_mass: np.ndarray, space: OutcomeSpace) -> tuple[int, ...]:
-    if spec.startswith("top-fraction:"):
-        fraction = _as_float("reference.safe_set", spec.split(":", 1)[1])
-        return tuple(int(i) for i in _top_fraction_set(pi_mass, fraction))
-    return tuple(int(i) for i in space.validate_indices(_as_ints("reference.safe_set", spec)))
-
-
 def build_reference(cfg: ExperimentConfig) -> SafetyReference:
+    """The configured reference. reference.safe_set, when given, replaces the
+    generator's safe set, parsed against its pi_star, and reference.epsilon
+    is checked against the requested set."""
     spec = cfg.reference
     size = cfg.space_size
-    if spec.generator == "two-tier":
-        return two_tier_reference(size, spec.safe_mass, spec.safe_fraction, spec.epsilon)
-    if spec.generator == "zipf":
-        space = OutcomeSpace(size)
-        safe = None
-        if spec.safe_set:
-            ranks = np.arange(1, size + 1, dtype=np.float64) ** (-spec.exponent)
-            safe = _parse_safe_set(spec.safe_set, ranks / ranks.sum(), space)
-        return zipf_reference(size, spec.exponent, spec.safe_fraction, safe, spec.epsilon)
-    if spec.generator == "dirichlet-draw":
-        return dirichlet_reference(
-            size, spec.alpha, spec.draw_seed, spec.safe_fraction, None, spec.epsilon
-        )
     if spec.generator == "explicit":
         if spec.weights is None or spec.safe_set is None:
             raise ConfigError(
                 "explicit reference needs reference.weights and reference.safe_set"
             )
         space = OutcomeSpace(size)
-        pi = make_prob_vector(space, spec.weights)
-        safe = _parse_safe_set(spec.safe_set, pi.mass, space)
-        eps = _default_epsilon(float(pi.mass[list(safe)].sum()), spec.epsilon)
-        return make_safety_reference(pi, safe, eps)
-    raise ConfigError(
-        f"unknown reference generator {spec.generator!r}; "
-        "one of two-tier, zipf, dirichlet-draw, explicit"
-    )
+        try:
+            pi = make_prob_vector(space, spec.weights)
+        except ValueError as exc:
+            raise ConfigError(f"reference.weights: {exc}") from exc
+    else:
+        # the generator's own set is dropped when a safe set is requested
+        eps = None if spec.safe_set else spec.epsilon
+        if spec.generator == "two-tier":
+            ref = two_tier_reference(size, spec.safe_mass, spec.safe_fraction, eps)
+        elif spec.generator == "zipf":
+            ref = zipf_reference(size, spec.exponent, spec.safe_fraction, epsilon=eps)
+        elif spec.generator == "dirichlet-draw":
+            ref = dirichlet_reference(
+                size, spec.alpha, spec.draw_seed, spec.safe_fraction, epsilon=eps
+            )
+        else:
+            raise ConfigError(
+                f"unknown reference generator {spec.generator!r}; "
+                "one of two-tier, zipf, dirichlet-draw, explicit"
+            )
+        if not spec.safe_set:
+            return ref
+        pi = ref.pi_star
+    if spec.safe_set.startswith("top-fraction:"):
+        fraction = _as_float("reference.safe_set", spec.safe_set.split(":", 1)[1])
+        return _reference_on(pi, None, fraction, spec.epsilon)
+    safe = _as_ints("reference.safe_set", spec.safe_set)
+    return _reference_on(pi, safe, spec.safe_fraction, spec.epsilon)
 
 
 def build_population(spec: PopulationSpec, ref: SafetyReference, seed: int) -> Population:
@@ -765,6 +724,14 @@ def _evolution_config(cfg: ExperimentConfig, seed: int) -> EvolutionConfig:
     )
 
 
+def _require_isolated(cfg: ExperimentConfig, experiment: str) -> None:
+    if cfg.intervention:
+        raise ConfigError(
+            f"the {experiment} runs the isolated dynamics; remove the "
+            "intervention or use the comparison runner"
+        )
+
+
 def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
     """Isolated seed sweep with trend statistics and terminal classification.
 
@@ -772,11 +739,7 @@ def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
     for mitigation arms). Per-seed simulation failures are recorded and the
     sweep continues.
     """
-    if cfg.intervention:
-        raise ConfigError(
-            "the drift experiment runs the isolated dynamics; remove the "
-            "intervention or use the comparison runner"
-        )
+    _require_isolated(cfg, "drift experiment")
     ref = build_reference(cfg)
     probe_list = list(cfg.probes)
     for required in _REQUIRED_DRIFT_PROBES:
@@ -910,11 +873,15 @@ def run_intervention_comparison(
 ) -> ComparisonResult:
     """Baseline plus one arm per policy, all on the same seed list.
 
-    Every arm replays the identical (seed, config) pair, so per-seed
-    differences are paired comparisons of the same closed loop with and
-    without the mitigation.
+    Without policy_specs the arms are the config's intervention, or the four
+    default policies when it has none. Every arm replays the identical
+    (seed, config) pair, so per-seed differences are paired comparisons of
+    the same closed loop with and without the mitigation.
     """
-    specs = tuple(policy_specs) if policy_specs is not None else default_policy_specs()
+    if policy_specs is not None:
+        specs = tuple(policy_specs)
+    else:
+        specs = cfg.intervention or default_policy_specs()
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate arm names: {names}")
@@ -968,8 +935,10 @@ def run_ensemble_mi(
     set), binned at the quantizer resolution; the series is the plug-in
     mutual information between reference index and binned statistic, per
     round. Post-processing of a Markov chain cannot gain information, so the
-    series should fall (up to estimator noise).
+    series should fall (up to estimator noise). Like the drift experiment it
+    requires no intervention in the config.
     """
+    _require_isolated(cfg, "ensemble experiment")
     refs = tuple(family) if family is not None else default_reference_family(cfg)
     if len(refs) < 2:
         raise ConfigError("degenerate ensemble: need at least 2 references")

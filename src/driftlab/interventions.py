@@ -31,14 +31,15 @@ Strategies:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import ProbVector, SafetyReference, make_prob_vector
+from .core import ProbVector, SafetyReference, _derived
 from .errors import ConfigError, VerifierAnnihilationError
-from .evolution import Dataset, Population, mixture
+from .evolution import Population, mixture
 from .metrics import kl_divergence
 
 COMPOSITION_ORDER = (
@@ -69,6 +70,8 @@ class Schedule:
             raise ConfigError(f"every-k schedule needs k >= 1, got {self.k}")
         if self.kind == "kl-trigger" and self.ref is None:
             raise ConfigError("kl-trigger schedule needs a reference to measure against")
+        if not math.isfinite(self.threshold):
+            raise ConfigError(f"schedule threshold must be finite, got {self.threshold}")
 
     def fires(self, round_index: int, pop: Population) -> bool:
         if self.kind == "every":
@@ -100,25 +103,23 @@ class VerifierPolicy(_Scheduled):
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"inspection budget must be >= 1, got {self.budget}")
 
-    def filter_dataset(self, data: Dataset, rng: np.random.Generator) -> Dataset:
-        """Keep safe samples w.p. 1-fp, unsafe w.p. fn_rate.
+    def filter_dataset(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The kept samples: safe ones w.p. 1-fp, unsafe ones w.p. fn_rate.
 
         With a budget only the first `budget` samples are inspected; the rest
         pass through unexamined. Removing every sample raises
         VerifierAnnihilationError (the caller skips that round's update).
         """
-        samples = data.samples
-        inspected = len(samples) if self.budget is None else min(self.budget, len(samples))
-        head = samples[:inspected]
+        inspected = len(data) if self.budget is None else min(self.budget, len(data))
+        head = data[:inspected]
         safe = self.ref.safe_mask[head]
         keep_prob = np.where(safe, 1.0 - self.fp, self.fn_rate)
         keep = rng.random(inspected) < keep_prob
-        kept = np.concatenate([head[keep], samples[inspected:]])
+        kept = np.concatenate([head[keep], data[inspected:]])
         if kept.size == 0:
-            raise VerifierAnnihilationError(
-                f"verifier removed all {len(samples)} samples in round {data.round}"
-            )
-        return Dataset(kept, data.round)
+            raise VerifierAnnihilationError(f"verifier removed all {len(data)} samples")
+        kept.setflags(write=False)
+        return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +134,10 @@ class CoolingPolicy(_Scheduled):
     kind: str = field(default="cooling", init=False)
 
     def __post_init__(self):
-        if self.kl_threshold < 0.0:
-            raise ConfigError(f"cooling threshold must be >= 0, got {self.kl_threshold}")
+        if not 0.0 <= self.kl_threshold < math.inf:
+            raise ConfigError(
+                f"cooling threshold must be finite and >= 0, got {self.kl_threshold}"
+            )
         if not (0.0 < self.blend <= 1.0):
             raise ConfigError(f"cooling blend must lie in (0, 1], got {self.blend}")
 
@@ -157,14 +160,11 @@ class CoolingPolicy(_Scheduled):
             return pop, pop, False
         if self.blend == 1.0:
             return checkpoint, checkpoint, True
-        agents = tuple(
-            ProbVector(
-                pop.space,
-                self.blend * ck.mass + (1.0 - self.blend) * cur.mass,
-            )
+        agents = [
+            _derived(pop.space, self.blend * ck.mass + (1.0 - self.blend) * cur.mass)
             for ck, cur in zip(checkpoint.agents, pop.agents)
-        )
-        return Population(agents, pop.weights), checkpoint, True
+        ]
+        return pop._successor(agents), checkpoint, True
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +178,8 @@ class DiversityPolicy(_Scheduled):
     kind: str = field(default="diversity", init=False)
 
     def __post_init__(self):
-        if self.temperature < 1.0:
-            raise ConfigError(f"temperature must be >= 1, got {self.temperature}")
+        if not 1.0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and >= 1, got {self.temperature}")
         if not (0.0 <= self.rho <= 1.0):
             raise ConfigError(f"injection weight rho must lie in [0, 1], got {self.rho}")
 
@@ -191,7 +191,7 @@ class DiversityPolicy(_Scheduled):
             powered = pt.mass ** (1.0 / self.temperature)
             tempered = powered / float(powered.sum())
         blended = (1.0 - self.rho) * tempered + self.rho * self.ref.pi_star.mass
-        return ProbVector(pt.space, blended)
+        return _derived(pt.space, blended)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,8 +246,9 @@ class EntropyReleasePolicy(_Scheduled):
                     raise ValueError(
                         f"prune floor {self.prune_floor} removed all of agent {m}'s mass"
                     )
-            agents.append(make_prob_vector(pop.space, blended))
-        return Population(tuple(agents), pop.weights)
+            # two divisions, as make_prob_vector then ProbVector would do
+            agents.append(_derived(pop.space, blended / float(blended.sum())))
+        return pop._successor(agents)
 
     def prune_buffer(self, memory: Sequence[int] | np.ndarray) -> np.ndarray:
         memory = np.asarray(memory, dtype=np.int64)

@@ -104,9 +104,7 @@ class KLDecomposition:
     out_safe_term: float
 
 
-def _conditional_kl_block(
-    pm: np.ndarray, qm: np.ndarray, block: np.ndarray, p_block: float, q_block: float
-) -> float:
+def _conditional_kl_block(pm: np.ndarray, qm: np.ndarray, block: np.ndarray) -> float:
     """pi*(block) * KL(pi*|block || pt|block), with conditioning conventions.
 
     Zero pi* weight on the block makes the term 0 regardless of pt. Positive
@@ -114,12 +112,14 @@ def _conditional_kl_block(
     undefined; the term is +inf, which keeps the decomposition identity valid
     because the total divergence is +inf in exactly that situation.
     """
+    pb = pm[block]
+    qb = qm[block]
+    p_block = float(pb.sum())
+    q_block = float(qb.sum())
     if p_block == 0.0:
         return 0.0
     if q_block == 0.0:
         return math.inf
-    pb = pm[block]
-    qb = qm[block]
     pos = pb > 0.0
     qp = qb[pos]
     if np.any(qp == 0.0):
@@ -129,20 +129,33 @@ def _conditional_kl_block(
     return _clamp_nonneg(float(np.sum(pp * ratio_log)))
 
 
+# the three terms of the decomposition, each computed on its own; the
+# callers check that ref and pt share a space
+
+
+def _mass_term(ref: SafetyReference, pt: ProbVector) -> float:
+    smask = ref.safe_mask
+    p = float(ref.pi_star.mass[smask].sum())
+    q = float(pt.mass[smask].sum())
+    return binarized_kl_lower_bound(p, min(1.0, q))
+
+
+def _in_safe_term(ref: SafetyReference, pt: ProbVector) -> float:
+    return _conditional_kl_block(ref.pi_star.mass, pt.mass, ref.safe_mask)
+
+
+def _out_safe_term(ref: SafetyReference, pt: ProbVector) -> float:
+    return _conditional_kl_block(ref.pi_star.mass, pt.mass, ~ref.safe_mask)
+
+
 def kl_safe_set_decomposition(ref: SafetyReference, pt: ProbVector) -> KLDecomposition:
     """Split KL(pi_star || pt) into mass, within-safe, and outside-safe terms."""
-    require_same_space(ref.pi_star, pt)
-    pm, qm = ref.pi_star.mass, pt.mass
-    smask = ref.safe_mask
-    p = float(pm[smask].sum())
-    q = float(qm[smask].sum())
-    pc = float(pm[~smask].sum())
-    qc = float(qm[~smask].sum())
-    mass_term = binarized_kl_lower_bound(p, min(1.0, q))
-    in_term = _conditional_kl_block(pm, qm, smask, p, q)
-    out_term = _conditional_kl_block(pm, qm, ~smask, pc, qc)
-    total = kl_divergence(ref.pi_star, pt)
-    return KLDecomposition(total, mass_term, in_term, out_term)
+    return KLDecomposition(
+        kl_divergence(ref.pi_star, pt),
+        _mass_term(ref, pt),
+        _in_safe_term(ref, pt),
+        _out_safe_term(ref, pt),
+    )
 
 
 class CoverageResult(NamedTuple):
@@ -304,16 +317,12 @@ def _probe_cross_entropy(t, pt, pop, ref):
     return cross_entropy(ref.pi_star, pt)
 
 
-def _probe_mass_term(t, pt, pop, ref):
-    return kl_safe_set_decomposition(ref, pt).mass_term
+def _split_probe(term: Callable[[SafetyReference, ProbVector], float]) -> ProbeFn:
+    def probe(t, pt, pop, ref):
+        require_same_space(ref.pi_star, pt)
+        return term(ref, pt)
 
-
-def _probe_in_safe(t, pt, pop, ref):
-    return kl_safe_set_decomposition(ref, pt).in_safe_term
-
-
-def _probe_out_safe(t, pt, pop, ref):
-    return kl_safe_set_decomposition(ref, pt).out_safe_term
+    return probe
 
 
 _SIMPLE_PROBES: dict[str, ProbeFn] = {
@@ -321,9 +330,9 @@ _SIMPLE_PROBES: dict[str, ProbeFn] = {
     "safe_mass": _probe_safe_mass,
     "internal_entropy": _probe_internal_entropy,
     "cross_entropy": _probe_cross_entropy,
-    "mass_term": _probe_mass_term,
-    "in_safe_term": _probe_in_safe,
-    "out_safe_term": _probe_out_safe,
+    "mass_term": _split_probe(_mass_term),
+    "in_safe_term": _split_probe(_in_safe_term),
+    "out_safe_term": _split_probe(_out_safe_term),
 }
 
 

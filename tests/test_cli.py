@@ -186,3 +186,40 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     path.write_text("banana=1\n")
     assert main(["simulate", str(path)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_compare_runs_config_arm_and_output_keys(tmp_path, capsys):
+    out = tmp_path / "cmp.json"
+    path = tmp_path / "arm.cfg"
+    path.write_text(TINY + f"intervention.kind=cooling\noutput.json={out}\n")
+    assert main(["compare", str(path), "--quiet"]) == 0
+    payload = json.loads(out.read_text())
+    assert [a["name"] for a in payload["arms"]] == ["cooling"]
+    # compare writes no CSV, so a CSV target is a config error
+    path.write_text(TINY + f"output.csv={tmp_path / 'cmp.csv'}\n")
+    assert main(["compare", str(path), "--quiet"]) == 2
+    assert "compare writes no CSV" in capsys.readouterr().err
+    assert not (tmp_path / "cmp.csv").exists()
+
+
+def test_ensemble_output_keys_and_isolation(tmp_path, capsys):
+    csv_out, json_out = tmp_path / "mi.csv", tmp_path / "mi.json"
+    path = tmp_path / "ens.cfg"
+    path.write_text(
+        TINY + "ensemble.runs_per_ref=4\nevolution.rounds=3\n"
+        f"output.csv={csv_out}\noutput.json={json_out}\n"
+    )
+    assert main(["ensemble-mi", str(path), "--quiet"]) == 0
+    assert len(csv_out.read_text().splitlines()) == 1 + 4
+    assert len(json.loads(json_out.read_text())["mi_series"]) == 4
+    path.write_text(TINY + "intervention.kind=verifier\n")
+    assert main(["ensemble-mi", str(path), "--quiet"]) == 2
+    assert "comparison runner" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text(TINY + "update.kind=smoothed-mle\nupdate.lam=nan\n")
+    assert main(["simulate", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "update.lam" in err

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from driftlab import (
     ConfigError,
-    Dataset,
     DegenerateSelectionError,
     EvolutionConfig,
     OutcomeSpace,
@@ -27,7 +26,6 @@ from driftlab import (
     roll_memory,
     run,
     sample_dataset,
-    sample_indices,
     step,
     two_tier_reference,
     update_agents,
@@ -54,6 +52,8 @@ def test_population_weight_validation():
         Population(tuple(agents), np.array([1.0, -0.0001]))
     with pytest.raises(ConfigError):
         Population(tuple(agents), np.array([1.0]))
+    with pytest.raises(ConfigError):
+        Population.equal_weights([])
 
 
 def test_population_requires_shared_space():
@@ -140,22 +140,22 @@ def test_reward_reweight_preserves_support(mass, beta):
 
 def test_sampling_deterministic_per_seed():
     p = pv(0.2, 0.3, 0.5)
-    a = sample_indices(p, 1000, make_rng(42))
-    b = sample_indices(p, 1000, make_rng(42))
-    c = sample_indices(p, 1000, make_rng(43))
+    a = sample_dataset(p, 1000, make_rng(42))
+    b = sample_dataset(p, 1000, make_rng(42))
+    c = sample_dataset(p, 1000, make_rng(43))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sampling_never_hits_zero_mass_tail():
     p = pv(0.7, 0.3, 0.0, 0.0)
-    draws = sample_indices(p, 5000, make_rng(0))
+    draws = sample_dataset(p, 5000, make_rng(0))
     assert draws.max() <= 1
 
 
 def test_sampling_goodness_of_fit():
     p = pv(0.2, 0.3, 0.5)
-    draws = sample_indices(p, 100_000, make_rng(7))
+    draws = sample_dataset(p, 100_000, make_rng(7))
     counts = np.bincount(draws, minlength=3)
     res = scipy.stats.chisquare(counts, f_exp=np.array([0.2, 0.3, 0.5]) * 100_000)
     assert res.pvalue > 0.001
@@ -165,18 +165,17 @@ def test_sample_dataset_validation():
     p = pv(0.5, 0.5)
     with pytest.raises(ConfigError):
         sample_dataset(p, 0, make_rng(0))
-    data = sample_dataset(p, 10, make_rng(0), round_index=3)
+    data = sample_dataset(p, 10, make_rng(0))
     assert len(data) == 10
-    assert data.round == 3
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((2, 2), dtype=np.int64), 1)
+    assert data.dtype == np.int64
+    assert not data.flags.writeable
 
 
 # --- update rules ----------------------------------------------------------------
 
 
 def _data(*samples):
-    return Dataset(np.array(samples, dtype=np.int64), 1)
+    return np.array(samples, dtype=np.int64)
 
 
 def test_mle_update_frozen():
@@ -198,7 +197,7 @@ def test_memory_buffer_frozen():
     pop = Population.equal_weights([pv(0.5, 0.5)])
     rule = memory_preset(capacity=4, alpha_mem=0.5)
     data = _data(1, 1)
-    out = update_agents(pop, data, rule, memory=roll_memory((0, 0), data.samples, 4))
+    out = update_agents(pop, data, rule, memory=roll_memory((0, 0), data, 4))
     # buffer (0,0,1,1) gives (0.5, 0.5); fresh data gives (0, 1); blend halves
     np.testing.assert_allclose(out.agents[0].mass, [0.25, 0.75], atol=1e-15)
 
@@ -235,7 +234,7 @@ def test_reward_tilt_total_annihilation_is_error():
 def test_update_rejects_empty_or_alien_data():
     pop = Population.equal_weights([pv(0.5, 0.5)])
     with pytest.raises(ValueError):
-        update_agents(pop, Dataset(np.array([], dtype=np.int64), 1), UpdateRule("mle"))
+        update_agents(pop, np.array([], dtype=np.int64), UpdateRule("mle"))
     with pytest.raises(ValueError):
         update_agents(pop, _data(0, 5), UpdateRule("mle"))
 
@@ -252,7 +251,7 @@ def test_smoothed_mle_floor_property(counts, lam):
     samples = [i for i, c in enumerate(counts) for _ in range(c)]
     pop = Population.equal_weights([pv(*([1.0 / k] * k))])
     out = update_agents(
-        pop, Dataset(np.array(samples, dtype=np.int64), 1), UpdateRule("smoothed-mle", lam=lam)
+        pop, np.array(samples, dtype=np.int64), UpdateRule("smoothed-mle", lam=lam)
     )
     n = len(samples)
     floor = lam / (n + lam * k)
@@ -273,10 +272,9 @@ def test_step_composition():
     pop = Population.equal_weights([pv(0.5, 0.5), pv(0.5, 0.5)])
     cfg = EvolutionConfig(sample_size=50, rounds=1, seed=5)
     res = step(pop, cfg, make_rng(5), round_index=2)
-    assert res.dataset.round == 2
     assert len(res.dataset) == 50
     assert res.training_dist.mass.tolist() == [0.5, 0.5]
-    counts = np.bincount(res.dataset.samples, minlength=2)
+    counts = np.bincount(res.dataset, minlength=2)
     np.testing.assert_allclose(res.population.agents[0].mass, counts / 50.0, atol=1e-15)
 
 

@@ -40,6 +40,7 @@ from driftlab import (
     format_value,
     trajectory_to_dict,
     two_tier_reference,
+    zipf_reference,
 )
 from driftlab.harness import (
     CLASS_COLLAPSE,
@@ -253,6 +254,12 @@ def test_config_validation():
         ExperimentConfig(delta=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(margin=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="margin"):
+            ExperimentConfig(margin=bad)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError, match="visibility_c"):
+            ExperimentConfig(visibility_c=bad)
     with pytest.raises(ConfigError):
         ExperimentConfig(quantizer=0.9)
 
@@ -310,9 +317,68 @@ def test_build_reference_explicit():
     assert build_reference(top).safe_set == (1, 3)
 
 
+# reference.safe_set replaces the generator's safe set for every generator
+SAFE_SET_CASES = {
+    "two-tier": {},
+    "zipf": {},
+    "dirichlet-draw": {"reference.draw_seed": "5"},
+    "explicit": {"reference.weights": ",".join(str(50 - i) for i in range(50))},
+}
+
+
+@pytest.mark.parametrize("generator", sorted(SAFE_SET_CASES))
+def test_build_reference_honours_safe_set(generator):
+    extra = {"space.size": "50", "reference.generator": generator, **SAFE_SET_CASES[generator]}
+    ref = build_reference(small_cfg(**extra, **{"reference.safe_set": "0,1,2"}))
+    assert ref.safe_set == (0, 1, 2)
+    assert ref.epsilon == pytest.approx(1.0 - ref.safe_mass, abs=2e-9)
+    # a top-fraction spec is parsed against this generator's own pi_star
+    top = build_reference(small_cfg(**extra, **{"reference.safe_set": "top-fraction:0.1"}))
+    heaviest = np.argsort(-top.pi_star.mass, kind="stable")[:5]
+    assert top.safe_set == tuple(sorted(int(i) for i in heaviest))
+    if generator != "explicit":
+        default = build_reference(small_cfg(**{k: v for k, v in extra.items()}))
+        assert np.array_equal(ref.pi_star.mass, default.pi_star.mass)
+
+
+def test_build_reference_zipf_safe_set_matches_generator():
+    cfg = small_cfg(
+        **{"space.size": "50", "reference.generator": "zipf", "reference.safe_set": "3,7,9"}
+    )
+    ref = build_reference(cfg)
+    direct = zipf_reference(50, 1.1, 0.5, (3, 7, 9))
+    assert ref.safe_set == direct.safe_set
+    assert ref.epsilon == direct.epsilon
+    assert np.array_equal(ref.pi_star.mass, direct.pi_star.mass)
+
+
+def test_build_reference_checks_epsilon_against_requested_set():
+    # the default set (0..24) holds 0.95 < 1 - 0.03; the requested 0..39 holds 0.98
+    wide = {"space.size": "50", "reference.epsilon": "0.03"}
+    ref = build_reference(
+        small_cfg(**wide, **{"reference.safe_set": ",".join(str(i) for i in range(40))})
+    )
+    assert ref.epsilon == 0.03
+    assert len(ref.safe_set) == 40
+    with pytest.raises(ConfigError, match="mass on the safe set"):
+        build_reference(small_cfg(**wide))
+    # an epsilon the default set meets but the requested set does not
+    with pytest.raises(ConfigError, match="mass on the safe set"):
+        build_reference(
+            small_cfg(**{"space.size": "50", "reference.epsilon": "0.1",
+                         "reference.safe_set": "0,1,2"})
+        )
+
+
 def test_build_reference_explicit_requires_weights_and_safe_set():
     with pytest.raises(ConfigError, match="explicit reference needs"):
         build_reference(small_cfg(**{"reference.generator": "explicit"}))
+    # unusable weights are a config error, not a traceback
+    for weights in ("1,2,3", "1,2,-1,3", "0,0,0,0"):
+        explicit = {"space.size": "4", "reference.generator": "explicit",
+                    "reference.weights": weights, "reference.safe_set": "0,1"}
+        with pytest.raises(ConfigError, match="reference.weights"):
+            build_reference(small_cfg(**explicit))
 
 
 def test_build_reference_unknown_generator():
@@ -581,6 +647,26 @@ def test_comparison_custom_single_arm():
     assert result.arms[0].name == "soft-verifier"
 
 
+def test_comparison_runs_the_config_intervention():
+    cfg = small_cfg(
+        **{
+            "experiment.seeds": "2",
+            "evolution.rounds": "4",
+            "intervention.kind": "verifier",
+            "intervention.params.fn_rate": "0.2",
+        }
+    )
+    result = run_intervention_comparison(cfg)
+    assert [a.name for a in result.arms] == ["verifier"]
+    specs = (PolicySpec("verifier", "verifier", (("fn_rate", "0.2"),)),)
+    explicit = run_intervention_comparison(cfg, specs)
+    assert result.arms[0].terminal_kl == explicit.arms[0].terminal_kl
+    assert result.arms[0].terminal_safe_mass == explicit.arms[0].terminal_safe_mass
+    # explicit specs win over the config's arm
+    cooling = run_intervention_comparison(cfg, (PolicySpec("cooling", "cooling"),))
+    assert [a.name for a in cooling.arms] == ["cooling"]
+
+
 def test_comparison_rejects_duplicate_arm_names():
     cfg = small_cfg(**{"experiment.seeds": "2", "evolution.rounds": "3"})
     specs = (PolicySpec("a", "verifier"), PolicySpec("a", "cooling"))
@@ -619,6 +705,8 @@ def test_ensemble_mi_validation():
         run_ensemble_mi(small_cfg(), family=(ref_a, ref_b))
     with pytest.raises(ConfigError, match="runs_per_ref"):
         run_ensemble_mi(small_cfg(**{"ensemble.runs_per_ref": "0"}))
+    with pytest.raises(ConfigError, match="comparison runner"):
+        run_ensemble_mi(small_cfg(**{"intervention.kind": "cooling"}))
 
 
 # --- serialization ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from driftlab import (
     ConfigError,
     CoolingPolicy,
-    Dataset,
     DiversityPolicy,
     EntropyReleasePolicy,
     EvolutionConfig,
@@ -45,7 +44,7 @@ REF4 = make_safety_reference(pv(0.4, 0.4, 0.1, 0.1), [0, 1], 0.25)
 
 
 def _data(*samples):
-    return Dataset(np.array(samples, dtype=np.int64), 1)
+    return np.array(samples, dtype=np.int64)
 
 
 # --- schedules ---------------------------------------------------------------
@@ -87,22 +86,21 @@ def test_schedule_validation():
 def test_perfect_verifier_keeps_exactly_the_safe_samples():
     data = _data(0, 1, 2, 3, 0, 2)
     out = VerifierPolicy(REF4).filter_dataset(data, make_rng(0))
-    assert out.samples.tolist() == [0, 1, 0]
-    assert out.round == data.round
+    assert out.tolist() == [0, 1, 0]
 
 
 def test_inverted_verifier_keeps_exactly_the_unsafe_samples():
     # fp = 1 drops every safe sample, fn_rate = 1 passes every unsafe one
     data = _data(0, 1, 2, 3, 0, 2)
     out = VerifierPolicy(REF4, fp=1.0, fn_rate=1.0).filter_dataset(data, make_rng(0))
-    assert out.samples.tolist() == [2, 3, 2]
+    assert out.tolist() == [2, 3, 2]
 
 
 def test_verifier_budget_limits_inspection_to_the_head():
     data = _data(2, 3, 0, 1)
     out = VerifierPolicy(REF4, budget=2).filter_dataset(data, make_rng(0))
     # the unsafe head is inspected and dropped, the tail passes unexamined
-    assert out.samples.tolist() == [0, 1]
+    assert out.tolist() == [0, 1]
 
 
 def test_verifier_annihilation_is_an_error():
@@ -111,11 +109,11 @@ def test_verifier_annihilation_is_an_error():
 
 
 def test_verifier_miss_rate_is_stochastic_and_seeded():
-    data = Dataset(np.full(10_000, 2, dtype=np.int64), 1)
+    data = np.full(10_000, 2, dtype=np.int64)
     verifier = VerifierPolicy(REF4, fn_rate=0.5)
     a = verifier.filter_dataset(data, make_rng(3))
     b = verifier.filter_dataset(data, make_rng(3))
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
     assert 4500 < len(a) < 5500
 
 

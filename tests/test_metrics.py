@@ -362,6 +362,21 @@ def test_probe_evaluators_agree_with_direct_calls():
         assert probe.evaluator(0, target, pop, ref) == pytest.approx(direct, abs=1e-12)
 
 
+@given(q=simplex, frac=st.floats(min_value=0.05, max_value=0.8), dead=st.integers(0, 3))
+@settings(max_examples=120, deadline=None)
+def test_split_probes_match_the_decomposition_bitwise(q, frac, dead):
+    """Each split probe computes only its own term, to the same bits."""
+    k = len(q)
+    mass = np.asarray(q)
+    mass[: min(dead, k - 1)] = 0.0  # zeros exercise the +inf branches
+    pt = ProbVector(OutcomeSpace(k), mass / mass.sum())
+    ref = two_tier_reference(k, safe_mass=0.9, safe_fraction=frac)
+    dec = kl_safe_set_decomposition(ref, pt)
+    for name in ("mass_term", "in_safe_term", "out_safe_term"):
+        value = resolve_probe(name).evaluator(0, pt, None, ref)
+        assert value == getattr(dec, name)
+
+
 def test_coverage_probe_tau_forms():
     ref = two_tier_reference(10, safe_mass=0.9, safe_fraction=0.5)
     target = pv(*([0.15] * 5 + [0.05] * 5))

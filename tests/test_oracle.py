@@ -203,7 +203,7 @@ def test_expected_next_mass_monte_carlo_replay():
         data = sample_dataset(pt, 4, rng)
         out = update_agents(pop, data, rule)
         masses[i] = out.agents[0].mass[1]
-        absent[i] = not np.any(data.samples == 1)
+        absent[i] = not np.any(data == 1)
     assert abs(float(masses.mean()) - res.unconditional) < 0.006
     assert abs(float(absent.mean()) - res.absence_probability) < 0.02
     # conditional on absence the smoothed update is deterministic
