@@ -6,10 +6,19 @@ operator was folded into a single kernel, so they pin the arithmetic and the
 random stream of every update kind, every selection kind and the policy hook
 points. A change that moves any of them has to say why.
 
+The JSON goldens below were recorded before the round became seed-batched.
+They hash the full trajectory export (probe values, fired policies, notes,
+monitor masses and absence flags) for what the CSV cases leave out:
+per-agent datasets, population sizes whose equal weights are not exact
+binary fractions, ragged verifier datasets, verifier annihilation, partial
+cooling rollback, `kl:` schedules, memory pruning under a prune floor, a
+comparison in which some seeds fail mid-run, and an ensemble-MI series.
+
 Print the current digests with `python tests/test_golden.py`.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -30,9 +39,13 @@ from driftlab import (
     rl_preset,
     run,
     run_drift_experiment,
+    run_ensemble_mi,
+    run_intervention_comparison,
     save_trajectories_csv,
+    save_trajectories_json,
     two_tier_reference,
 )
+from driftlab.cli import _comparison_payload
 
 K = 24
 REF = two_tier_reference(K, safe_mass=0.9, safe_fraction=0.5)
@@ -119,6 +132,138 @@ GOLDEN = {
 }
 
 
+MONITORS = {"rare-safe": (0, 1, 2), "unsafe": tuple(range(12, K))}
+JSON_SEEDS = (0, 1, 2)
+
+
+def _policy(kind, schedule="every:1", **params):
+    return PolicySpec(kind, kind, tuple((k, str(v)) for k, v in params.items()), schedule)
+
+
+def _json_digest(tmp_path, update=UpdateRule("mle"), selection=SelectionRule("identity"),
+                 specs=(), size=3, per_agent=False, sample_size=60):
+    trajs = []
+    for seed in JSON_SEEDS:
+        pop0 = build_population(PopulationSpec(size, "perturbed", sigma=0.3), REF, seed)
+        cfg = EvolutionConfig(
+            sample_size=sample_size, rounds=8, selection=selection, update=update,
+            seed=seed, per_agent_datasets=per_agent,
+        )
+        policies = [realize_policy(spec, REF, pop0) for spec in specs] or None
+        trajs.append(run(pop0, cfg, PROBES, policies, ref=REF, monitors=MONITORS))
+    path = tmp_path / "trajectories.json"
+    save_trajectories_json(trajs, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _mapping_digest(payload):
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# a reward selection that accepts only outcome 23, fed by a diversity policy
+# that every other round samples mostly from the reference: a seed whose
+# dataset then misses outcome 23 fails with zero selection mass
+FAILING_SEEDS_CONFIG = {
+    "space.size": "24",
+    "reference.safe_mass": "0.9",
+    "population.init": "perturbed",
+    "population.sigma": "0.3",
+    "evolution.sample_size": "20",
+    "evolution.rounds": "8",
+    "selection.kind": "reward-reweight",
+    "selection.reward": ",".join(["0"] * 23 + ["1"]),
+    "selection.beta": "1e4",
+    "experiment.seeds": "12",
+    "intervention.kind": "diversity",
+    "intervention.schedule": "every:2",
+    "intervention.params.temperature": "1",
+    "intervention.params.rho": "0.95",
+}
+
+
+def _failing_seeds_digest():
+    result = run_intervention_comparison(config_from_mapping(FAILING_SEEDS_CONFIG))
+    failures = result.arm("diversity").failures
+    assert failures and len(failures) < 12
+    return _mapping_digest(_comparison_payload(result))
+
+
+def _ensemble_digest():
+    cfg = config_from_mapping(
+        {"space.size": "40", "evolution.rounds": "12", "evolution.sample_size": "50",
+         "ensemble.runs_per_ref": "15", "population.init": "perturbed"}
+    )
+    result = run_ensemble_mi(cfg)
+    return _mapping_digest([float(v).hex() for v in result.mi_series])
+
+
+REWARD_FIXED = UPDATES["reward-fixed"]
+JSON_CASES = {
+    "per-agent-mle": dict(update=UpdateRule("mle", neighborhood_radius=1), per_agent=True),
+    "per-agent-smoothed-mle": dict(update=UPDATES["smoothed-mle"], per_agent=True),
+    "per-agent-reward-mixture-loglik": dict(
+        update=UPDATES["reward-mixture-loglik"], per_agent=True
+    ),
+    "per-agent-reward-fixed-top-mass": dict(
+        update=REWARD_FIXED, selection=SELECTIONS["top-mass"], per_agent=True
+    ),
+    "population-6": dict(size=6),
+    "population-7-per-agent-reward-selection": dict(
+        size=7, per_agent=True, selection=SELECTIONS["reward-reweight"]
+    ),
+    "verifier-ragged": dict(specs=(_policy("verifier", fp=0.1, fn_rate=0.3, budget=40),)),
+    "verifier-ragged-per-agent": dict(
+        specs=(_policy("verifier", fp=0.2, fn_rate=0.5, budget=25),), per_agent=True
+    ),
+    "verifier-annihilation": dict(
+        specs=(_policy("verifier", fp=0.9, fn_rate=0.0),), sample_size=4
+    ),
+    "verifier-annihilation-per-agent": dict(
+        specs=(_policy("verifier", fp=0.8, fn_rate=0.1),), per_agent=True, sample_size=5
+    ),
+    "cooling-partial-rollback": dict(
+        update=UPDATES["smoothed-mle"],
+        specs=(_policy("cooling", kl_threshold=0.2, blend=0.5),),
+        per_agent=True,
+    ),
+    "kl-schedules": dict(
+        specs=(
+            _policy("verifier", "kl:0.1", fp=0.05, fn_rate=0.2),
+            _policy("diversity", "kl:0.2", temperature=1.5, rho=0.1),
+            _policy("entropy-release", "kl:0.05", gamma=0.1, prune_floor=0.001),
+            _policy("cooling", "kl:0.3", kl_threshold=0.6, blend=0.7),
+        ),
+    ),
+    "memory-buffer-prune-floor": dict(
+        update=memory_preset(capacity=40, alpha_mem=0.7),
+        specs=(
+            _policy("verifier", fp=0.0, fn_rate=0.5),
+            _policy("entropy-release", "every:2", gamma=0.1, prune_floor=0.02,
+                    anchor="initial", prune_memory="true"),
+        ),
+    ),
+}
+
+JSON_GOLDEN = {
+    "cooling-partial-rollback": "109e7541fb4c0988c35a4d720709740df73e2f273e4b655e87b84a8d805183dc",
+    "kl-schedules": "b7dd6fd83046a2801276caec2c880454dbce35ffc59f6e5e87fb116fcb767147",
+    "memory-buffer-prune-floor": "a9ceafcc74a6e216f28dcc94e1c4879d63d94262c541f34e0ddd8d3156d7751a",
+    "per-agent-mle": "b994d44511bbd1bfb24f9a2e5e2bb3568f5b0a1637410e12efa141ef37ebfe19",
+    "per-agent-reward-fixed-top-mass": "af142eef2f0f7ba3145f0c5494c8adb2d88716425e694ddeb49555dada44dcc0",
+    "per-agent-reward-mixture-loglik": "ddf239eac24ebf84c178c36b364984b0be359a415e9cb70f3d2e3ab1123fd0db",
+    "per-agent-smoothed-mle": "bb6c9d77edff5002c20aaa1266648c06b3af68463106094b2f4581aa7236287e",
+    "population-6": "8a0a24775fd9e25956d29124c3f2e83bb3f98410d336502c5e2aba857373c5eb",
+    "population-7-per-agent-reward-selection": "8b01724b0eab84a7fd696a6be6a16ac574a3ed0a055f543ac96c77be6baf9e9e",
+    "verifier-annihilation": "663dd55d3cc36000184f104e7064456f90e39815d0ed0c5afce36203d027553b",
+    "verifier-annihilation-per-agent": "c689f05827370abbabfa34526c7750ec8633440322b5dab0657a854ffd1ce570",
+    "verifier-ragged": "8b3f8679f1e892bbff86c809b2fa3103296c0e911d900d62e495420b22381f8f",
+    "verifier-ragged-per-agent": "d929b72fd4f5a246e9d85439b34b90ec5e353cfa1d150610ea2472ad7253f375",
+    "comparison-failing-seeds": "8002e2f9a50f80b7a0b2f6330b930d9d3facbf79e3da6a5345ca91debd574ae4",
+    "ensemble-mi": "094bec074f7f90bf6ff5ef0a1a7277f15d14bcf35e8712dcd13d33db92881d52",
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_csv_matches_golden(name, tmp_path):
     assert _csv_digest(tmp_path, **CASES[name]) == GOLDEN[name]
@@ -126,6 +271,19 @@ def test_trajectory_csv_matches_golden(name, tmp_path):
 
 def test_drift_experiment_csv_matches_golden(tmp_path):
     assert _drift_digest(tmp_path) == GOLDEN["drift-experiment"]
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_trajectory_json_matches_golden(name, tmp_path):
+    assert _json_digest(tmp_path, **JSON_CASES[name]) == JSON_GOLDEN[name]
+
+
+def test_comparison_with_failing_seeds_matches_golden():
+    assert _failing_seeds_digest() == JSON_GOLDEN["comparison-failing-seeds"]
+
+
+def test_ensemble_mi_series_matches_golden():
+    assert _ensemble_digest() == JSON_GOLDEN["ensemble-mi"]
 
 
 if __name__ == "__main__":
@@ -137,3 +295,7 @@ if __name__ == "__main__":
         for name in sorted(CASES):
             print(f'    "{name}": "{_csv_digest(tmp_path, **CASES[name])}",')
         print(f'    "drift-experiment": "{_drift_digest(tmp_path)}",')
+        for name in sorted(JSON_CASES):
+            print(f'    "{name}": "{_json_digest(tmp_path, **JSON_CASES[name])}",')
+        print(f'    "comparison-failing-seeds": "{_failing_seeds_digest()}",')
+        print(f'    "ensemble-mi": "{_ensemble_digest()}",')
