@@ -27,12 +27,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .core import (
     OutcomeSpace,
@@ -615,16 +613,31 @@ class TrendReport:
     last_median: float
 
 
+def _average_ranks(arr: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values (equal infinities included) share their mean rank."""
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], arr.size)
+    group = np.repeat(np.arange(starts.size), ends - starts)
+    ranks = np.empty(arr.size)
+    ranks[order] = ((starts + 1 + ends) / 2.0)[group]
+    return ranks
+
+
 def spearman_vs_round(series: Sequence[float]) -> float:
-    """Rank correlation of a series against its round index; constant -> 0."""
+    """Rank correlation of a series against its round index: the Pearson
+    correlation of average ranks. A constant series, or one holding NaN,
+    reads 0."""
     arr = np.asarray(series, dtype=np.float64)
-    if arr.size < 2 or np.all(arr == arr[0]):
+    if arr.size < 2 or np.all(arr == arr[0]) or np.isnan(arr).any():
         return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = scipy.stats.spearmanr(np.arange(arr.size), arr)
-    stat = float(result[0])
-    return 0.0 if math.isnan(stat) else stat
+    x = np.arange(arr.size, dtype=np.float64)
+    x -= x.mean()
+    y = _average_ranks(arr)
+    y -= y.mean()
+    stat = float((x * y).sum() / math.sqrt(float((x * x).sum()) * float((y * y).sum())))
+    return max(-1.0, min(1.0, stat))
 
 
 def compute_trend(metric: str, series_by_seed: Mapping[int, Sequence[float]]) -> TrendReport:

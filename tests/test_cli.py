@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +227,17 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert main(["simulate", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "update.lam" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the installed package must not need it
+    code = "import sys, driftlab.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -521,6 +521,29 @@ def test_spearman_vs_round():
     )
 
 
+@pytest.mark.parametrize("kind", ["random", "tied", "inf"])
+def test_spearman_vs_round_matches_scipy(kind):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11)
+    for size in (2, 3, 7, 40, 101):
+        for _ in range(20):
+            series = rng.normal(size=size)
+            if kind == "tied":
+                series = np.round(series * 2.0) / 2.0
+            elif kind == "inf":
+                series[rng.random(size) < 0.3] = math.inf
+                series[rng.random(size) < 0.1] = -math.inf
+            if np.all(series == series[0]):
+                continue
+            expected = scipy_stats.spearmanr(np.arange(size), series)[0]
+            assert spearman_vs_round(series) == pytest.approx(expected, abs=1e-12)
+
+
+def test_spearman_vs_round_nan_reads_zero():
+    assert spearman_vs_round([0.0, math.nan, 2.0]) == 0.0
+    assert spearman_vs_round([math.inf, math.inf]) == 0.0
+
+
 def test_compute_trend_uses_seed_medians():
     trend = compute_trend("demo", {0: [1.0, 2.0, 3.0], 1: [3.0, 4.0, 5.0]})
     assert trend.metric == "demo"
