@@ -121,6 +121,16 @@ def _derived(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:
     return pv
 
 
+def _wrap(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:
+    """ProbVector over `arr`, which the caller has already normalized (a row
+    of a batched array, say); `arr` is frozen, not copied."""
+    pv = object.__new__(ProbVector)
+    object.__setattr__(pv, "space", space)
+    arr.setflags(write=False)
+    object.__setattr__(pv, "mass", arr)
+    return pv
+
+
 def require_same_space(a: ProbVector, b: ProbVector) -> OutcomeSpace:
     if a.space != b.space:
         raise SpaceMismatchError(

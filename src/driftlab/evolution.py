@@ -8,8 +8,15 @@ One round maps a population of agent distributions to its successor:
     each agent := estimator fitted to D         (update)
 
 With per-agent datasets the round draws n * M outcomes instead and agent m is
-fitted to its own block of n. _round is the one implementation of this
-operator; step() and run() both call it.
+fitted to its own block of n.
+
+The engine advances a chunk of S seeds in lock-step. A chunk's agents are one
+(S, M, K) array and its training distributions one (S, K) array, so mixture,
+selection, the cumulative sums, the update and every renormalization run once
+per chunk and round. What is per seed by nature loops over the rows: the
+draws, verifier screening, policy hooks and probes. run_batch is the one
+entry point; run() and step() are batches of one, and a seed's trajectory is
+byte-identical whichever chunk it runs in.
 
 This module deliberately knows nothing about the safety reference. It does
 not import SafetyReference and no function here accepts one; the closed loop
@@ -28,12 +35,12 @@ reproducible for a given (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import OutcomeSpace, ProbVector, _derived, require_same_space
+from .core import OutcomeSpace, ProbVector, _wrap, require_same_space
 from .errors import (
     ConfigError,
     DegenerateSelectionError,
@@ -42,6 +49,16 @@ from .errors import (
 )
 
 MAX_SEED = 2**64
+
+# A chunk holds max(1, BATCH_ELEMENTS // (M * K)) seeds, which keeps its
+# (S, M, K) agent array near 2**17 floats (1 MiB); a population with
+# M * K >= 2**17 runs one seed at a time.
+BATCH_ELEMENTS = 2**17
+
+
+def chunk_size(agents: int, outcomes: int) -> int:
+    """Seeds per lock-step chunk for M agents over K outcomes."""
+    return max(1, BATCH_ELEMENTS // (agents * outcomes))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -99,19 +116,29 @@ class Population:
     def _successor(self, agents: Sequence[ProbVector]) -> "Population":
         """The next population: `agents`, derived from this one's on its
         space, with this one's validated weights."""
+        return Population._trusted(self._space, self.weights, tuple(agents))  # type: ignore[attr-defined]
+
+    @staticmethod
+    def _trusted(space: OutcomeSpace, weights: np.ndarray, agents: tuple) -> "Population":
         pop = object.__new__(Population)
-        object.__setattr__(pop, "agents", tuple(agents))
-        object.__setattr__(pop, "weights", self.weights)
-        object.__setattr__(pop, "_space", self._space)  # type: ignore[attr-defined]
+        object.__setattr__(pop, "agents", agents)
+        object.__setattr__(pop, "weights", weights)
+        object.__setattr__(pop, "_space", space)
         return pop
+
+
+def _mix(weights: np.ndarray, agents: np.ndarray) -> np.ndarray:
+    """Mixtures (S, K) of agents (S, M, K) under weights (S, M), renormalized."""
+    # broadcast-and-sum instead of a BLAS dot keeps summation order fixed
+    pbar = (weights[:, :, None] * agents).sum(axis=1)
+    pbar /= pbar.sum(axis=1, keepdims=True)
+    return pbar
 
 
 def mixture(pop: Population) -> ProbVector:
     """Weighted mixture of the agent distributions."""
     stacked = np.stack([a.mass for a in pop.agents])
-    # broadcast-and-sum instead of a BLAS dot keeps summation order fixed
-    pbar = (pop.weights[:, None] * stacked).sum(axis=0)
-    return _derived(pop.space, pbar)
+    return _wrap(pop.space, _mix(pop.weights[None], stacked[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +159,22 @@ def _finite_rewards(owner: str, reward: Sequence[float]) -> tuple[float, ...]:
     if not all(math.isfinite(x) for x in r) or (r and not math.isfinite(max(r) - min(r))):
         raise ConfigError(f"{owner} reward entries and their spread must be finite")
     return r
+
+
+def _reward_tilt(owner: str, beta: float, reward: Sequence[float], k_space: int) -> np.ndarray:
+    """exp(beta * (r - max r)), each entry in [0, 1].
+
+    r - max r is clamped at -800 / beta first. A product below -745 already
+    gives exactly 0, so no weight changes, but beta times a huge reward
+    spread can no longer overflow the multiply.
+    """
+    r = np.asarray(reward, dtype=np.float64)
+    if r.shape[0] != k_space:
+        raise ConfigError(f"{owner} reward vector has length {r.shape[0]}, space is {k_space}")
+    shifted = r - r.max()
+    if beta > 0.0:
+        shifted = np.maximum(shifted, -800.0 / beta)
+    return np.exp(beta * shifted)
 
 
 @dataclass(frozen=True)
@@ -177,47 +220,84 @@ class SelectionRule:
             object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 
 
-def acceptance_vector(rule: SelectionRule, pbar: ProbVector) -> np.ndarray:
-    k_space = pbar.space.size
+def _acceptance(rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray) -> np.ndarray:
+    """Acceptance for mixtures pbar (S, K): shape (K,), or (S, K) for top-mass."""
+    k_space = space.size
     if rule.kind == "identity":
         return np.ones(k_space)
     if rule.kind == "indicator":
-        idx = pbar.space.validate_indices(rule.indices)
         a = np.zeros(k_space)
-        a[idx] = 1.0
+        a[space.validate_indices(rule.indices)] = 1.0
         return a
     if rule.kind == "top-mass":
         if rule.k > k_space:
             raise ConfigError(f"top-mass k={rule.k} exceeds the space size {k_space}")
-        order = np.argsort(-pbar.mass, kind="stable")
-        a = np.zeros(k_space)
-        a[order[: rule.k]] = 1.0
+        order = np.argsort(-pbar, axis=1, kind="stable")
+        a = np.zeros_like(pbar)
+        np.put_along_axis(a, order[:, : rule.k], 1.0, axis=1)
         return a
     # reward-reweight; SelectionRule admits no other kind
-    r = np.asarray(rule.reward, dtype=np.float64)
-    if r.shape[0] != k_space:
-        raise ConfigError(
-            f"selection reward vector has length {r.shape[0]}, space is {k_space}"
-        )
-    return np.exp(rule.beta * (r - r.max()))
+    return _reward_tilt("selection", rule.beta, rule.reward, k_space)
+
+
+def acceptance_vector(rule: SelectionRule, pbar: ProbVector) -> np.ndarray:
+    a = _acceptance(rule, pbar.space, pbar.mass[None])
+    return a[0] if a.ndim == 2 else a
+
+
+def _select(
+    rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Training distributions a * pbar / Z (S, K), and the rows with zero Z.
+
+    Those rows hold placeholders; the caller fails them.
+    """
+    # identity acceptance is all ones, and 1.0 * x == x
+    scaled = pbar if rule.kind == "identity" else _acceptance(rule, space, pbar) * pbar
+    z = scaled.sum(axis=1, keepdims=True)
+    zero = z[:, 0] <= 0.0
+    z[zero] = 1.0
+    pt = scaled / z
+    pt[zero] = 1.0
+    pt /= pt.sum(axis=1, keepdims=True)
+    return pt, zero
+
+
+def _zero_selection(rule: SelectionRule) -> DegenerateSelectionError:
+    return DegenerateSelectionError(
+        f"selection {rule.kind!r} accepts zero total mass; no training distribution exists"
+    )
 
 
 def apply_selection(pbar: ProbVector, rule: SelectionRule) -> ProbVector:
     """Training distribution pt = a * pbar / Z; zero Z is a hard error."""
-    a = acceptance_vector(rule, pbar)
-    scaled = a * pbar.mass
-    z = float(scaled.sum())
-    if z <= 0.0:
-        raise DegenerateSelectionError(
-            f"selection {rule.kind!r} accepts zero total mass; no training "
-            "distribution exists"
-        )
-    return _derived(pbar.space, scaled / z)
+    pt, zero = _select(rule, pbar.space, pbar.mass[None])
+    if zero[0]:
+        raise _zero_selection(rule)
+    return _wrap(pbar.space, pt[0])
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
+
+
+def _draw(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """n inverse-CDF draws from each row of pt (S, K), row s from rngs[s].
+
+    Returns a read-only (S, n) int64 array; exact boundary ties go to the
+    lower index.
+    """
+    cum = np.cumsum(pt, axis=1)
+    # u beyond the last cumulative point (float shortfall) lands on the last
+    # positive-mass outcome, never on trailing zero-mass outcomes
+    last_positive = pt.shape[1] - 1 - np.argmax(pt[:, ::-1] > 0.0, axis=1)
+    draws = np.empty((len(rngs), n), dtype=np.int64)
+    for s, rng in enumerate(rngs):
+        u = rng.random(n)
+        np.minimum(cum[s].searchsorted(u, side="left"), last_positive[s], out=draws[s])
+    draws.setflags(write=False)
+    return draws
 
 
 def sample_dataset(pt: ProbVector, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -227,15 +307,7 @@ def sample_dataset(pt: ProbVector, n: int, rng: np.random.Generator) -> np.ndarr
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"sample size must be a positive integer, got {n!r}")
-    cum = np.cumsum(pt.mass)
-    u = rng.random(int(n))
-    idx = np.searchsorted(cum, u, side="left")
-    # u beyond the last cumulative point (float shortfall) lands on the last
-    # positive-mass outcome, never on trailing zero-mass outcomes
-    last_positive = int(np.flatnonzero(pt.mass)[-1])
-    samples = np.minimum(idx, last_positive).astype(np.int64)
-    samples.setflags(write=False)
-    return samples
+    return _draw(pt.mass[None], int(n), [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +375,10 @@ class UpdateRule:
                 f"neighborhood radius must be >= 0, got {self.neighborhood_radius}"
             )
 
+    @property
+    def reads_mixture(self) -> bool:
+        return self.kind == "reward-reweighted-mle" and self.reward_source == "mixture-loglik"
+
 
 def rl_preset(beta: float = 1.0, neighborhood_radius: int = 0) -> UpdateRule:
     """Reward-loop flavor: frequencies tilted by likelihood under the current mixture."""
@@ -334,9 +410,65 @@ def roll_memory(
     return merged[-capacity:]
 
 
-def _empirical(space: OutcomeSpace, samples: np.ndarray) -> np.ndarray:
-    counts = np.bincount(samples, minlength=space.size).astype(np.float64)
-    return counts / float(samples.shape[0])
+def _counts(datasets: Sequence[np.ndarray], k_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome counts (L, K) of L int64 datasets, from one bincount, and
+    their sizes (L,) as floats."""
+    sizes = np.array([len(d) for d in datasets], dtype=np.int64)
+    offsets = np.repeat(np.arange(len(datasets), dtype=np.int64) * k_space, sizes)
+    flat = np.concatenate(datasets) + offsets
+    counts = np.bincount(flat, minlength=len(datasets) * k_space)
+    return counts.reshape(len(datasets), k_space).astype(np.float64), sizes.astype(np.float64)
+
+
+_TILT_WIPED = (
+    "reward tilt drove every sampled outcome's weight to zero; "
+    "the reweighted estimate is undefined"
+)
+
+
+def _fit(
+    rule: UpdateRule,
+    counts: np.ndarray,
+    n: np.ndarray,
+    pbar: np.ndarray | None = None,
+    memory: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masses (L, K) the rule fits to L datasets with outcome counts (L, K)
+    and sizes n (L,), and the rows whose reward tilt zeroed every sampled
+    outcome (their masses are placeholders; the caller fails them).
+
+    pbar (L, K) holds the current mixture of each dataset's seed, read by the
+    mixture-loglik reward; memory holds the counts and sizes of the rolled
+    buffers, read by the memory-buffer rule.
+    """
+    k_space = counts.shape[1]
+    wiped = np.zeros(len(counts), dtype=bool)
+    if rule.kind == "mle":
+        mass = counts / n[:, None]
+    elif rule.kind == "smoothed-mle":
+        denominator = n + rule.lam * k_space
+        if np.any(denominator == math.inf):
+            raise ValueError(f"smoothing lam={rule.lam} times K={k_space} overflows")
+        mass = (counts + rule.lam) / denominator[:, None]
+    elif rule.kind == "memory-buffer":
+        buffer_counts, buffer_sizes = memory
+        buffer_emp = buffer_counts / buffer_sizes[:, None]
+        mass = rule.alpha_mem * buffer_emp + (1.0 - rule.alpha_mem) * (counts / n[:, None])
+    else:  # reward-reweighted-mle; UpdateRule admits no other kind
+        if rule.reward_source == "mixture-loglik":
+            # exp(beta * ln pbar) = pbar ** beta, and 0 ** beta = 0 keeps
+            # unsupported outcomes at zero weight without -inf arithmetic
+            tilt = pbar ** rule.beta if rule.beta != 0.0 else np.ones(k_space)
+        else:
+            tilt = _reward_tilt("update", rule.beta, rule.reward, k_space)
+        weighted = counts * tilt
+        total = weighted.sum(axis=1, keepdims=True)
+        wiped = total[:, 0] <= 0.0
+        total[wiped] = 1.0
+        mass = weighted / total
+        mass[wiped] = 1.0
+    mass /= mass.sum(axis=1, keepdims=True)
+    return mass, wiped
 
 
 def update_agents(
@@ -359,47 +491,17 @@ def update_agents(
     # an index past K would lengthen the bincount into a wrong-shaped agent
     if int(samples.min()) < 0 or int(samples.max()) >= space.size:
         raise ValueError("dataset contains out-of-space outcome indices")
-    n = float(len(samples))
-    k_space = space.size
-
-    if rule.kind == "mle":
-        mass = _empirical(space, samples)
-    elif rule.kind == "smoothed-mle":
-        counts = np.bincount(samples, minlength=k_space).astype(np.float64)
-        denominator = n + rule.lam * k_space
-        if denominator == math.inf:
-            raise ValueError(f"smoothing lam={rule.lam} times K={k_space} overflows")
-        mass = (counts + rule.lam) / denominator
-    elif rule.kind == "memory-buffer":
+    buffer = None
+    if rule.kind == "memory-buffer":
         if len(memory) == 0:
             raise ValueError("the memory-buffer rule needs the rolled buffer")
-        buffer_emp = _empirical(space, np.asarray(memory, dtype=np.int64))
-        data_emp = _empirical(space, samples)
-        mass = rule.alpha_mem * buffer_emp + (1.0 - rule.alpha_mem) * data_emp
-    else:  # reward-reweighted-mle; UpdateRule admits no other kind
-        counts = np.bincount(samples, minlength=k_space).astype(np.float64)
-        if rule.reward_source == "mixture-loglik":
-            pbar = mixture(pop)
-            # exp(beta * ln pbar) = pbar ** beta, and 0 ** beta = 0 keeps
-            # unsupported outcomes at zero weight without -inf arithmetic
-            tilt = pbar.mass ** rule.beta if rule.beta != 0.0 else np.ones(k_space)
-        else:
-            r = np.asarray(rule.reward, dtype=np.float64)
-            if r.shape[0] != k_space:
-                raise ConfigError(
-                    f"update reward vector has length {r.shape[0]}, space is {k_space}"
-                )
-            tilt = np.exp(rule.beta * (r - r.max()))
-        weighted = counts * tilt
-        total = float(weighted.sum())
-        if total <= 0.0:
-            raise ValueError(
-                "reward tilt drove every sampled outcome's weight to zero; "
-                "the reweighted estimate is undefined"
-            )
-        mass = weighted / total
-
-    return pop._successor((_derived(space, mass),) * pop.size)
+        buffer = _counts([np.asarray(memory, dtype=np.int64)], space.size)
+    pbar = mixture(pop).mass[None] if rule.reads_mixture else None
+    counts, n = _counts([samples], space.size)
+    mass, wiped = _fit(rule, counts, n, pbar, buffer)
+    if wiped[0]:
+        raise ValueError(_TILT_WIPED)
+    return pop._successor((_wrap(space, mass[0]),) * pop.size)
 
 
 def neighborhood(space: OutcomeSpace, indices: Iterable[int], radius: int) -> np.ndarray:
@@ -463,120 +565,13 @@ class StepResult(NamedTuple):
     memory: np.ndarray
 
 
-# a round that raises one of these aborts the run as a SimulationError
+# a round that raises one of these aborts its seed as a SimulationError
 _ROUND_ERRORS = (
     DegenerateSelectionError,
     VerifierAnnihilationError,
     ValueError,
     FloatingPointError,
 )
-
-
-class _Round(NamedTuple):
-    """State one _round call hands to the next, plus what its record needs."""
-
-    population: Population
-    memory: np.ndarray
-    training_dist: ProbVector | None = None  # what the next round samples from
-    next_fired: tuple[str, ...] = ()  # diversity policies that shaped it
-    datasets: tuple[np.ndarray, ...] = ()  # consumed by this round's update
-    fired: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-
-
-def _round(
-    prev: _Round,
-    cfg: EvolutionConfig,
-    rng: np.random.Generator,
-    r: int,
-    groups: dict[str, list],
-    checkpoints: dict[int, Population],
-) -> _Round:
-    """Round r of the operator; the set-up before round 1 if prev has no pt.
-
-    Round r samples from prev.training_dist, screens each dataset with the
-    verifiers in agent order, refits, then applies entropy release and
-    cooling. Every call ends by mixing and selecting the resulting population,
-    diversity for round r+1 included. That distribution is both what round
-    r+1 samples from and what the record of round r measures.
-    """
-    pop, memory = prev.population, prev.memory
-    fired, notes = list(prev.next_fired), []
-    datasets: list[np.ndarray] = []
-    if prev.training_dist is not None:
-        blocks = pop.size if cfg.per_agent_datasets else 1
-        draw = sample_dataset(prev.training_dist, cfg.sample_size * blocks, rng)
-        datasets = np.split(draw, blocks)
-        live = list(range(len(datasets)))
-        for pol in groups["verifier"]:
-            if not live:
-                break
-            if pol.fires(r, pop):
-                fired.append(pol.kind)
-                for m in tuple(live):
-                    try:
-                        datasets[m] = pol.filter_dataset(datasets[m], rng)
-                    except VerifierAnnihilationError:
-                        notes.append("verifier-annihilation: update skipped")
-                        live.remove(m)
-        rule = cfg.update
-        if live and cfg.per_agent_datasets:
-            agents = list(pop.agents)
-            for m in live:
-                agents[m] = update_agents(pop, datasets[m], rule).agents[m]
-            pop = pop._successor(agents)
-        elif live:
-            if rule.kind == "memory-buffer":
-                memory = roll_memory(memory, datasets[0], rule.capacity)
-            pop = update_agents(pop, datasets[0], rule, memory)
-        for pol in groups["entropy-release"]:
-            if pol.fires(r, pop):
-                pop = pol.adjust_population(pop)
-                fired.append(pol.kind)
-                if getattr(pol, "prune_memory", False) and len(memory):
-                    kept = pol.prune_buffer(memory)
-                    if len(kept) != len(memory):
-                        notes.append(f"memory prune dropped {len(memory) - len(kept)} samples")
-                    memory = kept
-        for pol in groups["cooling"]:
-            if pol.fires(r, pop):
-                pop, checkpoints[id(pol)], rolled = pol.cool(pop, checkpoints[id(pol)])
-                if rolled:
-                    fired.append(pol.kind)
-                    notes.append("cooling-rollback")
-                else:
-                    notes.append("cooling-refresh")
-    pt = apply_selection(mixture(pop), cfg.selection)
-    next_fired = []
-    for pol in groups["diversity"]:
-        if pol.fires(r + 1, pop):
-            pt = pol.adjust_training(pt)
-            next_fired.append(pol.kind)
-    return _Round(
-        pop, memory, pt, tuple(next_fired), tuple(datasets), tuple(fired), tuple(notes)
-    )
-
-
-def step(
-    pop: Population,
-    cfg: EvolutionConfig,
-    rng: np.random.Generator,
-    memory: Sequence[int] | np.ndarray = (),
-    round_index: int = 1,
-) -> StepResult:
-    """Apply one bare round (no interventions)."""
-    groups = _group_policies(None)
-    start = _Round(pop, np.asarray(memory, dtype=np.int64))
-    start = _round(start, cfg, rng, round_index - 1, groups, {})
-    out = _round(start, cfg, rng, round_index, groups, {})
-    samples = np.concatenate(out.datasets)
-    samples.setflags(write=False)
-    return StepResult(out.population, samples, start.training_dist, out.memory)
-
-
-# ---------------------------------------------------------------------------
-# Trajectories
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -643,6 +638,350 @@ def _group_policies(intervention) -> dict[str, list]:
     return groups
 
 
+class _Chunk:
+    """Seeds advanced through the round in lock-step.
+
+    Row i of every per-seed field belongs to run ids[i]. agents (S, M, K),
+    pbar (S, K) and pt (S, K) are rebuilt each round, never changed once a
+    record has handed out views of them. A seed whose round raises one of
+    _ROUND_ERRORS goes to `failed` as SimulationError(r) and loses its row;
+    the other rows go on.
+    """
+
+    _ROW_ARRAYS = ("weights", "agents", "pbar", "pt", "draws")
+    _ROW_LISTS = (
+        "ids", "rngs", "groups", "checkpoints", "memory", "datasets", "live",
+        "fired", "notes", "next_fired", "records", "states",
+    )
+
+    def __init__(self, pops, cfg: EvolutionConfig, rngs, groups, memory: np.ndarray, ids):
+        rows = range(len(pops))
+        self.cfg = cfg
+        self.space = pops[0].space
+        self.weights = np.stack([p.weights for p in pops])
+        self.agents = np.stack([np.stack([a.mass for a in p.agents]) for p in pops])
+        self.pbar = self.pt = self.draws = None
+        self.ids, self.rngs, self.groups = list(ids), list(rngs), list(groups)
+        self.checkpoints = [
+            {id(pol): pol.initial_checkpoint(pop0) for pol in g["cooling"]}
+            for g, pop0 in zip(groups, pops)
+        ]
+        self.memory = [memory for _ in rows]
+        self.datasets = [[] for _ in rows]
+        self.live = [[] for _ in rows]
+        self.fired = [[] for _ in rows]
+        self.notes = [[] for _ in rows]
+        self.next_fired = [[] for _ in rows]
+        self.records = [[] for _ in rows]
+        self.states = [[] for _ in rows]
+        self.hooked = {kind for g in groups for kind, policies in g.items() if policies}
+        self.failed: dict[int, SimulationError] = {}
+
+    def population(self, s: int, copy: bool = False) -> Population:
+        agents = self.agents[s].copy() if copy else self.agents[s]
+        weights = self.weights[s]
+        weights.setflags(write=False)
+        return Population._trusted(self.space, weights, tuple(_wrap(self.space, a) for a in agents))
+
+    def _fail(self, errors: Mapping[int, Exception], r: int) -> None:
+        if not errors:
+            return
+        for row, exc in errors.items():
+            err = SimulationError(r, exc)
+            err.__cause__ = exc
+            self.failed[self.ids[row]] = err
+        keep = [row not in errors for row in range(len(self.ids))]
+        for name in self._ROW_ARRAYS:
+            arr = getattr(self, name)
+            if arr is not None:
+                setattr(self, name, arr[np.asarray(keep)])
+        for name in self._ROW_LISTS:
+            setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
+
+    def _per_seed(self, r: int, kinds: tuple[str, ...], hook) -> None:
+        if self.hooked.isdisjoint(kinds):
+            return
+        errors = {}
+        for s, group in enumerate(self.groups):
+            if any(group[kind] for kind in kinds):
+                try:
+                    hook(r, s, group)
+                except _ROUND_ERRORS as exc:
+                    errors[s] = exc
+        self._fail(errors, r)
+
+    def advance(self, r: int) -> None:
+        """Round r; before round 1 (no pt yet) only the set-up selection.
+
+        Round r samples from pt, screens each dataset with the verifiers in
+        agent order, refits, then applies entropy release and cooling. It
+        ends by mixing and selecting the resulting population, diversity for
+        round r+1 included: that pt is what round r+1 samples from and what
+        the record of round r measures.
+        """
+        self.fired = [list(f) for f in self.next_fired]
+        self.notes = [[] for _ in self.ids]
+        if self.pt is not None:
+            blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
+            n = self.cfg.sample_size
+            self.draws = _draw(self.pt, n * blocks, self.rngs)
+            self.datasets = [list(row.reshape(blocks, n)) for row in self.draws]
+            self.live = [list(range(blocks)) for _ in self.ids]
+            self._per_seed(r, ("verifier",), self._screen)
+            self._update(r)
+            self._per_seed(r, ("entropy-release", "cooling"), self._release_and_cool)
+        self.pbar = _mix(self.weights, self.agents)
+        rule = self.cfg.selection
+        try:
+            self.pt, zero = _select(rule, self.space, self.pbar)
+        except _ROUND_ERRORS as exc:  # a rule that does not fit the space
+            self._fail(dict.fromkeys(range(len(self.ids)), exc), r)
+            return
+        self.next_fired = [[] for _ in self.ids]
+        self._fail({int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}, r)
+        self._per_seed(r, ("diversity",), self._diversify)
+
+    def _screen(self, r: int, s: int, group) -> None:
+        datasets, live = self.datasets[s], self.live[s]
+        pop = self.population(s)
+        for pol in group["verifier"]:
+            if not live:
+                break
+            if pol.fires(r, pop):
+                self.fired[s].append(pol.kind)
+                for m in tuple(live):
+                    try:
+                        datasets[m] = pol.filter_dataset(datasets[m], self.rngs[s])
+                    except VerifierAnnihilationError:
+                        self.notes[s].append("verifier-annihilation: update skipped")
+                        live.remove(m)
+
+    def _update(self, r: int) -> None:
+        rule = self.cfg.update
+        per_agent = self.cfg.per_agent_datasets
+        rows = [s for s, live in enumerate(self.live) for _ in live]
+        blocks = [m for live in self.live for m in live]
+        k_space = self.space.size
+        previous = self.agents
+        if not rows:
+            self.agents = previous.copy()
+            return
+        if rule.kind == "memory-buffer":  # shared data: one block per row
+            for s in rows:
+                self.memory[s] = roll_memory(self.memory[s], self.datasets[s][0], rule.capacity)
+        try:
+            counts, n = _counts([self.datasets[s][m] for s, m in zip(rows, blocks)], k_space)
+            buffer = _counts([self.memory[s] for s in rows], k_space) if rule.kind == "memory-buffer" else None
+            pbar = self.pbar[rows] if rule.reads_mixture else None
+            mass, wiped = _fit(rule, counts, n, pbar, buffer)
+        except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
+            self.agents = previous.copy()
+            self._fail(dict.fromkeys(rows, exc), r)
+            return
+        if len(rows) == previous.shape[0] * (previous.shape[1] if per_agent else 1):
+            # every block was fitted: the masses are the whole new state
+            if per_agent:
+                self.agents = mass.reshape(previous.shape)
+            else:
+                self.agents = np.repeat(mass[:, None, :], previous.shape[1], axis=1)
+        else:
+            self.agents = previous.copy()
+            if per_agent:
+                self.agents[rows, blocks] = mass
+            else:
+                self.agents[rows] = mass[:, None, :]
+        self._fail({rows[i]: ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)}, r)
+
+    def _release_and_cool(self, r: int, s: int, group) -> None:
+        # policies may keep the population they are given (a cooling
+        # checkpoint), so they get a copy of the seed's rows
+        pop = start = self.population(s, copy=True)
+        for pol in group["entropy-release"]:
+            if pol.fires(r, pop):
+                pop = pol.adjust_population(pop)
+                self.fired[s].append(pol.kind)
+                memory = self.memory[s]
+                if getattr(pol, "prune_memory", False) and len(memory):
+                    kept = pol.prune_buffer(memory)
+                    if len(kept) != len(memory):
+                        self.notes[s].append(f"memory prune dropped {len(memory) - len(kept)} samples")
+                    self.memory[s] = kept
+        checkpoints = self.checkpoints[s]
+        for pol in group["cooling"]:
+            if pol.fires(r, pop):
+                pop, checkpoints[id(pol)], rolled = pol.cool(pop, checkpoints[id(pol)])
+                if rolled:
+                    self.fired[s].append(pol.kind)
+                    self.notes[s].append("cooling-rollback")
+                else:
+                    self.notes[s].append("cooling-refresh")
+        if pop is not start:
+            self.agents[s] = [a.mass for a in pop.agents]
+
+    def _diversify(self, r: int, s: int, group) -> None:
+        pop = self.population(s)
+        pt = start = _wrap(self.space, self.pt[s])
+        for pol in group["diversity"]:
+            if pol.fires(r + 1, pop):
+                pt = pol.adjust_training(pt)
+                self.next_fired[s].append(pol.kind)
+        if pt is not start:
+            self.pt[s] = pt.mass
+
+    def record(self, r: int, probes, ref, monitor_sets, monitor_hoods, keep_states: bool) -> None:
+        """Append round r's TrajectoryRecord (and state) to every row."""
+        masses = {
+            name: np.take(self.pt, idx, axis=1).sum(axis=1).tolist()
+            for name, idx in monitor_sets.items()
+        }
+        absent = {name: self._absent(r, hood) for name, hood in monitor_hoods.items()}
+        errors = {}
+        for s in range(len(self.ids)):
+            values = {}
+            if probes or keep_states:
+                pop = self.population(s)
+            if probes:
+                pt = _wrap(self.space, self.pt[s])
+                try:
+                    values = {p.name: float(p.evaluator(r, pt, pop, ref)) for p in probes}
+                except _ROUND_ERRORS as exc:
+                    errors[s] = exc
+                    continue
+            self.records[s].append(
+                TrajectoryRecord(
+                    r,
+                    values,
+                    tuple(self.fired[s]),
+                    tuple(self.notes[s]),
+                    {name: m[s] for name, m in masses.items()},
+                    {name: a[s] for name, a in absent.items()},
+                )
+            )
+            if keep_states:
+                self.states[s].append(pop)
+        self._fail(errors, r)
+
+    def _absent(self, r: int, hood: np.ndarray) -> list:
+        """Per row: did this round's data miss the neighborhood `hood`?"""
+        if r == 0:
+            return [None] * len(self.ids)
+        if "verifier" not in self.hooked:
+            return (~hood[self.draws].any(axis=1)).tolist()
+        return [not any(hood[d].any() for d in datasets) for datasets in self.datasets]
+
+
+def step(
+    pop: Population,
+    cfg: EvolutionConfig,
+    rng: np.random.Generator,
+    memory: Sequence[int] | np.ndarray = (),
+    round_index: int = 1,
+) -> StepResult:
+    """Apply one bare round (no interventions)."""
+    chunk = _Chunk(
+        [pop], cfg, [rng], [_group_policies(None)], np.asarray(memory, dtype=np.int64), [0]
+    )
+    chunk.advance(round_index - 1)
+    if chunk.failed:
+        raise chunk.failed[0].cause
+    training_dist = _wrap(pop.space, chunk.pt[0])
+    chunk.advance(round_index)
+    if chunk.failed:
+        raise chunk.failed[0].cause
+    samples = np.concatenate(chunk.datasets[0])
+    samples.setflags(write=False)
+    return StepResult(chunk.population(0), samples, training_dist, chunk.memory[0])
+
+
+# ---------------------------------------------------------------------------
+# Trajectories
+# ---------------------------------------------------------------------------
+
+
+def run_batch(
+    pops: Sequence[Population],
+    cfgs: Sequence[EvolutionConfig],
+    probes: Sequence = (),
+    interventions: Sequence | None = None,
+    *,
+    ref=None,
+    monitors: Mapping[str, Iterable[int]] | None = None,
+    keep_states: bool = False,
+    initial_memory: Sequence[int] | np.ndarray = (),
+) -> Iterator[Trajectory | SimulationError]:
+    """Run pops[i] under cfgs[i] (and interventions[i]) for every i, as run() would.
+
+    The configs may differ only in their seed, and the populations must
+    share one space and size. Seeds advance in lock-step chunks of
+    chunk_size(M, K). Yields, in input order and chunk by chunk, each seed's
+    Trajectory, or the SimulationError of a seed whose run failed; the other
+    seeds are unaffected by it. probes, monitors, keep_states and
+    initial_memory apply to every seed, as in run().
+    """
+    if probes and ref is None:
+        raise ConfigError("probes were requested but no reference was given")
+    if interventions is None:
+        interventions = [None] * len(pops)
+    if not len(pops) == len(cfgs) == len(interventions):
+        raise ConfigError("a batch needs one config and one intervention per population")
+    if not pops:
+        return
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs[1:]):
+        raise ConfigError("the runs of a batch may differ only in their seed")
+    space, size = pops[0].space, pops[0].size
+    if any(p.space != space or p.size != size for p in pops):
+        raise ConfigError("the populations of a batch must share one space and size")
+    groups = [_group_policies(intervention) for intervention in interventions]
+    radius = cfg.update.neighborhood_radius
+
+    monitor_sets: dict[str, np.ndarray] = {}
+    monitor_hoods: dict[str, np.ndarray] = {}
+    monitor_names: dict[str, tuple[int, ...]] = {}
+    for name, indices in (monitors or {}).items():
+        idx = space.validate_indices(indices)
+        if idx.size == 0:
+            raise ConfigError(f"monitored set {name!r} is empty")
+        monitor_sets[name] = idx
+        hood_mask = np.zeros(space.size, dtype=bool)
+        hood_mask[neighborhood(space, idx, radius)] = True
+        monitor_hoods[name] = hood_mask
+        monitor_names[name] = tuple(int(i) for i in idx)
+
+    memory = np.asarray(initial_memory, dtype=np.int64)
+    width = chunk_size(size, space.size)
+    for lo in range(0, len(pops), width):
+        ids = range(lo, min(lo + width, len(pops)))
+        chunk = _Chunk(
+            [pops[i] for i in ids],
+            cfg,
+            [make_rng(cfgs[i].seed) for i in ids],
+            [groups[i] for i in ids],
+            memory,
+            ids,
+        )
+        for r in range(cfg.rounds + 1):
+            chunk.advance(r)
+            if chunk.ids:
+                chunk.record(r, probes, ref, monitor_sets, monitor_hoods, keep_states)
+            if not chunk.ids:
+                break
+        rows = {i: s for s, i in enumerate(chunk.ids)}
+        for i in ids:
+            if i in chunk.failed:
+                yield chunk.failed[i]
+                continue
+            s = rows[i]
+            yield Trajectory(
+                seed=int(cfgs[i].seed),
+                probe_names=tuple(p.name for p in probes),
+                records=tuple(chunk.records[s]),
+                monitors=dict(monitor_names),
+                final_population=chunk.population(s),
+                states=tuple(chunk.states[s]) if keep_states else None,
+            )
+
+
 def run(
     pop0: Population,
     cfg: EvolutionConfig,
@@ -665,57 +1004,18 @@ def run(
     given. monitors maps names to outcome sets whose training mass and
     dataset-absence flags are recorded every round (the raw material for
     decay estimation). initial_memory seeds the memory-buffer rule's buffer.
+    A failed round raises SimulationError. This is run_batch on one seed.
     """
-    if probes and ref is None:
-        raise ConfigError("probes were requested but no reference was given")
-    groups = _group_policies(intervention)
-    rng = make_rng(cfg.seed)
-    space = pop0.space
-    radius = cfg.update.neighborhood_radius
-
-    monitor_sets: dict[str, np.ndarray] = {}
-    monitor_hoods: dict[str, np.ndarray] = {}
-    monitor_names: dict[str, tuple[int, ...]] = {}
-    if monitors:
-        for name, indices in monitors.items():
-            idx = space.validate_indices(indices)
-            if idx.size == 0:
-                raise ConfigError(f"monitored set {name!r} is empty")
-            monitor_sets[name] = idx
-            hood_mask = np.zeros(space.size, dtype=bool)
-            hood_mask[neighborhood(space, idx, radius)] = True
-            monitor_hoods[name] = hood_mask
-            monitor_names[name] = tuple(int(i) for i in idx)
-
-    def make_record(r: int, state: _Round) -> TrajectoryRecord:
-        pt, pop = state.training_dist, state.population
-        values = {p.name: float(p.evaluator(r, pt, pop, ref)) for p in probes}
-        mon_mass = {
-            name: float(pt.mass[idx].sum()) for name, idx in monitor_sets.items()
-        }
-        mon_absent = {
-            name: None if r == 0 else not any(hood[d].any() for d in state.datasets)
-            for name, hood in monitor_hoods.items()
-        }
-        return TrajectoryRecord(r, values, state.fired, state.notes, mon_mass, mon_absent)
-
-    checkpoints = {id(pol): pol.initial_checkpoint(pop0) for pol in groups["cooling"]}
-    state = _Round(pop0, np.asarray(initial_memory, dtype=np.int64))
-    records, states = [], []
-    for r in range(cfg.rounds + 1):
-        try:
-            state = _round(state, cfg, rng, r, groups, checkpoints)
-            records.append(make_record(r, state))
-        except _ROUND_ERRORS as exc:
-            raise SimulationError(r, exc) from exc
-        if keep_states:
-            states.append(state.population)
-
-    return Trajectory(
-        seed=int(cfg.seed),
-        probe_names=tuple(p.name for p in probes),
-        records=tuple(records),
-        monitors=monitor_names,
-        final_population=state.population,
-        states=tuple(states) if keep_states else None,
+    (result,) = run_batch(
+        [pop0],
+        [cfg],
+        probes,
+        [intervention],
+        ref=ref,
+        monitors=monitors,
+        keep_states=keep_states,
+        initial_memory=initial_memory,
     )
+    if isinstance(result, SimulationError):
+        raise result
+    return result

@@ -49,7 +49,8 @@ from .evolution import (
     SelectionRule,
     Trajectory,
     UpdateRule,
-    run,
+    run,  # noqa: F401  (the one-seed entry point stays importable from here)
+    run_batch,
 )
 from .interventions import (
     CoolingPolicy,
@@ -476,8 +477,16 @@ def build_population(spec: PopulationSpec, ref: SafetyReference, seed: int) -> P
     agents = []
     for _ in range(spec.size):
         if spec.init == "perturbed":
-            tilt = np.exp(spec.sigma * rng.standard_normal(space.size))
-            agents.append(make_prob_vector(space, ref.pi_star.mass * tilt))
+            # a sigma whose tilt leaves the float range is reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                tilt = np.exp(spec.sigma * rng.standard_normal(space.size))
+                weights = ref.pi_star.mass * tilt
+            try:
+                agents.append(make_prob_vector(space, weights))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"population.sigma={spec.sigma} gives no perturbed agent: {exc}"
+                ) from exc
         else:  # dirichlet
             draw = np.maximum(rng.dirichlet(np.full(space.size, spec.alpha)), 1e-300)
             agents.append(make_prob_vector(space, draw))
@@ -764,18 +773,18 @@ def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
 
     trajectories: dict[int, Trajectory] = {}
     failures: dict[int, str] = {}
-    for seed in cfg.seeds:
-        pop0 = build_population(cfg.population, ref, seed)
-        try:
-            trajectories[seed] = run(
-                pop0,
-                _evolution_config(cfg, seed),
-                probes,
-                ref=ref,
-                monitors={"rare-safe": monitored},
-            )
-        except SimulationError as exc:
-            failures[seed] = str(exc)
+    results = run_batch(
+        [build_population(cfg.population, ref, seed) for seed in cfg.seeds],
+        [_evolution_config(cfg, seed) for seed in cfg.seeds],
+        probes,
+        ref=ref,
+        monitors={"rare-safe": monitored},
+    )
+    for seed, result in zip(cfg.seeds, results):
+        if isinstance(result, SimulationError):
+            failures[seed] = str(result)
+        else:
+            trajectories[seed] = result
 
     trends: dict[str, TrendReport] = {}
     if trajectories:
@@ -859,16 +868,17 @@ def _run_arm(
     terminal_kl: dict[int, float] = {}
     terminal_sm: dict[int, float] = {}
     failures: dict[int, str] = {}
-    for seed in cfg.seeds:
-        pop0 = build_population(cfg.population, ref, seed)
-        policy = [realize_policy(spec, ref, pop0)] if spec is not None else None
-        try:
-            traj = run(pop0, _evolution_config(cfg, seed), probes, policy, ref=ref)
-        except SimulationError as exc:
-            failures[seed] = str(exc)
+    pops = [build_population(cfg.population, ref, seed) for seed in cfg.seeds]
+    policies = [
+        [realize_policy(spec, ref, pop0)] if spec is not None else None for pop0 in pops
+    ]
+    cfgs = [_evolution_config(cfg, seed) for seed in cfg.seeds]
+    for seed, result in zip(cfg.seeds, run_batch(pops, cfgs, probes, policies, ref=ref)):
+        if isinstance(result, SimulationError):
+            failures[seed] = str(result)
             continue
-        terminal_kl[seed] = traj.terminal.values["kl_safety"]
-        terminal_sm[seed] = traj.terminal.values["safe_mass"]
+        terminal_kl[seed] = result.terminal.values["kl_safety"]
+        terminal_sm[seed] = result.terminal.values["safe_mass"]
     kl_values = list(terminal_kl.values())
     sm_values = list(terminal_sm.values())
     return ArmSummary(
@@ -969,18 +979,32 @@ def run_ensemble_mi(
     rounds = cfg.rounds
     base_seed = cfg.seeds[0]
 
+    # run i * runs + j starts from reference i with seed base_seed + i * runs + j
+    seeds = [base_seed + run_index for run_index in range(n_refs * runs)]
+    pops = [
+        build_population(cfg.population, refs[seed_index // runs], seed)
+        for seed_index, seed in enumerate(seeds)
+    ]
+    results = run_batch(
+        pops,
+        [_evolution_config(cfg, seed) for seed in seeds],
+        monitors={"ens": statistic_set},
+    )
+    masses = np.empty((len(seeds), rounds + 1))
+    for row, traj in enumerate(results):
+        if isinstance(traj, SimulationError):
+            raise traj
+        masses[row] = [rec.monitor_mass["ens"] for rec in traj.records]
     # bin_counts[t][i][b] = number of runs of reference i whose statistic sat
     # in bin b at round t
-    bin_counts = np.zeros((rounds + 1, n_refs, bins), dtype=np.float64)
-    for i, ref in enumerate(refs):
-        for j in range(runs):
-            seed = base_seed + i * runs + j
-            pop0 = build_population(cfg.population, ref, seed)
-            traj = run(pop0, _evolution_config(cfg, seed), monitors={"ens": statistic_set})
-            for rec in traj.records:
-                mass = rec.monitor_mass["ens"]
-                b = min(bins - 1, int(mass / q))
-                bin_counts[rec.round, i, b] += 1.0
+    b = np.minimum(bins - 1, (masses / q).astype(np.int64))
+    ref_index = np.repeat(np.arange(n_refs), runs)[:, None]
+    cell = (np.arange(rounds + 1) * n_refs + ref_index) * bins + b
+    bin_counts = (
+        np.bincount(cell.ravel(), minlength=(rounds + 1) * n_refs * bins)
+        .reshape(rounds + 1, n_refs, bins)
+        .astype(np.float64)
+    )
 
     total = float(n_refs * runs)
     series = tuple(

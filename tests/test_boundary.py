@@ -28,6 +28,7 @@ from driftlab import (
     SelectionRule,
     SimulationError,
     UpdateRule,
+    acceptance_vector,
     build_population,
     build_reference,
     config_from_mapping,
@@ -138,6 +139,26 @@ def test_reward_spread_must_be_finite():
         SelectionRule("reward-reweight", reward=(-1e308, 1e308), beta=0.0)
     with pytest.raises(ConfigError, match="spread"):
         UpdateRule("reward-reweighted-mle", reward=(-1e308, 1e308))
+
+
+def test_reward_tilt_past_the_float_range_runs_without_overflow():
+    # beta times the reward spread passes 1e308: the weight of every
+    # outcome below the top one is exactly 0, and no multiply overflows
+    spread = (0.0,) * 5 + (1e300,) * 5
+    rules = dict(
+        selection=SelectionRule("reward-reweight", reward=spread, beta=1e10),
+        update=UpdateRule("reward-reweighted-mle", reward=spread, beta=1e10),
+    )
+    pop = Population.equal_weights([ProbVector(OutcomeSpace(10), [0.1] * 10)])
+    cfg = EvolutionConfig(sample_size=20, rounds=3, seed=0, **rules)
+    with np.errstate(over="raise"):
+        accepted = acceptance_vector(rules["selection"], pop.agents[0])
+        out = update_agents(pop, np.array([0, 1, 7, 7], dtype=np.int64), rules["update"])
+        traj = run(pop, cfg, keep_states=True)
+    assert accepted.tolist() == [0.0] * 5 + [1.0] * 5
+    assert out.agents[0].mass.tolist() == [0.0] * 7 + [1.0, 0.0, 0.0]
+    for state in traj.states[1:]:
+        assert state.agents[0].mass[:5].sum() == 0.0
 
 
 def test_smoothing_overflow_is_caught_per_call():

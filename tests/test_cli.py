@@ -229,6 +229,14 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "config error:" in err and "update.lam" in err
 
 
+def test_overflowing_perturbation_sigma_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text(TINY + "population.init=perturbed\npopulation.sigma=1e300\n")
+    assert main(["simulate", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "population.sigma" in err
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-only dependency: the installed package must not need it
     code = "import sys, driftlab.cli; print('scipy' in sys.modules)"
