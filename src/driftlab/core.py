@@ -115,10 +115,8 @@ def _derived(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:
     The round's derived distributions cannot fail ProbVector's checks, so
     this only normalizes and freezes `arr` in place, as construction ends.
     """
-    pv = object.__new__(ProbVector)
-    object.__setattr__(pv, "space", space)
-    pv._freeze(arr)
-    return pv
+    arr /= float(arr.sum())
+    return _wrap(space, arr)
 
 
 def _wrap(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:

@@ -116,7 +116,8 @@ class Population:
     def _successor(self, agents: Sequence[ProbVector]) -> "Population":
         """The next population: `agents`, derived from this one's on its
         space, with this one's validated weights."""
-        return Population._trusted(self._space, self.weights, tuple(agents))  # type: ignore[attr-defined]
+        space = self._space  # type: ignore[attr-defined]
+        return Population._trusted(space, self.weights, tuple(agents))
 
     @staticmethod
     def _trusted(space: OutcomeSpace, weights: np.ndarray, agents: tuple) -> "Population":
@@ -667,21 +668,26 @@ class _Chunk:
             for g, pop0 in zip(groups, pops)
         ]
         self.memory = [memory for _ in rows]
-        self.datasets = [[] for _ in rows]
-        self.live = [[] for _ in rows]
-        self.fired = [[] for _ in rows]
-        self.notes = [[] for _ in rows]
-        self.next_fired = [[] for _ in rows]
-        self.records = [[] for _ in rows]
-        self.states = [[] for _ in rows]
+        for name in ("datasets", "live", "fired", "notes", "next_fired", "records", "states"):
+            setattr(self, name, [[] for _ in rows])
         self.hooked = {kind for g in groups for kind, policies in g.items() if policies}
         self.failed: dict[int, SimulationError] = {}
 
     def population(self, s: int, copy: bool = False) -> Population:
-        agents = self.agents[s].copy() if copy else self.agents[s]
+        """Seed s's population over views of its rows, or over copies that
+        outlive the chunk; bit-equal rows, as a shared-data update leaves
+        them, then share one copy."""
+        agents: list[ProbVector] = []
+        for row in self.agents[s]:
+            if not copy:
+                agents.append(_wrap(self.space, row))
+            elif agents and np.array_equal(agents[-1].mass.view(np.int64), row.view(np.int64)):
+                agents.append(agents[-1])
+            else:
+                agents.append(_wrap(self.space, row.copy()))
         weights = self.weights[s]
         weights.setflags(write=False)
-        return Population._trusted(self.space, weights, tuple(_wrap(self.space, a) for a in agents))
+        return Population._trusted(self.space, weights, tuple(agents))
 
     def _fail(self, errors: Mapping[int, Exception], r: int) -> None:
         if not errors:
@@ -769,9 +775,11 @@ class _Chunk:
         if rule.kind == "memory-buffer":  # shared data: one block per row
             for s in rows:
                 self.memory[s] = roll_memory(self.memory[s], self.datasets[s][0], rule.capacity)
+        buffer = None
         try:
             counts, n = _counts([self.datasets[s][m] for s, m in zip(rows, blocks)], k_space)
-            buffer = _counts([self.memory[s] for s in rows], k_space) if rule.kind == "memory-buffer" else None
+            if rule.kind == "memory-buffer":
+                buffer = _counts([self.memory[s] for s in rows], k_space)
             pbar = self.pbar[rows] if rule.reads_mixture else None
             mass, wiped = _fit(rule, counts, n, pbar, buffer)
         except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
@@ -803,8 +811,9 @@ class _Chunk:
                 memory = self.memory[s]
                 if getattr(pol, "prune_memory", False) and len(memory):
                     kept = pol.prune_buffer(memory)
-                    if len(kept) != len(memory):
-                        self.notes[s].append(f"memory prune dropped {len(memory) - len(kept)} samples")
+                    dropped = len(memory) - len(kept)
+                    if dropped:
+                        self.notes[s].append(f"memory prune dropped {dropped} samples")
                     self.memory[s] = kept
         checkpoints = self.checkpoints[s]
         for pol in group["cooling"]:
@@ -977,7 +986,7 @@ def run_batch(
                 probe_names=tuple(p.name for p in probes),
                 records=tuple(chunk.records[s]),
                 monitors=dict(monitor_names),
-                final_population=chunk.population(s),
+                final_population=chunk.population(s, copy=True),
                 states=tuple(chunk.states[s]) if keep_states else None,
             )
 

@@ -49,7 +49,7 @@ from .evolution import (
     SelectionRule,
     Trajectory,
     UpdateRule,
-    run,  # noqa: F401  (the one-seed entry point stays importable from here)
+    run,  # noqa: F401  (bench/test_bench.py expects driftlab.harness.run)
     run_batch,
 )
 from .interventions import (
