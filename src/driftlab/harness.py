@@ -979,11 +979,10 @@ def run_ensemble_mi(
     rounds = cfg.rounds
     base_seed = cfg.seeds[0]
 
-    # run i * runs + j starts from reference i with seed base_seed + i * runs + j
-    seeds = [base_seed + run_index for run_index in range(n_refs * runs)]
+    # run k starts from reference k // runs with seed base_seed + k
+    seeds = range(base_seed, base_seed + n_refs * runs)
     pops = [
-        build_population(cfg.population, refs[seed_index // runs], seed)
-        for seed_index, seed in enumerate(seeds)
+        build_population(cfg.population, refs[k // runs], seed) for k, seed in enumerate(seeds)
     ]
     results = run_batch(
         pops,
