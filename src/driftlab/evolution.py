@@ -35,8 +35,9 @@ reproducible for a given (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,13 +62,18 @@ def chunk_size(agents: int, outcomes: int) -> int:
     return max(1, BATCH_ELEMENTS // (agents * outcomes))
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for one run; 64-bit unsigned seed."""
+def _check_seed(seed) -> int:
+    """The seed as an int; it must be a 64-bit unsigned integer."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     if not (0 <= int(seed) < MAX_SEED):
         raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return int(seed)
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator for one run; 64-bit unsigned seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,10 +550,7 @@ class EvolutionConfig:
             raise ConfigError(f"sample_size must be a positive integer, got {self.sample_size!r}")
         if not isinstance(self.rounds, (int, np.integer)) or self.rounds < 1:
             raise ConfigError(f"rounds must be a positive integer, got {self.rounds!r}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (0 <= int(self.seed) < MAX_SEED):
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        _check_seed(self.seed)
         if self.per_agent_datasets and self.update.kind == "memory-buffer":
             raise ConfigError(
                 "per-agent datasets are not supported with the memory-buffer rule"
@@ -649,7 +652,7 @@ class _Chunk:
     the other rows go on.
     """
 
-    _ROW_ARRAYS = ("weights", "agents", "pbar", "pt", "draws")
+    _ROW_ARRAYS = ("weights", "agents", "pbar", "pt")
     _ROW_LISTS = (
         "ids", "rngs", "groups", "checkpoints", "memory", "datasets", "live",
         "fired", "notes", "next_fired", "records", "states",
@@ -661,7 +664,7 @@ class _Chunk:
         self.space = pops[0].space
         self.weights = np.stack([p.weights for p in pops])
         self.agents = np.stack([np.stack([a.mass for a in p.agents]) for p in pops])
-        self.pbar = self.pt = self.draws = None
+        self.pbar = self.pt = None
         self.ids, self.rngs, self.groups = list(ids), list(rngs), list(groups)
         self.checkpoints = [
             {id(pol): pol.initial_checkpoint(pop0) for pol in g["cooling"]}
@@ -730,8 +733,8 @@ class _Chunk:
         if self.pt is not None:
             blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
             n = self.cfg.sample_size
-            self.draws = _draw(self.pt, n * blocks, self.rngs)
-            self.datasets = [list(row.reshape(blocks, n)) for row in self.draws]
+            draws = _draw(self.pt, n * blocks, self.rngs)
+            self.datasets = [list(row.reshape(blocks, n)) for row in draws]
             self.live = [list(range(blocks)) for _ in self.ids]
             self._per_seed(r, ("verifier",), self._screen)
             self._update(r)
@@ -768,9 +771,9 @@ class _Chunk:
         rows = [s for s, live in enumerate(self.live) for _ in live]
         blocks = [m for live in self.live for m in live]
         k_space = self.space.size
-        previous = self.agents
+        # records may hold views of the old rows
+        self.agents = self.agents.copy()
         if not rows:
-            self.agents = previous.copy()
             return
         if rule.kind == "memory-buffer":  # shared data: one block per row
             for s in rows:
@@ -783,21 +786,12 @@ class _Chunk:
             pbar = self.pbar[rows] if rule.reads_mixture else None
             mass, wiped = _fit(rule, counts, n, pbar, buffer)
         except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
-            self.agents = previous.copy()
             self._fail(dict.fromkeys(rows, exc), r)
             return
-        if len(rows) == previous.shape[0] * (previous.shape[1] if per_agent else 1):
-            # every block was fitted: the masses are the whole new state
-            if per_agent:
-                self.agents = mass.reshape(previous.shape)
-            else:
-                self.agents = np.repeat(mass[:, None, :], previous.shape[1], axis=1)
+        if per_agent:
+            self.agents[rows, blocks] = mass
         else:
-            self.agents = previous.copy()
-            if per_agent:
-                self.agents[rows, blocks] = mass
-            else:
-                self.agents[rows] = mass[:, None, :]
+            self.agents[rows] = mass[:, None, :]
         self._fail({rows[i]: ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)}, r)
 
     def _release_and_cool(self, r: int, s: int, group) -> None:
@@ -874,8 +868,6 @@ class _Chunk:
         """Per row: did this round's data miss the neighborhood `hood`?"""
         if r == 0:
             return [None] * len(self.ids)
-        if "verifier" not in self.hooked:
-            return (~hood[self.draws].any(axis=1)).tolist()
         return [not any(hood[d].any() for d in datasets) for datasets in self.datasets]
 
 
@@ -907,41 +899,50 @@ def step(
 # ---------------------------------------------------------------------------
 
 
+_ONE_PER_SEED = "a batch needs one population per seed"
+
+
 def run_batch(
-    pops: Sequence[Population],
-    cfgs: Sequence[EvolutionConfig],
+    pops: Iterable[Population],
+    cfg: EvolutionConfig,
+    seeds: Sequence[int],
     probes: Sequence = (),
-    interventions: Sequence | None = None,
+    intervention: Callable[[Population], object] | None = None,
     *,
     ref=None,
     monitors: Mapping[str, Iterable[int]] | None = None,
     keep_states: bool = False,
     initial_memory: Sequence[int] | np.ndarray = (),
 ) -> Iterator[Trajectory | SimulationError]:
-    """Run pops[i] under cfgs[i] (and interventions[i]) for every i, as run() would.
+    """Run the i-th population under cfg with seeds[i], for every i, as run() would.
 
-    The configs may differ only in their seed, and the populations must
-    share one space and size. Seeds advance in lock-step chunks of
-    chunk_size(M, K). Yields, in input order and chunk by chunk, each seed's
-    Trajectory, or the SimulationError of a seed whose run failed; the other
-    seeds are unaffected by it. probes, monitors, keep_states and
-    initial_memory apply to every seed, as in run().
+    cfg's own seed is not read. intervention, when given, maps a run's
+    initial population to that run's policy or policies. The populations
+    must share one space and size. Seeds advance in lock-step chunks of
+    chunk_size(M, K), and pops is read one chunk at a time, so a generator
+    keeps only one chunk of initial populations alive. Yields, in input
+    order and chunk by chunk, each seed's Trajectory, or the SimulationError
+    of a seed whose run failed; the other seeds are unaffected by it.
+    probes, monitors, keep_states and initial_memory apply to every seed, as
+    in run().
+
+    The arguments and the first chunk's populations are checked here; a
+    later chunk's populations, and a pops iterable without len() that is
+    longer or shorter than seeds, when the iterator reaches them.
     """
     if probes and ref is None:
         raise ConfigError("probes were requested but no reference was given")
-    if interventions is None:
-        interventions = [None] * len(pops)
-    if not len(pops) == len(cfgs) == len(interventions):
-        raise ConfigError("a batch needs one config and one intervention per population")
-    if not pops:
-        return
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs[1:]):
-        raise ConfigError("the runs of a batch may differ only in their seed")
-    space, size = pops[0].space, pops[0].size
-    if any(p.space != space or p.size != size for p in pops):
-        raise ConfigError("the populations of a batch must share one space and size")
-    groups = [_group_policies(intervention) for intervention in interventions]
+    seeds = [_check_seed(seed) for seed in seeds]
+    if hasattr(pops, "__len__") and len(pops) != len(seeds):
+        raise ConfigError(_ONE_PER_SEED)
+    starts = iter(pops)
+    first = next(starts, None)
+    if (first is None) != (not seeds):
+        raise ConfigError(_ONE_PER_SEED)
+    if first is None:
+        return iter(())
+    starts = chain([first], starts)
+    space, size = first.space, first.size
     radius = cfg.update.neighborhood_radius
 
     monitor_sets: dict[str, np.ndarray] = {}
@@ -959,36 +960,45 @@ def run_batch(
 
     memory = np.asarray(initial_memory, dtype=np.int64)
     width = chunk_size(size, space.size)
-    for lo in range(0, len(pops), width):
-        ids = range(lo, min(lo + width, len(pops)))
-        chunk = _Chunk(
-            [pops[i] for i in ids],
-            cfg,
-            [make_rng(cfgs[i].seed) for i in ids],
-            [groups[i] for i in ids],
-            memory,
-            ids,
-        )
-        for r in range(cfg.rounds + 1):
-            chunk.advance(r)
-            if chunk.ids:
-                chunk.record(r, probes, ref, monitor_sets, monitor_hoods, keep_states)
-            if not chunk.ids:
-                break
-        rows = {i: s for s, i in enumerate(chunk.ids)}
-        for i in ids:
-            if i in chunk.failed:
-                yield chunk.failed[i]
-                continue
-            s = rows[i]
-            yield Trajectory(
-                seed=int(cfgs[i].seed),
-                probe_names=tuple(p.name for p in probes),
-                records=tuple(chunk.records[s]),
-                monitors=dict(monitor_names),
-                final_population=chunk.population(s, copy=True),
-                states=tuple(chunk.states[s]) if keep_states else None,
-            )
+
+    def take(ids: range) -> _Chunk:
+        batch = list(islice(starts, len(ids)))
+        if len(batch) < len(ids):
+            raise ConfigError(_ONE_PER_SEED)
+        if any(p.space != space or p.size != size for p in batch):
+            raise ConfigError("the populations of a batch must share one space and size")
+        groups = [_group_policies(intervention(p) if intervention else None) for p in batch]
+        return _Chunk(batch, cfg, [make_rng(seeds[i]) for i in ids], groups, memory, ids)
+
+    def results(chunk: _Chunk) -> Iterator[Trajectory | SimulationError]:
+        for lo in range(0, len(seeds), width):
+            ids = range(lo, min(lo + width, len(seeds)))
+            if lo:
+                chunk = take(ids)
+            for r in range(cfg.rounds + 1):
+                chunk.advance(r)
+                if chunk.ids:
+                    chunk.record(r, probes, ref, monitor_sets, monitor_hoods, keep_states)
+                if not chunk.ids:
+                    break
+            rows = {i: s for s, i in enumerate(chunk.ids)}
+            for i in ids:
+                if i in chunk.failed:
+                    yield chunk.failed[i]
+                    continue
+                s = rows[i]
+                yield Trajectory(
+                    seed=seeds[i],
+                    probe_names=tuple(p.name for p in probes),
+                    records=tuple(chunk.records[s]),
+                    monitors=dict(monitor_names),
+                    final_population=chunk.population(s, copy=True),
+                    states=tuple(chunk.states[s]) if keep_states else None,
+                )
+        if next(starts, None) is not None:
+            raise ConfigError(_ONE_PER_SEED)
+
+    return results(take(range(min(width, len(seeds)))))
 
 
 def run(
@@ -1017,9 +1027,10 @@ def run(
     """
     (result,) = run_batch(
         [pop0],
-        [cfg],
+        cfg,
+        [cfg.seed],
         probes,
-        [intervention],
+        lambda _: intervention,
         ref=ref,
         monitors=monitors,
         keep_states=keep_states,

@@ -735,13 +735,13 @@ class DriftResult:
         return counts
 
 
-def _evolution_config(cfg: ExperimentConfig, seed: int) -> EvolutionConfig:
+def _evolution_config(cfg: ExperimentConfig) -> EvolutionConfig:
+    """The round settings every seed of cfg shares; run_batch gives the seeds."""
     return EvolutionConfig(
         sample_size=cfg.sample_size,
         rounds=cfg.rounds,
         selection=cfg.selection,
         update=cfg.update,
-        seed=seed,
         per_agent_datasets=cfg.per_agent_datasets,
     )
 
@@ -774,8 +774,9 @@ def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
     trajectories: dict[int, Trajectory] = {}
     failures: dict[int, str] = {}
     results = run_batch(
-        [build_population(cfg.population, ref, seed) for seed in cfg.seeds],
-        [_evolution_config(cfg, seed) for seed in cfg.seeds],
+        (build_population(cfg.population, ref, seed) for seed in cfg.seeds),
+        _evolution_config(cfg),
+        cfg.seeds,
         probes,
         ref=ref,
         monitors={"rare-safe": monitored},
@@ -868,12 +869,15 @@ def _run_arm(
     terminal_kl: dict[int, float] = {}
     terminal_sm: dict[int, float] = {}
     failures: dict[int, str] = {}
-    pops = [build_population(cfg.population, ref, seed) for seed in cfg.seeds]
-    policies = [
-        [realize_policy(spec, ref, pop0)] if spec is not None else None for pop0 in pops
-    ]
-    cfgs = [_evolution_config(cfg, seed) for seed in cfg.seeds]
-    for seed, result in zip(cfg.seeds, run_batch(pops, cfgs, probes, policies, ref=ref)):
+    results = run_batch(
+        (build_population(cfg.population, ref, seed) for seed in cfg.seeds),
+        _evolution_config(cfg),
+        cfg.seeds,
+        probes,
+        None if spec is None else lambda pop0: [realize_policy(spec, ref, pop0)],
+        ref=ref,
+    )
+    for seed, result in zip(cfg.seeds, results):
         if isinstance(result, SimulationError):
             failures[seed] = str(result)
             continue
@@ -981,12 +985,13 @@ def run_ensemble_mi(
 
     # run k starts from reference k // runs with seed base_seed + k
     seeds = range(base_seed, base_seed + n_refs * runs)
-    pops = [
-        build_population(cfg.population, refs[k // runs], seed) for k, seed in enumerate(seeds)
-    ]
     results = run_batch(
-        pops,
-        [_evolution_config(cfg, seed) for seed in seeds],
+        (
+            build_population(cfg.population, refs[k // runs], seed)
+            for k, seed in enumerate(seeds)
+        ),
+        _evolution_config(cfg),
+        seeds,
         monitors={"ens": statistic_set},
     )
     masses = np.empty((len(seeds), rounds + 1))

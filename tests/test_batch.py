@@ -9,6 +9,7 @@ monitor masses and absence flags), final agents and failure text must agree.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,38 +114,45 @@ def _outcome(result):
     )
 
 
-def _inputs(update, selection, per_agent, policy, seeds):
-    pops = [
+def _pops(seeds):
+    return [
         build_population(PopulationSpec(M, "perturbed", sigma=0.4), REF, seed)
         for seed in seeds
     ]
-    cfgs = [
-        EvolutionConfig(
-            sample_size=8, rounds=5, selection=SELECTIONS[selection],
-            update=UPDATES[update], seed=seed, per_agent_datasets=per_agent,
-        )
-        for seed in seeds
-    ]
-    policies = [[realize_policy(s, REF, pop) for s in POLICIES[policy]] or None for pop in pops]
-    return pops, cfgs, policies
 
 
-def _alone(pops, cfgs, policies):
+def _config(update, selection, per_agent):
+    return EvolutionConfig(
+        sample_size=8, rounds=5, selection=SELECTIONS[selection],
+        update=UPDATES[update], per_agent_datasets=per_agent,
+    )
+
+
+def _policies(policy):
+    return lambda pop: [realize_policy(s, REF, pop) for s in POLICIES[policy]] or None
+
+
+def _alone(cfg, seeds, intervention, pops=_pops, ref=REF, monitors=MONITORS):
     outcomes = []
-    for pop, cfg, policy in zip(pops, cfgs, policies):
+    for pop, seed in zip(pops(seeds), seeds):
         try:
-            outcomes.append(_outcome(
-                run(pop, cfg, PROBES, policy, ref=REF, monitors=MONITORS)
-            ))
+            outcomes.append(_outcome(run(
+                pop, replace(cfg, seed=seed), PROBES, intervention(pop),
+                ref=ref, monitors=monitors,
+            )))
         except SimulationError as exc:
             outcomes.append(_outcome(exc))
     return outcomes
 
 
-def _together(pops, cfgs, policies):
+def _together(cfg, seeds, intervention, pops=_pops, ref=REF, monitors=MONITORS):
+    # a generator, as the runners pass: run_batch reads it chunk by chunk
+    starts = (pop for pop in pops(seeds))
     return [
         _outcome(result)
-        for result in run_batch(pops, cfgs, PROBES, policies, ref=REF, monitors=MONITORS)
+        for result in run_batch(
+            starts, cfg, seeds, PROBES, intervention, ref=ref, monitors=monitors
+        )
     ]
 
 
@@ -152,10 +160,10 @@ def _together(pops, cfgs, policies):
 def test_seeds_run_together_match_each_seed_alone(
     small_chunks, update, selection, per_agent, policy
 ):
-    alone = _alone(*_inputs(update, selection, per_agent, policy, SEEDS))
-    # fresh policy objects for the batch: a policy may carry per-run state
-    assert _together(*_inputs(update, selection, per_agent, policy, SEEDS)) == alone
-    assert _together(*_inputs(update, selection, per_agent, policy, SEEDS[:3])) == alone[:3]
+    cfg = _config(update, selection, per_agent)
+    alone = _alone(cfg, SEEDS, _policies(policy))
+    assert _together(cfg, SEEDS, _policies(policy)) == alone
+    assert _together(cfg, SEEDS[:3], _policies(policy)) == alone[:3]
 
 
 # a reward selection that accepts only the last outcome, fed by a diversity
@@ -180,25 +188,16 @@ def test_failing_seeds_leave_their_chunk_and_the_rest_go_on(small_chunks):
     seeds = tuple(range(3 * CHUNK))
     spec = _policy("diversity", "every:2", temperature=1, rho=0.95)
     ref = two_tier_reference(K, safe_mass=0.9, safe_fraction=0.5)
+    evo = EvolutionConfig(cfg.sample_size, cfg.rounds, cfg.selection, cfg.update)
+    inputs = dict(
+        intervention=lambda pop: [realize_policy(spec, ref, pop)],
+        pops=lambda seeds: [build_population(cfg.population, ref, seed) for seed in seeds],
+        ref=ref,
+        monitors=None,
+    )
 
-    def inputs():
-        pops = [build_population(cfg.population, ref, seed) for seed in seeds]
-        cfgs = [
-            EvolutionConfig(cfg.sample_size, cfg.rounds, cfg.selection, cfg.update, seed)
-            for seed in seeds
-        ]
-        return pops, cfgs, [[realize_policy(spec, ref, pop)] for pop in pops]
-
-    pops, cfgs, policies = inputs()
-    alone = []
-    for pop, evo, policy in zip(pops, cfgs, policies):
-        try:
-            alone.append(_outcome(run(pop, evo, PROBES, policy, ref=ref)))
-        except SimulationError as exc:
-            alone.append(_outcome(exc))
-    pops, cfgs, policies = inputs()
-    together = [_outcome(r) for r in run_batch(pops, cfgs, PROBES, policies, ref=ref)]
-    assert together == alone
+    alone = _alone(evo, seeds, **inputs)
+    assert _together(evo, seeds, **inputs) == alone
     rounds = {o[2] for o in alone if o[0] == "failed"}
     assert len(rounds) > 1 and 0 not in rounds  # seeds fail in different rounds
     assert any(o[0] != "failed" for o in alone)
@@ -211,13 +210,47 @@ def test_chunk_size_rule():
     assert chunk_size(1, 2) == 2**16
 
 
-def test_run_batch_checks_its_runs():
-    pops, cfgs, _ = _inputs("mle", "identity", False, "none", (0, 1))
-    assert list(run_batch([], [])) == []
-    with pytest.raises(ConfigError, match="only in their seed"):
-        list(run_batch(pops, [cfgs[0], EvolutionConfig(sample_size=9, rounds=5, seed=1)]))
+def test_run_batch_checks_its_runs_where_it_is_called(small_chunks):
+    cfg = _config("mle", "identity", False)
+    pops = _pops(SEEDS)
+    assert list(run_batch([], cfg, [])) == []
+    # every check below raises at the call, before any result is asked for
     other = build_population(PopulationSpec(M + 1, "copy"), REF, 0)
     with pytest.raises(ConfigError, match="one space and size"):
-        list(run_batch([pops[0], other], cfgs))
-    with pytest.raises(ConfigError, match="one config"):
-        list(run_batch(pops, cfgs[:1]))
+        run_batch([pops[0], other], cfg, (0, 1))
+    with pytest.raises(ConfigError, match="one population per seed"):
+        run_batch(pops, cfg, SEEDS[:1])
+    with pytest.raises(ConfigError, match="one population per seed"):
+        run_batch(iter(pops[:2]), cfg, SEEDS[:3])
+    with pytest.raises(ConfigError, match="one population per seed"):
+        run_batch(iter(pops[:1]), cfg, ())
+    with pytest.raises(ConfigError, match="64 unsigned bits"):
+        run_batch(pops[:2], cfg, (0, 2**64))
+    with pytest.raises(ConfigError, match="no reference"):
+        run_batch(pops, cfg, SEEDS, PROBES)
+    with pytest.raises(ConfigError, match="unknown kind"):
+        run_batch(pops, cfg, SEEDS, intervention=lambda pop: object())
+    # an unsized iterable of the wrong length fails when the iterator gets there
+    results = run_batch(iter(pops), cfg, SEEDS[:CHUNK])
+    with pytest.raises(ConfigError, match="one population per seed"):
+        list(results)
+    results = run_batch(iter(pops[:CHUNK]), cfg, SEEDS)
+    with pytest.raises(ConfigError, match="one population per seed"):
+        list(results)
+
+
+def test_run_batch_builds_one_chunk_of_populations_at_a_time(small_chunks):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(3 * CHUNK))
+    built = []
+
+    def pops():
+        for pop in _pops(seeds):
+            built.append(pop)
+            yield pop
+
+    results = run_batch(pops(), cfg, seeds)
+    assert len(built) == CHUNK
+    for i, _ in enumerate(results):
+        # the chunk holding run i has been built, and no later one
+        assert len(built) == min(len(seeds), (i // CHUNK + 1) * CHUNK)
