@@ -14,6 +14,13 @@ binary fractions, ragged verifier datasets, verifier annihilation, partial
 cooling rollback, `kl:` schedules, memory pruning under a prune floor, a
 comparison in which some seeds fail mid-run, and an ensemble-MI series.
 
+The batch goldens were recorded before the policy hooks moved onto the
+chunk's row arrays. Each runs BATCH_SEEDS together in one chunk, and in each
+a policy on a `kl:` schedule fires for some seeds and not for others in the
+same round, so they pin the per-seed fire masks as well as initial-anchor
+release with a prune floor, partial cooling, an explicit cooling checkpoint
+and explicit ProbVector and Population anchors.
+
 Print the current digests with `python tests/test_golden.py`.
 """
 
@@ -24,9 +31,12 @@ import numpy as np
 import pytest
 
 from driftlab import (
+    CoolingPolicy,
+    EntropyReleasePolicy,
     EvolutionConfig,
     PolicySpec,
     PopulationSpec,
+    Schedule,
     SelectionRule,
     UpdateRule,
     build_population,
@@ -38,6 +48,7 @@ from driftlab import (
     resolve_probes,
     rl_preset,
     run,
+    run_batch,
     run_drift_experiment,
     run_ensemble_mi,
     run_intervention_comparison,
@@ -264,6 +275,107 @@ JSON_GOLDEN = {
 }
 
 
+BATCH_SEEDS = tuple(range(10))
+SMOOTHED = UPDATES["smoothed-mle"]
+
+
+def _kl_split(trajs, kind):
+    """Some round in which kind's schedule fired for some seeds and not others."""
+
+    def fired(rec):
+        # cooling notes a refresh or a rollback whenever its schedule fires
+        return kind in rec.fired or (
+            kind == "cooling" and any(n.startswith("cooling-") for n in rec.notes)
+        )
+
+    rounds = range(1, len(trajs[0].records))
+    return any(len({fired(t.records[r]) for t in trajs}) == 2 for r in rounds)
+
+
+def _batch_digest(tmp_path, policies, split_kind, update=UPDATES["mle"], per_agent=False):
+    pops = [
+        build_population(PopulationSpec(3, "perturbed", sigma=0.3), REF, seed)
+        for seed in BATCH_SEEDS
+    ]
+    cfg = EvolutionConfig(
+        sample_size=60, rounds=8, update=update, per_agent_datasets=per_agent
+    )
+    intervention = lambda pop0: [  # noqa: E731
+        realize_policy(p, REF, pop0) if isinstance(p, PolicySpec) else p for p in policies
+    ]
+    trajs = list(
+        run_batch(pops, cfg, BATCH_SEEDS, PROBES, intervention, ref=REF, monitors=MONITORS)
+    )
+    assert _kl_split(trajs, split_kind)
+    path = tmp_path / "trajectories.json"
+    save_trajectories_json(trajs, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _kl(threshold):
+    return Schedule("kl-trigger", threshold=threshold, ref=REF)
+
+
+BATCH_CASES = {
+    "batch-initial-anchor-prune-floor": dict(
+        policies=(
+            _policy("entropy-release", "kl:0.15", gamma=0.2, prune_floor=0.01,
+                    anchor="initial"),
+            _policy("diversity", "kl:0.12", temperature=1.3, rho=0.05),
+        ),
+        split_kind="entropy-release",
+        update=SMOOTHED,
+        per_agent=True,
+    ),
+    "batch-cooling-partial": dict(
+        policies=(
+            _policy("verifier", "kl:0.3", fp=0.1, fn_rate=0.3, budget=30),
+            _policy("cooling", "kl:0.3", kl_threshold=0.5, blend=0.6),
+        ),
+        split_kind="cooling",
+        update=SMOOTHED,
+        per_agent=True,
+    ),
+    "batch-cooling-explicit-checkpoint": dict(
+        policies=(
+            EntropyReleasePolicy(
+                gamma=0.05,
+                anchor=build_population(PopulationSpec(3, "dirichlet", alpha=2.0), REF, 98),
+            ),
+            CoolingPolicy(
+                REF,
+                kl_threshold=0.5,
+                blend=0.5,
+                checkpoint=build_population(PopulationSpec(3, "dirichlet", alpha=2.0), REF, 99),
+                schedule=_kl(0.3),
+            ),
+        ),
+        split_kind="cooling",
+    ),
+    "batch-probvector-anchor": dict(
+        policies=(
+            EntropyReleasePolicy(
+                gamma=0.1,
+                prune_floor=0.005,
+                anchor=build_population(PopulationSpec(1, "dirichlet", alpha=3.0), REF, 7)
+                .agents[0],
+                schedule=_kl(0.12),
+            ),
+            _policy("cooling", "every:2", kl_threshold=0.2, blend=1.0),
+        ),
+        split_kind="entropy-release",
+        update=SMOOTHED,
+    ),
+}
+
+BATCH_GOLDEN = {
+    "batch-cooling-explicit-checkpoint": "5d93f78783e5ac812b979841982b07b7481aefd110fd1b5d7194271ea1baf08a",
+    "batch-cooling-partial": "aef585a4264ad1595661bf724b3ca9dee7c7a63acf0121317702e8970a04ac7e",
+    "batch-initial-anchor-prune-floor": "fd88382315eee8d58e5b83ebf1431b51241ef9af5901dde172b34b7da4f0bf6d",
+    "batch-probvector-anchor": "715c722204cf2dabd150b4d3c2a58dded13a79946c5ce1627d72e0e1c5eea4cc",
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_csv_matches_golden(name, tmp_path):
     assert _csv_digest(tmp_path, **CASES[name]) == GOLDEN[name]
@@ -276,6 +388,11 @@ def test_drift_experiment_csv_matches_golden(tmp_path):
 @pytest.mark.parametrize("name", sorted(JSON_CASES))
 def test_trajectory_json_matches_golden(name, tmp_path):
     assert _json_digest(tmp_path, **JSON_CASES[name]) == JSON_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batch_json_matches_golden(name, tmp_path):
+    assert _batch_digest(tmp_path, **BATCH_CASES[name]) == BATCH_GOLDEN[name]
 
 
 def test_comparison_with_failing_seeds_matches_golden():
@@ -299,3 +416,5 @@ if __name__ == "__main__":
             print(f'    "{name}": "{_json_digest(tmp_path, **JSON_CASES[name])}",')
         print(f'    "comparison-failing-seeds": "{_failing_seeds_digest()}",')
         print(f'    "ensemble-mi": "{_ensemble_digest()}",')
+        for name in sorted(BATCH_CASES):
+            print(f'    "{name}": "{_batch_digest(tmp_path, **BATCH_CASES[name])}",')
