@@ -11,9 +11,8 @@ Conventions:
   - outcomes are the integers 0..K-1
   - probability vectors are float64, renormalized on construction; a sum off
     by more than 1e-6 is a hard error, anything closer is silently rescaled
-  - inputs are checked once, at construction; the round builds the
-    distributions it derives from checked ones with _derived, which only
-    renormalizes and freezes
+  - inputs are checked once, at construction; the round renormalizes the
+    distributions it derives from checked ones and wraps them with _wrap
   - all randomness flows through numpy Philox generators created by callers
 """
 
@@ -107,16 +106,6 @@ class ProbVector:
     @property
     def support_size(self) -> int:
         return int(np.count_nonzero(self.mass))
-
-
-def _derived(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:
-    """ProbVector over a fresh float64 array computed from validated vectors.
-
-    The round's derived distributions cannot fail ProbVector's checks, so
-    this only normalizes and freezes `arr` in place, as construction ends.
-    """
-    arr /= float(arr.sum())
-    return _wrap(space, arr)
 
 
 def _wrap(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:

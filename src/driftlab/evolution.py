@@ -13,8 +13,9 @@ fitted to its own block of n.
 The engine advances a chunk of S seeds in lock-step. A chunk's agents are one
 (S, M, K) array and its training distributions one (S, K) array, so mixture,
 selection, the cumulative sums, the update and every renormalization run once
-per chunk and round. What is per seed by nature loops over the rows: the
-draws, verifier screening, policy hooks and probes. run_batch is the one
+per chunk and round, as do the policy hooks over the rows they fire for.
+What is per seed by nature loops over the rows: the draws, verifier
+screening, the cooling check and probes. run_batch is the one
 entry point; run() and step() are batches of one, and a seed's trajectory is
 byte-identical whichever chunk it runs in.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,12 +119,6 @@ class Population:
         m = len(agents)
         # an empty population is rejected by __post_init__
         return cls(tuple(agents), np.full(m, 1.0 / max(m, 1)))
-
-    def _successor(self, agents: Sequence[ProbVector]) -> "Population":
-        """The next population: `agents`, derived from this one's on its
-        space, with this one's validated weights."""
-        space = self._space  # type: ignore[attr-defined]
-        return Population._trusted(space, self.weights, tuple(agents))
 
     @staticmethod
     def _trusted(space: OutcomeSpace, weights: np.ndarray, agents: tuple) -> "Population":
@@ -508,7 +503,7 @@ def update_agents(
     mass, wiped = _fit(rule, counts, n, pbar, buffer)
     if wiped[0]:
         raise ValueError(_TILT_WIPED)
-    return pop._successor((_wrap(space, mass[0]),) * pop.size)
+    return Population._trusted(space, pop.weights, (_wrap(space, mass[0]),) * pop.size)
 
 
 def neighborhood(space: OutcomeSpace, indices: Iterable[int], radius: int) -> np.ndarray:
@@ -622,22 +617,20 @@ class Trajectory:
         return self.records[-1]
 
 
-def _group_policies(intervention) -> dict[str, list]:
+def _group_policies(intervention, space: OutcomeSpace, size: int) -> dict[str, list]:
     groups: dict[str, list] = {
         kind: [] for kind in ("diversity", "verifier", "entropy-release", "cooling")
     }
     if intervention is None:
         return groups
-    policies = (
-        list(intervention) if isinstance(intervention, (list, tuple)) else [intervention]
-    )
-    for pol in policies:
+    for pol in intervention if isinstance(intervention, (list, tuple)) else [intervention]:
         kind = getattr(pol, "kind", None)
         if kind not in groups:
             raise ConfigError(
                 f"intervention object {pol!r} has unknown kind {kind!r}; "
                 "expected one of diversity, verifier, entropy-release, cooling"
             )
+        pol.check_shape(space, size)
         groups[kind].append(pol)
     return groups
 
@@ -645,46 +638,42 @@ def _group_policies(intervention) -> dict[str, list]:
 class _Chunk:
     """Seeds advanced through the round in lock-step.
 
-    Row i of every per-seed field belongs to run ids[i]. agents (S, M, K),
-    pbar (S, K) and pt (S, K) are rebuilt each round, never changed once a
-    record has handed out views of them. A seed whose round raises one of
+    Row i of every per-seed field belongs to run ids[i]. agents (S, M, K)
+    and pt (S, K) are rebuilt each round, never changed once a record has
+    handed out views of them; initial keeps the start rows for entropy
+    release, checkpoints one array like them per cooling policy, and pbar
+    mixes agents (None while stale). A seed whose round raises one of
     _ROUND_ERRORS goes to `failed` as SimulationError(r) and loses its row;
     the other rows go on.
     """
 
-    _ROW_ARRAYS = ("weights", "agents", "pbar", "pt")
+    _ROW_ARRAYS = ("weights", "agents", "initial", "pbar", "pt")
     _ROW_LISTS = (
-        "ids", "rngs", "groups", "checkpoints", "memory", "datasets", "live",
-        "fired", "notes", "next_fired", "records", "states",
+        "ids", "rngs", "memory", "datasets", "live", "fired", "notes", "next_fired",
+        "records", "states",
     )
 
-    def __init__(self, pops, cfg: EvolutionConfig, rngs, groups, memory: np.ndarray, ids):
+    def __init__(self, pops, cfg: EvolutionConfig, rngs, policies, memory: np.ndarray, ids):
         rows = range(len(pops))
         self.cfg = cfg
         self.space = pops[0].space
         self.weights = np.stack([p.weights for p in pops])
         self.agents = np.stack([np.stack([a.mass for a in p.agents]) for p in pops])
+        self.initial = self.agents if policies["entropy-release"] else None
         self.pbar = self.pt = None
-        self.ids, self.rngs, self.groups = list(ids), list(rngs), list(groups)
-        self.checkpoints = [
-            {id(pol): pol.initial_checkpoint(pop0) for pol in g["cooling"]}
-            for g, pop0 in zip(groups, pops)
-        ]
+        self.ids, self.rngs, self.policies = list(ids), list(rngs), policies
+        self.checkpoints = [pol.initial_checkpoint(self.agents) for pol in policies["cooling"]]
         self.memory = [memory for _ in rows]
         for name in ("datasets", "live", "fired", "notes", "next_fired", "records", "states"):
             setattr(self, name, [[] for _ in rows])
-        self.hooked = {kind for g in groups for kind, policies in g.items() if policies}
         self.failed: dict[int, SimulationError] = {}
 
-    def population(self, s: int, copy: bool = False) -> Population:
-        """Seed s's population over views of its rows, or over copies that
-        outlive the chunk; bit-equal rows, as a shared-data update leaves
-        them, then share one copy."""
+    def population(self, s: int) -> Population:
+        """Seed s's population over copies of its rows, which outlive the
+        chunk; bit-equal rows, as a shared-data update leaves them, share one."""
         agents: list[ProbVector] = []
         for row in self.agents[s]:
-            if not copy:
-                agents.append(_wrap(self.space, row))
-            elif agents and np.array_equal(agents[-1].mass.view(np.int64), row.view(np.int64)):
+            if agents and np.array_equal(agents[-1].mass.view(np.int64), row.view(np.int64)):
                 agents.append(agents[-1])
             else:
                 agents.append(_wrap(self.space, row.copy()))
@@ -704,20 +693,20 @@ class _Chunk:
             arr = getattr(self, name)
             if arr is not None:
                 setattr(self, name, arr[np.asarray(keep)])
+        self.checkpoints = [ck[np.asarray(keep)] for ck in self.checkpoints]
         for name in self._ROW_LISTS:
             setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
 
-    def _per_seed(self, r: int, kinds: tuple[str, ...], hook) -> None:
-        if self.hooked.isdisjoint(kinds):
-            return
-        errors = {}
-        for s, group in enumerate(self.groups):
-            if any(group[kind] for kind in kinds):
-                try:
-                    hook(r, s, group)
-                except _ROUND_ERRORS as exc:
-                    errors[s] = exc
-        self._fail(errors, r)
+    def _mixture(self) -> np.ndarray:
+        """Mixtures (S, K) of the current agents, mixed once per change."""
+        if self.pbar is None:
+            self.pbar = _mix(self.weights, self.agents)
+        return self.pbar
+
+    def _firing(self, pol, r: int) -> np.ndarray:
+        """The rows whose schedule has pol act in round r."""
+        mixtures = self._mixture() if pol.schedule.reads_mixture else None
+        return np.flatnonzero(np.broadcast_to(pol.schedule.fires(r, mixtures), len(self.ids)))
 
     def advance(self, r: int) -> None:
         """Round r; before round 1 (no pt yet) only the set-up selection.
@@ -736,28 +725,26 @@ class _Chunk:
             draws = _draw(self.pt, n * blocks, self.rngs)
             self.datasets = [list(row.reshape(blocks, n)) for row in draws]
             self.live = [list(range(blocks)) for _ in self.ids]
-            self._per_seed(r, ("verifier",), self._screen)
+            self._screen(r)
             self._update(r)
-            self._per_seed(r, ("entropy-release", "cooling"), self._release_and_cool)
-        self.pbar = _mix(self.weights, self.agents)
+            self._release(r)
+            self._cool(r)
         rule = self.cfg.selection
         try:
-            self.pt, zero = _select(rule, self.space, self.pbar)
+            self.pt, zero = _select(rule, self.space, self._mixture())
         except _ROUND_ERRORS as exc:  # a rule that does not fit the space
             self._fail(dict.fromkeys(range(len(self.ids)), exc), r)
             return
         self.next_fired = [[] for _ in self.ids]
         self._fail({int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}, r)
-        self._per_seed(r, ("diversity",), self._diversify)
+        self._diversify(r)
 
-    def _screen(self, r: int, s: int, group) -> None:
-        datasets, live = self.datasets[s], self.live[s]
-        pop = self.population(s)
-        for pol in group["verifier"]:
-            if not live:
-                break
-            if pol.fires(r, pop):
-                self.fired[s].append(pol.kind)
+    def _screen(self, r: int) -> None:
+        for pol in self.policies["verifier"]:
+            for s in self._firing(pol, r):
+                datasets, live = self.datasets[s], self.live[s]
+                if live:
+                    self.fired[s].append(pol.kind)
                 for m in tuple(live):
                     try:
                         datasets[m] = pol.filter_dataset(datasets[m], self.rngs[s])
@@ -771,10 +758,12 @@ class _Chunk:
         rows = [s for s, live in enumerate(self.live) for _ in live]
         blocks = [m for live in self.live for m in live]
         k_space = self.space.size
-        # records may hold views of the old rows
+        pbar = self._mixture()[rows] if rule.reads_mixture else None
+        # the recorded rows are frozen, and initial may be them
         self.agents = self.agents.copy()
         if not rows:
             return
+        self.pbar = None
         if rule.kind == "memory-buffer":  # shared data: one block per row
             for s in rows:
                 self.memory[s] = roll_memory(self.memory[s], self.datasets[s][0], rule.capacity)
@@ -783,7 +772,6 @@ class _Chunk:
             counts, n = _counts([self.datasets[s][m] for s, m in zip(rows, blocks)], k_space)
             if rule.kind == "memory-buffer":
                 buffer = _counts([self.memory[s] for s in rows], k_space)
-            pbar = self.pbar[rows] if rule.reads_mixture else None
             mass, wiped = _fit(rule, counts, n, pbar, buffer)
         except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
             self._fail(dict.fromkeys(rows, exc), r)
@@ -794,42 +782,47 @@ class _Chunk:
             self.agents[rows] = mass[:, None, :]
         self._fail({rows[i]: ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)}, r)
 
-    def _release_and_cool(self, r: int, s: int, group) -> None:
-        # policies may keep the population they are given (a cooling
-        # checkpoint), so they get a copy of the seed's rows
-        pop = start = self.population(s, copy=True)
-        for pol in group["entropy-release"]:
-            if pol.fires(r, pop):
-                pop = pol.adjust_population(pop)
+    def _release(self, r: int) -> None:
+        for pol in self.policies["entropy-release"]:
+            rows = self._firing(pol, r)
+            if not rows.size:
+                continue
+            at = slice(None) if rows.size == len(self.ids) else rows  # a view, not a copy
+            released, errors = pol.adjust_population(self.agents[at], self.initial[at])
+            self.agents[at] = released
+            self.pbar = None
+            for s in rows:
                 self.fired[s].append(pol.kind)
                 memory = self.memory[s]
-                if getattr(pol, "prune_memory", False) and len(memory):
+                if pol.prune_memory and len(memory):
                     kept = pol.prune_buffer(memory)
                     dropped = len(memory) - len(kept)
                     if dropped:
                         self.notes[s].append(f"memory prune dropped {dropped} samples")
                     self.memory[s] = kept
-        checkpoints = self.checkpoints[s]
-        for pol in group["cooling"]:
-            if pol.fires(r, pop):
-                pop, checkpoints[id(pol)], rolled = pol.cool(pop, checkpoints[id(pol)])
+            self._fail({int(rows[i]): exc for i, exc in errors.items()}, r)
+
+    def _cool(self, r: int) -> None:
+        for pol, checkpoints in zip(self.policies["cooling"], self.checkpoints):
+            rows = self._firing(pol, r)
+            pbar = self._mixture() if rows.size else None
+            for s in rows:
+                agents, checkpoints[s], rolled = pol.cool((self.agents[s], pbar[s]), checkpoints[s])
                 if rolled:
+                    self.agents[s] = agents
+                    self.pbar = None
                     self.fired[s].append(pol.kind)
                     self.notes[s].append("cooling-rollback")
                 else:
                     self.notes[s].append("cooling-refresh")
-        if pop is not start:
-            self.agents[s] = [a.mass for a in pop.agents]
 
-    def _diversify(self, r: int, s: int, group) -> None:
-        pop = self.population(s)
-        pt = start = _wrap(self.space, self.pt[s])
-        for pol in group["diversity"]:
-            if pol.fires(r + 1, pop):
-                pt = pol.adjust_training(pt)
+    def _diversify(self, r: int) -> None:
+        for pol in self.policies["diversity"]:
+            rows = self._firing(pol, r + 1)
+            if rows.size:
+                self.pt[rows] = pol.adjust_training(self.pt[rows])
+            for s in rows:
                 self.next_fired[s].append(pol.kind)
-        if pt is not start:
-            self.pt[s] = pt.mass
 
     def record(self, r: int, probes, ref, monitor_sets, monitor_hoods, keep_states: bool) -> None:
         """Append round r's TrajectoryRecord (and state) to every row."""
@@ -839,14 +832,13 @@ class _Chunk:
         }
         absent = {name: self._absent(r, hood) for name, hood in monitor_hoods.items()}
         errors = {}
+        self.agents.setflags(write=False)  # the next update writes a copy
         for s in range(len(self.ids)):
             values = {}
-            if probes or keep_states:
-                pop = self.population(s)
             if probes:
-                pt = _wrap(self.space, self.pt[s])
+                pt, agents = _wrap(self.space, self.pt[s]), self.agents[s]
                 try:
-                    values = {p.name: float(p.evaluator(r, pt, pop, ref)) for p in probes}
+                    values = {p.name: float(p.evaluator(r, pt, agents, ref)) for p in probes}
                 except _ROUND_ERRORS as exc:
                     errors[s] = exc
                     continue
@@ -861,7 +853,7 @@ class _Chunk:
                 )
             )
             if keep_states:
-                self.states[s].append(pop)
+                self.states[s].append(self.population(s))
         self._fail(errors, r)
 
     def _absent(self, r: int, hood: np.ndarray) -> list:
@@ -879,9 +871,8 @@ def step(
     round_index: int = 1,
 ) -> StepResult:
     """Apply one bare round (no interventions)."""
-    chunk = _Chunk(
-        [pop], cfg, [rng], [_group_policies(None)], np.asarray(memory, dtype=np.int64), [0]
-    )
+    policies = _group_policies(None, pop.space, pop.size)
+    chunk = _Chunk([pop], cfg, [rng], policies, np.asarray(memory, dtype=np.int64), [0])
     chunk.advance(round_index - 1)
     if chunk.failed:
         raise chunk.failed[0].cause
@@ -907,7 +898,7 @@ def run_batch(
     cfg: EvolutionConfig,
     seeds: Sequence[int],
     probes: Sequence = (),
-    intervention: Callable[[Population], object] | None = None,
+    intervention=None,
     *,
     ref=None,
     monitors: Mapping[str, Iterable[int]] | None = None,
@@ -916,15 +907,14 @@ def run_batch(
 ) -> Iterator[Trajectory | SimulationError]:
     """Run the i-th population under cfg with seeds[i], for every i, as run() would.
 
-    cfg's own seed is not read. intervention, when given, maps a run's
-    initial population to that run's policy or policies. The populations
-    must share one space and size. Seeds advance in lock-step chunks of
-    chunk_size(M, K), and pops is read one chunk at a time, so a generator
-    keeps only one chunk of initial populations alive. Yields, in input
-    order and chunk by chunk, each seed's Trajectory, or the SimulationError
-    of a seed whose run failed; the other seeds are unaffected by it.
-    probes, monitors, keep_states and initial_memory apply to every seed, as
-    in run().
+    cfg's own seed is not read. The populations must share one space and
+    size. Seeds advance in lock-step chunks of chunk_size(M, K), and pops is
+    read one chunk at a time, so a generator keeps only one chunk of initial
+    populations alive. Yields, in input order and chunk by chunk, each
+    seed's Trajectory, or the SimulationError of a seed whose run failed;
+    the other seeds are unaffected by it. probes, intervention, monitors,
+    keep_states and initial_memory apply to every seed, as in run(); an
+    entropy-release anchor "initial" is each seed's own start population.
 
     The arguments and the first chunk's populations are checked here; a
     later chunk's populations, and a pops iterable without len() that is
@@ -943,6 +933,7 @@ def run_batch(
         return iter(())
     starts = chain([first], starts)
     space, size = first.space, first.size
+    policies = _group_policies(intervention, space, size)
     radius = cfg.update.neighborhood_radius
 
     monitor_sets: dict[str, np.ndarray] = {}
@@ -967,8 +958,7 @@ def run_batch(
             raise ConfigError(_ONE_PER_SEED)
         if any(p.space != space or p.size != size for p in batch):
             raise ConfigError("the populations of a batch must share one space and size")
-        groups = [_group_policies(intervention(p) if intervention else None) for p in batch]
-        return _Chunk(batch, cfg, [make_rng(seeds[i]) for i in ids], groups, memory, ids)
+        return _Chunk(batch, cfg, [make_rng(seeds[i]) for i in ids], policies, memory, ids)
 
     def results(chunk: _Chunk) -> Iterator[Trajectory | SimulationError]:
         for lo in range(0, len(seeds), width):
@@ -992,7 +982,7 @@ def run_batch(
                     probe_names=tuple(p.name for p in probes),
                     records=tuple(chunk.records[s]),
                     monitors=dict(monitor_names),
-                    final_population=chunk.population(s, copy=True),
+                    final_population=chunk.population(s),
                     states=tuple(chunk.states[s]) if keep_states else None,
                 )
         if next(starts, None) is not None:
@@ -1014,13 +1004,14 @@ def run(
 ) -> Trajectory:
     """Execute cfg.rounds rounds and record per-round measurements.
 
-    probes are MetricProbe-like objects (name + evaluator(round, pt, pop,
-    ref)); they may read the reference because measurement sits outside the
-    loop, but the dynamics themselves never touch `ref`. intervention is a
-    policy object or sequence of them (see interventions module); multiple
-    policies compose in the fixed attachment order diversity -> sampling ->
-    verifier -> update -> entropy-release -> cooling regardless of the order
-    given. monitors maps names to outcome sets whose training mass and
+    probes are MetricProbe-like objects (name + evaluator(round, pt, agents,
+    ref), agents being the seed's read-only (M, K) rows); they may read the
+    reference because measurement sits outside the loop, but the dynamics
+    themselves never touch `ref`. intervention is a policy object or
+    sequence of them (see interventions module); multiple policies compose
+    in the fixed attachment order diversity -> sampling -> verifier ->
+    update -> entropy-release -> cooling regardless of the order given.
+    monitors maps names to outcome sets whose training mass and
     dataset-absence flags are recorded every round (the raw material for
     decay estimation). initial_memory seeds the memory-buffer rule's buffer.
     A failed round raises SimulationError. This is run_batch on one seed.
@@ -1030,7 +1021,7 @@ def run(
         cfg,
         [cfg.seed],
         probes,
-        lambda _: intervention,
+        intervention,
         ref=ref,
         monitors=monitors,
         keep_states=keep_states,

@@ -247,7 +247,7 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Raw mitigation-arm description; realized per seed against (ref, pop0)."""
+    """Raw mitigation-arm description; realized once per arm against ref."""
 
     name: str
     kind: str
@@ -506,8 +506,9 @@ def parse_schedule(spec: str, ref: SafetyReference) -> Schedule:
     raise ConfigError(f"unknown schedule {spec!r}; use every[:k] or kl:threshold")
 
 
-def realize_policy(spec: PolicySpec, ref: SafetyReference, pop0: Population):
-    """Concrete policy object for one run. pop0 anchors 'initial' targets."""
+def realize_policy(spec: PolicySpec, ref: SafetyReference):
+    """Concrete policy object for every seed of an arm; an 'initial' anchor
+    is each seed's own start population."""
     params = dict(spec.params)
     schedule = parse_schedule(spec.schedule, ref)
 
@@ -538,13 +539,9 @@ def realize_policy(spec: PolicySpec, ref: SafetyReference, pop0: Population):
             schedule=schedule,
         )
     elif spec.kind == "entropy-release":
-        anchor_name = params.pop("anchor", "uniform")
-        if anchor_name == "uniform":
-            anchor: object = "uniform"
-        elif anchor_name == "initial":
-            anchor = pop0
-        else:
-            raise ConfigError(f"unknown anchor {anchor_name!r}; uniform or initial")
+        anchor = params.pop("anchor", "uniform")
+        if anchor not in ("uniform", "initial"):
+            raise ConfigError(f"unknown anchor {anchor!r}; uniform or initial")
         prune_memory = params.pop("prune_memory", "false")
         policy = EntropyReleasePolicy(
             gamma=take_float("gamma", 0.05),
@@ -859,12 +856,7 @@ def paired_difference(arm_value: float, base_value: float) -> float:
     return arm_value - base_value
 
 
-def _run_arm(
-    cfg: ExperimentConfig,
-    ref: SafetyReference,
-    name: str,
-    spec: PolicySpec | None,
-) -> ArmSummary:
+def _run_arm(cfg: ExperimentConfig, ref: SafetyReference, name: str, policy) -> ArmSummary:
     probes = resolve_probes(("kl_safety", "safe_mass"), default_tau=cfg.coverage_tau)
     terminal_kl: dict[int, float] = {}
     terminal_sm: dict[int, float] = {}
@@ -874,7 +866,7 @@ def _run_arm(
         _evolution_config(cfg),
         cfg.seeds,
         probes,
-        None if spec is None else lambda pop0: [realize_policy(spec, ref, pop0)],
+        policy,
         ref=ref,
     )
     for seed, result in zip(cfg.seeds, results):
@@ -913,8 +905,10 @@ def run_intervention_comparison(
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate arm names: {names}")
     ref = build_reference(cfg)
+    # every arm's policy is realized before any seed runs
+    policies = [realize_policy(spec, ref) for spec in specs]
     baseline = _run_arm(cfg, ref, "baseline", None)
-    arms = tuple(_run_arm(cfg, ref, spec.name, spec) for spec in specs)
+    arms = tuple(_run_arm(cfg, ref, n, p) for n, p in zip(names, policies))
     paired: dict[str, dict[int, float]] = {}
     for arm in arms:
         diffs = {}

@@ -2,8 +2,9 @@
 
 Each policy object is constructed WITH whatever reference access it needs, so
 every isolation breach is visible at one construction site. The evolution
-loop only ever calls the policy protocol (fires / filter_dataset /
-adjust_training / adjust_population / cool) and stays reference-free.
+loop only ever calls the policy protocol (check_shape / schedule.fires /
+filter_dataset / adjust_training / adjust_population / cool) on its row
+arrays, and stays reference-free.
 
 Attachment points compose in a fixed order within a round, regardless of how
 policies are listed:
@@ -23,10 +24,10 @@ Strategies:
                    mixed with rho of the reference, guaranteeing every
                    reference-supported outcome at least rho * pi_star(z)
                    training mass
-  entropy-release  blend each agent toward an anchor (uniform or a kept
-                   initial population), then prune entries below a floor and
-                   renormalize; optionally drop unsafe samples from the
-                   memory buffer
+  entropy-release  blend each agent toward an anchor (uniform, the initial
+                   population or a given one), then prune entries below a
+                   floor and renormalize; optionally drop unsafe samples
+                   from the memory buffer
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ProbVector, SafetyReference, _derived
+from .core import OutcomeSpace, ProbVector, SafetyReference, _wrap
 from .errors import ConfigError, VerifierAnnihilationError
-from .evolution import Population, mixture
+from .evolution import Population, mixture  # noqa: F401  (bench/test_bench.py wants mixture)
 from .metrics import kl_divergence
 
 COMPOSITION_ORDER = (
@@ -73,15 +74,32 @@ class Schedule:
         if not math.isfinite(self.threshold):
             raise ConfigError(f"schedule threshold must be finite, got {self.threshold}")
 
-    def fires(self, round_index: int, pop: Population) -> bool:
+    @property
+    def reads_mixture(self) -> bool:
+        return self.kind == "kl-trigger"
+
+    def fires(self, round_index: int, mixtures: np.ndarray | None) -> bool | np.ndarray:
+        """Act in round_index? every-k: one bool for all rows, reading no mixture;
+        kl-trigger: a mask (S,) of the mixture rows (S, K) that drift past the threshold."""
         if self.kind == "every":
             return round_index % self.k == 0
-        return kl_divergence(self.ref.pi_star, mixture(pop)) > self.threshold
+        pi = self.ref.pi_star
+        drifts = [kl_divergence(pi, _wrap(pi.space, row)) for row in mixtures]
+        return np.array(drifts) > self.threshold
 
 
 class _Scheduled:
-    def fires(self, round_index: int, pop: Population) -> bool:
-        return self.schedule.fires(round_index, pop)
+    def check_shape(self, space: OutcomeSpace, size: int) -> None:
+        """ConfigError unless what the policy carries fits `size` agents over `space`."""
+        refs = (getattr(self, "ref", None), self.schedule.ref)
+        if any(ref is not None and ref.pi_star.space != space for ref in refs):
+            raise ConfigError(f"{self.kind} reference does not match the population space")
+        for name in ("checkpoint", "anchor"):
+            given = getattr(self, name, None)
+            if (isinstance(given, ProbVector) and given.space != space) or (
+                isinstance(given, Population) and (given.space, given.size) != (space, size)
+            ):
+                raise ConfigError(f"{self.kind} {name} does not match the population shape")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,30 +159,26 @@ class CoolingPolicy(_Scheduled):
         if not (0.0 < self.blend <= 1.0):
             raise ConfigError(f"cooling blend must lie in (0, 1], got {self.blend}")
 
-    def initial_checkpoint(self, pop0: Population) -> Population:
-        return self.checkpoint if self.checkpoint is not None else pop0
+    def initial_checkpoint(self, initial: np.ndarray) -> np.ndarray:
+        """Fresh checkpoint rows (S, M, K): the given checkpoint, else `initial`."""
+        ck = self.checkpoint
+        given = initial if ck is None else np.stack([a.mass for a in ck.agents])
+        return np.array(np.broadcast_to(given, initial.shape))
 
-    def cool(
-        self, pop: Population, checkpoint: Population
-    ) -> tuple[Population, Population, bool]:
-        """Return (population, checkpoint, rolled_back).
-
-        Drift within the threshold refreshes the checkpoint to the current
-        population. Past the threshold, each agent is blended
-        blend * checkpoint + (1 - blend) * current; the checkpoint is kept.
-        """
-        if checkpoint.size != pop.size or checkpoint.space != pop.space:
-            raise ConfigError("cooling checkpoint does not match the population shape")
-        d = kl_divergence(self.ref.pi_star, mixture(pop))
-        if d <= self.kl_threshold:
-            return pop, pop, False
+    def cool(self, current: tuple, checkpoint: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(agents, checkpoint, rolled_back) for one seed: its agent rows (M, K)
+        and their mixture (K,) in `current`, and its checkpoint rows (M, K).
+        Drift within the threshold refreshes the checkpoint to the current rows;
+        past it, each agent becomes blend * checkpoint + (1 - blend) * current."""
+        agents, pbar = current
+        pi_star = self.ref.pi_star
+        if kl_divergence(pi_star, _wrap(pi_star.space, pbar)) <= self.kl_threshold:
+            return agents, agents, False
         if self.blend == 1.0:
             return checkpoint, checkpoint, True
-        agents = [
-            _derived(pop.space, self.blend * ck.mass + (1.0 - self.blend) * cur.mass)
-            for ck, cur in zip(checkpoint.agents, pop.agents)
-        ]
-        return pop._successor(agents), checkpoint, True
+        blended = self.blend * checkpoint + (1.0 - self.blend) * agents
+        blended /= blended.sum(axis=1, keepdims=True)
+        return blended, checkpoint, True
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,24 +197,25 @@ class DiversityPolicy(_Scheduled):
         if not (0.0 <= self.rho <= 1.0):
             raise ConfigError(f"injection weight rho must lie in [0, 1], got {self.rho}")
 
-    def adjust_training(self, pt: ProbVector) -> ProbVector:
-        """(1 - rho) * normalize(pt^(1/temperature)) + rho * pi_star."""
+    def adjust_training(self, pt: np.ndarray) -> np.ndarray:
+        """(1 - rho) * normalize(pt^(1/temperature)) + rho * pi_star, per row of pt (S, K)."""
         if self.temperature == 1.0:
-            tempered = pt.mass
+            tempered = pt
         else:
-            powered = pt.mass ** (1.0 / self.temperature)
-            tempered = powered / float(powered.sum())
+            tempered = pt ** (1.0 / self.temperature)
+            tempered /= tempered.sum(axis=1, keepdims=True)
         blended = (1.0 - self.rho) * tempered + self.rho * self.ref.pi_star.mass
-        return _derived(pt.space, blended)
+        blended /= blended.sum(axis=1, keepdims=True)
+        return blended
 
 
 @dataclass(frozen=True, eq=False)
 class EntropyReleasePolicy(_Scheduled):
     """Blend agents toward an anchor distribution, then prune tiny entries.
 
-    anchor is the string "uniform", a single ProbVector applied to every
-    agent, or a Population supplying one anchor per agent (the usual choice
-    being the initial population). Pruning zeroes entries strictly below
+    anchor is "uniform", "initial" (each seed's own start population), a
+    single ProbVector applied to every agent, or a Population supplying one
+    anchor per agent. Pruning zeroes entries strictly below
     prune_floor after the blend and renormalizes; emptying an agent entirely
     is an error. prune_memory additionally drops unsafe samples from the
     memory buffer (needs ref, and is the one reference access this strategy
@@ -220,35 +235,41 @@ class EntropyReleasePolicy(_Scheduled):
             raise ConfigError(f"release weight gamma must lie in (0, 1], got {self.gamma}")
         if not (0.0 <= self.prune_floor < 1.0):
             raise ConfigError(f"prune floor must lie in [0, 1), got {self.prune_floor}")
-        if isinstance(self.anchor, str) and self.anchor != "uniform":
+        if isinstance(self.anchor, str) and self.anchor not in ("uniform", "initial"):
             raise ConfigError(
-                f"anchor must be 'uniform', a ProbVector, or a Population, got {self.anchor!r}"
+                "anchor must be uniform, initial, a ProbVector or a Population, "
+                f"got {self.anchor!r}"
             )
         if self.prune_memory and self.ref is None:
             raise ConfigError("memory pruning needs a reference to define 'unsafe'")
 
-    def _anchor_mass(self, index: int, pop: Population) -> np.ndarray:
-        if isinstance(self.anchor, str):
-            return np.full(pop.space.size, 1.0 / pop.space.size)
+    def adjust_population(self, agents: np.ndarray, initial: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Released agent rows (S, M, K), and the error of each row whose prune
+        emptied an agent (a placeholder row). anchor "initial" reads `initial`."""
         if isinstance(self.anchor, ProbVector):
-            return self.anchor.mass
-        if self.anchor.size != pop.size or self.anchor.space != pop.space:
-            raise ConfigError("anchor population does not match the population shape")
-        return self.anchor.agents[index].mass
-
-    def adjust_population(self, pop: Population) -> Population:
-        agents = []
-        for m, agent in enumerate(pop.agents):
-            blended = (1.0 - self.gamma) * agent.mass + self.gamma * self._anchor_mass(m, pop)
-            if self.prune_floor > 0.0:
-                blended = np.where(blended < self.prune_floor, 0.0, blended)
-                if float(blended.sum()) <= 0.0:
-                    raise ValueError(
-                        f"prune floor {self.prune_floor} removed all of agent {m}'s mass"
-                    )
-            # two divisions, as make_prob_vector then ProbVector would do
-            agents.append(_derived(pop.space, blended / float(blended.sum())))
-        return pop._successor(agents)
+            anchor = self.anchor.mass
+        elif isinstance(self.anchor, Population):
+            anchor = np.stack([a.mass for a in self.anchor.agents])
+        elif self.anchor == "initial":
+            anchor = initial
+        else:
+            anchor = np.full(agents.shape[2], 1.0 / agents.shape[2])
+        blended = agents * (1.0 - self.gamma)  # one (S, M, K) array, blended in place
+        blended += self.gamma * anchor
+        if self.prune_floor > 0.0:
+            blended[blended < self.prune_floor] = 0.0
+        totals = blended.sum(axis=2, keepdims=True)
+        emptied = totals[:, :, 0] <= 0.0
+        floor, first = self.prune_floor, emptied.argmax(axis=1)
+        errors = {
+            int(s): ValueError(f"prune floor {floor} removed all of agent {first[s]}'s mass")
+            for s in np.flatnonzero(emptied.any(axis=1))
+        }
+        blended[emptied] = totals[emptied] = 1.0
+        # two divisions, as make_prob_vector then ProbVector would do
+        blended /= totals
+        blended /= blended.sum(axis=2, keepdims=True)
+        return blended, errors
 
     def prune_buffer(self, memory: Sequence[int] | np.ndarray) -> np.ndarray:
         memory = np.asarray(memory, dtype=np.int64)

@@ -173,9 +173,12 @@ def coverage(ref: SafetyReference, pt: ProbVector, tau: float) -> CoverageResult
     require_same_space(ref.pi_star, pt)
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"coverage threshold must lie in (0, 1], got {tau!r}")
-    visible = np.nonzero(pt.mass >= tau)[0]
-    covered = float(ref.pi_star.mass[visible].sum()) if visible.size else 0.0
-    return CoverageResult(tuple(int(i) for i in visible), covered)
+    visible = tuple(int(i) for i in np.flatnonzero(pt.mass >= tau))
+    return CoverageResult(visible, _covered_mass(ref, pt, tau))
+
+
+def _covered_mass(ref: SafetyReference, pt: ProbVector, tau: float) -> float:
+    return float(ref.pi_star.mass[pt.mass >= tau].sum())
 
 
 class AbsenceProbability(NamedTuple):
@@ -290,35 +293,36 @@ def estimate_decay(trajectory, a_set: Iterable[int], rule=None) -> DecayEstimate
 # Probe registry
 # ---------------------------------------------------------------------------
 
-ProbeFn = Callable[[int, ProbVector, object, SafetyReference], float]
+ProbeFn = Callable[[int, ProbVector, np.ndarray, SafetyReference], float]
 
 
 @dataclass(frozen=True)
 class MetricProbe:
-    """Named per-round measurement: (round, P_t, population, reference) -> real."""
+    """Named per-round measurement: (round, P_t, agents, reference) -> real,
+    agents being the seed's read-only (M, K) agent rows."""
 
     name: str
     evaluator: ProbeFn
 
 
-def _probe_kl(t, pt, pop, ref):
+def _probe_kl(t, pt, agents, ref):
     return kl_divergence(ref.pi_star, pt)
 
 
-def _probe_safe_mass(t, pt, pop, ref):
+def _probe_safe_mass(t, pt, agents, ref):
     return float(pt.mass[ref.safe_mask].sum())
 
 
-def _probe_internal_entropy(t, pt, pop, ref):
+def _probe_internal_entropy(t, pt, agents, ref):
     return shannon_entropy(pt)
 
 
-def _probe_cross_entropy(t, pt, pop, ref):
+def _probe_cross_entropy(t, pt, agents, ref):
     return cross_entropy(ref.pi_star, pt)
 
 
 def _split_probe(term: Callable[[SafetyReference, ProbVector], float]) -> ProbeFn:
-    def probe(t, pt, pop, ref):
+    def probe(t, pt, agents, ref):
         require_same_space(ref.pi_star, pt)
         return term(ref, pt)
 
@@ -365,8 +369,9 @@ def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
         if not (0.0 < tau <= 1.0):
             raise ConfigError(f"coverage threshold must lie in (0, 1], got {tau}")
 
-        def _probe_coverage(t, pt, pop, ref, _tau=tau):
-            return coverage(ref, pt, _tau).covered_mass
+        def _probe_coverage(t, pt, agents, ref, _tau=tau):
+            require_same_space(ref.pi_star, pt)
+            return _covered_mass(ref, pt, _tau)
 
         return MetricProbe(name, _probe_coverage)
     raise ConfigError(

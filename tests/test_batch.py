@@ -129,7 +129,7 @@ def _config(update, selection, per_agent):
 
 
 def _policies(policy):
-    return lambda pop: [realize_policy(s, REF, pop) for s in POLICIES[policy]] or None
+    return [realize_policy(s, REF) for s in POLICIES[policy]] or None
 
 
 def _alone(cfg, seeds, intervention, pops=_pops, ref=REF, monitors=MONITORS):
@@ -137,7 +137,7 @@ def _alone(cfg, seeds, intervention, pops=_pops, ref=REF, monitors=MONITORS):
     for pop, seed in zip(pops(seeds), seeds):
         try:
             outcomes.append(_outcome(run(
-                pop, replace(cfg, seed=seed), PROBES, intervention(pop),
+                pop, replace(cfg, seed=seed), PROBES, intervention,
                 ref=ref, monitors=monitors,
             )))
         except SimulationError as exc:
@@ -190,7 +190,7 @@ def test_failing_seeds_leave_their_chunk_and_the_rest_go_on(small_chunks):
     ref = two_tier_reference(K, safe_mass=0.9, safe_fraction=0.5)
     evo = EvolutionConfig(cfg.sample_size, cfg.rounds, cfg.selection, cfg.update)
     inputs = dict(
-        intervention=lambda pop: [realize_policy(spec, ref, pop)],
+        intervention=[realize_policy(spec, ref)],
         pops=lambda seeds: [build_population(cfg.population, ref, seed) for seed in seeds],
         ref=ref,
         monitors=None,
@@ -229,7 +229,7 @@ def test_run_batch_checks_its_runs_where_it_is_called(small_chunks):
     with pytest.raises(ConfigError, match="no reference"):
         run_batch(pops, cfg, SEEDS, PROBES)
     with pytest.raises(ConfigError, match="unknown kind"):
-        run_batch(pops, cfg, SEEDS, intervention=lambda pop: object())
+        run_batch(pops, cfg, SEEDS, intervention=object())
     # an unsized iterable of the wrong length fails when the iterator gets there
     results = run_batch(iter(pops), cfg, SEEDS[:CHUNK])
     with pytest.raises(ConfigError, match="one population per seed"):

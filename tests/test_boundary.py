@@ -96,9 +96,8 @@ def test_non_finite_policy_parameter_is_a_config_error(kind, param, value):
     cfg = config_from_mapping(
         {"intervention.kind": kind, f"intervention.params.{param}": value}
     )
-    pop0 = Population.equal_weights([REF.pi_star])
     with pytest.raises(ConfigError):
-        realize_policy(cfg.intervention[0], REF, pop0)
+        realize_policy(cfg.intervention[0], REF)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
@@ -242,8 +241,11 @@ def _runs(draw):
 def test_accepted_runs_stay_on_the_simplex(case):
     seen = []
 
-    def check(t, pt, pop, ref):
+    def check(t, pt, agents, ref):
         _check_distribution(pt.mass)
+        assert agents.shape == (case["agents"], case["k"]) and not agents.flags.writeable
+        for row in agents:
+            _check_distribution(row)
         seen.append(t)
         return 0.0
 
@@ -263,7 +265,7 @@ def test_accepted_runs_stay_on_the_simplex(case):
             per_agent_datasets=case["per_agent"],
         )
         spec: PolicySpec | None = case["policy"]
-        policy = None if spec is None else realize_policy(spec, ref, pop0)
+        policy = None if spec is None else realize_policy(spec, ref)
         traj = run(
             pop0,
             cfg,

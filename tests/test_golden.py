@@ -100,7 +100,7 @@ def _csv_digest(tmp_path, update=UpdateRule("mle"), selection=SelectionRule("ide
         cfg = EvolutionConfig(
             sample_size=60, rounds=8, selection=selection, update=update, seed=seed
         )
-        policies = [realize_policy(spec, REF, pop0) for spec in specs] or None
+        policies = [realize_policy(spec, REF) for spec in specs] or None
         trajs.append(run(pop0, cfg, PROBES, policies, ref=REF))
     return _file_digest(tmp_path, trajs)
 
@@ -160,7 +160,7 @@ def _json_digest(tmp_path, update=UpdateRule("mle"), selection=SelectionRule("id
             sample_size=sample_size, rounds=8, selection=selection, update=update,
             seed=seed, per_agent_datasets=per_agent,
         )
-        policies = [realize_policy(spec, REF, pop0) for spec in specs] or None
+        policies = [realize_policy(spec, REF) for spec in specs] or None
         trajs.append(run(pop0, cfg, PROBES, policies, ref=REF, monitors=MONITORS))
     path = tmp_path / "trajectories.json"
     save_trajectories_json(trajs, str(path))
@@ -300,9 +300,7 @@ def _batch_digest(tmp_path, policies, split_kind, update=UPDATES["mle"], per_age
     cfg = EvolutionConfig(
         sample_size=60, rounds=8, update=update, per_agent_datasets=per_agent
     )
-    intervention = lambda pop0: [  # noqa: E731
-        realize_policy(p, REF, pop0) if isinstance(p, PolicySpec) else p for p in policies
-    ]
+    intervention = [realize_policy(p, REF) if isinstance(p, PolicySpec) else p for p in policies]
     trajs = list(
         run_batch(pops, cfg, BATCH_SEEDS, PROBES, intervention, ref=REF, monitors=MONITORS)
     )

@@ -7,10 +7,13 @@ import pytest
 
 from driftlab import (
     ConfigError,
+    EntropyReleasePolicy,
+    EvolutionConfig,
     ExperimentConfig,
     OutcomeSpace,
     PolicySpec,
     Population,
+    PopulationSpec,
     ProbVector,
     Trajectory,
     TrajectoryRecord,
@@ -31,6 +34,7 @@ from driftlab import (
     parse_schedule,
     parse_seed_spec,
     realize_policy,
+    run,
     run_drift_experiment,
     run_ensemble_mi,
     run_intervention_comparison,
@@ -447,38 +451,41 @@ def test_realize_policy_verifier_params():
     spec = PolicySpec(
         "v", "verifier", (("budget", "5"), ("fn_rate", "0.1"), ("fp", "0.2"))
     )
-    pop0 = Population.equal_weights([REF_SMALL.pi_star])
-    policy = realize_policy(spec, REF_SMALL, pop0)
+    policy = realize_policy(spec, REF_SMALL)
     assert policy.fp == 0.2 and policy.fn_rate == 0.1 and policy.budget == 5
 
 
 def test_realize_policy_initial_anchor_uses_start_population():
     spec = PolicySpec("e", "entropy-release", (("anchor", "initial"), ("gamma", "0.1")))
-    pop0 = Population.equal_weights([REF_SMALL.pi_star])
-    policy = realize_policy(spec, REF_SMALL, pop0)
-    assert policy.anchor is pop0
+    policy = realize_policy(spec, REF_SMALL)
+    assert policy.anchor == "initial"
     assert policy.gamma == 0.1
+    # "initial" resolves to the run's own start population
+    pop0 = build_population(PopulationSpec(3, "perturbed", sigma=0.3), REF_SMALL, 3)
+    cfg = EvolutionConfig(sample_size=20, rounds=4, seed=3)
+    pinned = EntropyReleasePolicy(gamma=0.1, anchor=pop0)
+    a = run(pop0, cfg, intervention=policy, keep_states=True)
+    b = run(pop0, cfg, intervention=pinned, keep_states=True)
+    for sa, sb in zip(a.states, b.states):
+        for aa, ab in zip(sa.agents, sb.agents):
+            assert aa.mass.tobytes() == ab.mass.tobytes()
 
 
 def test_realize_policy_rejects_unknowns():
-    pop0 = Population.equal_weights([REF_SMALL.pi_star])
     with pytest.raises(ConfigError, match="unknown intervention kind"):
-        realize_policy(PolicySpec("x", "exorcism"), REF_SMALL, pop0)
+        realize_policy(PolicySpec("x", "exorcism"), REF_SMALL)
     with pytest.raises(ConfigError, match="unknown parameters for cooling: frobnicate"):
-        realize_policy(
-            PolicySpec("c", "cooling", (("frobnicate", "1"),)), REF_SMALL, pop0
-        )
+        realize_policy(PolicySpec("c", "cooling", (("frobnicate", "1"),)), REF_SMALL)
     with pytest.raises(ConfigError, match="unknown anchor"):
         realize_policy(
-            PolicySpec("e", "entropy-release", (("anchor", "banana"),)), REF_SMALL, pop0
+            PolicySpec("e", "entropy-release", (("anchor", "banana"),)), REF_SMALL
         )
 
 
 def test_default_policy_specs_realize():
-    pop0 = Population.equal_weights([REF_SMALL.pi_star] * 2)
     specs = default_policy_specs()
     assert [s.name for s in specs] == ["verifier", "cooling", "diversity", "entropy-release"]
-    kinds = [realize_policy(s, REF_SMALL, pop0).kind for s in specs]
+    kinds = [realize_policy(s, REF_SMALL).kind for s in specs]
     assert kinds == ["verifier", "cooling", "diversity", "entropy-release"]
 
 

@@ -22,6 +22,7 @@ from driftlab import (
     make_safety_reference,
     memory_preset,
     run,
+    run_batch,
     two_tier_reference,
 )
 
@@ -52,23 +53,23 @@ def _data(*samples):
 
 def test_default_schedule_fires_every_round():
     sched = Schedule()
-    pop = Population.equal_weights([pv(0.5, 0.5)])
-    assert all(sched.fires(r, pop) for r in range(1, 6))
+    # an every-k schedule is a round test; it reads no mixture
+    assert not sched.reads_mixture
+    assert all(sched.fires(r, None) for r in range(1, 6))
 
 
 def test_every_k_schedule_fires_on_multiples():
     sched = Schedule(kind="every", k=3)
-    pop = Population.equal_weights([pv(0.5, 0.5)])
-    fired = [r for r in range(1, 8) if sched.fires(r, pop)]
+    fired = [r for r in range(1, 8) if sched.fires(r, None)]
     assert fired == [3, 6]
 
 
 def test_kl_trigger_schedule_reads_drift():
     sched = Schedule(kind="kl-trigger", threshold=0.1, ref=REF2)
-    near = Population.equal_weights([REF2.pi_star])
-    far = Population.equal_weights([pv(0.5, 0.5)])
-    assert not sched.fires(1, near)
-    assert sched.fires(1, far)
+    assert sched.reads_mixture
+    # one answer per mixture row: near the reference, then far from it
+    mixtures = np.array([REF2.pi_star.mass, [0.5, 0.5]])
+    assert sched.fires(1, mixtures).tolist() == [False, True]
 
 
 def test_schedule_validation():
@@ -129,42 +130,52 @@ def test_verifier_policy_validation():
 # --- cooling -------------------------------------------------------------------
 
 
+def _one_agent(*mass):
+    """A one-agent seed for CoolingPolicy.cool: its rows (1, K) and mixture (K,)."""
+    agents = np.array([mass])
+    return agents, agents[0]
+
+
 def test_cooling_within_threshold_refreshes_checkpoint():
-    pop = Population.equal_weights([REF2.pi_star])
-    stale = Population.equal_weights([pv(0.8, 0.2)])
-    out_pop, out_ckpt, rolled = CoolingPolicy(REF2, kl_threshold=0.5).cool(pop, stale)
+    current = _one_agent(*REF2.pi_star.mass)
+    stale = np.array([[0.8, 0.2]])
+    out, out_ckpt, rolled = CoolingPolicy(REF2, kl_threshold=0.5).cool(current, stale)
     assert not rolled
-    assert np.array_equal(out_pop.agents[0].mass, pop.agents[0].mass)
+    assert np.array_equal(out, current[0])
     # the checkpoint moves up to the current population
-    assert np.array_equal(out_ckpt.agents[0].mass, pop.agents[0].mass)
+    assert np.array_equal(out_ckpt, current[0])
 
 
 def test_cooling_full_rollback_restores_checkpoint():
-    drifted = Population.equal_weights([pv(0.5, 0.5)])
-    ckpt = Population.equal_weights([REF2.pi_star])
-    out_pop, out_ckpt, rolled = CoolingPolicy(REF2, kl_threshold=0.1).cool(drifted, ckpt)
+    ckpt = REF2.pi_star.mass[None]
+    out, out_ckpt, rolled = CoolingPolicy(REF2, kl_threshold=0.1).cool(
+        _one_agent(0.5, 0.5), ckpt
+    )
     assert rolled
-    assert np.array_equal(out_pop.agents[0].mass, ckpt.agents[0].mass)
-    assert np.array_equal(out_ckpt.agents[0].mass, ckpt.agents[0].mass)
+    assert np.array_equal(out, ckpt)
+    assert np.array_equal(out_ckpt, ckpt)
 
 
 def test_cooling_partial_blend_frozen_example():
     # blend 0.5 of checkpoint (0.5, 0.5) with current (0.9, 0.1) -> (0.7, 0.3)
-    drifted = Population.equal_weights([pv(0.9, 0.1)])
-    ckpt = Population.equal_weights([pv(0.5, 0.5)])
     policy = CoolingPolicy(REF2_SOFT, kl_threshold=0.05, blend=0.5)
-    out_pop, out_ckpt, rolled = policy.cool(drifted, ckpt)
+    out, out_ckpt, rolled = policy.cool(_one_agent(0.9, 0.1), np.array([[0.5, 0.5]]))
     assert rolled
-    np.testing.assert_allclose(out_pop.agents[0].mass, [0.7, 0.3], atol=1e-12)
+    np.testing.assert_allclose(out, [[0.7, 0.3]], atol=1e-12)
     # a partial blend keeps the old checkpoint instead of refreshing it
-    assert np.array_equal(out_ckpt.agents[0].mass, [0.5, 0.5])
+    assert np.array_equal(out_ckpt, [[0.5, 0.5]])
 
 
 def test_cooling_checkpoint_shape_mismatch():
     pop = Population.equal_weights([pv(0.5, 0.5)])
     ckpt = Population.equal_weights([pv(0.5, 0.5), pv(0.5, 0.5)])
-    with pytest.raises(ConfigError):
-        CoolingPolicy(REF2, kl_threshold=0.1).cool(pop, ckpt)
+    policy = CoolingPolicy(REF2, kl_threshold=0.1, checkpoint=ckpt)
+    cfg = EvolutionConfig(sample_size=5, rounds=2)
+    # raised where the run is asked for, not as a failure of every seed
+    with pytest.raises(ConfigError, match="cooling checkpoint does not match"):
+        run(pop, cfg, intervention=policy)
+    with pytest.raises(ConfigError, match="cooling checkpoint does not match"):
+        run_batch([pop, pop], cfg, (0, 1), intervention=[policy])
 
 
 def test_cooling_policy_validation():
@@ -177,10 +188,13 @@ def test_cooling_policy_validation():
 
 
 def test_cooling_initial_checkpoint_defaults_to_start_population():
-    pop0 = Population.equal_weights([REF2.pi_star])
+    # two seeds of one agent each
+    initial = np.array([[REF2.pi_star.mass], [[0.3, 0.7]]])
     pinned = Population.equal_weights([pv(0.8, 0.2)])
-    assert CoolingPolicy(REF2).initial_checkpoint(pop0) is pop0
-    assert CoolingPolicy(REF2, checkpoint=pinned).initial_checkpoint(pop0) is pinned
+    own = CoolingPolicy(REF2).initial_checkpoint(initial)
+    assert np.array_equal(own, initial) and not np.shares_memory(own, initial)
+    given = CoolingPolicy(REF2, checkpoint=pinned).initial_checkpoint(initial)
+    assert np.array_equal(given, [[[0.8, 0.2]], [[0.8, 0.2]]])
 
 
 # --- diversity ------------------------------------------------------------------
@@ -189,21 +203,24 @@ def test_cooling_initial_checkpoint_defaults_to_start_population():
 def test_diversity_injection_frozen_example():
     # T = 1 keeps pt, rho = 0.5 mixes half the reference in:
     # 0.5*(0.9, 0.1) + 0.5*(0.75, 0.25) = (0.825, 0.175)
-    out = DiversityPolicy(REF2_SOFT, temperature=1.0, rho=0.5).adjust_training(pv(0.9, 0.1))
-    np.testing.assert_allclose(out.mass, [0.825, 0.175], atol=1e-15)
+    policy = DiversityPolicy(REF2_SOFT, temperature=1.0, rho=0.5)
+    out = policy.adjust_training(np.array([[0.9, 0.1]]))
+    np.testing.assert_allclose(out, [[0.825, 0.175]], atol=1e-15)
 
 
 def test_diversity_temperature_frozen_example():
     # sqrt-tempering (0.9, 0.1) lands exactly on (0.75, 0.25)
-    out = DiversityPolicy(REF2_SOFT, temperature=2.0, rho=0.0).adjust_training(pv(0.9, 0.1))
-    np.testing.assert_allclose(out.mass, [0.75, 0.25], atol=1e-12)
+    policy = DiversityPolicy(REF2_SOFT, temperature=2.0, rho=0.0)
+    # row by row: each training row is tempered on its own
+    out = policy.adjust_training(np.array([[0.9, 0.1], [0.5, 0.5]]))
+    np.testing.assert_allclose(out, [[0.75, 0.25], [0.5, 0.5]], atol=1e-12)
 
 
 def test_diversity_tempering_raises_entropy():
-    pt = pv(0.9, 0.05, 0.03, 0.02)
+    pt = np.array([[0.9, 0.05, 0.03, 0.02]])
     ref = two_tier_reference(4, safe_mass=0.9, safe_fraction=0.5)
     out = DiversityPolicy(ref, temperature=3.0, rho=0.0).adjust_training(pt)
-    assert entropy_of(out.mass) > entropy_of(pt.mass)
+    assert entropy_of(out[0]) > entropy_of(pt[0])
 
 
 @given(
@@ -216,9 +233,9 @@ def test_diversity_floor_property(raw, rho, temperature):
     """Every outcome keeps at least rho * pi_star(z) training mass."""
     ref = two_tier_reference(6, safe_mass=0.9, safe_fraction=0.5)
     total = sum(raw)
-    pt = pv(*[x / total for x in raw])
+    pt = np.array([[x / total for x in raw]])
     out = DiversityPolicy(ref, temperature=temperature, rho=rho).adjust_training(pt)
-    assert np.all(out.mass >= rho * ref.pi_star.mass - 1e-12)
+    assert np.all(out >= rho * ref.pi_star.mass - 1e-12)
 
 
 def test_diversity_policy_validation():
@@ -231,10 +248,18 @@ def test_diversity_policy_validation():
 # --- entropy release -------------------------------------------------------------
 
 
+def _release(agents, initial=None, **policy_args):
+    """Entropy release of agent rows (S, M, K): the rows and the row errors."""
+    agents = np.asarray(agents, dtype=np.float64)
+    initial = agents if initial is None else np.asarray(initial, dtype=np.float64)
+    return EntropyReleasePolicy(**policy_args).adjust_population(agents, initial)
+
+
 def _release_one(agent, **policy_args):
-    """Entropy release of a single agent, as a one-agent population."""
-    pop = Population.equal_weights([agent])
-    return EntropyReleasePolicy(**policy_args).adjust_population(pop).agents[0]
+    """Entropy release of a single agent, as a one-seed, one-agent batch."""
+    out, errors = _release([[agent.mass]], **policy_args)
+    assert errors == {}
+    return pv(*out[0, 0])
 
 
 def test_release_uniform_anchor_frozen_example():
@@ -252,25 +277,41 @@ def test_release_prune_frozen_example():
 
 
 def test_release_pruning_everything_is_an_error():
-    agent = pv(0.5, 0.5)
-    with pytest.raises(ValueError):
-        _release_one(agent, gamma=0.5, prune_floor=0.9, anchor=agent)
+    # only the second seed's second agent sits wholly below the floor
+    # (half-way to uniform, (1, 0) lands on (0.75, 0.25) and (0.5, 0.5) stays)
+    agents = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]]
+    out, errors = _release(agents, gamma=0.5, prune_floor=0.6)
+    assert list(errors) == [1]
+    assert isinstance(errors[1], ValueError)
+    assert "removed all of agent 1's mass" in str(errors[1])
+    np.testing.assert_allclose(out[0], [[1.0, 0.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_release_population_anchor_is_per_agent():
-    pop = Population.equal_weights([pv(1.0, 0.0), pv(0.0, 1.0)])
+    agents = [[[1.0, 0.0], [0.0, 1.0]]]
     anchor = Population.equal_weights([pv(0.0, 1.0), pv(1.0, 0.0)])
-    out = EntropyReleasePolicy(gamma=0.5, anchor=anchor).adjust_population(pop)
-    np.testing.assert_allclose(out.agents[0].mass, [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(out.agents[1].mass, [0.5, 0.5], atol=1e-15)
+    out, _ = _release(agents, gamma=0.5, anchor=anchor)
+    np.testing.assert_allclose(out[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
-def test_release_anchor_population_shape_mismatch():
+def test_release_initial_anchor_is_each_seeds_own_start():
+    agents = [[[1.0, 0.0]], [[1.0, 0.0]]]
+    initial = [[[0.0, 1.0]], [[0.5, 0.5]]]
+    out, _ = _release(agents, initial, gamma=0.5, anchor="initial")
+    np.testing.assert_allclose(out, [[[0.5, 0.5]], [[0.75, 0.25]]], atol=1e-15)
+
+
+def test_release_anchor_shape_mismatch():
     pop = Population.equal_weights([pv(1.0, 0.0)])
-    anchor = Population.equal_weights([pv(0.0, 1.0), pv(1.0, 0.0)])
-    policy = EntropyReleasePolicy(gamma=0.5, anchor=anchor)
-    with pytest.raises(ConfigError):
-        policy.adjust_population(pop)
+    cfg = EvolutionConfig(sample_size=5, rounds=2)
+    two = Population.equal_weights([pv(0.0, 1.0), pv(1.0, 0.0)])
+    for anchor in (two, pv(0.2, 0.3, 0.5)):
+        policy = EntropyReleasePolicy(gamma=0.5, anchor=anchor)
+        with pytest.raises(ConfigError, match="entropy-release anchor does not match"):
+            run(pop, cfg, intervention=policy)
+    # a reference on another space is caught at the call as well
+    with pytest.raises(ConfigError, match="verifier reference does not match"):
+        run(pop, cfg, intervention=VerifierPolicy(REF4))
 
 
 def test_release_policy_validation():

@@ -351,7 +351,7 @@ def test_probe_registry_names():
 def test_probe_evaluators_agree_with_direct_calls():
     ref = two_tier_reference(10, safe_mass=0.9, safe_fraction=0.5)
     target = pv(*([0.15] * 5 + [0.05] * 5))
-    pop = Population.equal_weights([target])
+    agents = target.mass[None]
     for name, direct in [
         ("kl_safety", kl_divergence(ref.pi_star, target)),
         ("safe_mass", float(target.mass[:5].sum())),
@@ -359,13 +359,19 @@ def test_probe_evaluators_agree_with_direct_calls():
         ("cross_entropy", cross_entropy(ref.pi_star, target)),
     ]:
         probe = resolve_probe(name)
-        assert probe.evaluator(0, target, pop, ref) == pytest.approx(direct, abs=1e-12)
+        assert probe.evaluator(0, target, agents, ref) == pytest.approx(direct, abs=1e-12)
 
 
-@given(q=simplex, frac=st.floats(min_value=0.05, max_value=0.8), dead=st.integers(0, 3))
+@given(
+    q=simplex,
+    frac=st.floats(min_value=0.05, max_value=0.8),
+    dead=st.integers(0, 3),
+    tau=st.floats(min_value=1e-3, max_value=1.0),
+)
 @settings(max_examples=120, deadline=None)
-def test_split_probes_match_the_decomposition_bitwise(q, frac, dead):
-    """Each split probe computes only its own term, to the same bits."""
+def test_split_probes_match_the_decomposition_bitwise(q, frac, dead, tau):
+    """Each split probe computes only its own term, to the same bits; the
+    coverage probe's mask sum matches the sum over the visible indices."""
     k = len(q)
     mass = np.asarray(q)
     mass[: min(dead, k - 1)] = 0.0  # zeros exercise the +inf branches
@@ -375,18 +381,37 @@ def test_split_probes_match_the_decomposition_bitwise(q, frac, dead):
     for name in ("mass_term", "in_safe_term", "out_safe_term"):
         value = resolve_probe(name).evaluator(0, pt, None, ref)
         assert value == getattr(dec, name)
+    result = coverage(ref, pt, tau)
+    by_index = ref.pi_star.mass[list(result.visible_set)]
+    expected = float(by_index.sum()) if by_index.size else 0.0
+    probe = resolve_probe(f"coverage@{tau!r}").evaluator(0, pt, None, ref)
+    assert probe.hex() == result.covered_mass.hex() == expected.hex()
+
+
+def test_coverage_probe_matches_the_index_sum_bitwise_at_k_1000():
+    # long rows with many entries under tau, where a zero-filled or BLAS sum
+    # would group the additions differently
+    ref = two_tier_reference(1000, safe_mass=0.95, safe_fraction=0.5)
+    rng = np.random.default_rng(5)
+    for row in rng.dirichlet(np.full(1000, 0.3), size=40):
+        pt = ProbVector(OutcomeSpace(1000), row)
+        for tau in (1e-4, 5e-4, 2e-3):
+            result = coverage(ref, pt, tau)
+            expected = float(ref.pi_star.mass[list(result.visible_set)].sum())
+            probe = resolve_probe(f"coverage@{tau!r}").evaluator(0, pt, None, ref)
+            assert probe.hex() == result.covered_mass.hex() == expected.hex()
 
 
 def test_coverage_probe_tau_forms():
     ref = two_tier_reference(10, safe_mass=0.9, safe_fraction=0.5)
     target = pv(*([0.15] * 5 + [0.05] * 5))
-    pop = Population.equal_weights([target])
+    agents = target.mass[None]
     named = resolve_probe("coverage@0.1")
     assert named.name == "coverage@0.1"
     expected = coverage(ref, target, tau=0.1).covered_mass
-    assert named.evaluator(0, target, pop, ref) == pytest.approx(expected, abs=1e-15)
+    assert named.evaluator(0, target, agents, ref) == pytest.approx(expected, abs=1e-15)
     defaulted = resolve_probe("coverage", default_tau=0.1)
-    assert defaulted.evaluator(0, target, pop, ref) == pytest.approx(
+    assert defaulted.evaluator(0, target, agents, ref) == pytest.approx(
         expected, abs=1e-15
     )
 
