@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -573,6 +574,22 @@ _ROUND_ERRORS = (
 )
 
 
+def _by_rows(fn, rows: np.ndarray, errors: dict, *arrays):
+    """rows and fn(*arrays), each array holding one entry per row. When fn
+    raises one of _ROUND_ERRORS, each row runs alone, and those that raise
+    leave rows for errors (which keeps a row's first error)."""
+    try:
+        return rows, fn(*arrays)
+    except _ROUND_ERRORS:
+        for i, s in enumerate(rows):
+            try:
+                fn(*(a[i : i + 1] for a in arrays))
+            except _ROUND_ERRORS as exc:
+                errors.setdefault(int(s), exc)
+    kept = ~np.isin(rows, list(errors))
+    return rows[kept], fn(*(a[kept] for a in arrays))
+
+
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """Per-round snapshot.
@@ -703,10 +720,11 @@ class _Chunk:
             self.pbar = _mix(self.weights, self.agents)
         return self.pbar
 
-    def _firing(self, pol, r: int) -> np.ndarray:
+    def _firing(self, pol, r: int, errors: dict) -> np.ndarray:
         """The rows whose schedule has pol act in round r."""
-        mixtures = self._mixture() if pol.schedule.reads_mixture else None
-        return np.flatnonzero(np.broadcast_to(pol.schedule.fires(r, mixtures), len(self.ids)))
+        every = np.arange(len(self.ids))
+        rows, fires = _by_rows(partial(pol.schedule.fires, r), every, errors, self._mixture())
+        return rows[fires]
 
     def advance(self, r: int) -> None:
         """Round r; before round 1 (no pt yet) only the set-up selection.
@@ -725,10 +743,10 @@ class _Chunk:
             draws = _draw(self.pt, n * blocks, self.rngs)
             self.datasets = [list(row.reshape(blocks, n)) for row in draws]
             self.live = [list(range(blocks)) for _ in self.ids]
-            self._screen(r)
-            self._update(r)
-            self._release(r)
-            self._cool(r)
+            for phase in (self._screen, self._update, self._release, self._cool):
+                errors: dict[int, Exception] = {}
+                phase(r, errors)
+                self._fail(errors, r)
         rule = self.cfg.selection
         try:
             self.pt, zero = _select(rule, self.space, self._mixture())
@@ -736,12 +754,13 @@ class _Chunk:
             self._fail(dict.fromkeys(range(len(self.ids)), exc), r)
             return
         self.next_fired = [[] for _ in self.ids]
-        self._fail({int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}, r)
-        self._diversify(r)
+        errors = {int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}
+        self._diversify(r, errors)
+        self._fail(errors, r)
 
-    def _screen(self, r: int) -> None:
+    def _screen(self, r: int, errors: dict) -> None:
         for pol in self.policies["verifier"]:
-            for s in self._firing(pol, r):
+            for s in self._firing(pol, r, errors):
                 datasets, live = self.datasets[s], self.live[s]
                 if live:
                     self.fired[s].append(pol.kind)
@@ -752,7 +771,7 @@ class _Chunk:
                         self.notes[s].append("verifier-annihilation: update skipped")
                         live.remove(m)
 
-    def _update(self, r: int) -> None:
+    def _update(self, r: int, errors: dict) -> None:
         rule = self.cfg.update
         per_agent = self.cfg.per_agent_datasets
         rows = [s for s, live in enumerate(self.live) for _ in live]
@@ -774,22 +793,22 @@ class _Chunk:
                 buffer = _counts([self.memory[s] for s in rows], k_space)
             mass, wiped = _fit(rule, counts, n, pbar, buffer)
         except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
-            self._fail(dict.fromkeys(rows, exc), r)
+            errors.update(dict.fromkeys(rows, exc))
             return
         if per_agent:
             self.agents[rows, blocks] = mass
         else:
             self.agents[rows] = mass[:, None, :]
-        self._fail({rows[i]: ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)}, r)
+        errors.update({rows[i]: ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)})
 
-    def _release(self, r: int) -> None:
+    def _release(self, r: int, errors: dict) -> None:
         for pol in self.policies["entropy-release"]:
-            rows = self._firing(pol, r)
+            rows = self._firing(pol, r, errors)
             if not rows.size:
                 continue
-            at = slice(None) if rows.size == len(self.ids) else rows  # a view, not a copy
-            released, errors = pol.adjust_population(self.agents[at], self.initial[at])
-            self.agents[at] = released
+            at = (self.agents[rows], self.initial[rows])
+            rows, released = _by_rows(pol.adjust_population, rows, errors, *at)
+            self.agents[rows] = released
             self.pbar = None
             for s in rows:
                 self.fired[s].append(pol.kind)
@@ -800,14 +819,17 @@ class _Chunk:
                     if dropped:
                         self.notes[s].append(f"memory prune dropped {dropped} samples")
                     self.memory[s] = kept
-            self._fail({int(rows[i]): exc for i, exc in errors.items()}, r)
 
-    def _cool(self, r: int) -> None:
+    def _cool(self, r: int, errors: dict) -> None:
         for pol, checkpoints in zip(self.policies["cooling"], self.checkpoints):
-            rows = self._firing(pol, r)
-            pbar = self._mixture() if rows.size else None
+            rows = self._firing(pol, r, errors)
+            pbar = self._mixture()
             for s in rows:
-                agents, checkpoints[s], rolled = pol.cool((self.agents[s], pbar[s]), checkpoints[s])
+                try:
+                    agents, checkpoints[s], rolled = pol.cool((self.agents[s], pbar[s]), checkpoints[s])
+                except _ROUND_ERRORS as exc:
+                    errors.setdefault(int(s), exc)
+                    continue
                 if rolled:
                     self.agents[s] = agents
                     self.pbar = None
@@ -816,11 +838,11 @@ class _Chunk:
                 else:
                     self.notes[s].append("cooling-refresh")
 
-    def _diversify(self, r: int) -> None:
+    def _diversify(self, r: int, errors: dict) -> None:
         for pol in self.policies["diversity"]:
-            rows = self._firing(pol, r + 1)
-            if rows.size:
-                self.pt[rows] = pol.adjust_training(self.pt[rows])
+            rows = self._firing(pol, r + 1, errors)
+            rows, tempered = _by_rows(pol.adjust_training, rows, errors, self.pt[rows])
+            self.pt[rows] = tempered
             for s in rows:
                 self.next_fired[s].append(pol.kind)
 
@@ -854,7 +876,6 @@ class _Chunk:
             )
             if keep_states:
                 self.states[s].append(self.population(s))
-        self._fail(errors, r)
 
     def _absent(self, r: int, hood: np.ndarray) -> list:
         """Per row: did this round's data miss the neighborhood `hood`?"""

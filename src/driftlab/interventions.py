@@ -74,15 +74,11 @@ class Schedule:
         if not math.isfinite(self.threshold):
             raise ConfigError(f"schedule threshold must be finite, got {self.threshold}")
 
-    @property
-    def reads_mixture(self) -> bool:
-        return self.kind == "kl-trigger"
-
-    def fires(self, round_index: int, mixtures: np.ndarray | None) -> bool | np.ndarray:
-        """Act in round_index? every-k: one bool for all rows, reading no mixture;
-        kl-trigger: a mask (S,) of the mixture rows (S, K) that drift past the threshold."""
+    def fires(self, round_index: int, mixtures: np.ndarray) -> np.ndarray:
+        """The mask (S,) of the mixture rows (S, K) that act in round_index:
+        every-k, all or none; kl-trigger, the rows that drift past the threshold."""
         if self.kind == "every":
-            return round_index % self.k == 0
+            return np.full(len(mixtures), round_index % self.k == 0)
         pi = self.ref.pi_star
         drifts = [kl_divergence(pi, _wrap(pi.space, row)) for row in mixtures]
         return np.array(drifts) > self.threshold
@@ -243,9 +239,9 @@ class EntropyReleasePolicy(_Scheduled):
         if self.prune_memory and self.ref is None:
             raise ConfigError("memory pruning needs a reference to define 'unsafe'")
 
-    def adjust_population(self, agents: np.ndarray, initial: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Released agent rows (S, M, K), and the error of each row whose prune
-        emptied an agent (a placeholder row). anchor "initial" reads `initial`."""
+    def adjust_population(self, agents: np.ndarray, initial: np.ndarray) -> np.ndarray:
+        """Released agent rows (S, M, K); anchor "initial" reads `initial`.
+        ValueError when the prune empties an agent."""
         if isinstance(self.anchor, ProbVector):
             anchor = self.anchor.mass
         elif isinstance(self.anchor, Population):
@@ -259,17 +255,14 @@ class EntropyReleasePolicy(_Scheduled):
         if self.prune_floor > 0.0:
             blended[blended < self.prune_floor] = 0.0
         totals = blended.sum(axis=2, keepdims=True)
-        emptied = totals[:, :, 0] <= 0.0
-        floor, first = self.prune_floor, emptied.argmax(axis=1)
-        errors = {
-            int(s): ValueError(f"prune floor {floor} removed all of agent {first[s]}'s mass")
-            for s in np.flatnonzero(emptied.any(axis=1))
-        }
-        blended[emptied] = totals[emptied] = 1.0
+        emptied = np.flatnonzero(totals <= 0.0)
+        if emptied.size:
+            agent = emptied[0] % agents.shape[1]
+            raise ValueError(f"prune floor {self.prune_floor} removed all of agent {agent}'s mass")
         # two divisions, as make_prob_vector then ProbVector would do
         blended /= totals
         blended /= blended.sum(axis=2, keepdims=True)
-        return blended, errors
+        return blended
 
     def prune_buffer(self, memory: Sequence[int] | np.ndarray) -> np.ndarray:
         memory = np.asarray(memory, dtype=np.int64)

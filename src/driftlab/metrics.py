@@ -305,22 +305,6 @@ class MetricProbe:
     evaluator: ProbeFn
 
 
-def _probe_kl(t, pt, agents, ref):
-    return kl_divergence(ref.pi_star, pt)
-
-
-def _probe_safe_mass(t, pt, agents, ref):
-    return float(pt.mass[ref.safe_mask].sum())
-
-
-def _probe_internal_entropy(t, pt, agents, ref):
-    return shannon_entropy(pt)
-
-
-def _probe_cross_entropy(t, pt, agents, ref):
-    return cross_entropy(ref.pi_star, pt)
-
-
 def _split_probe(term: Callable[[SafetyReference, ProbVector], float]) -> ProbeFn:
     def probe(t, pt, agents, ref):
         require_same_space(ref.pi_star, pt)
@@ -330,10 +314,10 @@ def _split_probe(term: Callable[[SafetyReference, ProbVector], float]) -> ProbeF
 
 
 _SIMPLE_PROBES: dict[str, ProbeFn] = {
-    "kl_safety": _probe_kl,
-    "safe_mass": _probe_safe_mass,
-    "internal_entropy": _probe_internal_entropy,
-    "cross_entropy": _probe_cross_entropy,
+    "kl_safety": lambda t, pt, agents, ref: kl_divergence(ref.pi_star, pt),
+    "safe_mass": lambda t, pt, agents, ref: float(pt.mass[ref.safe_mask].sum()),
+    "internal_entropy": lambda t, pt, agents, ref: shannon_entropy(pt),
+    "cross_entropy": lambda t, pt, agents, ref: cross_entropy(ref.pi_star, pt),
     "mass_term": _split_probe(_mass_term),
     "in_safe_term": _split_probe(_in_safe_term),
     "out_safe_term": _split_probe(_out_safe_term),

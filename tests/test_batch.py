@@ -16,9 +16,13 @@ import pytest
 
 from driftlab import (
     ConfigError,
+    CoolingPolicy,
+    DiversityPolicy,
+    EntropyReleasePolicy,
     EvolutionConfig,
     PolicySpec,
     PopulationSpec,
+    Schedule,
     SelectionRule,
     SimulationError,
     UpdateRule,
@@ -201,6 +205,60 @@ def test_failing_seeds_leave_their_chunk_and_the_rest_go_on(small_chunks):
     rounds = {o[2] for o in alone if o[0] == "failed"}
     assert len(rounds) > 1 and 0 not in rounds  # seeds fail in different rounds
     assert any(o[0] != "failed" for o in alone)
+
+
+# a subnormal alpha_mem leaves subnormal agent masses, and the KL of the
+# reference against them overflows log(p / q); under over="raise" each policy
+# hook that measures that drift (a kl: schedule or the cooling check) must fail
+# the seeds it overflows for, as each seed alone would, and only those
+SUBNORMAL_REF = two_tier_reference(7, 1.0, 0.5)
+KL_ANY = Schedule("kl-trigger", threshold=0.0, ref=SUBNORMAL_REF)
+OVERFLOWING = {
+    "kl-cooling": (CoolingPolicy(SUBNORMAL_REF, kl_threshold=1e9, schedule=KL_ANY), {4: 2}),
+    "cooling-check": (CoolingPolicy(SUBNORMAL_REF, kl_threshold=0.1), {1: 3, 4: 2}),
+    "kl-diversity": (DiversityPolicy(SUBNORMAL_REF, schedule=KL_ANY), {4: 2}),
+    "kl-release": (EntropyReleasePolicy(schedule=KL_ANY), {4: 2}),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING)
+def test_an_overflowing_policy_hook_fails_only_its_seed(case):
+    policy, failures = OVERFLOWING[case]
+    pop = build_population(PopulationSpec(1, "copy"), SUBNORMAL_REF, 0)
+    rule = UpdateRule("memory-buffer", capacity=10, alpha_mem=2.225073858507e-311)
+    cfg = EvolutionConfig(sample_size=9, rounds=4, update=rule)
+    seeds = tuple(range(8))
+    alone = []
+    with np.errstate(over="raise"):
+        together = [_outcome(t) for t in run_batch([pop] * len(seeds), cfg, seeds, (), policy)]
+        for seed in seeds:
+            try:
+                alone.append(_outcome(run(pop, replace(cfg, seed=seed), intervention=policy)))
+            except SimulationError as exc:
+                alone.append(_outcome(exc))
+    assert together == alone
+    failed = {s: o[2] for s, o in zip(seeds, together) if o[0] == "failed"}
+    assert failed == failures
+    assert all(together[s][3] == "FloatingPointError" for s in failed)
+
+
+def test_a_prune_that_empties_an_agent_fails_only_its_seed(small_chunks):
+    # an mle agent at uniform over 3 outcomes sits wholly below the floor;
+    # a peaked one keeps its top entry
+    ref = two_tier_reference(3, safe_mass=0.9, safe_fraction=0.5)
+    seeds = tuple(range(3 * CHUNK))
+    inputs = dict(
+        intervention=EntropyReleasePolicy(gamma=0.01, prune_floor=0.4),
+        pops=lambda seeds: [build_population(PopulationSpec(M, "copy"), ref, s) for s in seeds],
+        ref=ref,
+        monitors=None,
+    )
+    cfg = EvolutionConfig(sample_size=3, rounds=4, per_agent_datasets=True)
+    alone = _alone(cfg, seeds, **inputs)
+    assert _together(cfg, seeds, **inputs) == alone
+    failed = [o for o in alone if o[0] == "failed"]
+    assert 0 < len(failed) < len(seeds)
+    assert all("removed all of agent" in o[1] for o in failed)
 
 
 def test_chunk_size_rule():

@@ -51,25 +51,27 @@ def _data(*samples):
 # --- schedules ---------------------------------------------------------------
 
 
+# two mixture rows: the reference itself, then far from it
+MIXTURES = np.array([REF2.pi_star.mass, [0.5, 0.5]])
+
+
 def test_default_schedule_fires_every_round():
     sched = Schedule()
-    # an every-k schedule is a round test; it reads no mixture
-    assert not sched.reads_mixture
-    assert all(sched.fires(r, None) for r in range(1, 6))
+    assert all(sched.fires(r, MIXTURES).tolist() == [True, True] for r in range(1, 6))
 
 
 def test_every_k_schedule_fires_on_multiples():
+    # an every-k schedule is a round test: all rows or none
     sched = Schedule(kind="every", k=3)
-    fired = [r for r in range(1, 8) if sched.fires(r, None)]
-    assert fired == [3, 6]
+    masks = {r: sched.fires(r, MIXTURES).tolist() for r in range(1, 8)}
+    assert [r for r, mask in masks.items() if all(mask)] == [3, 6]
+    assert all(not any(mask) for r, mask in masks.items() if r % 3)
 
 
 def test_kl_trigger_schedule_reads_drift():
     sched = Schedule(kind="kl-trigger", threshold=0.1, ref=REF2)
-    assert sched.reads_mixture
     # one answer per mixture row: near the reference, then far from it
-    mixtures = np.array([REF2.pi_star.mass, [0.5, 0.5]])
-    assert sched.fires(1, mixtures).tolist() == [False, True]
+    assert sched.fires(1, MIXTURES).tolist() == [False, True]
 
 
 def test_schedule_validation():
@@ -249,7 +251,7 @@ def test_diversity_policy_validation():
 
 
 def _release(agents, initial=None, **policy_args):
-    """Entropy release of agent rows (S, M, K): the rows and the row errors."""
+    """Entropy release of agent rows (S, M, K)."""
     agents = np.asarray(agents, dtype=np.float64)
     initial = agents if initial is None else np.asarray(initial, dtype=np.float64)
     return EntropyReleasePolicy(**policy_args).adjust_population(agents, initial)
@@ -257,9 +259,7 @@ def _release(agents, initial=None, **policy_args):
 
 def _release_one(agent, **policy_args):
     """Entropy release of a single agent, as a one-seed, one-agent batch."""
-    out, errors = _release([[agent.mass]], **policy_args)
-    assert errors == {}
-    return pv(*out[0, 0])
+    return pv(*_release([[agent.mass]], **policy_args)[0, 0])
 
 
 def test_release_uniform_anchor_frozen_example():
@@ -280,24 +280,23 @@ def test_release_pruning_everything_is_an_error():
     # only the second seed's second agent sits wholly below the floor
     # (half-way to uniform, (1, 0) lands on (0.75, 0.25) and (0.5, 0.5) stays)
     agents = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]]
-    out, errors = _release(agents, gamma=0.5, prune_floor=0.6)
-    assert list(errors) == [1]
-    assert isinstance(errors[1], ValueError)
-    assert "removed all of agent 1's mass" in str(errors[1])
+    with pytest.raises(ValueError, match="removed all of agent 1's mass"):
+        _release(agents, gamma=0.5, prune_floor=0.6)
+    out = _release(agents[:1], gamma=0.5, prune_floor=0.6)
     np.testing.assert_allclose(out[0], [[1.0, 0.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_release_population_anchor_is_per_agent():
     agents = [[[1.0, 0.0], [0.0, 1.0]]]
     anchor = Population.equal_weights([pv(0.0, 1.0), pv(1.0, 0.0)])
-    out, _ = _release(agents, gamma=0.5, anchor=anchor)
+    out = _release(agents, gamma=0.5, anchor=anchor)
     np.testing.assert_allclose(out[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_release_initial_anchor_is_each_seeds_own_start():
     agents = [[[1.0, 0.0]], [[1.0, 0.0]]]
     initial = [[[0.0, 1.0]], [[0.5, 0.5]]]
-    out, _ = _release(agents, initial, gamma=0.5, anchor="initial")
+    out = _release(agents, initial, gamma=0.5, anchor="initial")
     np.testing.assert_allclose(out, [[[0.5, 0.5]], [[0.75, 0.25]]], atol=1e-15)
 
 
