@@ -261,6 +261,24 @@ def test_a_prune_that_empties_an_agent_fails_only_its_seed(small_chunks):
     assert all("removed all of agent" in o[1] for o in failed)
 
 
+def test_rows_kept_after_an_update_failure_release_and_cool_as_alone():
+    # a tilt that keeps only outcome 0 wipes every dataset that missed it, so
+    # about half the seeds fail in round 1's update; the rows the chunk keeps
+    # then go through entropy release and cooling, whose reductions must run
+    # in the order they would for each seed alone
+    rule = UpdateRule("reward-reweighted-mle", beta=1e4, reward=(1.0,) + (0.0,) * (K - 1))
+    cfg = EvolutionConfig(sample_size=6, rounds=4, update=rule)
+    seeds = tuple(range(8))
+    assert chunk_size(M, K) >= len(seeds)
+    policies = [
+        EntropyReleasePolicy(gamma=0.1, anchor="initial"),
+        CoolingPolicy(REF, kl_threshold=0.05, blend=0.5),
+    ]
+    alone = _alone(cfg, seeds, policies)
+    assert _together(cfg, seeds, policies) == alone
+    assert [o[2] for o in alone if o[0] == "failed"] == [1] * 4
+
+
 def test_chunk_size_rule():
     assert chunk_size(4, 1000) == 32
     # the wide benchmark population runs as a batch of one
