@@ -53,9 +53,9 @@ from .errors import (
 
 MAX_SEED = 2**64
 
-# A chunk holds max(1, BATCH_ELEMENTS // (M * K)) seeds, which keeps its
-# (S, M, K) agent array near 2**17 floats (1 MiB); a population with
-# M * K >= 2**17 runs one seed at a time.
+# A chunk holds max(1, BATCH_ELEMENTS // (M * K)) seeds, so an (S, M, K) array it
+# makes stays near 2**17 floats (1 MiB), and shared-data agents, one (S, K) row,
+# an M-th of that; a population with M * K >= 2**17 runs one seed at a time.
 BATCH_ELEMENTS = 2**17
 
 
@@ -132,8 +132,11 @@ class Population:
 
 def _mix(weights: np.ndarray, agents: np.ndarray) -> np.ndarray:
     """Mixtures (S, K) of agents (S, M, K) under weights (S, M), renormalized."""
-    # broadcast-and-sum instead of a BLAS dot keeps summation order fixed
-    pbar = (weights[:, :, None] * agents).sum(axis=1)
+    # agent m = 0..M-1 added in turn: for any layout of agents, the bits of
+    # (weights[:, :, None] * agents).sum(axis=1) on a C-contiguous array
+    pbar = np.multiply(weights[:, 0, None], agents[:, 0], order="C")
+    for m in range(1, agents.shape[1]):
+        pbar += weights[:, m, None] * agents[:, m]
     pbar /= pbar.sum(axis=1, keepdims=True)
     return pbar
 
@@ -657,9 +660,11 @@ class _Chunk:
 
     Row i of every per-seed field belongs to run ids[i]. agents (S, M, K)
     and pt (S, K) are rebuilt each round, never changed once a record has
-    handed out views of them; initial keeps the start rows for entropy
-    release, checkpoints one array like them per cooling policy, and pbar
-    mixes agents (None while stale). A seed whose round raises one of
+    handed out views of them; a shared-data update of every row leaves them
+    one (S, K) array under a read-only stride-0 view, and hooks get agents
+    from _own_agents. initial keeps the start rows for entropy release,
+    checkpoints one array like them per cooling policy, and pbar mixes
+    agents (None while stale). A seed whose round raises one of
     _ROUND_ERRORS goes to `failed` as SimulationError(r) and loses its row;
     the other rows go on.
     """
@@ -713,6 +718,13 @@ class _Chunk:
         self.checkpoints = [ck[np.asarray(keep)] for ck in self.checkpoints]
         for name in self._ROW_LISTS:
             setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
+
+    def _own_agents(self) -> np.ndarray:
+        """agents, copied unless writable and C-contiguous: on strided rows (the
+        view, or what _fail keeps of it) a hook would sum K in another order."""
+        if not (self.agents.flags.writeable and self.agents.flags.c_contiguous):
+            self.agents = self.agents.copy()
+        return self.agents
 
     def _mixture(self) -> np.ndarray:
         """Mixtures (S, K) of the current agents, mixed once per change."""
@@ -773,32 +785,30 @@ class _Chunk:
 
     def _update(self, r: int, errors: dict) -> None:
         rule = self.cfg.update
-        per_agent = self.cfg.per_agent_datasets
         rows = [s for s, live in enumerate(self.live) for _ in live]
         blocks = [m for live in self.live for m in live]
         k_space = self.space.size
-        pbar = self._mixture()[rows] if rule.reads_mixture else None
-        # the recorded rows are frozen, and initial may be them
-        self.agents = self.agents.copy()
         if not rows:
             return
+        pbar = self._mixture()[rows] if rule.reads_mixture else None
         self.pbar = None
+        buffer = None
         if rule.kind == "memory-buffer":  # shared data: one block per row
             for s in rows:
                 self.memory[s] = roll_memory(self.memory[s], self.datasets[s][0], rule.capacity)
-        buffer = None
+            buffer = _counts([self.memory[s] for s in rows], k_space)
         try:
             counts, n = _counts([self.datasets[s][m] for s, m in zip(rows, blocks)], k_space)
-            if rule.kind == "memory-buffer":
-                buffer = _counts([self.memory[s] for s in rows], k_space)
             mass, wiped = _fit(rule, counts, n, pbar, buffer)
         except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
             errors.update(dict.fromkeys(rows, exc))
             return
-        if per_agent:
-            self.agents[rows, blocks] = mass
+        if self.cfg.per_agent_datasets:
+            self._own_agents()[rows, blocks] = mass
+        elif len(rows) < len(self.ids):  # the verifier left some seeds unfitted
+            self._own_agents()[rows] = mass[:, None, :]
         else:
-            self.agents[rows] = mass[:, None, :]
+            self.agents = np.broadcast_to(mass[:, None, :], self.agents.shape)
         errors.update({rows[i]: ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)})
 
     def _release(self, r: int, errors: dict) -> None:
@@ -806,7 +816,7 @@ class _Chunk:
             rows = self._firing(pol, r, errors)
             if not rows.size:
                 continue
-            at = (self.agents[rows], self.initial[rows])
+            at = (self._own_agents()[rows], self.initial[rows])
             rows, released = _by_rows(pol.adjust_population, rows, errors, *at)
             self.agents[rows] = released
             self.pbar = None
@@ -825,13 +835,14 @@ class _Chunk:
             rows = self._firing(pol, r, errors)
             pbar = self._mixture()
             for s in rows:
+                current = (self._own_agents()[s], pbar[s])
                 try:
-                    agents, checkpoints[s], rolled = pol.cool((self.agents[s], pbar[s]), checkpoints[s])
+                    cooled, checkpoints[s], rolled = pol.cool(current, checkpoints[s])
                 except _ROUND_ERRORS as exc:
                     errors.setdefault(int(s), exc)
                     continue
                 if rolled:
-                    self.agents[s] = agents
+                    self.agents[s] = cooled
                     self.pbar = None
                     self.fired[s].append(pol.kind)
                     self.notes[s].append("cooling-rollback")
@@ -854,7 +865,7 @@ class _Chunk:
         }
         absent = {name: self._absent(r, hood) for name, hood in monitor_hoods.items()}
         errors = {}
-        self.agents.setflags(write=False)  # the next update writes a copy
+        self.agents.setflags(write=False)  # a hook that writes copies it first
         for s in range(len(self.ids)):
             values = {}
             if probes:

@@ -29,6 +29,7 @@ from driftlab import (
     build_population,
     config_from_mapping,
     csv_lines_from_dicts,
+    make_rng,
     memory_preset,
     probe_names,
     realize_policy,
@@ -277,6 +278,41 @@ def test_rows_kept_after_an_update_failure_release_and_cool_as_alone():
     alone = _alone(cfg, seeds, policies)
     assert _together(cfg, seeds, policies) == alone
     assert [o[2] for o in alone if o[0] == "failed"] == [1] * 4
+
+
+def _chunk(intervention=None, **cfg):
+    pops = _pops(SEEDS)
+    policies = evolution._group_policies(intervention, pops[0].space, M)
+    rngs = [make_rng(seed) for seed in SEEDS]
+    cfg = EvolutionConfig(sample_size=8, rounds=3, **cfg)
+    return evolution._Chunk(pops, cfg, rngs, policies, np.zeros(0, np.int64), SEEDS)
+
+
+def test_shared_data_agents_are_one_row_until_a_hook_reads_them():
+    # a shared-data update of every row keeps one (S, K) row, not M copies
+    chunk = _chunk()
+    for r in range(3):
+        chunk.advance(r)
+        chunk.record(r, (), None, {}, {}, keep_states=True)
+        if r:
+            assert chunk.agents.strides[1] == 0 and not chunk.agents.flags.writeable
+    # each state, and the final population, shares one agent that owns its mass
+    for pop in [chunk.population(s) for s in range(len(SEEDS))] + chunk.states[0][1:]:
+        assert all(a is pop.agents[0] for a in pop.agents)
+        assert pop.agents[0].mass.flags.owndata
+        assert not np.shares_memory(pop.agents[0].mass, chunk.agents)
+    assert not np.array_equal(chunk.states[0][1].agents[0].mass, chunk.states[0][2].agents[0].mass)
+    # a hook that reads the agents gets them whole and C-contiguous
+    for policy in (EntropyReleasePolicy(gamma=0.1), CoolingPolicy(REF, kl_threshold=1e9)):
+        chunk = _chunk([policy])
+        chunk.advance(0)
+        chunk.advance(1)
+        assert chunk.agents.flags.c_contiguous and chunk.agents.strides[1] != 0
+    # as does a per-agent update
+    chunk = _chunk(per_agent_datasets=True)
+    chunk.advance(0)
+    chunk.advance(1)
+    assert chunk.agents.flags.c_contiguous and chunk.agents.strides[1] != 0
 
 
 def test_chunk_size_rule():

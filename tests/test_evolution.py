@@ -30,6 +30,7 @@ from driftlab import (
     two_tier_reference,
     update_agents,
 )
+from driftlab import evolution
 
 
 def pv(*mass):
@@ -68,6 +69,42 @@ def test_unequal_weights_respected():
         (pv(1.0, 0.0), pv(0.0, 1.0)), np.array([0.25, 0.75])
     )
     assert mixture(pop).mass.tolist() == [0.25, 0.75]
+
+
+def _mix_layouts(rng, s, m, k):
+    """Agents (S, M, K) in every layout the kernel mixes: the C-contiguous
+    array, a Fortran-ordered one, the one-row stride-0 view, and the writable
+    strided rows that dropping a row of that view leaves."""
+    agents = rng.dirichlet(np.ones(k), size=(s, m))
+    row = rng.dirichlet(np.ones(k), size=s + 1)
+    view = np.broadcast_to(row[:, None, :], (s + 1, m, k))
+    kept = view[np.arange(s + 1) != 1]
+    assert kept.flags.writeable and (m == 1 or not kept.flags.c_contiguous)
+    return {
+        "contiguous": agents,
+        "fortran": np.asfortranarray(agents),
+        "stride-0": view[:s],
+        "kept-rows": kept,
+    }
+
+
+@pytest.mark.parametrize("k", [7, 30, 1000, 100_000])
+def test_accumulating_mix_matches_the_broadcast_sum(k):
+    # _mix adds agent m = 0..M-1 in turn; the reference is the broadcast-and-sum
+    # over a C-contiguous copy of the same agents. Shapes past 2**22 elements are
+    # left out: no chunk holds one, as chunk_size runs M * K >= 2**17 one seed at a time
+    rng = np.random.default_rng(k)
+    for s in (1, 3, 32):
+        for m in (1, 2, 3, 4, 6, 7, 13):
+            if s * m * k > 2**22:
+                continue
+            for weights in (np.full((s, m), 1.0 / m), rng.dirichlet(np.ones(m), size=s)):
+                for layout, agents in _mix_layouts(rng, s, m, k).items():
+                    want = (weights[:, :, None] * np.ascontiguousarray(agents)).sum(axis=1)
+                    want /= want.sum(axis=1, keepdims=True)
+                    got = evolution._mix(weights, agents)
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes(), (s, m, k, layout)
 
 
 # --- selection ----------------------------------------------------------------
