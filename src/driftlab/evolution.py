@@ -296,12 +296,14 @@ def _draw(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) -> np.nda
     """
     cum = np.cumsum(pt, axis=1)
     # u beyond the last cumulative point (float shortfall) lands on the last
-    # positive-mass outcome, never on trailing zero-mass outcomes
-    last_positive = pt.shape[1] - 1 - np.argmax(pt[:, ::-1] > 0.0, axis=1)
+    # positive-mass outcome and u == 0.0 on the first, never on zero-mass ones
+    pos = pt > 0.0
+    first_positive = np.argmax(pos, axis=1)
+    last_positive = pt.shape[1] - 1 - np.argmax(pos[:, ::-1], axis=1)
     draws = np.empty((len(rngs), n), dtype=np.int64)
     for s, rng in enumerate(rngs):
-        u = rng.random(n)
-        np.minimum(cum[s].searchsorted(u, side="left"), last_positive[s], out=draws[s])
+        draws[s] = cum[s].searchsorted(rng.random(n), side="left")
+    np.clip(draws, first_positive[:, None], last_positive[:, None], out=draws)
     draws.setflags(write=False)
     return draws
 

@@ -31,27 +31,37 @@ def _clamp_nonneg(value: float) -> float:
     return value
 
 
+def _support(p: ProbVector) -> np.ndarray | None:
+    """Mask of p's positive entries, None when all are; kept only on a vector
+    that owns its mass, as a _wrap'ped row views an array the kernel rewrites."""
+    pos = p.__dict__.get("_support", False)
+    if pos is False:
+        pos = None if p.mass.all() else p.mass > 0.0
+        if p.mass.flags.owndata:
+            p.__dict__["_support"] = pos
+    return pos
+
+
 def kl_divergence(p: ProbVector, q: ProbVector) -> float:
     """KL(p || q) in nats; +inf when q misses support that p has."""
     require_same_space(p, q)
-    pm, qm = p.mass, q.mass
-    pos = pm > 0.0
-    qp = qm[pos]
-    if np.any(qp == 0.0):
+    pos = _support(p)
+    qp = q.mass if pos is None else q.mass[pos]
+    if not qp.all():
         return math.inf
-    pp = pm[pos]
+    pp = p.mass if pos is None else p.mass[pos]
     return _clamp_nonneg(float(np.sum(pp * np.log(pp / qp))))
 
 
 def cross_entropy(p: ProbVector, q: ProbVector) -> float:
     """H(p, q) = -sum p(z) ln q(z); +inf when q misses support that p has."""
     require_same_space(p, q)
-    pm, qm = p.mass, q.mass
-    pos = pm > 0.0
-    qp = qm[pos]
-    if np.any(qp == 0.0):
+    pos = _support(p)
+    qp = q.mass if pos is None else q.mass[pos]
+    if not qp.all():
         return math.inf
-    return float(-np.sum(pm[pos] * np.log(qp)))
+    pp = p.mass if pos is None else p.mass[pos]
+    return float(-np.sum(pp * np.log(qp)))
 
 
 def shannon_entropy(p: ProbVector) -> float:
@@ -104,48 +114,46 @@ class KLDecomposition:
     out_safe_term: float
 
 
-def _conditional_kl_block(pm: np.ndarray, qm: np.ndarray, block: np.ndarray) -> float:
-    """pi*(block) * KL(pi*|block || pt|block), with conditioning conventions.
+def _sides(ref: SafetyReference) -> tuple:
+    """Per side of the safe split, safe first: its mask, pi_star's mass on it
+    and the mask where pi_star is positive on it (the side's own mask when
+    that is all of it). Computed once per reference."""
+    sides = ref.__dict__.get("_sides")
+    if sides is None:
+        pm = ref.pi_star.mass
+        sides = ref.__dict__["_sides"] = tuple(
+            (side, float(pm[side].sum()), side if pm[side].all() else side & (pm > 0.0))
+            for side in (ref.safe_mask, ~ref.safe_mask)
+        )
+    return sides
 
-    Zero pi* weight on the block makes the term 0 regardless of pt. Positive
-    pi* weight with zero pt mass on the block leaves pt's conditional
-    undefined; the term is +inf, which keeps the decomposition identity valid
-    because the total divergence is +inf in exactly that situation.
+
+def _side_term(ref: SafetyReference, pt: ProbVector, side: int) -> float:
+    """pi*(block) * KL(pi*|block || pt|block) for block = the safe (side 0) or
+    the unsafe (side 1) outcomes, with conditioning conventions.
+
+    Zero pi* weight on the block makes the term 0 regardless of pt. A pt zero
+    where pi* is positive, which zero pt mass on the block implies, makes the
+    term +inf; that keeps the decomposition identity valid because the total
+    divergence is +inf in exactly that situation. The caller checks that ref
+    and pt share a space.
     """
-    pb = pm[block]
-    qb = qm[block]
-    p_block = float(pb.sum())
-    q_block = float(qb.sum())
+    block, p_block, pos = _sides(ref)[side]
     if p_block == 0.0:
         return 0.0
-    if q_block == 0.0:
+    qp = pt.mass[pos]
+    if not qp.all():
         return math.inf
-    pos = pb > 0.0
-    qp = qb[pos]
-    if np.any(qp == 0.0):
-        return math.inf
-    pp = pb[pos]
+    pp = ref.pi_star.mass[pos]
+    q_block = float((qp if pos is block else pt.mass[block]).sum())
     ratio_log = np.log(pp / qp) + math.log(q_block / p_block)
     return _clamp_nonneg(float(np.sum(pp * ratio_log)))
 
 
-# the three terms of the decomposition, each computed on its own; the
-# callers check that ref and pt share a space
-
-
 def _mass_term(ref: SafetyReference, pt: ProbVector) -> float:
-    smask = ref.safe_mask
-    p = float(ref.pi_star.mass[smask].sum())
-    q = float(pt.mass[smask].sum())
+    block, p, _ = _sides(ref)[0]
+    q = float(pt.mass[block].sum())
     return binarized_kl_lower_bound(p, min(1.0, q))
-
-
-def _in_safe_term(ref: SafetyReference, pt: ProbVector) -> float:
-    return _conditional_kl_block(ref.pi_star.mass, pt.mass, ref.safe_mask)
-
-
-def _out_safe_term(ref: SafetyReference, pt: ProbVector) -> float:
-    return _conditional_kl_block(ref.pi_star.mass, pt.mass, ~ref.safe_mask)
 
 
 def kl_safe_set_decomposition(ref: SafetyReference, pt: ProbVector) -> KLDecomposition:
@@ -153,8 +161,8 @@ def kl_safe_set_decomposition(ref: SafetyReference, pt: ProbVector) -> KLDecompo
     return KLDecomposition(
         kl_divergence(ref.pi_star, pt),
         _mass_term(ref, pt),
-        _in_safe_term(ref, pt),
-        _out_safe_term(ref, pt),
+        _side_term(ref, pt, 0),
+        _side_term(ref, pt, 1),
     )
 
 
@@ -305,10 +313,10 @@ class MetricProbe:
     evaluator: ProbeFn
 
 
-def _split_probe(term: Callable[[SafetyReference, ProbVector], float]) -> ProbeFn:
+def _split_probe(term: Callable[..., float], *args) -> ProbeFn:
     def probe(t, pt, agents, ref):
         require_same_space(ref.pi_star, pt)
-        return term(ref, pt)
+        return term(ref, pt, *args)
 
     return probe
 
@@ -319,8 +327,8 @@ _SIMPLE_PROBES: dict[str, ProbeFn] = {
     "internal_entropy": lambda t, pt, agents, ref: shannon_entropy(pt),
     "cross_entropy": lambda t, pt, agents, ref: cross_entropy(ref.pi_star, pt),
     "mass_term": _split_probe(_mass_term),
-    "in_safe_term": _split_probe(_in_safe_term),
-    "out_safe_term": _split_probe(_out_safe_term),
+    "in_safe_term": _split_probe(_side_term, 0),
+    "out_safe_term": _split_probe(_side_term, 1),
 }
 
 

@@ -190,6 +190,20 @@ def test_sampling_never_hits_zero_mass_tail():
     assert draws.max() <= 1
 
 
+class _ZeroDraws:
+    """A generator stub whose uniforms are all exactly 0.0, which rng.random
+    returns with probability 2**-53 per draw."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+def test_a_zero_uniform_never_draws_a_leading_zero_mass_outcome():
+    pt = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0], [0.3, 0.7, 0.0, 0.0]])
+    draws = evolution._draw(pt, 3, [_ZeroDraws()] * 3)
+    assert draws.tolist() == [[1, 1, 1], [3, 3, 3], [0, 0, 0]]
+
+
 def test_sampling_goodness_of_fit():
     p = pv(0.2, 0.3, 0.5)
     draws = sample_dataset(p, 100_000, make_rng(7))

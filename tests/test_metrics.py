@@ -27,6 +27,7 @@ from driftlab import (
     shannon_entropy,
     two_tier_reference,
 )
+from driftlab.core import _wrap
 
 S2 = OutcomeSpace(2)
 S3 = OutcomeSpace(3)
@@ -163,6 +164,158 @@ def test_decomposition_additivity(q):
     # the slack is the decomposition tolerance, since the two routes round
     # their large sums independently
     assert dec.mass_term <= dec.total + 1e-10
+
+
+# --- the divergences against their bodies before pi_star's side was cached --
+# These are kl_divergence, cross_entropy, the conditional block term and the
+# mass term as they were when every call recomputed pi_star's support, side
+# masses and side support. The cached functions must give the same bits.
+
+
+def _old_clamp_nonneg(value):
+    if -1e-12 < value < 0.0:
+        return 0.0
+    return value
+
+
+def _old_kl(pm, qm):
+    pos = pm > 0.0
+    qp = qm[pos]
+    if np.any(qp == 0.0):
+        return math.inf
+    pp = pm[pos]
+    return _old_clamp_nonneg(float(np.sum(pp * np.log(pp / qp))))
+
+
+def _old_cross_entropy(pm, qm):
+    pos = pm > 0.0
+    qp = qm[pos]
+    if np.any(qp == 0.0):
+        return math.inf
+    return float(-np.sum(pm[pos] * np.log(qp)))
+
+
+def _old_conditional_kl_block(pm, qm, block):
+    pb = pm[block]
+    qb = qm[block]
+    p_block = float(pb.sum())
+    q_block = float(qb.sum())
+    if p_block == 0.0:
+        return 0.0
+    if q_block == 0.0:
+        return math.inf
+    pos = pb > 0.0
+    qp = qb[pos]
+    if np.any(qp == 0.0):
+        return math.inf
+    pp = pb[pos]
+    ratio_log = np.log(pp / qp) + math.log(q_block / p_block)
+    return _old_clamp_nonneg(float(np.sum(pp * ratio_log)))
+
+
+def _old_mass_term(pm, qm, smask):
+    p = float(pm[smask].sum())
+    q = float(qm[smask].sum())
+    return binarized_kl_lower_bound(p, min(1.0, q))
+
+
+def _differential_references(k):
+    rng = np.random.default_rng(k)
+    full = rng.dirichlet(np.ones(k))
+    partial = full.copy()
+    partial[1::3] = 0.0  # pi_star zeros on both sides
+    subnormal = full.copy()
+    subnormal[[2, k - 1]] = [5e-324, 1e-310]
+    for mass in (full, partial, subnormal):
+        pi = ProbVector(OutcomeSpace(k), mass / mass.sum())
+        yield make_safety_reference(pi, range(k // 2), 0.999)
+    yield two_tier_reference(k, safe_mass=1.0)  # no pi_star mass on the unsafe side
+
+
+def _differential_rows(ref, rng):
+    k = ref.space.size
+    safe = ref.safe_mask
+    even = np.arange(k) % 2 == 0
+    base = rng.dirichlet(np.ones(k))
+    rows = [base, ref.pi_star.mass.copy()]
+    for zero in (safe & even, ~safe & ~even, safe, ~safe):  # zeros, then a whole side
+        row = base.copy()
+        row[zero] = 0.0
+        rows.append(row)
+    row = base.copy()
+    row[[0, k - 1]] = [5e-324, 2.2e-310]  # subnormal entries
+    rows.append(row)
+    return np.array([row / row.sum() for row in rows])
+
+
+def _bits(fn, *args):
+    """fn(*args) as float.hex, or the name of the ValueError it raises: the
+    mass term rejects a pi_star whose safe entries sum past 1 by rounding
+    (the zero-side reference at K = 1000), before and after the cache."""
+    try:
+        with np.errstate(over="ignore"):  # the subnormal rows overflow
+            return fn(*args).hex()
+    except ValueError:
+        return "ValueError"
+
+
+def _decomposed(term):
+    return lambda ref, pt: getattr(kl_safe_set_decomposition(ref, pt), term)
+
+
+_SPLIT_NAMES = ("kl_safety", "cross_entropy", "mass_term", "in_safe_term", "out_safe_term")
+
+
+def test_cached_divergences_match_the_uncached_bodies_bitwise():
+    rng = np.random.default_rng(8)
+    probes = [resolve_probe(name) for name in _SPLIT_NAMES]
+    paths = {name: set() for name in _SPLIT_NAMES}
+    for k in (7, 30, 1000):
+        for ref in _differential_references(k):
+            pi, smask = ref.pi_star, ref.safe_mask
+            stacked = _differential_rows(ref, rng)
+            for i, row in enumerate(stacked):
+                # an owned distribution, and a kernel-style row of a batch
+                for pt in (ProbVector(ref.space, row), _wrap(ref.space, stacked[i])):
+                    qm = pt.mass
+                    old = [
+                        _bits(_old_kl, pi.mass, qm),
+                        _bits(_old_cross_entropy, pi.mass, qm),
+                        _bits(_old_mass_term, pi.mass, qm, smask),
+                        _bits(_old_conditional_kl_block, pi.mass, qm, smask),
+                        _bits(_old_conditional_kl_block, pi.mass, qm, ~smask),
+                    ]
+                    direct = [_bits(kl_divergence, pi, pt), _bits(cross_entropy, pi, pt)]
+                    probed = [_bits(probe.evaluator, 0, pt, None, ref) for probe in probes]
+                    terms = ("total", "mass_term", "in_safe_term", "out_safe_term")
+                    decomposed = [_bits(_decomposed(term), ref, pt) for term in terms]
+                    assert direct == old[:2], (k, i)
+                    assert probed == old, (k, i)
+                    if old[2] == "ValueError":  # one raising term fails the whole split
+                        assert decomposed == ["ValueError"] * 4, (k, i)
+                    else:
+                        assert decomposed == [old[0], *old[2:]], (k, i)
+                    for name, value in zip(_SPLIT_NAMES, old):
+                        paths[name].add(value == "inf")
+    # every measure took both its finite and its +inf path
+    assert all(seen == {True, False} for seen in paths.values())
+
+
+def test_a_rewritten_wrapped_row_is_read_afresh():
+    """A _wrap'ped row views an array the kernel rewrites, so no support mask
+    may outlive the call that found it; an owned distribution keeps its own."""
+    base = np.full((2, 3), 1.0 / 3.0)
+    p = _wrap(S3, base[0])
+    q = pv(0.5, 0.5, 0.0)
+    assert kl_divergence(p, q) == cross_entropy(p, q) == math.inf
+    base[0] = [0.5, 0.5, 0.0]
+    assert kl_divergence(p, q) == 0.0
+    assert cross_entropy(p, q) == cross_entropy(q, q) == math.log(2.0)
+    base[0] = 1.0 / 3.0
+    assert kl_divergence(p, q) == cross_entropy(p, q) == math.inf
+    assert "_support" not in p.__dict__
+    kl_divergence(q, p)
+    assert "_support" in q.__dict__
 
 
 # --- coverage ---------------------------------------------------------------
