@@ -32,27 +32,15 @@ CONCENTRATION_SLACK = 1e-9  # float slack when checking pi*(S) >= 1 - epsilon
 
 @dataclass(frozen=True)
 class OutcomeSpace:
-    """Finite outcome space; outcomes are indices 0..size-1.
-
-    labels, when given, are display names only (one per outcome, all
-    distinct); nothing downstream depends on them.
-    """
+    """Finite outcome space; outcomes are indices 0..size-1."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.size, int) or isinstance(self.size, bool):
             raise ConfigError(f"outcome space size must be an int, got {self.size!r}")
         if self.size < 2:
             raise ConfigError(f"outcome space needs at least 2 outcomes, got {self.size}")
-        if self.labels is not None:
-            if not isinstance(self.labels, tuple):
-                object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.size:
-                raise ConfigError(f"need exactly {self.size} labels, got {len(self.labels)}")
-            if len(set(self.labels)) != len(self.labels):
-                raise ConfigError("outcome labels must be distinct")
 
     def validate_indices(self, indices: Iterable[int]) -> np.ndarray:
         """Return the given outcome indices as a sorted, unique int array."""
@@ -102,10 +90,6 @@ class ProbVector:
 
     def __getitem__(self, index: int) -> float:
         return float(self.mass[index])
-
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.mass))
 
 
 def _wrap(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:
@@ -210,12 +194,6 @@ class SafetyReference:
     @property
     def safe_mass(self) -> float:
         return mass_of_set(self.pi_star, self.safe_set)
-
-
-def make_safety_reference(
-    pi_star: ProbVector, safe_set: Iterable[int], epsilon: float
-) -> SafetyReference:
-    return SafetyReference(pi_star, tuple(safe_set), float(epsilon))
 
 
 # ---------------------------------------------------------------------------

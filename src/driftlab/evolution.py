@@ -16,7 +16,7 @@ selection, the cumulative sums, the update and every renormalization run once
 per chunk and round, as do the policy hooks over the rows they fire for.
 What is per seed by nature loops over the rows: the draws, verifier
 screening, the cooling check and probes. run_batch is the one
-entry point; run() and step() are batches of one, and a seed's trajectory is
+entry point; run() is a batch of one, and a seed's trajectory is
 byte-identical whichever chunk it runs in.
 
 This module deliberately knows nothing about the safety reference. It does
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -244,11 +244,6 @@ def _acceptance(rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray) -> n
         return a
     # reward-reweight; SelectionRule admits no other kind
     return _reward_tilt("selection", rule.beta, rule.reward, k_space)
-
-
-def acceptance_vector(rule: SelectionRule, pbar: ProbVector) -> np.ndarray:
-    a = _acceptance(rule, pbar.space, pbar.mass[None])
-    return a[0] if a.ndim == 2 else a
 
 
 def _select(
@@ -558,18 +553,6 @@ class EvolutionConfig:
             )
 
 
-class StepResult(NamedTuple):
-    """One applied round. The first three fields are the operator's output
-    proper (with per-agent datasets, dataset holds every agent's block in
-    agent order); memory is the buffer as an int64 array, rolled over the
-    round's samples under the memory-buffer rule."""
-
-    population: Population
-    dataset: np.ndarray
-    training_dist: ProbVector
-    memory: np.ndarray
-
-
 # a round that raises one of these aborts its seed as a SimulationError
 _ROUND_ERRORS = (
     DegenerateSelectionError,
@@ -677,7 +660,7 @@ class _Chunk:
         "records", "states",
     )
 
-    def __init__(self, pops, cfg: EvolutionConfig, rngs, policies, memory: np.ndarray, ids):
+    def __init__(self, pops, cfg: EvolutionConfig, rngs, policies, ids):
         rows = range(len(pops))
         self.cfg = cfg
         self.space = pops[0].space
@@ -687,7 +670,7 @@ class _Chunk:
         self.pbar = self.pt = None
         self.ids, self.rngs, self.policies = list(ids), list(rngs), policies
         self.checkpoints = [pol.initial_checkpoint(self.agents) for pol in policies["cooling"]]
-        self.memory = [memory for _ in rows]
+        self.memory = [np.zeros(0, np.int64) for _ in rows]
         for name in ("datasets", "live", "fired", "notes", "next_fired", "records", "states"):
             setattr(self, name, [[] for _ in rows])
         self.failed: dict[int, SimulationError] = {}
@@ -860,7 +843,8 @@ class _Chunk:
                 self.next_fired[s].append(pol.kind)
 
     def record(self, r: int, probes, ref, monitor_sets, monitor_hoods, keep_states: bool) -> None:
-        """Append round r's TrajectoryRecord (and state) to every row."""
+        """Append round r's TrajectoryRecord (and state) to every row; a seed
+        whose probe raises one of _ROUND_ERRORS fails instead."""
         masses = {
             name: np.take(self.pt, idx, axis=1).sum(axis=1).tolist()
             for name, idx in monitor_sets.items()
@@ -889,34 +873,13 @@ class _Chunk:
             )
             if keep_states:
                 self.states[s].append(self.population(s))
+        self._fail(errors, r)
 
     def _absent(self, r: int, hood: np.ndarray) -> list:
         """Per row: did this round's data miss the neighborhood `hood`?"""
         if r == 0:
             return [None] * len(self.ids)
         return [not any(hood[d].any() for d in datasets) for datasets in self.datasets]
-
-
-def step(
-    pop: Population,
-    cfg: EvolutionConfig,
-    rng: np.random.Generator,
-    memory: Sequence[int] | np.ndarray = (),
-    round_index: int = 1,
-) -> StepResult:
-    """Apply one bare round (no interventions)."""
-    policies = _group_policies(None, pop.space, pop.size)
-    chunk = _Chunk([pop], cfg, [rng], policies, np.asarray(memory, dtype=np.int64), [0])
-    chunk.advance(round_index - 1)
-    if chunk.failed:
-        raise chunk.failed[0].cause
-    training_dist = _wrap(pop.space, chunk.pt[0])
-    chunk.advance(round_index)
-    if chunk.failed:
-        raise chunk.failed[0].cause
-    samples = np.concatenate(chunk.datasets[0])
-    samples.setflags(write=False)
-    return StepResult(chunk.population(0), samples, training_dist, chunk.memory[0])
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +900,6 @@ def run_batch(
     ref=None,
     monitors: Mapping[str, Iterable[int]] | None = None,
     keep_states: bool = False,
-    initial_memory: Sequence[int] | np.ndarray = (),
 ) -> Iterator[Trajectory | SimulationError]:
     """Run the i-th population under cfg with seeds[i], for every i, as run() would.
 
@@ -946,9 +908,9 @@ def run_batch(
     read one chunk at a time, so a generator keeps only one chunk of initial
     populations alive. Yields, in input order and chunk by chunk, each
     seed's Trajectory, or the SimulationError of a seed whose run failed;
-    the other seeds are unaffected by it. probes, intervention, monitors,
-    keep_states and initial_memory apply to every seed, as in run(); an
-    entropy-release anchor "initial" is each seed's own start population.
+    the other seeds are unaffected by it. probes, intervention, monitors and
+    keep_states apply to every seed, as in run(); an entropy-release anchor
+    "initial" is each seed's own start population.
 
     The arguments and the first chunk's populations are checked here; a
     later chunk's populations, and a pops iterable without len() that is
@@ -983,7 +945,6 @@ def run_batch(
         monitor_hoods[name] = hood_mask
         monitor_names[name] = tuple(int(i) for i in idx)
 
-    memory = np.asarray(initial_memory, dtype=np.int64)
     width = chunk_size(size, space.size)
 
     def take(ids: range) -> _Chunk:
@@ -992,7 +953,7 @@ def run_batch(
             raise ConfigError(_ONE_PER_SEED)
         if any(p.space != space or p.size != size for p in batch):
             raise ConfigError("the populations of a batch must share one space and size")
-        return _Chunk(batch, cfg, [make_rng(seeds[i]) for i in ids], policies, memory, ids)
+        return _Chunk(batch, cfg, [make_rng(seeds[i]) for i in ids], policies, ids)
 
     def results(chunk: _Chunk) -> Iterator[Trajectory | SimulationError]:
         for lo in range(0, len(seeds), width):
@@ -1034,7 +995,6 @@ def run(
     ref=None,
     monitors: Mapping[str, Iterable[int]] | None = None,
     keep_states: bool = False,
-    initial_memory: Sequence[int] | np.ndarray = (),
 ) -> Trajectory:
     """Execute cfg.rounds rounds and record per-round measurements.
 
@@ -1047,8 +1007,7 @@ def run(
     update -> entropy-release -> cooling regardless of the order given.
     monitors maps names to outcome sets whose training mass and
     dataset-absence flags are recorded every round (the raw material for
-    decay estimation). initial_memory seeds the memory-buffer rule's buffer.
-    A failed round raises SimulationError. This is run_batch on one seed.
+    decay estimation). Each seed's memory buffer starts empty. A failed round raises SimulationError. This is run_batch on one seed.
     """
     (result,) = run_batch(
         [pop0],
@@ -1059,7 +1018,6 @@ def run(
         ref=ref,
         monitors=monitors,
         keep_states=keep_states,
-        initial_memory=initial_memory,
     )
     if isinstance(result, SimulationError):
         raise result

@@ -1071,11 +1071,6 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
     }
 
 
-def population_snapshot(pop: Population) -> list[list[float]]:
-    """Flat per-agent mass vectors, ready for json.dump."""
-    return [[float(v) for v in agent.mass] for agent in pop.agents]
-
-
 def csv_lines_from_dicts(traj_dicts: Sequence[dict]) -> list[str]:
     """CSV lines (no trailing newlines): header, then seed-major round rows."""
     if not traj_dicts:
@@ -1096,15 +1091,11 @@ def csv_lines_from_dicts(traj_dicts: Sequence[dict]) -> list[str]:
     return lines
 
 
-def write_trajectories_csv(trajectories: Iterable[Trajectory], fh) -> None:
-    dicts = [trajectory_to_dict(t) for t in trajectories]
-    for line in csv_lines_from_dicts(dicts):
-        fh.write(line + "\n")
-
-
 def save_trajectories_csv(trajectories: Iterable[Trajectory], path: str) -> None:
+    lines = csv_lines_from_dicts([trajectory_to_dict(t) for t in trajectories])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_trajectories_csv(trajectories, fh)
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def save_trajectories_json(trajectories: Iterable[Trajectory], path: str) -> None:

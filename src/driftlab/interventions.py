@@ -43,15 +43,6 @@ from .errors import ConfigError, VerifierAnnihilationError
 from .evolution import Population, mixture  # noqa: F401  (bench/test_bench.py wants mixture)
 from .metrics import kl_divergence
 
-COMPOSITION_ORDER = (
-    "diversity",
-    "sampling",
-    "verifier",
-    "update",
-    "entropy-release",
-    "cooling",
-)
-
 _SCHEDULE_KINDS = ("every", "kl-trigger")
 
 

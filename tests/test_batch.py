@@ -20,6 +20,7 @@ from driftlab import (
     DiversityPolicy,
     EntropyReleasePolicy,
     EvolutionConfig,
+    MetricProbe,
     PolicySpec,
     PopulationSpec,
     Schedule,
@@ -280,12 +281,41 @@ def test_rows_kept_after_an_update_failure_release_and_cool_as_alone():
     assert [o[2] for o in alone if o[0] == "failed"] == [1] * 4
 
 
+def _refuse_round_2(r, pt, agents, ref):
+    if r == 2 and pt[0] > pt[1]:
+        raise ValueError("probe refuses this distribution")
+    return 0.0
+
+
+def test_a_raising_probe_fails_only_its_seed():
+    # a probe that raises for some seeds in round 2 fails those seeds there,
+    # as each seed alone; the others keep all five records
+    ref = two_tier_reference(10, safe_mass=0.9, safe_fraction=0.5)
+    pop = build_population(PopulationSpec(2, "copy"), ref, 0)
+    cfg = EvolutionConfig(sample_size=20, rounds=4)
+    probes = (MetricProbe("refuse", _refuse_round_2),)
+    seeds = tuple(range(8))
+    together = [_outcome(t) for t in run_batch([pop] * len(seeds), cfg, seeds, probes, ref=ref)]
+    alone = []
+    for seed in seeds:
+        try:
+            alone.append(_outcome(run(pop, replace(cfg, seed=seed), probes, ref=ref)))
+        except SimulationError as exc:
+            alone.append(_outcome(exc))
+    assert together == alone
+    failed = [o for o in together if o[0] == "failed"]
+    assert 0 < len(failed) < len(seeds)
+    assert all(o[2] == 2 and o[3] == "ValueError" for o in failed)
+    kept = [json.loads(o[1])["records"] for o in together if o[0] != "failed"]
+    assert all(len(records) == 5 for records in kept)
+
+
 def _chunk(intervention=None, **cfg):
     pops = _pops(SEEDS)
     policies = evolution._group_policies(intervention, pops[0].space, M)
     rngs = [make_rng(seed) for seed in SEEDS]
     cfg = EvolutionConfig(sample_size=8, rounds=3, **cfg)
-    return evolution._Chunk(pops, cfg, rngs, policies, np.zeros(0, np.int64), SEEDS)
+    return evolution._Chunk(pops, cfg, rngs, policies, SEEDS)
 
 
 def test_shared_data_agents_are_one_row_until_a_hook_reads_them():

@@ -28,7 +28,7 @@ from driftlab import (
     SelectionRule,
     SimulationError,
     UpdateRule,
-    acceptance_vector,
+    apply_selection,
     build_population,
     build_reference,
     config_from_mapping,
@@ -151,10 +151,10 @@ def test_reward_tilt_past_the_float_range_runs_without_overflow():
     pop = Population.equal_weights([ProbVector(OutcomeSpace(10), [0.1] * 10)])
     cfg = EvolutionConfig(sample_size=20, rounds=3, seed=0, **rules)
     with np.errstate(over="raise"):
-        accepted = acceptance_vector(rules["selection"], pop.agents[0])
+        accepted = apply_selection(pop.agents[0], rules["selection"]).mass > 0
         out = update_agents(pop, np.array([0, 1, 7, 7], dtype=np.int64), rules["update"])
         traj = run(pop, cfg, keep_states=True)
-    assert accepted.tolist() == [0.0] * 5 + [1.0] * 5
+    assert accepted.tolist() == [False] * 5 + [True] * 5
     assert out.agents[0].mass.tolist() == [0.0] * 7 + [1.0, 0.0, 0.0]
     for state in traj.states[1:]:
         assert state.agents[0].mass[:5].sum() == 0.0

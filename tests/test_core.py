@@ -7,10 +7,10 @@ from driftlab import (
     ConfigError,
     OutcomeSpace,
     ProbVector,
+    SafetyReference,
     SpaceMismatchError,
     dirichlet_reference,
     make_prob_vector,
-    make_safety_reference,
     mass_of_set,
     require_same_space,
     two_tier_reference,
@@ -25,15 +25,6 @@ def test_space_rejects_degenerate_sizes():
         OutcomeSpace(0)
     with pytest.raises(ConfigError):
         OutcomeSpace(2.5)
-
-
-def test_space_labels_checked():
-    s = OutcomeSpace(3, labels=("a", "b", "c"))
-    assert s.labels == ("a", "b", "c")
-    with pytest.raises(ConfigError):
-        OutcomeSpace(3, labels=("a", "b"))
-    with pytest.raises(ConfigError):
-        OutcomeSpace(3, labels=("a", "a", "b"))
 
 
 def test_validate_indices_sorted_unique():
@@ -108,14 +99,14 @@ def test_two_tier_allows_fully_safe_reference():
 def test_reference_rejects_uniform_target():
     pv = ProbVector(OutcomeSpace(4), [0.25] * 4)
     with pytest.raises(ConfigError):
-        make_safety_reference(pv, (0, 1), 0.5)
+        SafetyReference(pv, (0, 1), 0.5)
 
 
 def test_reference_rejects_unconcentrated_safe_set():
     pv = ProbVector(OutcomeSpace(4), [0.4, 0.3, 0.2, 0.1])
     # S carries 0.7 but epsilon demands >= 0.99
     with pytest.raises(ConfigError):
-        make_safety_reference(pv, (0, 1), 0.01)
+        SafetyReference(pv, (0, 1), 0.01)
 
 
 def test_zipf_reference_orders_mass():

@@ -26,7 +26,6 @@ from driftlab import (
     roll_memory,
     run,
     sample_dataset,
-    step,
     two_tier_reference,
     update_agents,
 )
@@ -316,26 +315,50 @@ def test_neighborhood_dilation():
     assert neighborhood(s, [0, 9], 1).tolist() == [0, 1, 8, 9]
 
 
-# --- step / run -------------------------------------------------------------------
+# --- one round / run ------------------------------------------------------------
 
 
-def test_step_composition():
+def _replay_round(pop, cfg, rng, memory):
+    """One bare round from the public row stages, drawing as run() does:
+    mixture, selection, one dataset of n * blocks outcomes, the rolled
+    buffer, then the update (agent m fitted to block m with per-agent
+    datasets). Returns the population, dataset, training distribution and
+    buffer."""
+    pt = apply_selection(mixture(pop), cfg.selection)
+    n, blocks = cfg.sample_size, pop.size if cfg.per_agent_datasets else 1
+    dataset = sample_dataset(pt, n * blocks, rng)
+    rule = cfg.update
+    if rule.kind == "memory-buffer":
+        memory = roll_memory(memory, dataset, rule.capacity)
+    if cfg.per_agent_datasets:
+        fits = [update_agents(pop, dataset[m * n : (m + 1) * n], rule) for m in range(blocks)]
+        pop = Population(tuple(fit.agents[m] for m, fit in enumerate(fits)), pop.weights)
+    else:
+        pop = update_agents(pop, dataset, rule, memory)
+    return pop, dataset, pt, memory
+
+
+def test_round_composition():
     pop = Population.equal_weights([pv(0.5, 0.5), pv(0.5, 0.5)])
     cfg = EvolutionConfig(sample_size=50, rounds=1, seed=5)
-    res = step(pop, cfg, make_rng(5), round_index=2)
-    assert len(res.dataset) == 50
-    assert res.training_dist.mass.tolist() == [0.5, 0.5]
-    counts = np.bincount(res.dataset, minlength=2)
-    np.testing.assert_allclose(res.population.agents[0].mass, counts / 50.0, atol=1e-15)
+    replayed, dataset, pt, _ = _replay_round(pop, cfg, make_rng(5), ())
+    assert len(dataset) == 50
+    assert pt.mass.tolist() == [0.5, 0.5]
+    counts = np.bincount(dataset, minlength=2)
+    np.testing.assert_allclose(replayed.agents[0].mass, counts / 50.0, atol=1e-15)
+    state = run(pop, cfg, keep_states=True).states[1]
+    for manual, recorded in zip(replayed.agents, state.agents):
+        assert np.array_equal(manual.mass, recorded.mass)
 
 
 def test_per_agent_datasets_give_distinct_agents():
     pop = Population.equal_weights([pv(0.5, 0.5)] * 3)
     cfg = EvolutionConfig(sample_size=51, rounds=1, seed=5, per_agent_datasets=True)
-    res = step(pop, cfg, make_rng(5))
-    masses = [tuple(a.mass.tolist()) for a in res.population.agents]
+    replayed, dataset, _, _ = _replay_round(pop, cfg, make_rng(5), ())
+    assert len(dataset) == 153
+    masses = [tuple(a.mass.tolist()) for a in run(pop, cfg, keep_states=True).states[1].agents]
     assert len(set(masses)) > 1
-    assert len(res.dataset) == 153
+    assert masses == [tuple(a.mass.tolist()) for a in replayed.agents]
 
 
 def test_per_agent_datasets_rejects_memory_rule():
@@ -411,28 +434,36 @@ def test_per_agent_run_differs_from_shared_run():
 
 
 @pytest.mark.parametrize(
-    "rule, per_agent",
+    "rule, per_agent, selection",
     [
-        (UpdateRule("smoothed-mle", lam=0.5), False),
-        (UpdateRule("mle"), True),
-        (UpdateRule("smoothed-mle", lam=0.5), True),
+        (UpdateRule("mle"), False, SelectionRule("identity")),
+        (UpdateRule("smoothed-mle", lam=0.5), False, SelectionRule("identity")),
+        (UpdateRule("mle"), True, SelectionRule("identity")),
+        (UpdateRule("smoothed-mle", lam=0.5), True, SelectionRule("identity")),
+        (memory_preset(capacity=60), False, SelectionRule("identity")),
+        (rl_preset(beta=1.5), False, SelectionRule("identity")),
+        (UpdateRule("mle"), False, SelectionRule("top-mass", k=20)),
+        (UpdateRule("mle"), True, SelectionRule("top-mass", k=20)),
     ],
-    ids=["smoothed-mle-shared", "mle-per-agent", "smoothed-mle-per-agent"],
+    ids=[
+        "mle-shared", "smoothed-mle-shared", "mle-per-agent", "smoothed-mle-per-agent",
+        "memory-buffer-shared", "rl-shared", "top-mass-shared", "top-mass-per-agent",
+    ],
 )
-def test_run_matches_manual_step_replay(rule, per_agent):
-    """run() must consume randomness exactly like the documented step sequence."""
+def test_run_matches_manual_round_replay(rule, per_agent, selection):
+    """run() must consume randomness exactly like the documented round stages."""
     ref = two_tier_reference(30, safe_mass=0.9, safe_fraction=0.5)
     pop0 = Population.equal_weights([ref.pi_star] * 3)
     cfg = EvolutionConfig(
-        sample_size=25, rounds=8, seed=21, update=rule, per_agent_datasets=per_agent
+        sample_size=25, rounds=8, seed=21, selection=selection, update=rule,
+        per_agent_datasets=per_agent,
     )
     traj = run(pop0, cfg, keep_states=True)
     rng = make_rng(cfg.seed)
     pop, memory = pop0, ()
     for r in range(1, cfg.rounds + 1):
-        res = step(pop, cfg, rng, memory, r)
-        assert len(res.dataset) == (3 if per_agent else 1) * 25
-        pop, memory = res.population, res.memory
+        pop, dataset, _, memory = _replay_round(pop, cfg, rng, memory)
+        assert len(dataset) == (3 if per_agent else 1) * 25
         for manual, recorded in zip(pop.agents, traj.states[r].agents):
             assert np.array_equal(manual.mass, recorded.mass)
     # per-agent datasets keep the agents apart; shared data makes them coincide
@@ -440,9 +471,9 @@ def test_run_matches_manual_step_replay(rule, per_agent):
 
 
 def test_per_agent_verifier_annihilation_skips_only_that_agent():
-    from driftlab import VerifierPolicy, make_safety_reference
+    from driftlab import SafetyReference, VerifierPolicy
 
-    ref = make_safety_reference(pv(0.9, 0.1), [0], 0.2)
+    ref = SafetyReference(pv(0.9, 0.1), [0], 0.2)
     pop0 = Population.equal_weights([pv(0.5, 0.5)] * 4)
     # one sample per agent: the perfect verifier empties exactly the chunks
     # that drew the unsafe outcome (agents 1 and 2 at this seed)
@@ -493,5 +524,7 @@ def test_uniform_population_mixture_unchanged_by_update_shape():
     # distinct they start
     pop = Population.equal_weights([pv(0.9, 0.1), pv(0.1, 0.9)])
     cfg = EvolutionConfig(sample_size=100, rounds=1, seed=9)
-    res = step(pop, cfg, make_rng(9))
-    assert np.array_equal(res.population.agents[0].mass, res.population.agents[1].mass)
+    final = run(pop, cfg).final_population
+    assert np.array_equal(final.agents[0].mass, final.agents[1].mass)
+    replayed = _replay_round(pop, cfg, make_rng(9), ())[0]
+    assert np.array_equal(replayed.agents[0].mass, final.agents[0].mass)

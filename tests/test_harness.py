@@ -15,6 +15,7 @@ from driftlab import (
     Population,
     PopulationSpec,
     ProbVector,
+    SafetyReference,
     Trajectory,
     TrajectoryRecord,
     apply_env_overrides,
@@ -27,7 +28,6 @@ from driftlab import (
     load_config_file,
     load_experiment_config,
     load_trajectory_dicts,
-    make_safety_reference,
     monitored_rare_set,
     parse_config_text,
     parse_policies_json,
@@ -592,7 +592,7 @@ def test_monitored_rare_set_frozen_default():
 
 
 def test_monitored_rare_set_prefers_smallest_masses():
-    ref = make_safety_reference(pv(0.5, 0.3, 0.15, 0.05), (0, 1, 2), 0.9)
+    ref = SafetyReference(pv(0.5, 0.3, 0.15, 0.05), (0, 1, 2), 0.9)
     assert monitored_rare_set(ref, 0.1) == (2,)
     assert monitored_rare_set(ref, 0.3) == (1, 2)
 

@@ -12,6 +12,7 @@ from driftlab import (
     OutcomeSpace,
     Population,
     ProbVector,
+    SafetyReference,
     Schedule,
     SelectionRule,
     SimulationError,
@@ -19,7 +20,6 @@ from driftlab import (
     VerifierAnnihilationError,
     VerifierPolicy,
     make_rng,
-    make_safety_reference,
     memory_preset,
     run,
     run_batch,
@@ -39,9 +39,9 @@ def entropy_of(mass):
 
 # small references used throughout; epsilon is loose on purpose so the
 # distributions can be whatever the test needs
-REF2 = make_safety_reference(pv(0.9, 0.1), [0], 0.2)
-REF2_SOFT = make_safety_reference(pv(0.75, 0.25), [0], 0.5)
-REF4 = make_safety_reference(pv(0.4, 0.4, 0.1, 0.1), [0, 1], 0.25)
+REF2 = SafetyReference(pv(0.9, 0.1), [0], 0.2)
+REF2_SOFT = SafetyReference(pv(0.75, 0.25), [0], 0.5)
+REF4 = SafetyReference(pv(0.4, 0.4, 0.1, 0.1), [0, 1], 0.25)
 
 
 def _data(*samples):

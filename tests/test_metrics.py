@@ -10,6 +10,7 @@ from driftlab import (
     OutcomeSpace,
     Population,
     ProbVector,
+    SafetyReference,
     Trajectory,
     TrajectoryRecord,
     absence_probability,
@@ -19,7 +20,6 @@ from driftlab import (
     estimate_decay,
     kl_divergence,
     kl_safe_set_decomposition,
-    make_safety_reference,
     mutual_information_plugin,
     probe_names,
     resolve_probe,
@@ -126,7 +126,7 @@ def test_binarized_bound_never_exceeds_divergence(p, q, frac):
 
 
 def test_decomposition_frozen_example():
-    ref = make_safety_reference(pv(0.5, 0.3, 0.2), (0, 1), 0.25)
+    ref = SafetyReference(pv(0.5, 0.3, 0.2), (0, 1), 0.25)
     dec = kl_safe_set_decomposition(ref, pv(0.25, 0.25, 0.5))
     assert dec.total == pytest.approx(0.218011910943328, abs=1e-12)
     assert dec.mass_term == pytest.approx(0.19274475702175753, abs=1e-12)
@@ -138,7 +138,7 @@ def test_decomposition_frozen_example():
 
 
 def test_decomposition_inf_component():
-    ref = make_safety_reference(pv(0.5, 0.3, 0.2), (0, 1), 0.25)
+    ref = SafetyReference(pv(0.5, 0.3, 0.2), (0, 1), 0.25)
     # q dies on outcome 1 inside S: the conditional in-safe term blows up
     dec = kl_safe_set_decomposition(ref, pv(0.6, 0.0, 0.4))
     assert dec.in_safe_term == math.inf
@@ -153,7 +153,7 @@ def test_decomposition_additivity(q):
     weights = [float(i + 1) for i in range(n)]
     total_w = sum(weights)
     p = [w / total_w for w in weights]
-    ref = make_safety_reference(pv(*p), tuple(range(max(1, n // 2))), 0.999999)
+    ref = SafetyReference(pv(*p), tuple(range(max(1, n // 2))), 0.999999)
     dec = kl_safe_set_decomposition(ref, pv(*q))
     if math.isfinite(dec.total):
         assert abs(
@@ -228,7 +228,7 @@ def _differential_references(k):
     subnormal[[2, k - 1]] = [5e-324, 1e-310]
     for mass in (full, partial, subnormal):
         pi = ProbVector(OutcomeSpace(k), mass / mass.sum())
-        yield make_safety_reference(pi, range(k // 2), 0.999)
+        yield SafetyReference(pi, range(k // 2), 0.999)
     yield two_tier_reference(k, safe_mass=1.0)  # no pi_star mass on the unsafe side
 
 
@@ -322,14 +322,14 @@ def test_a_rewritten_wrapped_row_is_read_afresh():
 
 
 def test_coverage_frozen_example():
-    ref = make_safety_reference(pv(0.2, 0.3, 0.5), (1, 2), 0.5)
+    ref = SafetyReference(pv(0.2, 0.3, 0.5), (1, 2), 0.5)
     res = coverage(ref, pv(0.6, 0.3, 0.1), tau=0.25)
     assert list(res.visible_set) == [0, 1]
     assert res.covered_mass == pytest.approx(0.5, abs=1e-15)
 
 
 def test_coverage_tau_domain():
-    ref = make_safety_reference(pv(0.2, 0.3, 0.5), (1, 2), 0.5)
+    ref = SafetyReference(pv(0.2, 0.3, 0.5), (1, 2), 0.5)
     with pytest.raises(ValueError):
         coverage(ref, pv(0.6, 0.3, 0.1), tau=0.0)
     with pytest.raises(ValueError):
@@ -344,7 +344,7 @@ def test_coverage_monotone_in_tau(q, taus):
     n = len(q)
     weights = [float(i + 1) for i in range(n)]
     total_w = sum(weights)
-    ref = make_safety_reference(
+    ref = SafetyReference(
         pv(*[w / total_w for w in weights]), tuple(range(max(1, n // 2))), 0.999999
     )
     lo, hi = min(taus), max(taus)
