@@ -356,6 +356,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a read that fails is a ConfigError already
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1

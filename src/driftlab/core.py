@@ -293,6 +293,8 @@ def dirichlet_reference(
     space = OutcomeSpace(size)
     if alpha <= 0.0:
         raise ConfigError(f"dirichlet alpha must be positive, got {alpha}")
+    if draw_seed < 0:
+        raise ConfigError(f"dirichlet draw_seed must be >= 0, got {draw_seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(draw_seed))))
     weights = rng.dirichlet(np.full(size, float(alpha)))
     # guard against exact zeros from extreme alpha draws

@@ -167,7 +167,7 @@ def _finite_rewards(owner: str, reward: Sequence[float]) -> tuple[float, ...]:
     return r
 
 
-def _reward_tilt(owner: str, beta: float, reward: Sequence[float], k_space: int) -> np.ndarray:
+def _reward_tilt(beta: float, reward: Sequence[float]) -> np.ndarray:
     """exp(beta * (r - max r)), each entry in [0, 1].
 
     r - max r is clamped at -800 / beta first. A product below -745 already
@@ -175,8 +175,6 @@ def _reward_tilt(owner: str, beta: float, reward: Sequence[float], k_space: int)
     spread can no longer overflow the multiply.
     """
     r = np.asarray(reward, dtype=np.float64)
-    if r.shape[0] != k_space:
-        raise ConfigError(f"{owner} reward vector has length {r.shape[0]}, space is {k_space}")
     shifted = r - r.max()
     if beta > 0.0:
         shifted = np.maximum(shifted, -800.0 / beta)
@@ -226,24 +224,39 @@ class SelectionRule:
             object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 
 
+def _check_fit(rule: SelectionRule | UpdateRule, space: OutcomeSpace) -> None:
+    """ConfigError unless the rule's indices, k or reward vector fit space."""
+    if rule.kind == "indicator":
+        space.validate_indices(rule.indices)
+    if rule.kind == "top-mass" and rule.k > space.size:
+        raise ConfigError(f"top-mass k={rule.k} exceeds the space size {space.size}")
+    if rule.kind == "reward-reweight" or (
+        rule.kind == "reward-reweighted-mle" and not rule.reads_mixture
+    ):
+        if len(rule.reward) != space.size:
+            owner = "selection" if isinstance(rule, SelectionRule) else "update"
+            raise ConfigError(
+                f"{owner} reward vector has length {len(rule.reward)}, space is {space.size}"
+            )
+
+
 def _acceptance(rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray) -> np.ndarray:
-    """Acceptance for mixtures pbar (S, K): shape (K,), or (S, K) for top-mass."""
+    """Acceptance for mixtures pbar (S, K): shape (K,), or (S, K) for top-mass.
+    The rule fits space (see _check_fit)."""
     k_space = space.size
     if rule.kind == "identity":
         return np.ones(k_space)
     if rule.kind == "indicator":
         a = np.zeros(k_space)
-        a[space.validate_indices(rule.indices)] = 1.0
+        a[list(rule.indices)] = 1.0
         return a
     if rule.kind == "top-mass":
-        if rule.k > k_space:
-            raise ConfigError(f"top-mass k={rule.k} exceeds the space size {k_space}")
         order = np.argsort(-pbar, axis=1, kind="stable")
         a = np.zeros_like(pbar)
         np.put_along_axis(a, order[:, : rule.k], 1.0, axis=1)
         return a
     # reward-reweight; SelectionRule admits no other kind
-    return _reward_tilt("selection", rule.beta, rule.reward, k_space)
+    return _reward_tilt(rule.beta, rule.reward)
 
 
 def _select(
@@ -272,6 +285,7 @@ def _zero_selection(rule: SelectionRule) -> DegenerateSelectionError:
 
 def apply_selection(pbar: ProbVector, rule: SelectionRule) -> ProbVector:
     """Training distribution pt = a * pbar / Z; zero Z is a hard error."""
+    _check_fit(rule, pbar.space)
     pt, zero = _select(rule, pbar.space, pbar.mass[None])
     if zero[0]:
         raise _zero_selection(rule)
@@ -463,7 +477,7 @@ def _fit(
             # unsupported outcomes at zero weight without -inf arithmetic
             tilt = pbar ** rule.beta if rule.beta != 0.0 else np.ones(k_space)
         else:
-            tilt = _reward_tilt("update", rule.beta, rule.reward, k_space)
+            tilt = _reward_tilt(rule.beta, rule.reward)
         weighted = counts * tilt
         total = weighted.sum(axis=1, keepdims=True)
         wiped = total[:, 0] <= 0.0
@@ -491,6 +505,7 @@ def update_agents(
     if len(samples) == 0:
         raise ValueError("cannot update from an empty dataset")
     space = pop.space
+    _check_fit(rule, space)
     # an index past K would lengthen the bincount into a wrong-shaped agent
     if int(samples.min()) < 0 or int(samples.max()) >= space.size:
         raise ValueError("dataset contains out-of-space outcome indices")
@@ -745,11 +760,7 @@ class _Chunk:
                 phase(r, errors)
                 self._fail(errors, r)
         rule = self.cfg.selection
-        try:
-            self.pt, zero = _select(rule, self.space, self._mixture())
-        except _ROUND_ERRORS as exc:  # a rule that does not fit the space
-            self._fail(dict.fromkeys(range(len(self.ids)), exc), r)
-            return
+        self.pt, zero = _select(rule, self.space, self._mixture())
         self.next_fired = [[] for _ in self.ids]
         errors = {int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}
         self._diversify(r, errors)
@@ -930,6 +941,8 @@ def run_batch(
     starts = chain([first], starts)
     space, size = first.space, first.size
     policies = _group_policies(intervention, space, size)
+    _check_fit(cfg.selection, space)
+    _check_fit(cfg.update, space)
     radius = cfg.update.neighborhood_radius
 
     monitor_sets: dict[str, np.ndarray] = {}

@@ -28,6 +28,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -69,6 +70,8 @@ _REQUIRED_DRIFT_PROBES = ("safe_mass", "in_safe_term")
 DEFAULT_PROBES = ("kl_safety", "safe_mass", "internal_entropy", "coverage")
 # largest seed count or range a config may ask for
 MAX_SEED_COUNT = 1_000_000
+# largest ensemble MI table, (rounds + 1) x references x bins cells
+MAX_MI_CELLS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -305,113 +308,110 @@ class ExperimentConfig:
         return replace(self, seeds=tuple(base + i for i in range(len(self.seeds))))
 
 
-# rule fields a config may set (besides kind), each with its parser
-_SELECTION_FIELDS = {"indices": _as_ints, "k": _as_int, "beta": _as_float, "reward": _as_floats}
-_UPDATE_FIELDS = {
-    "lam": _as_float, "capacity": _as_int, "alpha_mem": _as_float, "beta": _as_float,
-    "reward": _as_floats, "reward_source": lambda key, value: value,
-    "neighborhood_radius": _as_int,
-}
-_KNOWN_KEYS = {
-    "space.size",
-    "reference.generator", "reference.safe_mass", "reference.safe_fraction",
-    "reference.epsilon", "reference.exponent", "reference.alpha",
-    "reference.draw_seed", "reference.weights", "reference.safe_set",
-    "population.size", "population.init", "population.sigma", "population.alpha",
-    "evolution.sample_size", "evolution.rounds", "evolution.per_agent_datasets",
-    "experiment.seeds", "experiment.probes", "experiment.delta",
-    "experiment.visibility_c", "experiment.margin", "experiment.tau",
-    "intervention.kind", "intervention.schedule",
-    "ensemble.safe_masses", "ensemble.runs_per_ref", "ensemble.quantizer",
-    "output.csv", "output.json",
-    *(f"selection.{name}" for name in ("kind", *_SELECTION_FIELDS)),
-    *(f"update.{name}" for name in ("kind", *_UPDATE_FIELDS)),
-}
+def _as_text(key: str, value: str) -> str:
+    return value
 
 
-def _build_rule(flat: Mapping[str, str], section: str, rule_cls, default_kind: str, fields):
-    kwargs = {
-        name: parse(f"{section}.{name}", flat[f"{section}.{name}"])
-        for name, parse in fields.items()
-        if f"{section}.{name}" in flat
-    }
-    return rule_cls(flat.get(f"{section}.kind", default_kind), **kwargs)
+def _as_optional_text(key: str, value: str) -> str | None:
+    return value or None
 
 
-def _optional_float(flat: Mapping[str, str], key: str) -> float | None:
-    value = flat.get(key, "").strip()
+def _as_optional_float(key: str, value: str) -> float | None:
+    value = value.strip()
     if not value or value.lower() == "auto":
         return None
     return _as_float(key, value)
 
 
+def _as_probes(key: str, value: str) -> tuple[str, ...] | None:
+    return tuple(p.strip() for p in value.split(",") if p.strip()) if value else None
+
+
+def _as_policy_kind(key: str, value: str) -> str | None:
+    kind = value.strip()
+    return None if kind in ("", "none") else kind
+
+
+def _section(section: str, **parsers) -> dict:
+    return {f"{section}.{name}": (section, name, parse) for name, parse in parsers.items()}
+
+
+# The config grammar: flat key -> (the ExperimentConfig field that holds its
+# section, None for a top-level field; the field the key sets; its parser).
+# A parser that returns None leaves the field at its default, as does a key
+# the config leaves out. Keys parse in this order and each section is built
+# right after its keys, so a config's first error does not depend on the
+# order of its lines.
+_CONFIG_KEYS = {
+    **_section(
+        "reference", generator=_as_text, safe_mass=_as_float, safe_fraction=_as_float,
+        epsilon=_as_optional_float, exponent=_as_float, alpha=_as_float,
+        draw_seed=_as_int, weights=_as_floats, safe_set=_as_optional_text,
+    ),
+    **_section("population", size=_as_int, init=_as_text, sigma=_as_float, alpha=_as_float),
+    **_section("intervention", kind=_as_policy_kind, schedule=_as_text),
+    "experiment.probes": (None, "probes", _as_probes),
+    "space.size": (None, "space_size", _as_int),
+    "evolution.sample_size": (None, "sample_size", _as_int),
+    "evolution.rounds": (None, "rounds", _as_int),
+    **_section(
+        "selection", kind=_as_text, indices=_as_ints, k=_as_int, beta=_as_float,
+        reward=_as_floats,
+    ),
+    **_section(
+        "update", kind=_as_text, lam=_as_float, capacity=_as_int, alpha_mem=_as_float,
+        beta=_as_float, reward=_as_floats, reward_source=_as_text,
+        neighborhood_radius=_as_int,
+    ),
+    "evolution.per_agent_datasets": (None, "per_agent_datasets", _as_bool),
+    "experiment.seeds": (None, "seeds", lambda key, value: parse_seed_spec(value)),
+    "experiment.delta": (None, "delta", _as_float),
+    "experiment.visibility_c": (None, "visibility_c", _as_float),
+    "experiment.margin": (None, "margin", _as_float),
+    "experiment.tau": (None, "tau", _as_optional_float),
+    "ensemble.safe_masses": (None, "ensemble_safe_masses", _as_floats),
+    "ensemble.runs_per_ref": (None, "runs_per_ref", _as_int),
+    "ensemble.quantizer": (None, "quantizer", _as_float),
+    "output.csv": (None, "output_csv", _as_optional_text),
+    "output.json": (None, "output_json", _as_optional_text),
+}
+_KNOWN_KEYS = frozenset(_CONFIG_KEYS)
+_PARAM_PREFIX = "intervention.params."
+
+
+def _intervention(given: dict, params: tuple[tuple[str, str], ...]) -> tuple[PolicySpec, ...]:
+    """The config's one arm; its keys without a kind are an error, not ignored."""
+    if "kind" in given:
+        kind = given.pop("kind")
+        return (PolicySpec(kind, kind, params, **given),)
+    stray = [f"intervention.{name}" for name in given] + [_PARAM_PREFIX + n for n, _ in params]
+    if stray:
+        raise ConfigError(f"{', '.join(stray)} set without an intervention.kind")
+    return ()
+
+
 def config_from_mapping(flat: Mapping[str, str]) -> ExperimentConfig:
     """Typed ExperimentConfig from the flat dotted-key mapping."""
-    param_prefix = "intervention.params."
     params = tuple(
-        sorted((k[len(param_prefix) :], v) for k, v in flat.items() if k.startswith(param_prefix))
+        sorted((k[len(_PARAM_PREFIX) :], v) for k, v in flat.items() if k.startswith(_PARAM_PREFIX))
     )
-    unknown = {k for k in flat if not k.startswith(param_prefix)} - _KNOWN_KEYS
+    unknown = {k for k in flat if not k.startswith(_PARAM_PREFIX)} - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def get(parse, key: str, default: str):
-        return parse(key, flat.get(key, default))
-
-    ref = ReferenceSpec(
-        generator=flat.get("reference.generator", "two-tier"),
-        safe_mass=get(_as_float, "reference.safe_mass", "0.95"),
-        safe_fraction=get(_as_float, "reference.safe_fraction", "0.5"),
-        epsilon=_optional_float(flat, "reference.epsilon"),
-        exponent=get(_as_float, "reference.exponent", "1.1"),
-        alpha=get(_as_float, "reference.alpha", "1.0"),
-        draw_seed=get(_as_int, "reference.draw_seed", "0"),
-        weights=(
-            _as_floats("reference.weights", flat["reference.weights"])
-            if "reference.weights" in flat
-            else None
-        ),
-        safe_set=flat.get("reference.safe_set") or None,
-    )
-    pop = PopulationSpec(
-        size=get(_as_int, "population.size", "4"),
-        init=flat.get("population.init", "copy"),
-        sigma=get(_as_float, "population.sigma", "0.05"),
-        alpha=get(_as_float, "population.alpha", "1.0"),
-    )
-    intervention: tuple[PolicySpec, ...] = ()
-    int_kind = flat.get("intervention.kind", "").strip()
-    if int_kind and int_kind != "none":
-        schedule = flat.get("intervention.schedule", "every:1")
-        intervention = (PolicySpec(int_kind, int_kind, params, schedule),)
-    probes_raw = flat.get("experiment.probes", "")
-    probes = (
-        tuple(p.strip() for p in probes_raw.split(",") if p.strip())
-        if probes_raw
-        else DEFAULT_PROBES
-    )
-    return ExperimentConfig(
-        space_size=get(_as_int, "space.size", "1000"),
-        reference=ref,
-        population=pop,
-        sample_size=get(_as_int, "evolution.sample_size", "200"),
-        rounds=get(_as_int, "evolution.rounds", "100"),
-        selection=_build_rule(flat, "selection", SelectionRule, "identity", _SELECTION_FIELDS),
-        update=_build_rule(flat, "update", UpdateRule, "mle", _UPDATE_FIELDS),
-        per_agent_datasets=get(_as_bool, "evolution.per_agent_datasets", "false"),
-        seeds=parse_seed_spec(flat.get("experiment.seeds", "20")),
-        probes=probes,
-        delta=get(_as_float, "experiment.delta", "0.02"),
-        visibility_c=get(_as_float, "experiment.visibility_c", "1.0"),
-        margin=get(_as_float, "experiment.margin", "0.05"),
-        tau=_optional_float(flat, "experiment.tau"),
-        intervention=intervention,
-        ensemble_safe_masses=get(_as_floats, "ensemble.safe_masses", "0.95,0.75"),
-        runs_per_ref=get(_as_int, "ensemble.runs_per_ref", "200"),
-        quantizer=get(_as_float, "ensemble.quantizer", "0.05"),
-        output_csv=flat.get("output.csv") or None,
-        output_json=flat.get("output.json") or None,
-    )
+    defaults = ExperimentConfig()
+    values: dict = {}
+    for section, entries in groupby(_CONFIG_KEYS.items(), key=lambda entry: entry[1][0]):
+        given = {}
+        for key, (_, name, parse) in entries:
+            if key in flat and (value := parse(key, flat[key])) is not None:
+                given[name] = value
+        if section is None:
+            values.update(given)
+        elif section == "intervention":
+            values[section] = _intervention(given, params)
+        else:
+            values[section] = replace(getattr(defaults, section), **given)
+    return replace(defaults, **values)
 
 
 def load_experiment_config(path: str, environ: Mapping[str, str] | None = None) -> ExperimentConfig:
@@ -506,75 +506,46 @@ def parse_schedule(spec: str, ref: SafetyReference) -> Schedule:
     raise ConfigError(f"unknown schedule {spec!r}; use every[:k] or kl:threshold")
 
 
+def _as_anchor(key: str, value: str) -> str:
+    if value not in ("uniform", "initial"):
+        raise ConfigError(f"unknown anchor {value!r}; uniform or initial")
+    return value
+
+
+# policy kind -> (class, parameter -> parser); a parameter the arm leaves out
+# keeps the class default. Parameters parse in this order.
+_POLICY_KINDS = {
+    "verifier": (VerifierPolicy, {"fp": _as_float, "fn_rate": _as_float, "budget": _as_int}),
+    "cooling": (CoolingPolicy, {"kl_threshold": _as_float, "blend": _as_float}),
+    "diversity": (DiversityPolicy, {"temperature": _as_float, "rho": _as_float}),
+    "entropy-release": (
+        EntropyReleasePolicy,
+        {"anchor": _as_anchor, "gamma": _as_float, "prune_floor": _as_float,
+         "prune_memory": _as_bool},
+    ),
+}
+
+
 def realize_policy(spec: PolicySpec, ref: SafetyReference):
     """Concrete policy object for every seed of an arm; an 'initial' anchor
     is each seed's own start population."""
     params = dict(spec.params)
     schedule = parse_schedule(spec.schedule, ref)
-
-    def take_float(name: str, default: float) -> float:
-        return _as_float(name, params.pop(name)) if name in params else default
-
-    if spec.kind == "verifier":
-        budget = params.pop("budget", None)
-        policy = VerifierPolicy(
-            ref,
-            fp=take_float("fp", 0.0),
-            fn_rate=take_float("fn_rate", 0.0),
-            budget=_as_int("budget", budget) if budget is not None else None,
-            schedule=schedule,
-        )
-    elif spec.kind == "cooling":
-        policy = CoolingPolicy(
-            ref,
-            kl_threshold=take_float("kl_threshold", 0.5),
-            blend=take_float("blend", 1.0),
-            schedule=schedule,
-        )
-    elif spec.kind == "diversity":
-        policy = DiversityPolicy(
-            ref,
-            temperature=take_float("temperature", 1.5),
-            rho=take_float("rho", 0.1),
-            schedule=schedule,
-        )
-    elif spec.kind == "entropy-release":
-        anchor = params.pop("anchor", "uniform")
-        if anchor not in ("uniform", "initial"):
-            raise ConfigError(f"unknown anchor {anchor!r}; uniform or initial")
-        prune_memory = params.pop("prune_memory", "false")
-        policy = EntropyReleasePolicy(
-            gamma=take_float("gamma", 0.05),
-            prune_floor=take_float("prune_floor", 0.0),
-            anchor=anchor,
-            prune_memory=_as_bool("prune_memory", prune_memory),
-            ref=ref,
-            schedule=schedule,
-        )
-    else:
+    if spec.kind not in _POLICY_KINDS:
         raise ConfigError(
-            f"unknown intervention kind {spec.kind!r}; "
-            "one of verifier, cooling, diversity, entropy-release"
+            f"unknown intervention kind {spec.kind!r}; one of {', '.join(_POLICY_KINDS)}"
         )
+    cls, parsers = _POLICY_KINDS[spec.kind]
+    given = {name: parse(name, params.pop(name)) for name, parse in parsers.items() if name in params}
+    policy = cls(ref=ref, schedule=schedule, **given)
     if params:
-        raise ConfigError(
-            f"unknown parameters for {spec.kind}: {', '.join(sorted(params))}"
-        )
+        raise ConfigError(f"unknown parameters for {spec.kind}: {', '.join(sorted(params))}")
     return policy
 
 
 def default_policy_specs() -> tuple[PolicySpec, ...]:
     """The four mitigation arms with their documented default parameters."""
-    return (
-        PolicySpec("verifier", "verifier", (("fp", "0"), ("fn_rate", "0"))),
-        PolicySpec("cooling", "cooling", (("kl_threshold", "0.5"), ("blend", "1.0"))),
-        PolicySpec("diversity", "diversity", (("temperature", "1.5"), ("rho", "0.1"))),
-        PolicySpec(
-            "entropy-release",
-            "entropy-release",
-            (("gamma", "0.05"), ("prune_floor", "0"), ("anchor", "uniform")),
-        ),
-    )
+    return tuple(PolicySpec(kind, kind) for kind in _POLICY_KINDS)
 
 
 def parse_policies_json(text: str) -> tuple[PolicySpec, ...]:
@@ -973,8 +944,15 @@ def run_ensemble_mi(
     if runs < 1:
         raise ConfigError(f"runs_per_ref must be >= 1, got {runs}")
     q = cfg.quantizer
-    bins = int(math.floor(1.0 / q + 0.5)) + 1
     rounds = cfg.rounds
+    # past the cap the table is too large with any rounds and references, and
+    # capping keeps an overflowing 1 / q out of the integer conversion
+    bins = int(math.floor(min(1.0 / q, MAX_MI_CELLS) + 0.5)) + 1
+    if (rounds + 1) * n_refs * bins > MAX_MI_CELLS:
+        raise ConfigError(
+            f"ensemble.quantizer={q:g} with {rounds} rounds and {n_refs} references "
+            f"needs more than {MAX_MI_CELLS} MI table cells"
+        )
     base_seed = cfg.seeds[0]
 
     # run k starts from reference k // runs with seed base_seed + k

@@ -153,7 +153,8 @@ def _side_term(ref: SafetyReference, pt: ProbVector, side: int) -> float:
 def _mass_term(ref: SafetyReference, pt: ProbVector) -> float:
     block, p, _ = _sides(ref)[0]
     q = float(pt.mass[block].sum())
-    return binarized_kl_lower_bound(p, min(1.0, q))
+    # either safe-set sum can round past 1
+    return binarized_kl_lower_bound(min(1.0, p), min(1.0, q))
 
 
 def kl_safe_set_decomposition(ref: SafetyReference, pt: ProbVector) -> KLDecomposition:

@@ -7,6 +7,8 @@ trajectory or fails with ConfigError/SimulationError.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -42,7 +44,8 @@ from driftlab import (
     two_tier_reference,
     update_agents,
 )
-from driftlab.harness import _KNOWN_KEYS
+from driftlab.cli import main as cli_main
+from driftlab.harness import _CONFIG_KEYS, _KNOWN_KEYS, _POLICY_KINDS
 
 NON_FINITE = ("nan", "inf", "-inf")
 
@@ -284,3 +287,72 @@ def test_accepted_runs_stay_on_the_simplex(case):
             _check_distribution(agent.mass)
     for record in traj.records:
         assert not any(math.isnan(v) for v in record.values.values())
+
+
+# --- the config grammar, fuzzed through the command line ------------------------------
+
+# every drawn config starts from these, so what it leaves out stays small
+_FUZZ_BASE = {
+    "space.size": "12",
+    "evolution.sample_size": "10",
+    "evolution.rounds": "3",
+    "experiment.seeds": "2",
+    "ensemble.runs_per_ref": "3",
+}
+# values any parser may meet
+_EDGES = ("-1", "0", "1e-300", "1e300", "", "junk", "no/such/dir/out")
+# valid values, by the key's parser, or by the key itself for names
+_VALID = {
+    "_as_int": ("1", "2", "3"),
+    "_as_float": ("0.05", "0.5", "1", "2"),
+    "_as_optional_float": ("auto", "0.01", "0.5"),
+    "_as_floats": ("0.9,0.6", "1,2,3"),
+    "_as_ints": ("0,1", "3", "11,0,5"),
+    "_as_bool": ("true", "false"),
+    "experiment.seeds": ("2", "0..2", "1,5"),
+    "_as_probes": ("kl_safety,safe_mass", "mass_term,coverage@0.01", "bogus"),
+    "reference.generator": ("two-tier", "zipf", "dirichlet-draw", "explicit"),
+    "reference.safe_set": ("0,1,2", "top-fraction:0.3", "top-fraction:2"),
+    "population.init": ("copy", "perturbed", "dirichlet"),
+    "intervention.kind": ("none", *_POLICY_KINDS),
+    "intervention.schedule": ("every", "every:2", "kl:0.5", "kl:", "every:0"),
+    "selection.kind": _SELECTION_KINDS,
+    "update.kind": _UPDATE_KINDS,
+    "update.reward_source": ("fixed", "mixture-loglik"),
+}
+_PARAMS = sorted({name for _, parsers in _POLICY_KINDS.values() for name in parsers} | {"bogus"})
+_PARAM_VALUES = _EDGES + ("0.1", "0.5", "1", "2", "uniform", "initial", "true")
+
+
+def _key_values(key):
+    parser = _CONFIG_KEYS[key][2].__name__
+    return st.sampled_from(_EDGES + _VALID.get(key, _VALID.get(parser, ())))
+
+
+@st.composite
+def _grammar_configs(draw):
+    flat = dict(_FUZZ_BASE)
+    for key in draw(st.lists(st.sampled_from(sorted(_KNOWN_KEYS)), max_size=6, unique=True)):
+        flat[key] = draw(_key_values(key))
+    for name in draw(st.lists(st.sampled_from(_PARAMS), max_size=2, unique=True)):
+        flat[f"intervention.params.{name}"] = draw(st.sampled_from(_PARAM_VALUES))
+    return flat
+
+
+@given(_grammar_configs())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_config_runs_or_exits_with_a_known_status(flat):
+    """Whatever the grammar admits runs (0), fails a seed (1) or is a config
+    error (2) under each experiment command; nothing else escapes cli.main."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # output keys may name relative files
+        try:
+            with open("fuzz.cfg", "w", encoding="utf-8") as fh:
+                fh.writelines(f"{key}={value}\n" for key, value in flat.items())
+            for command in ("simulate", "compare", "ensemble-mi"):
+                status = cli_main([command, "fuzz.cfg", "--quiet"])
+                event(f"{command} exit {status}")
+                assert status in (0, 1, 2)
+        finally:
+            os.chdir(cwd)

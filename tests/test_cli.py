@@ -237,6 +237,41 @@ def test_overflowing_perturbation_sigma_exits_2(tmp_path, capsys):
     assert "config error" in err and "population.sigma" in err
 
 
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("simulate", "reference.generator=dirichlet-draw\nreference.draw_seed=-1\n"),
+        ("ensemble-mi", "ensemble.quantizer=1e-300\n"),
+        # intervention keys without a kind would be dropped without a word
+        ("compare", "intervention.params.fp=0.5\n"),
+        ("compare", "intervention.kind=none\nintervention.schedule=every:2\n"),
+        # rules that do not fit the 40-outcome space
+        ("simulate", "selection.kind=top-mass\nselection.k=5000\n"),
+        ("simulate", "selection.kind=indicator\nselection.indices=0,40\n"),
+        ("simulate", "selection.kind=reward-reweight\nselection.reward=0,1,2\n"),
+        ("compare", "update.kind=reward-reweighted-mle\nupdate.reward=0,1,2\n"),
+        ("simulate", "output.csv={tmp}/no/such/dir/out.csv\n"),
+    ],
+)
+def test_bad_configs_exit_2_without_a_traceback(tmp_path, capsys, command, extra):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY + extra.format(tmp=tmp_path))
+    assert main([command, str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "seed 0 failed" not in err
+
+
+def test_safe_mass_one_runs_the_mass_term_probe(tmp_path):
+    # pi_star's safe entries sum past 1 by rounding at K = 1000
+    path = tmp_path / "sure.cfg"
+    path.write_text(
+        "reference.safe_mass=1.0\nexperiment.probes=mass_term\n"
+        "evolution.sample_size=20\nevolution.rounds=2\nexperiment.seeds=2\n"
+    )
+    assert main(["simulate", str(path), "--quiet"]) == 0
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-only dependency: the installed package must not need it
     code = "import sys, driftlab.cli; print('scipy' in sys.modules)"

@@ -123,6 +123,8 @@ def test_dirichlet_reference_reproducible():
     assert np.array_equal(a.pi_star.mass, b.pi_star.mass)
     c = dirichlet_reference(50, alpha=2.0, draw_seed=10)
     assert not np.array_equal(a.pi_star.mass, c.pi_star.mass)
+    with pytest.raises(ConfigError, match="draw_seed must be >= 0, got -1"):
+        dirichlet_reference(50, draw_seed=-1)
 
 
 @given(

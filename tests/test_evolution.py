@@ -393,6 +393,31 @@ def test_run_probes_require_reference():
         run(pop, cfg, probes)
 
 
+_MISFITS = {
+    "indicator": dict(selection=SelectionRule("indicator", indices=(0, 3))),
+    "top-mass": dict(selection=SelectionRule("top-mass", k=4)),
+    "selection reward": dict(selection=SelectionRule("reward-reweight", reward=(0.0, 1.0))),
+    "update reward": dict(update=UpdateRule("reward-reweighted-mle", reward=(0.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", _MISFITS)
+def test_rules_that_do_not_fit_the_space_fail_at_run_batch_entry(case):
+    """A config error for the batch, raised before any round runs, not a
+    failed round per seed."""
+    pop = Population.equal_weights([pv(0.2, 0.3, 0.5)])
+    cfg = EvolutionConfig(sample_size=10, rounds=2, **_MISFITS[case])
+    with pytest.raises(ConfigError, match="space|must lie in"):
+        evolution.run_batch([pop, pop], cfg, [0, 1])
+
+
+def test_update_agents_checks_the_reward_length():
+    pop = Population.equal_weights([pv(0.2, 0.3, 0.5)])
+    rule = UpdateRule("reward-reweighted-mle", reward=(0.0, 1.0))
+    with pytest.raises(ConfigError, match="update reward vector has length 2, space is 3"):
+        update_agents(pop, np.array([0, 1], dtype=np.int64), rule)
+
+
 def test_run_rejects_empty_monitor():
     pop = Population.equal_weights([pv(0.5, 0.5)])
     cfg = EvolutionConfig(sample_size=10, rounds=1)

@@ -15,7 +15,9 @@ from driftlab import (
     Population,
     PopulationSpec,
     ProbVector,
+    ReferenceSpec,
     SafetyReference,
+    SelectionRule,
     Trajectory,
     TrajectoryRecord,
     apply_env_overrides,
@@ -46,10 +48,12 @@ from driftlab import (
     two_tier_reference,
     zipf_reference,
 )
+from driftlab import harness
 from driftlab.harness import (
     CLASS_COLLAPSE,
     CLASS_LEAKAGE,
     CLASS_STABLE,
+    MAX_MI_CELLS,
     compute_trend,
     paired_difference,
 )
@@ -216,6 +220,10 @@ def test_config_defaults_match_documented_experiment():
     assert cfg.ensemble_safe_masses == (0.95, 0.75)
     assert cfg.runs_per_ref == 200 and cfg.quantizer == 0.05
     assert cfg.coverage_tau == pytest.approx(1.0 / 2000.0)
+    # a key left out keeps its field's default, also next to keys that are set
+    assert cfg == ExperimentConfig()
+    cfg = config_from_mapping({"selection.k": "3", "reference.epsilon": "auto"})
+    assert cfg.selection == SelectionRule("identity", k=3) and cfg.reference == ReferenceSpec()
 
 
 def test_config_rejects_unknown_keys():
@@ -242,6 +250,13 @@ def test_config_intervention_block():
         PolicySpec("verifier", "verifier", (("fp", "0.1"),), "every:2"),
     )
     assert config_from_mapping({"intervention.kind": "none"}).intervention == ()
+
+
+def test_config_intervention_keys_need_a_kind():
+    with pytest.raises(ConfigError, match="intervention.params.fp set without an intervention.kind"):
+        config_from_mapping({"intervention.params.fp": "0.5"})
+    with pytest.raises(ConfigError, match="intervention.schedule set without"):
+        config_from_mapping({"intervention.kind": "none", "intervention.schedule": "every:2"})
 
 
 def test_config_probe_list_parsing():
@@ -737,6 +752,28 @@ def test_ensemble_mi_validation():
         run_ensemble_mi(small_cfg(**{"ensemble.runs_per_ref": "0"}))
     with pytest.raises(ConfigError, match="comparison runner"):
         run_ensemble_mi(small_cfg(**{"intervention.kind": "cooling"}))
+
+
+class _Ran(Exception):
+    pass
+
+
+def _no_run(*args, **kwargs):
+    raise _Ran
+
+
+def test_ensemble_mi_table_past_the_cell_limit_is_refused_before_any_run(monkeypatch):
+    monkeypatch.setattr(harness, "run_batch", _no_run)
+    # 2 rounds of records x 2 references x bins cells, bins = round(1 / q) + 1
+    bins = MAX_MI_CELLS // 4
+    at_limit = {"evolution.rounds": "1", "ensemble.quantizer": repr(1.0 / (bins - 1))}
+    with pytest.raises(_Ran):
+        run_ensemble_mi(small_cfg(**at_limit))
+    past = {"evolution.rounds": "1", "ensemble.quantizer": repr(1.0 / bins)}
+    with pytest.raises(ConfigError, match="MI table cells"):
+        run_ensemble_mi(small_cfg(**past))
+    with pytest.raises(ConfigError, match="MI table cells"):
+        run_ensemble_mi(small_cfg(**{"ensemble.quantizer": "1e-300"}))
 
 
 # --- serialization ----------------------------------------------------------------------
