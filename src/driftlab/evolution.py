@@ -15,9 +15,11 @@ The engine advances a chunk of S seeds in lock-step. A chunk's agents are one
 selection, the cumulative sums, the update and every renormalization run once
 per chunk and round, as do the policy hooks over the rows they fire for.
 What is per seed by nature loops over the rows: the draws, verifier
-screening, the cooling check and probes. run_batch is the one
-entry point; run() is a batch of one, and a seed's trajectory is
-byte-identical whichever chunk it runs in.
+screening, the cooling check and probes. Round r's measurements fill column
+r of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
+seeds' Trajectory columns. run_batch is the one entry point; run() is a
+batch of one, and a seed's trajectory is byte-identical whichever chunk it
+runs in.
 
 This module deliberately knows nothing about the safety reference. It does
 not import SafetyReference and no function here accepts one; the closed loop
@@ -36,7 +38,7 @@ reproducible for a given (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -151,7 +153,27 @@ def mixture(pop: Population) -> ProbVector:
 # Selection
 # ---------------------------------------------------------------------------
 
-_SELECTION_KINDS = ("identity", "indicator", "top-mass", "reward-reweight")
+# selection kind -> the rule fields it reads
+_SELECTION_KINDS = {
+    "identity": (), "indicator": ("indices",), "top-mass": ("k",),
+    "reward-reweight": ("reward", "beta"),
+}
+
+
+def _refuse_unread(owner: str, rule, reads: Sequence[str]) -> None:
+    """ConfigError naming each field of rule, kind and reads aside, that is
+    set: away from its default, or for a vector, holding entries."""
+    unread = []
+    for f in fields(rule):
+        value = getattr(rule, f.name)
+        if f.default is None or f.default == ():
+            is_set = value is not None and len(value) > 0
+        else:
+            is_set = bool(value != f.default)
+        if is_set and f.name not in ("kind", *reads):
+            unread.append(f.name)
+    if unread:
+        raise ConfigError(f"{owner} kind {rule.kind!r} does not read {', '.join(unread)}")
 
 
 def _check_beta(owner: str, beta: float) -> None:
@@ -209,7 +231,7 @@ class SelectionRule:
     def __post_init__(self):
         if self.kind not in _SELECTION_KINDS:
             raise ConfigError(
-                f"unknown selection kind {self.kind!r}; one of {_SELECTION_KINDS}"
+                f"unknown selection kind {self.kind!r}; one of {tuple(_SELECTION_KINDS)}"
             )
         if self.kind == "indicator" and len(self.indices) == 0:
             raise ConfigError("indicator selection needs a non-empty index set")
@@ -222,6 +244,7 @@ class SelectionRule:
             object.__setattr__(self, "reward", _finite_rewards("selection", self.reward))
         if self.kind == "indicator":
             object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        _refuse_unread("selection", self, _SELECTION_KINDS[self.kind])
 
 
 def _check_fit(rule: SelectionRule | UpdateRule, space: OutcomeSpace) -> None:
@@ -331,7 +354,12 @@ def sample_dataset(pt: ProbVector, n: int, rng: np.random.Generator) -> np.ndarr
 # Update rules
 # ---------------------------------------------------------------------------
 
-_UPDATE_KINDS = ("mle", "smoothed-mle", "memory-buffer", "reward-reweighted-mle")
+# update kind -> the rule fields it reads besides neighborhood_radius (the
+# mixture-loglik reward source reads no reward vector)
+_UPDATE_KINDS = {
+    "mle": (), "smoothed-mle": ("lam",), "memory-buffer": ("capacity", "alpha_mem"),
+    "reward-reweighted-mle": ("beta", "reward_source", "reward"),
+}
 _REWARD_SOURCES = ("fixed", "mixture-loglik")
 
 
@@ -366,7 +394,7 @@ class UpdateRule:
     def __post_init__(self):
         if self.kind not in _UPDATE_KINDS:
             raise ConfigError(
-                f"unknown update kind {self.kind!r}; one of {_UPDATE_KINDS}"
+                f"unknown update kind {self.kind!r}; one of {tuple(_UPDATE_KINDS)}"
             )
         if self.kind == "smoothed-mle" and not 0.0 < self.lam < math.inf:
             raise ConfigError(f"smoothed-mle needs a finite lam > 0, got {self.lam}")
@@ -391,6 +419,8 @@ class UpdateRule:
             raise ConfigError(
                 f"neighborhood radius must be >= 0, got {self.neighborhood_radius}"
             )
+        reads = [n for n in _UPDATE_KINDS[self.kind] if n != "reward" or not self.reads_mixture]
+        _refuse_unread("update", self, ("neighborhood_radius", *reads))
 
     @property
     def reads_mixture(self) -> bool:
@@ -594,47 +624,30 @@ def _by_rows(fn, rows: np.ndarray, errors: dict, *arrays):
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """Per-round snapshot.
+class Trajectory:
+    """One seed's run as columns: entry r of each read-only array is round r.
 
-    `values` are probe measurements on P_round, the effective training
-    distribution induced by the post-round population (selection applied,
-    plus a diversity modification when one is scheduled for the next
-    sampling event). The dataset drawn in round r+1 comes from exactly the
-    distribution record r describes. monitor_absent[name] says whether the
-    data consumed in THIS round (every agent's dataset, after the verifier)
-    missed the monitored set's neighborhood entirely (None for record 0,
-    which precedes any dataset).
+    values[name] holds the probe on P_r, the training distribution after
+    round r (selection applied, plus any diversity modification scheduled
+    for the next sampling event), which round r+1 draws its data from.
+    monitor_mass[name] is P_r's mass on the monitored set. monitor_absent[name]
+    says whether round r's data (every agent's dataset, after the verifier)
+    missed the set's neighborhood entirely; round 0 precedes any dataset and
+    reads False. fired and notes are (round, text) events in the order they
+    happened; states, when kept, holds the population after each round.
     """
 
-    round: int
-    values: dict[str, float]
-    fired: tuple[str, ...]
-    notes: tuple[str, ...]
-    monitor_mass: dict[str, float]
-    monitor_absent: dict[str, bool | None]
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
     seed: int
     probe_names: tuple[str, ...]
-    records: tuple[TrajectoryRecord, ...]
+    rounds: int
+    values: dict[str, np.ndarray]
     monitors: dict[str, tuple[int, ...]]
+    monitor_mass: dict[str, np.ndarray]
+    monitor_absent: dict[str, np.ndarray]
+    fired: tuple[tuple[int, str], ...]
+    notes: tuple[tuple[int, str], ...]
     final_population: Population
     states: tuple[Population, ...] | None = None
-
-    @property
-    def rounds(self) -> int:
-        return len(self.records) - 1
-
-    @property
-    def initial(self) -> TrajectoryRecord:
-        return self.records[0]
-
-    @property
-    def terminal(self) -> TrajectoryRecord:
-        return self.records[-1]
 
 
 def _group_policies(intervention, space: OutcomeSpace, size: int) -> dict[str, list]:
@@ -664,16 +677,14 @@ class _Chunk:
     one (S, K) array under a read-only stride-0 view, and hooks get agents
     from _own_agents. initial keeps the start rows for entropy release,
     checkpoints one array like them per cooling policy, and pbar mixes
-    agents (None while stale). A seed whose round raises one of
-    _ROUND_ERRORS goes to `failed` as SimulationError(r) and loses its row;
-    the other rows go on.
+    agents (None while stale). record fills column r of values (S, P, R+1),
+    masses and absent (S, N, R+1); fired and notes gather (round, text)
+    events. A seed whose round raises one of _ROUND_ERRORS goes to `failed`
+    as SimulationError(r) and loses its row; the other rows go on.
     """
 
-    _ROW_ARRAYS = ("weights", "agents", "initial", "pbar", "pt")
-    _ROW_LISTS = (
-        "ids", "rngs", "memory", "datasets", "live", "fired", "notes", "next_fired",
-        "records", "states",
-    )
+    _ROW_ARRAYS = ("weights", "agents", "initial", "pbar", "pt", "values", "masses", "absent")
+    _ROW_LISTS = ("ids", "rngs", "memory", "datasets", "live", "fired", "notes", "states")
 
     def __init__(self, pops, cfg: EvolutionConfig, rngs, policies, ids):
         rows = range(len(pops))
@@ -682,11 +693,11 @@ class _Chunk:
         self.weights = np.stack([p.weights for p in pops])
         self.agents = np.stack([np.stack([a.mass for a in p.agents]) for p in pops])
         self.initial = self.agents if policies["entropy-release"] else None
-        self.pbar = self.pt = None
+        self.pbar = self.pt = self.values = self.masses = self.absent = None
         self.ids, self.rngs, self.policies = list(ids), list(rngs), policies
         self.checkpoints = [pol.initial_checkpoint(self.agents) for pol in policies["cooling"]]
         self.memory = [np.zeros(0, np.int64) for _ in rows]
-        for name in ("datasets", "live", "fired", "notes", "next_fired", "records", "states"):
+        for name in ("datasets", "live", "fired", "notes", "states"):
             setattr(self, name, [[] for _ in rows])
         self.failed: dict[int, SimulationError] = {}
 
@@ -747,8 +758,6 @@ class _Chunk:
         round r+1 included: that pt is what round r+1 samples from and what
         the record of round r measures.
         """
-        self.fired = [list(f) for f in self.next_fired]
-        self.notes = [[] for _ in self.ids]
         if self.pt is not None:
             blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
             n = self.cfg.sample_size
@@ -761,7 +770,6 @@ class _Chunk:
                 self._fail(errors, r)
         rule = self.cfg.selection
         self.pt, zero = _select(rule, self.space, self._mixture())
-        self.next_fired = [[] for _ in self.ids]
         errors = {int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}
         self._diversify(r, errors)
         self._fail(errors, r)
@@ -771,12 +779,12 @@ class _Chunk:
             for s in self._firing(pol, r, errors):
                 datasets, live = self.datasets[s], self.live[s]
                 if live:
-                    self.fired[s].append(pol.kind)
+                    self.fired[s].append((r, pol.kind))
                 for m in tuple(live):
                     try:
                         datasets[m] = pol.filter_dataset(datasets[m], self.rngs[s])
                     except VerifierAnnihilationError:
-                        self.notes[s].append("verifier-annihilation: update skipped")
+                        self.notes[s].append((r, "verifier-annihilation: update skipped"))
                         live.remove(m)
 
     def _update(self, r: int, errors: dict) -> None:
@@ -817,13 +825,13 @@ class _Chunk:
             self.agents[rows] = released
             self.pbar = None
             for s in rows:
-                self.fired[s].append(pol.kind)
+                self.fired[s].append((r, pol.kind))
                 memory = self.memory[s]
                 if pol.prune_memory and len(memory):
                     kept = pol.prune_buffer(memory)
                     dropped = len(memory) - len(kept)
                     if dropped:
-                        self.notes[s].append(f"memory prune dropped {dropped} samples")
+                        self.notes[s].append((r, f"memory prune dropped {dropped} samples"))
                     self.memory[s] = kept
 
     def _cool(self, r: int, errors: dict) -> None:
@@ -840,57 +848,45 @@ class _Chunk:
                 if rolled:
                     self.agents[s] = cooled
                     self.pbar = None
-                    self.fired[s].append(pol.kind)
-                    self.notes[s].append("cooling-rollback")
+                    self.fired[s].append((r, pol.kind))
+                    self.notes[s].append((r, "cooling-rollback"))
                 else:
-                    self.notes[s].append("cooling-refresh")
+                    self.notes[s].append((r, "cooling-refresh"))
 
     def _diversify(self, r: int, errors: dict) -> None:
         for pol in self.policies["diversity"]:
             rows = self._firing(pol, r + 1, errors)
             rows, tempered = _by_rows(pol.adjust_training, rows, errors, self.pt[rows])
             self.pt[rows] = tempered
-            for s in rows:
-                self.next_fired[s].append(pol.kind)
+            if r < self.cfg.rounds:  # an event of round r+1, which samples this pt
+                for s in rows:
+                    self.fired[s].append((r + 1, pol.kind))
 
     def record(self, r: int, probes, ref, monitor_sets, monitor_hoods, keep_states: bool) -> None:
-        """Append round r's TrajectoryRecord (and state) to every row; a seed
-        whose probe raises one of _ROUND_ERRORS fails instead."""
-        masses = {
-            name: np.take(self.pt, idx, axis=1).sum(axis=1).tolist()
-            for name, idx in monitor_sets.items()
-        }
-        absent = {name: self._absent(r, hood) for name, hood in monitor_hoods.items()}
+        """Fill column r of every row (and keep its state); a seed whose probe
+        raises one of _ROUND_ERRORS fails instead. Round 0 allocates the
+        columns."""
+        if r == 0:
+            shape = (len(self.ids), len(monitor_sets), self.cfg.rounds + 1)
+            self.values = np.empty((shape[0], len(probes), shape[2]))
+            self.masses, self.absent = np.empty(shape), np.zeros(shape, dtype=bool)
+        for i, (idx, hood) in enumerate(zip(monitor_sets.values(), monitor_hoods.values())):
+            self.masses[:, i, r] = np.take(self.pt, idx, axis=1).sum(axis=1)
+            if r:  # did this round's data miss the neighborhood?
+                self.absent[:, i, r] = [not any(hood[d].any() for d in ds) for ds in self.datasets]
         errors = {}
         self.agents.setflags(write=False)  # a hook that writes copies it first
         for s in range(len(self.ids)):
-            values = {}
             if probes:
                 pt, agents = _wrap(self.space, self.pt[s]), self.agents[s]
                 try:
-                    values = {p.name: float(p.evaluator(r, pt, agents, ref)) for p in probes}
+                    self.values[s, :, r] = [float(p.evaluator(r, pt, agents, ref)) for p in probes]
                 except _ROUND_ERRORS as exc:
                     errors[s] = exc
                     continue
-            self.records[s].append(
-                TrajectoryRecord(
-                    r,
-                    values,
-                    tuple(self.fired[s]),
-                    tuple(self.notes[s]),
-                    {name: m[s] for name, m in masses.items()},
-                    {name: a[s] for name, a in absent.items()},
-                )
-            )
             if keep_states:
                 self.states[s].append(self.population(s))
         self._fail(errors, r)
-
-    def _absent(self, r: int, hood: np.ndarray) -> list:
-        """Per row: did this round's data miss the neighborhood `hood`?"""
-        if r == 0:
-            return [None] * len(self.ids)
-        return [not any(hood[d].any() for d in datasets) for datasets in self.datasets]
 
 
 # ---------------------------------------------------------------------------
@@ -959,6 +955,7 @@ def run_batch(
         monitor_names[name] = tuple(int(i) for i in idx)
 
     width = chunk_size(size, space.size)
+    names = tuple(p.name for p in probes)
 
     def take(ids: range) -> _Chunk:
         batch = list(islice(starts, len(ids)))
@@ -980,6 +977,9 @@ def run_batch(
                 if not chunk.ids:
                     break
             rows = {i: s for s, i in enumerate(chunk.ids)}
+            if rows:  # round 0 was recorded
+                for columns in (chunk.values, chunk.masses, chunk.absent):
+                    columns.setflags(write=False)
             for i in ids:
                 if i in chunk.failed:
                     yield chunk.failed[i]
@@ -987,9 +987,14 @@ def run_batch(
                 s = rows[i]
                 yield Trajectory(
                     seed=seeds[i],
-                    probe_names=tuple(p.name for p in probes),
-                    records=tuple(chunk.records[s]),
+                    probe_names=names,
+                    rounds=cfg.rounds,
+                    values=dict(zip(names, chunk.values[s])),
                     monitors=dict(monitor_names),
+                    monitor_mass=dict(zip(monitor_names, chunk.masses[s])),
+                    monitor_absent=dict(zip(monitor_names, chunk.absent[s])),
+                    fired=tuple(chunk.fired[s]),
+                    notes=tuple(chunk.notes[s]),
                     final_population=chunk.population(s),
                     states=tuple(chunk.states[s]) if keep_states else None,
                 )
@@ -1009,18 +1014,20 @@ def run(
     monitors: Mapping[str, Iterable[int]] | None = None,
     keep_states: bool = False,
 ) -> Trajectory:
-    """Execute cfg.rounds rounds and record per-round measurements.
+    """Execute cfg.rounds rounds and return the Trajectory of cfg.seed.
 
     probes are MetricProbe-like objects (name + evaluator(round, pt, agents,
     ref), agents being the seed's read-only (M, K) rows); they may read the
     reference because measurement sits outside the loop, but the dynamics
-    themselves never touch `ref`. intervention is a policy object or
-    sequence of them (see interventions module); multiple policies compose
-    in the fixed attachment order diversity -> sampling -> verifier ->
-    update -> entropy-release -> cooling regardless of the order given.
-    monitors maps names to outcome sets whose training mass and
-    dataset-absence flags are recorded every round (the raw material for
-    decay estimation). Each seed's memory buffer starts empty. A failed round raises SimulationError. This is run_batch on one seed.
+    themselves never touch `ref`. Each probe gives the column values[name].
+    intervention is a policy object or sequence of them (see interventions
+    module); multiple policies compose in the fixed attachment order
+    diversity -> sampling -> verifier -> update -> entropy-release ->
+    cooling regardless of the order given. monitors maps names to outcome
+    sets whose training mass and dataset-absence flags are recorded every
+    round in monitor_mass[name] and monitor_absent[name] (the raw material
+    for decay estimation). The memory buffer starts empty. A failed round
+    raises SimulationError. This is run_batch on one seed.
     """
     (result,) = run_batch(
         [pop0],

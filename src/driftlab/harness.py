@@ -653,10 +653,10 @@ def classify_terminal(trajectory: Trajectory, margin: float) -> str:
     mass stayed in the safe region yet concentrated on a sub-region of it.
     "stable": neither movement.
     """
-    first, last = trajectory.initial.values, trajectory.terminal.values
-    if first["safe_mass"] - last["safe_mass"] >= margin:
+    safe_mass, in_safe = trajectory.values["safe_mass"], trajectory.values["in_safe_term"]
+    if safe_mass[0] - safe_mass[-1] >= margin:
         return CLASS_LEAKAGE
-    if _rose_by(first["in_safe_term"], last["in_safe_term"], margin):
+    if _rose_by(float(in_safe[0]), float(in_safe[-1]), margin):
         return CLASS_COLLAPSE
     return CLASS_STABLE
 
@@ -755,25 +755,15 @@ def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
         else:
             trajectories[seed] = result
 
-    trends: dict[str, TrendReport] = {}
-    if trajectories:
-        for name in probe_list:
-            trends[name] = compute_trend(
-                name,
-                {
-                    seed: [rec.values[name] for rec in traj.records]
-                    for seed, traj in trajectories.items()
-                },
-            )
+    trends = {
+        name: compute_trend(name, {seed: t.values[name] for seed, t in trajectories.items()})
+        for name in (probe_list if trajectories else ())
+    }
     classifications = {
         seed: classify_terminal(traj, cfg.margin) for seed, traj in trajectories.items()
     }
     low_visibility = {
-        seed: sum(
-            1
-            for rec in traj.records
-            if rec.monitor_mass["rare-safe"] <= visibility_floor
-        )
+        seed: int(np.count_nonzero(traj.monitor_mass["rare-safe"] <= visibility_floor))
         for seed, traj in trajectories.items()
     }
     return DriftResult(
@@ -844,8 +834,8 @@ def _run_arm(cfg: ExperimentConfig, ref: SafetyReference, name: str, policy) -> 
         if isinstance(result, SimulationError):
             failures[seed] = str(result)
             continue
-        terminal_kl[seed] = result.terminal.values["kl_safety"]
-        terminal_sm[seed] = result.terminal.values["safe_mass"]
+        terminal_kl[seed] = float(result.values["kl_safety"][-1])
+        terminal_sm[seed] = float(result.values["safe_mass"][-1])
     kl_values = list(terminal_kl.values())
     sm_values = list(terminal_sm.values())
     return ArmSummary(
@@ -863,15 +853,16 @@ def run_intervention_comparison(
 ) -> ComparisonResult:
     """Baseline plus one arm per policy, all on the same seed list.
 
-    Without policy_specs the arms are the config's intervention, or the four
-    default policies when it has none. Every arm replays the identical
-    (seed, config) pair, so per-seed differences are paired comparisons of
-    the same closed loop with and without the mitigation.
+    The arms are policy_specs, else the config's intervention (giving both
+    is a ConfigError), else the four default policies. Every arm replays the
+    identical (seed, config) pair, so per-seed differences are paired
+    comparisons of the same closed loop with and without the mitigation.
     """
-    if policy_specs is not None:
-        specs = tuple(policy_specs)
-    else:
-        specs = cfg.intervention or default_policy_specs()
+    if policy_specs is None:
+        policy_specs = cfg.intervention or default_policy_specs()
+    elif cfg.intervention:
+        raise ConfigError("a policies list and the config's intervention.* arm exclude each other")
+    specs = tuple(policy_specs)
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate arm names: {names}")
@@ -970,7 +961,7 @@ def run_ensemble_mi(
     for row, traj in enumerate(results):
         if isinstance(traj, SimulationError):
             raise traj
-        masses[row] = [rec.monitor_mass["ens"] for rec in traj.records]
+        masses[row] = traj.monitor_mass["ens"]
     # bin_counts[t][i][b] = number of runs of reference i whose statistic sat
     # in bin b at round t
     b = np.minimum(bins - 1, (masses / q).astype(np.int64))
@@ -1011,69 +1002,81 @@ def format_value(v: float) -> str:
     return "%.17g" % f
 
 
-def _parse_value(v) -> float:
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        if v == "nan":
-            return math.nan
-        return float(v)
-    return float(v)
-
-
 def json_float(x: float):
     """JSON-ready float: non-finite values become their string names."""
     f = float(x)
     return f if math.isfinite(f) else format_value(f)
 
 
+def _by_round(events: Iterable[tuple[int, str]], rounds: int) -> list[list[str]]:
+    """The texts of (round, text) events, one list per round 0..rounds."""
+    grouped: list[list[str]] = [[] for _ in range(rounds + 1)]
+    for r, text in events:
+        grouped[r].append(text)
+    return grouped
+
+
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    """JSON-ready nested form; non-finite floats become their string names."""
+    """JSON-ready nested form, one record per round; non-finite floats become
+    their string names, and round 0's absence flags, null."""
+    values = {k: [json_float(v) for v in col.tolist()] for k, col in traj.values.items()}
+    masses = {k: [json_float(v) for v in col.tolist()] for k, col in traj.monitor_mass.items()}
+    absent = {k: [None, *col[1:].tolist()] for k, col in traj.monitor_absent.items()}
+    fired, notes = _by_round(traj.fired, traj.rounds), _by_round(traj.notes, traj.rounds)
     return {
         "seed": traj.seed,
         "probe_names": list(traj.probe_names),
         "monitors": {name: list(idx) for name, idx in traj.monitors.items()},
         "records": [
             {
-                "round": rec.round,
-                "values": {k: json_float(v) for k, v in rec.values.items()},
-                "fired": list(rec.fired),
-                "notes": list(rec.notes),
-                "monitor_mass": {k: json_float(v) for k, v in rec.monitor_mass.items()},
-                "monitor_absent": dict(rec.monitor_absent),
+                "round": r,
+                "values": {k: col[r] for k, col in values.items()},
+                "fired": fired[r],
+                "notes": notes[r],
+                "monitor_mass": {k: col[r] for k, col in masses.items()},
+                "monitor_absent": {k: col[r] for k, col in absent.items()},
             }
-            for rec in traj.records
+            for r in range(traj.rounds + 1)
         ],
     }
 
 
-def csv_lines_from_dicts(traj_dicts: Sequence[dict]) -> list[str]:
-    """CSV lines (no trailing newlines): header, then seed-major round rows."""
-    if not traj_dicts:
+def _csv_lines(runs: Sequence[tuple]) -> list[str]:
+    """CSV lines (no trailing newlines) of runs (seed, probe names, round
+    labels, one float column per probe): header, then seed-major round rows."""
+    if not runs:
         raise ValueError("no trajectories to export")
-    probe_names = list(traj_dicts[0]["probe_names"])
-    for td in traj_dicts[1:]:
-        if list(td["probe_names"]) != probe_names:
-            raise ValueError("trajectories disagree on probe columns")
-    lines = ["round,seed," + ",".join(probe_names) if probe_names else "round,seed"]
-    for td in sorted(traj_dicts, key=lambda d: int(d["seed"])):
-        seed = int(td["seed"])
-        for rec in td["records"]:
-            cells = [str(int(rec["round"])), str(seed)]
-            cells.extend(
-                format_value(_parse_value(rec["values"][name])) for name in probe_names
-            )
-            lines.append(",".join(cells))
+    probe_names = list(runs[0][1])
+    if any(list(names) != probe_names for _, names, _, _ in runs[1:]):
+        raise ValueError("trajectories disagree on probe columns")
+    lines = ["round,seed" + "".join("," + name for name in probe_names)]
+    for seed, _, rounds, columns in sorted(runs, key=lambda run: run[0]):
+        for r, *cells in zip(rounds, *columns):
+            lines.append(",".join([str(r), str(seed), *map(format_value, cells)]))
     return lines
 
 
+def csv_lines_from_dicts(traj_dicts: Sequence[dict]) -> list[str]:
+    """CSV lines of stored trajectory dicts, as save_trajectories_csv writes."""
+    return _csv_lines([
+        (
+            int(td["seed"]),
+            td["probe_names"],
+            [int(rec["round"]) for rec in td["records"]],
+            # float() reads json_float's "inf", "-inf" and "nan" back
+            [[float(rec["values"][name]) for rec in td["records"]] for name in td["probe_names"]],
+        )
+        for td in traj_dicts
+    ])
+
+
 def save_trajectories_csv(trajectories: Iterable[Trajectory], path: str) -> None:
-    lines = csv_lines_from_dicts([trajectory_to_dict(t) for t in trajectories])
+    lines = _csv_lines([
+        (t.seed, t.probe_names, range(t.rounds + 1), [t.values[n].tolist() for n in t.probe_names])
+        for t in trajectories
+    ])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_trajectories_json(trajectories: Iterable[Trajectory], path: str) -> None:

@@ -261,41 +261,30 @@ def estimate_decay(trajectory, a_set: Iterable[int], rule=None) -> DecayEstimate
     absence events" when fewer than two rounds qualify.
     """
     target = tuple(int(i) for i in sorted(set(int(i) for i in a_set)))
-    name = None
-    for mon_name, indices in trajectory.monitors.items():
-        if tuple(indices) == target:
-            name = mon_name
-            break
+    name = next((n for n, idx in trajectory.monitors.items() if tuple(idx) == target), None)
     if name is None:
         raise ValueError(
             f"trajectory does not monitor the set {target}; pass it via monitors= at run time"
         )
-    xs: list[float] = []
-    ys: list[float] = []
-    records = trajectory.records
-    for i in range(1, len(records)):
-        if records[i].monitor_absent.get(name):
-            xs.append(records[i - 1].monitor_mass[name])
-            ys.append(records[i].monitor_mass[name])
-    if len(xs) < 2:
+    mass = trajectory.monitor_mass[name]
+    # entry 0 of the absence flags precedes any dataset and never qualifies
+    qualifying = np.flatnonzero(trajectory.monitor_absent[name][1:]) + 1
+    if len(qualifying) < 2:
         raise ValueError(
-            f"insufficient absence events: {len(xs)} qualifying rounds, need at least 2"
+            f"insufficient absence events: {len(qualifying)} qualifying rounds, need at least 2"
         )
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+    x = mass[qualifying - 1]
+    y = mass[qualifying]
     x_mean = float(x.mean())
     y_mean = float(y.mean())
     sxx = float(np.sum((x - x_mean) ** 2))
-    if sxx == 0.0:
-        slope = 0.0
-    else:
-        slope = float(np.sum((x - x_mean) * (y - y_mean))) / sxx
+    slope = float(np.sum((x - x_mean) * (y - y_mean))) / sxx if sxx != 0.0 else 0.0
     intercept = y_mean - slope * x_mean
     eta = min(1.0, max(0.0, 1.0 - slope))
     r = max(0.0, intercept)
     fitted = (1.0 - eta) * x + r
     max_residual = float(np.max(np.abs(y - fitted)))
-    return DecayEstimate(eta, r, len(xs), max_residual)
+    return DecayEstimate(eta, r, len(qualifying), max_residual)
 
 
 # ---------------------------------------------------------------------------

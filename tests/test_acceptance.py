@@ -108,8 +108,8 @@ def test_criterion_2b_safe_mass_trend_negative(default_drift):
     ref_safe = build_reference(result.config).safe_mass
     split_divergence = {
         seed: [
-            binarized_kl_lower_bound(ref_safe, min(1.0, rec.values["safe_mass"]))
-            for rec in traj.records
+            binarized_kl_lower_bound(ref_safe, min(1.0, mass))
+            for mass in traj.values["safe_mass"].tolist()
         ]
         for seed, traj in result.trajectories.items()
     }
@@ -188,7 +188,7 @@ def test_criterion_4_reference_isolation_bitwise():
     )
     # the probes must actually see different references for this to mean anything
     measured_differently = (
-        traj_a.records[0].values["kl_safety"] != traj_b.records[0].values["kl_safety"]
+        traj_a.values["kl_safety"][0] != traj_b.values["kl_safety"][0]
     )
     ok = identical and measured_differently
     print(

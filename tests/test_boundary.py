@@ -19,6 +19,7 @@ from driftlab import (
     ConfigError,
     CoolingPolicy,
     DiversityPolicy,
+    EntropyReleasePolicy,
     EvolutionConfig,
     MetricProbe,
     OutcomeSpace,
@@ -41,10 +42,14 @@ from driftlab import (
     resolve_probe,
     resolve_probes,
     run,
+    run_batch,
     two_tier_reference,
     update_agents,
+    VerifierPolicy,
 )
 from driftlab.cli import main as cli_main
+from driftlab.evolution import _SELECTION_KINDS as _SELECTION_READS
+from driftlab.evolution import _UPDATE_KINDS as _UPDATE_READS
 from driftlab.harness import _CONFIG_KEYS, _KNOWN_KEYS, _POLICY_KINDS
 
 NON_FINITE = ("nan", "inf", "-inf")
@@ -172,8 +177,9 @@ def test_smoothing_overflow_is_caught_per_call():
 
 # --- what the boundary accepts runs cleanly ------------------------------------------
 
-_SELECTION_KINDS = ("identity", "indicator", "top-mass", "reward-reweight")
-_UPDATE_KINDS = ("mle", "smoothed-mle", "memory-buffer", "reward-reweighted-mle")
+# kind -> the rule fields it reads; a rule refuses the others
+_SELECTION_KINDS = tuple(_SELECTION_READS)
+_UPDATE_KINDS = tuple(_UPDATE_READS)
 _POLICIES = (None,) + default_policy_specs()
 _PROBES = resolve_probes(probe_names(), default_tau=0.01)
 
@@ -223,6 +229,10 @@ def _runs(draw):
         reward=tuple(draw(reward)),
         reward_source=draw(st.sampled_from(("fixed", "mixture-loglik"))),
     )
+    selection = {n: v for n, v in selection.items() if n in _SELECTION_READS[selection_kind]}
+    update = {n: v for n, v in update.items() if n in _UPDATE_READS[update_kind]}
+    if update.get("reward_source") == "mixture-loglik":
+        del update["reward"]
     return dict(
         k=k,
         safe_mass=draw(st.floats(0.6, 1.0)),
@@ -285,8 +295,83 @@ def test_accepted_runs_stay_on_the_simplex(case):
     for pop in traj.states:
         for agent in pop.agents:
             _check_distribution(agent.mass)
-    for record in traj.records:
-        assert not any(math.isnan(v) for v in record.values.values())
+    assert not any(np.isnan(column).any() for column in traj.values.values())
+
+
+def _verifier(fp, fn_rate, budget, schedule):
+    return lambda ref: VerifierPolicy(ref, fp, fn_rate, budget, schedule)
+
+
+def _release(gamma, prune_floor, anchor, schedule):
+    return lambda ref: EntropyReleasePolicy(gamma, prune_floor, anchor, schedule=schedule)
+
+
+_every = st.integers(1, 3).map(lambda k: Schedule("every", k=k))
+# policies, each built from a run's reference, that read no pi_star: the
+# verifier reads only the safe set, which both references below share, and
+# entropy release without prune_memory and with an every:k schedule reads no
+# reference at all
+_isolated_policies = st.lists(
+    st.one_of(
+        st.builds(
+            _verifier,
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.none() | st.integers(1, 20), _every,
+        ),
+        st.builds(
+            _release,
+            st.floats(0.01, 1.0), st.floats(0.0, 0.1), st.sampled_from(("uniform", "initial")),
+            _every,
+        ),
+    ),
+    max_size=2,
+)
+
+
+@given(_runs(), st.floats(0.6, 0.99), _isolated_policies)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_the_reference_given_to_run_batch_reaches_only_the_probes(case, other_mass, policies):
+    """Two references that share a safe set: everything but the probe values
+    is bit-identical, failures included."""
+    try:
+        ref_a = two_tier_reference(case["k"], case["safe_mass"], 0.5)
+        ref_b = two_tier_reference(case["k"], other_mass, 0.5)
+        seeds = [case["seed"] + i for i in range(3)]
+        pops = [
+            build_population(PopulationSpec(size=case["agents"], init=case["init"]), ref_a, seed)
+            for seed in seeds
+        ]
+        selection_kind, selection = case["selection"]
+        update_kind, update = case["update"]
+        cfg = EvolutionConfig(
+            sample_size=case["sample_size"],
+            rounds=case["rounds"],
+            selection=SelectionRule(selection_kind, **selection),
+            update=UpdateRule(update_kind, **update),
+            per_agent_datasets=case["per_agent"],
+        )
+        monitors = {"safe": ref_a.safe_indices, "first": (0,)}
+        runs = [
+            list(run_batch(pops, cfg, seeds, _PROBES, [p(ref) for p in policies],
+                           ref=ref, monitors=monitors))
+            for ref in (ref_a, ref_b)
+        ]
+    except ConfigError as exc:
+        event(type(exc).__name__)
+        return
+    assert ref_a.safe_indices.tolist() == ref_b.safe_indices.tolist()
+    for a, b in zip(*runs):
+        if isinstance(a, SimulationError) or isinstance(b, SimulationError):
+            event("failed")
+            assert str(a) == str(b) and a.round_index == b.round_index
+            continue
+        event("ran" if all(v.tobytes() == b.values[n].tobytes() for n, v in a.values.items())
+              else "ran, values differ")
+        assert (a.seed, a.fired, a.notes) == (b.seed, b.fired, b.notes)
+        for name in monitors:
+            assert a.monitor_mass[name].tobytes() == b.monitor_mass[name].tobytes()
+            assert a.monitor_absent[name].tobytes() == b.monitor_absent[name].tobytes()
+        agents = zip(a.final_population.agents, b.final_population.agents)
+        assert all(x.mass.tobytes() == y.mass.tobytes() for x, y in agents)
 
 
 # --- the config grammar, fuzzed through the command line ------------------------------

@@ -262,6 +262,41 @@ def test_bad_configs_exit_2_without_a_traceback(tmp_path, capsys, command, extra
     assert "seed 0 failed" not in err
 
 
+@pytest.mark.parametrize(
+    "extra,unread",
+    [
+        # the default identity selection and mle update read none of these
+        ("selection.k=5\n", "selection kind 'identity' does not read k"),
+        ("update.capacity=7\n", "update kind 'mle' does not read capacity"),
+        ("update.alpha_mem=0.9\n", "update kind 'mle' does not read alpha_mem"),
+        ("selection.beta=1\nupdate.lam=0.5\n", "does not read beta"),
+        # the mixture-loglik reward reads no reward vector
+        (
+            "update.kind=reward-reweighted-mle\nupdate.reward_source=mixture-loglik\n"
+            "update.reward=0,1\n",
+            "update kind 'reward-reweighted-mle' does not read reward",
+        ),
+    ],
+)
+def test_rule_fields_the_kind_does_not_read_exit_2(tmp_path, capsys, extra, unread):
+    path = tmp_path / "unread.cfg"
+    path.write_text(TINY + extra)
+    assert main(["simulate", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and unread in err and "Traceback" not in err
+
+
+def test_compare_refuses_a_policies_file_beside_a_config_intervention(tmp_path, capsys):
+    # the config's cooling arm would otherwise be dropped without a word
+    path = tmp_path / "cooling.cfg"
+    path.write_text(TINY + "intervention.kind=cooling\n")
+    policies = tmp_path / "policies.json"
+    policies.write_text('[{"kind": "verifier"}]')
+    assert main(["compare", str(path), "--policies", str(policies), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "intervention" in err and "Traceback" not in err
+
+
 def test_safe_mass_one_runs_the_mass_term_probe(tmp_path):
     # pi_star's safe entries sum past 1 by rounding at K = 1000
     path = tmp_path / "sure.cfg"

@@ -26,6 +26,7 @@ from driftlab import (
     roll_memory,
     run,
     sample_dataset,
+    trajectory_to_dict,
     two_tier_reference,
     update_agents,
 )
@@ -376,12 +377,13 @@ def test_run_record_structure():
     probes = resolve_probes(("kl_safety", "safe_mass"), default_tau=0.01)
     traj = run(pop, cfg, probes, ref=ref, monitors={"tail": (8, 9)})
     assert traj.rounds == 7
-    assert [r.round for r in traj.records] == list(range(8))
-    assert traj.initial.values["kl_safety"] == 0.0
-    assert traj.initial.monitor_absent["tail"] is None
-    for rec in traj.records[1:]:
-        assert isinstance(rec.monitor_absent["tail"], bool)
-        assert set(rec.values) == {"kl_safety", "safe_mass"}
+    assert set(traj.values) == {"kl_safety", "safe_mass"}
+    columns = [*traj.values.values(), traj.monitor_mass["tail"], traj.monitor_absent["tail"]]
+    assert all(column.shape == (8,) for column in columns)
+    assert traj.values["kl_safety"][0] == 0.0
+    # round 0 precedes any dataset: False in the column, null when exported
+    assert traj.monitor_absent["tail"].dtype == bool and not traj.monitor_absent["tail"][0]
+    assert trajectory_to_dict(traj)["records"][0]["monitor_absent"] == {"tail": None}
     assert traj.probe_names == ("kl_safety", "safe_mass")
 
 
@@ -416,6 +418,27 @@ def test_update_agents_checks_the_reward_length():
     rule = UpdateRule("reward-reweighted-mle", reward=(0.0, 1.0))
     with pytest.raises(ConfigError, match="update reward vector has length 2, space is 3"):
         update_agents(pop, np.array([0, 1], dtype=np.int64), rule)
+
+
+def test_rule_fields_the_kind_does_not_read_are_refused():
+    with pytest.raises(ConfigError, match="selection kind 'identity' does not read k, beta$"):
+        SelectionRule("identity", k=5, beta=1.0)
+    with pytest.raises(ConfigError, match="'indicator' does not read reward$"):
+        SelectionRule("indicator", indices=(0,), reward=np.zeros(3))
+    with pytest.raises(ConfigError, match="update kind 'smoothed-mle' does not read capacity$"):
+        UpdateRule("smoothed-mle", lam=1.0, capacity=7)
+    with pytest.raises(ConfigError, match="'reward-reweighted-mle' does not read reward$"):
+        UpdateRule("reward-reweighted-mle", reward_source="mixture-loglik", reward=(0.0, 1.0))
+    # a field at its default is not set, and every kind reads neighborhood_radius
+    SelectionRule("identity", indices=[], k=0, reward=None, beta=0.0)
+    UpdateRule("mle", lam=0.0, capacity=0, alpha_mem=0.5, reward_source="fixed")
+    for rule in (
+        UpdateRule("mle", neighborhood_radius=2),
+        UpdateRule("smoothed-mle", lam=1.0, neighborhood_radius=2),
+        memory_preset(neighborhood_radius=2),
+        rl_preset(neighborhood_radius=2),
+    ):
+        assert rule.neighborhood_radius == 2
 
 
 def test_run_rejects_empty_monitor():
@@ -506,8 +529,8 @@ def test_per_agent_verifier_annihilation_skips_only_that_agent():
     traj = run(pop0, cfg, intervention=VerifierPolicy(ref), keep_states=True)
     masses = [a.mass.tolist() for a in traj.states[1].agents]
     assert masses == [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]
-    assert traj.records[1].fired == ("verifier",)
-    assert traj.records[1].notes == ("verifier-annihilation: update skipped",) * 2
+    assert traj.fired == ((1, "verifier"),)
+    assert traj.notes == ((1, "verifier-annihilation: update skipped"),) * 2
 
 
 def test_isolation_reference_cannot_touch_dynamics():
@@ -524,7 +547,7 @@ def test_isolation_reference_cannot_touch_dynamics():
         for aa, ab in zip(sa.agents, sb.agents):
             assert np.array_equal(aa.mass, ab.mass)
     # the measurements themselves do differ, proving the probes saw different refs
-    assert ta.records[0].values["safe_mass"] != tb.records[0].values["safe_mass"]
+    assert ta.values["safe_mass"][0] != tb.values["safe_mass"][0]
 
 
 def test_simulation_error_carries_round_index():

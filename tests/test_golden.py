@@ -282,14 +282,14 @@ SMOOTHED = UPDATES["smoothed-mle"]
 def _kl_split(trajs, kind):
     """Some round in which kind's schedule fired for some seeds and not others."""
 
-    def fired(rec):
+    def fired(traj):
         # cooling notes a refresh or a rollback whenever its schedule fires
-        return kind in rec.fired or (
-            kind == "cooling" and any(n.startswith("cooling-") for n in rec.notes)
-        )
+        return {r for r, text in traj.fired if text == kind} | {
+            r for r, text in traj.notes if kind == "cooling" and text.startswith("cooling-")
+        }
 
-    rounds = range(1, len(trajs[0].records))
-    return any(len({fired(t.records[r]) for t in trajs}) == 2 for r in rounds)
+    fired_rounds = [fired(t) for t in trajs]
+    return any(len({r in f for f in fired_rounds}) == 2 for r in range(1, trajs[0].rounds + 1))
 
 
 def _batch_digest(tmp_path, policies, split_kind, update=UPDATES["mle"], per_agent=False):

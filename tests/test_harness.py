@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from driftlab import (
     SafetyReference,
     SelectionRule,
     Trajectory,
-    TrajectoryRecord,
     apply_env_overrides,
     build_population,
     build_reference,
@@ -75,23 +75,19 @@ def small_cfg(**extra):
 
 
 def _toy_trajectory(seed, rows, probe_names):
-    records = tuple(
-        TrajectoryRecord(
-            round=t,
-            values=dict(zip(probe_names, vals)),
-            fired=(),
-            notes=(),
-            monitor_mass={},
-            monitor_absent={},
-        )
-        for t, vals in enumerate(rows)
-    )
+    """rows[t] holds round t's value of each probe."""
+    columns = np.array(rows, dtype=np.float64).T
     agent = pv(0.5, 0.5)
     return Trajectory(
         seed=seed,
         probe_names=tuple(probe_names),
-        records=records,
+        rounds=len(rows) - 1,
+        values=dict(zip(probe_names, columns)),
         monitors={},
+        monitor_mass={},
+        monitor_absent={},
+        fired=(),
+        notes=(),
         final_population=Population.equal_weights([agent]),
     )
 
@@ -222,8 +218,10 @@ def test_config_defaults_match_documented_experiment():
     assert cfg.coverage_tau == pytest.approx(1.0 / 2000.0)
     # a key left out keeps its field's default, also next to keys that are set
     assert cfg == ExperimentConfig()
-    cfg = config_from_mapping({"selection.k": "3", "reference.epsilon": "auto"})
-    assert cfg.selection == SelectionRule("identity", k=3) and cfg.reference == ReferenceSpec()
+    cfg = config_from_mapping(
+        {"selection.kind": "top-mass", "selection.k": "3", "reference.epsilon": "auto"}
+    )
+    assert cfg.selection == SelectionRule("top-mass", k=3) and cfg.reference == ReferenceSpec()
 
 
 def test_config_rejects_unknown_keys():
@@ -636,7 +634,7 @@ def test_drift_experiment_extends_probe_list():
     result = run_drift_experiment(small_cfg(**{"experiment.probes": "kl_safety"}))
     assert result.probes == ("kl_safety", "safe_mass", "in_safe_term")
     traj = result.trajectories[0]
-    assert set(traj.records[0].values) == set(result.probes)
+    assert set(traj.values) == set(result.probes)
 
 
 def test_drift_experiment_rejects_intervention():
@@ -704,12 +702,12 @@ def test_comparison_runs_the_config_intervention():
     result = run_intervention_comparison(cfg)
     assert [a.name for a in result.arms] == ["verifier"]
     specs = (PolicySpec("verifier", "verifier", (("fn_rate", "0.2"),)),)
-    explicit = run_intervention_comparison(cfg, specs)
+    explicit = run_intervention_comparison(replace(cfg, intervention=()), specs)
     assert result.arms[0].terminal_kl == explicit.arms[0].terminal_kl
     assert result.arms[0].terminal_safe_mass == explicit.arms[0].terminal_safe_mass
-    # explicit specs win over the config's arm
-    cooling = run_intervention_comparison(cfg, (PolicySpec("cooling", "cooling"),))
-    assert [a.name for a in cooling.arms] == ["cooling"]
+    # explicit specs beside the config's arm would drop that arm: refused
+    with pytest.raises(ConfigError, match="exclude each other"):
+        run_intervention_comparison(cfg, (PolicySpec("cooling", "cooling"),))
 
 
 def test_comparison_rejects_duplicate_arm_names():

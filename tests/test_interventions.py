@@ -354,9 +354,8 @@ def test_run_verifier_annihilation_skips_update():
     pop0 = Population.equal_weights([pv(0.0, 1.0)])
     cfg = EvolutionConfig(sample_size=8, rounds=3, seed=0)
     traj = run(pop0, cfg, intervention=VerifierPolicy(REF2), keep_states=True)
-    for rec in traj.records[1:]:
-        assert rec.fired == ("verifier",)
-        assert rec.notes == ("verifier-annihilation: update skipped",)
+    assert traj.fired == tuple((r, "verifier") for r in range(1, 4))
+    assert traj.notes == tuple((r, "verifier-annihilation: update skipped") for r in range(1, 4))
     for state in traj.states:
         assert np.array_equal(state.agents[0].mass, [0.0, 1.0])
 
@@ -375,9 +374,8 @@ def test_run_cooling_rollback_pins_population():
     traj = run(
         pop0, cfg, intervention=CoolingPolicy(REF2, kl_threshold=0.5), keep_states=True
     )
-    for rec in traj.records[1:]:
-        assert rec.fired == ("cooling",)
-        assert rec.notes == ("cooling-rollback",)
+    assert traj.fired == tuple((r, "cooling") for r in range(1, 5))
+    assert traj.notes == tuple((r, "cooling-rollback") for r in range(1, 5))
     for state in traj.states:
         assert np.array_equal(state.agents[0].mass, REF2.pi_star.mass)
 
@@ -394,9 +392,8 @@ def test_run_cooling_refresh_leaves_dynamics_alone():
         intervention=CoolingPolicy(REF2, kl_threshold=1e6),
         keep_states=True,
     )
-    for rec in cooled.records[1:]:
-        assert rec.fired == ()
-        assert rec.notes == ("cooling-refresh",)
+    assert cooled.fired == ()
+    assert cooled.notes == tuple((r, "cooling-refresh") for r in range(1, 5))
     # a refresh-only cooling policy must not perturb the trajectory
     for sa, sb in zip(bare.states, cooled.states):
         assert np.array_equal(sa.agents[0].mass, sb.agents[0].mass)
@@ -413,7 +410,7 @@ def test_run_scheduled_out_policy_changes_nothing():
     for sa, sb in zip(a.states, b.states):
         for aa, ab in zip(sa.agents, sb.agents):
             assert np.array_equal(aa.mass, ab.mass)
-    assert all(rec.fired == () for rec in b.records)
+    assert b.fired == ()
 
 
 def test_run_release_prune_failure_becomes_simulation_error():
@@ -437,9 +434,9 @@ def test_run_memory_prune_emits_note():
     )
     policy = EntropyReleasePolicy(gamma=0.05, prune_memory=True, ref=REF2)
     traj = run(pop0, cfg, intervention=policy)
-    pruned = [n for rec in traj.records for n in rec.notes if n.startswith("memory prune dropped")]
+    pruned = [text for _, text in traj.notes if text.startswith("memory prune dropped")]
     assert pruned, "expected at least one unsafe sample to be pruned from the buffer"
-    assert all("entropy-release" in rec.fired for rec in traj.records[1:])
+    assert {r for r, text in traj.fired if text == "entropy-release"} == set(range(1, 6))
 
 
 def test_run_fired_lists_policies_in_attachment_order():
@@ -450,5 +447,6 @@ def test_run_fired_lists_policies_in_attachment_order():
         DiversityPolicy(REF2, temperature=1.0, rho=0.5),
     ]
     traj = run(pop0, cfg, intervention=policies)
-    for rec in traj.records[1:]:
-        assert rec.fired == ("diversity", "verifier")
+    assert traj.fired == tuple(
+        (r, kind) for r in range(1, 4) for kind in ("diversity", "verifier")
+    )

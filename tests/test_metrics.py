@@ -12,7 +12,6 @@ from driftlab import (
     ProbVector,
     SafetyReference,
     Trajectory,
-    TrajectoryRecord,
     absence_probability,
     binarized_kl_lower_bound,
     coverage,
@@ -432,24 +431,18 @@ def test_mi_symmetry_and_entropy_cap(rows, cols, seed):
 
 
 def _synthetic_trajectory(masses, absent_flags):
-    records = []
-    for t, (mass, absent) in enumerate(zip(masses, absent_flags)):
-        records.append(
-            TrajectoryRecord(
-                round=t,
-                values={},
-                fired=(),
-                notes=(),
-                monitor_mass={"a": mass},
-                monitor_absent={"a": None if t == 0 else absent},
-            )
-        )
+    # a None flag reads False; estimate_decay never reads round 0's flag
     agent = ProbVector(S2, [0.5, 0.5])
     return Trajectory(
         seed=0,
         probe_names=(),
-        records=tuple(records),
+        rounds=len(masses) - 1,
+        values={},
         monitors={"a": (0,)},
+        monitor_mass={"a": np.array(masses, dtype=np.float64)},
+        monitor_absent={"a": np.array(absent_flags, dtype=bool)},
+        fired=(),
+        notes=(),
         final_population=Population.equal_weights([agent]),
     )
 
