@@ -14,7 +14,10 @@ The engine advances a chunk of S seeds in lock-step. A chunk's agents are one
 (S, M, K) array and its training distributions one (S, K) array, so mixture,
 selection, the cumulative sums, the update and every renormalization run once
 per chunk and round, as do the policy hooks over the rows they fire for.
-What is per seed by nature loops over the rows: the draws, verifier
+The round's data is one (S, B, n) int64 array, from draw to count: B blocks
+of n samples per seed (one block, or one per agent), with (S, B) arrays of
+filled sizes and live blocks. What is per seed by nature loops over the
+rows: the uniforms and their inverse-CDF search (in sorted order), verifier
 screening, the cooling check and probes. Round r's measurements fill column
 r of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
 seeds' Trajectory columns. run_batch is the one entry point; run() is a
@@ -58,6 +61,10 @@ MAX_SEED = 2**64
 # A chunk holds max(1, BATCH_ELEMENTS // (M * K)) seeds, so an (S, M, K) array it
 # makes stays near 2**17 floats (1 MiB), and shared-data agents, one (S, K) row,
 # an M-th of that; a population with M * K >= 2**17 runs one seed at a time.
+# Larger chunks did not pay: in paired bench runs of the ensemble workload
+# (M=4, K=1000; 5 rounds of 2**17, 2**19, 2**20, medians; Python 3.11, numpy
+# 2.4, 2 cores) they took 0.900, 0.916 and 0.931 s, at 41.0, 49.6 and 54.9 MB
+# peak RSS.
 BATCH_ELEMENTS = 2**17
 
 
@@ -323,8 +330,10 @@ def apply_selection(pbar: ProbVector, rule: SelectionRule) -> ProbVector:
 def _draw(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """n inverse-CDF draws from each row of pt (S, K), row s from rngs[s].
 
-    Returns a read-only (S, n) int64 array; exact boundary ties go to the
-    lower index.
+    Returns an (S, n) int64 array; exact boundary ties go to the lower index.
+    Each row's uniforms are searched in sorted order, which keeps the binary
+    search's branches predictable, and scattered back: every uniform gets
+    the index an unsorted search would give it.
     """
     cum = np.cumsum(pt, axis=1)
     # u beyond the last cumulative point (float shortfall) lands on the last
@@ -332,11 +341,17 @@ def _draw(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) -> np.nda
     pos = pt > 0.0
     first_positive = np.argmax(pos, axis=1)
     last_positive = pt.shape[1] - 1 - np.argmax(pos[:, ::-1], axis=1)
-    draws = np.empty((len(rngs), n), dtype=np.int64)
+    uniforms = np.empty((len(rngs), n))
     for s, rng in enumerate(rngs):
-        draws[s] = cum[s].searchsorted(rng.random(n), side="left")
+        uniforms[s] = rng.random(n)
+    rows, order = np.arange(len(rngs))[:, None], np.argsort(uniforms, axis=1)
+    uniforms = uniforms[rows, order]
+    found = np.empty((len(rngs), n), dtype=np.int64)
+    for s in range(len(rngs)):
+        found[s] = cum[s].searchsorted(uniforms[s], side="left")
+    draws = np.empty_like(found)
+    draws[rows, order] = found
     np.clip(draws, first_positive[:, None], last_positive[:, None], out=draws)
-    draws.setflags(write=False)
     return draws
 
 
@@ -347,7 +362,9 @@ def sample_dataset(pt: ProbVector, n: int, rng: np.random.Generator) -> np.ndarr
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"sample size must be a positive integer, got {n!r}")
-    return _draw(pt.mass[None], int(n), [rng])[0]
+    draws = _draw(pt.mass[None], int(n), [rng])[0]
+    draws.setflags(write=False)
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +474,13 @@ def roll_memory(
     return merged[-capacity:]
 
 
-def _counts(datasets: Sequence[np.ndarray], k_space: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome counts (L, K) of L int64 datasets, from one bincount, and
-    their sizes (L,) as floats."""
-    sizes = np.array([len(d) for d in datasets], dtype=np.int64)
-    offsets = np.repeat(np.arange(len(datasets), dtype=np.int64) * k_space, sizes)
-    flat = np.concatenate(datasets) + offsets
-    counts = np.bincount(flat, minlength=len(datasets) * k_space)
-    return counts.reshape(len(datasets), k_space).astype(np.float64), sizes.astype(np.float64)
+def _counts(flat: np.ndarray, sizes: np.ndarray, k_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome counts (L, K) of L int64 datasets laid back to back in flat,
+    dataset l holding sizes[l] entries, from one bincount; and the sizes
+    (L,) as floats."""
+    offsets = np.repeat(np.arange(len(sizes), dtype=np.int64) * k_space, sizes)
+    counts = np.bincount(flat + offsets, minlength=len(sizes) * k_space)
+    return counts.reshape(len(sizes), k_space).astype(np.float64), sizes.astype(np.float64)
 
 
 _TILT_WIPED = (
@@ -543,9 +559,10 @@ def update_agents(
     if rule.kind == "memory-buffer":
         if len(memory) == 0:
             raise ValueError("the memory-buffer rule needs the rolled buffer")
-        buffer = _counts([np.asarray(memory, dtype=np.int64)], space.size)
+        memory = np.asarray(memory, dtype=np.int64)
+        buffer = _counts(memory, np.array([len(memory)]), space.size)
     pbar = mixture(pop).mass[None] if rule.reads_mixture else None
-    counts, n = _counts([samples], space.size)
+    counts, n = _counts(samples, np.array([len(samples)]), space.size)
     mass, wiped = _fit(rule, counts, n, pbar, buffer)
     if wiped[0]:
         raise ValueError(_TILT_WIPED)
@@ -631,7 +648,8 @@ class Trajectory:
     round r (selection applied, plus any diversity modification scheduled
     for the next sampling event), which round r+1 draws its data from.
     monitor_mass[name] is P_r's mass on the monitored set. monitor_absent[name]
-    says whether round r's data (every agent's dataset, after the verifier)
+    says whether round r's data (every agent's dataset, as the verifiers left
+    it; a dataset a verifier emptied keeps what it held before that verifier)
     missed the set's neighborhood entirely; round 0 precedes any dataset and
     reads False. fired and notes are (round, text) events in the order they
     happened; states, when kept, holds the population after each round.
@@ -677,14 +695,22 @@ class _Chunk:
     one (S, K) array under a read-only stride-0 view, and hooks get agents
     from _own_agents. initial keeps the start rows for entropy release,
     checkpoints one array like them per cooling policy, and pbar mixes
-    agents (None while stale). record fills column r of values (S, P, R+1),
-    masses and absent (S, N, R+1); fired and notes gather (round, text)
-    events. A seed whose round raises one of _ROUND_ERRORS goes to `failed`
-    as SimulationError(r) and loses its row; the other rows go on.
+    agents (None while stale). data (S, B, n) holds the round's B datasets
+    per seed, of which sizes (S, B) entries are filled: a verifier gets a
+    read-only view of the filled front of a block and its kept samples are
+    written back there. live (S, B) marks the blocks no verifier emptied;
+    an emptied block keeps its samples. record fills column r of values
+    (S, P, R+1), masses and absent (S, N, R+1); fired and notes gather
+    (round, text) events. A seed whose round raises one of _ROUND_ERRORS
+    goes to `failed` as SimulationError(r) and loses its row; the other rows
+    go on.
     """
 
-    _ROW_ARRAYS = ("weights", "agents", "initial", "pbar", "pt", "values", "masses", "absent")
-    _ROW_LISTS = ("ids", "rngs", "memory", "datasets", "live", "fired", "notes", "states")
+    _ROW_ARRAYS = (
+        "weights", "agents", "initial", "pbar", "pt", "data", "sizes", "live",
+        "values", "masses", "absent",
+    )
+    _ROW_LISTS = ("ids", "rngs", "memory", "fired", "notes", "states")
 
     def __init__(self, pops, cfg: EvolutionConfig, rngs, policies, ids):
         rows = range(len(pops))
@@ -693,11 +719,12 @@ class _Chunk:
         self.weights = np.stack([p.weights for p in pops])
         self.agents = np.stack([np.stack([a.mass for a in p.agents]) for p in pops])
         self.initial = self.agents if policies["entropy-release"] else None
-        self.pbar = self.pt = self.values = self.masses = self.absent = None
+        self.pbar = self.pt = self.data = self.sizes = self.live = None
+        self.values = self.masses = self.absent = None
         self.ids, self.rngs, self.policies = list(ids), list(rngs), policies
         self.checkpoints = [pol.initial_checkpoint(self.agents) for pol in policies["cooling"]]
         self.memory = [np.zeros(0, np.int64) for _ in rows]
-        for name in ("datasets", "live", "fired", "notes", "states"):
+        for name in ("fired", "notes", "states"):
             setattr(self, name, [[] for _ in rows])
         self.failed: dict[int, SimulationError] = {}
 
@@ -761,9 +788,9 @@ class _Chunk:
         if self.pt is not None:
             blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
             n = self.cfg.sample_size
-            draws = _draw(self.pt, n * blocks, self.rngs)
-            self.datasets = [list(row.reshape(blocks, n)) for row in draws]
-            self.live = [list(range(blocks)) for _ in self.ids]
+            self.data = _draw(self.pt, n * blocks, self.rngs).reshape(len(self.ids), blocks, n)
+            self.sizes = np.full((len(self.ids), blocks), n)
+            self.live = np.ones((len(self.ids), blocks), dtype=bool)
             for phase in (self._screen, self._update, self._release, self._cool):
                 errors: dict[int, Exception] = {}
                 phase(r, errors)
@@ -777,35 +804,49 @@ class _Chunk:
     def _screen(self, r: int, errors: dict) -> None:
         for pol in self.policies["verifier"]:
             for s in self._firing(pol, r, errors):
-                datasets, live = self.datasets[s], self.live[s]
-                if live:
+                blocks = np.flatnonzero(self.live[s])
+                if blocks.size:
                     self.fired[s].append((r, pol.kind))
-                for m in tuple(live):
+                for m in blocks:
+                    block = self.data[s, m, : self.sizes[s, m]]
+                    block.setflags(write=False)
                     try:
-                        datasets[m] = pol.filter_dataset(datasets[m], self.rngs[s])
+                        kept = pol.filter_dataset(block, self.rngs[s])
+                        self.data[s, m, : len(kept)] = kept
                     except VerifierAnnihilationError:
                         self.notes[s].append((r, "verifier-annihilation: update skipped"))
-                        live.remove(m)
+                        self.live[s, m] = False
+                    except _ROUND_ERRORS as exc:  # the seed fails this round
+                        errors.setdefault(int(s), exc)
+                        break
+                    else:
+                        self.sizes[s, m] = len(kept)
+
+    def _held(self) -> np.ndarray:
+        """The filled positions (S, B, n) of data."""
+        return np.arange(self.data.shape[2]) < self.sizes[:, :, None]
 
     def _update(self, r: int, errors: dict) -> None:
         rule = self.cfg.update
-        rows = [s for s, live in enumerate(self.live) for _ in live]
-        blocks = [m for live in self.live for m in live]
+        rows, blocks = np.nonzero(self.live)
         k_space = self.space.size
-        if not rows:
+        if not rows.size:
             return
         pbar = self._mixture()[rows] if rule.reads_mixture else None
         self.pbar = None
         buffer = None
         if rule.kind == "memory-buffer":  # shared data: one block per row
             for s in rows:
-                self.memory[s] = roll_memory(self.memory[s], self.datasets[s][0], rule.capacity)
-            buffer = _counts([self.memory[s] for s in rows], k_space)
+                fresh = self.data[s, 0, : self.sizes[s, 0]]
+                self.memory[s] = roll_memory(self.memory[s], fresh, rule.capacity)
+            memory = [self.memory[s] for s in rows]
+            buffer = _counts(np.concatenate(memory), np.array([len(b) for b in memory]), k_space)
+        held = self.live[:, :, None] & self._held()
         try:
-            counts, n = _counts([self.datasets[s][m] for s, m in zip(rows, blocks)], k_space)
+            counts, n = _counts(self.data[held], self.sizes[self.live], k_space)
             mass, wiped = _fit(rule, counts, n, pbar, buffer)
         except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
-            errors.update(dict.fromkeys(rows, exc))
+            errors.update(dict.fromkeys(rows.tolist(), exc))
             return
         if self.cfg.per_agent_datasets:
             self._own_agents()[rows, blocks] = mass
@@ -813,7 +854,7 @@ class _Chunk:
             self._own_agents()[rows] = mass[:, None, :]
         else:
             self.agents = np.broadcast_to(mass[:, None, :], self.agents.shape)
-        errors.update({rows[i]: ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)})
+        errors.update({int(rows[i]): ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)})
 
     def _release(self, r: int, errors: dict) -> None:
         for pol in self.policies["entropy-release"]:
@@ -870,10 +911,11 @@ class _Chunk:
             shape = (len(self.ids), len(monitor_sets), self.cfg.rounds + 1)
             self.values = np.empty((shape[0], len(probes), shape[2]))
             self.masses, self.absent = np.empty(shape), np.zeros(shape, dtype=bool)
+        held = self._held() if r else None
         for i, (idx, hood) in enumerate(zip(monitor_sets.values(), monitor_hoods.values())):
             self.masses[:, i, r] = np.take(self.pt, idx, axis=1).sum(axis=1)
             if r:  # did this round's data miss the neighborhood?
-                self.absent[:, i, r] = [not any(hood[d].any() for d in ds) for ds in self.datasets]
+                self.absent[:, i, r] = ~(hood[self.data] & held).any(axis=(1, 2))
         errors = {}
         self.agents.setflags(write=False)  # a hook that writes copies it first
         for s in range(len(self.ids)):

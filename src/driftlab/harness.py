@@ -1056,6 +1056,21 @@ def _csv_lines(runs: Sequence[tuple]) -> list[str]:
     return lines
 
 
+def _stored_column(td: dict, name: str) -> list[float]:
+    """Probe name's value in every record of a stored trajectory dict."""
+    column = []
+    for rec in td["records"]:
+        try:
+            # float() reads json_float's "inf", "-inf" and "nan" back
+            column.append(float(rec["values"][name]))
+        except KeyError:
+            raise ValueError(
+                f"stored trajectory of seed {td['seed']} has no value for probe "
+                f"{name!r} in round {rec['round']}"
+            ) from None
+    return column
+
+
 def csv_lines_from_dicts(traj_dicts: Sequence[dict]) -> list[str]:
     """CSV lines of stored trajectory dicts, as save_trajectories_csv writes."""
     return _csv_lines([
@@ -1063,8 +1078,7 @@ def csv_lines_from_dicts(traj_dicts: Sequence[dict]) -> list[str]:
             int(td["seed"]),
             td["probe_names"],
             [int(rec["round"]) for rec in td["records"]],
-            # float() reads json_float's "inf", "-inf" and "nan" back
-            [[float(rec["values"][name]) for rec in td["records"]] for name in td["probe_names"]],
+            [_stored_column(td, name) for name in td["probe_names"]],
         )
         for td in traj_dicts
     ])

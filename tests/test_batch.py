@@ -27,6 +27,7 @@ from driftlab import (
     SelectionRule,
     SimulationError,
     UpdateRule,
+    VerifierPolicy,
     build_population,
     config_from_mapping,
     csv_lines_from_dicts,
@@ -308,6 +309,32 @@ def test_a_raising_probe_fails_only_its_seed():
     assert all(o[2] == 2 and o[3] == "ValueError" for o in failed)
     kept = [json.loads(o[1])["records"] for o in together if o[0] != "failed"]
     assert all(len(records) == 5 for records in kept)
+
+
+def test_a_raising_verifier_fails_only_its_seed():
+    handed = []
+
+    class Writing(VerifierPolicy):
+        # writes into the dataset it is handed when that starts with outcome 2
+        def filter_dataset(self, data, rng):
+            handed.append(data)
+            if data[0] == 2:
+                data[0] = 0
+            return super().filter_dataset(data, rng)
+
+    cfg = EvolutionConfig(sample_size=8, rounds=5)
+    seeds = (0, 1, 2)
+    writing = Writing(REF, fp=0.1, fn_rate=0.5)
+    together = _together(cfg, seeds, writing)
+    assert together == _alone(cfg, seeds, writing)
+    read_only = "round 4: assignment destination is read-only"
+    assert together[1] == ("failed", read_only, 4, "ValueError")
+    # the other seeds' datasets never started with outcome 2: they ran as
+    # under the plain verifier
+    plain = _together(cfg, seeds, VerifierPolicy(REF, fp=0.1, fn_rate=0.5))
+    assert [together[0], together[2]] == [plain[0], plain[2]]
+    # every dataset handed to the verifier was a read-only view
+    assert handed and all(not d.flags.writeable and d.base is not None for d in handed)
 
 
 def _chunk(intervention=None, **cfg):

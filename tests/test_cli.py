@@ -180,6 +180,18 @@ def test_export_csv_to_stdout(tmp_path, tiny_cfg, capsys):
     assert capsys.readouterr().out == csv_path.read_text()
 
 
+def test_export_csv_of_a_record_missing_a_probe_value_exits_2(tmp_path, capsys):
+    stored = tmp_path / "t.json"
+    stored.write_text(json.dumps({"trajectories": [{
+        "seed": 0, "probe_names": ["a"], "monitors": {},
+        "records": [{"round": 0, "values": {}}],
+    }]}))
+    assert main(["export", str(stored), "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "seed 0" in err and "'a'" in err and "round 0" in err
+
+
 def test_missing_config_exits_2(capsys):
     assert main(["simulate", "/nonexistent/nowhere.cfg"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -204,6 +204,84 @@ def test_a_zero_uniform_never_draws_a_leading_zero_mass_outcome():
     assert draws.tolist() == [[1, 1, 1], [3, 3, 3], [0, 0, 0]]
 
 
+def _unsorted_draw(pt, n, rngs):
+    """_draw as it was before the sorted search: one unsorted search per row."""
+    cum = np.cumsum(pt, axis=1)
+    pos = pt > 0.0
+    first_positive = np.argmax(pos, axis=1)
+    last_positive = pt.shape[1] - 1 - np.argmax(pos[:, ::-1], axis=1)
+    draws = np.empty((len(rngs), n), dtype=np.int64)
+    for s, rng in enumerate(rngs):
+        draws[s] = cum[s].searchsorted(rng.random(n), side="left")
+    np.clip(draws, first_positive[:, None], last_positive[:, None], out=draws)
+    return draws
+
+
+class _CountedDraws:
+    """A seeded generator that records its random(n) calls; with a quantum
+    its uniforms are floored to multiples of it, so they repeat."""
+
+    def __init__(self, seed, quantum=None):
+        self.rng, self.quantum, self.calls = make_rng(seed), quantum, []
+
+    def random(self, n):
+        self.calls.append(n)
+        u = self.rng.random(n)
+        return u if self.quantum is None else np.floor(u / self.quantum) * self.quantum
+
+
+_DRAW_CASES = 7
+
+
+def _draw_rows(k, count, first_case):
+    """count rows over k outcomes, cycling through the search's edge cases."""
+    gen = np.random.default_rng(k + count + first_case)
+    rows = np.empty((count, k))
+    for i in range(count):
+        row = gen.dirichlet(np.ones(k))
+        case = (first_case + i) % _DRAW_CASES
+        if case == 1:  # leading and trailing zero mass
+            row[: max(1, k // 3)] = 0.0
+            row[k - k // 3 :] = 0.0
+        elif case == 2:  # trailing zero mass only
+            row[k - max(1, k // 3) :] = 0.0
+        elif case == 3:  # subnormal entries
+            row[gen.integers(k, size=max(1, k // 4))] = 5e-324
+            row[0] = 2.5e-310
+        elif case == 4:  # a single positive outcome
+            row[:] = 0.0
+            row[gen.integers(k)] = 1.0
+        elif case == 5:  # equal masses, whose sums hit dyadic uniforms exactly
+            row[:] = 1.0 / k
+        rows[i] = row / row.sum()
+        if case == 6:  # a cumulative sum that ends below 1, after a zero tail
+            rows[i, -1] = 0.0
+            rows[i] *= 1.0 - 2.0**-10
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows, k", [(s, k) for s in (1, 3, 32) for k in (2, 7, 1000)] + [(1, 100_000), (3, 100_000)]
+)
+@pytest.mark.parametrize("uniforms", ["philox", "repeating", "zero"])
+def test_sorted_draw_matches_the_unsorted_search_bitwise(rows, k, uniforms):
+    n = 257
+    for first_case in range(_DRAW_CASES if rows < _DRAW_CASES else 1):
+        pt = _draw_rows(k, rows, first_case)
+        if uniforms == "zero":
+            draws = evolution._draw(pt, n, [_ZeroDraws()] * rows)
+            expected = _unsorted_draw(pt, n, [_ZeroDraws()] * rows)
+        else:
+            quantum = 2.0**-4 if uniforms == "repeating" else None
+            rngs = [_CountedDraws(seed, quantum) for seed in range(rows)]
+            draws = evolution._draw(pt, n, rngs)
+            expected = _unsorted_draw(pt, n, [_CountedDraws(seed, quantum) for seed in range(rows)])
+            # one call of n uniforms per generator: the streams are unchanged
+            assert [rng.calls for rng in rngs] == [[n]] * rows
+        assert draws.dtype == np.int64 and draws.shape == (rows, n)
+        assert np.array_equal(draws, expected)
+
+
 def test_sampling_goodness_of_fit():
     p = pv(0.2, 0.3, 0.5)
     draws = sample_dataset(p, 100_000, make_rng(7))
@@ -531,6 +609,25 @@ def test_per_agent_verifier_annihilation_skips_only_that_agent():
     assert masses == [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]
     assert traj.fired == ((1, "verifier"),)
     assert traj.notes == ((1, "verifier-annihilation: update skipped"),) * 2
+
+
+def test_absence_flag_of_an_annihilation_round_reads_the_data_before_that_verifier():
+    from driftlab import SafetyReference, VerifierPolicy
+
+    pi = pv(0.4, 0.3, 0.2, 0.1)
+    ref = SafetyReference(pi, (0, 1), 0.35)
+    # fp=1 drops every safe sample and fn_rate=0 every unsafe one, so each
+    # round's verifier empties the dataset and the update is skipped
+    verifier = VerifierPolicy(ref, fp=1.0, fn_rate=0.0)
+    cfg = EvolutionConfig(sample_size=20, rounds=3, seed=1)
+    pop0 = Population.equal_weights([pi] * 2)
+    traj = run(pop0, cfg, intervention=verifier, monitors={"zero": (0,)})
+    assert traj.notes == tuple((r, "verifier-annihilation: update skipped") for r in (1, 2, 3))
+    assert np.array_equal(traj.final_population.agents[0].mass, pi.mass)
+    # the annihilated block keeps the samples it held before the verifier,
+    # and those hit outcome 0: the flag reads "present" although the
+    # verifier kept nothing
+    assert traj.monitor_absent["zero"].tolist() == [False] * 4
 
 
 def test_isolation_reference_cannot_touch_dynamics():
