@@ -68,8 +68,8 @@ def _print_drift_summary(result: DriftResult, quiet: bool) -> None:
     cfg = result.config
     _say(
         quiet,
-        f"drift sweep: {len(cfg.seeds)} seeds x {cfg.rounds} rounds, "
-        f"space {cfg.space_size}, sample {cfg.sample_size}",
+        f"drift sweep: {len(cfg.seeds)} seeds x {cfg.evolution.rounds} rounds, "
+        f"space {cfg.space_size}, sample {cfg.evolution.sample_size}",
     )
     _say(
         quiet,
@@ -97,7 +97,7 @@ def _print_drift_summary(result: DriftResult, quiet: bool) -> None:
         _say(
             quiet,
             f"low-visibility rounds (monitored mass <= c/N): median "
-            f"{median_low} of {cfg.rounds + 1}",
+            f"{median_low} of {cfg.evolution.rounds + 1}",
         )
     for seed, reason in sorted(result.failures.items()):
         print(f"seed {seed} failed: {reason}", file=sys.stderr)

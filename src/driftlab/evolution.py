@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -167,20 +167,23 @@ _SELECTION_KINDS = {
 }
 
 
-def _refuse_unread(owner: str, rule, reads: Sequence[str]) -> None:
-    """ConfigError naming each field of rule, kind and reads aside, that is
-    set: away from its default, or for a vector, holding entries."""
+def _refuse_unread(owner: str, rule, reads: Sequence[str], kind: str = "kind") -> None:
+    """ConfigError naming each field of rule, its kind field and reads aside,
+    that is set: away from its default, or where the default is None or (),
+    holding a value (a vector, holding entries)."""
     unread = []
     for f in fields(rule):
         value = getattr(rule, f.name)
         if f.default is None or f.default == ():
-            is_set = value is not None and len(value) > 0
+            is_set = value is not None and (not isinstance(value, Sized) or len(value) > 0)
         else:
             is_set = bool(value != f.default)
-        if is_set and f.name not in ("kind", *reads):
+        if is_set and f.name not in (kind, *reads):
             unread.append(f.name)
     if unread:
-        raise ConfigError(f"{owner} kind {rule.kind!r} does not read {', '.join(unread)}")
+        raise ConfigError(
+            f"{owner} {kind} {getattr(rule, kind)!r} does not read {', '.join(unread)}"
+        )
 
 
 def _check_beta(owner: str, beta: float) -> None:
@@ -587,7 +590,8 @@ def neighborhood(space: OutcomeSpace, indices: Iterable[int], radius: int) -> np
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """One closed-loop run.
+    """The round settings of a closed-loop run; the seed is given apart (see
+    run and run_batch).
 
     By default a round draws one dataset of sample_size outcomes and every
     agent refits to it, so all agents coincide after round 1. With
@@ -600,7 +604,6 @@ class EvolutionConfig:
     rounds: int
     selection: SelectionRule = field(default_factory=lambda: SelectionRule("identity"))
     update: UpdateRule = field(default_factory=lambda: UpdateRule("mle"))
-    seed: int = 0
     per_agent_datasets: bool = False
 
     def __post_init__(self):
@@ -608,7 +611,6 @@ class EvolutionConfig:
             raise ConfigError(f"sample_size must be a positive integer, got {self.sample_size!r}")
         if not isinstance(self.rounds, (int, np.integer)) or self.rounds < 1:
             raise ConfigError(f"rounds must be a positive integer, got {self.rounds!r}")
-        _check_seed(self.seed)
         if self.per_agent_datasets and self.update.kind == "memory-buffer":
             raise ConfigError(
                 "per-agent datasets are not supported with the memory-buffer rule"
@@ -952,8 +954,8 @@ def run_batch(
 ) -> Iterator[Trajectory | SimulationError]:
     """Run the i-th population under cfg with seeds[i], for every i, as run() would.
 
-    cfg's own seed is not read. The populations must share one space and
-    size. Seeds advance in lock-step chunks of chunk_size(M, K), and pops is
+    The populations must share one space and size, and ref, when given, that
+    space too. Seeds advance in lock-step chunks of chunk_size(M, K), and pops is
     read one chunk at a time, so a generator keeps only one chunk of initial
     populations alive. Yields, in input order and chunk by chunk, each
     seed's Trajectory, or the SimulationError of a seed whose run failed;
@@ -978,6 +980,10 @@ def run_batch(
         return iter(())
     starts = chain([first], starts)
     space, size = first.space, first.size
+    if getattr(ref, "space", space) != space:
+        raise ConfigError(
+            f"the reference lives on {ref.space.size} outcomes, the populations on {space.size}"
+        )
     policies = _group_policies(intervention, space, size)
     _check_fit(cfg.selection, space)
     _check_fit(cfg.update, space)
@@ -1055,8 +1061,9 @@ def run(
     ref=None,
     monitors: Mapping[str, Iterable[int]] | None = None,
     keep_states: bool = False,
+    seed: int = 0,
 ) -> Trajectory:
-    """Execute cfg.rounds rounds and return the Trajectory of cfg.seed.
+    """Execute cfg.rounds rounds from pop0 and return the Trajectory of seed.
 
     probes are MetricProbe-like objects (name + evaluator(round, pt, agents,
     ref), agents being the seed's read-only (M, K) rows); they may read the
@@ -1069,12 +1076,13 @@ def run(
     sets whose training mass and dataset-absence flags are recorded every
     round in monitor_mass[name] and monitor_absent[name] (the raw material
     for decay estimation). The memory buffer starts empty. A failed round
-    raises SimulationError. This is run_batch on one seed.
+    raises SimulationError. This is run_batch on one seed, and gives the
+    bytes of run_batch's row for that seed.
     """
     (result,) = run_batch(
         [pop0],
         cfg,
-        [cfg.seed],
+        [seed],
         probes,
         intervention,
         ref=ref,

@@ -10,12 +10,18 @@ A JSON file with the same keys (nested objects allowed; they are flattened
 with dots) is accepted interchangeably. Every key can be overridden by an
 environment variable: prefix DRIFTLAB_, uppercase, dots become double
 underscores (evolution.sample_size -> DRIFTLAB_EVOLUTION__SAMPLE_SIZE).
+The evolution.*, selection.* and update.* keys make ExperimentConfig.evolution,
+the EvolutionConfig every runner hands to run_batch with its seeds.
 
 Experiments:
   run_drift_experiment          isolated seed sweep, trend statistics,
                                 terminal-state classification
   run_intervention_comparison   baseline vs. mitigation arms on shared seeds
   run_ensemble_mi               reference-ensemble mutual information decay
+
+The first two sweep cfg.seeds through _sweep, which records a failed seed and
+goes on; each ensemble run starts from its own reference, and one failure
+fails the ensemble.
 
 Trajectories serialize to CSV (header "round,seed,<probes>", 17 significant
 digits, infinities as "inf", seed-major row order) and JSON (full nested
@@ -47,9 +53,8 @@ from .evolution import (
     MAX_SEED,
     EvolutionConfig,
     Population,
-    SelectionRule,
     Trajectory,
-    UpdateRule,
+    _refuse_unread,
     run,  # noqa: F401  (bench/test_bench.py expects driftlab.harness.run)
     run_batch,
 )
@@ -215,9 +220,16 @@ def parse_seed_spec(value: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+# reference generator -> the spec fields it reads besides safe_set and epsilon
+_GENERATORS = {
+    "two-tier": ("safe_mass", "safe_fraction"), "zipf": ("exponent", "safe_fraction"),
+    "dirichlet-draw": ("alpha", "draw_seed", "safe_fraction"), "explicit": ("weights",),
+}
+
+
 @dataclass(frozen=True)
 class ReferenceSpec:
-    generator: str = "two-tier"  # two-tier | zipf | dirichlet-draw | explicit
+    generator: str = "two-tier"
     safe_mass: float = 0.95
     safe_fraction: float = 0.5
     epsilon: float | None = None
@@ -227,25 +239,38 @@ class ReferenceSpec:
     weights: tuple[float, ...] | None = None
     safe_set: str | None = None  # "0,1,2" or "top-fraction:0.5"
 
+    def __post_init__(self):
+        if self.generator not in _GENERATORS:
+            raise ConfigError(
+                f"unknown reference generator {self.generator!r}; one of {', '.join(_GENERATORS)}"
+            )
+        reads = ("safe_set", "epsilon", *_GENERATORS[self.generator])
+        _refuse_unread("reference", self, reads, kind="generator")
+
+
+# population init -> the spec fields it reads besides size
+_INITS = {"copy": (), "perturbed": ("sigma",), "dirichlet": ("alpha",)}
+
 
 @dataclass(frozen=True)
 class PopulationSpec:
     size: int = 4
-    init: str = "copy"  # copy | perturbed | dirichlet
+    init: str = "copy"
     sigma: float = 0.05
     alpha: float = 1.0
 
     def __post_init__(self):
         if self.size < 1:
             raise ConfigError(f"population size must be >= 1, got {self.size}")
-        if self.init not in ("copy", "perturbed", "dirichlet"):
+        if self.init not in _INITS:
             raise ConfigError(
-                f"unknown population init {self.init!r}; one of copy, perturbed, dirichlet"
+                f"unknown population init {self.init!r}; one of {', '.join(_INITS)}"
             )
         if self.sigma < 0.0:
             raise ConfigError(f"perturbation sigma must be >= 0, got {self.sigma}")
         if self.alpha <= 0.0:
             raise ConfigError(f"dirichlet alpha must be positive, got {self.alpha}")
+        _refuse_unread("population", self, ("size", *_INITS[self.init]), kind="init")
 
 
 @dataclass(frozen=True)
@@ -263,11 +288,7 @@ class ExperimentConfig:
     space_size: int = 1000
     reference: ReferenceSpec = field(default_factory=ReferenceSpec)
     population: PopulationSpec = field(default_factory=PopulationSpec)
-    sample_size: int = 200
-    rounds: int = 100
-    selection: SelectionRule = field(default_factory=lambda: SelectionRule("identity"))
-    update: UpdateRule = field(default_factory=lambda: UpdateRule("mle"))
-    per_agent_datasets: bool = False
+    evolution: EvolutionConfig = field(default_factory=lambda: EvolutionConfig(200, 100))
     seeds: tuple[int, ...] = tuple(range(20))
     probes: tuple[str, ...] = DEFAULT_PROBES
     delta: float = 0.02
@@ -284,10 +305,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.sample_size < 1:
-            raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 < self.margin < math.inf:
@@ -301,7 +318,7 @@ class ExperimentConfig:
 
     @property
     def coverage_tau(self) -> float:
-        return self.tau if self.tau is not None else 1.0 / (10.0 * self.sample_size)
+        return self.tau if self.tau is not None else 1.0 / (10.0 * self.evolution.sample_size)
 
     def with_seed_base(self, base: int) -> "ExperimentConfig":
         """Rebase the sweep to base..base+n-1 (the --seed override)."""
@@ -338,10 +355,11 @@ def _section(section: str, **parsers) -> dict:
 
 # The config grammar: flat key -> (the ExperimentConfig field that holds its
 # section, None for a top-level field; the field the key sets; its parser).
-# A parser that returns None leaves the field at its default, as does a key
-# the config leaves out. Keys parse in this order and each section is built
-# right after its keys, so a config's first error does not depend on the
-# order of its lines.
+# The selection and update sections are the rules of the evolution section,
+# whose keys follow theirs. A parser that returns None leaves the field at
+# its default, as does a key the config leaves out. Keys parse in this order
+# and each section is built right after its keys, so a config's first error
+# does not depend on the order of its lines.
 _CONFIG_KEYS = {
     **_section(
         "reference", generator=_as_text, safe_mass=_as_float, safe_fraction=_as_float,
@@ -352,8 +370,6 @@ _CONFIG_KEYS = {
     **_section("intervention", kind=_as_policy_kind, schedule=_as_text),
     "experiment.probes": (None, "probes", _as_probes),
     "space.size": (None, "space_size", _as_int),
-    "evolution.sample_size": (None, "sample_size", _as_int),
-    "evolution.rounds": (None, "rounds", _as_int),
     **_section(
         "selection", kind=_as_text, indices=_as_ints, k=_as_int, beta=_as_float,
         reward=_as_floats,
@@ -363,7 +379,7 @@ _CONFIG_KEYS = {
         beta=_as_float, reward=_as_floats, reward_source=_as_text,
         neighborhood_radius=_as_int,
     ),
-    "evolution.per_agent_datasets": (None, "per_agent_datasets", _as_bool),
+    **_section("evolution", sample_size=_as_int, rounds=_as_int, per_agent_datasets=_as_bool),
     "experiment.seeds": (None, "seeds", lambda key, value: parse_seed_spec(value)),
     "experiment.delta": (None, "delta", _as_float),
     "experiment.visibility_c": (None, "visibility_c", _as_float),
@@ -400,6 +416,7 @@ def config_from_mapping(flat: Mapping[str, str]) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     defaults = ExperimentConfig()
     values: dict = {}
+    rules: dict = {}  # the evolution section's selection and update
     for section, entries in groupby(_CONFIG_KEYS.items(), key=lambda entry: entry[1][0]):
         given = {}
         for key, (_, name, parse) in entries:
@@ -409,6 +426,10 @@ def config_from_mapping(flat: Mapping[str, str]) -> ExperimentConfig:
             values.update(given)
         elif section == "intervention":
             values[section] = _intervention(given, params)
+        elif section in ("selection", "update"):
+            rules[section] = replace(getattr(defaults.evolution, section), **given)
+        elif section == "evolution":
+            values[section] = replace(defaults.evolution, **given, **rules)
         else:
             values[section] = replace(getattr(defaults, section), **given)
     return replace(defaults, **values)
@@ -446,14 +467,9 @@ def build_reference(cfg: ExperimentConfig) -> SafetyReference:
             ref = two_tier_reference(size, spec.safe_mass, spec.safe_fraction, eps)
         elif spec.generator == "zipf":
             ref = zipf_reference(size, spec.exponent, spec.safe_fraction, epsilon=eps)
-        elif spec.generator == "dirichlet-draw":
+        else:  # dirichlet-draw; ReferenceSpec admits no other generator
             ref = dirichlet_reference(
                 size, spec.alpha, spec.draw_seed, spec.safe_fraction, epsilon=eps
-            )
-        else:
-            raise ConfigError(
-                f"unknown reference generator {spec.generator!r}; "
-                "one of two-tier, zipf, dirichlet-draw, explicit"
             )
         if not spec.safe_set:
             return ref
@@ -703,15 +719,23 @@ class DriftResult:
         return counts
 
 
-def _evolution_config(cfg: ExperimentConfig) -> EvolutionConfig:
-    """The round settings every seed of cfg shares; run_batch gives the seeds."""
-    return EvolutionConfig(
-        sample_size=cfg.sample_size,
-        rounds=cfg.rounds,
-        selection=cfg.selection,
-        update=cfg.update,
-        per_agent_datasets=cfg.per_agent_datasets,
+def _sweep(
+    cfg: ExperimentConfig, ref: SafetyReference, probes, policy=None, monitors=None
+) -> tuple[dict[int, Trajectory], dict[int, str]]:
+    """Every seed of cfg from its own start population under cfg.evolution:
+    the trajectories, and the failure text of each seed whose run failed."""
+    trajectories: dict[int, Trajectory] = {}
+    failures: dict[int, str] = {}
+    results = run_batch(
+        (build_population(cfg.population, ref, seed) for seed in cfg.seeds),
+        cfg.evolution, cfg.seeds, probes, policy, ref=ref, monitors=monitors,
     )
+    for seed, result in zip(cfg.seeds, results):
+        if isinstance(result, SimulationError):
+            failures[seed] = str(result)
+        else:
+            trajectories[seed] = result
+    return trajectories, failures
 
 
 def _require_isolated(cfg: ExperimentConfig, experiment: str) -> None:
@@ -737,24 +761,8 @@ def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
             probe_list.append(required)
     probes = resolve_probes(probe_list, default_tau=cfg.coverage_tau)
     monitored = monitored_rare_set(ref, cfg.delta)
-    visibility_floor = cfg.visibility_c / cfg.sample_size
-
-    trajectories: dict[int, Trajectory] = {}
-    failures: dict[int, str] = {}
-    results = run_batch(
-        (build_population(cfg.population, ref, seed) for seed in cfg.seeds),
-        _evolution_config(cfg),
-        cfg.seeds,
-        probes,
-        ref=ref,
-        monitors={"rare-safe": monitored},
-    )
-    for seed, result in zip(cfg.seeds, results):
-        if isinstance(result, SimulationError):
-            failures[seed] = str(result)
-        else:
-            trajectories[seed] = result
-
+    visibility_floor = cfg.visibility_c / cfg.evolution.sample_size
+    trajectories, failures = _sweep(cfg, ref, probes, monitors={"rare-safe": monitored})
     trends = {
         name: compute_trend(name, {seed: t.values[name] for seed, t in trajectories.items()})
         for name in (probe_list if trajectories else ())
@@ -819,23 +827,9 @@ def paired_difference(arm_value: float, base_value: float) -> float:
 
 def _run_arm(cfg: ExperimentConfig, ref: SafetyReference, name: str, policy) -> ArmSummary:
     probes = resolve_probes(("kl_safety", "safe_mass"), default_tau=cfg.coverage_tau)
-    terminal_kl: dict[int, float] = {}
-    terminal_sm: dict[int, float] = {}
-    failures: dict[int, str] = {}
-    results = run_batch(
-        (build_population(cfg.population, ref, seed) for seed in cfg.seeds),
-        _evolution_config(cfg),
-        cfg.seeds,
-        probes,
-        policy,
-        ref=ref,
-    )
-    for seed, result in zip(cfg.seeds, results):
-        if isinstance(result, SimulationError):
-            failures[seed] = str(result)
-            continue
-        terminal_kl[seed] = float(result.values["kl_safety"][-1])
-        terminal_sm[seed] = float(result.values["safe_mass"][-1])
+    trajectories, failures = _sweep(cfg, ref, probes, policy)
+    terminal_kl = {seed: float(t.values["kl_safety"][-1]) for seed, t in trajectories.items()}
+    terminal_sm = {seed: float(t.values["safe_mass"][-1]) for seed, t in trajectories.items()}
     kl_values = list(terminal_kl.values())
     sm_values = list(terminal_sm.values())
     return ArmSummary(
@@ -935,7 +929,7 @@ def run_ensemble_mi(
     if runs < 1:
         raise ConfigError(f"runs_per_ref must be >= 1, got {runs}")
     q = cfg.quantizer
-    rounds = cfg.rounds
+    rounds = cfg.evolution.rounds
     # past the cap the table is too large with any rounds and references, and
     # capping keeps an overflowing 1 / q out of the integer conversion
     bins = int(math.floor(min(1.0 / q, MAX_MI_CELLS) + 0.5)) + 1
@@ -953,7 +947,7 @@ def run_ensemble_mi(
             build_population(cfg.population, refs[k // runs], seed)
             for k, seed in enumerate(seeds)
         ),
-        _evolution_config(cfg),
+        cfg.evolution,
         seeds,
         monitors={"ens": statistic_set},
     )

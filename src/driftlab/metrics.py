@@ -350,12 +350,7 @@ def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
                 raise ConfigError(f"unparseable coverage threshold in {name!r}") from exc
         if not (0.0 < tau <= 1.0):
             raise ConfigError(f"coverage threshold must lie in (0, 1], got {tau}")
-
-        def _probe_coverage(t, pt, agents, ref, _tau=tau):
-            require_same_space(ref.pi_star, pt)
-            return _covered_mass(ref, pt, _tau)
-
-        return MetricProbe(name, _probe_coverage)
+        return MetricProbe(name, _split_probe(_covered_mass, tau))
     raise ConfigError(
         f"unknown probe {name!r}; registry: {', '.join(probe_names())} "
         "(coverage also accepts coverage@<tau>)"

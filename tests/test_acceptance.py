@@ -177,10 +177,10 @@ def test_criterion_4_reference_isolation_bitwise():
     ref_a = two_tier_reference(1000, safe_mass=0.95, safe_fraction=0.5)
     ref_b = two_tier_reference(1000, safe_mass=0.75, safe_fraction=0.5)
     pop0 = Population.equal_weights([ref_a.pi_star] * 4)
-    cfg = EvolutionConfig(sample_size=200, rounds=100, seed=11)
+    cfg = EvolutionConfig(sample_size=200, rounds=100)
     probes = resolve_probes(("kl_safety", "safe_mass"), default_tau=5e-4)
-    traj_a = run(pop0, cfg, probes=probes, ref=ref_a, keep_states=True)
-    traj_b = run(pop0, cfg, probes=probes, ref=ref_b, keep_states=True)
+    traj_a = run(pop0, cfg, probes=probes, ref=ref_a, keep_states=True, seed=11)
+    traj_b = run(pop0, cfg, probes=probes, ref=ref_b, keep_states=True, seed=11)
     identical = len(traj_a.states) == len(traj_b.states) and all(
         np.array_equal(sa.agents[i].mass, sb.agents[i].mass)
         for sa, sb in zip(traj_a.states, traj_b.states)
@@ -252,8 +252,8 @@ def test_criterion_5b_perfect_verifier_pins_safe_mass(default_comparison):
 
     ref = two_tier_reference(1000, safe_mass=0.95, safe_fraction=0.5)
     pop0 = Population.equal_weights([ref.pi_star] * 4)
-    cfg = EvolutionConfig(sample_size=200, rounds=100, seed=0)
-    traj = run(pop0, cfg, intervention=VerifierPolicy(ref), keep_states=True)
+    cfg = EvolutionConfig(sample_size=200, rounds=100)
+    traj = run(pop0, cfg, intervention=VerifierPolicy(ref), keep_states=True, seed=0)
     unsafe = ~ref.safe_mask
     confined = all(
         np.all(agent.mass[unsafe] == 0.0) for agent in traj.states[-1].agents
@@ -274,7 +274,8 @@ def test_criterion_5b_perfect_verifier_pins_safe_mass(default_comparison):
 
 
 def test_criterion_6_ensemble_information_decays():
-    cfg = replace(ExperimentConfig(), rounds=50)
+    defaults = ExperimentConfig()
+    cfg = replace(defaults, evolution=replace(defaults.evolution, rounds=50))
     result = run_ensemble_mi(cfg)
     mi = result.mi_series
     start_gap = abs(mi[0] - math.log(2.0))

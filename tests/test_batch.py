@@ -9,7 +9,6 @@ monitor masses and absence flags), final agents and failure text must agree.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,8 +143,7 @@ def _alone(cfg, seeds, intervention, pops=_pops, ref=REF, monitors=MONITORS):
     for pop, seed in zip(pops(seeds), seeds):
         try:
             outcomes.append(_outcome(run(
-                pop, replace(cfg, seed=seed), PROBES, intervention,
-                ref=ref, monitors=monitors,
+                pop, cfg, PROBES, intervention, ref=ref, monitors=monitors, seed=seed,
             )))
         except SimulationError as exc:
             outcomes.append(_outcome(exc))
@@ -195,7 +193,7 @@ def test_failing_seeds_leave_their_chunk_and_the_rest_go_on(small_chunks):
     seeds = tuple(range(3 * CHUNK))
     spec = _policy("diversity", "every:2", temperature=1, rho=0.95)
     ref = two_tier_reference(K, safe_mass=0.9, safe_fraction=0.5)
-    evo = EvolutionConfig(cfg.sample_size, cfg.rounds, cfg.selection, cfg.update)
+    evo = cfg.evolution
     inputs = dict(
         intervention=[realize_policy(spec, ref)],
         pops=lambda seeds: [build_population(cfg.population, ref, seed) for seed in seeds],
@@ -236,7 +234,7 @@ def test_an_overflowing_policy_hook_fails_only_its_seed(case):
         together = [_outcome(t) for t in run_batch([pop] * len(seeds), cfg, seeds, (), policy)]
         for seed in seeds:
             try:
-                alone.append(_outcome(run(pop, replace(cfg, seed=seed), intervention=policy)))
+                alone.append(_outcome(run(pop, cfg, intervention=policy, seed=seed)))
             except SimulationError as exc:
                 alone.append(_outcome(exc))
     assert together == alone
@@ -300,7 +298,7 @@ def test_a_raising_probe_fails_only_its_seed():
     alone = []
     for seed in seeds:
         try:
-            alone.append(_outcome(run(pop, replace(cfg, seed=seed), probes, ref=ref)))
+            alone.append(_outcome(run(pop, cfg, probes, ref=ref, seed=seed)))
         except SimulationError as exc:
             alone.append(_outcome(exc))
     assert together == alone
@@ -406,6 +404,23 @@ def test_run_batch_checks_its_runs_where_it_is_called(small_chunks):
     results = run_batch(iter(pops[:CHUNK]), cfg, SEEDS)
     with pytest.raises(ConfigError, match="one population per seed"):
         list(results)
+
+
+def test_a_reference_on_another_space_is_one_config_error():
+    # the probes would fail every seed in round 0; the call fails instead,
+    # before any round runs, and so does run()
+    pops = [build_population(PopulationSpec(2, "copy"), REF, s) for s in range(3)]
+    cfg = EvolutionConfig(sample_size=5, rounds=2)
+    other = two_tier_reference(K + 2)
+    mismatch = f"reference lives on {K + 2} outcomes, the populations on {K}"
+    with pytest.raises(ConfigError, match=mismatch):
+        run_batch(pops, cfg, range(3), PROBES, ref=other)
+    with pytest.raises(ConfigError, match="reference lives on"):
+        run(pops[0], cfg, PROBES, ref=other, seed=1)
+    # the populations' own space passes, and no probes need no reference
+    results = run_batch(pops, cfg, range(3), PROBES, ref=REF)
+    assert all(not isinstance(t, SimulationError) for t in results)
+    assert len(list(run_batch(pops, cfg, range(3)))) == 3
 
 
 def test_run_batch_builds_one_chunk_of_populations_at_a_time(small_chunks):

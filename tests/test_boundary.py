@@ -157,11 +157,11 @@ def test_reward_tilt_past_the_float_range_runs_without_overflow():
         update=UpdateRule("reward-reweighted-mle", reward=spread, beta=1e10),
     )
     pop = Population.equal_weights([ProbVector(OutcomeSpace(10), [0.1] * 10)])
-    cfg = EvolutionConfig(sample_size=20, rounds=3, seed=0, **rules)
+    cfg = EvolutionConfig(sample_size=20, rounds=3, **rules)
     with np.errstate(over="raise"):
         accepted = apply_selection(pop.agents[0], rules["selection"]).mass > 0
         out = update_agents(pop, np.array([0, 1, 7, 7], dtype=np.int64), rules["update"])
-        traj = run(pop, cfg, keep_states=True)
+        traj = run(pop, cfg, keep_states=True, seed=0)
     assert accepted.tolist() == [False] * 5 + [True] * 5
     assert out.agents[0].mass.tolist() == [0.0] * 7 + [1.0, 0.0, 0.0]
     for state in traj.states[1:]:
@@ -274,7 +274,6 @@ def test_accepted_runs_stay_on_the_simplex(case):
             rounds=case["rounds"],
             selection=SelectionRule(selection_kind, **selection),
             update=UpdateRule(update_kind, **update),
-            seed=case["seed"],
             per_agent_datasets=case["per_agent"],
         )
         spec: PolicySpec | None = case["policy"]
@@ -286,6 +285,7 @@ def test_accepted_runs_stay_on_the_simplex(case):
             policy,
             ref=ref,
             keep_states=True,
+            seed=case["seed"],
         )
     except (ConfigError, SimulationError) as exc:
         event(type(exc).__name__)

@@ -331,3 +331,44 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "command,extra,unread",
+    [
+        # the default copy init and two-tier generator read none of these
+        ("simulate", "population.sigma=0.5\n", "population init 'copy' does not read sigma"),
+        ("compare", "population.alpha=3\n", "population init 'copy' does not read alpha"),
+        (
+            "simulate", "population.init=perturbed\npopulation.alpha=2\n",
+            "population init 'perturbed' does not read alpha",
+        ),
+        ("simulate", "reference.exponent=2.0\n", "generator 'two-tier' does not read exponent"),
+        ("ensemble-mi", "reference.alpha=2\n", "generator 'two-tier' does not read alpha"),
+        ("simulate", "reference.draw_seed=5\n", "generator 'two-tier' does not read draw_seed"),
+        ("compare", "reference.weights=1,2\n", "generator 'two-tier' does not read weights"),
+        (
+            "simulate", "reference.generator=zipf\nreference.safe_mass=0.8\n",
+            "reference generator 'zipf' does not read safe_mass",
+        ),
+    ],
+)
+def test_reference_and_population_fields_the_kind_does_not_read_exit_2(
+    tmp_path, capsys, command, extra, unread
+):
+    path = tmp_path / "unread.cfg"
+    path.write_text(TINY + extra)
+    assert main([command, str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and unread in err and "Traceback" not in err
+
+
+def test_per_agent_datasets_with_the_memory_buffer_exit_2(tmp_path, capsys):
+    path = tmp_path / "per-agent.cfg"
+    path.write_text(
+        TINY + "evolution.per_agent_datasets=true\nupdate.kind=memory-buffer\nupdate.capacity=50\n"
+    )
+    assert main(["compare", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "per-agent datasets are not supported with the memory-buffer rule" in err

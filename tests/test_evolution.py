@@ -419,25 +419,40 @@ def _replay_round(pop, cfg, rng, memory):
 
 def test_round_composition():
     pop = Population.equal_weights([pv(0.5, 0.5), pv(0.5, 0.5)])
-    cfg = EvolutionConfig(sample_size=50, rounds=1, seed=5)
+    cfg = EvolutionConfig(sample_size=50, rounds=1)
     replayed, dataset, pt, _ = _replay_round(pop, cfg, make_rng(5), ())
     assert len(dataset) == 50
     assert pt.mass.tolist() == [0.5, 0.5]
     counts = np.bincount(dataset, minlength=2)
     np.testing.assert_allclose(replayed.agents[0].mass, counts / 50.0, atol=1e-15)
-    state = run(pop, cfg, keep_states=True).states[1]
+    state = run(pop, cfg, keep_states=True, seed=5).states[1]
     for manual, recorded in zip(replayed.agents, state.agents):
         assert np.array_equal(manual.mass, recorded.mass)
 
 
 def test_per_agent_datasets_give_distinct_agents():
     pop = Population.equal_weights([pv(0.5, 0.5)] * 3)
-    cfg = EvolutionConfig(sample_size=51, rounds=1, seed=5, per_agent_datasets=True)
+    cfg = EvolutionConfig(sample_size=51, rounds=1, per_agent_datasets=True)
     replayed, dataset, _, _ = _replay_round(pop, cfg, make_rng(5), ())
     assert len(dataset) == 153
-    masses = [tuple(a.mass.tolist()) for a in run(pop, cfg, keep_states=True).states[1].agents]
+    agents = run(pop, cfg, keep_states=True, seed=5).states[1].agents
+    masses = [tuple(a.mass.tolist()) for a in agents]
     assert len(set(masses)) > 1
     assert masses == [tuple(a.mass.tolist()) for a in replayed.agents]
+
+
+def test_the_seed_is_given_to_run_not_to_the_config():
+    pop = Population.equal_weights([pv(0.2, 0.3, 0.5)])
+    with pytest.raises(TypeError, match="seed"):
+        EvolutionConfig(sample_size=5, rounds=3, seed=123)
+    cfg = EvolutionConfig(sample_size=5, rounds=3)
+    first = run(pop, cfg, keep_states=True).states
+    again = run(pop, cfg, keep_states=True, seed=0).states
+    other = run(pop, cfg, keep_states=True, seed=123).states
+    masses = [[p.agents[0].mass.tobytes() for p in states] for states in (first, again, other)]
+    assert masses[0] == masses[1] != masses[2]
+    with pytest.raises(ConfigError, match="64 unsigned bits"):
+        run(pop, cfg, seed=-1)
 
 
 def test_per_agent_datasets_rejects_memory_rule():
@@ -451,9 +466,9 @@ def test_per_agent_datasets_rejects_memory_rule():
 def test_run_record_structure():
     ref = two_tier_reference(20, safe_mass=0.9, safe_fraction=0.5)
     pop = Population.equal_weights([ref.pi_star] * 2)
-    cfg = EvolutionConfig(sample_size=40, rounds=7, seed=1)
+    cfg = EvolutionConfig(sample_size=40, rounds=7)
     probes = resolve_probes(("kl_safety", "safe_mass"), default_tau=0.01)
-    traj = run(pop, cfg, probes, ref=ref, monitors={"tail": (8, 9)})
+    traj = run(pop, cfg, probes, ref=ref, monitors={"tail": (8, 9)}, seed=1)
     assert traj.rounds == 7
     assert set(traj.values) == {"kl_safety", "safe_mass"}
     columns = [*traj.values.values(), traj.monitor_mass["tail"], traj.monitor_absent["tail"]]
@@ -529,13 +544,13 @@ def test_run_rejects_empty_monitor():
 def test_run_is_deterministic_and_seed_sensitive():
     ref = two_tier_reference(50, safe_mass=0.9, safe_fraction=0.5)
     pop = Population.equal_weights([ref.pi_star] * 2)
-    cfg = EvolutionConfig(sample_size=30, rounds=10, seed=11)
-    a = run(pop, cfg, keep_states=True)
-    b = run(pop, cfg, keep_states=True)
+    cfg = EvolutionConfig(sample_size=30, rounds=10)
+    a = run(pop, cfg, keep_states=True, seed=11)
+    b = run(pop, cfg, keep_states=True, seed=11)
     for sa, sb in zip(a.states, b.states):
         for aa, ab in zip(sa.agents, sb.agents):
             assert np.array_equal(aa.mass, ab.mass)
-    c = run(pop, EvolutionConfig(sample_size=30, rounds=10, seed=12), keep_states=True)
+    c = run(pop, cfg, keep_states=True, seed=12)
     assert any(
         not np.array_equal(xa.agents[0].mass, xc.agents[0].mass)
         for xa, xc in zip(a.states, c.states)
@@ -545,11 +560,12 @@ def test_run_is_deterministic_and_seed_sensitive():
 def test_per_agent_run_differs_from_shared_run():
     ref = two_tier_reference(1000, safe_mass=0.95, safe_fraction=0.5)
     pop0 = Population.equal_weights([ref.pi_star] * 4)
-    shared = run(pop0, EvolutionConfig(sample_size=200, rounds=5, seed=3), keep_states=True)
+    shared = run(pop0, EvolutionConfig(sample_size=200, rounds=5), keep_states=True, seed=3)
     per_agent = run(
         pop0,
-        EvolutionConfig(sample_size=200, rounds=5, seed=3, per_agent_datasets=True),
+        EvolutionConfig(sample_size=200, rounds=5, per_agent_datasets=True),
         keep_states=True,
+        seed=3,
     )
     final = [tuple(a.mass.tolist()) for a in per_agent.final_population.agents]
     assert len(set(final)) == 4
@@ -581,11 +597,11 @@ def test_run_matches_manual_round_replay(rule, per_agent, selection):
     ref = two_tier_reference(30, safe_mass=0.9, safe_fraction=0.5)
     pop0 = Population.equal_weights([ref.pi_star] * 3)
     cfg = EvolutionConfig(
-        sample_size=25, rounds=8, seed=21, selection=selection, update=rule,
+        sample_size=25, rounds=8, selection=selection, update=rule,
         per_agent_datasets=per_agent,
     )
-    traj = run(pop0, cfg, keep_states=True)
-    rng = make_rng(cfg.seed)
+    traj = run(pop0, cfg, keep_states=True, seed=21)
+    rng = make_rng(21)
     pop, memory = pop0, ()
     for r in range(1, cfg.rounds + 1):
         pop, dataset, _, memory = _replay_round(pop, cfg, rng, memory)
@@ -603,8 +619,8 @@ def test_per_agent_verifier_annihilation_skips_only_that_agent():
     pop0 = Population.equal_weights([pv(0.5, 0.5)] * 4)
     # one sample per agent: the perfect verifier empties exactly the chunks
     # that drew the unsafe outcome (agents 1 and 2 at this seed)
-    cfg = EvolutionConfig(sample_size=1, rounds=1, seed=4, per_agent_datasets=True)
-    traj = run(pop0, cfg, intervention=VerifierPolicy(ref), keep_states=True)
+    cfg = EvolutionConfig(sample_size=1, rounds=1, per_agent_datasets=True)
+    traj = run(pop0, cfg, intervention=VerifierPolicy(ref), keep_states=True, seed=4)
     masses = [a.mass.tolist() for a in traj.states[1].agents]
     assert masses == [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]
     assert traj.fired == ((1, "verifier"),)
@@ -619,9 +635,9 @@ def test_absence_flag_of_an_annihilation_round_reads_the_data_before_that_verifi
     # fp=1 drops every safe sample and fn_rate=0 every unsafe one, so each
     # round's verifier empties the dataset and the update is skipped
     verifier = VerifierPolicy(ref, fp=1.0, fn_rate=0.0)
-    cfg = EvolutionConfig(sample_size=20, rounds=3, seed=1)
+    cfg = EvolutionConfig(sample_size=20, rounds=3)
     pop0 = Population.equal_weights([pi] * 2)
-    traj = run(pop0, cfg, intervention=verifier, monitors={"zero": (0,)})
+    traj = run(pop0, cfg, intervention=verifier, monitors={"zero": (0,)}, seed=1)
     assert traj.notes == tuple((r, "verifier-annihilation: update skipped") for r in (1, 2, 3))
     assert np.array_equal(traj.final_population.agents[0].mass, pi.mass)
     # the annihilated block keeps the samples it held before the verifier,
@@ -636,10 +652,10 @@ def test_isolation_reference_cannot_touch_dynamics():
     ref_b = two_tier_reference(40, safe_mass=0.6, safe_fraction=0.25)
     pop = Population.equal_weights([pv(*([1.0 / 40] * 39 + [1.0 / 40]))] * 2)
     # same initial population measured against two different references
-    cfg = EvolutionConfig(sample_size=35, rounds=12, seed=3)
+    cfg = EvolutionConfig(sample_size=35, rounds=12)
     probes = resolve_probes(("kl_safety", "safe_mass"), default_tau=0.01)
-    ta = run(pop, cfg, probes, ref=ref_a, keep_states=True)
-    tb = run(pop, cfg, probes, ref=ref_b, keep_states=True)
+    ta = run(pop, cfg, probes, ref=ref_a, keep_states=True, seed=3)
+    tb = run(pop, cfg, probes, ref=ref_b, keep_states=True, seed=3)
     for sa, sb in zip(ta.states, tb.states):
         for aa, ab in zip(sa.agents, sb.agents):
             assert np.array_equal(aa.mass, ab.mass)
@@ -655,11 +671,10 @@ def test_simulation_error_carries_round_index():
     cfg_bad = EvolutionConfig(
         sample_size=5,
         rounds=50,
-        seed=0,
         selection=SelectionRule("indicator", indices=(1,)),
     )
     with pytest.raises(SimulationError) as err:
-        run(pop, cfg_bad)
+        run(pop, cfg_bad, seed=0)
     assert err.value.round_index == 0
     assert isinstance(err.value.__cause__, DegenerateSelectionError)
 
@@ -668,8 +683,8 @@ def test_uniform_population_mixture_unchanged_by_update_shape():
     # with shared data, agents coincide after the update regardless of how
     # distinct they start
     pop = Population.equal_weights([pv(0.9, 0.1), pv(0.1, 0.9)])
-    cfg = EvolutionConfig(sample_size=100, rounds=1, seed=9)
-    final = run(pop, cfg).final_population
+    cfg = EvolutionConfig(sample_size=100, rounds=1)
+    final = run(pop, cfg, seed=9).final_population
     assert np.array_equal(final.agents[0].mass, final.agents[1].mass)
     replayed = _replay_round(pop, cfg, make_rng(9), ())[0]
     assert np.array_equal(replayed.agents[0].mass, final.agents[0].mass)

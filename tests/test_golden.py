@@ -97,11 +97,9 @@ def _csv_digest(tmp_path, update=UpdateRule("mle"), selection=SelectionRule("ide
     trajs = []
     for seed in SEEDS:
         pop0 = build_population(PopulationSpec(3, "perturbed", sigma=0.3), REF, seed)
-        cfg = EvolutionConfig(
-            sample_size=60, rounds=8, selection=selection, update=update, seed=seed
-        )
+        cfg = EvolutionConfig(sample_size=60, rounds=8, selection=selection, update=update)
         policies = [realize_policy(spec, REF) for spec in specs] or None
-        trajs.append(run(pop0, cfg, PROBES, policies, ref=REF))
+        trajs.append(run(pop0, cfg, PROBES, policies, ref=REF, seed=seed))
     return _file_digest(tmp_path, trajs)
 
 
@@ -158,10 +156,10 @@ def _json_digest(tmp_path, update=UpdateRule("mle"), selection=SelectionRule("id
         pop0 = build_population(PopulationSpec(size, "perturbed", sigma=0.3), REF, seed)
         cfg = EvolutionConfig(
             sample_size=sample_size, rounds=8, selection=selection, update=update,
-            seed=seed, per_agent_datasets=per_agent,
+            per_agent_datasets=per_agent,
         )
         policies = [realize_policy(spec, REF) for spec in specs] or None
-        trajs.append(run(pop0, cfg, PROBES, policies, ref=REF, monitors=MONITORS))
+        trajs.append(run(pop0, cfg, PROBES, policies, ref=REF, monitors=MONITORS, seed=seed))
     path = tmp_path / "trajectories.json"
     save_trajectories_json(trajs, str(path))
     return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -20,6 +20,7 @@ from driftlab import (
     SafetyReference,
     SelectionRule,
     Trajectory,
+    UpdateRule,
     apply_env_overrides,
     build_population,
     build_reference,
@@ -163,7 +164,7 @@ def test_env_overrides_reach_loaded_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("space.size=40\nevolution.rounds=9\n")
     cfg = load_experiment_config(str(path), {"DRIFTLAB_EVOLUTION__ROUNDS": "3"})
-    assert cfg.rounds == 3
+    assert cfg.evolution.rounds == 3
     assert cfg.space_size == 40
 
 
@@ -208,8 +209,8 @@ def test_config_defaults_match_documented_experiment():
     assert cfg.space_size == 1000
     assert cfg.reference.safe_mass == 0.95
     assert cfg.population.size == 4 and cfg.population.init == "copy"
-    assert cfg.sample_size == 200 and cfg.rounds == 100
-    assert cfg.selection.kind == "identity" and cfg.update.kind == "mle"
+    assert cfg.evolution == EvolutionConfig(sample_size=200, rounds=100)
+    assert cfg.evolution.selection.kind == "identity" and cfg.evolution.update.kind == "mle"
     assert cfg.seeds == tuple(range(20))
     assert cfg.probes == ("kl_safety", "safe_mass", "internal_entropy", "coverage")
     assert cfg.delta == 0.02 and cfg.margin == 0.05
@@ -221,12 +222,53 @@ def test_config_defaults_match_documented_experiment():
     cfg = config_from_mapping(
         {"selection.kind": "top-mass", "selection.k": "3", "reference.epsilon": "auto"}
     )
-    assert cfg.selection == SelectionRule("top-mass", k=3) and cfg.reference == ReferenceSpec()
+    assert cfg.evolution.selection == SelectionRule("top-mass", k=3)
+    assert cfg.reference == ReferenceSpec()
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="banana, spacex.size"):
         config_from_mapping({"spacex.size": "5", "banana": "1"})
+
+
+def test_config_builds_one_evolution_section_from_its_keys_and_rules():
+    cfg = config_from_mapping({
+        "evolution.sample_size": "30", "evolution.rounds": "6",
+        "evolution.per_agent_datasets": "true", "selection.kind": "top-mass",
+        "selection.k": "3", "update.kind": "smoothed-mle", "update.lam": "0.5",
+    })
+    assert cfg.evolution == EvolutionConfig(
+        sample_size=30, rounds=6, selection=SelectionRule("top-mass", k=3),
+        update=UpdateRule("smoothed-mle", lam=0.5), per_agent_datasets=True,
+    )
+    assert cfg.coverage_tau == pytest.approx(1.0 / 300.0)
+    # the kernel's own checks run at load time, not when the sweep starts
+    with pytest.raises(ConfigError, match="memory-buffer"):
+        config_from_mapping({
+            "evolution.per_agent_datasets": "true", "update.kind": "memory-buffer",
+            "update.capacity": "10",
+        })
+    with pytest.raises(ConfigError, match="sample_size must be a positive integer"):
+        config_from_mapping({"evolution.sample_size": "0"})
+
+
+def test_reference_and_population_fields_the_kind_does_not_read_are_refused():
+    with pytest.raises(ConfigError, match="generator 'two-tier' does not read exponent, weights$"):
+        ReferenceSpec(exponent=2.0, weights=(1.0, 2.0))
+    with pytest.raises(ConfigError, match="'dirichlet-draw' does not read safe_mass$"):
+        ReferenceSpec("dirichlet-draw", safe_mass=0.5, alpha=2.0, draw_seed=3)
+    with pytest.raises(ConfigError, match="'explicit' does not read safe_fraction$"):
+        ReferenceSpec("explicit", safe_fraction=0.3, weights=(1.0, 2.0), safe_set="0")
+    with pytest.raises(ConfigError, match="unknown reference generator 'magic'"):
+        ReferenceSpec("magic")
+    with pytest.raises(ConfigError, match="population init 'dirichlet' does not read sigma$"):
+        PopulationSpec(init="dirichlet", sigma=0.1)
+    # every generator reads safe_set and a scalar epsilon; fields at their
+    # defaults are not set
+    for generator in harness._GENERATORS:
+        ReferenceSpec(generator, epsilon=0.01, safe_set="0,1", safe_mass=0.95)
+    PopulationSpec(init="perturbed", sigma=0.3, alpha=1.0)
+    PopulationSpec(init="dirichlet", alpha=3.0)
 
 
 def test_config_typed_coercion_errors():
@@ -265,8 +307,8 @@ def test_config_probe_list_parsing():
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(seeds=())
-    with pytest.raises(ConfigError):
-        ExperimentConfig(rounds=0)
+    with pytest.raises(ConfigError, match="rounds"):
+        config_from_mapping({"evolution.rounds": "0"})
     with pytest.raises(ConfigError):
         ExperimentConfig(delta=1.5)
     with pytest.raises(ConfigError):
@@ -475,10 +517,10 @@ def test_realize_policy_initial_anchor_uses_start_population():
     assert policy.gamma == 0.1
     # "initial" resolves to the run's own start population
     pop0 = build_population(PopulationSpec(3, "perturbed", sigma=0.3), REF_SMALL, 3)
-    cfg = EvolutionConfig(sample_size=20, rounds=4, seed=3)
+    cfg = EvolutionConfig(sample_size=20, rounds=4)
     pinned = EntropyReleasePolicy(gamma=0.1, anchor=pop0)
-    a = run(pop0, cfg, intervention=policy, keep_states=True)
-    b = run(pop0, cfg, intervention=pinned, keep_states=True)
+    a = run(pop0, cfg, intervention=policy, keep_states=True, seed=3)
+    b = run(pop0, cfg, intervention=pinned, keep_states=True, seed=3)
     for sa, sb in zip(a.states, b.states):
         for aa, ab in zip(sa.agents, sb.agents):
             assert aa.mass.tobytes() == ab.mass.tobytes()
@@ -620,14 +662,14 @@ def test_drift_experiment_smoke():
     assert result.failures == {}
     assert "safe_mass" in result.probes and "in_safe_term" in result.probes
     assert set(result.trends) == set(result.probes)
-    assert len(result.trends["kl_safety"].median_series) == cfg.rounds + 1
+    assert len(result.trends["kl_safety"].median_series) == cfg.evolution.rounds + 1
     assert all(
         label in (CLASS_LEAKAGE, CLASS_COLLAPSE, CLASS_STABLE)
         for label in result.classifications.values()
     )
     assert sum(result.class_counts().values()) == 3
     assert result.monitored_set
-    assert all(0 <= n <= cfg.rounds + 1 for n in result.low_visibility_rounds.values())
+    assert all(0 <= n <= cfg.evolution.rounds + 1 for n in result.low_visibility_rounds.values())
 
 
 def test_drift_experiment_extends_probe_list():

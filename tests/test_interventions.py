@@ -352,8 +352,8 @@ def test_run_verifier_annihilation_skips_update():
     # empties every round's dataset; the run must survive with the update
     # skipped and the population untouched
     pop0 = Population.equal_weights([pv(0.0, 1.0)])
-    cfg = EvolutionConfig(sample_size=8, rounds=3, seed=0)
-    traj = run(pop0, cfg, intervention=VerifierPolicy(REF2), keep_states=True)
+    cfg = EvolutionConfig(sample_size=8, rounds=3)
+    traj = run(pop0, cfg, intervention=VerifierPolicy(REF2), keep_states=True, seed=0)
     assert traj.fired == tuple((r, "verifier") for r in range(1, 4))
     assert traj.notes == tuple((r, "verifier-annihilation: update skipped") for r in range(1, 4))
     for state in traj.states:
@@ -368,11 +368,10 @@ def test_run_cooling_rollback_pins_population():
     cfg = EvolutionConfig(
         sample_size=10,
         rounds=4,
-        seed=2,
         selection=SelectionRule("indicator", indices=(1,)),
     )
     traj = run(
-        pop0, cfg, intervention=CoolingPolicy(REF2, kl_threshold=0.5), keep_states=True
+        pop0, cfg, intervention=CoolingPolicy(REF2, kl_threshold=0.5), keep_states=True, seed=2
     )
     assert traj.fired == tuple((r, "cooling") for r in range(1, 5))
     assert traj.notes == tuple((r, "cooling-rollback") for r in range(1, 5))
@@ -383,14 +382,15 @@ def test_run_cooling_rollback_pins_population():
 def test_run_cooling_refresh_leaves_dynamics_alone():
     pop0 = Population.equal_weights([REF2.pi_star])
     cfg = EvolutionConfig(
-        sample_size=20, rounds=4, seed=2, update=UpdateRule("smoothed-mle", lam=1.0)
+        sample_size=20, rounds=4, update=UpdateRule("smoothed-mle", lam=1.0)
     )
-    bare = run(pop0, cfg, keep_states=True)
+    bare = run(pop0, cfg, keep_states=True, seed=2)
     cooled = run(
         pop0,
         cfg,
         intervention=CoolingPolicy(REF2, kl_threshold=1e6),
         keep_states=True,
+        seed=2,
     )
     assert cooled.fired == ()
     assert cooled.notes == tuple((r, "cooling-refresh") for r in range(1, 5))
@@ -403,10 +403,10 @@ def test_run_scheduled_out_policy_changes_nothing():
     # installed but never scheduled: the trajectory must be bitwise identical
     # to an unintervened run, randomness included
     pop0 = Population.equal_weights([REF2.pi_star] * 2)
-    cfg = EvolutionConfig(sample_size=15, rounds=6, seed=4)
+    cfg = EvolutionConfig(sample_size=15, rounds=6)
     dormant = VerifierPolicy(REF2, schedule=Schedule(kind="every", k=50))
-    a = run(pop0, cfg, keep_states=True)
-    b = run(pop0, cfg, intervention=dormant, keep_states=True)
+    a = run(pop0, cfg, keep_states=True, seed=4)
+    b = run(pop0, cfg, intervention=dormant, keep_states=True, seed=4)
     for sa, sb in zip(a.states, b.states):
         for aa, ab in zip(sa.agents, sb.agents):
             assert np.array_equal(aa.mass, ab.mass)
@@ -418,11 +418,11 @@ def test_run_release_prune_failure_becomes_simulation_error():
     # entirely below the prune floor
     pop0 = Population.equal_weights([pv(0.5, 0.3, 0.2)])
     cfg = EvolutionConfig(
-        sample_size=10, rounds=5, seed=0, update=UpdateRule("smoothed-mle", lam=1e9)
+        sample_size=10, rounds=5, update=UpdateRule("smoothed-mle", lam=1e9)
     )
     policy = EntropyReleasePolicy(gamma=0.05, prune_floor=0.5)
     with pytest.raises(SimulationError) as err:
-        run(pop0, cfg, intervention=policy)
+        run(pop0, cfg, intervention=policy, seed=0)
     assert err.value.round_index == 1
     assert isinstance(err.value.__cause__, ValueError)
 
@@ -430,10 +430,10 @@ def test_run_release_prune_failure_becomes_simulation_error():
 def test_run_memory_prune_emits_note():
     pop0 = Population.equal_weights([REF2.pi_star])
     cfg = EvolutionConfig(
-        sample_size=50, rounds=5, seed=1, update=memory_preset(capacity=200, alpha_mem=0.5)
+        sample_size=50, rounds=5, update=memory_preset(capacity=200, alpha_mem=0.5)
     )
     policy = EntropyReleasePolicy(gamma=0.05, prune_memory=True, ref=REF2)
-    traj = run(pop0, cfg, intervention=policy)
+    traj = run(pop0, cfg, intervention=policy, seed=1)
     pruned = [text for _, text in traj.notes if text.startswith("memory prune dropped")]
     assert pruned, "expected at least one unsafe sample to be pruned from the buffer"
     assert {r for r, text in traj.fired if text == "entropy-release"} == set(range(1, 6))
@@ -441,12 +441,12 @@ def test_run_memory_prune_emits_note():
 
 def test_run_fired_lists_policies_in_attachment_order():
     pop0 = Population.equal_weights([REF2.pi_star])
-    cfg = EvolutionConfig(sample_size=30, rounds=3, seed=6)
+    cfg = EvolutionConfig(sample_size=30, rounds=3)
     policies = [
         VerifierPolicy(REF2, fn_rate=1.0),  # pass-through, but it still fires
         DiversityPolicy(REF2, temperature=1.0, rho=0.5),
     ]
-    traj = run(pop0, cfg, intervention=policies)
+    traj = run(pop0, cfg, intervention=policies, seed=6)
     assert traj.fired == tuple(
         (r, kind) for r in range(1, 4) for kind in ("diversity", "verifier")
     )
