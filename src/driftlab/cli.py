@@ -14,9 +14,9 @@ aborts, 2 on configuration problems (bad files, bad keys, bad values).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,10 +27,11 @@ from .harness import (
     EnsembleMIResult,
     csv_lines_from_dicts,
     format_value,
-    json_float,
+    json_text,
     load_experiment_config,
     load_trajectory_dicts,
     parse_policies_json,
+    plain,
     run_drift_experiment,
     run_ensemble_mi,
     run_intervention_comparison,
@@ -47,8 +48,7 @@ def _say(quiet: bool, text: str) -> None:
 
 def _write_json(path: str, payload: dict, quiet: bool) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json_text(payload))
     _say(quiet, f"json -> {path}")
 
 
@@ -130,20 +130,7 @@ def cmd_verify_lemmas(args) -> int:
         _say(args.quiet, report.line())
     all_passed = all(r.passed for r in reports)
     if args.json:
-        payload = {
-            "passed": all_passed,
-            "reports": [
-                {
-                    "name": r.name,
-                    "trials": r.trials,
-                    "max_violation": json_float(r.max_violation),
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                    "details": r.details,
-                }
-                for r in reports
-            ],
-        }
+        payload = {"passed": all_passed, "reports": [plain(asdict(r)) for r in reports]}
         _write_json(args.json, payload, args.quiet)
     if not all_passed:
         for r in reports:
@@ -180,29 +167,6 @@ def _print_comparison(result: ComparisonResult, quiet: bool) -> None:
             print(f"{arm.name} seed {seed} failed: {reason}", file=sys.stderr)
 
 
-def _comparison_payload(result: ComparisonResult) -> dict:
-    def arm_dict(arm):
-        return {
-            "name": arm.name,
-            "median_terminal_kl": json_float(arm.median_terminal_kl),
-            "median_terminal_safe_mass": json_float(arm.median_terminal_safe_mass),
-            "terminal_kl": {str(s): json_float(v) for s, v in arm.terminal_kl.items()},
-            "terminal_safe_mass": {
-                str(s): json_float(v) for s, v in arm.terminal_safe_mass.items()
-            },
-            "failures": {str(s): msg for s, msg in arm.failures.items()},
-        }
-
-    return {
-        "baseline": arm_dict(result.baseline),
-        "arms": [arm_dict(a) for a in result.arms],
-        "paired_kl_diff": {
-            name: {str(s): json_float(v) for s, v in diffs.items()}
-            for name, diffs in result.paired_kl_diff.items()
-        },
-    }
-
-
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
     if cfg.output_csv:
@@ -218,7 +182,7 @@ def cmd_compare(args) -> int:
     result = run_intervention_comparison(cfg, specs)
     _print_comparison(result, args.quiet)
     if json_path:
-        _write_json(json_path, _comparison_payload(result), args.quiet)
+        _write_json(json_path, plain(asdict(result)), args.quiet)
     failed = bool(result.baseline.failures) or any(a.failures for a in result.arms)
     return 1 if failed else 0
 
@@ -257,14 +221,7 @@ def cmd_ensemble_mi(args) -> int:
                 fh.write(f"{t},{format_value(v)}\n")
         _say(args.quiet, f"csv -> {csv_path}")
     if json_path:
-        payload = {
-            "mi_series": [json_float(v) for v in result.mi_series],
-            "quantizer": result.quantizer,
-            "bins": result.bins,
-            "runs_per_ref": result.runs_per_ref,
-            "n_refs": result.n_refs,
-        }
-        _write_json(json_path, payload, args.quiet)
+        _write_json(json_path, plain(asdict(result)), args.quiet)
     return 0
 
 
@@ -282,9 +239,7 @@ def cmd_export(args) -> int:
             raise ConfigError(str(exc)) from exc
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(
-            {"trajectories": dicts}, indent=2, sort_keys=True, allow_nan=False
-        ) + "\n"
+        text = json_text({"trajectories": dicts})
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -358,6 +313,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # a read that fails is a ConfigError already
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("config error: the configured run does not fit in memory", file=sys.stderr)
         return 2
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)

@@ -315,6 +315,8 @@ class ExperimentConfig:
             )
         if not (0.0 < self.quantizer <= 0.5):
             raise ConfigError(f"quantizer must lie in (0, 0.5], got {self.quantizer}")
+        # every runner refuses an unknown probe, those that record none too
+        resolve_probes(self.probes, default_tau=self.coverage_tau)
 
     @property
     def coverage_tau(self) -> float:
@@ -889,45 +891,36 @@ class EnsembleMIResult:
     n_refs: int
 
 
-def default_reference_family(cfg: ExperimentConfig) -> tuple[SafetyReference, ...]:
-    """Two-tier references differing only in safe mass, sharing S exactly."""
-    masses = cfg.ensemble_safe_masses
-    if len(masses) < 2:
-        raise ConfigError("degenerate ensemble: need at least 2 references")
-    return tuple(
-        two_tier_reference(cfg.space_size, m, cfg.reference.safe_fraction)
-        for m in masses
-    )
-
-
-def run_ensemble_mi(
-    cfg: ExperimentConfig, family: Sequence[SafetyReference] | None = None
-) -> EnsembleMIResult:
+def run_ensemble_mi(cfg: ExperimentConfig) -> EnsembleMIResult:
     """How much the evolving state still reveals about which reference it
     started from.
 
-    Each run draws one reference from the family (balanced assignment),
-    initializes from it, then evolves in isolation. The state statistic is
-    the training mass on a fixed outcome set (the first family member's safe
-    set), binned at the quantizer resolution; the series is the plug-in
-    mutual information between reference index and binned statistic, per
-    round. Post-processing of a Markov chain cannot gain information, so the
-    series should fall (up to estimator noise). Like the drift experiment it
-    requires no intervention in the config.
+    The references are the configured one with its safe mass set to each of
+    ensemble.safe_masses in turn. Each run draws one reference (balanced
+    assignment), initializes from it, then evolves in isolation. The state
+    statistic is the training mass on a fixed outcome set (the first
+    reference's safe set), binned at the quantizer resolution; the series is
+    the plug-in mutual information between reference index and binned
+    statistic, per round. Post-processing of a Markov chain cannot gain
+    information, so the series should fall (up to estimator noise). Like the
+    drift experiment it requires no intervention in the config.
     """
     _require_isolated(cfg, "ensemble experiment")
-    refs = tuple(family) if family is not None else default_reference_family(cfg)
-    if len(refs) < 2:
+    n_refs, runs = len(cfg.ensemble_safe_masses), cfg.runs_per_ref
+    if n_refs < 2:
         raise ConfigError("degenerate ensemble: need at least 2 references")
-    statistic_set = refs[0].safe_indices
-    for ref in refs[1:]:
-        if ref.space.size != refs[0].space.size:
-            raise ConfigError("ensemble references must share one outcome space size")
-
-    n_refs = len(refs)
-    runs = cfg.runs_per_ref
+    if cfg.reference.safe_mass != ReferenceSpec.safe_mass:
+        raise ConfigError(
+            "the ensemble sets each reference's safe mass from ensemble.safe_masses; "
+            "remove reference.safe_mass"
+        )
     if runs < 1:
         raise ConfigError(f"runs_per_ref must be >= 1, got {runs}")
+    if n_refs * runs > MAX_SEED_COUNT:
+        raise ConfigError(
+            f"an ensemble holds at most {MAX_SEED_COUNT} runs, got {n_refs} references "
+            f"x {runs} runs_per_ref"
+        )
     q = cfg.quantizer
     rounds = cfg.evolution.rounds
     # past the cap the table is too large with any rounds and references, and
@@ -938,6 +931,11 @@ def run_ensemble_mi(
             f"ensemble.quantizer={q:g} with {rounds} rounds and {n_refs} references "
             f"needs more than {MAX_MI_CELLS} MI table cells"
         )
+    refs = [
+        build_reference(replace(cfg, reference=replace(cfg.reference, safe_mass=m)))
+        for m in cfg.ensemble_safe_masses
+    ]
+    statistic_set = refs[0].safe_indices
     base_seed = cfg.seeds[0]
 
     # run k starts from reference k // runs with seed base_seed + k
@@ -996,10 +994,24 @@ def format_value(v: float) -> str:
     return "%.17g" % f
 
 
-def json_float(x: float):
-    """JSON-ready float: non-finite values become their string names."""
-    f = float(x)
-    return f if math.isfinite(f) else format_value(f)
+def plain(x):
+    """JSON-ready copy of x, a result turned into dicts, lists and scalars (a
+    dataclass through dataclasses.asdict): dict keys become text, tuples and
+    arrays lists, and non-finite floats their format_value names."""
+    if isinstance(x, dict):
+        return {str(k): plain(v) for k, v in x.items()}
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return format_value(x)
+    return x
+
+
+def json_text(payload) -> str:
+    """The text of every JSON file driftlab writes: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _by_round(events: Iterable[tuple[int, str]], rounds: int) -> list[list[str]]:
@@ -1013,14 +1025,13 @@ def _by_round(events: Iterable[tuple[int, str]], rounds: int) -> list[list[str]]
 def trajectory_to_dict(traj: Trajectory) -> dict:
     """JSON-ready nested form, one record per round; non-finite floats become
     their string names, and round 0's absence flags, null."""
-    values = {k: [json_float(v) for v in col.tolist()] for k, col in traj.values.items()}
-    masses = {k: [json_float(v) for v in col.tolist()] for k, col in traj.monitor_mass.items()}
+    values, masses = plain(traj.values), plain(traj.monitor_mass)
     absent = {k: [None, *col[1:].tolist()] for k, col in traj.monitor_absent.items()}
     fired, notes = _by_round(traj.fired, traj.rounds), _by_round(traj.notes, traj.rounds)
     return {
         "seed": traj.seed,
         "probe_names": list(traj.probe_names),
-        "monitors": {name: list(idx) for name, idx in traj.monitors.items()},
+        "monitors": plain(traj.monitors),
         "records": [
             {
                 "round": r,
@@ -1055,7 +1066,7 @@ def _stored_column(td: dict, name: str) -> list[float]:
     column = []
     for rec in td["records"]:
         try:
-            # float() reads json_float's "inf", "-inf" and "nan" back
+            # float() reads plain's "inf", "-inf" and "nan" back
             column.append(float(rec["values"][name]))
         except KeyError:
             raise ValueError(
@@ -1088,10 +1099,9 @@ def save_trajectories_csv(trajectories: Iterable[Trajectory], path: str) -> None
 
 
 def save_trajectories_json(trajectories: Iterable[Trajectory], path: str) -> None:
-    payload = {"trajectories": [trajectory_to_dict(t) for t in trajectories]}
+    text = json_text({"trajectories": [trajectory_to_dict(t) for t in trajectories]})
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_trajectory_dicts(path: str) -> list[dict]:

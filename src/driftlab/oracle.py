@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import OutcomeSpace, ProbVector, SafetyReference, mass_of_set
+from .errors import ConfigError
 from .evolution import UpdateRule
 from .metrics import (
     binarized_kl_lower_bound,
@@ -287,6 +288,8 @@ def run_all_lemma_checks(seed: int = 0, trials: int | None = None) -> list[Lemma
     trials overrides each check's randomized-trial count; the absence check
     keeps its fixed grid and gets 100x trials of Monte Carlo replay.
     """
+    if trials is not None and trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     kw = {} if trials is None else {"trials": trials}
     reports = list(verify_identity_lemmas(seed=seed, **kw))
     reports.append(verify_grouping_bound(seed=seed + 1, **kw))

@@ -87,6 +87,14 @@ def test_verify_lemmas_quiet(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_lemmas_with_no_trials_exits_2(capsys, trials):
+    # a check of zero trials checks nothing, and would read ok
+    assert main(["verify-lemmas", "--trials", trials, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: trials must be >= 1, got {trials}\n"
+
+
 def test_compare_cli_json(tmp_path, tiny_cfg):
     json_path = tmp_path / "cmp.json"
     rc = main(["compare", tiny_cfg, "--json", str(json_path), "--quiet"])
@@ -263,6 +271,9 @@ def test_overflowing_perturbation_sigma_exits_2(tmp_path, capsys):
         ("simulate", "selection.kind=reward-reweight\nselection.reward=0,1,2\n"),
         ("compare", "update.kind=reward-reweighted-mle\nupdate.reward=0,1,2\n"),
         ("simulate", "output.csv={tmp}/no/such/dir/out.csv\n"),
+        # a probe name is resolved by every command, those that record none too
+        ("compare", "experiment.probes=entropy_nope\n"),
+        ("ensemble-mi", "experiment.probes=entropy_nope\n"),
     ],
 )
 def test_bad_configs_exit_2_without_a_traceback(tmp_path, capsys, command, extra):
@@ -351,6 +362,9 @@ def test_cli_import_leaves_scipy_out():
             "simulate", "reference.generator=zipf\nreference.safe_mass=0.8\n",
             "reference generator 'zipf' does not read safe_mass",
         ),
+        # the ensemble varies safe_mass itself, over ensemble.safe_masses
+        ("ensemble-mi", "reference.generator=zipf\n", "generator 'zipf' does not read safe_mass"),
+        ("ensemble-mi", "reference.safe_mass=0.5\n", "from ensemble.safe_masses"),
     ],
 )
 def test_reference_and_population_fields_the_kind_does_not_read_exit_2(
@@ -372,3 +386,19 @@ def test_per_agent_datasets_with_the_memory_buffer_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert "per-agent datasets are not supported with the memory-buffer rule" in err
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        # arrays past 2**47 bytes, which no address space holds
+        ("simulate", "evolution.rounds=100000000000000\n"),
+        ("compare", "space.size=100000000000000\n"),
+        ("ensemble-mi", "space.size=100000000000000\n"),
+    ],
+)
+def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys, command, extra):
+    path = tmp_path / "huge.cfg"
+    path.write_text(TINY + extra)
+    assert main([command, str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: the configured run does not fit in memory\n"

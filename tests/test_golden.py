@@ -26,6 +26,7 @@ Print the current digests with `python tests/test_golden.py`.
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ from driftlab import (
     save_trajectories_json,
     two_tier_reference,
 )
-from driftlab.cli import _comparison_payload
+from driftlab.harness import plain
 
 K = 24
 REF = two_tier_reference(K, safe_mass=0.9, safe_fraction=0.5)
@@ -195,7 +196,7 @@ def _failing_seeds_digest():
     result = run_intervention_comparison(config_from_mapping(FAILING_SEEDS_CONFIG))
     failures = result.arm("diversity").failures
     assert failures and len(failures) < 12
-    return _mapping_digest(_comparison_payload(result))
+    return _mapping_digest(plain(asdict(result)))
 
 
 def _ensemble_digest():

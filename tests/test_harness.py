@@ -55,6 +55,7 @@ from driftlab.harness import (
     CLASS_LEAKAGE,
     CLASS_STABLE,
     MAX_MI_CELLS,
+    MAX_SEED_COUNT,
     compute_trend,
     paired_difference,
 )
@@ -784,10 +785,6 @@ def test_ensemble_mi_validation():
     cfg = small_cfg(**{"ensemble.safe_masses": "0.9"})
     with pytest.raises(ConfigError, match="degenerate ensemble"):
         run_ensemble_mi(cfg)
-    ref_a = two_tier_reference(40, 0.9, 0.5)
-    ref_b = two_tier_reference(30, 0.7, 0.5)
-    with pytest.raises(ConfigError, match="share one outcome space"):
-        run_ensemble_mi(small_cfg(), family=(ref_a, ref_b))
     with pytest.raises(ConfigError, match="runs_per_ref"):
         run_ensemble_mi(small_cfg(**{"ensemble.runs_per_ref": "0"}))
     with pytest.raises(ConfigError, match="comparison runner"):
@@ -814,6 +811,36 @@ def test_ensemble_mi_table_past_the_cell_limit_is_refused_before_any_run(monkeyp
         run_ensemble_mi(small_cfg(**past))
     with pytest.raises(ConfigError, match="MI table cells"):
         run_ensemble_mi(small_cfg(**{"ensemble.quantizer": "1e-300"}))
+
+
+def test_ensemble_mi_run_count_past_the_seed_limit_is_refused_before_any_run(monkeypatch):
+    monkeypatch.setattr(harness, "run_batch", _no_run)
+    # 2 references x runs_per_ref runs, each on a seed of its own
+    runs = MAX_SEED_COUNT // 2
+    with pytest.raises(_Ran):
+        run_ensemble_mi(small_cfg(**{"ensemble.runs_per_ref": str(runs)}))
+    for past in (runs + 1, 10**12):
+        with pytest.raises(ConfigError, match=f"at most {MAX_SEED_COUNT} runs"):
+            run_ensemble_mi(small_cfg(**{"ensemble.runs_per_ref": str(past)}))
+
+
+def test_ensemble_mi_builds_its_references_from_the_reference_section(monkeypatch):
+    seen = {}
+
+    def capture(pops, cfg, seeds, *args, monitors, **kwargs):
+        seen.update(monitors=monitors, pops=list(pops))
+        raise _Ran
+
+    monkeypatch.setattr(harness, "run_batch", capture)
+    cfg = small_cfg(**{"reference.safe_set": "0,1,2", "ensemble.runs_per_ref": "2"})
+    with pytest.raises(_Ran):
+        run_ensemble_mi(cfg)
+    # reference.safe_set is the statistic set, and each reference's safe
+    # mass is its entry of ensemble.safe_masses
+    assert seen["monitors"]["ens"].tolist() == [0, 1, 2]
+    for pop, mass in zip(seen["pops"][::2], (0.95, 0.75)):
+        pi_star = two_tier_reference(40, mass, 0.5).pi_star
+        assert all(np.array_equal(agent.mass, pi_star.mass) for agent in pop.agents)
 
 
 # --- serialization ----------------------------------------------------------------------
