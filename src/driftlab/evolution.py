@@ -20,9 +20,10 @@ filled sizes and live blocks. What is per seed by nature loops over the
 rows: the uniforms and their inverse-CDF search (in sorted order), verifier
 screening, the cooling check and probes. Round r's measurements fill column
 r of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
-seeds' Trajectory columns. run_batch is the one entry point; run() is a
-batch of one, and a seed's trajectory is byte-identical whichever chunk it
-runs in.
+seeds' Trajectory columns. The four stages are mixture, apply_selection,
+sample_dataset and update_agents, each over a chunk's rows. run_batch is the
+one entry point; run() is a batch of one, and a seed's trajectory is
+byte-identical whichever chunk it runs in.
 
 This module deliberately knows nothing about the safety reference. It does
 not import SafetyReference and no function here accepts one; the closed loop
@@ -139,7 +140,7 @@ class Population:
         return pop
 
 
-def _mix(weights: np.ndarray, agents: np.ndarray) -> np.ndarray:
+def mixture(weights: np.ndarray, agents: np.ndarray) -> np.ndarray:
     """Mixtures (S, K) of agents (S, M, K) under weights (S, M), renormalized."""
     # agent m = 0..M-1 added in turn: for any layout of agents, the bits of
     # (weights[:, :, None] * agents).sum(axis=1) on a C-contiguous array
@@ -148,12 +149,6 @@ def _mix(weights: np.ndarray, agents: np.ndarray) -> np.ndarray:
         pbar += weights[:, m, None] * agents[:, m]
     pbar /= pbar.sum(axis=1, keepdims=True)
     return pbar
-
-
-def mixture(pop: Population) -> ProbVector:
-    """Weighted mixture of the agent distributions."""
-    stacked = np.stack([a.mass for a in pop.agents])
-    return _wrap(pop.space, _mix(pop.weights[None], stacked[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +287,7 @@ def _acceptance(rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray) -> n
     return _reward_tilt(rule.beta, rule.reward)
 
 
-def _select(
+def apply_selection(
     rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Training distributions a * pbar / Z (S, K), and the rows with zero Z.
@@ -316,21 +311,12 @@ def _zero_selection(rule: SelectionRule) -> DegenerateSelectionError:
     )
 
 
-def apply_selection(pbar: ProbVector, rule: SelectionRule) -> ProbVector:
-    """Training distribution pt = a * pbar / Z; zero Z is a hard error."""
-    _check_fit(rule, pbar.space)
-    pt, zero = _select(rule, pbar.space, pbar.mass[None])
-    if zero[0]:
-        raise _zero_selection(rule)
-    return _wrap(pbar.space, pt[0])
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
 
-def _draw(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+def sample_dataset(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """n inverse-CDF draws from each row of pt (S, K), row s from rngs[s].
 
     Returns an (S, n) int64 array; exact boundary ties go to the lower index.
@@ -355,18 +341,6 @@ def _draw(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) -> np.nda
     draws = np.empty_like(found)
     draws[rows, order] = found
     np.clip(draws, first_positive[:, None], last_positive[:, None], out=draws)
-    return draws
-
-
-def sample_dataset(pt: ProbVector, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n inverse-CDF draws from pt as a read-only int64 index array.
-
-    Exact boundary ties go to the lower index.
-    """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
-    draws = _draw(pt.mass[None], int(n), [rng])[0]
-    draws.setflags(write=False)
     return draws
 
 
@@ -492,7 +466,7 @@ _TILT_WIPED = (
 )
 
 
-def _fit(
+def update_agents(
     rule: UpdateRule,
     counts: np.ndarray,
     n: np.ndarray,
@@ -535,41 +509,6 @@ def _fit(
         mass[wiped] = 1.0
     mass /= mass.sum(axis=1, keepdims=True)
     return mass, wiped
-
-
-def update_agents(
-    pop: Population,
-    samples: np.ndarray,
-    rule: UpdateRule,
-    memory: Sequence[int] | np.ndarray = (),
-) -> Population:
-    """Fit the estimator to the int64 `samples` and give the result to every agent.
-
-    Weights are unchanged. In a shared-data round this is the whole update,
-    so all agents coincide afterwards; a per-agent round keeps only agent m
-    of the fit to agent m's dataset. `memory` is the buffer already rolled
-    over this round's samples (see roll_memory), read by the memory-buffer
-    rule and ignored by the other kinds.
-    """
-    if len(samples) == 0:
-        raise ValueError("cannot update from an empty dataset")
-    space = pop.space
-    _check_fit(rule, space)
-    # an index past K would lengthen the bincount into a wrong-shaped agent
-    if int(samples.min()) < 0 or int(samples.max()) >= space.size:
-        raise ValueError("dataset contains out-of-space outcome indices")
-    buffer = None
-    if rule.kind == "memory-buffer":
-        if len(memory) == 0:
-            raise ValueError("the memory-buffer rule needs the rolled buffer")
-        memory = np.asarray(memory, dtype=np.int64)
-        buffer = _counts(memory, np.array([len(memory)]), space.size)
-    pbar = mixture(pop).mass[None] if rule.reads_mixture else None
-    counts, n = _counts(samples, np.array([len(samples)]), space.size)
-    mass, wiped = _fit(rule, counts, n, pbar, buffer)
-    if wiped[0]:
-        raise ValueError(_TILT_WIPED)
-    return Population._trusted(space, pop.weights, (_wrap(space, mass[0]),) * pop.size)
 
 
 def neighborhood(space: OutcomeSpace, indices: Iterable[int], radius: int) -> np.ndarray:
@@ -769,7 +708,7 @@ class _Chunk:
     def _mixture(self) -> np.ndarray:
         """Mixtures (S, K) of the current agents, mixed once per change."""
         if self.pbar is None:
-            self.pbar = _mix(self.weights, self.agents)
+            self.pbar = mixture(self.weights, self.agents)
         return self.pbar
 
     def _firing(self, pol, r: int, errors: dict) -> np.ndarray:
@@ -790,7 +729,8 @@ class _Chunk:
         if self.pt is not None:
             blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
             n = self.cfg.sample_size
-            self.data = _draw(self.pt, n * blocks, self.rngs).reshape(len(self.ids), blocks, n)
+            draws = sample_dataset(self.pt, n * blocks, self.rngs)
+            self.data = draws.reshape(len(self.ids), blocks, n)
             self.sizes = np.full((len(self.ids), blocks), n)
             self.live = np.ones((len(self.ids), blocks), dtype=bool)
             for phase in (self._screen, self._update, self._release, self._cool):
@@ -798,7 +738,7 @@ class _Chunk:
                 phase(r, errors)
                 self._fail(errors, r)
         rule = self.cfg.selection
-        self.pt, zero = _select(rule, self.space, self._mixture())
+        self.pt, zero = apply_selection(rule, self.space, self._mixture())
         errors = {int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}
         self._diversify(r, errors)
         self._fail(errors, r)
@@ -846,7 +786,7 @@ class _Chunk:
         held = self.live[:, :, None] & self._held()
         try:
             counts, n = _counts(self.data[held], self.sizes[self.live], k_space)
-            mass, wiped = _fit(rule, counts, n, pbar, buffer)
+            mass, wiped = update_agents(rule, counts, n, pbar, buffer)
         except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
             errors.update(dict.fromkeys(rows.tolist(), exc))
             return

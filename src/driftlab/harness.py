@@ -578,6 +578,12 @@ def parse_policies_json(text: str) -> tuple[PolicySpec, ...]:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"policy entry {i} must be an object with a 'kind'")
+        unread = [repr(key) for key in entry if key not in ("name", "kind", "schedule", "params")]
+        if unread:
+            raise ConfigError(
+                f"policy entry {i} has unknown key {', '.join(unread)}; "
+                "one of 'name', 'kind', 'schedule', 'params'"
+            )
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"policy entry {i}: params must be an object")
@@ -903,7 +909,9 @@ def run_ensemble_mi(cfg: ExperimentConfig) -> EnsembleMIResult:
     the plug-in mutual information between reference index and binned
     statistic, per round. Post-processing of a Markov chain cannot gain
     information, so the series should fall (up to estimator noise). Like the
-    drift experiment it requires no intervention in the config.
+    drift experiment it requires no intervention in the config. Of cfg.seeds
+    only the first is read: run k uses seed seeds[0] + k, and --seed S sets
+    that base.
     """
     _require_isolated(cfg, "ensemble experiment")
     n_refs, runs = len(cfg.ensemble_safe_masses), cfg.runs_per_ref

@@ -40,10 +40,12 @@ import numpy as np
 
 from .core import OutcomeSpace, ProbVector, SafetyReference, _wrap
 from .errors import ConfigError, VerifierAnnihilationError
-from .evolution import Population, mixture  # noqa: F401  (bench/test_bench.py wants mixture)
+from .evolution import Population, _refuse_unread
+from .evolution import mixture  # noqa: F401  (bench/test_bench.py wants mixture)
 from .metrics import kl_divergence
 
-_SCHEDULE_KINDS = ("every", "kl-trigger")
+# schedule kind -> the fields it reads
+_SCHEDULE_KINDS = {"every": ("k",), "kl-trigger": ("threshold", "ref")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,13 +59,16 @@ class Schedule:
 
     def __post_init__(self):
         if self.kind not in _SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind {self.kind!r}; one of {_SCHEDULE_KINDS}")
+            raise ConfigError(
+                f"unknown schedule kind {self.kind!r}; one of {tuple(_SCHEDULE_KINDS)}"
+            )
         if self.kind == "every" and self.k < 1:
             raise ConfigError(f"every-k schedule needs k >= 1, got {self.k}")
         if self.kind == "kl-trigger" and self.ref is None:
             raise ConfigError("kl-trigger schedule needs a reference to measure against")
         if not math.isfinite(self.threshold):
             raise ConfigError(f"schedule threshold must be finite, got {self.threshold}")
+        _refuse_unread("schedule", self, _SCHEDULE_KINDS[self.kind])
 
     def fires(self, round_index: int, mixtures: np.ndarray) -> np.ndarray:
         """The mask (S,) of the mixture rows (S, K) that act in round_index:

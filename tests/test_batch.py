@@ -438,3 +438,27 @@ def test_run_batch_builds_one_chunk_of_populations_at_a_time(small_chunks):
     for i, _ in enumerate(results):
         # the chunk holding run i has been built, and no later one
         assert len(built) == min(len(seeds), (i // CHUNK + 1) * CHUNK)
+
+
+def test_each_round_calls_the_four_stages_by_name(small_chunks, monkeypatch):
+    """A wrapper bound in place of a stage (a tracer's, say) sees every call
+    of every chunk's round, and changes no byte."""
+    cfg = _config("mle", "identity", False)
+    plain = _together(cfg, SEEDS, None)
+    calls = dict.fromkeys(("mixture", "apply_selection", "sample_dataset", "update_agents"), 0)
+    for name in calls:
+        def counted(*args, _stage=getattr(evolution, name), _name=name):
+            calls[_name] += 1
+            return _stage(*args)
+
+        monkeypatch.setattr(evolution, name, counted)
+    assert _together(cfg, SEEDS, None) == plain
+    chunks = -(-len(SEEDS) // CHUNK)
+    assert chunks == 2
+    # per chunk: the set-up selection, then one of each stage per round
+    assert calls == {
+        "mixture": chunks * (cfg.rounds + 1),
+        "apply_selection": chunks * (cfg.rounds + 1),
+        "sample_dataset": chunks * cfg.rounds,
+        "update_agents": chunks * cfg.rounds,
+    }

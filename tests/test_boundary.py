@@ -31,7 +31,6 @@ from driftlab import (
     SelectionRule,
     SimulationError,
     UpdateRule,
-    apply_selection,
     build_population,
     build_reference,
     config_from_mapping,
@@ -44,12 +43,12 @@ from driftlab import (
     run,
     run_batch,
     two_tier_reference,
-    update_agents,
     VerifierPolicy,
 )
 from driftlab.cli import main as cli_main
 from driftlab.evolution import _SELECTION_KINDS as _SELECTION_READS
 from driftlab.evolution import _UPDATE_KINDS as _UPDATE_READS
+from driftlab.evolution import _counts, apply_selection, update_agents
 from driftlab.harness import _CONFIG_KEYS, _KNOWN_KEYS, _POLICY_KINDS
 
 NON_FINITE = ("nan", "inf", "-inf")
@@ -156,23 +155,24 @@ def test_reward_tilt_past_the_float_range_runs_without_overflow():
         selection=SelectionRule("reward-reweight", reward=spread, beta=1e10),
         update=UpdateRule("reward-reweighted-mle", reward=spread, beta=1e10),
     )
-    pop = Population.equal_weights([ProbVector(OutcomeSpace(10), [0.1] * 10)])
+    space = OutcomeSpace(10)
+    pop = Population.equal_weights([ProbVector(space, [0.1] * 10)])
     cfg = EvolutionConfig(sample_size=20, rounds=3, **rules)
+    counts = _counts(np.array([0, 1, 7, 7], dtype=np.int64), np.array([4]), 10)
     with np.errstate(over="raise"):
-        accepted = apply_selection(pop.agents[0], rules["selection"]).mass > 0
-        out = update_agents(pop, np.array([0, 1, 7, 7], dtype=np.int64), rules["update"])
+        pt, _ = apply_selection(rules["selection"], space, np.full((1, 10), 0.1))
+        mass, _ = update_agents(rules["update"], *counts)
         traj = run(pop, cfg, keep_states=True, seed=0)
-    assert accepted.tolist() == [False] * 5 + [True] * 5
-    assert out.agents[0].mass.tolist() == [0.0] * 7 + [1.0, 0.0, 0.0]
+    assert (pt[0] > 0).tolist() == [False] * 5 + [True] * 5
+    assert mass[0].tolist() == [0.0] * 7 + [1.0, 0.0, 0.0]
     for state in traj.states[1:]:
         assert state.agents[0].mass[:5].sum() == 0.0
 
 
 def test_smoothing_overflow_is_caught_per_call():
-    pop = Population.equal_weights([ProbVector(OutcomeSpace(4), [0.25] * 4)])
-    samples = np.array([0, 1], dtype=np.int64)
+    counts = _counts(np.array([0, 1], dtype=np.int64), np.array([2]), 4)
     with pytest.raises(ValueError, match="overflows"):
-        update_agents(pop, samples, UpdateRule("smoothed-mle", lam=1e308))
+        update_agents(UpdateRule("smoothed-mle", lam=1e308), *counts)
 
 
 # --- what the boundary accepts runs cleanly ------------------------------------------

@@ -320,6 +320,16 @@ def test_compare_refuses_a_policies_file_beside_a_config_intervention(tmp_path, 
     assert err.startswith("config error:") and "intervention" in err and "Traceback" not in err
 
 
+def test_compare_refuses_a_policy_entry_key_it_does_not_read(tmp_path, tiny_cfg, capsys):
+    # misspelt schedule and params would leave the default verifier every round
+    policies = tmp_path / "policies.json"
+    policies.write_text('[{"kind": "verifier", "shedule": "every:5", "parms": {"fp": 0.9}}]')
+    assert main(["compare", tiny_cfg, "--policies", str(policies), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "policy entry 0 has unknown key 'shedule', 'parms'" in err
+
+
 def test_safe_mass_one_runs_the_mass_term_probe(tmp_path):
     # pi_star's safe entries sum past 1 by rounding at K = 1000
     path = tmp_path / "sure.cfg"

@@ -16,25 +16,57 @@ from driftlab import (
     SelectionRule,
     SimulationError,
     UpdateRule,
-    apply_selection,
     make_rng,
     memory_preset,
-    mixture,
     neighborhood,
     resolve_probes,
     rl_preset,
     roll_memory,
     run,
-    sample_dataset,
     trajectory_to_dict,
     two_tier_reference,
-    update_agents,
 )
 from driftlab import evolution
+from driftlab.evolution import apply_selection, mixture, sample_dataset, update_agents
 
 
 def pv(*mass):
     return ProbVector(OutcomeSpace(len(mass)), list(mass))
+
+
+# The four stages work on a chunk's rows; these run them on one row.
+
+
+def _rows(pop):
+    """A population's weights (1, M) and agents (1, M, K)."""
+    return pop.weights[None], np.stack([a.mass for a in pop.agents])[None]
+
+
+def _mixture(pop):
+    return mixture(*_rows(pop))[0]
+
+
+def _selected(p, rule):
+    pt, zero = apply_selection(rule, p.space, p.mass[None])
+    assert not zero[0]
+    return pt[0]
+
+
+def _draws(p, n, rng):
+    return sample_dataset(p.mass[None], n, [rng])[0]
+
+
+def _counted(samples, k):
+    """Outcome counts (1, K) and size (1,) of one dataset."""
+    return evolution._counts(samples, np.array([len(samples)]), k)
+
+
+def _fitted(rule, samples, k, pbar=None, memory=None):
+    """The mass rule fits to samples, and whether the reward tilt wiped it."""
+    buffer = None if memory is None else _counted(memory, k)
+    pbar = None if pbar is None else pbar[None]
+    mass, wiped = update_agents(rule, *_counted(samples, k), pbar, buffer)
+    return mass[0], bool(wiped[0])
 
 
 # --- population / mixture ----------------------------------------------------
@@ -42,7 +74,7 @@ def pv(*mass):
 
 def test_mixture_frozen_value():
     pop = Population.equal_weights([pv(0.5, 0.5), pv(0.1, 0.9)])
-    assert mixture(pop).mass.tolist() == [0.3, 0.7]
+    assert _mixture(pop).tolist() == [0.3, 0.7]
 
 
 def test_population_weight_validation():
@@ -68,7 +100,7 @@ def test_unequal_weights_respected():
     pop = Population(
         (pv(1.0, 0.0), pv(0.0, 1.0)), np.array([0.25, 0.75])
     )
-    assert mixture(pop).mass.tolist() == [0.25, 0.75]
+    assert _mixture(pop).tolist() == [0.25, 0.75]
 
 
 def _mix_layouts(rng, s, m, k):
@@ -90,7 +122,7 @@ def _mix_layouts(rng, s, m, k):
 
 @pytest.mark.parametrize("k", [7, 30, 1000, 100_000])
 def test_accumulating_mix_matches_the_broadcast_sum(k):
-    # _mix adds agent m = 0..M-1 in turn; the reference is the broadcast-and-sum
+    # mixture adds agent m = 0..M-1 in turn; the reference is the broadcast-and-sum
     # over a C-contiguous copy of the same agents. Shapes past 2**22 elements are
     # left out: no chunk holds one, as chunk_size runs M * K >= 2**17 one seed at a time
     rng = np.random.default_rng(k)
@@ -102,7 +134,7 @@ def test_accumulating_mix_matches_the_broadcast_sum(k):
                 for layout, agents in _mix_layouts(rng, s, m, k).items():
                     want = (weights[:, :, None] * np.ascontiguousarray(agents)).sum(axis=1)
                     want /= want.sum(axis=1, keepdims=True)
-                    got = evolution._mix(weights, agents)
+                    got = mixture(weights, agents)
                     assert got.flags.c_contiguous
                     assert got.tobytes() == want.tobytes(), (s, m, k, layout)
 
@@ -112,36 +144,45 @@ def test_accumulating_mix_matches_the_broadcast_sum(k):
 
 def test_identity_selection_is_noop():
     p = pv(0.3, 0.7)
-    assert apply_selection(p, SelectionRule("identity")).mass.tolist() == [0.3, 0.7]
+    assert _selected(p, SelectionRule("identity")).tolist() == [0.3, 0.7]
 
 
 def test_indicator_selection_renormalizes():
     p = pv(0.2, 0.3, 0.5)
-    out = apply_selection(p, SelectionRule("indicator", indices=(0, 2)))
-    np.testing.assert_allclose(out.mass, [2.0 / 7.0, 0.0, 5.0 / 7.0], atol=1e-15)
+    out = _selected(p, SelectionRule("indicator", indices=(0, 2)))
+    np.testing.assert_allclose(out, [2.0 / 7.0, 0.0, 5.0 / 7.0], atol=1e-15)
 
 
 def test_degenerate_selection_is_hard_error():
     p = pv(0.5, 0.5, 0.0)
-    with pytest.raises(DegenerateSelectionError):
-        apply_selection(p, SelectionRule("indicator", indices=(2,)))
+    rule = SelectionRule("indicator", indices=(2,))
+    pt, zero = apply_selection(rule, p.space, np.stack([p.mass, pv(0.0, 0.5, 0.5).mass]))
+    assert zero.tolist() == [True, False]
+    assert pt[1].tolist() == [0.0, 0.0, 1.0]
+    cfg = EvolutionConfig(sample_size=5, rounds=1, selection=rule)
+    with pytest.raises(SimulationError) as err:
+        run(Population.equal_weights([p]), cfg)
+    assert isinstance(err.value.__cause__, DegenerateSelectionError)
+    assert str(err.value.__cause__) == (
+        "selection 'indicator' accepts zero total mass; no training distribution exists"
+    )
 
 
 def test_top_mass_selection_tie_break_low_index():
     p = pv(0.25, 0.25, 0.5)
-    out = apply_selection(p, SelectionRule("top-mass", k=2))
+    out = _selected(p, SelectionRule("top-mass", k=2))
     # 0.5 first, then the tie at 0.25 resolves to index 0
-    np.testing.assert_allclose(out.mass, [1.0 / 3.0, 0.0, 2.0 / 3.0], atol=1e-15)
-    with pytest.raises(ConfigError):
-        apply_selection(p, SelectionRule("top-mass", k=4))
+    np.testing.assert_allclose(out, [1.0 / 3.0, 0.0, 2.0 / 3.0], atol=1e-15)
+    cfg = EvolutionConfig(sample_size=5, rounds=1, selection=SelectionRule("top-mass", k=4))
+    with pytest.raises(ConfigError, match="^top-mass k=4 exceeds the space size 3$"):
+        evolution.run_batch([Population.equal_weights([p])], cfg, [0])
 
 
 def test_reward_reweight_frozen_example():
     # acceptance a = exp(r - max r) = (0.5, 1.0) on pbar (0.4, 0.6)
     p = pv(0.4, 0.6)
     rule = SelectionRule("reward-reweight", reward=(math.log(0.5), 0.0), beta=1.0)
-    out = apply_selection(p, rule)
-    np.testing.assert_allclose(out.mass, [0.25, 0.75], atol=1e-15)
+    np.testing.assert_allclose(_selected(p, rule), [0.25, 0.75], atol=1e-15)
 
 
 def test_selection_rule_validation():
@@ -164,12 +205,12 @@ def test_reward_reweight_preserves_support(mass, beta):
     total = sum(mass)
     p = pv(*[m / total for m in mass])
     reward = tuple(float(i) for i in range(len(mass)))
-    out = apply_selection(p, SelectionRule("reward-reweight", reward=reward, beta=beta))
-    assert np.all(out.mass > 0.0)
-    assert out.mass.sum() == pytest.approx(1.0, abs=1e-9)
+    out = _selected(p, SelectionRule("reward-reweight", reward=reward, beta=beta))
+    assert np.all(out > 0.0)
+    assert out.sum() == pytest.approx(1.0, abs=1e-9)
     if beta > 0.0:
         # tilting toward higher reward never lowers the top outcome's share
-        assert out.mass[-1] >= p.mass[-1] - 1e-12
+        assert out[-1] >= p.mass[-1] - 1e-12
 
 
 # --- sampling -------------------------------------------------------------------
@@ -177,16 +218,16 @@ def test_reward_reweight_preserves_support(mass, beta):
 
 def test_sampling_deterministic_per_seed():
     p = pv(0.2, 0.3, 0.5)
-    a = sample_dataset(p, 1000, make_rng(42))
-    b = sample_dataset(p, 1000, make_rng(42))
-    c = sample_dataset(p, 1000, make_rng(43))
+    a = _draws(p, 1000, make_rng(42))
+    b = _draws(p, 1000, make_rng(42))
+    c = _draws(p, 1000, make_rng(43))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sampling_never_hits_zero_mass_tail():
     p = pv(0.7, 0.3, 0.0, 0.0)
-    draws = sample_dataset(p, 5000, make_rng(0))
+    draws = _draws(p, 5000, make_rng(0))
     assert draws.max() <= 1
 
 
@@ -200,12 +241,12 @@ class _ZeroDraws:
 
 def test_a_zero_uniform_never_draws_a_leading_zero_mass_outcome():
     pt = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0], [0.3, 0.7, 0.0, 0.0]])
-    draws = evolution._draw(pt, 3, [_ZeroDraws()] * 3)
+    draws = sample_dataset(pt, 3, [_ZeroDraws()] * 3)
     assert draws.tolist() == [[1, 1, 1], [3, 3, 3], [0, 0, 0]]
 
 
 def _unsorted_draw(pt, n, rngs):
-    """_draw as it was before the sorted search: one unsorted search per row."""
+    """sample_dataset as it was before the sorted search: one unsorted search per row."""
     cum = np.cumsum(pt, axis=1)
     pos = pt > 0.0
     first_positive = np.argmax(pos, axis=1)
@@ -269,12 +310,12 @@ def test_sorted_draw_matches_the_unsorted_search_bitwise(rows, k, uniforms):
     for first_case in range(_DRAW_CASES if rows < _DRAW_CASES else 1):
         pt = _draw_rows(k, rows, first_case)
         if uniforms == "zero":
-            draws = evolution._draw(pt, n, [_ZeroDraws()] * rows)
+            draws = sample_dataset(pt, n, [_ZeroDraws()] * rows)
             expected = _unsorted_draw(pt, n, [_ZeroDraws()] * rows)
         else:
             quantum = 2.0**-4 if uniforms == "repeating" else None
             rngs = [_CountedDraws(seed, quantum) for seed in range(rows)]
-            draws = evolution._draw(pt, n, rngs)
+            draws = sample_dataset(pt, n, rngs)
             expected = _unsorted_draw(pt, n, [_CountedDraws(seed, quantum) for seed in range(rows)])
             # one call of n uniforms per generator: the streams are unchanged
             assert [rng.calls for rng in rngs] == [[n]] * rows
@@ -284,20 +325,10 @@ def test_sorted_draw_matches_the_unsorted_search_bitwise(rows, k, uniforms):
 
 def test_sampling_goodness_of_fit():
     p = pv(0.2, 0.3, 0.5)
-    draws = sample_dataset(p, 100_000, make_rng(7))
+    draws = _draws(p, 100_000, make_rng(7))
     counts = np.bincount(draws, minlength=3)
     res = scipy.stats.chisquare(counts, f_exp=np.array([0.2, 0.3, 0.5]) * 100_000)
     assert res.pvalue > 0.001
-
-
-def test_sample_dataset_validation():
-    p = pv(0.5, 0.5)
-    with pytest.raises(ConfigError):
-        sample_dataset(p, 0, make_rng(0))
-    data = sample_dataset(p, 10, make_rng(0))
-    assert len(data) == 10
-    assert data.dtype == np.int64
-    assert not data.flags.writeable
 
 
 # --- update rules ----------------------------------------------------------------
@@ -308,27 +339,21 @@ def _data(*samples):
 
 
 def test_mle_update_frozen():
-    pop = Population.equal_weights([pv(0.5, 0.5), pv(0.5, 0.5)])
-    out = update_agents(pop, _data(0, 0, 0, 1), UpdateRule("mle"))
-    for agent in out.agents:
-        assert agent.mass.tolist() == [0.75, 0.25]
-    # all agents coincide after a shared-data update
-    assert np.array_equal(out.agents[0].mass, out.agents[1].mass)
+    mass, wiped = _fitted(UpdateRule("mle"), _data(0, 0, 0, 1), 2)
+    assert mass.tolist() == [0.75, 0.25] and not wiped
 
 
 def test_smoothed_mle_frozen():
-    pop = Population.equal_weights([pv(0.5, 0.5)])
-    out = update_agents(pop, _data(0, 0, 0, 1), UpdateRule("smoothed-mle", lam=1.0))
-    np.testing.assert_allclose(out.agents[0].mass, [4.0 / 6.0, 2.0 / 6.0], atol=1e-15)
+    mass, _ = _fitted(UpdateRule("smoothed-mle", lam=1.0), _data(0, 0, 0, 1), 2)
+    np.testing.assert_allclose(mass, [4.0 / 6.0, 2.0 / 6.0], atol=1e-15)
 
 
 def test_memory_buffer_frozen():
-    pop = Population.equal_weights([pv(0.5, 0.5)])
     rule = memory_preset(capacity=4, alpha_mem=0.5)
     data = _data(1, 1)
-    out = update_agents(pop, data, rule, memory=roll_memory((0, 0), data, 4))
+    mass, _ = _fitted(rule, data, 2, memory=roll_memory((0, 0), data, 4))
     # buffer (0,0,1,1) gives (0.5, 0.5); fresh data gives (0, 1); blend halves
-    np.testing.assert_allclose(out.agents[0].mass, [0.25, 0.75], atol=1e-15)
+    np.testing.assert_allclose(mass, [0.25, 0.75], atol=1e-15)
 
 
 def test_roll_memory_keeps_most_recent():
@@ -337,35 +362,35 @@ def test_roll_memory_keeps_most_recent():
 
 
 def test_reward_reweighted_update_fixed():
-    pop = Population.equal_weights([pv(0.5, 0.5)])
     rule = UpdateRule(
         "reward-reweighted-mle", beta=1.0, reward=(0.0, math.log(2.0)), reward_source="fixed"
     )
-    out = update_agents(pop, _data(0, 1), rule)
+    mass, _ = _fitted(rule, _data(0, 1), 2)
     # counts (1,1) tilted by exp(r - max r) = (0.5, 1)
-    np.testing.assert_allclose(out.agents[0].mass, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
+    np.testing.assert_allclose(mass, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
 
 
 def test_reward_reweighted_update_mixture_loglik():
-    pop = Population.equal_weights([pv(0.8, 0.2)])
-    out = update_agents(pop, _data(0, 1), rl_preset(beta=1.0))
+    mass, _ = _fitted(rl_preset(beta=1.0), _data(0, 1), 2, pbar=pv(0.8, 0.2).mass)
     # tilt = pbar ** 1: counts (1,1) * (0.8, 0.2) -> (0.8, 0.2)
-    np.testing.assert_allclose(out.agents[0].mass, [0.8, 0.2], atol=1e-15)
+    np.testing.assert_allclose(mass, [0.8, 0.2], atol=1e-15)
 
 
 def test_reward_tilt_total_annihilation_is_error():
-    pop = Population.equal_weights([pv(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        # all sampled outcomes carry zero mixture mass, tilt kills everything
-        update_agents(pop, _data(0, 0), rl_preset(beta=1.0))
-
-
-def test_update_rejects_empty_or_alien_data():
-    pop = Population.equal_weights([pv(0.5, 0.5)])
-    with pytest.raises(ValueError):
-        update_agents(pop, np.array([], dtype=np.int64), UpdateRule("mle"))
-    with pytest.raises(ValueError):
-        update_agents(pop, _data(0, 5), UpdateRule("mle"))
+    # all sampled outcomes carry zero mixture mass, tilt kills everything
+    _, wiped = _fitted(rl_preset(beta=1.0), _data(0, 0), 2, pbar=pv(0.0, 1.0).mass)
+    assert wiped
+    # through the round: the indicator selection puts pt on outcome 0, whose
+    # mixture mass 1e-200 tilts to 1e-200 ** 2 == 0.0
+    cfg = EvolutionConfig(
+        sample_size=5, rounds=2, selection=SelectionRule("indicator", indices=(0,)),
+        update=rl_preset(beta=2.0),
+    )
+    with pytest.raises(SimulationError) as err:
+        run(Population.equal_weights([pv(1e-200, 1.0)]), cfg)
+    assert err.value.round_index == 1
+    assert isinstance(err.value.__cause__, ValueError)
+    assert str(err.value.__cause__) == evolution._TILT_WIPED
 
 
 @given(
@@ -378,13 +403,10 @@ def test_update_rejects_empty_or_alien_data():
 def test_smoothed_mle_floor_property(counts, lam):
     k = len(counts)
     samples = [i for i, c in enumerate(counts) for _ in range(c)]
-    pop = Population.equal_weights([pv(*([1.0 / k] * k))])
-    out = update_agents(
-        pop, np.array(samples, dtype=np.int64), UpdateRule("smoothed-mle", lam=lam)
-    )
+    mass, _ = _fitted(UpdateRule("smoothed-mle", lam=lam), np.array(samples, dtype=np.int64), k)
     n = len(samples)
     floor = lam / (n + lam * k)
-    assert np.all(out.agents[0].mass >= floor - 1e-15)
+    assert np.all(mass >= floor - 1e-15)
 
 
 def test_neighborhood_dilation():
@@ -397,48 +419,52 @@ def test_neighborhood_dilation():
 # --- one round / run ------------------------------------------------------------
 
 
-def _replay_round(pop, cfg, rng, memory):
-    """One bare round from the public row stages, drawing as run() does:
-    mixture, selection, one dataset of n * blocks outcomes, the rolled
-    buffer, then the update (agent m fitted to block m with per-agent
-    datasets). Returns the population, dataset, training distribution and
-    buffer."""
-    pt = apply_selection(mixture(pop), cfg.selection)
-    n, blocks = cfg.sample_size, pop.size if cfg.per_agent_datasets else 1
-    dataset = sample_dataset(pt, n * blocks, rng)
-    rule = cfg.update
+def _replay_round(weights, agents, cfg, rng, memory):
+    """One bare round of one seed, composed straight from the four stages on
+    weights (1, M) and agents (1, M, K) and drawing as run() does: mixture,
+    selection, one dataset of n * blocks outcomes, the rolled buffer, then
+    the update (agent m fitted to block m with per-agent datasets). Returns
+    the agents (1, M, K), dataset, training distribution (1, K) and buffer."""
+    _, size, k = agents.shape
+    pbar = mixture(weights, agents)
+    pt, zero = apply_selection(cfg.selection, OutcomeSpace(k), pbar)
+    assert not zero.any()
+    n, blocks = cfg.sample_size, size if cfg.per_agent_datasets else 1
+    dataset = sample_dataset(pt, n * blocks, [rng])[0]
+    rule, buffer = cfg.update, None
     if rule.kind == "memory-buffer":
         memory = roll_memory(memory, dataset, rule.capacity)
-    if cfg.per_agent_datasets:
-        fits = [update_agents(pop, dataset[m * n : (m + 1) * n], rule) for m in range(blocks)]
-        pop = Population(tuple(fit.agents[m] for m, fit in enumerate(fits)), pop.weights)
-    else:
-        pop = update_agents(pop, dataset, rule, memory)
-    return pop, dataset, pt, memory
+        buffer = _counted(memory, k)
+    counts, sizes = evolution._counts(dataset, np.full(blocks, n), k)
+    pbars = np.repeat(pbar, blocks, axis=0) if rule.reads_mixture else None
+    mass, wiped = update_agents(rule, counts, sizes, pbars, buffer)
+    assert not wiped.any()
+    # one fit per block: every agent's with shared data, agent m's with block m
+    return np.broadcast_to(mass[None], agents.shape), dataset, pt, memory
 
 
 def test_round_composition():
     pop = Population.equal_weights([pv(0.5, 0.5), pv(0.5, 0.5)])
     cfg = EvolutionConfig(sample_size=50, rounds=1)
-    replayed, dataset, pt, _ = _replay_round(pop, cfg, make_rng(5), ())
+    replayed, dataset, pt, _ = _replay_round(*_rows(pop), cfg, make_rng(5), ())
     assert len(dataset) == 50
-    assert pt.mass.tolist() == [0.5, 0.5]
+    assert pt.tolist() == [[0.5, 0.5]]
     counts = np.bincount(dataset, minlength=2)
-    np.testing.assert_allclose(replayed.agents[0].mass, counts / 50.0, atol=1e-15)
+    np.testing.assert_allclose(replayed[0, 0], counts / 50.0, atol=1e-15)
     state = run(pop, cfg, keep_states=True, seed=5).states[1]
-    for manual, recorded in zip(replayed.agents, state.agents):
-        assert np.array_equal(manual.mass, recorded.mass)
+    for manual, recorded in zip(replayed[0], state.agents):
+        assert np.array_equal(manual, recorded.mass)
 
 
 def test_per_agent_datasets_give_distinct_agents():
     pop = Population.equal_weights([pv(0.5, 0.5)] * 3)
     cfg = EvolutionConfig(sample_size=51, rounds=1, per_agent_datasets=True)
-    replayed, dataset, _, _ = _replay_round(pop, cfg, make_rng(5), ())
+    replayed, dataset, _, _ = _replay_round(*_rows(pop), cfg, make_rng(5), ())
     assert len(dataset) == 153
     agents = run(pop, cfg, keep_states=True, seed=5).states[1].agents
     masses = [tuple(a.mass.tolist()) for a in agents]
     assert len(set(masses)) > 1
-    assert masses == [tuple(a.mass.tolist()) for a in replayed.agents]
+    assert masses == [tuple(row.tolist()) for row in replayed[0]]
 
 
 def test_the_seed_is_given_to_run_not_to_the_config():
@@ -506,11 +532,15 @@ def test_rules_that_do_not_fit_the_space_fail_at_run_batch_entry(case):
         evolution.run_batch([pop, pop], cfg, [0, 1])
 
 
-def test_update_agents_checks_the_reward_length():
-    pop = Population.equal_weights([pv(0.2, 0.3, 0.5)])
-    rule = UpdateRule("reward-reweighted-mle", reward=(0.0, 1.0))
-    with pytest.raises(ConfigError, match="update reward vector has length 2, space is 3"):
-        update_agents(pop, np.array([0, 1], dtype=np.int64), rule)
+def test_run_batch_checks_the_reward_length():
+    pops = [Population.equal_weights([pv(0.2, 0.3, 0.5)])]
+    for owner, rules in (
+        ("selection", dict(selection=SelectionRule("reward-reweight", reward=(0.0, 1.0)))),
+        ("update", dict(update=UpdateRule("reward-reweighted-mle", reward=(0.0, 1.0)))),
+    ):
+        cfg = EvolutionConfig(sample_size=5, rounds=1, **rules)
+        with pytest.raises(ConfigError, match=f"^{owner} reward vector has length 2, space is 3$"):
+            evolution.run_batch(pops, cfg, [0])
 
 
 def test_rule_fields_the_kind_does_not_read_are_refused():
@@ -571,7 +601,7 @@ def test_per_agent_run_differs_from_shared_run():
     assert len(set(final)) == 4
     assert len({tuple(a.mass.tolist()) for a in shared.final_population.agents}) == 1
     assert not np.array_equal(
-        mixture(shared.final_population).mass, mixture(per_agent.final_population).mass
+        _mixture(shared.final_population), _mixture(per_agent.final_population)
     )
 
 
@@ -602,14 +632,14 @@ def test_run_matches_manual_round_replay(rule, per_agent, selection):
     )
     traj = run(pop0, cfg, keep_states=True, seed=21)
     rng = make_rng(21)
-    pop, memory = pop0, ()
+    (weights, agents), memory = _rows(pop0), ()
     for r in range(1, cfg.rounds + 1):
-        pop, dataset, _, memory = _replay_round(pop, cfg, rng, memory)
+        agents, dataset, _, memory = _replay_round(weights, agents, cfg, rng, memory)
         assert len(dataset) == (3 if per_agent else 1) * 25
-        for manual, recorded in zip(pop.agents, traj.states[r].agents):
-            assert np.array_equal(manual.mass, recorded.mass)
+        for manual, recorded in zip(agents[0], traj.states[r].agents):
+            assert np.array_equal(manual, recorded.mass)
     # per-agent datasets keep the agents apart; shared data makes them coincide
-    assert len({tuple(a.mass.tolist()) for a in pop.agents}) == (3 if per_agent else 1)
+    assert len({tuple(row.tolist()) for row in agents[0]}) == (3 if per_agent else 1)
 
 
 def test_per_agent_verifier_annihilation_skips_only_that_agent():
@@ -686,5 +716,5 @@ def test_uniform_population_mixture_unchanged_by_update_shape():
     cfg = EvolutionConfig(sample_size=100, rounds=1)
     final = run(pop, cfg, seed=9).final_population
     assert np.array_equal(final.agents[0].mass, final.agents[1].mass)
-    replayed = _replay_round(pop, cfg, make_rng(9), ())[0]
-    assert np.array_equal(replayed.agents[0].mass, final.agents[0].mass)
+    replayed = _replay_round(*_rows(pop), cfg, make_rng(9), ())[0]
+    assert np.array_equal(replayed[0, 0], final.agents[0].mass)

@@ -83,6 +83,16 @@ def test_schedule_validation():
         Schedule(kind="kl-trigger", threshold=0.1)
 
 
+def test_schedule_fields_the_kind_does_not_read_are_refused():
+    with pytest.raises(ConfigError, match="schedule kind 'every' does not read threshold, ref$"):
+        Schedule("every", k=2, threshold=0.5, ref=REF2)
+    with pytest.raises(ConfigError, match="schedule kind 'kl-trigger' does not read k$"):
+        Schedule("kl-trigger", k=7, threshold=0.1, ref=REF2)
+    # a field at its default is not set
+    Schedule("every", k=2, threshold=0.0, ref=None)
+    Schedule("kl-trigger", k=1, threshold=0.1, ref=REF2)
+
+
 # --- verifier -----------------------------------------------------------------
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftlab.oracle as oracle_mod
+from driftlab.evolution import _counts, sample_dataset, update_agents
 from driftlab import (
     LemmaReport,
     OutcomeSpace,
-    Population,
     ProbVector,
     UpdateRule,
     cross_entropy,
@@ -24,10 +24,8 @@ from driftlab import (
     oracle_kl,
     oracle_mutual_information,
     run_all_lemma_checks,
-    sample_dataset,
     sample_simplex,
     shannon_entropy,
-    update_agents,
     verify_absence_bound,
     verify_dpi,
     verify_grouping_bound,
@@ -194,16 +192,12 @@ def test_expected_next_mass_monte_carlo_replay():
     pt = pv(0.75, 0.25)
     rule = UpdateRule("smoothed-mle", lam=1.0)
     res = exact_expected_next_mass(pt, (1,), 4, rule)
-    pop = Population.equal_weights([pt])
-    rng = make_rng(5)
     reps = 10_000
-    masses = np.empty(reps)
-    absent = np.empty(reps, dtype=bool)
-    for i in range(reps):
-        data = sample_dataset(pt, 4, rng)
-        out = update_agents(pop, data, rule)
-        masses[i] = out.agents[0].mass[1]
-        absent[i] = not np.any(data == 1)
+    # one generator for every replicate draws as reps calls in turn would
+    data = sample_dataset(np.tile(pt.mass, (reps, 1)), 4, [make_rng(5)] * reps)
+    fitted, _ = update_agents(rule, *_counts(data.ravel(), np.full(reps, 4), 2))
+    masses = fitted[:, 1]
+    absent = ~np.any(data == 1, axis=1)
     assert abs(float(masses.mean()) - res.unconditional) < 0.006
     assert abs(float(absent.mean()) - res.absence_probability) < 0.02
     # conditional on absence the smoothed update is deterministic
