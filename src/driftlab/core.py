@@ -12,7 +12,8 @@ Conventions:
   - probability vectors are float64, renormalized on construction; a sum off
     by more than 1e-6 is a hard error, anything closer is silently rescaled
   - inputs are checked once, at construction; the round renormalizes the
-    distributions it derives from checked ones and wraps them with _wrap
+    distributions it derives from checked ones, and _wrap makes the
+    ProbVectors of the populations a run returns, over copies of its rows
   - all randomness flows through numpy Philox generators created by callers
 """
 
@@ -93,8 +94,9 @@ class ProbVector:
 
 
 def _wrap(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:
-    """ProbVector over `arr`, which the caller has already normalized (a row
-    of a batched array, say); `arr` is frozen, not copied."""
+    """ProbVector over `arr`, which the caller has already normalized (a copy
+    of a row of a batched array, say); `arr` is frozen, not copied, so no one
+    may write it afterwards."""
     pv = object.__new__(ProbVector)
     object.__setattr__(pv, "space", space)
     arr.setflags(write=False)

@@ -18,8 +18,9 @@ The round's data is one (S, B, n) int64 array, from draw to count: B blocks
 of n samples per seed (one block, or one per agent), with (S, B) arrays of
 filled sizes and live blocks. What is per seed by nature loops over the
 rows: the uniforms and their inverse-CDF search (in sorted order), verifier
-screening, the cooling check and probes. Round r's measurements fill column
-r of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
+screening and the cooling check. Each probe measures the chunk's (S, K)
+training rows in one call per round. Round r's measurements fill column r
+of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
 seeds' Trajectory columns. The four stages are mixture, apply_selection,
 sample_dataset and update_agents, each over a chunk's rows. run_batch is the
 one entry point; run() is a batch of one, and a seed's trajectory is
@@ -567,18 +568,26 @@ _ROUND_ERRORS = (
 
 def _by_rows(fn, rows: np.ndarray, errors: dict, *arrays):
     """rows and fn(*arrays), each array holding one entry per row. When fn
-    raises one of _ROUND_ERRORS, each row runs alone, and those that raise
-    leave rows for errors (which keeps a row's first error)."""
+    raises one of _ROUND_ERRORS, each row runs alone: those that raise leave
+    rows for errors (which keeps a row's first error), and the results of
+    the others are joined."""
     try:
         return rows, fn(*arrays)
     except _ROUND_ERRORS:
-        for i, s in enumerate(rows):
-            try:
-                fn(*(a[i : i + 1] for a in arrays))
-            except _ROUND_ERRORS as exc:
-                errors.setdefault(int(s), exc)
-    kept = ~np.isin(rows, list(errors))
-    return rows[kept], fn(*(a[kept] for a in arrays))
+        pass
+    kept, results = [], []
+    for i, s in enumerate(rows):
+        try:
+            result = fn(*(a[i : i + 1] for a in arrays))
+        except _ROUND_ERRORS as exc:
+            errors.setdefault(int(s), exc)
+            continue
+        if int(s) not in errors:
+            kept.append(i)
+            results.append(result)
+    if not results:
+        return rows[:0], fn(*(a[:0] for a in arrays))
+    return rows[kept], np.concatenate(results)
 
 
 @dataclass(frozen=True, eq=False)
@@ -846,9 +855,10 @@ class _Chunk:
                     self.fired[s].append((r + 1, pol.kind))
 
     def record(self, r: int, probes, ref, monitor_sets, monitor_hoods, keep_states: bool) -> None:
-        """Fill column r of every row (and keep its state); a seed whose probe
-        raises one of _ROUND_ERRORS fails instead. Round 0 allocates the
-        columns."""
+        """Fill column r of every row (and keep its state). Each probe measures
+        the chunk's rows in one call; a seed for which a probe raises one of
+        _ROUND_ERRORS, or which a probe gives no single value, fails instead.
+        Round 0 allocates the columns."""
         if r == 0:
             shape = (len(self.ids), len(monitor_sets), self.cfg.rounds + 1)
             self.values = np.empty((shape[0], len(probes), shape[2]))
@@ -860,17 +870,34 @@ class _Chunk:
                 self.absent[:, i, r] = ~(hood[self.data] & held).any(axis=(1, 2))
         errors = {}
         self.agents.setflags(write=False)  # a hook that writes copies it first
-        for s in range(len(self.ids)):
-            if probes:
-                pt, agents = _wrap(self.space, self.pt[s]), self.agents[s]
-                try:
-                    self.values[s, :, r] = [float(p.evaluator(r, pt, agents, ref)) for p in probes]
-                except _ROUND_ERRORS as exc:
-                    errors[s] = exc
-                    continue
-            if keep_states:
-                self.states[s].append(self.population(s))
+        self.pt.setflags(write=False)  # the probes read it whole
+        if probes:
+            every = np.arange(len(self.ids))
+            measure = partial(_measure, r, probes, ref)
+            rows, values = _by_rows(measure, every, errors, self.pt, self.agents)
+            self.values[rows, :, r] = values
+        if keep_states:
+            for s in range(len(self.ids)):
+                if s not in errors:
+                    self.states[s].append(self.population(s))
         self._fail(errors, r)
+
+
+def _measure(r: int, probes, ref, pt: np.ndarray, agents: np.ndarray) -> np.ndarray:
+    """The values (S, P) of the probes in round r on the training rows pt
+    (S, K) and agent rows agents (S, M, K), each probe called once; a probe
+    that gives other than S values raises ValueError."""
+    values = np.empty((len(pt), len(probes)))
+    if not len(pt):  # every row failed
+        return values
+    for i, probe in enumerate(probes):
+        column = np.asarray(probe.evaluator(r, pt, agents, ref), dtype=np.float64)
+        if column.shape != (len(pt),):
+            raise ValueError(
+                f"probe {probe.name!r} gave shape {column.shape} for {len(pt)} rows"
+            )
+        values[:, i] = column
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -1006,9 +1033,10 @@ def run(
     """Execute cfg.rounds rounds from pop0 and return the Trajectory of seed.
 
     probes are MetricProbe-like objects (name + evaluator(round, pt, agents,
-    ref), agents being the seed's read-only (M, K) rows); they may read the
-    reference because measurement sits outside the loop, but the dynamics
-    themselves never touch `ref`. Each probe gives the column values[name].
+    ref) -> S values, pt and agents being a chunk's read-only (S, K) training
+    rows and (S, M, K) agent rows); they may read the reference because
+    measurement sits outside the loop, but the dynamics themselves never
+    touch `ref`. Each probe gives the column values[name].
     intervention is a policy object or sequence of them (see interventions
     module); multiple policies compose in the fixed attachment order
     diversity -> sampling -> verifier -> update -> entropy-release ->

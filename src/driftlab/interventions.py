@@ -38,11 +38,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OutcomeSpace, ProbVector, SafetyReference, _wrap
+from .core import OutcomeSpace, ProbVector, SafetyReference
 from .errors import ConfigError, VerifierAnnihilationError
 from .evolution import Population, _refuse_unread
 from .evolution import mixture  # noqa: F401  (bench/test_bench.py wants mixture)
-from .metrics import kl_divergence
+from .metrics import _kl_rows
+from .metrics import kl_divergence  # noqa: F401  (bench/test_bench.py wants kl_divergence)
 
 # schedule kind -> the fields it reads
 _SCHEDULE_KINDS = {"every": ("k",), "kl-trigger": ("threshold", "ref")}
@@ -75,9 +76,7 @@ class Schedule:
         every-k, all or none; kl-trigger, the rows that drift past the threshold."""
         if self.kind == "every":
             return np.full(len(mixtures), round_index % self.k == 0)
-        pi = self.ref.pi_star
-        drifts = [kl_divergence(pi, _wrap(pi.space, row)) for row in mixtures]
-        return np.array(drifts) > self.threshold
+        return _kl_rows(self.ref.pi_star, mixtures) > self.threshold
 
 
 class _Scheduled:
@@ -163,8 +162,7 @@ class CoolingPolicy(_Scheduled):
         Drift within the threshold refreshes the checkpoint to the current rows;
         past it, each agent becomes blend * checkpoint + (1 - blend) * current."""
         agents, pbar = current
-        pi_star = self.ref.pi_star
-        if kl_divergence(pi_star, _wrap(pi_star.space, pbar)) <= self.kl_threshold:
+        if _kl_rows(self.ref.pi_star, pbar[None])[0] <= self.kl_threshold:
             return agents, agents, False
         if self.blend == 1.0:
             return checkpoint, checkpoint, True

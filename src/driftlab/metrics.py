@@ -31,44 +31,89 @@ def _clamp_nonneg(value: float) -> float:
     return value
 
 
-def _support(p: ProbVector) -> np.ndarray | None:
-    """Mask of p's positive entries, None when all are; kept only on a vector
-    that owns its mass, as a _wrap'ped row views an array the kernel rewrites."""
-    pos = p.__dict__.get("_support", False)
-    if pos is False:
-        pos = None if p.mass.all() else p.mass > 0.0
-        if p.mass.flags.owndata:
-            p.__dict__["_support"] = pos
-    return pos
+def _columns(idx: np.ndarray) -> slice | np.ndarray:
+    """Sorted column indices idx, as a slice when they are one run: rows
+    then read them as a view, with no gather."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _take(rows: np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+    """Columns cols of rows (S, K), each row's entries contiguous: a row's
+    sum over them adds in the order a 1-D sum of them would."""
+    return rows[:, cols] if isinstance(cols, slice) else np.take(rows, cols, axis=1)
+
+
+def _support(p: ProbVector) -> tuple[slice | np.ndarray, np.ndarray]:
+    """The columns of p's positive entries and their masses; kept on p,
+    whose mass no one rewrites."""
+    support = p.__dict__.get("_support")
+    if support is None:
+        cols = _columns(np.flatnonzero(p.mass > 0.0))
+        support = p.__dict__["_support"] = (cols, p.mass[cols])
+    return support
+
+
+def _support_sums(qp: np.ndarray, terms: Callable, finish: Callable[[float], float]) -> np.ndarray:
+    """Per row of qp (S, n), q's entries on p's support: +inf where one is 0
+    (q misses support that p has), else finish(the row's sum of terms). terms
+    takes the rows with no zero entry and their selector in qp."""
+    ok = qp.all(axis=1)
+    n_ok = np.count_nonzero(ok)
+    out = np.full(len(qp), math.inf)
+    if n_ok:
+        rows = slice(None) if n_ok == len(qp) else ok
+        out[rows] = [finish(v) for v in terms(qp[rows], rows).sum(axis=1).tolist()]
+    return out
+
+
+def _row_sums(values: np.ndarray, at: np.ndarray, shape: tuple[int, int]) -> list[float]:
+    """Per row of an (S, K) array, the sum of values[i] over the sorted flat
+    positions at[i] that fall in the row, each row's run summed on its own
+    as a 1-D sum of it would be (np.add.reduceat adds in another order)."""
+    s_rows, k_space = shape
+    if s_rows == 1:  # a chunk of one seed, as at large K
+        return [float(values.sum())]
+    ends = at.searchsorted(np.arange(k_space, (s_rows + 1) * k_space, k_space)).tolist()
+    return [float(values[a:b].sum()) for a, b in zip([0, *ends[:-1]], ends)]
+
+
+def _kl_rows(p: ProbVector, q: np.ndarray) -> np.ndarray:
+    """KL(p || q_s) in nats for each row q_s of q (S, K) on p's space."""
+    cols, pp = _support(p)
+    return _support_sums(_take(q, cols), lambda qp, rows: pp * np.log(pp / qp), _clamp_nonneg)
+
+
+def _cross_entropy_rows(p: ProbVector, q: np.ndarray) -> np.ndarray:
+    """H(p, q_s) for each row q_s of q (S, K) on p's space."""
+    cols, pp = _support(p)
+    return _support_sums(_take(q, cols), lambda qp, rows: pp * np.log(qp), float.__neg__)
+
+
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """H(p_s) for each row p_s of p (S, K)."""
+    flat = p.ravel()
+    at = np.flatnonzero(flat > 0.0)
+    pos = flat[at]
+    return np.array([_clamp_nonneg(-v) for v in _row_sums(pos * np.log(pos), at, p.shape)])
 
 
 def kl_divergence(p: ProbVector, q: ProbVector) -> float:
     """KL(p || q) in nats; +inf when q misses support that p has."""
     require_same_space(p, q)
-    pos = _support(p)
-    qp = q.mass if pos is None else q.mass[pos]
-    if not qp.all():
-        return math.inf
-    pp = p.mass if pos is None else p.mass[pos]
-    return _clamp_nonneg(float(np.sum(pp * np.log(pp / qp))))
+    return float(_kl_rows(p, q.mass[None])[0])
 
 
 def cross_entropy(p: ProbVector, q: ProbVector) -> float:
     """H(p, q) = -sum p(z) ln q(z); +inf when q misses support that p has."""
     require_same_space(p, q)
-    pos = _support(p)
-    qp = q.mass if pos is None else q.mass[pos]
-    if not qp.all():
-        return math.inf
-    pp = p.mass if pos is None else p.mass[pos]
-    return float(-np.sum(pp * np.log(qp)))
+    return float(_cross_entropy_rows(p, q.mass[None])[0])
 
 
 def shannon_entropy(p: ProbVector) -> float:
     """H(p) = -sum p(z) ln p(z), always finite on a finite space."""
-    pm = p.mass
-    pos = pm[pm > 0.0]
-    return _clamp_nonneg(float(-np.sum(pos * np.log(pos))))
+    return float(_entropy_rows(p.mass[None])[0])
 
 
 def _binary_term(a: float, b: float) -> float:
@@ -115,55 +160,64 @@ class KLDecomposition:
 
 
 def _sides(ref: SafetyReference) -> tuple:
-    """Per side of the safe split, safe first: its mask, pi_star's mass on it
-    and the mask where pi_star is positive on it (the side's own mask when
-    that is all of it). Computed once per reference."""
+    """Per side of the safe split, safe first: its columns, pi_star's mass on
+    it, the columns where pi_star is positive on it (the side's own columns
+    when that is all of it) and pi_star's masses there. Computed once per
+    reference."""
     sides = ref.__dict__.get("_sides")
     if sides is None:
         pm = ref.pi_star.mass
-        sides = ref.__dict__["_sides"] = tuple(
-            (side, float(pm[side].sum()), side if pm[side].all() else side & (pm > 0.0))
-            for side in (ref.safe_mask, ~ref.safe_mask)
-        )
+        sides = []
+        for side in (ref.safe_mask, ~ref.safe_mask):
+            block = _columns(np.flatnonzero(side))
+            pos = block if pm[side].all() else _columns(np.flatnonzero(side & (pm > 0.0)))
+            sides.append((block, float(pm[side].sum()), pos, pm[pos]))
+        sides = ref.__dict__["_sides"] = tuple(sides)
     return sides
 
 
-def _side_term(ref: SafetyReference, pt: ProbVector, side: int) -> float:
-    """pi*(block) * KL(pi*|block || pt|block) for block = the safe (side 0) or
-    the unsafe (side 1) outcomes, with conditioning conventions.
+def _side_rows(ref: SafetyReference, pt: np.ndarray, side: int) -> np.ndarray:
+    """pi*(block) * KL(pi*|block || pt_s|block) for each row pt_s of pt (S, K),
+    block being the safe (side 0) or the unsafe (side 1) outcomes, with
+    conditioning conventions.
 
     Zero pi* weight on the block makes the term 0 regardless of pt. A pt zero
     where pi* is positive, which zero pt mass on the block implies, makes the
     term +inf; that keeps the decomposition identity valid because the total
-    divergence is +inf in exactly that situation. The caller checks that ref
-    and pt share a space.
+    divergence is +inf in exactly that situation.
     """
-    block, p_block, pos = _sides(ref)[side]
+    block, p_block, pos, pp = _sides(ref)[side]
     if p_block == 0.0:
-        return 0.0
-    qp = pt.mass[pos]
-    if not qp.all():
-        return math.inf
-    pp = ref.pi_star.mass[pos]
-    q_block = float((qp if pos is block else pt.mass[block]).sum())
-    ratio_log = np.log(pp / qp) + math.log(q_block / p_block)
-    return _clamp_nonneg(float(np.sum(pp * ratio_log)))
+        return np.zeros(len(pt))
+
+    def terms(qp, rows):
+        q_block = (qp if pos is block else _take(pt[rows], block)).sum(axis=1)
+        shift = [math.log(q / p_block) for q in q_block.tolist()]
+        return pp * (np.log(pp / qp) + np.array(shift)[:, None])
+
+    return _support_sums(_take(pt, pos), terms, _clamp_nonneg)
 
 
-def _mass_term(ref: SafetyReference, pt: ProbVector) -> float:
-    block, p, _ = _sides(ref)[0]
-    q = float(pt.mass[block].sum())
-    # either safe-set sum can round past 1
-    return binarized_kl_lower_bound(min(1.0, p), min(1.0, q))
+def _safe_mass_rows(ref: SafetyReference, pt: np.ndarray) -> np.ndarray:
+    return _take(pt, _sides(ref)[0][0]).sum(axis=1)
+
+
+def _mass_rows(ref: SafetyReference, pt: np.ndarray) -> np.ndarray:
+    p = min(1.0, _sides(ref)[0][1])  # either safe-set sum can round past 1
+    return np.array(
+        [binarized_kl_lower_bound(p, min(1.0, q)) for q in _safe_mass_rows(ref, pt).tolist()]
+    )
 
 
 def kl_safe_set_decomposition(ref: SafetyReference, pt: ProbVector) -> KLDecomposition:
     """Split KL(pi_star || pt) into mass, within-safe, and outside-safe terms."""
+    require_same_space(ref.pi_star, pt)
+    rows = pt.mass[None]
     return KLDecomposition(
-        kl_divergence(ref.pi_star, pt),
-        _mass_term(ref, pt),
-        _side_term(ref, pt, 0),
-        _side_term(ref, pt, 1),
+        float(_kl_rows(ref.pi_star, rows)[0]),
+        float(_mass_rows(ref, rows)[0]),
+        float(_side_rows(ref, rows, 0)[0]),
+        float(_side_rows(ref, rows, 1)[0]),
     )
 
 
@@ -183,11 +237,13 @@ def coverage(ref: SafetyReference, pt: ProbVector, tau: float) -> CoverageResult
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"coverage threshold must lie in (0, 1], got {tau!r}")
     visible = tuple(int(i) for i in np.flatnonzero(pt.mass >= tau))
-    return CoverageResult(visible, _covered_mass(ref, pt, tau))
+    return CoverageResult(visible, float(_covered_rows(ref, pt.mass[None], tau)[0]))
 
 
-def _covered_mass(ref: SafetyReference, pt: ProbVector, tau: float) -> float:
-    return float(ref.pi_star.mass[pt.mass >= tau].sum())
+def _covered_rows(ref: SafetyReference, pt: np.ndarray, tau: float) -> np.ndarray:
+    """pi_star's mass on {z : pt_s(z) >= tau} for each row pt_s of pt (S, K)."""
+    at = np.flatnonzero(pt >= tau)
+    return np.array(_row_sums(ref.pi_star.mass[at % pt.shape[1]], at, pt.shape))
 
 
 class AbsenceProbability(NamedTuple):
@@ -251,7 +307,7 @@ class DecayEstimate:
     max_residual: float
 
 
-def estimate_decay(trajectory, a_set: Iterable[int], rule=None) -> DecayEstimate:
+def estimate_decay(trajectory, a_set: Iterable[int]) -> DecayEstimate:
     """Fit the conditional decay law for set A from a recorded trajectory.
 
     The trajectory must have monitored A (run(..., monitors={name: A})); only
@@ -291,34 +347,28 @@ def estimate_decay(trajectory, a_set: Iterable[int], rule=None) -> DecayEstimate
 # Probe registry
 # ---------------------------------------------------------------------------
 
-ProbeFn = Callable[[int, ProbVector, np.ndarray, SafetyReference], float]
+ProbeFn = Callable[[int, np.ndarray, np.ndarray, SafetyReference], np.ndarray]
 
 
 @dataclass(frozen=True)
 class MetricProbe:
-    """Named per-round measurement: (round, P_t, agents, reference) -> real,
-    agents being the seed's read-only (M, K) agent rows."""
+    """Named per-round measurement of a chunk of seeds: (round, pt, agents,
+    reference) -> S reals, pt being the seeds' read-only (S, K) training
+    rows and agents their read-only (S, M, K) agent rows; value s belongs to
+    row s."""
 
     name: str
     evaluator: ProbeFn
 
 
-def _split_probe(term: Callable[..., float], *args) -> ProbeFn:
-    def probe(t, pt, agents, ref):
-        require_same_space(ref.pi_star, pt)
-        return term(ref, pt, *args)
-
-    return probe
-
-
 _SIMPLE_PROBES: dict[str, ProbeFn] = {
-    "kl_safety": lambda t, pt, agents, ref: kl_divergence(ref.pi_star, pt),
-    "safe_mass": lambda t, pt, agents, ref: float(pt.mass[ref.safe_mask].sum()),
-    "internal_entropy": lambda t, pt, agents, ref: shannon_entropy(pt),
-    "cross_entropy": lambda t, pt, agents, ref: cross_entropy(ref.pi_star, pt),
-    "mass_term": _split_probe(_mass_term),
-    "in_safe_term": _split_probe(_side_term, 0),
-    "out_safe_term": _split_probe(_side_term, 1),
+    "kl_safety": lambda t, pt, agents, ref: _kl_rows(ref.pi_star, pt),
+    "safe_mass": lambda t, pt, agents, ref: _safe_mass_rows(ref, pt),
+    "internal_entropy": lambda t, pt, agents, ref: _entropy_rows(pt),
+    "cross_entropy": lambda t, pt, agents, ref: _cross_entropy_rows(ref.pi_star, pt),
+    "mass_term": lambda t, pt, agents, ref: _mass_rows(ref, pt),
+    "in_safe_term": lambda t, pt, agents, ref: _side_rows(ref, pt, 0),
+    "out_safe_term": lambda t, pt, agents, ref: _side_rows(ref, pt, 1),
 }
 
 
@@ -350,7 +400,7 @@ def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
                 raise ConfigError(f"unparseable coverage threshold in {name!r}") from exc
         if not (0.0 < tau <= 1.0):
             raise ConfigError(f"coverage threshold must lie in (0, 1], got {tau}")
-        return MetricProbe(name, _split_probe(_covered_mass, tau))
+        return MetricProbe(name, lambda t, pt, agents, ref: _covered_rows(ref, pt, tau))
     raise ConfigError(
         f"unknown probe {name!r}; registry: {', '.join(probe_names())} "
         "(coverage also accepts coverage@<tau>)"

@@ -22,6 +22,7 @@ from driftlab import (
     MetricProbe,
     PolicySpec,
     PopulationSpec,
+    ProbVector,
     Schedule,
     SelectionRule,
     SimulationError,
@@ -40,7 +41,7 @@ from driftlab import (
     run_batch,
     two_tier_reference,
 )
-from driftlab import evolution
+from driftlab import core, evolution, metrics
 from driftlab.evolution import chunk_size
 from driftlab.harness import trajectory_to_dict
 
@@ -281,9 +282,9 @@ def test_rows_kept_after_an_update_failure_release_and_cool_as_alone():
 
 
 def _refuse_round_2(r, pt, agents, ref):
-    if r == 2 and pt[0] > pt[1]:
+    if r == 2 and (pt[:, 0] > pt[:, 1]).any():
         raise ValueError("probe refuses this distribution")
-    return 0.0
+    return np.zeros(len(pt))
 
 
 def test_a_raising_probe_fails_only_its_seed():
@@ -462,3 +463,125 @@ def test_each_round_calls_the_four_stages_by_name(small_chunks, monkeypatch):
         "sample_dataset": chunks * cfg.rounds,
         "update_agents": chunks * cfg.rounds,
     }
+
+
+def _kl_schedule_run(probes, **kw):
+    """Every seed of SEEDS through every policy kind on kl: schedules, with
+    the memory buffer their prune reads; the populations and policies are
+    built first, as a caller builds them."""
+    cfg = _config("memory-buffer", "identity", False)
+    pops, policies = _pops(SEEDS), _policies("kl-schedules")
+
+    def results():
+        return list(run_batch(pops, cfg, SEEDS, probes, policies, ref=REF, monitors=MONITORS, **kw))
+
+    return cfg, results
+
+
+def test_each_probe_measures_a_chunk_round_in_one_call(small_chunks, monkeypatch):
+    """A probe reads a chunk's rows once per round, and the round wraps no
+    row and checks no space again; the only _wrap calls build the returned
+    populations, one per distinct agent, over copies."""
+    calls = dict.fromkeys((p.name for p in PROBES), 0)
+
+    def counted(probe):
+        def evaluator(r, pt, agents, ref):
+            calls[probe.name] += 1
+            return probe.evaluator(r, pt, agents, ref)
+
+        return MetricProbe(probe.name, evaluator)
+
+    cfg, results = _kl_schedule_run([counted(p) for p in PROBES])
+    wrapped, checked = [], []
+
+    def wrap(space, arr):
+        wrapped.append(arr.flags.owndata)
+        return core._wrap(space, arr)
+
+    monkeypatch.setattr(evolution, "_wrap", wrap)
+    for module in (core, evolution, metrics):
+        monkeypatch.setattr(module, "require_same_space", lambda *pair: checked.append(pair))
+    trajectories = results()
+    assert all(not isinstance(t, SimulationError) for t in trajectories)
+    chunks = -(-len(SEEDS) // CHUNK)
+    assert calls == dict.fromkeys(calls, chunks * (cfg.rounds + 1))
+    assert checked == []
+    distinct = sum(len({id(a) for a in t.final_population.agents}) for t in trajectories)
+    assert wrapped == [True] * distinct
+
+
+def test_run_batch_hands_no_probe_or_policy_a_wrapped_view(small_chunks, monkeypatch):
+    """Probes and policy hooks get the chunk's arrays, never a ProbVector
+    around them, so a distribution may keep its support: no one rewrites
+    the mass under it."""
+    handed = []
+
+    def arrays(args):
+        for arg in args:
+            if isinstance(arg, tuple):
+                yield from arrays(arg)
+            else:
+                assert not isinstance(arg, ProbVector), arg
+                yield arg
+
+    def spied(fn):
+        def hook(*args):
+            handed.extend(a for a in arrays(args[1:]) if isinstance(a, np.ndarray))
+            return fn(*args)
+
+        return hook
+
+    hooks = {
+        Schedule: ("fires",),
+        VerifierPolicy: ("filter_dataset",),
+        DiversityPolicy: ("adjust_training",),
+        EntropyReleasePolicy: ("adjust_population", "prune_buffer"),
+        CoolingPolicy: ("initial_checkpoint", "cool"),
+    }
+    for cls, names in hooks.items():
+        for name in names:
+            monkeypatch.setattr(cls, name, spied(getattr(cls, name)))
+    probe = MetricProbe("spy", spied(lambda *args: np.zeros(len(args[1]))))
+    wrapped = []
+
+    def wrap(space, arr):
+        wrapped.append(arr.flags.owndata)
+        return core._wrap(space, arr)
+
+    monkeypatch.setattr(evolution, "_wrap", wrap)
+    _, results = _kl_schedule_run([probe], keep_states=True)
+    assert all(not isinstance(t, SimulationError) for t in results())
+    assert handed
+    # only the populations a run returns are wrapped, each over a copy
+    assert wrapped and all(wrapped)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        lambda pt: 0.0,  # one value for the chunk: the per-seed protocol
+        lambda pt: np.zeros((len(pt), 1)),
+        lambda pt: np.zeros(len(pt) + 1),
+    ],
+)
+def test_a_probe_that_gives_no_value_per_row_fails_its_seeds(small_chunks, values):
+    probe = MetricProbe("shapeless", lambda r, pt, agents, ref: values(pt))
+    cfg = _config("mle", "identity", False)
+    results = list(run_batch(_pops(SEEDS), cfg, SEEDS, [probe], ref=REF))
+    assert all(isinstance(e, SimulationError) for e in results)
+    assert {(e.round_index, type(e.__cause__)) for e in results} == {(0, ValueError)}
+    assert "shapeless" in str(results[0])
+
+
+def test_a_probe_value_is_never_broadcast_across_seeds(small_chunks):
+    # a probe that gives one value whatever the rows: the chunk's call is
+    # refused, and each seed gets the value of its own row
+    probe = MetricProbe("first", lambda r, pt, agents, ref: pt[:1, 0])
+    cfg = _config("mle", "identity", False)
+    together = [t.values["first"] for t in run_batch(_pops(SEEDS), cfg, SEEDS, [probe], ref=REF)]
+    alone = [
+        run(pop, cfg, [probe], ref=REF, seed=seed).values["first"]
+        for pop, seed in zip(_pops(SEEDS), SEEDS)
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(together, alone))
+    assert len({c.tobytes() for c in together}) == len(SEEDS)

@@ -255,12 +255,13 @@ def test_accepted_runs_stay_on_the_simplex(case):
     seen = []
 
     def check(t, pt, agents, ref):
-        _check_distribution(pt.mass)
-        assert agents.shape == (case["agents"], case["k"]) and not agents.flags.writeable
-        for row in agents:
+        assert pt.shape == (1, case["k"]) and not pt.flags.writeable
+        _check_distribution(pt[0])
+        assert agents.shape == (1, case["agents"], case["k"]) and not agents.flags.writeable
+        for row in agents[0]:
             _check_distribution(row)
         seen.append(t)
-        return 0.0
+        return np.zeros(1)
 
     try:
         ref = two_tier_reference(case["k"], case["safe_mass"], 0.5)

@@ -26,7 +26,6 @@ from driftlab import (
     shannon_entropy,
     two_tier_reference,
 )
-from driftlab.core import _wrap
 
 S2 = OutcomeSpace(2)
 S3 = OutcomeSpace(3)
@@ -272,54 +271,146 @@ def test_cached_divergences_match_the_uncached_bodies_bitwise():
     for k in (7, 30, 1000):
         for ref in _differential_references(k):
             pi, smask = ref.pi_star, ref.safe_mask
-            stacked = _differential_rows(ref, rng)
-            for i, row in enumerate(stacked):
-                # an owned distribution, and a kernel-style row of a batch
-                for pt in (ProbVector(ref.space, row), _wrap(ref.space, stacked[i])):
-                    qm = pt.mass
-                    old = [
-                        _bits(_old_kl, pi.mass, qm),
-                        _bits(_old_cross_entropy, pi.mass, qm),
-                        _bits(_old_mass_term, pi.mass, qm, smask),
-                        _bits(_old_conditional_kl_block, pi.mass, qm, smask),
-                        _bits(_old_conditional_kl_block, pi.mass, qm, ~smask),
-                    ]
-                    direct = [_bits(kl_divergence, pi, pt), _bits(cross_entropy, pi, pt)]
-                    probed = [_bits(probe.evaluator, 0, pt, None, ref) for probe in probes]
-                    terms = ("total", "mass_term", "in_safe_term", "out_safe_term")
-                    decomposed = [_bits(_decomposed(term), ref, pt) for term in terms]
-                    if old[2] == "ValueError":
-                        # pi_star's safe entries sum past 1 by rounding (the
-                        # zero-side reference at K = 1000): the old body
-                        # raises, the mass term clamps that sum to 1 as it
-                        # clamps pt's
-                        assert k == 1000 and float(pi.mass[smask].sum()) > 1.0, (k, i)
-                        q = min(1.0, float(qm[smask].sum()))
-                        old[2] = _bits(binarized_kl_lower_bound, 1.0, q)
-                    assert direct == old[:2], (k, i)
-                    assert probed == old, (k, i)
-                    assert decomposed == [old[0], *old[2:]], (k, i)
-                    for name, value in zip(_SPLIT_NAMES, old):
-                        paths[name].add(value == "inf")
+            pts = [ProbVector(ref.space, row) for row in _differential_rows(ref, rng)]
+            # the registry probes read the rows as a chunk of seeds
+            stacked = np.array([pt.mass for pt in pts])
+            with np.errstate(over="ignore"):  # the subnormal rows overflow
+                chunk = [probe.evaluator(0, stacked, None, ref) for probe in probes]
+            for i, pt in enumerate(pts):
+                qm = pt.mass
+                old = [
+                    _bits(_old_kl, pi.mass, qm),
+                    _bits(_old_cross_entropy, pi.mass, qm),
+                    _bits(_old_mass_term, pi.mass, qm, smask),
+                    _bits(_old_conditional_kl_block, pi.mass, qm, smask),
+                    _bits(_old_conditional_kl_block, pi.mass, qm, ~smask),
+                ]
+                direct = [_bits(kl_divergence, pi, pt), _bits(cross_entropy, pi, pt)]
+                probed = [float(values[i]).hex() for values in chunk]
+                terms = ("total", "mass_term", "in_safe_term", "out_safe_term")
+                decomposed = [_bits(_decomposed(term), ref, pt) for term in terms]
+                if old[2] == "ValueError":
+                    # pi_star's safe entries sum past 1 by rounding (the
+                    # zero-side reference at K = 1000): the old body
+                    # raises, the mass term clamps that sum to 1 as it
+                    # clamps pt's
+                    assert k == 1000 and float(pi.mass[smask].sum()) > 1.0, (k, i)
+                    q = min(1.0, float(qm[smask].sum()))
+                    old[2] = _bits(binarized_kl_lower_bound, 1.0, q)
+                assert direct == old[:2], (k, i)
+                assert probed == old, (k, i)
+                assert decomposed == [old[0], *old[2:]], (k, i)
+                for name, value in zip(_SPLIT_NAMES, old):
+                    paths[name].add(value == "inf")
     # every measure took both its finite and its +inf path
     assert all(seen == {True, False} for seen in paths.values())
 
 
-def test_a_rewritten_wrapped_row_is_read_afresh():
-    """A _wrap'ped row views an array the kernel rewrites, so no support mask
-    may outlive the call that found it; an owned distribution keeps its own."""
-    base = np.full((2, 3), 1.0 / 3.0)
-    p = _wrap(S3, base[0])
-    q = pv(0.5, 0.5, 0.0)
-    assert kl_divergence(p, q) == cross_entropy(p, q) == math.inf
-    base[0] = [0.5, 0.5, 0.0]
-    assert kl_divergence(p, q) == 0.0
-    assert cross_entropy(p, q) == cross_entropy(q, q) == math.log(2.0)
-    base[0] = 1.0 / 3.0
-    assert kl_divergence(p, q) == cross_entropy(p, q) == math.inf
-    assert "_support" not in p.__dict__
-    kl_divergence(q, p)
-    assert "_support" in q.__dict__
+# --- every registry probe on a chunk's rows, against each row alone --------
+# A probe reads the (S, K) rows of a chunk in one call. Each row's value must
+# carry the bits of the public function on that row alone and, where the
+# measure has no public function or is a plain expression, of the 1-D
+# expression the probes used before they read rows.
+
+
+def _old_entropy(qm):
+    pos = qm[qm > 0.0]
+    return _old_clamp_nonneg(float(-np.sum(pos * np.log(pos))))
+
+
+def _rows_references(k):
+    rng = np.random.default_rng(100 + k)
+    space = OutcomeSpace(k)
+    full = rng.dirichlet(np.ones(k))
+    zeros = full.copy()
+    zeros[1::3] = 0.0  # pi_star zeros on both sides once K > 4
+    for mass in (full, zeros):
+        pi = ProbVector(space, mass / mass.sum())
+        # a safe set that is one run of columns, and one that is not
+        yield SafetyReference(pi, range(max(1, k // 2)), 0.999)
+        yield SafetyReference(pi, range(0, k - 1, 2), 0.999)
+    yield two_tier_reference(k, safe_mass=1.0)  # no pi_star mass on the unsafe side
+
+
+def _rows_chunk(ref, s_rows, rng):
+    """s_rows distributions on ref's space, cycling through full support,
+    scattered zeros, subnormal entries, a dead safe or unsafe side, a point
+    mass and pi_star itself."""
+    k = ref.space.size
+    pts = []
+    for i in range(s_rows):
+        row = rng.dirichlet(np.full(k, 0.5))
+        kind = i % 7
+        if kind == 1:
+            row[rng.random(k) < 0.4] = 0.0
+        elif kind == 2:
+            row[rng.integers(0, k, size=2)] = [5e-324, 2.2e-310]
+        elif kind in (3, 4):
+            row[ref.safe_mask if kind == 3 else ~ref.safe_mask] = 0.0
+        elif kind == 5:
+            row[:] = 0.0
+            row[rng.integers(0, k)] = 1.0
+        elif kind == 6:
+            row = ref.pi_star.mass.copy()
+        if row.sum() == 0.0:
+            row[0] = 1.0
+        pts.append(ProbVector(ref.space, row / row.sum()))
+    return pts
+
+
+_TAUS = (1e-3, 0.2)
+
+
+def _alone(ref, pt):
+    """Each registry probe's value on pt through the public functions."""
+    pi = ref.pi_star
+    dec = kl_safe_set_decomposition(ref, pt)
+    covered = [coverage(ref, pt, tau).covered_mass for tau in _TAUS]
+    return {
+        "kl_safety": kl_divergence(pi, pt),
+        "safe_mass": float(pt.mass[ref.safe_mask].sum()),
+        "internal_entropy": shannon_entropy(pt),
+        "cross_entropy": cross_entropy(pi, pt),
+        "mass_term": dec.mass_term,
+        "in_safe_term": dec.in_safe_term,
+        "out_safe_term": dec.out_safe_term,
+        **{f"coverage@{tau!r}": c for tau, c in zip(_TAUS, covered)},
+    }
+
+
+@pytest.mark.parametrize("s_rows", (1, 2, 33))
+@pytest.mark.parametrize("k", (2, 7, 1000))
+def test_every_probe_reads_a_chunks_rows_as_each_row_alone_bitwise(s_rows, k):
+    # K = 1 has no outcome space (two outcomes at least), so K = 2 stands for it
+    rng = np.random.default_rng(s_rows * 10_000 + k)
+    names = [n for n in probe_names() if n != "coverage"] + [f"coverage@{t!r}" for t in _TAUS]
+    probes = resolve_probes(names)
+    seen_inf = set()
+    for ref in _rows_references(k):
+        pts = _rows_chunk(ref, s_rows, rng)
+        rows = np.array([pt.mass for pt in pts])
+        rows.setflags(write=False)
+        with np.errstate(over="ignore"):  # pi_star over a subnormal entry overflows
+            chunk = {p.name: p.evaluator(0, rows, None, ref) for p in probes}
+            alone = [_alone(ref, pt) for pt in pts]
+        for name in names:
+            assert chunk[name].shape == (s_rows,), name
+            expected = np.array([values[name] for values in alone])
+            assert np.array_equal(chunk[name].view(np.int64), expected.view(np.int64)), name
+            seen_inf.update(name for value in chunk[name] if value == math.inf)
+        # the measures that are plain expressions, as the probes wrote them
+        old = {
+            "safe_mass": [float(pt.mass[ref.safe_mask].sum()) for pt in pts],
+            "internal_entropy": [_old_entropy(pt.mass) for pt in pts],
+            **{
+                f"coverage@{tau!r}": [float(ref.pi_star.mass[pt.mass >= tau].sum()) for pt in pts]
+                for tau in _TAUS
+            },
+        }
+        for name, values in old.items():
+            assert np.array_equal(chunk[name].view(np.int64), np.array(values).view(np.int64))
+    if s_rows > 4:  # the rows took the +inf path of every divergence
+        assert {"kl_safety", "cross_entropy", "in_safe_term"} <= seen_inf
 
 
 # --- coverage ---------------------------------------------------------------
@@ -502,7 +593,7 @@ def test_probe_registry_names():
 def test_probe_evaluators_agree_with_direct_calls():
     ref = two_tier_reference(10, safe_mass=0.9, safe_fraction=0.5)
     target = pv(*([0.15] * 5 + [0.05] * 5))
-    agents = target.mass[None]
+    rows, agents = target.mass[None], target.mass[None, None]
     for name, direct in [
         ("kl_safety", kl_divergence(ref.pi_star, target)),
         ("safe_mass", float(target.mass[:5].sum())),
@@ -510,7 +601,8 @@ def test_probe_evaluators_agree_with_direct_calls():
         ("cross_entropy", cross_entropy(ref.pi_star, target)),
     ]:
         probe = resolve_probe(name)
-        assert probe.evaluator(0, target, agents, ref) == pytest.approx(direct, abs=1e-12)
+        (value,) = probe.evaluator(0, rows, agents, ref)
+        assert value == pytest.approx(direct, abs=1e-12)
 
 
 @given(
@@ -530,13 +622,13 @@ def test_split_probes_match_the_decomposition_bitwise(q, frac, dead, tau):
     ref = two_tier_reference(k, safe_mass=0.9, safe_fraction=frac)
     dec = kl_safe_set_decomposition(ref, pt)
     for name in ("mass_term", "in_safe_term", "out_safe_term"):
-        value = resolve_probe(name).evaluator(0, pt, None, ref)
+        (value,) = resolve_probe(name).evaluator(0, pt.mass[None], None, ref)
         assert value == getattr(dec, name)
     result = coverage(ref, pt, tau)
     by_index = ref.pi_star.mass[list(result.visible_set)]
     expected = float(by_index.sum()) if by_index.size else 0.0
-    probe = resolve_probe(f"coverage@{tau!r}").evaluator(0, pt, None, ref)
-    assert probe.hex() == result.covered_mass.hex() == expected.hex()
+    (probe,) = resolve_probe(f"coverage@{tau!r}").evaluator(0, pt.mass[None], None, ref)
+    assert float(probe).hex() == result.covered_mass.hex() == expected.hex()
 
 
 def test_coverage_probe_matches_the_index_sum_bitwise_at_k_1000():
@@ -544,26 +636,28 @@ def test_coverage_probe_matches_the_index_sum_bitwise_at_k_1000():
     # would group the additions differently
     ref = two_tier_reference(1000, safe_mass=0.95, safe_fraction=0.5)
     rng = np.random.default_rng(5)
-    for row in rng.dirichlet(np.full(1000, 0.3), size=40):
-        pt = ProbVector(OutcomeSpace(1000), row)
-        for tau in (1e-4, 5e-4, 2e-3):
+    rows = rng.dirichlet(np.full(1000, 0.3), size=40)
+    pts = [ProbVector(OutcomeSpace(1000), row) for row in rows]
+    rows = np.array([pt.mass for pt in pts])
+    for tau in (1e-4, 5e-4, 2e-3):
+        probed = resolve_probe(f"coverage@{tau!r}").evaluator(0, rows, None, ref)
+        for pt, probe in zip(pts, probed):
             result = coverage(ref, pt, tau)
             expected = float(ref.pi_star.mass[list(result.visible_set)].sum())
-            probe = resolve_probe(f"coverage@{tau!r}").evaluator(0, pt, None, ref)
-            assert probe.hex() == result.covered_mass.hex() == expected.hex()
+            assert float(probe).hex() == result.covered_mass.hex() == expected.hex()
 
 
 def test_coverage_probe_tau_forms():
     ref = two_tier_reference(10, safe_mass=0.9, safe_fraction=0.5)
     target = pv(*([0.15] * 5 + [0.05] * 5))
-    agents = target.mass[None]
+    rows, agents = target.mass[None], target.mass[None, None]
     named = resolve_probe("coverage@0.1")
     assert named.name == "coverage@0.1"
     expected = coverage(ref, target, tau=0.1).covered_mass
-    assert named.evaluator(0, target, agents, ref) == pytest.approx(expected, abs=1e-15)
+    assert named.evaluator(0, rows, agents, ref) == pytest.approx([expected], abs=1e-15)
     defaulted = resolve_probe("coverage", default_tau=0.1)
-    assert defaulted.evaluator(0, target, agents, ref) == pytest.approx(
-        expected, abs=1e-15
+    assert defaulted.evaluator(0, rows, agents, ref) == pytest.approx(
+        [expected], abs=1e-15
     )
 
 
