@@ -7,27 +7,18 @@ information-theoretic instruments, exact oracles for every inequality those
 instruments rely on, four mitigation policies that hook into fixed points of
 the round, and a config-driven experiment harness with deterministic CSV and
 JSON export.
+
+The names bound here are README's "Public names", and ``__all__`` is derived
+from them. Every other name is imported from its module.
 """
 
-from .core import (
-    CONCENTRATION_SLACK,
-    NORMALIZATION_HARD_LIMIT,
-    UNIFORMITY_TOLERANCE,
-    OutcomeSpace,
-    ProbVector,
-    SafetyReference,
-    dirichlet_reference,
-    make_prob_vector,
-    mass_of_set,
-    require_same_space,
-    two_tier_reference,
-    zipf_reference,
-)
+import types as _types
+
+from .core import OutcomeSpace, ProbVector, SafetyReference, two_tier_reference
 from .errors import (
     ConfigError,
     DegenerateSelectionError,
     SimulationError,
-    SpaceMismatchError,
     VerifierAnnihilationError,
 )
 from .evolution import (
@@ -38,45 +29,30 @@ from .evolution import (
     UpdateRule,
     make_rng,
     memory_preset,
-    neighborhood,
     rl_preset,
     roll_memory,
     run,
     run_batch,
 )
 from .harness import (
-    ArmSummary,
     ComparisonResult,
     DriftResult,
     EnsembleMIResult,
     ExperimentConfig,
-    PolicySpec,
-    PopulationSpec,
-    ReferenceSpec,
-    TrendReport,
-    apply_env_overrides,
     build_population,
     build_reference,
     classify_terminal,
-    config_from_mapping,
     csv_lines_from_dicts,
-    default_policy_specs,
     format_value,
-    load_config_file,
     load_experiment_config,
     load_trajectory_dicts,
-    monitored_rare_set,
-    parse_config_text,
     parse_policies_json,
-    parse_schedule,
-    parse_seed_spec,
     realize_policy,
     run_drift_experiment,
     run_ensemble_mi,
     run_intervention_comparison,
     save_trajectories_csv,
     save_trajectories_json,
-    spearman_vs_round,
     trajectory_to_dict,
 )
 from .interventions import (
@@ -87,154 +63,22 @@ from .interventions import (
     VerifierPolicy,
 )
 from .metrics import (
-    AbsenceProbability,
-    CoverageResult,
-    DecayEstimate,
-    KLDecomposition,
     MetricProbe,
-    absence_probability,
-    binarized_kl_lower_bound,
     coverage,
     cross_entropy,
-    estimate_decay,
     kl_divergence,
     kl_safe_set_decomposition,
     mutual_information_plugin,
     probe_names,
-    resolve_probe,
     resolve_probes,
     shannon_entropy,
 )
-from .oracle import (
-    DECOMPOSITION_TOL,
-    DPI_SLACK,
-    IDENTITY_TOL,
-    SIGNIFICANT_ABSENCE,
-    ExpectedNextMass,
-    LemmaReport,
-    exact_expected_next_mass,
-    oracle_cross_entropy,
-    oracle_entropy,
-    oracle_kl,
-    oracle_mutual_information,
-    run_all_lemma_checks,
-    sample_simplex,
-    verify_absence_bound,
-    verify_dpi,
-    verify_grouping_bound,
-    verify_identity_lemmas,
-)
+from .oracle import run_all_lemma_checks
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ConfigError",
-    "SpaceMismatchError",
-    "DegenerateSelectionError",
-    "VerifierAnnihilationError",
-    "SimulationError",
-    # core
-    "OutcomeSpace",
-    "ProbVector",
-    "SafetyReference",
-    "make_prob_vector",
-    "mass_of_set",
-    "require_same_space",
-    "two_tier_reference",
-    "zipf_reference",
-    "dirichlet_reference",
-    "NORMALIZATION_HARD_LIMIT",
-    "UNIFORMITY_TOLERANCE",
-    "CONCENTRATION_SLACK",
-    # metrics
-    "kl_divergence",
-    "cross_entropy",
-    "shannon_entropy",
-    "binarized_kl_lower_bound",
-    "KLDecomposition",
-    "kl_safe_set_decomposition",
-    "CoverageResult",
-    "coverage",
-    "AbsenceProbability",
-    "absence_probability",
-    "mutual_information_plugin",
-    "DecayEstimate",
-    "estimate_decay",
-    "MetricProbe",
-    "probe_names",
-    "resolve_probe",
-    "resolve_probes",
-    # evolution
-    "Population",
-    "SelectionRule",
-    "UpdateRule",
-    "rl_preset",
-    "memory_preset",
-    "roll_memory",
-    "neighborhood",
-    "EvolutionConfig",
-    "Trajectory",
-    "run",
-    "run_batch",
-    "make_rng",
-    # interventions
-    "Schedule",
-    "VerifierPolicy",
-    "CoolingPolicy",
-    "DiversityPolicy",
-    "EntropyReleasePolicy",
-    # oracle
-    "IDENTITY_TOL",
-    "DECOMPOSITION_TOL",
-    "DPI_SLACK",
-    "SIGNIFICANT_ABSENCE",
-    "LemmaReport",
-    "oracle_kl",
-    "oracle_entropy",
-    "oracle_cross_entropy",
-    "oracle_mutual_information",
-    "sample_simplex",
-    "verify_identity_lemmas",
-    "verify_grouping_bound",
-    "verify_dpi",
-    "verify_absence_bound",
-    "run_all_lemma_checks",
-    "ExpectedNextMass",
-    "exact_expected_next_mass",
-    # harness
-    "ExperimentConfig",
-    "ReferenceSpec",
-    "PopulationSpec",
-    "PolicySpec",
-    "parse_config_text",
-    "load_config_file",
-    "apply_env_overrides",
-    "parse_seed_spec",
-    "config_from_mapping",
-    "load_experiment_config",
-    "build_reference",
-    "build_population",
-    "parse_schedule",
-    "realize_policy",
-    "default_policy_specs",
-    "parse_policies_json",
-    "TrendReport",
-    "spearman_vs_round",
-    "classify_terminal",
-    "monitored_rare_set",
-    "DriftResult",
-    "run_drift_experiment",
-    "ArmSummary",
-    "ComparisonResult",
-    "run_intervention_comparison",
-    "EnsembleMIResult",
-    "run_ensemble_mi",
-    "format_value",
-    "trajectory_to_dict",
-    "csv_lines_from_dicts",
-    "save_trajectories_csv",
-    "save_trajectories_json",
-    "load_trajectory_dicts",
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 ]

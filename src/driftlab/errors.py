@@ -25,9 +25,10 @@ class VerifierAnnihilationError(RuntimeError):
 
 
 class SimulationError(RuntimeError):
-    """A run failed mid-trajectory; carries the failing round index."""
+    """A run failed mid-trajectory; carries the failing round index, and the
+    exception that failed it as __cause__."""
 
     def __init__(self, round_index: int, cause: Exception):
         super().__init__(f"round {round_index}: {cause}")
         self.round_index = round_index
-        self.cause = cause
+        self.__cause__ = cause

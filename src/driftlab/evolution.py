@@ -695,9 +695,7 @@ class _Chunk:
         if not errors:
             return
         for row, exc in errors.items():
-            err = SimulationError(r, exc)
-            err.__cause__ = exc
-            self.failed[self.ids[row]] = err
+            self.failed[self.ids[row]] = SimulationError(r, exc)
         keep = [row not in errors for row in range(len(self.ids))]
         for name in self._ROW_ARRAYS:
             arr = getattr(self, name)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
@@ -305,6 +306,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        repeated = [s for s, n in Counter(self.seeds).items() if n > 1]
+        if repeated:  # results are keyed by seed, so a repeat would overwrite one
+            raise ConfigError(f"experiment.seeds repeats seed {repeated[0]}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 < self.margin < math.inf:
@@ -1132,4 +1136,35 @@ def load_trajectory_dicts(path: str) -> list[dict]:
             raise ConfigError(
                 f"trajectory file {path!r} entries need seed, probe_names, records"
             )
+        problem = _stored_shape_problem(td)
+        if problem:
+            raise ConfigError(f"trajectory file {path!r}: {problem}")
     return data
+
+
+def _stored_shape_problem(td: dict) -> str | None:
+    """What makes a stored trajectory dict unreadable, or None: seed is an
+    int, probe_names a list of strings, and records a list of objects, each
+    with an int round and an object of values."""
+
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    names, records = td["probe_names"], td["records"]
+    if not is_int(td["seed"]):
+        return f"seed must be an integer, got {td['seed']!r}"
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        return f"probe_names of seed {td['seed']} must be a list of strings, got {names!r}"
+    if not isinstance(records, list):
+        return f"records of seed {td['seed']} must be a list, got {type(records).__name__}"
+    for i, rec in enumerate(records):
+        if not (
+            isinstance(rec, dict)
+            and is_int(rec.get("round"))
+            and isinstance(rec.get("values"), dict)
+        ):
+            return (
+                f"record {i} of seed {td['seed']} must be an object with an integer "
+                "round and an object of values"
+            )
+    return None

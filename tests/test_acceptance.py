@@ -31,26 +31,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftlab import (
-    EvolutionConfig,
+from driftlab.core import two_tier_reference
+from driftlab.evolution import EvolutionConfig, Population, run
+from driftlab.harness import (
+    CLASS_COLLAPSE,
+    CLASS_LEAKAGE,
     ExperimentConfig,
-    Population,
-    VerifierPolicy,
-    absence_probability,
-    binarized_kl_lower_bound,
     build_reference,
+    compute_trend,
     config_from_mapping,
-    estimate_decay,
-    resolve_probes,
-    run,
-    run_all_lemma_checks,
     run_drift_experiment,
     run_ensemble_mi,
     run_intervention_comparison,
     save_trajectories_csv,
-    two_tier_reference,
 )
-from driftlab.harness import CLASS_COLLAPSE, CLASS_LEAKAGE, compute_trend
+from driftlab.interventions import VerifierPolicy
+from driftlab.metrics import (
+    absence_probability,
+    binarized_kl_lower_bound,
+    estimate_decay,
+    resolve_probes,
+)
+from driftlab.oracle import run_all_lemma_checks
 
 # float summation dust allowed on a safe mass (criterion 5b's tolerance)
 SAFE_MASS_DUST = 1e-12

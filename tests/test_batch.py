@@ -13,37 +13,37 @@ import json
 import numpy as np
 import pytest
 
-from driftlab import (
-    ConfigError,
-    CoolingPolicy,
-    DiversityPolicy,
-    EntropyReleasePolicy,
+from driftlab import core, evolution, metrics
+from driftlab.core import ProbVector, two_tier_reference
+from driftlab.errors import ConfigError, SimulationError
+from driftlab.evolution import (
     EvolutionConfig,
-    MetricProbe,
-    PolicySpec,
-    PopulationSpec,
-    ProbVector,
-    Schedule,
     SelectionRule,
-    SimulationError,
     UpdateRule,
-    VerifierPolicy,
-    build_population,
-    config_from_mapping,
-    csv_lines_from_dicts,
+    chunk_size,
     make_rng,
     memory_preset,
-    probe_names,
-    realize_policy,
-    resolve_probes,
     rl_preset,
     run,
     run_batch,
-    two_tier_reference,
 )
-from driftlab import core, evolution, metrics
-from driftlab.evolution import chunk_size
-from driftlab.harness import trajectory_to_dict
+from driftlab.harness import (
+    PolicySpec,
+    PopulationSpec,
+    build_population,
+    config_from_mapping,
+    csv_lines_from_dicts,
+    realize_policy,
+    trajectory_to_dict,
+)
+from driftlab.interventions import (
+    CoolingPolicy,
+    DiversityPolicy,
+    EntropyReleasePolicy,
+    Schedule,
+    VerifierPolicy,
+)
+from driftlab.metrics import MetricProbe, probe_names, resolve_probes
 
 K = 12
 M = 3

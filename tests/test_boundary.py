@@ -15,41 +15,43 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from driftlab import (
-    ConfigError,
-    CoolingPolicy,
-    DiversityPolicy,
-    EntropyReleasePolicy,
+from driftlab.cli import main as cli_main
+from driftlab.core import OutcomeSpace, ProbVector, two_tier_reference
+from driftlab.errors import ConfigError, SimulationError
+from driftlab.evolution import (
     EvolutionConfig,
-    MetricProbe,
-    OutcomeSpace,
+    Population,
+    SelectionRule,
+    UpdateRule,
+    _counts,
+    apply_selection,
+    run,
+    run_batch,
+    update_agents,
+)
+from driftlab.evolution import _SELECTION_KINDS as _SELECTION_READS
+from driftlab.evolution import _UPDATE_KINDS as _UPDATE_READS
+from driftlab.harness import (
+    _CONFIG_KEYS,
+    _KNOWN_KEYS,
+    _POLICY_KINDS,
     PolicySpec,
     PopulationSpec,
-    Population,
-    ProbVector,
-    Schedule,
-    SelectionRule,
-    SimulationError,
-    UpdateRule,
     build_population,
     build_reference,
     config_from_mapping,
     default_policy_specs,
     parse_schedule,
-    probe_names,
     realize_policy,
-    resolve_probe,
-    resolve_probes,
-    run,
-    run_batch,
-    two_tier_reference,
+)
+from driftlab.interventions import (
+    CoolingPolicy,
+    DiversityPolicy,
+    EntropyReleasePolicy,
+    Schedule,
     VerifierPolicy,
 )
-from driftlab.cli import main as cli_main
-from driftlab.evolution import _SELECTION_KINDS as _SELECTION_READS
-from driftlab.evolution import _UPDATE_KINDS as _UPDATE_READS
-from driftlab.evolution import _counts, apply_selection, update_agents
-from driftlab.harness import _CONFIG_KEYS, _KNOWN_KEYS, _POLICY_KINDS
+from driftlab.metrics import MetricProbe, probe_names, resolve_probe, resolve_probes
 
 NON_FINITE = ("nan", "inf", "-inf")
 

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from driftlab import load_trajectory_dicts
 from driftlab.cli import main
+from driftlab.harness import load_trajectory_dicts
 
 
 TINY = """\
@@ -188,16 +188,27 @@ def test_export_csv_to_stdout(tmp_path, tiny_cfg, capsys):
     assert capsys.readouterr().out == csv_path.read_text()
 
 
-def test_export_csv_of_a_record_missing_a_probe_value_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "entry,problem",
+    [
+        (
+            {"records": [{"round": 0, "values": {}}]},
+            "seed 0 has no value for probe 'a' in round 0",
+        ),
+        ({"records": [{"values": {"a": 0.5}}]}, "record 0 of seed 0 must be an object"),
+        ({"records": 5}, "records of seed 0 must be a list"),
+        ({"probe_names": "ab"}, "probe_names of seed 0 must be a list of strings"),
+        ({"seed": "0"}, "seed must be an integer"),
+    ],
+)
+def test_export_csv_of_a_malformed_trajectory_exits_2(tmp_path, capsys, entry, problem):
     stored = tmp_path / "t.json"
-    stored.write_text(json.dumps({"trajectories": [{
-        "seed": 0, "probe_names": ["a"], "monitors": {},
-        "records": [{"round": 0, "values": {}}],
-    }]}))
+    td = {"seed": 0, "probe_names": ["a"], "records": [{"round": 0, "values": {"a": 0.5}}]}
+    stored.write_text(json.dumps({"trajectories": [{**td, **entry}]}))
     assert main(["export", str(stored), "--format", "csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
-    assert "seed 0" in err and "'a'" in err and "round 0" in err
+    assert problem in err
 
 
 def test_missing_config_exits_2(capsys):
@@ -274,6 +285,8 @@ def test_overflowing_perturbation_sigma_exits_2(tmp_path, capsys):
         # a probe name is resolved by every command, those that record none too
         ("compare", "experiment.probes=entropy_nope\n"),
         ("ensemble-mi", "experiment.probes=entropy_nope\n"),
+        # results are keyed by seed, so a repeat would run twice and keep one
+        ("simulate", "experiment.seeds=3,3,4\n"),
     ],
 )
 def test_bad_configs_exit_2_without_a_traceback(tmp_path, capsys, command, extra):

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import (
-    ConfigError,
+from driftlab.core import (
     OutcomeSpace,
     ProbVector,
     SafetyReference,
-    SpaceMismatchError,
     dirichlet_reference,
     make_prob_vector,
     mass_of_set,
@@ -16,6 +14,7 @@ from driftlab import (
     two_tier_reference,
     zipf_reference,
 )
+from driftlab.errors import ConfigError, SpaceMismatchError
 
 
 def test_space_rejects_degenerate_sizes():

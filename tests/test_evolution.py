@@ -6,28 +6,27 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import (
-    ConfigError,
-    DegenerateSelectionError,
+from driftlab import evolution
+from driftlab.core import OutcomeSpace, ProbVector, two_tier_reference
+from driftlab.errors import ConfigError, DegenerateSelectionError, SimulationError
+from driftlab.evolution import (
     EvolutionConfig,
-    OutcomeSpace,
     Population,
-    ProbVector,
     SelectionRule,
-    SimulationError,
     UpdateRule,
+    apply_selection,
     make_rng,
     memory_preset,
+    mixture,
     neighborhood,
-    resolve_probes,
     rl_preset,
     roll_memory,
     run,
-    trajectory_to_dict,
-    two_tier_reference,
+    sample_dataset,
+    update_agents,
 )
-from driftlab import evolution
-from driftlab.evolution import apply_selection, mixture, sample_dataset, update_agents
+from driftlab.harness import trajectory_to_dict
+from driftlab.metrics import resolve_probes
 
 
 def pv(*mass):
@@ -90,7 +89,7 @@ def test_population_weight_validation():
 
 
 def test_population_requires_shared_space():
-    from driftlab import SpaceMismatchError
+    from driftlab.errors import SpaceMismatchError
 
     with pytest.raises(SpaceMismatchError):
         Population.equal_weights([pv(0.5, 0.5), pv(0.2, 0.3, 0.5)])
@@ -643,7 +642,8 @@ def test_run_matches_manual_round_replay(rule, per_agent, selection):
 
 
 def test_per_agent_verifier_annihilation_skips_only_that_agent():
-    from driftlab import SafetyReference, VerifierPolicy
+    from driftlab.core import SafetyReference
+    from driftlab.interventions import VerifierPolicy
 
     ref = SafetyReference(pv(0.9, 0.1), [0], 0.2)
     pop0 = Population.equal_weights([pv(0.5, 0.5)] * 4)
@@ -658,7 +658,8 @@ def test_per_agent_verifier_annihilation_skips_only_that_agent():
 
 
 def test_absence_flag_of_an_annihilation_round_reads_the_data_before_that_verifier():
-    from driftlab import SafetyReference, VerifierPolicy
+    from driftlab.core import SafetyReference
+    from driftlab.interventions import VerifierPolicy
 
     pi = pv(0.4, 0.3, 0.2, 0.1)
     ref = SafetyReference(pi, (0, 1), 0.35)

@@ -31,33 +31,32 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from driftlab import (
-    CoolingPolicy,
-    EntropyReleasePolicy,
+from driftlab.core import two_tier_reference
+from driftlab.evolution import (
     EvolutionConfig,
-    PolicySpec,
-    PopulationSpec,
-    Schedule,
     SelectionRule,
     UpdateRule,
-    build_population,
-    config_from_mapping,
-    default_policy_specs,
     memory_preset,
-    probe_names,
-    realize_policy,
-    resolve_probes,
     rl_preset,
     run,
     run_batch,
+)
+from driftlab.harness import (
+    PolicySpec,
+    PopulationSpec,
+    build_population,
+    config_from_mapping,
+    default_policy_specs,
+    plain,
+    realize_policy,
     run_drift_experiment,
     run_ensemble_mi,
     run_intervention_comparison,
     save_trajectories_csv,
     save_trajectories_json,
-    two_tier_reference,
 )
-from driftlab.harness import plain
+from driftlab.interventions import CoolingPolicy, EntropyReleasePolicy, Schedule
+from driftlab.metrics import probe_names, resolve_probes
 
 K = 24
 REF = two_tier_reference(K, safe_mass=0.9, safe_fraction=0.5)

@@ -6,59 +6,61 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftlab import (
-    ConfigError,
-    EntropyReleasePolicy,
-    EvolutionConfig,
-    ExperimentConfig,
+from driftlab import harness
+from driftlab.core import (
     OutcomeSpace,
-    PolicySpec,
-    Population,
-    PopulationSpec,
     ProbVector,
-    ReferenceSpec,
     SafetyReference,
-    SelectionRule,
-    Trajectory,
-    UpdateRule,
-    apply_env_overrides,
-    build_population,
-    build_reference,
-    classify_terminal,
-    config_from_mapping,
-    csv_lines_from_dicts,
-    default_policy_specs,
-    load_config_file,
-    load_experiment_config,
-    load_trajectory_dicts,
-    monitored_rare_set,
-    parse_config_text,
-    parse_policies_json,
-    parse_schedule,
-    parse_seed_spec,
-    realize_policy,
-    run,
-    run_drift_experiment,
-    run_ensemble_mi,
-    run_intervention_comparison,
-    save_trajectories_csv,
-    save_trajectories_json,
-    spearman_vs_round,
-    format_value,
-    trajectory_to_dict,
     two_tier_reference,
     zipf_reference,
 )
-from driftlab import harness
+from driftlab.errors import ConfigError
+from driftlab.evolution import (
+    EvolutionConfig,
+    Population,
+    SelectionRule,
+    Trajectory,
+    UpdateRule,
+    run,
+)
 from driftlab.harness import (
     CLASS_COLLAPSE,
     CLASS_LEAKAGE,
     CLASS_STABLE,
     MAX_MI_CELLS,
     MAX_SEED_COUNT,
+    ExperimentConfig,
+    PolicySpec,
+    PopulationSpec,
+    ReferenceSpec,
+    apply_env_overrides,
+    build_population,
+    build_reference,
+    classify_terminal,
     compute_trend,
+    config_from_mapping,
+    csv_lines_from_dicts,
+    default_policy_specs,
+    format_value,
+    load_config_file,
+    load_experiment_config,
+    load_trajectory_dicts,
+    monitored_rare_set,
     paired_difference,
+    parse_config_text,
+    parse_policies_json,
+    parse_schedule,
+    parse_seed_spec,
+    realize_policy,
+    run_drift_experiment,
+    run_ensemble_mi,
+    run_intervention_comparison,
+    save_trajectories_csv,
+    save_trajectories_json,
+    spearman_vs_round,
+    trajectory_to_dict,
 )
+from driftlab.interventions import EntropyReleasePolicy
 
 
 def pv(*mass):
@@ -308,6 +310,8 @@ def test_config_probe_list_parsing():
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(seeds=())
+    with pytest.raises(ConfigError, match="repeats seed 3"):
+        ExperimentConfig(seeds=(3, 3, 4))
     with pytest.raises(ConfigError, match="rounds"):
         config_from_mapping({"evolution.rounds": "0"})
     with pytest.raises(ConfigError):

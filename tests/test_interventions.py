@@ -3,27 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import (
-    ConfigError,
-    CoolingPolicy,
-    DiversityPolicy,
-    EntropyReleasePolicy,
+from driftlab.core import OutcomeSpace, ProbVector, SafetyReference, two_tier_reference
+from driftlab.errors import ConfigError, SimulationError, VerifierAnnihilationError
+from driftlab.evolution import (
     EvolutionConfig,
-    OutcomeSpace,
     Population,
-    ProbVector,
-    SafetyReference,
-    Schedule,
     SelectionRule,
-    SimulationError,
     UpdateRule,
-    VerifierAnnihilationError,
-    VerifierPolicy,
     make_rng,
     memory_preset,
     run,
     run_batch,
-    two_tier_reference,
+)
+from driftlab.interventions import (
+    CoolingPolicy,
+    DiversityPolicy,
+    EntropyReleasePolicy,
+    Schedule,
+    VerifierPolicy,
 )
 
 

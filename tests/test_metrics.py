@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import (
-    ConfigError,
-    OutcomeSpace,
-    Population,
-    ProbVector,
-    SafetyReference,
-    Trajectory,
+from driftlab.core import OutcomeSpace, ProbVector, SafetyReference, two_tier_reference
+from driftlab.errors import ConfigError
+from driftlab.evolution import Population, Trajectory
+from driftlab.metrics import (
     absence_probability,
     binarized_kl_lower_bound,
     coverage,
@@ -24,7 +21,6 @@ from driftlab import (
     resolve_probe,
     resolve_probes,
     shannon_entropy,
-    two_tier_reference,
 )
 
 S2 = OutcomeSpace(2)

@@ -7,25 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftlab.oracle as oracle_mod
-from driftlab.evolution import _counts, sample_dataset, update_agents
-from driftlab import (
-    LemmaReport,
-    OutcomeSpace,
-    ProbVector,
+from driftlab.core import OutcomeSpace, ProbVector
+from driftlab.evolution import (
     UpdateRule,
-    cross_entropy,
-    exact_expected_next_mass,
-    kl_divergence,
+    _counts,
     make_rng,
     memory_preset,
+    sample_dataset,
+    update_agents,
+)
+from driftlab.metrics import (
+    cross_entropy,
+    kl_divergence,
     mutual_information_plugin,
+    shannon_entropy,
+)
+from driftlab.oracle import (
+    LemmaReport,
+    exact_expected_next_mass,
     oracle_cross_entropy,
     oracle_entropy,
     oracle_kl,
     oracle_mutual_information,
     run_all_lemma_checks,
     sample_simplex,
-    shannon_entropy,
     verify_absence_bound,
     verify_dpi,
     verify_grouping_bound,
