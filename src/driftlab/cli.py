@@ -9,6 +9,7 @@
 Exit status: 0 on success, 1 when a lemma check fails or a simulation
 aborts, 2 on configuration problems (bad files, bad keys, bad values).
 --seed rebases the sweep to S..S+n-1 while keeping its length.
+compare runs the arms of the --policies file, or the four built-in policies.
 """
 
 from __future__ import annotations
@@ -107,14 +108,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     result = run_drift_experiment(cfg)
     trajs = [result.trajectories[s] for s in sorted(result.trajectories)]
-    csv_path = args.csv or cfg.output_csv
-    json_path = args.json or cfg.output_json
-    if csv_path and trajs:
-        save_trajectories_csv(trajs, csv_path)
-        _say(args.quiet, f"csv -> {csv_path}")
-    if json_path and trajs:
-        save_trajectories_json(trajs, json_path)
-        _say(args.quiet, f"json -> {json_path}")
+    if args.csv and trajs:
+        save_trajectories_csv(trajs, args.csv)
+        _say(args.quiet, f"csv -> {args.csv}")
+    if args.json and trajs:
+        save_trajectories_json(trajs, args.json)
+        _say(args.quiet, f"json -> {args.json}")
     _print_drift_summary(result, args.quiet)
     return 1 if result.failures else 0
 
@@ -169,9 +168,6 @@ def _print_comparison(result: ComparisonResult, quiet: bool) -> None:
 
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
-    if cfg.output_csv:
-        raise ConfigError("compare writes no CSV; remove output.csv")
-    json_path = args.json or cfg.output_json
     specs = None
     if args.policies:
         try:
@@ -181,8 +177,8 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"cannot read policies file {args.policies!r}: {exc}") from exc
     result = run_intervention_comparison(cfg, specs)
     _print_comparison(result, args.quiet)
-    if json_path:
-        _write_json(json_path, plain(asdict(result)), args.quiet)
+    if args.json:
+        _write_json(args.json, plain(asdict(result)), args.quiet)
     failed = bool(result.baseline.failures) or any(a.failures for a in result.arms)
     return 1 if failed else 0
 
@@ -212,16 +208,14 @@ def cmd_ensemble_mi(args) -> int:
     cfg = _load_cfg(args)
     result = run_ensemble_mi(cfg)
     _print_ensemble(result, args.quiet)
-    csv_path = args.csv or cfg.output_csv
-    json_path = args.json or cfg.output_json
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("round,mi\n")
             for t, v in enumerate(result.mi_series):
                 fh.write(f"{t},{format_value(v)}\n")
-        _say(args.quiet, f"csv -> {csv_path}")
-    if json_path:
-        _write_json(json_path, plain(asdict(result)), args.quiet)
+        _say(args.quiet, f"csv -> {args.csv}")
+    if args.json:
+        _write_json(args.json, plain(asdict(result)), args.quiet)
     return 0
 
 
@@ -262,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, needs_config=True):
         if needs_config:
-            p.add_argument("config", help="key=value or JSON experiment config")
+            p.add_argument("config", help="key=value experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="rebase the seed sweep to start here")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")

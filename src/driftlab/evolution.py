@@ -254,11 +254,15 @@ class SelectionRule:
 
 
 def _check_fit(rule: SelectionRule | UpdateRule, space: OutcomeSpace) -> None:
-    """ConfigError unless the rule's indices, k or reward vector fit space."""
+    """ConfigError unless the rule's indices, k, reward vector or smoothing
+    fit space."""
     if rule.kind == "indicator":
         space.validate_indices(rule.indices)
     if rule.kind == "top-mass" and rule.k > space.size:
         raise ConfigError(f"top-mass k={rule.k} exceeds the space size {space.size}")
+    # n + lam * K overflows exactly when lam * K does, as n is far below its ulp
+    if rule.kind == "smoothed-mle" and rule.lam * space.size == math.inf:
+        raise ConfigError(f"smoothing lam={rule.lam} times K={space.size} overflows")
     if rule.kind == "reward-reweight" or (
         rule.kind == "reward-reweighted-mle" and not rule.reads_mixture
     ):
@@ -480,17 +484,15 @@ def update_agents(
 
     pbar (L, K) holds the current mixture of each dataset's seed, read by the
     mixture-loglik reward; memory holds the counts and sizes of the rolled
-    buffers, read by the memory-buffer rule.
+    buffers, read by the memory-buffer rule. The rule fits the K outcomes
+    (see _check_fit).
     """
     k_space = counts.shape[1]
     wiped = np.zeros(len(counts), dtype=bool)
     if rule.kind == "mle":
         mass = counts / n[:, None]
     elif rule.kind == "smoothed-mle":
-        denominator = n + rule.lam * k_space
-        if np.any(denominator == math.inf):
-            raise ValueError(f"smoothing lam={rule.lam} times K={k_space} overflows")
-        mass = (counts + rule.lam) / denominator[:, None]
+        mass = (counts + rule.lam) / (n + rule.lam * k_space)[:, None]
     elif rule.kind == "memory-buffer":
         buffer_counts, buffer_sizes = memory
         buffer_emp = buffer_counts / buffer_sizes[:, None]
@@ -794,7 +796,7 @@ class _Chunk:
         try:
             counts, n = _counts(self.data[held], self.sizes[self.live], k_space)
             mass, wiped = update_agents(rule, counts, n, pbar, buffer)
-        except _ROUND_ERRORS as exc:  # smoothing overflow fails every fitted seed
+        except _ROUND_ERRORS as exc:  # a raising errstate fails every fitted seed
             errors.update(dict.fromkeys(rows.tolist(), exc))
             return
         if self.cfg.per_agent_datasets:

@@ -6,12 +6,13 @@ Config files are flat key=value text with dotted keys (diff-friendly), e.g.
     evolution.sample_size=200
     experiment.seeds=20
 
-A JSON file with the same keys (nested objects allowed; they are flattened
-with dots) is accepted interchangeably. Every key can be overridden by an
-environment variable: prefix DRIFTLAB_, uppercase, dots become double
-underscores (evolution.sample_size -> DRIFTLAB_EVOLUTION__SAMPLE_SIZE).
-The evolution.*, selection.* and update.* keys make ExperimentConfig.evolution,
-the EvolutionConfig every runner hands to run_batch with its seeds.
+Every key can be overridden by an environment variable: prefix DRIFTLAB_,
+uppercase, dots become double underscores (evolution.sample_size ->
+DRIFTLAB_EVOLUTION__SAMPLE_SIZE). The evolution.*, selection.* and update.*
+keys make ExperimentConfig.evolution, the EvolutionConfig every runner hands
+to run_batch with its seeds. A config describes the experiment only: it names
+no mitigation arm and no output file. Arms are the PolicySpecs given to
+run_intervention_comparison, and output paths are the command line's.
 
 Experiments:
   run_drift_experiment          isolated seed sweep, trend statistics,
@@ -99,40 +100,13 @@ def parse_config_text(text: str) -> dict[str, str]:
     return flat
 
 
-def _flatten_json(obj, prefix: str, out: dict[str, str]) -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _flatten_json(v, f"{prefix}{k}." if prefix else f"{k}.", out)
-        return
-    key = prefix[:-1]
-    if isinstance(obj, bool):
-        out[key] = "true" if obj else "false"
-    elif isinstance(obj, (list, tuple)):
-        out[key] = ",".join(str(v) for v in obj)
-    elif obj is None:
-        out[key] = ""
-    else:
-        out[key] = str(obj)
-
-
 def load_config_file(path: str) -> dict[str, str]:
-    """Load a key=value or JSON config into the flat dotted-key form."""
+    """Load a key=value config into the flat dotted-key form."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path!r} must hold a JSON object")
-        flat: dict[str, str] = {}
-        _flatten_json(data, "", flat)
-        return flat
     return parse_config_text(text)
 
 
@@ -275,16 +249,6 @@ class PopulationSpec:
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """Raw mitigation-arm description; realized once per arm against ref."""
-
-    name: str
-    kind: str
-    params: tuple[tuple[str, str], ...] = ()
-    schedule: str = "every:1"
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     space_size: int = 1000
     reference: ReferenceSpec = field(default_factory=ReferenceSpec)
@@ -296,12 +260,9 @@ class ExperimentConfig:
     visibility_c: float = 1.0
     margin: float = 0.05
     tau: float | None = None  # None -> 1 / (10 * sample_size)
-    intervention: tuple[PolicySpec, ...] = ()
     ensemble_safe_masses: tuple[float, ...] = (0.95, 0.75)
     runs_per_ref: int = 200
     quantizer: float = 0.05
-    output_csv: str | None = None
-    output_json: str | None = None
 
     def __post_init__(self):
         if not self.seeds:
@@ -350,11 +311,6 @@ def _as_probes(key: str, value: str) -> tuple[str, ...] | None:
     return tuple(p.strip() for p in value.split(",") if p.strip()) if value else None
 
 
-def _as_policy_kind(key: str, value: str) -> str | None:
-    kind = value.strip()
-    return None if kind in ("", "none") else kind
-
-
 def _section(section: str, **parsers) -> dict:
     return {f"{section}.{name}": (section, name, parse) for name, parse in parsers.items()}
 
@@ -373,7 +329,6 @@ _CONFIG_KEYS = {
         draw_seed=_as_int, weights=_as_floats, safe_set=_as_optional_text,
     ),
     **_section("population", size=_as_int, init=_as_text, sigma=_as_float, alpha=_as_float),
-    **_section("intervention", kind=_as_policy_kind, schedule=_as_text),
     "experiment.probes": (None, "probes", _as_probes),
     "space.size": (None, "space_size", _as_int),
     **_section(
@@ -394,30 +349,13 @@ _CONFIG_KEYS = {
     "ensemble.safe_masses": (None, "ensemble_safe_masses", _as_floats),
     "ensemble.runs_per_ref": (None, "runs_per_ref", _as_int),
     "ensemble.quantizer": (None, "quantizer", _as_float),
-    "output.csv": (None, "output_csv", _as_optional_text),
-    "output.json": (None, "output_json", _as_optional_text),
 }
 _KNOWN_KEYS = frozenset(_CONFIG_KEYS)
-_PARAM_PREFIX = "intervention.params."
-
-
-def _intervention(given: dict, params: tuple[tuple[str, str], ...]) -> tuple[PolicySpec, ...]:
-    """The config's one arm; its keys without a kind are an error, not ignored."""
-    if "kind" in given:
-        kind = given.pop("kind")
-        return (PolicySpec(kind, kind, params, **given),)
-    stray = [f"intervention.{name}" for name in given] + [_PARAM_PREFIX + n for n, _ in params]
-    if stray:
-        raise ConfigError(f"{', '.join(stray)} set without an intervention.kind")
-    return ()
 
 
 def config_from_mapping(flat: Mapping[str, str]) -> ExperimentConfig:
     """Typed ExperimentConfig from the flat dotted-key mapping."""
-    params = tuple(
-        sorted((k[len(_PARAM_PREFIX) :], v) for k, v in flat.items() if k.startswith(_PARAM_PREFIX))
-    )
-    unknown = {k for k in flat if not k.startswith(_PARAM_PREFIX)} - _KNOWN_KEYS
+    unknown = set(flat) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     defaults = ExperimentConfig()
@@ -430,8 +368,6 @@ def config_from_mapping(flat: Mapping[str, str]) -> ExperimentConfig:
                 given[name] = value
         if section is None:
             values.update(given)
-        elif section == "intervention":
-            values[section] = _intervention(given, params)
         elif section in ("selection", "update"):
             rules[section] = replace(getattr(defaults.evolution, section), **given)
         elif section == "evolution":
@@ -546,6 +482,16 @@ _POLICY_KINDS = {
          "prune_memory": _as_bool},
     ),
 }
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """Raw mitigation-arm description; realized once per arm against ref."""
+
+    name: str
+    kind: str
+    params: tuple[tuple[str, str], ...] = ()
+    schedule: str = "every:1"
 
 
 def realize_policy(spec: PolicySpec, ref: SafetyReference):
@@ -750,22 +696,11 @@ def _sweep(
     return trajectories, failures
 
 
-def _require_isolated(cfg: ExperimentConfig, experiment: str) -> None:
-    if cfg.intervention:
-        raise ConfigError(
-            f"the {experiment} runs the isolated dynamics; remove the "
-            "intervention or use the comparison runner"
-        )
-
-
 def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
     """Isolated seed sweep with trend statistics and terminal classification.
 
-    Requires no intervention in the config (use run_intervention_comparison
-    for mitigation arms). Per-seed simulation failures are recorded and the
-    sweep continues.
+    Per-seed simulation failures are recorded and the sweep continues.
     """
-    _require_isolated(cfg, "drift experiment")
     ref = build_reference(cfg)
     probe_list = list(cfg.probes)
     for required in _REQUIRED_DRIFT_PROBES:
@@ -859,17 +794,17 @@ def run_intervention_comparison(
 ) -> ComparisonResult:
     """Baseline plus one arm per policy, all on the same seed list.
 
-    The arms are policy_specs, else the config's intervention (giving both
-    is a ConfigError), else the four default policies. Every arm replays the
-    identical (seed, config) pair, so per-seed differences are paired
-    comparisons of the same closed loop with and without the mitigation.
+    The arms are policy_specs, or the four default policies when it is None.
+    Every arm replays the identical (seed, config) pair, so per-seed
+    differences are paired comparisons of the same closed loop with and
+    without the mitigation.
     """
-    if policy_specs is None:
-        policy_specs = cfg.intervention or default_policy_specs()
-    elif cfg.intervention:
-        raise ConfigError("a policies list and the config's intervention.* arm exclude each other")
-    specs = tuple(policy_specs)
+    specs = default_policy_specs() if policy_specs is None else tuple(policy_specs)
     names = [s.name for s in specs]
+    if not names:
+        raise ConfigError("a comparison needs at least one policy arm")
+    if "baseline" in names:
+        raise ConfigError("an arm may not be named 'baseline', the unmitigated run's name")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate arm names: {names}")
     ref = build_reference(cfg)
@@ -912,12 +847,10 @@ def run_ensemble_mi(cfg: ExperimentConfig) -> EnsembleMIResult:
     reference's safe set), binned at the quantizer resolution; the series is
     the plug-in mutual information between reference index and binned
     statistic, per round. Post-processing of a Markov chain cannot gain
-    information, so the series should fall (up to estimator noise). Like the
-    drift experiment it requires no intervention in the config. Of cfg.seeds
-    only the first is read: run k uses seed seeds[0] + k, and --seed S sets
-    that base.
+    information, so the series should fall (up to estimator noise). Of
+    cfg.seeds only the first is read: run k uses seed seeds[0] + k, and
+    --seed S sets that base.
     """
-    _require_isolated(cfg, "ensemble experiment")
     n_refs, runs = len(cfg.ensemble_safe_masses), cfg.runs_per_ref
     if n_refs < 2:
         raise ConfigError("degenerate ensemble: need at least 2 references")

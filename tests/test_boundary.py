@@ -6,6 +6,7 @@ non-finite number, and whatever they accept either runs to a clean
 trajectory or fails with ConfigError/SimulationError.
 """
 
+import json
 import math
 import os
 import tempfile
@@ -68,12 +69,10 @@ NUMERIC_KEYS = (
     "update.lam", "update.capacity", "update.alpha_mem", "update.beta",
     "update.reward", "update.neighborhood_radius",
 )
-# keys whose values are names, flags, paths, or specs parsed after loading
+# keys whose values are names, flags, or specs parsed after loading
 OTHER_KEYS = (
     "reference.generator", "reference.safe_set", "population.init",
     "evolution.per_agent_datasets", "experiment.probes",
-    "intervention.kind", "intervention.schedule",
-    "output.csv", "output.json",
     "selection.kind", "update.kind", "update.reward_source",
 )
 
@@ -102,11 +101,8 @@ def test_non_finite_config_number_is_a_config_error(key, value):
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize("kind,param", POLICY_PARAMS)
 def test_non_finite_policy_parameter_is_a_config_error(kind, param, value):
-    cfg = config_from_mapping(
-        {"intervention.kind": kind, f"intervention.params.{param}": value}
-    )
     with pytest.raises(ConfigError):
-        realize_policy(cfg.intervention[0], REF)
+        realize_policy(PolicySpec(kind, kind, ((param, value),)), REF)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
@@ -171,10 +167,15 @@ def test_reward_tilt_past_the_float_range_runs_without_overflow():
         assert state.agents[0].mass[:5].sum() == 0.0
 
 
-def test_smoothing_overflow_is_caught_per_call():
-    counts = _counts(np.array([0, 1], dtype=np.int64), np.array([2]), 4)
-    with pytest.raises(ValueError, match="overflows"):
-        update_agents(UpdateRule("smoothed-mle", lam=1e308), *counts)
+def test_smoothing_overflow_is_caught_at_the_boundary():
+    # lam * K overflows before any round runs, so no seed starts
+    cfg = EvolutionConfig(4, 2, update=UpdateRule("smoothed-mle", lam=1e308))
+    pops = [Population.equal_weights([ProbVector(OutcomeSpace(4), [0.25] * 4)])] * 2
+    with pytest.raises(ConfigError, match="lam=1e\\+308 times K=4 overflows"):
+        run_batch(pops, cfg, (0, 1))
+    # a lam whose product stays finite runs
+    cfg = EvolutionConfig(4, 2, update=UpdateRule("smoothed-mle", lam=1e307))
+    assert not any(isinstance(r, SimulationError) for r in run_batch(pops, cfg, (0, 1)))
 
 
 # --- what the boundary accepts runs cleanly ------------------------------------------
@@ -402,12 +403,13 @@ _VALID = {
     "reference.generator": ("two-tier", "zipf", "dirichlet-draw", "explicit"),
     "reference.safe_set": ("0,1,2", "top-fraction:0.3", "top-fraction:2"),
     "population.init": ("copy", "perturbed", "dirichlet"),
-    "intervention.kind": ("none", *_POLICY_KINDS),
-    "intervention.schedule": ("every", "every:2", "kl:0.5", "kl:", "every:0"),
     "selection.kind": _SELECTION_KINDS,
     "update.kind": _UPDATE_KINDS,
     "update.reward_source": ("fixed", "mixture-loglik"),
 }
+# a compare arm's kinds, schedules, parameter names and values
+_ARM_KINDS = (*_POLICY_KINDS, "none")
+_SCHEDULES = ("every", "every:2", "kl:0.5", "kl:", "every:0")
 _PARAMS = sorted({name for _, parsers in _POLICY_KINDS.values() for name in parsers} | {"bogus"})
 _PARAM_VALUES = _EDGES + ("0.1", "0.5", "1", "2", "uniform", "initial", "true")
 
@@ -422,25 +424,37 @@ def _grammar_configs(draw):
     flat = dict(_FUZZ_BASE)
     for key in draw(st.lists(st.sampled_from(sorted(_KNOWN_KEYS)), max_size=6, unique=True)):
         flat[key] = draw(_key_values(key))
-    for name in draw(st.lists(st.sampled_from(_PARAMS), max_size=2, unique=True)):
-        flat[f"intervention.params.{name}"] = draw(st.sampled_from(_PARAM_VALUES))
     return flat
 
 
-@given(_grammar_configs())
+@st.composite
+def _compare_arms(draw):
+    """A policies list for compare: empty, or one arm with drawn fields."""
+    arms = []
+    if draw(st.booleans()):
+        arm = {"kind": draw(st.sampled_from(_ARM_KINDS))}
+        if draw(st.booleans()):
+            arm["schedule"] = draw(st.sampled_from(_SCHEDULES))
+        names = draw(st.lists(st.sampled_from(_PARAMS), max_size=2, unique=True))
+        arm["params"] = {name: draw(st.sampled_from(_PARAM_VALUES)) for name in names}
+        arms.append(arm)
+    return arms
+
+
+@given(_grammar_configs(), st.none() | _compare_arms())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_every_config_runs_or_exits_with_a_known_status(flat):
+def test_every_config_runs_or_exits_with_a_known_status(flat, arms):
     """Whatever the grammar admits runs (0), fails a seed (1) or is a config
-    error (2) under each experiment command; nothing else escapes cli.main."""
-    cwd = os.getcwd()
+    error (2) under each experiment command, and so does compare under a
+    drawn policies list; nothing else escapes cli.main."""
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # output keys may name relative files
-        try:
-            with open("fuzz.cfg", "w", encoding="utf-8") as fh:
-                fh.writelines(f"{key}={value}\n" for key, value in flat.items())
-            for command in ("simulate", "compare", "ensemble-mi"):
-                status = cli_main([command, "fuzz.cfg", "--quiet"])
-                event(f"{command} exit {status}")
-                assert status in (0, 1, 2)
-        finally:
-            os.chdir(cwd)
+        cfg, policies = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "arms.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in flat.items())
+        with open(policies, "w", encoding="utf-8") as fh:
+            json.dump(arms, fh)
+        arms_flag = [] if arms is None else ["--policies", policies]
+        for command, extra in (("simulate", []), ("compare", arms_flag), ("ensemble-mi", [])):
+            status = cli_main([command, cfg, "--quiet", *extra])
+            event(f"{command} exit {status}")
+            assert status in (0, 1, 2)

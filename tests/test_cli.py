@@ -223,33 +223,33 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_compare_runs_config_arm_and_output_keys(tmp_path, capsys):
+def test_compare_runs_a_policies_arm_and_writes_the_json_flag(tmp_path, tiny_cfg, capsys):
     out = tmp_path / "cmp.json"
-    path = tmp_path / "arm.cfg"
-    path.write_text(TINY + f"intervention.kind=cooling\noutput.json={out}\n")
-    assert main(["compare", str(path), "--quiet"]) == 0
+    policies = tmp_path / "policies.json"
+    policies.write_text('[{"kind": "cooling"}]')
+    argv = ["compare", tiny_cfg, "--policies", str(policies), "--json", str(out), "--quiet"]
+    assert main(argv) == 0
     payload = json.loads(out.read_text())
     assert [a["name"] for a in payload["arms"]] == ["cooling"]
-    # compare writes no CSV, so a CSV target is a config error
-    path.write_text(TINY + f"output.csv={tmp_path / 'cmp.csv'}\n")
-    assert main(["compare", str(path), "--quiet"]) == 2
-    assert "compare writes no CSV" in capsys.readouterr().err
+    # compare writes no CSV, so it takes no CSV target
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", tiny_cfg, "--csv", str(tmp_path / "cmp.csv"), "--quiet"])
+    assert exc.value.code == 2 and "unrecognized arguments: --csv" in capsys.readouterr().err
     assert not (tmp_path / "cmp.csv").exists()
 
 
-def test_ensemble_output_keys_and_isolation(tmp_path, capsys):
+def test_ensemble_output_flags_and_isolation(tmp_path, capsys):
     csv_out, json_out = tmp_path / "mi.csv", tmp_path / "mi.json"
     path = tmp_path / "ens.cfg"
-    path.write_text(
-        TINY + "ensemble.runs_per_ref=4\nevolution.rounds=3\n"
-        f"output.csv={csv_out}\noutput.json={json_out}\n"
-    )
-    assert main(["ensemble-mi", str(path), "--quiet"]) == 0
+    path.write_text(TINY + "ensemble.runs_per_ref=4\nevolution.rounds=3\n")
+    argv = ["ensemble-mi", str(path), "--csv", str(csv_out), "--json", str(json_out), "--quiet"]
+    assert main(argv) == 0
     assert len(csv_out.read_text().splitlines()) == 1 + 4
     assert len(json.loads(json_out.read_text())["mi_series"]) == 4
+    # the ensemble evolves in isolation: a config cannot name an arm
     path.write_text(TINY + "intervention.kind=verifier\n")
     assert main(["ensemble-mi", str(path), "--quiet"]) == 2
-    assert "comparison runner" in capsys.readouterr().err
+    assert "unknown config keys: intervention.kind" in capsys.readouterr().err
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):
@@ -273,15 +273,13 @@ def test_overflowing_perturbation_sigma_exits_2(tmp_path, capsys):
     [
         ("simulate", "reference.generator=dirichlet-draw\nreference.draw_seed=-1\n"),
         ("ensemble-mi", "ensemble.quantizer=1e-300\n"),
-        # intervention keys without a kind would be dropped without a word
-        ("compare", "intervention.params.fp=0.5\n"),
-        ("compare", "intervention.kind=none\nintervention.schedule=every:2\n"),
+        # smoothing whose lam * K overflows fails before any seed runs
+        ("simulate", "update.kind=smoothed-mle\nupdate.lam=1e308\n"),
         # rules that do not fit the 40-outcome space
         ("simulate", "selection.kind=top-mass\nselection.k=5000\n"),
         ("simulate", "selection.kind=indicator\nselection.indices=0,40\n"),
         ("simulate", "selection.kind=reward-reweight\nselection.reward=0,1,2\n"),
         ("compare", "update.kind=reward-reweighted-mle\nupdate.reward=0,1,2\n"),
-        ("simulate", "output.csv={tmp}/no/such/dir/out.csv\n"),
         # a probe name is resolved by every command, those that record none too
         ("compare", "experiment.probes=entropy_nope\n"),
         ("ensemble-mi", "experiment.probes=entropy_nope\n"),
@@ -291,11 +289,39 @@ def test_overflowing_perturbation_sigma_exits_2(tmp_path, capsys):
 )
 def test_bad_configs_exit_2_without_a_traceback(tmp_path, capsys, command, extra):
     path = tmp_path / "bad.cfg"
-    path.write_text(TINY + extra.format(tmp=tmp_path))
+    path.write_text(TINY + extra)
     assert main([command, str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert "seed 0 failed" not in err
+
+
+def test_unwritable_output_path_exits_2(tmp_path, tiny_cfg, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "out.csv"
+    assert main(["simulate", tiny_cfg, "--csv", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra,problem",
+    [
+        # a config describes the experiment: it names no arm and no output file
+        ("intervention.kind=cooling\n", "unknown config keys: intervention.kind"),
+        ("intervention.schedule=every:2\n", "unknown config keys: intervention.schedule"),
+        ("intervention.params.fp=0.5\n", "unknown config keys: intervention.params.fp"),
+        ("output.csv=out.csv\n", "unknown config keys: output.csv"),
+        ("output.json=out.json\n", "unknown config keys: output.json"),
+        # and it is key=value text, not JSON
+        ('{"space": {"size": 40}}\n', "config line 1 is not key=value"),
+    ],
+)
+def test_removed_config_forms_exit_2(tmp_path, capsys, extra, problem):
+    path = tmp_path / "bad.cfg"
+    path.write_text(extra if extra.startswith("{") else TINY + extra)
+    assert main(["simulate", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and problem in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -323,7 +349,7 @@ def test_rule_fields_the_kind_does_not_read_exit_2(tmp_path, capsys, extra, unre
 
 
 def test_compare_refuses_a_policies_file_beside_a_config_intervention(tmp_path, capsys):
-    # the config's cooling arm would otherwise be dropped without a word
+    # a config cannot name an arm, so none is dropped beside the file's arms
     path = tmp_path / "cooling.cfg"
     path.write_text(TINY + "intervention.kind=cooling\n")
     policies = tmp_path / "policies.json"
@@ -331,6 +357,27 @@ def test_compare_refuses_a_policies_file_beside_a_config_intervention(tmp_path, 
     assert main(["compare", str(path), "--policies", str(policies), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "intervention" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "arms,problem",
+    [
+        # the baseline alone compares nothing
+        ("[]", "a comparison needs at least one policy arm"),
+        # a second "baseline" line would be indistinguishable from the first
+        ('[{"name": "baseline", "kind": "verifier"}]', "may not be named 'baseline'"),
+        ('[{"kind": "cooling"}, {"name": "baseline", "kind": "verifier"}]', "'baseline'"),
+    ],
+)
+def test_compare_refuses_a_comparison_with_nothing_to_compare(
+    tmp_path, tiny_cfg, capsys, arms, problem
+):
+    policies = tmp_path / "policies.json"
+    policies.write_text(arms)
+    assert main(["compare", tiny_cfg, "--policies", str(policies)]) == 2
+    captured = capsys.readouterr()  # refused before any arm runs or prints
+    assert captured.err.startswith("config error:") and problem in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_compare_refuses_a_policy_entry_key_it_does_not_read(tmp_path, tiny_cfg, capsys):

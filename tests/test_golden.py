@@ -184,15 +184,16 @@ FAILING_SEEDS_CONFIG = {
     "selection.reward": ",".join(["0"] * 23 + ["1"]),
     "selection.beta": "1e4",
     "experiment.seeds": "12",
-    "intervention.kind": "diversity",
-    "intervention.schedule": "every:2",
-    "intervention.params.temperature": "1",
-    "intervention.params.rho": "0.95",
 }
+FAILING_SEEDS_ARM = PolicySpec(
+    "diversity", "diversity", (("rho", "0.95"), ("temperature", "1")), "every:2"
+)
 
 
 def _failing_seeds_digest():
-    result = run_intervention_comparison(config_from_mapping(FAILING_SEEDS_CONFIG))
+    result = run_intervention_comparison(
+        config_from_mapping(FAILING_SEEDS_CONFIG), (FAILING_SEEDS_ARM,)
+    )
     failures = result.arm("diversity").failures
     assert failures and len(failures) < 12
     return _mapping_digest(plain(asdict(result)))

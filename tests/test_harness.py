@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from driftlab.evolution import (
     Trajectory,
     UpdateRule,
     run,
+    run_batch,
 )
 from driftlab.harness import (
     CLASS_COLLAPSE,
@@ -61,6 +61,7 @@ from driftlab.harness import (
     trajectory_to_dict,
 )
 from driftlab.interventions import EntropyReleasePolicy
+from driftlab.metrics import resolve_probes
 
 
 def pv(*mass):
@@ -123,31 +124,13 @@ def test_load_config_file_key_value(tmp_path):
     assert load_config_file(str(path)) == {"space.size": "40", "experiment.seeds": "2"}
 
 
-def test_load_config_file_json_flattening(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(
-        json.dumps(
-            {
-                "space": {"size": 50},
-                "evolution": {"per_agent_datasets": False},
-                "experiment": {"seeds": [0, 3], "tau": None},
-            }
-        )
-    )
-    assert load_config_file(str(path)) == {
-        "space.size": "50",
-        "evolution.per_agent_datasets": "false",
-        "experiment.seeds": "0,3",
-        "experiment.tau": "",
-    }
-
-
 def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config_file(str(tmp_path / "missing.cfg"))
+    # a config file is key=value text, so a JSON object is refused
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
+    bad.write_text('{"space": {"size": 50}}')
+    with pytest.raises(ConfigError, match="line 1 is not key=value"):
         load_config_file(str(bad))
 
 
@@ -279,27 +262,6 @@ def test_config_typed_coercion_errors():
         config_from_mapping({"space.size": "forty"})
     with pytest.raises(ConfigError, match="per_agent_datasets"):
         config_from_mapping({"evolution.per_agent_datasets": "maybe"})
-
-
-def test_config_intervention_block():
-    cfg = config_from_mapping(
-        {
-            "intervention.kind": "verifier",
-            "intervention.params.fp": "0.1",
-            "intervention.schedule": "every:2",
-        }
-    )
-    assert cfg.intervention == (
-        PolicySpec("verifier", "verifier", (("fp", "0.1"),), "every:2"),
-    )
-    assert config_from_mapping({"intervention.kind": "none"}).intervention == ()
-
-
-def test_config_intervention_keys_need_a_kind():
-    with pytest.raises(ConfigError, match="intervention.params.fp set without an intervention.kind"):
-        config_from_mapping({"intervention.params.fp": "0.5"})
-    with pytest.raises(ConfigError, match="intervention.schedule set without"):
-        config_from_mapping({"intervention.kind": "none", "intervention.schedule": "every:2"})
 
 
 def test_config_probe_list_parsing():
@@ -684,12 +646,6 @@ def test_drift_experiment_extends_probe_list():
     assert set(traj.values) == set(result.probes)
 
 
-def test_drift_experiment_rejects_intervention():
-    cfg = small_cfg(**{"intervention.kind": "verifier"})
-    with pytest.raises(ConfigError, match="comparison runner"):
-        run_drift_experiment(cfg)
-
-
 def test_drift_experiment_records_per_seed_failures():
     # a zero-mass outcome made mandatory by the selection kills round 0
     cfg = small_cfg(
@@ -737,24 +693,23 @@ def test_comparison_custom_single_arm():
     assert result.arms[0].name == "soft-verifier"
 
 
-def test_comparison_runs_the_config_intervention():
-    cfg = small_cfg(
-        **{
-            "experiment.seeds": "2",
-            "evolution.rounds": "4",
-            "intervention.kind": "verifier",
-            "intervention.params.fn_rate": "0.2",
-        }
-    )
-    result = run_intervention_comparison(cfg)
+def test_comparison_arms_come_only_from_the_specs():
+    # a config names no arm: the keys of one are unknown
+    with pytest.raises(ConfigError, match="unknown config keys: intervention.kind"):
+        small_cfg(**{"intervention.kind": "verifier", "intervention.params.fn_rate": "0.2"})
+    cfg = small_cfg(**{"experiment.seeds": "2", "evolution.rounds": "4"})
+    spec = PolicySpec("verifier", "verifier", (("fn_rate", "0.2"),))
+    result = run_intervention_comparison(cfg, (spec,))
     assert [a.name for a in result.arms] == ["verifier"]
-    specs = (PolicySpec("verifier", "verifier", (("fn_rate", "0.2"),)),)
-    explicit = run_intervention_comparison(replace(cfg, intervention=()), specs)
-    assert result.arms[0].terminal_kl == explicit.arms[0].terminal_kl
-    assert result.arms[0].terminal_safe_mass == explicit.arms[0].terminal_safe_mass
-    # explicit specs beside the config's arm would drop that arm: refused
-    with pytest.raises(ConfigError, match="exclude each other"):
-        run_intervention_comparison(cfg, (PolicySpec("cooling", "cooling"),))
+    # the arm is the spec's policy on every seed
+    ref = build_reference(cfg)
+    runs = run_batch(
+        [build_population(cfg.population, ref, seed) for seed in cfg.seeds], cfg.evolution,
+        cfg.seeds, resolve_probes(("kl_safety",)), realize_policy(spec, ref), ref=ref,
+    )
+    assert result.arms[0].terminal_kl == {
+        seed: float(t.values["kl_safety"][-1]) for seed, t in zip(cfg.seeds, runs)
+    }
 
 
 def test_comparison_rejects_duplicate_arm_names():
@@ -791,8 +746,6 @@ def test_ensemble_mi_validation():
         run_ensemble_mi(cfg)
     with pytest.raises(ConfigError, match="runs_per_ref"):
         run_ensemble_mi(small_cfg(**{"ensemble.runs_per_ref": "0"}))
-    with pytest.raises(ConfigError, match="comparison runner"):
-        run_ensemble_mi(small_cfg(**{"intervention.kind": "cooling"}))
 
 
 class _Ran(Exception):
