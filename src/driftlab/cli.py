@@ -173,7 +173,7 @@ def cmd_compare(args) -> int:
         try:
             with open(args.policies, "r", encoding="utf-8") as fh:
                 specs = parse_policies_json(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read policies file {args.policies!r}: {exc}") from exc
     result = run_intervention_comparison(cfg, specs)
     _print_comparison(result, args.quiet)

@@ -45,7 +45,9 @@ class OutcomeSpace:
 
     def validate_indices(self, indices: Iterable[int]) -> np.ndarray:
         """Return the given outcome indices as a sorted, unique int array."""
-        idx = np.unique(np.asarray(list(indices), dtype=np.int64))
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        idx = np.unique(np.asarray(indices, dtype=np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.size):
             raise ConfigError(
                 f"outcome indices must lie in [0, {self.size}), got range "
@@ -161,10 +163,10 @@ class SafetyReference:
             raise ConfigError("safe set is empty")
         if idx.size >= space.size:
             raise ConfigError("safe set must be a strict subset of the outcomes")
-        object.__setattr__(self, "safe_set", tuple(int(i) for i in idx))
+        object.__setattr__(self, "safe_set", tuple(idx.tolist()))
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        safe_mass = mass_of_set(self.pi_star, idx)
+        safe_mass = float(self.pi_star.mass[idx].sum())
         if safe_mass < 1.0 - self.epsilon - CONCENTRATION_SLACK:
             raise ConfigError(
                 f"reference places {safe_mass:.12g} mass on the safe set, below the "

@@ -26,6 +26,21 @@ sample_dataset and update_agents, each over a chunk's rows. run_batch is the
 one entry point; run() is a batch of one, and a seed's trajectory is
 byte-identical whichever chunk it runs in.
 
+An agent refitted to its own samples holds no mass on an outcome it did not
+draw. So after each update the chunk finds its reach: the sorted outcomes of
+the round's datasets (as the verifiers left them) and of its memory buffers.
+The four stages take a column set, every outcome or the reach, and until the
+next update they run on the reach's (S, C) columns. Each row sum is still
+taken over the dense row (the values at the reach, zeros elsewhere), and
+cumsum adds zeros exactly, so either column set gives the same bits; agents
+and pt stay dense (S, M, K) and (S, K) arrays. The reach is used only when
+the rule puts no mass off its data (mle, memory-buffer,
+reward-reweighted-mle; not smoothed-mle), every row was fitted this round
+(no verifier emptied a block), no diversity, entropy-release or cooling
+policy can move mass, and S * B * n samples plus S * capacity buffered ones
+are at most K / 2. That bound is checked first, so small spaces pay one
+comparison.
+
 This module deliberately knows nothing about the safety reference. It does
 not import SafetyReference and no function here accepts one; the closed loop
 cannot read the target it is drifting from. Measurement probes and
@@ -141,14 +156,70 @@ class Population:
         return pop
 
 
-def mixture(weights: np.ndarray, agents: np.ndarray) -> np.ndarray:
-    """Mixtures (S, K) of agents (S, M, K) under weights (S, M), renormalized."""
+class _Columns:
+    """The outcomes a round's stages compute on: every one (index None), or a
+    chunk's reach, the sorted outcomes (C,) its data reached, off which each
+    row is zero. Elementwise work runs on these columns; rowsum sums each row
+    over the dense K (the values here, zeros elsewhere), so either column set
+    gives the same bits.
+
+    A reach is built from the reached outcomes and its chunk's scratch:
+    zeros, (L, K) zero rows for rowsum, and lookup (K,), in which it writes
+    each reached outcome's column: positions holds for the newest reach only.
+    """
+
+    def __init__(self, reached: np.ndarray | None = None, scratch=None):
+        self.index = None
+        if reached is not None:
+            # sorted and unique; np.unique hashes integers, several times slower
+            reached = np.sort(reached)
+            self.index = reached[np.concatenate(([True], reached[1:] != reached[:-1]))]
+            self.zeros, self.lookup = scratch
+            self.lookup[self.index] = np.arange(len(self.index))
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """x (..., K) on these columns (x itself for every outcome)."""
+        return x if self.index is None else x[..., self.index]
+
+    def dense(self, x: np.ndarray) -> np.ndarray:
+        """Rows (S, K) of x (S, C), zero off these columns."""
+        if self.index is None:
+            return x
+        out = np.zeros((len(x), self.zeros.shape[1]))
+        out[:, self.index] = x
+        return out
+
+    def positions(self, outcomes: np.ndarray) -> np.ndarray:
+        """The positions of outcomes among these columns; each must be one."""
+        return outcomes if self.index is None else self.lookup[outcomes]
+
+    def outcomes(self, positions: np.ndarray) -> np.ndarray:
+        """The outcomes at positions among these columns."""
+        return positions if self.index is None else self.index[positions]
+
+    def rowsum(self, x: np.ndarray) -> np.ndarray:
+        """Sums (S, 1) of the dense rows of x (S, C)."""
+        if self.index is None:
+            return x.sum(axis=1, keepdims=True)
+        dense = self.zeros[: len(x)]
+        dense[:, self.index] = x
+        total = dense.sum(axis=1, keepdims=True)
+        dense[:, self.index] = 0.0
+        return total
+
+
+_EVERY = _Columns()
+
+
+def mixture(weights: np.ndarray, agents: np.ndarray, cols: _Columns = _EVERY) -> np.ndarray:
+    """Mixtures (S, C) of agents (S, M, C) under weights (S, M), renormalized;
+    the C columns are cols (every outcome by default)."""
     # agent m = 0..M-1 added in turn: for any layout of agents, the bits of
     # (weights[:, :, None] * agents).sum(axis=1) on a C-contiguous array
     pbar = np.multiply(weights[:, 0, None], agents[:, 0], order="C")
     for m in range(1, agents.shape[1]):
         pbar += weights[:, m, None] * agents[:, m]
-    pbar /= pbar.sum(axis=1, keepdims=True)
+    pbar /= cols.rowsum(pbar)
     return pbar
 
 
@@ -273,40 +344,42 @@ def _check_fit(rule: SelectionRule | UpdateRule, space: OutcomeSpace) -> None:
             )
 
 
-def _acceptance(rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray) -> np.ndarray:
-    """Acceptance for mixtures pbar (S, K): shape (K,), or (S, K) for top-mass.
-    The rule fits space (see _check_fit)."""
-    k_space = space.size
-    if rule.kind == "identity":
-        return np.ones(k_space)
+def _acceptance(
+    rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray, cols: _Columns
+) -> np.ndarray:
+    """Acceptance for mixtures pbar (S, C) on cols under a rule other than
+    identity: shape (C,), or (S, C) for top-mass. The rule fits space (see
+    _check_fit)."""
     if rule.kind == "indicator":
-        a = np.zeros(k_space)
+        a = np.zeros(space.size)
         a[list(rule.indices)] = 1.0
-        return a
+        return cols.take(a)
     if rule.kind == "top-mass":
+        # off cols the mixture is zero, so a k past C accepts no more mass
         order = np.argsort(-pbar, axis=1, kind="stable")
         a = np.zeros_like(pbar)
         np.put_along_axis(a, order[:, : rule.k], 1.0, axis=1)
         return a
     # reward-reweight; SelectionRule admits no other kind
-    return _reward_tilt(rule.beta, rule.reward)
+    return cols.take(_reward_tilt(rule.beta, rule.reward))
 
 
 def apply_selection(
-    rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray
+    rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray, cols: _Columns = _EVERY
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Training distributions a * pbar / Z (S, K), and the rows with zero Z.
+    """Training distributions a * pbar / Z (S, C) on cols, and the rows with
+    zero Z.
 
     Those rows hold placeholders; the caller fails them.
     """
     # identity acceptance is all ones, and 1.0 * x == x
-    scaled = pbar if rule.kind == "identity" else _acceptance(rule, space, pbar) * pbar
-    z = scaled.sum(axis=1, keepdims=True)
+    scaled = pbar if rule.kind == "identity" else _acceptance(rule, space, pbar, cols) * pbar
+    z = cols.rowsum(scaled)
     zero = z[:, 0] <= 0.0
     z[zero] = 1.0
     pt = scaled / z
     pt[zero] = 1.0
-    pt /= pt.sum(axis=1, keepdims=True)
+    pt /= cols.rowsum(pt)
     return pt, zero
 
 
@@ -321,13 +394,18 @@ def _zero_selection(rule: SelectionRule) -> DegenerateSelectionError:
 # ---------------------------------------------------------------------------
 
 
-def sample_dataset(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """n inverse-CDF draws from each row of pt (S, K), row s from rngs[s].
+def sample_dataset(
+    pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator], cols: _Columns = _EVERY
+) -> np.ndarray:
+    """n inverse-CDF draws from each row of pt (S, C) on cols, row s from
+    rngs[s].
 
-    Returns an (S, n) int64 array; exact boundary ties go to the lower index.
-    Each row's uniforms are searched in sorted order, which keeps the binary
-    search's branches predictable, and scattered back: every uniform gets
-    the index an unsorted search would give it.
+    Returns an (S, n) int64 array of outcomes; exact boundary ties go to the
+    lower index. Each row's uniforms are searched in sorted order, which
+    keeps the binary search's branches predictable, and scattered back:
+    every uniform gets the index an unsorted search would give it. Adding
+    the +0.0 off cols leaves a sequential cumsum as it is, so the search
+    on cols finds the outcome the search over all K finds.
     """
     cum = np.cumsum(pt, axis=1)
     # u beyond the last cumulative point (float shortfall) lands on the last
@@ -346,7 +424,7 @@ def sample_dataset(pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator]) 
     draws = np.empty_like(found)
     draws[rows, order] = found
     np.clip(draws, first_positive[:, None], last_positive[:, None], out=draws)
-    return draws
+    return cols.outcomes(draws)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +555,17 @@ def update_agents(
     n: np.ndarray,
     pbar: np.ndarray | None = None,
     memory: tuple[np.ndarray, np.ndarray] | None = None,
+    cols: _Columns = _EVERY,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masses (L, K) the rule fits to L datasets with outcome counts (L, K)
-    and sizes n (L,), and the rows whose reward tilt zeroed every sampled
-    outcome (their masses are placeholders; the caller fails them).
+    """Masses (L, C) the rule fits to L datasets with outcome counts (L, C)
+    on cols and sizes n (L,), and the rows whose reward tilt zeroed every
+    sampled outcome (their masses are placeholders; the caller fails them).
 
-    pbar (L, K) holds the current mixture of each dataset's seed, read by the
+    pbar (L, C) holds the current mixture of each dataset's seed, read by the
     mixture-loglik reward; memory holds the counts and sizes of the rolled
     buffers, read by the memory-buffer rule. The rule fits the K outcomes
-    (see _check_fit).
+    (see _check_fit); smoothed-mle, which puts mass off the data, is given
+    every outcome.
     """
     k_space = counts.shape[1]
     wiped = np.zeros(len(counts), dtype=bool)
@@ -503,14 +583,14 @@ def update_agents(
             # unsupported outcomes at zero weight without -inf arithmetic
             tilt = pbar ** rule.beta if rule.beta != 0.0 else np.ones(k_space)
         else:
-            tilt = _reward_tilt(rule.beta, rule.reward)
+            tilt = cols.take(_reward_tilt(rule.beta, rule.reward))
         weighted = counts * tilt
-        total = weighted.sum(axis=1, keepdims=True)
+        total = cols.rowsum(weighted)
         wiped = total[:, 0] <= 0.0
         total[wiped] = 1.0
         mass = weighted / total
         mass[wiped] = 1.0
-    mass /= mass.sum(axis=1, keepdims=True)
+    mass /= cols.rowsum(mass)
     return mass, wiped
 
 
@@ -558,6 +638,9 @@ class EvolutionConfig:
                 "per-agent datasets are not supported with the memory-buffer rule"
             )
 
+
+# update kinds whose fit puts no mass off the data it is fitted to
+_DATA_BOUND = ("mle", "memory-buffer", "reward-reweighted-mle")
 
 # a round that raises one of these aborts its seed as a SimulationError
 _ROUND_ERRORS = (
@@ -655,7 +738,10 @@ class _Chunk:
     (S, P, R+1), masses and absent (S, N, R+1); fired and notes gather
     (round, text) events. A seed whose round raises one of _ROUND_ERRORS
     goes to `failed` as SimulationError(r) and loses its row; the other rows
-    go on.
+    go on. cols are the columns the stages compute on (see _Columns): the
+    reach _reach finds at each update, off which agents and pt are zero, or
+    every outcome; pbar lives on them, and scratch holds what each reach
+    borrows.
     """
 
     _ROW_ARRAYS = (
@@ -676,6 +762,7 @@ class _Chunk:
         self.ids, self.rngs, self.policies = list(ids), list(rngs), policies
         self.checkpoints = [pol.initial_checkpoint(self.agents) for pol in policies["cooling"]]
         self.memory = [np.zeros(0, np.int64) for _ in rows]
+        self.cols, self.scratch = _EVERY, None
         for name in ("fired", "notes", "states"):
             setattr(self, name, [[] for _ in rows])
         self.failed: dict[int, SimulationError] = {}
@@ -715,15 +802,16 @@ class _Chunk:
         return self.agents
 
     def _mixture(self) -> np.ndarray:
-        """Mixtures (S, K) of the current agents, mixed once per change."""
+        """Mixtures (S, C) of the current agents on cols, mixed once per change."""
         if self.pbar is None:
-            self.pbar = mixture(self.weights, self.agents)
+            self.pbar = mixture(self.weights, self.cols.take(self.agents), self.cols)
         return self.pbar
 
     def _firing(self, pol, r: int, errors: dict) -> np.ndarray:
         """The rows whose schedule has pol act in round r."""
         every = np.arange(len(self.ids))
-        rows, fires = _by_rows(partial(pol.schedule.fires, r), every, errors, self._mixture())
+        mixtures = self.cols.dense(self._mixture())
+        rows, fires = _by_rows(partial(pol.schedule.fires, r), every, errors, mixtures)
         return rows[fires]
 
     def advance(self, r: int) -> None:
@@ -738,7 +826,7 @@ class _Chunk:
         if self.pt is not None:
             blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
             n = self.cfg.sample_size
-            draws = sample_dataset(self.pt, n * blocks, self.rngs)
+            draws = sample_dataset(self.cols.take(self.pt), n * blocks, self.rngs, self.cols)
             self.data = draws.reshape(len(self.ids), blocks, n)
             self.sizes = np.full((len(self.ids), blocks), n)
             self.live = np.ones((len(self.ids), blocks), dtype=bool)
@@ -747,7 +835,8 @@ class _Chunk:
                 phase(r, errors)
                 self._fail(errors, r)
         rule = self.cfg.selection
-        self.pt, zero = apply_selection(rule, self.space, self._mixture())
+        pt, zero = apply_selection(rule, self.space, self._mixture(), self.cols)
+        self.pt = self.cols.dense(pt)
         errors = {int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}
         self._diversify(r, errors)
         self._fail(errors, r)
@@ -777,28 +866,53 @@ class _Chunk:
         """The filled positions (S, B, n) of data."""
         return np.arange(self.data.shape[2]) < self.sizes[:, :, None]
 
+    def _reach(self) -> _Columns:
+        """The columns of this round's update and of the stages after it: the
+        reach, the sorted outcomes of the datasets (as the verifiers left
+        them) and memory buffers, when every row is fitted by a rule that
+        puts no mass off its data and no hook moves mass; else every
+        outcome. The reach is sought only when S * B * n samples, plus S *
+        capacity buffered ones, are at most K / 2."""
+        rule = self.cfg.update
+        bound = self.data.size + len(self.ids) * rule.capacity  # capacity 0 but for the buffer
+        if (
+            rule.kind not in _DATA_BOUND
+            or 2 * bound > self.space.size
+            or not self.live.all()
+            or any(self.policies[kind] for kind in ("diversity", "entropy-release", "cooling"))
+        ):
+            return _EVERY
+        if self.scratch is None:  # rows only leave a chunk, so the first reach is the widest
+            k_space = self.space.size
+            self.scratch = (np.zeros((self.live.size, k_space)), np.empty(k_space, np.intp))
+        return _Columns(np.concatenate([self.data[self._held()], *self.memory]), self.scratch)
+
     def _update(self, r: int, errors: dict) -> None:
         rule = self.cfg.update
         rows, blocks = np.nonzero(self.live)
-        k_space = self.space.size
         if not rows.size:
             return
-        pbar = self._mixture()[rows] if rule.reads_mixture else None
-        self.pbar = None
-        buffer = None
         if rule.kind == "memory-buffer":  # shared data: one block per row
             for s in rows:
                 fresh = self.data[s, 0, : self.sizes[s, 0]]
                 self.memory[s] = roll_memory(self.memory[s], fresh, rule.capacity)
+        cols = self._reach()
+        pbar = cols.take(self.cols.dense(self._mixture()[rows])) if rule.reads_mixture else None
+        self.pbar, self.cols = None, cols
+        width = self.space.size if cols.index is None else len(cols.index)
+        buffer = None
+        if rule.kind == "memory-buffer":
             memory = [self.memory[s] for s in rows]
-            buffer = _counts(np.concatenate(memory), np.array([len(b) for b in memory]), k_space)
+            sizes = np.array([len(b) for b in memory])
+            buffer = _counts(cols.positions(np.concatenate(memory)), sizes, width)
         held = self.live[:, :, None] & self._held()
         try:
-            counts, n = _counts(self.data[held], self.sizes[self.live], k_space)
-            mass, wiped = update_agents(rule, counts, n, pbar, buffer)
+            counts, n = _counts(cols.positions(self.data[held]), self.sizes[self.live], width)
+            mass, wiped = update_agents(rule, counts, n, pbar, buffer, cols)
         except _ROUND_ERRORS as exc:  # a raising errstate fails every fitted seed
             errors.update(dict.fromkeys(rows.tolist(), exc))
             return
+        mass = cols.dense(mass)
         if self.cfg.per_agent_datasets:
             self._own_agents()[rows, blocks] = mass
         elif len(rows) < len(self.ids):  # the verifier left some seeds unfitted

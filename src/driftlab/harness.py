@@ -105,7 +105,7 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config_text(text)
 
@@ -1054,7 +1054,7 @@ def load_trajectory_dicts(path: str) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trajectory file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"trajectory file {path!r} is not valid JSON: {exc}") from exc

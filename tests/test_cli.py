@@ -216,6 +216,23 @@ def test_missing_config_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{bad}"],
+        ["compare", "{cfg}", "--policies", "{bad}"],
+        ["export", "{bad}", "--format", "csv"],
+    ],
+)
+def test_an_input_that_is_not_utf8_exits_2(tmp_path, tiny_cfg, capsys, argv):
+    bad = tmp_path / "bin.in"
+    bad.write_bytes(b"\xff\xfe=1\n")
+    assert main([a.format(bad=bad, cfg=tiny_cfg) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read") and "Traceback" not in err
+    assert repr(str(bad)) in err and "can't decode byte 0xff" in err
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("banana=1\n")
