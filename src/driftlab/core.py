@@ -94,6 +94,11 @@ class ProbVector:
     def __getitem__(self, index: int) -> float:
         return float(self.mass[index])
 
+    def __setstate__(self, state):
+        # numpy unpickles an array writeable; a distribution read back stays frozen
+        self.__dict__.update(state)
+        self.mass.setflags(write=False)
+
 
 def _wrap(space: OutcomeSpace, arr: np.ndarray) -> ProbVector:
     """ProbVector over `arr`, which the caller has already normalized (a copy

@@ -32,3 +32,7 @@ class SimulationError(RuntimeError):
         super().__init__(f"round {round_index}: {cause}")
         self.round_index = round_index
         self.__cause__ = cause
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, here the message alone
+        return type(self), (self.round_index, self.__cause__)

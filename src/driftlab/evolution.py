@@ -24,7 +24,10 @@ of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
 seeds' Trajectory columns. The four stages are mixture, apply_selection,
 sample_dataset and update_agents, each over a chunk's rows. run_batch is the
 one entry point; run() is a batch of one, and a seed's trajectory is
-byte-identical whichever chunk it runs in.
+byte-identical whichever chunk it runs in. A sweep with enough work runs its
+chunks on every usable CPU, in worker processes forked for the call; smaller
+runs, and any where fork is unsafe, stay in process. Either way a seed's
+bytes do not depend on the CPU count.
 
 An agent refitted to its own samples holds no mass on an outcome it did not
 draw. So after each update the chunk finds its reach: the sorted outcomes of
@@ -58,6 +61,9 @@ reproducible for a given (config, seed).
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, islice
@@ -132,6 +138,11 @@ class Population:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "_space", space)
+
+    def __setstate__(self, state):
+        # numpy unpickles an array writeable; weights read back stay read-only
+        self.__dict__.update(state)
+        self.weights.setflags(write=False)
 
     @property
     def space(self) -> OutcomeSpace:
@@ -702,6 +713,13 @@ class Trajectory:
     final_population: Population
     states: tuple[Population, ...] | None = None
 
+    def __setstate__(self, state):
+        # numpy unpickles arrays writeable; columns read back stay read-only
+        self.__dict__.update(state)
+        for columns in (self.values, self.monitor_mass, self.monitor_absent):
+            for column in columns.values():
+                column.setflags(write=False)
+
 
 def _group_policies(intervention, space: OutcomeSpace, size: int) -> dict[str, list]:
     groups: dict[str, list] = {
@@ -1022,6 +1040,172 @@ def _measure(r: int, probes, ref, pt: np.ndarray, agents: np.ndarray) -> np.ndar
 _ONE_PER_SEED = "a batch needs one population per seed"
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """What every chunk of one run_batch call shares, and the chunk loop."""
+
+    cfg: EvolutionConfig
+    seeds: list[int]
+    probes: Sequence
+    ref: object
+    policies: dict[str, list]
+    monitor_sets: dict[str, np.ndarray]
+    monitor_hoods: dict[str, np.ndarray]
+    monitor_names: dict[str, tuple[int, ...]]
+    keep_states: bool
+
+    def results(self, ids: range, pops: Sequence[Population]) -> list[Trajectory | SimulationError]:
+        """The Trajectory, or SimulationError, of each run in ids, which start
+        from pops and advance as one chunk."""
+        cfg = self.cfg
+        chunk = _Chunk(pops, cfg, [make_rng(self.seeds[i]) for i in ids], self.policies, ids)
+        for r in range(cfg.rounds + 1):
+            chunk.advance(r)
+            if chunk.ids:
+                chunk.record(
+                    r, self.probes, self.ref, self.monitor_sets, self.monitor_hoods,
+                    self.keep_states,
+                )
+            if not chunk.ids:
+                break
+        rows = {i: s for s, i in enumerate(chunk.ids)}
+        if rows:  # round 0 was recorded
+            for columns in (chunk.values, chunk.masses, chunk.absent):
+                columns.setflags(write=False)
+        names = tuple(p.name for p in self.probes)
+        out: list[Trajectory | SimulationError] = []
+        for i in ids:
+            if i in chunk.failed:
+                out.append(chunk.failed[i])
+                continue
+            s = rows[i]
+            out.append(Trajectory(
+                seed=self.seeds[i],
+                probe_names=names,
+                rounds=cfg.rounds,
+                values=dict(zip(names, chunk.values[s])),
+                monitors=dict(self.monitor_names),
+                monitor_mass=dict(zip(self.monitor_names, chunk.masses[s])),
+                monitor_absent=dict(zip(self.monitor_names, chunk.absent[s])),
+                fired=tuple(chunk.fired[s]),
+                notes=tuple(chunk.notes[s]),
+                final_population=chunk.population(s),
+                states=tuple(chunk.states[s]) if self.keep_states else None,
+            ))
+        return out
+
+
+# A run forks worker processes only when its work, seeds * (rounds + 1) * M * K
+# elements, exceeds POOL_ELEMENTS; smaller runs stay in process. Measured on 2
+# cores (Python 3.11, numpy 2.4): importing multiprocessing took 7-9 ms,
+# forking 2 workers 11-14 ms and stopping them 2-3 ms, and a worker's first
+# chunk ran about 15 ms slower than in process. In fresh processes of 64
+# seeds (M=4, K=1000, two chunks; 9 alternating pairs) the pool won 0, 4, 4
+# and 6 times at 0.52, 0.76, 1.01 and 1.25 * 2**23 elements (medians 96 vs
+# 80, 108 vs 108, 122 vs 123 and 124 vs 159 ms): it breaks even near 2**23.
+POOL_ELEMENTS = 2**23
+
+
+def _pool_size(chunks: int, work: int) -> int:
+    """How many worker processes run `chunks` chunks of `work` elements in
+    all; 1 runs them in this process. Workers are forked only where fork is
+    safe (Linux, one thread) and allowed (a daemonic process may have no
+    children), when at least 2 CPUs are usable."""
+    if chunks < 2 or work <= POOL_ELEMENTS or sys.platform != "linux":
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        return 1
+    import multiprocessing  # here only: a run in process never pays for it
+
+    if multiprocessing.current_process().daemon:
+        return 1
+    return min(cpus, chunks)
+
+
+def _serve(batch: _Batch, link) -> None:
+    """A pool worker: run each chunk that arrives on link under the parent's
+    numpy error state, and send back its results or the exception that
+    stopped it, until the parent closes link."""
+    while True:
+        try:
+            ids, pops, errstate = link.recv()
+        except EOFError:
+            return
+        try:
+            with np.errstate(**errstate):
+                out = batch.results(ids, pops)
+        except Exception as exc:  # raised again in the parent
+            import traceback  # a worker's import: start-up does not load it
+
+            out = (exc, traceback.format_exc())
+        link.send(out)
+
+
+def _received(link) -> list[Trajectory | SimulationError]:
+    """The results that a worker sends on link; its exception is raised, with
+    the worker's traceback as the cause."""
+    try:
+        out = link.recv()
+    except EOFError:
+        raise RuntimeError("a run_batch worker process exited mid-run") from None
+    if isinstance(out, tuple):
+        exc, trace = out
+        raise exc from RuntimeError(f"in a run_batch worker process:\n{trace}")
+    return out
+
+
+def _pooled(batch: _Batch, spans: list[range], take, workers: int):
+    """The results of the chunks spans, in order, from workers forked worker
+    processes; chunk j runs on worker j % workers. take(ids) gives a chunk's
+    checked start populations. A worker holds one chunk at a time and gets
+    its next one as soon as its results are in, so it never writes a result
+    while the parent writes to it; a later chunk's ConfigError is raised
+    after the results of the chunks before it. The workers are stopped
+    however the iteration ends."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    links, procs = [], []
+    sent, error = 0, None
+
+    def fill(upto: int) -> None:
+        """Send chunks up to upto - 1 (and no further than a ConfigError)."""
+        nonlocal sent, error
+        while error is None and sent < min(upto, len(spans)):
+            try:
+                pops = take(spans[sent])
+            except ConfigError as exc:
+                error = exc
+                return
+            links[sent % workers].send((spans[sent], pops, np.geterr()))
+            sent += 1
+
+    try:
+        for _ in range(workers):
+            link, end = ctx.Pipe()
+            procs.append(ctx.Process(target=_serve, args=(batch, end), daemon=True))
+            procs[-1].start()
+            end.close()
+            links.append(link)
+        fill(workers)
+        for j in range(len(spans)):
+            if j == sent:
+                raise error
+            out = _received(links[j % workers])
+            fill(j + 1 + workers)
+            yield from out
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for link in links:
+            link.close()
+
+
 def run_batch(
     pops: Iterable[Population],
     cfg: EvolutionConfig,
@@ -1036,13 +1220,26 @@ def run_batch(
     """Run the i-th population under cfg with seeds[i], for every i, as run() would.
 
     The populations must share one space and size, and ref, when given, that
-    space too. Seeds advance in lock-step chunks of chunk_size(M, K), and pops is
-    read one chunk at a time, so a generator keeps only one chunk of initial
-    populations alive. Yields, in input order and chunk by chunk, each
-    seed's Trajectory, or the SimulationError of a seed whose run failed;
-    the other seeds are unaffected by it. probes, intervention, monitors and
+    space too. Yields, in input order and chunk by chunk, each seed's
+    Trajectory, or the SimulationError of a seed whose run failed; the other
+    seeds are unaffected by it. probes, intervention, monitors and
     keep_states apply to every seed, as in run(); an entropy-release anchor
     "initial" is each seed's own start population.
+
+    Seeds advance in lock-step chunks of chunk_size(M, K). A run of at
+    least 2 chunks and more than POOL_ELEMENTS elements of work, seeds *
+    (rounds + 1) * M * K, runs its chunks on a pool of worker processes
+    forked for the call, one per usable CPU and at most one per chunk, where
+    fork is safe: on Linux, from a process of one thread that is not
+    daemonic. Its chunks are then at most an equal share of the seeds wide.
+    Any other run stays in this process. A seed's bytes are the same either
+    way, whatever the CPU count. Each worker holds one chunk at a time, so
+    at most one chunk of start populations per worker is in flight (one
+    chunk in process), and pops is read only as chunks are sent. A worker
+    is forked with this call's probes and policies: what they record there
+    stays there. A worker's exception is raised here with its type and
+    message, the worker's traceback as its cause, and the workers are
+    stopped however the iteration ends.
 
     The arguments and the first chunk's populations are checked here; a
     later chunk's populations, and a pops iterable without len() that is
@@ -1083,54 +1280,38 @@ def run_batch(
         monitor_hoods[name] = hood_mask
         monitor_names[name] = tuple(int(i) for i in idx)
 
+    batch = _Batch(
+        cfg, seeds, probes, ref, policies, monitor_sets, monitor_hoods, monitor_names, keep_states
+    )
     width = chunk_size(size, space.size)
-    names = tuple(p.name for p in probes)
+    work = len(seeds) * (cfg.rounds + 1) * size * space.size
+    workers = _pool_size(-(-len(seeds) // width), work)
+    width = min(width, -(-len(seeds) // workers))
+    spans = [range(lo, min(lo + width, len(seeds))) for lo in range(0, len(seeds), width)]
 
-    def take(ids: range) -> _Chunk:
-        batch = list(islice(starts, len(ids)))
-        if len(batch) < len(ids):
+    def take(ids: range) -> list[Population]:
+        if ready:  # the first chunk's, checked at the call
+            return ready.pop()
+        chunk = list(islice(starts, len(ids)))
+        if len(chunk) < len(ids):
             raise ConfigError(_ONE_PER_SEED)
-        if any(p.space != space or p.size != size for p in batch):
+        if any(p.space != space or p.size != size for p in chunk):
             raise ConfigError("the populations of a batch must share one space and size")
-        return _Chunk(batch, cfg, [make_rng(seeds[i]) for i in ids], policies, ids)
+        return chunk
 
-    def results(chunk: _Chunk) -> Iterator[Trajectory | SimulationError]:
-        for lo in range(0, len(seeds), width):
-            ids = range(lo, min(lo + width, len(seeds)))
-            if lo:
-                chunk = take(ids)
-            for r in range(cfg.rounds + 1):
-                chunk.advance(r)
-                if chunk.ids:
-                    chunk.record(r, probes, ref, monitor_sets, monitor_hoods, keep_states)
-                if not chunk.ids:
-                    break
-            rows = {i: s for s, i in enumerate(chunk.ids)}
-            if rows:  # round 0 was recorded
-                for columns in (chunk.values, chunk.masses, chunk.absent):
-                    columns.setflags(write=False)
-            for i in ids:
-                if i in chunk.failed:
-                    yield chunk.failed[i]
-                    continue
-                s = rows[i]
-                yield Trajectory(
-                    seed=seeds[i],
-                    probe_names=names,
-                    rounds=cfg.rounds,
-                    values=dict(zip(names, chunk.values[s])),
-                    monitors=dict(monitor_names),
-                    monitor_mass=dict(zip(monitor_names, chunk.masses[s])),
-                    monitor_absent=dict(zip(monitor_names, chunk.absent[s])),
-                    fired=tuple(chunk.fired[s]),
-                    notes=tuple(chunk.notes[s]),
-                    final_population=chunk.population(s),
-                    states=tuple(chunk.states[s]) if keep_states else None,
-                )
+    ready: list = []  # take hands out the first chunk, checked here, once
+    ready.append(take(spans[0]))
+
+    def results() -> Iterator[Trajectory | SimulationError]:
+        if workers > 1:
+            yield from _pooled(batch, spans, take, workers)
+        else:
+            for ids in spans:
+                yield from batch.results(ids, take(ids))
         if next(starts, None) is not None:
             raise ConfigError(_ONE_PER_SEED)
 
-    return results(take(range(min(width, len(seeds)))))
+    return results()
 
 
 def run(

@@ -930,13 +930,9 @@ def run_ensemble_mi(cfg: ExperimentConfig) -> EnsembleMIResult:
 
 
 def format_value(v: float) -> str:
-    """Fixed numeric formatting: 17 significant digits, infinities as inf."""
-    f = float(v)
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    if math.isnan(f):
-        return "nan"
-    return "%.17g" % f
+    """Fixed numeric formatting: 17 significant digits; "%.17g" writes the
+    non-finite floats as inf, -inf and nan."""
+    return "%.17g" % float(v)
 
 
 def plain(x):
@@ -1000,9 +996,10 @@ def _csv_lines(runs: Sequence[tuple]) -> list[str]:
     if any(list(names) != probe_names for _, names, _, _ in runs[1:]):
         raise ValueError("trajectories disagree on probe columns")
     lines = ["round,seed" + "".join("," + name for name in probe_names)]
+    # format_value's format, one string per row
+    row = "%s,%s" + ",%.17g" * len(probe_names)
     for seed, _, rounds, columns in sorted(runs, key=lambda run: run[0]):
-        for r, *cells in zip(rounds, *columns):
-            lines.append(",".join([str(r), str(seed), *map(format_value, cells)]))
+        lines.extend(row % (r, seed, *cells) for r, *cells in zip(rounds, *columns))
     return lines
 
 

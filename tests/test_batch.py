@@ -9,6 +9,8 @@ monitor masses and absence flags), final agents and failure text must agree.
 """
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -189,19 +191,22 @@ FAILING = {
 }
 
 
-def test_failing_seeds_leave_their_chunk_and_the_rest_go_on(small_chunks):
+def _failing():
+    """The round settings, seeds and run inputs of the FAILING sweep."""
     cfg = config_from_mapping(FAILING)
-    seeds = tuple(range(3 * CHUNK))
     spec = _policy("diversity", "every:2", temperature=1, rho=0.95)
     ref = two_tier_reference(K, safe_mass=0.9, safe_fraction=0.5)
-    evo = cfg.evolution
     inputs = dict(
         intervention=[realize_policy(spec, ref)],
         pops=lambda seeds: [build_population(cfg.population, ref, seed) for seed in seeds],
         ref=ref,
         monitors=None,
     )
+    return cfg.evolution, tuple(range(3 * CHUNK)), inputs
 
+
+def test_failing_seeds_leave_their_chunk_and_the_rest_go_on(small_chunks):
+    evo, seeds, inputs = _failing()
     alone = _alone(evo, seeds, **inputs)
     assert _together(evo, seeds, **inputs) == alone
     rounds = {o[2] for o in alone if o[0] == "failed"}
@@ -585,3 +590,165 @@ def test_a_probe_value_is_never_broadcast_across_seeds(small_chunks):
     ]
     assert all(np.array_equal(a, b) for a, b in zip(together, alone))
     assert len({c.tobytes() for c in together}) == len(SEEDS)
+
+
+# --- the pool of worker processes ---------------------------------------------------
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Every run of 2 or more chunks goes to a fork pool, as on a machine of
+    2 usable CPUs; the list gathers (chunks, workers) of each pool made."""
+    monkeypatch.setattr(evolution, "POOL_ELEMENTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    made = []
+    pooled = evolution._pooled
+
+    def counted(batch, spans, take, workers):
+        made.append((len(spans), workers))
+        return pooled(batch, spans, take, workers)
+
+    monkeypatch.setattr(evolution, "_pooled", counted)
+    return made
+
+
+def _kept(result):
+    """_outcome, the returned populations' bytes included."""
+    if isinstance(result, SimulationError):
+        return _outcome(result)
+    pops = (result.final_population, *(result.states or ()))
+    return _outcome(result) + (
+        [(p.weights.tobytes(), [a.mass.tobytes() for a in p.agents]) for p in pops],
+    )
+
+
+def _read_only(result) -> bool:
+    if isinstance(result, SimulationError):
+        return True
+    pops = (result.final_population, *(result.states or ()))
+    arrays = [
+        *result.values.values(), *result.monitor_mass.values(), *result.monitor_absent.values(),
+        *(p.weights for p in pops), *(a.mass for p in pops for a in p.agents),
+    ]
+    return not any(a.flags.writeable for a in arrays)
+
+
+# every update, per-agent and policy case of GRID, each under one selection
+# in turn (each pooled run forks two workers; all of GRID would add about
+# 10 s to the suite), and seed-chunk widths 1, 2 and 4 in turn; for SEEDS and
+# 2 workers, width 4 gives chunks of 3 and 2
+_COVER: dict[tuple, list] = {}
+for _case in GRID:
+    _COVER.setdefault((_case[0], *_case[2:]), []).append(_case)
+POOL_GRID = [(*cases[i % len(cases)], (1, 2, 4)[i % 3]) for i, cases in enumerate(_COVER.values())]
+
+
+@pytest.mark.parametrize("update, selection, per_agent, policy, width", POOL_GRID)
+def test_the_pool_gives_the_bytes_of_the_run_in_process(
+    monkeypatch, pool, update, selection, per_agent, policy, width
+):
+    monkeypatch.setattr(evolution, "BATCH_ELEMENTS", width * M * K)
+    cfg = _config(update, selection, per_agent)
+
+    def results():
+        starts = (pop for pop in _pops(SEEDS))
+        return list(run_batch(
+            starts, cfg, SEEDS, PROBES, _policies(policy), ref=REF, monitors=MONITORS,
+            keep_states=True,
+        ))
+
+    pooled = results()
+    assert pool == [(-(-len(SEEDS) // min(width, 3)), 2)]
+    assert all(_read_only(result) for result in pooled)
+    monkeypatch.setattr(evolution, "POOL_ELEMENTS", 2**62)
+    assert [_kept(r) for r in pooled] == [_kept(r) for r in results()]
+    assert pool == [pool[0]]  # the second run stayed in process
+
+
+def test_failing_seeds_fail_alike_in_the_pool(small_chunks, pool):
+    evo, seeds, inputs = _failing()
+    pooled = _together(evo, seeds, **inputs)
+    assert pool == [(3, 2)]
+    assert pooled == _alone(evo, seeds, **inputs)
+    assert 0 < sum(o[0] == "failed" for o in pooled) < len(seeds)
+
+
+def test_the_pool_leaves_no_process_behind(small_chunks, pool):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(3 * CHUNK))
+    assert len(list(run_batch(_pops(seeds), cfg, seeds))) == len(seeds)
+    assert multiprocessing.active_children() == []
+    results = run_batch(_pops(seeds), cfg, seeds)
+    next(results)
+    assert multiprocessing.active_children()  # the pool's workers
+    results.close()
+    assert multiprocessing.active_children() == []
+
+    def broken(r, pt, agents, ref):
+        return pt.no_such_attribute
+
+    # a worker's exception that is no round error reaches the caller as it
+    # was, caused by the worker's traceback
+    with pytest.raises(AttributeError, match="no_such_attribute") as raised:
+        list(run_batch(_pops(seeds), cfg, seeds, [MetricProbe("broken", broken)], ref=REF))
+    assert "in broken" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+    assert len(pool) == 3
+
+
+def test_a_daemonic_process_runs_in_process(small_chunks, pool):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(3 * CHUNK))
+    reader, writer = multiprocessing.Pipe(duplex=False)
+
+    def child():
+        writer.send(([_outcome(t) for t in run_batch(_pops(seeds), cfg, seeds)], pool))
+
+    daemon = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+    daemon.start()
+    assert reader.poll(60)
+    outcomes, made = reader.recv()
+    daemon.join(10)
+    assert daemon.exitcode == 0
+    assert made == []  # no pool in the daemon
+    assert outcomes == [_outcome(t) for t in run_batch(_pops(seeds), cfg, seeds)]
+    assert pool == [(3, 2)]  # and one here
+
+
+def test_the_pool_reads_populations_at_most_one_chunk_per_worker_ahead(small_chunks, pool):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(8 * CHUNK))
+    built = []
+
+    def pops():
+        for pop in _pops(seeds):
+            built.append(pop)
+            yield pop
+
+    for i, _ in enumerate(run_batch(pops(), cfg, seeds)):
+        # run i is in chunk i // CHUNK, and each of the 2 workers holds one later chunk
+        assert len(built) <= min(len(seeds), (i // CHUNK + 1 + 2) * CHUNK)
+    assert len(built) == len(seeds)
+    assert pool == [(8, 2)]
+
+
+def test_the_pool_raises_a_later_chunks_config_error_after_the_earlier_results(
+    small_chunks, pool
+):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(3 * CHUNK))
+    pops = _pops(seeds)
+    got = []
+    with pytest.raises(ConfigError, match="one population per seed"):
+        for result in run_batch(iter(pops[: 2 * CHUNK]), cfg, seeds):
+            got.append(result)
+    assert len(got) == 2 * CHUNK
+    other = build_population(PopulationSpec(M + 1, "copy"), REF, 0)
+    got = []
+    with pytest.raises(ConfigError, match="one space and size"):
+        for result in run_batch(iter([*pops[:CHUNK], other, *pops[CHUNK + 1 :]]), cfg, seeds):
+            got.append(result)
+    assert len(got) == CHUNK
+    with pytest.raises(ConfigError, match="one population per seed"):
+        list(run_batch(iter(pops + pops[:1]), cfg, seeds))
+    assert multiprocessing.active_children() == []

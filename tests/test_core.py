@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,12 @@ def test_validate_indices_sorted_unique():
         s.validate_indices([10])
     with pytest.raises(ConfigError):
         s.validate_indices([-1])
+
+
+def test_a_prob_vector_read_back_from_a_pickle_stays_read_only():
+    # numpy unpickles arrays writeable
+    p = pickle.loads(pickle.dumps(ProbVector(OutcomeSpace(3), np.array([0.2, 0.3, 0.5]))))
+    assert p.mass.tolist() == [0.2, 0.3, 0.5] and not p.mass.flags.writeable
 
 
 def test_prob_vector_validation():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -165,6 +166,13 @@ def test_degenerate_selection_is_hard_error():
     assert str(err.value.__cause__) == (
         "selection 'indicator' accepts zero total mass; no training distribution exists"
     )
+
+
+def test_a_simulation_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(SimulationError(3, ValueError("x"))))
+    assert type(err) is SimulationError and str(err) == "round 3: x"
+    assert err.round_index == 3
+    assert type(err.__cause__) is ValueError and err.__cause__.args == ("x",)
 
 
 def test_top_mass_selection_tie_break_low_index():

@@ -838,6 +838,19 @@ def test_csv_lines_frozen_example():
     ]
 
 
+def test_csv_cells_of_edge_floats(tmp_path):
+    # each row is one "%.17g" format, which writes format_value's text
+    edges = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308)
+    texts = ("inf", "-inf", "nan", "-0", "4.9406564584124654e-324", "1e+308")
+    assert [format_value(v) for v in edges] == list(texts)
+    traj = _toy_trajectory(7, [(v,) for v in edges], ("a",))
+    expected = ["round,seed,a"] + [f"{r},7,{text}" for r, text in enumerate(texts)]
+    path = tmp_path / "edges.csv"
+    save_trajectories_csv([traj], str(path))
+    assert path.read_text().splitlines() == expected
+    assert csv_lines_from_dicts([trajectory_to_dict(traj)]) == expected
+
+
 def test_csv_lines_reject_mismatched_probes():
     t_a = _toy_trajectory(0, [(0.5,)], ("a",))
     t_b = _toy_trajectory(1, [(0.5,)], ("b",))
