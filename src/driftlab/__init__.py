@@ -28,8 +28,6 @@ from .evolution import (
     Trajectory,
     UpdateRule,
     make_rng,
-    memory_preset,
-    rl_preset,
     roll_memory,
     run,
     run_batch,
@@ -42,10 +40,9 @@ from .harness import (
     build_population,
     build_reference,
     classify_terminal,
-    csv_lines_from_dicts,
     format_value,
     load_experiment_config,
-    load_trajectory_dicts,
+    load_trajectories,
     parse_policies_json,
     realize_policy,
     run_drift_experiment,

@@ -10,12 +10,13 @@ Exit status: 0 on success, 1 when a lemma check fails or a simulation
 aborts, 2 on configuration problems (bad files, bad keys, bad values).
 --seed rebases the sweep to S..S+n-1 while keeping its length.
 compare runs the arms of the --policies file, or the four built-in policies.
+export reads a file that simulate --json wrote and writes its trajectories
+with simulate's own writers: the bytes of simulate's --csv or --json file.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 
@@ -26,11 +27,11 @@ from .harness import (
     ComparisonResult,
     DriftResult,
     EnsembleMIResult,
-    csv_lines_from_dicts,
+    column_median,
     format_value,
     json_text,
     load_experiment_config,
-    load_trajectory_dicts,
+    load_trajectories,
     parse_policies_json,
     plain,
     run_drift_experiment,
@@ -145,10 +146,9 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def _nanmedian(values) -> float:
+    """Median of the values that are not nan; nan when none is."""
     arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0 or np.all(np.isnan(arr)):
-        return math.nan
-    return float(np.nanmedian(arr))
+    return float(column_median(arr[~np.isnan(arr)]))
 
 
 def _print_comparison(result: ComparisonResult, quiet: bool) -> None:
@@ -225,20 +225,16 @@ def cmd_ensemble_mi(args) -> int:
 
 
 def cmd_export(args) -> int:
-    dicts = load_trajectory_dicts(args.trajectory)
-    if args.format == "csv":
-        try:
-            lines = csv_lines_from_dicts(dicts)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json_text({"trajectories": dicts})
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write a stored trajectory file again with simulate's own writers."""
+    trajectories = load_trajectories(args.trajectory)
+    out = args.out or sys.stdout
+    if args.format == "json":
+        save_trajectories_json(trajectories, out)
+        return 0
+    try:
+        save_trajectories_csv(trajectories, out)
+    except ValueError as exc:  # the trajectories disagree on probe columns
+        raise ConfigError(str(exc)) from exc
     return 0
 
 

@@ -31,6 +31,16 @@ UNIFORMITY_TOLERANCE = 1e-9
 CONCENTRATION_SLACK = 1e-9  # float slack when checking pi*(S) >= 1 - epsilon
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of values, sorted: a sort and a neighbour compare,
+    the array np.unique gives, without its hashing or its import of numpy.ma."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Finite outcome space; outcomes are indices 0..size-1."""
@@ -47,7 +57,7 @@ class OutcomeSpace:
         """Return the given outcome indices as a sorted, unique int array."""
         if not isinstance(indices, np.ndarray):
             indices = list(indices)
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        idx = sorted_unique(np.asarray(indices, dtype=np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.size):
             raise ConfigError(
                 f"outcome indices must lie in [0, {self.size}), got range "

@@ -71,7 +71,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
 
-from .core import OutcomeSpace, ProbVector, _wrap, require_same_space
+from .core import OutcomeSpace, ProbVector, _wrap, require_same_space, sorted_unique
 from .errors import (
     ConfigError,
     DegenerateSelectionError,
@@ -182,9 +182,7 @@ class _Columns:
     def __init__(self, reached: np.ndarray | None = None, scratch=None):
         self.index = None
         if reached is not None:
-            # sorted and unique; np.unique hashes integers, several times slower
-            reached = np.sort(reached)
-            self.index = reached[np.concatenate(([True], reached[1:] != reached[:-1]))]
+            self.index = sorted_unique(reached)
             self.zeros, self.lookup = scratch
             self.lookup[self.index] = np.arange(len(self.index))
 
@@ -515,28 +513,6 @@ class UpdateRule:
         return self.kind == "reward-reweighted-mle" and self.reward_source == "mixture-loglik"
 
 
-def rl_preset(beta: float = 1.0, neighborhood_radius: int = 0) -> UpdateRule:
-    """Reward-loop flavor: frequencies tilted by likelihood under the current mixture."""
-    return UpdateRule(
-        "reward-reweighted-mle",
-        beta=beta,
-        reward_source="mixture-loglik",
-        neighborhood_radius=neighborhood_radius,
-    )
-
-
-def memory_preset(
-    capacity: int = 2000, alpha_mem: float = 0.5, neighborhood_radius: int = 0
-) -> UpdateRule:
-    """Experience-retention flavor: blend of buffered history and fresh data."""
-    return UpdateRule(
-        "memory-buffer",
-        capacity=capacity,
-        alpha_mem=alpha_mem,
-        neighborhood_radius=neighborhood_radius,
-    )
-
-
 def roll_memory(
     memory: Sequence[int] | np.ndarray, samples: np.ndarray, capacity: int
 ) -> np.ndarray:
@@ -698,7 +674,9 @@ class Trajectory:
     it; a dataset a verifier emptied keeps what it held before that verifier)
     missed the set's neighborhood entirely; round 0 precedes any dataset and
     reads False. fired and notes are (round, text) events in the order they
-    happened; states, when kept, holds the population after each round.
+    happened; states, when kept, holds the population after each round. A
+    trajectory that load_trajectories read back has final_population and
+    states None.
     """
 
     seed: int
@@ -710,7 +688,7 @@ class Trajectory:
     monitor_absent: dict[str, np.ndarray]
     fired: tuple[tuple[int, str], ...]
     notes: tuple[tuple[int, str], ...]
-    final_population: Population
+    final_population: Population | None
     states: tuple[Population, ...] | None = None
 
     def __setstate__(self, state):

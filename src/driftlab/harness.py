@@ -25,8 +25,9 @@ goes on; each ensemble run starts from its own reference, and one failure
 fails the ensemble.
 
 Trajectories serialize to CSV (header "round,seed,<probes>", 17 significant
-digits, infinities as "inf", seed-major row order) and JSON (full nested
-records); both are byte-stable for a fixed config and seed.
+digits, infinities as "inf", seed-major row order) and JSON (each
+Trajectory's columns, which load_trajectories reads back); both are
+byte-stable for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -591,11 +592,28 @@ def spearman_vs_round(series: Sequence[float]) -> float:
     return max(-1.0, min(1.0, stat))
 
 
+def column_median(table) -> np.ndarray:
+    """Median of each column of table (rows, ...), bit for bit as
+    np.median(table, axis=0) gives it: the mean of the sorted column's middle
+    entry or two, a sum that starts from 0.0 (so -0.0 reads 0.0). A column
+    holding nan, or of no rows, reads nan. A sort, where np.median would
+    import numpy.ma."""
+    ordered = np.sort(np.asarray(table, dtype=np.float64), axis=0)
+    n = len(ordered)
+    if n == 0:
+        return np.full(ordered.shape[1:], math.nan)
+    half = n // 2
+    if n % 2:
+        middle = 0.0 + ordered[half]
+    else:
+        middle = (0.0 + ordered[half - 1] + ordered[half]) / 2
+    # nan sorts last
+    return np.where(np.isnan(ordered[-1]), math.nan, middle)
+
+
 def compute_trend(metric: str, series_by_seed: Mapping[int, Sequence[float]]) -> TrendReport:
     seeds = sorted(series_by_seed)
-    table = np.asarray([series_by_seed[s] for s in seeds], dtype=np.float64)
-    median = np.median(table, axis=0)
-    series = tuple(float(v) for v in median)
+    series = tuple(column_median([series_by_seed[s] for s in seeds]).tolist())
     return TrendReport(
         metric=metric,
         median_series=series,
@@ -777,12 +795,10 @@ def _run_arm(cfg: ExperimentConfig, ref: SafetyReference, name: str, policy) -> 
     trajectories, failures = _sweep(cfg, ref, probes, policy)
     terminal_kl = {seed: float(t.values["kl_safety"][-1]) for seed, t in trajectories.items()}
     terminal_sm = {seed: float(t.values["safe_mass"][-1]) for seed, t in trajectories.items()}
-    kl_values = list(terminal_kl.values())
-    sm_values = list(terminal_sm.values())
     return ArmSummary(
         name=name,
-        median_terminal_kl=float(np.median(kl_values)) if kl_values else math.nan,
-        median_terminal_safe_mass=float(np.median(sm_values)) if sm_values else math.nan,
+        median_terminal_kl=float(column_median(list(terminal_kl.values()))),
+        median_terminal_safe_mass=float(column_median(list(terminal_sm.values()))),
         terminal_kl=terminal_kl,
         terminal_safe_mass=terminal_sm,
         failures=failures,
@@ -955,146 +971,145 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _by_round(events: Iterable[tuple[int, str]], rounds: int) -> list[list[str]]:
-    """The texts of (round, text) events, one list per round 0..rounds."""
-    grouped: list[list[str]] = [[] for _ in range(rounds + 1)]
-    for r, text in events:
-        grouped[r].append(text)
-    return grouped
+# the Trajectory fields that save_trajectories_json stores
+_STORED = (
+    "seed", "probe_names", "rounds", "monitors", "values", "monitor_mass", "monitor_absent",
+    "fired", "notes",
+)
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    """JSON-ready nested form, one record per round; non-finite floats become
-    their string names, and round 0's absence flags, null."""
-    values, masses = plain(traj.values), plain(traj.monitor_mass)
-    absent = {k: [None, *col[1:].tolist()] for k, col in traj.monitor_absent.items()}
-    fired, notes = _by_round(traj.fired, traj.rounds), _by_round(traj.notes, traj.rounds)
-    return {
-        "seed": traj.seed,
-        "probe_names": list(traj.probe_names),
-        "monitors": plain(traj.monitors),
-        "records": [
-            {
-                "round": r,
-                "values": {k: col[r] for k, col in values.items()},
-                "fired": fired[r],
-                "notes": notes[r],
-                "monitor_mass": {k: col[r] for k, col in masses.items()},
-                "monitor_absent": {k: col[r] for k, col in absent.items()},
-            }
-            for r in range(traj.rounds + 1)
-        ],
-    }
+    """JSON-ready columns of traj: plain of every field but final_population
+    and states, so fired and notes become [round, text] pairs."""
+    return {name: plain(getattr(traj, name)) for name in _STORED}
 
 
-def _csv_lines(runs: Sequence[tuple]) -> list[str]:
-    """CSV lines (no trailing newlines) of runs (seed, probe names, round
-    labels, one float column per probe): header, then seed-major round rows."""
-    if not runs:
+def _write_text(out, text: str) -> None:
+    """Write text to out, a path or an open text stream."""
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+def save_trajectories_csv(trajectories: Iterable[Trajectory], out) -> None:
+    """Header "round,seed,<probes>", then seed-major round rows; out is a path
+    or an open text stream."""
+    trajectories = sorted(trajectories, key=lambda t: t.seed)
+    if not trajectories:
         raise ValueError("no trajectories to export")
-    probe_names = list(runs[0][1])
-    if any(list(names) != probe_names for _, names, _, _ in runs[1:]):
+    probe_names = trajectories[0].probe_names
+    if any(t.probe_names != probe_names for t in trajectories[1:]):
         raise ValueError("trajectories disagree on probe columns")
     lines = ["round,seed" + "".join("," + name for name in probe_names)]
     # format_value's format, one string per row
     row = "%s,%s" + ",%.17g" * len(probe_names)
-    for seed, _, rounds, columns in sorted(runs, key=lambda run: run[0]):
-        lines.extend(row % (r, seed, *cells) for r, *cells in zip(rounds, *columns))
-    return lines
+    for t in trajectories:
+        columns = [t.values[name].tolist() for name in probe_names]
+        lines.extend(row % (r, t.seed, *cells) for r, *cells in zip(range(t.rounds + 1), *columns))
+    _write_text(out, "\n".join(lines) + "\n")
 
 
-def _stored_column(td: dict, name: str) -> list[float]:
-    """Probe name's value in every record of a stored trajectory dict."""
-    column = []
-    for rec in td["records"]:
-        try:
-            # float() reads plain's "inf", "-inf" and "nan" back
-            column.append(float(rec["values"][name]))
-        except KeyError:
-            raise ValueError(
-                f"stored trajectory of seed {td['seed']} has no value for probe "
-                f"{name!r} in round {rec['round']}"
-            ) from None
-    return column
+def save_trajectories_json(trajectories: Iterable[Trajectory], out) -> None:
+    """{"trajectories": [...]} of trajectory_to_dict; out is a path or an
+    open text stream."""
+    _write_text(out, json_text({"trajectories": [trajectory_to_dict(t) for t in trajectories]}))
 
 
-def csv_lines_from_dicts(traj_dicts: Sequence[dict]) -> list[str]:
-    """CSV lines of stored trajectory dicts, as save_trajectories_csv writes."""
-    return _csv_lines([
-        (
-            int(td["seed"]),
-            td["probe_names"],
-            [int(rec["round"]) for rec in td["records"]],
-            [_stored_column(td, name) for name in td["probe_names"]],
-        )
-        for td in traj_dicts
-    ])
-
-
-def save_trajectories_csv(trajectories: Iterable[Trajectory], path: str) -> None:
-    lines = _csv_lines([
-        (t.seed, t.probe_names, range(t.rounds + 1), [t.values[n].tolist() for n in t.probe_names])
-        for t in trajectories
-    ])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def save_trajectories_json(trajectories: Iterable[Trajectory], path: str) -> None:
-    text = json_text({"trajectories": [trajectory_to_dict(t) for t in trajectories]})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def load_trajectory_dicts(path: str) -> list[dict]:
-    """Read a stored trajectory JSON (bundle, list, or single trajectory)."""
+def load_trajectories(path: str) -> list[Trajectory]:
+    """The trajectories of a file save_trajectories_json wrote, their columns
+    read-only arrays; a trajectory read back has no final_population or states."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trajectory file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"trajectory file {path!r} is not valid JSON: {exc}") from exc
-    if isinstance(data, dict) and "trajectories" in data:
-        data = data["trajectories"]
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
-        raise ConfigError(f"trajectory file {path!r} has an unrecognized layout")
-    for td in data:
-        if "records" not in td or "seed" not in td or "probe_names" not in td:
-            raise ConfigError(
-                f"trajectory file {path!r} entries need seed, probe_names, records"
-            )
-        problem = _stored_shape_problem(td)
-        if problem:
-            raise ConfigError(f"trajectory file {path!r}: {problem}")
-    return data
+    stored = data.get("trajectories") if isinstance(data, dict) else None
+    if not isinstance(stored, list) or not stored:
+        raise ConfigError(
+            f"trajectory file {path!r} must hold an object whose \"trajectories\" is a "
+            "non-empty list, as simulate --json writes it"
+        )
+    try:
+        return [_stored_trajectory(i, entry) for i, entry in enumerate(stored)]
+    except ValueError as exc:
+        raise ConfigError(f"trajectory file {path!r}: {exc}") from None
 
 
-def _stored_shape_problem(td: dict) -> str | None:
-    """What makes a stored trajectory dict unreadable, or None: seed is an
-    int, probe_names a list of strings, and records a list of objects, each
-    with an int round and an object of values."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def is_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
 
-    names, records = td["probe_names"], td["records"]
-    if not is_int(td["seed"]):
-        return f"seed must be an integer, got {td['seed']!r}"
+# the JSON cells of a float and a bool column, by type or by value: plain
+# writes the non-finite floats as their format_value names
+_CELLS = {float: ((float,), ("inf", "-inf", "nan")), bool: ((bool,), ())}
+
+
+def _stored_trajectory(i: int, entry) -> Trajectory:
+    """The Trajectory of stored entry i; ValueError names what is wrong."""
+    if isinstance(entry, dict) and "records" in entry:
+        raise ValueError(
+            f"trajectory {i} holds per-round records, the layout of driftlab before "
+            "trajectories were stored as columns; write it again with simulate --json"
+        )
+    if not isinstance(entry, dict) or sorted(entry) != sorted(_STORED):
+        raise ValueError(f"trajectory {i} must be an object with keys {', '.join(_STORED)}")
+    seed, names, rounds, monitors = map(entry.get, ("seed", "probe_names", "rounds", "monitors"))
+    if not _is_int(seed):
+        raise ValueError(f"seed of trajectory {i} must be an integer, got {seed!r}")
+    if not _is_int(rounds) or rounds < 0:
+        raise ValueError(f"rounds of seed {seed} must be an integer >= 0, got {rounds!r}")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        return f"probe_names of seed {td['seed']} must be a list of strings, got {names!r}"
-    if not isinstance(records, list):
-        return f"records of seed {td['seed']} must be a list, got {type(records).__name__}"
-    for i, rec in enumerate(records):
+        raise ValueError(f"probe_names of seed {seed} must be a list of strings, got {names!r}")
+    if not isinstance(monitors, dict) or not all(
+        isinstance(m, list) and all(map(_is_int, m)) for m in monitors.values()
+    ):
+        raise ValueError(f"monitors of seed {seed} must map names to lists of outcomes")
+    columns = {
+        key: _stored_columns(entry[key], keys, rounds, kind, f"{key} of seed {seed}")
+        for key, keys, kind in (
+            ("values", names, float), ("monitor_mass", monitors, float),
+            ("monitor_absent", monitors, bool),
+        )
+    }
+    return Trajectory(
+        seed=seed, probe_names=tuple(names), rounds=rounds,
+        monitors={name: tuple(m) for name, m in monitors.items()}, **columns,
+        fired=_stored_events(entry["fired"], rounds, f"fired of seed {seed}"),
+        notes=_stored_events(entry["notes"], rounds, f"notes of seed {seed}"),
+        final_population=None,
+    )
+
+
+def _stored_columns(stored, names, rounds: int, kind: type, label: str) -> dict[str, np.ndarray]:
+    """One read-only column of kind (float or bool) per name, rounds + 1 cells each."""
+    if not isinstance(stored, dict) or sorted(stored) != sorted(names):
+        raise ValueError(f"{label} must hold one column for each of {sorted(names)}")
+    types, texts = _CELLS[kind]
+    columns = {}
+    for name in names:
+        cells = stored[name]
+        if not isinstance(cells, list) or len(cells) != rounds + 1:
+            raise ValueError(f"{label}: column {name!r} must be a list of {rounds + 1} cells")
+        bad = [c for c in cells if type(c) not in types and c not in texts]
+        if bad:
+            raise ValueError(f"{label}: column {name!r} holds {bad[0]!r}, not a {kind.__name__}")
+        columns[name] = np.array(cells, dtype=kind)
+        columns[name].setflags(write=False)
+    return columns
+
+
+def _stored_events(stored, rounds: int, label: str) -> tuple[tuple[int, str], ...]:
+    """(round, text) events from [round, text] pairs, each round in 0..rounds."""
+    if not isinstance(stored, list):
+        raise ValueError(f"{label} must be a list of [round, text] pairs")
+    for event in stored:
         if not (
-            isinstance(rec, dict)
-            and is_int(rec.get("round"))
-            and isinstance(rec.get("values"), dict)
+            isinstance(event, list) and len(event) == 2 and _is_int(event[0])
+            and 0 <= event[0] <= rounds and isinstance(event[1], str)
         ):
-            return (
-                f"record {i} of seed {td['seed']} must be an object with an integer "
-                "round and an object of values"
-            )
-    return None
+            raise ValueError(f"{label}: {event!r} is not a [round, text] pair in 0..{rounds}")
+    return tuple(map(tuple, stored))

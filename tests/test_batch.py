@@ -8,6 +8,7 @@ seed's CSV bytes, full trajectory (probe values, fired policies, notes,
 monitor masses and absence flags), final agents and failure text must agree.
 """
 
+import io
 import json
 import multiprocessing
 import os
@@ -24,8 +25,6 @@ from driftlab.evolution import (
     UpdateRule,
     chunk_size,
     make_rng,
-    memory_preset,
-    rl_preset,
     run,
     run_batch,
 )
@@ -34,9 +33,9 @@ from driftlab.harness import (
     PopulationSpec,
     build_population,
     config_from_mapping,
-    csv_lines_from_dicts,
     realize_policy,
-    trajectory_to_dict,
+    save_trajectories_csv,
+    save_trajectories_json,
 )
 from driftlab.interventions import (
     CoolingPolicy,
@@ -60,8 +59,10 @@ MONITORS = {"rare-safe": (0, 1), "unsafe": tuple(range(6, K)), "most": tuple(ran
 UPDATES = {
     "mle": UpdateRule("mle", neighborhood_radius=1),
     "smoothed-mle": UpdateRule("smoothed-mle", lam=0.5),
-    "memory-buffer": memory_preset(capacity=20, alpha_mem=0.6),
-    "reward-mixture-loglik": rl_preset(beta=0.7),
+    "memory-buffer": UpdateRule("memory-buffer", capacity=20, alpha_mem=0.6),
+    "reward-mixture-loglik": UpdateRule(
+        "reward-reweighted-mle", beta=0.7, reward_source="mixture-loglik"
+    ),
     "reward-fixed": UpdateRule(
         "reward-reweighted-mle", beta=1.5, reward=tuple(np.linspace(0.0, 1.0, K))
     ),
@@ -112,13 +113,15 @@ def small_chunks(monkeypatch):
 
 
 def _outcome(result):
-    """Everything a run shows: CSV bytes, records, final agents or failure."""
+    """Everything a run shows: CSV and JSON text, final agents or failure."""
     if isinstance(result, SimulationError):
         return ("failed", str(result), result.round_index, type(result.__cause__).__name__)
-    d = trajectory_to_dict(result)
+    csv, stored = io.StringIO(), io.StringIO()
+    save_trajectories_csv([result], csv)
+    save_trajectories_json([result], stored)
     return (
-        "\n".join(csv_lines_from_dicts([d])),
-        json.dumps(d, sort_keys=True),
+        csv.getvalue(),
+        stored.getvalue(),
         [a.mass.tobytes() for a in result.final_population.agents],
     )
 
@@ -294,7 +297,7 @@ def _refuse_round_2(r, pt, agents, ref):
 
 def test_a_raising_probe_fails_only_its_seed():
     # a probe that raises for some seeds in round 2 fails those seeds there,
-    # as each seed alone; the others keep all five records
+    # as each seed alone; the others keep all five rounds
     ref = two_tier_reference(10, safe_mass=0.9, safe_fraction=0.5)
     pop = build_population(PopulationSpec(2, "copy"), ref, 0)
     cfg = EvolutionConfig(sample_size=20, rounds=4)
@@ -311,8 +314,8 @@ def test_a_raising_probe_fails_only_its_seed():
     failed = [o for o in together if o[0] == "failed"]
     assert 0 < len(failed) < len(seeds)
     assert all(o[2] == 2 and o[3] == "ValueError" for o in failed)
-    kept = [json.loads(o[1])["records"] for o in together if o[0] != "failed"]
-    assert all(len(records) == 5 for records in kept)
+    kept = [json.loads(o[1])["trajectories"][0] for o in together if o[0] != "failed"]
+    assert all(len(td["values"]["refuse"]) == 5 for td in kept)
 
 
 def test_a_raising_verifier_fails_only_its_seed():

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from driftlab.cli import main
-from driftlab.harness import load_trajectory_dicts
 
 
 TINY = """\
@@ -163,7 +162,7 @@ def test_export_json_round_trip(tmp_path, tiny_cfg):
     assert main(["simulate", tiny_cfg, "--json", str(json_path), "--quiet"]) == 0
     round_trip = tmp_path / "r.json"
     assert main(["export", str(json_path), "--format", "json", "--out", str(round_trip)]) == 0
-    assert load_trajectory_dicts(str(round_trip)) == load_trajectory_dicts(str(json_path))
+    assert round_trip.read_bytes() == json_path.read_bytes()
 
 
 def test_export_csv_to_stdout(tmp_path, tiny_cfg, capsys):
@@ -188,27 +187,81 @@ def test_export_csv_to_stdout(tmp_path, tiny_cfg, capsys):
     assert capsys.readouterr().out == csv_path.read_text()
 
 
+STORED = {
+    "seed": 0, "probe_names": ["a"], "rounds": 1, "values": {"a": [0.5, "inf"]},
+    "monitors": {"m": [0]}, "monitor_mass": {"m": [1.0, 0.5]},
+    "monitor_absent": {"m": [False, True]}, "fired": [[1, "verifier"]], "notes": [],
+}
+
+
 @pytest.mark.parametrize(
     "entry,problem",
     [
-        (
-            {"records": [{"round": 0, "values": {}}]},
-            "seed 0 has no value for probe 'a' in round 0",
-        ),
-        ({"records": [{"values": {"a": 0.5}}]}, "record 0 of seed 0 must be an object"),
-        ({"records": 5}, "records of seed 0 must be a list"),
+        ({"seed": "0"}, "seed of trajectory 0 must be an integer, got '0'"),
+        ({"seed": True}, "seed of trajectory 0 must be an integer"),
+        ({"rounds": 1.0}, "rounds of seed 0 must be an integer >= 0, got 1.0"),
+        ({"rounds": -1}, "rounds of seed 0 must be an integer >= 0"),
         ({"probe_names": "ab"}, "probe_names of seed 0 must be a list of strings"),
-        ({"seed": "0"}, "seed must be an integer"),
+        ({"values": {}}, "values of seed 0 must hold one column for each of ['a']"),
+        ({"values": {"a": [0.5]}}, "values of seed 0: column 'a' must be a list of 2 cells"),
+        ({"values": {"a": [0.5, "x"]}}, "values of seed 0: column 'a' holds 'x', not a float"),
+        ({"values": {"a": [0.5, None]}}, "column 'a' holds None, not a float"),
+        ({"values": {"a": [0.5, True]}}, "column 'a' holds True, not a float"),
+        ({"values": {"a": [0.5, 10**400]}}, "column 'a' holds 1000000"),
+        ({"monitors": {"m": ["0"]}}, "monitors of seed 0 must map names to lists of outcomes"),
+        ({"monitor_mass": {"m": [1.0]}}, "monitor_mass of seed 0: column 'm' must be a list"),
+        ({"monitor_absent": {"m": [0, 1]}}, "monitor_absent of seed 0: column 'm' holds 0"),
+        ({"fired": [[2, "verifier"]]}, "fired of seed 0: [2, 'verifier'] is not a [round, text]"),
+        ({"notes": [[-1, "x"]]}, "notes of seed 0: [-1, 'x'] is not a [round, text] pair in 0..1"),
+        ({"notes": [["1", "x"]]}, "notes of seed 0: ['1', 'x'] is not a [round, text] pair"),
+        ({"fired": {"1": "verifier"}}, "fired of seed 0 must be a list of [round, text] pairs"),
+        ({"extra": 1}, "trajectory 0 must be an object with keys seed, probe_names, rounds,"),
+        (
+            {"records": [{"round": 0, "values": {"a": 0.5}}]},
+            "trajectory 0 holds per-round records, the layout of driftlab before",
+        ),
     ],
 )
 def test_export_csv_of_a_malformed_trajectory_exits_2(tmp_path, capsys, entry, problem):
     stored = tmp_path / "t.json"
-    td = {"seed": 0, "probe_names": ["a"], "records": [{"round": 0, "values": {"a": 0.5}}]}
-    stored.write_text(json.dumps({"trajectories": [{**td, **entry}]}))
+    stored.write_text(json.dumps({"trajectories": [{**STORED, **entry}]}))
     assert main(["export", str(stored), "--format", "csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert problem in err
+
+
+def test_export_of_a_well_formed_trajectory_file(tmp_path, capsys):
+    # the file the malformed cases above start from is itself read
+    stored = tmp_path / "t.json"
+    stored.write_text(json.dumps({"trajectories": [STORED]}))
+    assert main(["export", str(stored), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "round,seed,a\n0,0,0.5\n1,0,inf\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # the per-round layout that simulate --json wrote before columns
+        {"trajectories": [{"seed": 0, "probe_names": ["a"], "monitors": {},
+                           "records": [{"round": 0, "values": {"a": 0.5}, "fired": [],
+                                        "notes": [], "monitor_mass": {},
+                                        "monitor_absent": {}}]}]},
+        [STORED],
+        STORED,
+    ],
+    ids=["per-round-records", "bare-list", "single-object"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_of_a_layout_driftlab_does_not_write_exits_2(tmp_path, capsys, payload, fmt):
+    stored = tmp_path / "t.json"
+    stored.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["export", str(stored), "--format", fmt, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "per-round records" in err or '"trajectories" is a non-empty list' in err
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(capsys):
@@ -425,6 +478,27 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_simulate_and_compare_leave_numpy_ma_unimported(tmp_path, tiny_cfg):
+    # np.unique and np.median import numpy.ma on first use, mid-run; the
+    # package sorts instead
+    code = (
+        "import sys\n"
+        "from driftlab.cli import main\n"
+        "assert main(['simulate', sys.argv[1], '--quiet']) == 0\n"
+        "assert main(['compare', sys.argv[1], '--quiet']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, tiny_cfg],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,7 @@ from driftlab.core import (
     make_prob_vector,
     mass_of_set,
     require_same_space,
+    sorted_unique,
     two_tier_reference,
     zipf_reference,
 )
@@ -36,6 +37,19 @@ def test_validate_indices_sorted_unique():
         s.validate_indices([10])
     with pytest.raises(ConfigError):
         s.validate_indices([-1])
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 1000, 50_000])
+def test_sorted_unique_is_np_unique(size):
+    rng = np.random.default_rng(size)
+    for high in (1, 3, 2 * size + 1):
+        values = rng.integers(-high, high, size=size)
+        want = np.unique(values)
+        got = sorted_unique(values)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    # a table is read flat, as np.unique reads it
+    table = np.array([[5, 1, 5], [0, 1, 9]])
+    assert sorted_unique(table).tolist() == np.unique(table).tolist() == [0, 1, 5, 9]
 
 
 def test_a_prob_vector_read_back_from_a_pickle_stays_read_only():

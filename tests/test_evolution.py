@@ -17,10 +17,8 @@ from driftlab.evolution import (
     UpdateRule,
     apply_selection,
     make_rng,
-    memory_preset,
     mixture,
     neighborhood,
-    rl_preset,
     roll_memory,
     run,
     sample_dataset,
@@ -356,7 +354,7 @@ def test_smoothed_mle_frozen():
 
 
 def test_memory_buffer_frozen():
-    rule = memory_preset(capacity=4, alpha_mem=0.5)
+    rule = UpdateRule("memory-buffer", capacity=4, alpha_mem=0.5)
     data = _data(1, 1)
     mass, _ = _fitted(rule, data, 2, memory=roll_memory((0, 0), data, 4))
     # buffer (0,0,1,1) gives (0.5, 0.5); fresh data gives (0, 1); blend halves
@@ -378,20 +376,22 @@ def test_reward_reweighted_update_fixed():
 
 
 def test_reward_reweighted_update_mixture_loglik():
-    mass, _ = _fitted(rl_preset(beta=1.0), _data(0, 1), 2, pbar=pv(0.8, 0.2).mass)
+    rule = UpdateRule("reward-reweighted-mle", beta=1.0, reward_source="mixture-loglik")
+    mass, _ = _fitted(rule, _data(0, 1), 2, pbar=pv(0.8, 0.2).mass)
     # tilt = pbar ** 1: counts (1,1) * (0.8, 0.2) -> (0.8, 0.2)
     np.testing.assert_allclose(mass, [0.8, 0.2], atol=1e-15)
 
 
 def test_reward_tilt_total_annihilation_is_error():
     # all sampled outcomes carry zero mixture mass, tilt kills everything
-    _, wiped = _fitted(rl_preset(beta=1.0), _data(0, 0), 2, pbar=pv(0.0, 1.0).mass)
+    rule = UpdateRule("reward-reweighted-mle", beta=1.0, reward_source="mixture-loglik")
+    _, wiped = _fitted(rule, _data(0, 0), 2, pbar=pv(0.0, 1.0).mass)
     assert wiped
     # through the round: the indicator selection puts pt on outcome 0, whose
     # mixture mass 1e-200 tilts to 1e-200 ** 2 == 0.0
     cfg = EvolutionConfig(
         sample_size=5, rounds=2, selection=SelectionRule("indicator", indices=(0,)),
-        update=rl_preset(beta=2.0),
+        update=UpdateRule("reward-reweighted-mle", beta=2.0, reward_source="mixture-loglik"),
     )
     with pytest.raises(SimulationError) as err:
         run(Population.equal_weights([pv(1e-200, 1.0)]), cfg)
@@ -491,7 +491,7 @@ def test_the_seed_is_given_to_run_not_to_the_config():
 def test_per_agent_datasets_rejects_memory_rule():
     with pytest.raises(ConfigError):
         EvolutionConfig(
-            sample_size=10, rounds=1, update=memory_preset(capacity=10),
+            sample_size=10, rounds=1, update=UpdateRule("memory-buffer", capacity=10),
             per_agent_datasets=True,
         )
 
@@ -507,9 +507,9 @@ def test_run_record_structure():
     columns = [*traj.values.values(), traj.monitor_mass["tail"], traj.monitor_absent["tail"]]
     assert all(column.shape == (8,) for column in columns)
     assert traj.values["kl_safety"][0] == 0.0
-    # round 0 precedes any dataset: False in the column, null when exported
+    # round 0 precedes any dataset: False in the column and when exported
     assert traj.monitor_absent["tail"].dtype == bool and not traj.monitor_absent["tail"][0]
-    assert trajectory_to_dict(traj)["records"][0]["monitor_absent"] == {"tail": None}
+    assert trajectory_to_dict(traj)["monitor_absent"]["tail"][0] is False
     assert traj.probe_names == ("kl_safety", "safe_mass")
 
 
@@ -565,8 +565,11 @@ def test_rule_fields_the_kind_does_not_read_are_refused():
     for rule in (
         UpdateRule("mle", neighborhood_radius=2),
         UpdateRule("smoothed-mle", lam=1.0, neighborhood_radius=2),
-        memory_preset(neighborhood_radius=2),
-        rl_preset(neighborhood_radius=2),
+        UpdateRule("memory-buffer", capacity=2000, neighborhood_radius=2),
+        UpdateRule(
+            "reward-reweighted-mle", beta=1.0, reward_source="mixture-loglik",
+            neighborhood_radius=2,
+        ),
     ):
         assert rule.neighborhood_radius == 2
 
@@ -619,8 +622,12 @@ def test_per_agent_run_differs_from_shared_run():
         (UpdateRule("smoothed-mle", lam=0.5), False, SelectionRule("identity")),
         (UpdateRule("mle"), True, SelectionRule("identity")),
         (UpdateRule("smoothed-mle", lam=0.5), True, SelectionRule("identity")),
-        (memory_preset(capacity=60), False, SelectionRule("identity")),
-        (rl_preset(beta=1.5), False, SelectionRule("identity")),
+        (UpdateRule("memory-buffer", capacity=60), False, SelectionRule("identity")),
+        (
+            UpdateRule("reward-reweighted-mle", beta=1.5, reward_source="mixture-loglik"),
+            False,
+            SelectionRule("identity"),
+        ),
         (UpdateRule("mle"), False, SelectionRule("top-mass", k=20)),
         (UpdateRule("mle"), True, SelectionRule("top-mass", k=20)),
     ],

@@ -6,13 +6,16 @@ operator was folded into a single kernel, so they pin the arithmetic and the
 random stream of every update kind, every selection kind and the policy hook
 points. A change that moves any of them has to say why.
 
-The JSON goldens below were recorded before the round became seed-batched.
-They hash the full trajectory export (probe values, fired policies, notes,
-monitor masses and absence flags) for what the CSV cases leave out:
+The JSON goldens below hash the full trajectory export (probe values, fired
+policies, notes, monitor masses and absence flags) for what the CSV cases
+leave out:
 per-agent datasets, population sizes whose equal weights are not exact
 binary fractions, ragged verifier datasets, verifier annihilation, partial
 cooling rollback, `kl:` schedules, memory pruning under a prune floor, a
 comparison in which some seeds fail mid-run, and an ensemble-MI series.
+Their values were recorded before the round became seed-batched; the
+trajectory digests were recorded again, every value, event, monitor mass and
+absence flag equal, when stored trajectories became the Trajectory's columns.
 
 The batch goldens were recorded before the policy hooks moved onto the
 chunk's row arrays. Each runs BATCH_SEEDS together in one chunk, and in each
@@ -36,8 +39,6 @@ from driftlab.evolution import (
     EvolutionConfig,
     SelectionRule,
     UpdateRule,
-    memory_preset,
-    rl_preset,
     run,
     run_batch,
 )
@@ -47,6 +48,7 @@ from driftlab.harness import (
     build_population,
     config_from_mapping,
     default_policy_specs,
+    load_trajectories,
     plain,
     realize_policy,
     run_drift_experiment,
@@ -66,8 +68,10 @@ SEEDS = (0, 1)
 UPDATES = {
     "mle": UpdateRule("mle"),
     "smoothed-mle": UpdateRule("smoothed-mle", lam=0.5),
-    "memory-buffer": memory_preset(capacity=50, alpha_mem=0.5),
-    "reward-mixture-loglik": rl_preset(beta=0.5),
+    "memory-buffer": UpdateRule("memory-buffer", capacity=50, alpha_mem=0.5),
+    "reward-mixture-loglik": UpdateRule(
+        "reward-reweighted-mle", beta=0.5, reward_source="mixture-loglik"
+    ),
     "reward-fixed": UpdateRule(
         "reward-reweighted-mle",
         beta=1.0,
@@ -149,8 +153,8 @@ def _policy(kind, schedule="every:1", **params):
     return PolicySpec(kind, kind, tuple((k, str(v)) for k, v in params.items()), schedule)
 
 
-def _json_digest(tmp_path, update=UpdateRule("mle"), selection=SelectionRule("identity"),
-                 specs=(), size=3, per_agent=False, sample_size=60):
+def _json_trajectories(update=UpdateRule("mle"), selection=SelectionRule("identity"),
+                       specs=(), size=3, per_agent=False, sample_size=60):
     trajs = []
     for seed in JSON_SEEDS:
         pop0 = build_population(PopulationSpec(size, "perturbed", sigma=0.3), REF, seed)
@@ -160,9 +164,17 @@ def _json_digest(tmp_path, update=UpdateRule("mle"), selection=SelectionRule("id
         )
         policies = [realize_policy(spec, REF) for spec in specs] or None
         trajs.append(run(pop0, cfg, PROBES, policies, ref=REF, monitors=MONITORS, seed=seed))
+    return trajs
+
+
+def _stored_digest(tmp_path, trajs):
     path = tmp_path / "trajectories.json"
     save_trajectories_json(trajs, str(path))
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _json_digest(tmp_path, **case):
+    return _stored_digest(tmp_path, _json_trajectories(**case))
 
 
 def _mapping_digest(payload):
@@ -246,7 +258,7 @@ JSON_CASES = {
         ),
     ),
     "memory-buffer-prune-floor": dict(
-        update=memory_preset(capacity=40, alpha_mem=0.7),
+        update=UpdateRule("memory-buffer", capacity=40, alpha_mem=0.7),
         specs=(
             _policy("verifier", fp=0.0, fn_rate=0.5),
             _policy("entropy-release", "every:2", gamma=0.1, prune_floor=0.02,
@@ -256,19 +268,19 @@ JSON_CASES = {
 }
 
 JSON_GOLDEN = {
-    "cooling-partial-rollback": "109e7541fb4c0988c35a4d720709740df73e2f273e4b655e87b84a8d805183dc",
-    "kl-schedules": "b7dd6fd83046a2801276caec2c880454dbce35ffc59f6e5e87fb116fcb767147",
-    "memory-buffer-prune-floor": "a9ceafcc74a6e216f28dcc94e1c4879d63d94262c541f34e0ddd8d3156d7751a",
-    "per-agent-mle": "b994d44511bbd1bfb24f9a2e5e2bb3568f5b0a1637410e12efa141ef37ebfe19",
-    "per-agent-reward-fixed-top-mass": "af142eef2f0f7ba3145f0c5494c8adb2d88716425e694ddeb49555dada44dcc0",
-    "per-agent-reward-mixture-loglik": "ddf239eac24ebf84c178c36b364984b0be359a415e9cb70f3d2e3ab1123fd0db",
-    "per-agent-smoothed-mle": "bb6c9d77edff5002c20aaa1266648c06b3af68463106094b2f4581aa7236287e",
-    "population-6": "8a0a24775fd9e25956d29124c3f2e83bb3f98410d336502c5e2aba857373c5eb",
-    "population-7-per-agent-reward-selection": "8b01724b0eab84a7fd696a6be6a16ac574a3ed0a055f543ac96c77be6baf9e9e",
-    "verifier-annihilation": "663dd55d3cc36000184f104e7064456f90e39815d0ed0c5afce36203d027553b",
-    "verifier-annihilation-per-agent": "c689f05827370abbabfa34526c7750ec8633440322b5dab0657a854ffd1ce570",
-    "verifier-ragged": "8b3f8679f1e892bbff86c809b2fa3103296c0e911d900d62e495420b22381f8f",
-    "verifier-ragged-per-agent": "d929b72fd4f5a246e9d85439b34b90ec5e353cfa1d150610ea2472ad7253f375",
+    "cooling-partial-rollback": "586583b787e2b4d70874741104fa9c43bfe8521e6bc9d3363c5781205fea1fe7",
+    "kl-schedules": "7f2dd2cbbfadcaafd33328c60843209ca96e0c5aed80c9c43ced2d782ac2846e",
+    "memory-buffer-prune-floor": "e54cc642f85cece240577e5c21f605ce02e854bed7faaa5684cc69c68845e894",
+    "per-agent-mle": "365b7da607795141e60d315788ad4fde62878af9a98ef8965e63e0129a80b4ef",
+    "per-agent-reward-fixed-top-mass": "a1da182c6f064d232523e16ed3696ac58e31550d4f929a92d86a91ed8aa36b4a",
+    "per-agent-reward-mixture-loglik": "d10ee60abf5ba4347173e7e49050670ecf7ba1149c205e3d48c96bbd521b0544",
+    "per-agent-smoothed-mle": "782a379b9c10dac152ea771e42530aa12a648a685740eeb58e5075d0def7cebe",
+    "population-6": "10a4d37f8e460cf6a0b4e7f7d1d6639f44d849443b0fe82903788201eb9cb770",
+    "population-7-per-agent-reward-selection": "0fa3585c1f7a08e15863e595ff7b353a4d12484d41d71b139f7034acde84d2b5",
+    "verifier-annihilation": "28aed7b8d47164b28235af112ca62c35447171635f07788c25149219d40a0549",
+    "verifier-annihilation-per-agent": "2227dd645aa14e1abf9e82c6abb3ecd1030163def22d5a4aebfca0b7d05a3f2a",
+    "verifier-ragged": "d0b5be2de302c1f96b1d7f42a159c43a11790da8866f829972b1f16c5dccdd05",
+    "verifier-ragged-per-agent": "546f56ab250c7f40ec518d940d60930ebea23749d7974526f65ce39baae7d688",
     "comparison-failing-seeds": "8002e2f9a50f80b7a0b2f6330b930d9d3facbf79e3da6a5345ca91debd574ae4",
     "ensemble-mi": "094bec074f7f90bf6ff5ef0a1a7277f15d14bcf35e8712dcd13d33db92881d52",
 }
@@ -291,7 +303,7 @@ def _kl_split(trajs, kind):
     return any(len({r in f for f in fired_rounds}) == 2 for r in range(1, trajs[0].rounds + 1))
 
 
-def _batch_digest(tmp_path, policies, split_kind, update=UPDATES["mle"], per_agent=False):
+def _batch_trajectories(policies, split_kind, update=UPDATES["mle"], per_agent=False):
     pops = [
         build_population(PopulationSpec(3, "perturbed", sigma=0.3), REF, seed)
         for seed in BATCH_SEEDS
@@ -304,9 +316,11 @@ def _batch_digest(tmp_path, policies, split_kind, update=UPDATES["mle"], per_age
         run_batch(pops, cfg, BATCH_SEEDS, PROBES, intervention, ref=REF, monitors=MONITORS)
     )
     assert _kl_split(trajs, split_kind)
-    path = tmp_path / "trajectories.json"
-    save_trajectories_json(trajs, str(path))
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return trajs
+
+
+def _batch_digest(tmp_path, **case):
+    return _stored_digest(tmp_path, _batch_trajectories(**case))
 
 
 def _kl(threshold):
@@ -366,10 +380,10 @@ BATCH_CASES = {
 }
 
 BATCH_GOLDEN = {
-    "batch-cooling-explicit-checkpoint": "5d93f78783e5ac812b979841982b07b7481aefd110fd1b5d7194271ea1baf08a",
-    "batch-cooling-partial": "aef585a4264ad1595661bf724b3ca9dee7c7a63acf0121317702e8970a04ac7e",
-    "batch-initial-anchor-prune-floor": "fd88382315eee8d58e5b83ebf1431b51241ef9af5901dde172b34b7da4f0bf6d",
-    "batch-probvector-anchor": "715c722204cf2dabd150b4d3c2a58dded13a79946c5ce1627d72e0e1c5eea4cc",
+    "batch-cooling-explicit-checkpoint": "2b572cf890970dd383333e7cf3f1707a0d934afce0969a059548ceb2ecb3fea6",
+    "batch-cooling-partial": "114d9585da2d086b4f7aeef4b1436a69dc2eb2fde4623217f6297c8b0fc6c9bf",
+    "batch-initial-anchor-prune-floor": "123b74c2ff84d8c07dd76b8770cd72286ea5a03b0edb6357334dcf3ab2417883",
+    "batch-probvector-anchor": "4a53186eeaf90269c8540768443b34343bdc91c9fa9df238d6414399f6de8ffe",
 }
 
 
@@ -390,6 +404,33 @@ def test_trajectory_json_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_batch_json_matches_golden(name, tmp_path):
     assert _batch_digest(tmp_path, **BATCH_CASES[name]) == BATCH_GOLDEN[name]
+
+
+def _bits(traj):
+    """Every column of traj, floats as float.hex, and its events."""
+
+    def hexed(columns):
+        return {name: [float(v).hex() for v in column] for name, column in columns.items()}
+
+    return (
+        traj.seed, traj.probe_names, traj.rounds, hexed(traj.values), traj.monitors,
+        hexed(traj.monitor_mass), {k: c.tolist() for k, c in traj.monitor_absent.items()},
+        traj.fired, traj.notes,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES) + sorted(BATCH_CASES))
+def test_stored_trajectories_read_back_bit_for_bit(name, tmp_path):
+    if name in JSON_CASES:
+        trajs = _json_trajectories(**JSON_CASES[name])
+    else:
+        trajs = _batch_trajectories(**BATCH_CASES[name])
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_trajectories_json(trajs, str(first))
+    loaded = load_trajectories(str(first))
+    save_trajectories_json(loaded, str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert [_bits(t) for t in loaded] == [_bits(t) for t in trajs]
 
 
 def test_comparison_with_failing_seeds_matches_golden():

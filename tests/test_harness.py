@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,14 +39,14 @@ from driftlab.harness import (
     build_population,
     build_reference,
     classify_terminal,
+    column_median,
     compute_trend,
     config_from_mapping,
-    csv_lines_from_dicts,
     default_policy_specs,
     format_value,
     load_config_file,
     load_experiment_config,
-    load_trajectory_dicts,
+    load_trajectories,
     monitored_rare_set,
     paired_difference,
     parse_config_text,
@@ -581,6 +583,40 @@ def test_compute_trend_uses_seed_medians():
     assert trend.rank_correlation == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 20, 21])
+@pytest.mark.parametrize("columns", [1, 3, 7, 12])
+def test_column_median_is_np_median_bit_for_bit(rows, columns):
+    rng = np.random.default_rng(rows * 100 + columns)
+    specials = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e308])
+    for _ in range(40):
+        table = rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-300, 300)
+        hit = rng.random(table.shape) < rng.choice([0.0, 0.2, 0.6])
+        table[hit] = rng.choice(specials, size=int(hit.sum()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.median(table, axis=0)
+            got = column_median(table)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        for column in table.T:
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert float(column_median(column)).hex() == float(np.median(column)).hex()
+
+
+def test_column_median_of_no_rows_reads_nan():
+    assert math.isnan(float(column_median([])))
+    assert np.isnan(column_median(np.empty((0, 3)))).all()
+
+
+@pytest.mark.parametrize(
+    "values", [[], [math.nan], [math.nan, 1.0], [2.0, math.nan, -math.inf, 1.0], [3.0, 1.0]]
+)
+def test_nanmedian_is_np_nanmedian(values):
+    from driftlab.cli import _nanmedian
+
+    arr = np.asarray(values, dtype=np.float64)
+    want = np.nanmedian(arr) if (~np.isnan(arr)).any() else math.nan
+    assert float(_nanmedian(values)).hex() == float(want).hex()
+
+
 def test_paired_difference_infinity_rules():
     assert math.isnan(paired_difference(math.inf, math.inf))
     assert math.isnan(paired_difference(-math.inf, -math.inf))
@@ -817,19 +853,24 @@ def test_format_value_round_trips_doubles():
         assert float(format_value(x)) == x
 
 
+def _csv_text(trajectories):
+    out = io.StringIO()
+    save_trajectories_csv(trajectories, out)
+    return out.getvalue()
+
+
 def test_trajectory_to_dict_encodes_nonfinite():
     traj = _toy_trajectory(3, [(0.5, math.inf)], ("a", "b"))
     td = trajectory_to_dict(traj)
-    assert td["seed"] == 3
-    assert td["records"][0]["values"] == {"a": 0.5, "b": "inf"}
+    assert td["seed"] == 3 and td["rounds"] == 0
+    assert td["values"] == {"a": [0.5], "b": ["inf"]}
     json.dumps(td, allow_nan=False)  # must already be JSON-safe
 
 
 def test_csv_lines_frozen_example():
     t_one = _toy_trajectory(1, [(0.5, 1.0), (0.25, math.inf)], ("a", "b"))
     t_zero = _toy_trajectory(0, [(1.0 / 3.0, 2.0), (0.125, 0.0)], ("a", "b"))
-    lines = csv_lines_from_dicts([trajectory_to_dict(t) for t in (t_one, t_zero)])
-    assert lines == [
+    assert _csv_text([t_one, t_zero]).splitlines() == [
         "round,seed,a,b",
         "0,0,0.33333333333333331,2",
         "1,0,0.125,0",
@@ -848,16 +889,18 @@ def test_csv_cells_of_edge_floats(tmp_path):
     path = tmp_path / "edges.csv"
     save_trajectories_csv([traj], str(path))
     assert path.read_text().splitlines() == expected
-    assert csv_lines_from_dicts([trajectory_to_dict(traj)]) == expected
+    stored = tmp_path / "edges.json"
+    save_trajectories_json([traj], str(stored))
+    assert _csv_text(load_trajectories(str(stored))).splitlines() == expected
 
 
 def test_csv_lines_reject_mismatched_probes():
     t_a = _toy_trajectory(0, [(0.5,)], ("a",))
     t_b = _toy_trajectory(1, [(0.5,)], ("b",))
     with pytest.raises(ValueError, match="disagree on probe columns"):
-        csv_lines_from_dicts([trajectory_to_dict(t_a), trajectory_to_dict(t_b)])
+        _csv_text([t_a, t_b])
     with pytest.raises(ValueError, match="no trajectories"):
-        csv_lines_from_dicts([])
+        _csv_text([])
 
 
 def test_json_round_trip_and_csv_stability(tmp_path):
@@ -865,25 +908,55 @@ def test_json_round_trip_and_csv_stability(tmp_path):
     trajs = [result.trajectories[s] for s in sorted(result.trajectories)]
     json_path = tmp_path / "t.json"
     save_trajectories_json(trajs, str(json_path))
-    assert load_trajectory_dicts(str(json_path)) == [trajectory_to_dict(t) for t in trajs]
+    loaded = load_trajectories(str(json_path))
+    assert [trajectory_to_dict(t) for t in loaded] == [trajectory_to_dict(t) for t in trajs]
     csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
     save_trajectories_csv(trajs, str(csv_a))
-    save_trajectories_csv(trajs, str(csv_b))
+    save_trajectories_csv(loaded, str(csv_b))
     assert csv_a.read_bytes() == csv_b.read_bytes()
 
 
-def test_load_trajectory_dicts_layouts(tmp_path):
+def test_load_trajectories_reads_the_columns_back(tmp_path):
+    traj = replace(
+        _toy_trajectory(4, [(0.5, -math.inf), (math.nan, 0.25)], ("a", "b")),
+        monitors={"tail": (0, 1)},
+        monitor_mass={"tail": np.array([1.0, 0.5])},
+        monitor_absent={"tail": np.array([False, True])},
+        fired=((1, "verifier"), (1, "cooling")),
+        notes=((0, "start"),),
+    )
+    path = tmp_path / "t.json"
+    save_trajectories_json([traj], str(path))
+    (back,) = load_trajectories(str(path))
+    assert (back.seed, back.probe_names, back.rounds) == (4, ("a", "b"), 1)
+    assert [float(v).hex() for v in back.values["b"]] == ["-inf", "0x1.0000000000000p-2"]
+    assert math.isnan(back.values["a"][1])
+    assert back.monitors == {"tail": (0, 1)}
+    assert back.monitor_mass["tail"].tolist() == [1.0, 0.5]
+    assert back.monitor_absent["tail"].dtype == bool
+    assert back.monitor_absent["tail"].tolist() == [False, True]
+    assert back.fired == ((1, "verifier"), (1, "cooling")) and back.notes == ((0, "start"),)
+    assert back.final_population is None and back.states is None
+    columns = [*back.values.values(), *back.monitor_mass.values(), *back.monitor_absent.values()]
+    assert not any(column.flags.writeable for column in columns)
+
+
+def test_load_trajectories_layouts(tmp_path):
     td = trajectory_to_dict(_toy_trajectory(0, [(0.5,)], ("a",)))
-    for payload in ({"trajectories": [td]}, [td], td):
-        path = tmp_path / "x.json"
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"trajectories": [td]}))
+    assert [trajectory_to_dict(t) for t in load_trajectories(str(path))] == [td]
+    # one layout: a bare list, a single object or an empty bundle is refused
+    for payload in ([td], td, {"trajectories": []}, [1, 2]):
         path.write_text(json.dumps(payload))
-        assert load_trajectory_dicts(str(path)) == [td]
-    bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2]")
-    with pytest.raises(ConfigError, match="unrecognized layout"):
-        load_trajectory_dicts(str(bad))
-    bad.write_text(json.dumps([{"seed": 0}]))
-    with pytest.raises(ConfigError, match="need seed, probe_names, records"):
-        load_trajectory_dicts(str(bad))
+        with pytest.raises(ConfigError, match='"trajectories" is a non-empty list'):
+            load_trajectories(str(path))
+    path.write_text(json.dumps({"trajectories": [{"seed": 0}]}))
+    with pytest.raises(ConfigError, match="trajectory 0 must be an object with keys seed,"):
+        load_trajectories(str(path))
     with pytest.raises(ConfigError, match="cannot read"):
-        load_trajectory_dicts(str(tmp_path / "absent.json"))
+        load_trajectories(str(tmp_path / "absent.json"))
+    for text in ("{", '{"trajectories": [' + "9" * 5000 + "]}"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="is not valid JSON"):
+            load_trajectories(str(path))

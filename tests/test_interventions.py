@@ -11,7 +11,6 @@ from driftlab.evolution import (
     SelectionRule,
     UpdateRule,
     make_rng,
-    memory_preset,
     run,
     run_batch,
 )
@@ -437,7 +436,7 @@ def test_run_release_prune_failure_becomes_simulation_error():
 def test_run_memory_prune_emits_note():
     pop0 = Population.equal_weights([REF2.pi_star])
     cfg = EvolutionConfig(
-        sample_size=50, rounds=5, update=memory_preset(capacity=200, alpha_mem=0.5)
+        sample_size=50, rounds=5, update=UpdateRule("memory-buffer", capacity=200, alpha_mem=0.5)
     )
     policy = EntropyReleasePolicy(gamma=0.05, prune_memory=True, ref=REF2)
     traj = run(pop0, cfg, intervention=policy, seed=1)

@@ -12,7 +12,6 @@ from driftlab.evolution import (
     UpdateRule,
     _counts,
     make_rng,
-    memory_preset,
     sample_dataset,
     update_agents,
 )
@@ -172,7 +171,7 @@ def test_expected_next_mass_validation():
     with pytest.raises(ValueError):
         exact_expected_next_mass(pv(0.5, 0.5), (0,), 0, UpdateRule("mle"))
     with pytest.raises(ValueError, match="no closed form"):
-        exact_expected_next_mass(pv(0.5, 0.5), (0,), 4, memory_preset(capacity=8))
+        exact_expected_next_mass(pv(0.5, 0.5), (0,), 4, UpdateRule("memory-buffer", capacity=8))
 
 
 @given(

@@ -19,8 +19,6 @@ from driftlab.evolution import (
     SelectionRule,
     UpdateRule,
     chunk_size,
-    memory_preset,
-    rl_preset,
     run_batch,
 )
 from driftlab.harness import PolicySpec, PopulationSpec, build_population, realize_policy
@@ -38,11 +36,15 @@ MONITORS = {"rare": (0, 1, 2), "unsafe": tuple(range(K // 2, K)), "band": tuple(
 UPDATES = {
     "mle": UpdateRule("mle", neighborhood_radius=2),
     # a capacity that is not a multiple of N keeps part of a round's data
-    "memory-buffer": memory_preset(capacity=50, alpha_mem=0.6, neighborhood_radius=1),
+    "memory-buffer": UpdateRule(
+        "memory-buffer", capacity=50, alpha_mem=0.6, neighborhood_radius=1
+    ),
     "reward-fixed": UpdateRule(
         "reward-reweighted-mle", beta=1.5, reward=tuple(np.linspace(0.0, 1.0, K))
     ),
-    "reward-mixture-loglik": rl_preset(beta=0.7),
+    "reward-mixture-loglik": UpdateRule(
+        "reward-reweighted-mle", beta=0.7, reward_source="mixture-loglik"
+    ),
 }
 SELECTIONS = {
     "identity": SelectionRule("identity"),
