@@ -28,6 +28,7 @@ from .harness import (
     DriftResult,
     EnsembleMIResult,
     column_median,
+    _write_text,
     format_value,
     json_text,
     load_experiment_config,
@@ -49,8 +50,7 @@ def _say(quiet: bool, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict, quiet: bool) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload))
+    _write_text(path, json_text(payload))
     _say(quiet, f"json -> {path}")
 
 
@@ -94,12 +94,11 @@ def _print_drift_summary(result: DriftResult, quiet: bool) -> None:
         + "  ".join(f"{label}={count}" for label, count in counts.items()),
     )
     if result.low_visibility_rounds:
-        shares = sorted(result.low_visibility_rounds.values())
-        median_low = shares[len(shares) // 2]
+        median_low = column_median(list(result.low_visibility_rounds.values()))
         _say(
             quiet,
             f"low-visibility rounds (monitored mass <= c/N): median "
-            f"{median_low} of {cfg.evolution.rounds + 1}",
+            f"{format_value(median_low)} of {cfg.evolution.rounds + 1}",
         )
     for seed, reason in sorted(result.failures.items()):
         print(f"seed {seed} failed: {reason}", file=sys.stderr)
@@ -209,10 +208,8 @@ def cmd_ensemble_mi(args) -> int:
     result = run_ensemble_mi(cfg)
     _print_ensemble(result, args.quiet)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("round,mi\n")
-            for t, v in enumerate(result.mi_series):
-                fh.write(f"{t},{format_value(v)}\n")
+        rows = "".join(f"{t},{format_value(v)}\n" for t, v in enumerate(result.mi_series))
+        _write_text(args.csv, "round,mi\n" + rows)
         _say(args.quiet, f"csv -> {args.csv}")
     if args.json:
         _write_json(args.json, plain(asdict(result)), args.quiet)

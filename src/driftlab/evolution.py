@@ -22,7 +22,9 @@ screening and the cooling check. Each probe measures the chunk's (S, K)
 training rows in one call per round. Round r's measurements fill column r
 of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
 seeds' Trajectory columns. The four stages are mixture, apply_selection,
-sample_dataset and update_agents, each over a chunk's rows. run_batch is the
+sample_dataset and update_agents, each over a chunk's rows. A stage or
+policy hook that cannot compute a row raises; that call then runs seed by
+seed, and only the seeds that raise fail (see _by_rows). run_batch is the
 one entry point; run() is a batch of one, and a seed's trajectory is
 byte-identical whichever chunk it runs in. A sweep with enough work runs its
 chunks on every usable CPU, in worker processes forked for the call; smaller
@@ -375,27 +377,22 @@ def _acceptance(
 
 def apply_selection(
     rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray, cols: _Columns = _EVERY
-) -> tuple[np.ndarray, np.ndarray]:
-    """Training distributions a * pbar / Z (S, C) on cols, and the rows with
-    zero Z.
+) -> np.ndarray:
+    """Training distributions a * pbar / Z (S, C) on cols.
 
-    Those rows hold placeholders; the caller fails them.
+    DegenerateSelectionError when a row's Z is zero: the rule accepts no
+    mass of that mixture.
     """
     # identity acceptance is all ones, and 1.0 * x == x
     scaled = pbar if rule.kind == "identity" else _acceptance(rule, space, pbar, cols) * pbar
     z = cols.rowsum(scaled)
-    zero = z[:, 0] <= 0.0
-    z[zero] = 1.0
+    if (z <= 0.0).any():
+        raise DegenerateSelectionError(
+            f"selection {rule.kind!r} accepts zero total mass; no training distribution exists"
+        )
     pt = scaled / z
-    pt[zero] = 1.0
     pt /= cols.rowsum(pt)
-    return pt, zero
-
-
-def _zero_selection(rule: SelectionRule) -> DegenerateSelectionError:
-    return DegenerateSelectionError(
-        f"selection {rule.kind!r} accepts zero total mass; no training distribution exists"
-    )
+    return pt
 
 
 # ---------------------------------------------------------------------------
@@ -541,29 +538,26 @@ def update_agents(
     counts: np.ndarray,
     n: np.ndarray,
     pbar: np.ndarray | None = None,
-    memory: tuple[np.ndarray, np.ndarray] | None = None,
+    memory: np.ndarray | None = None,
     cols: _Columns = _EVERY,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Masses (L, C) the rule fits to L datasets with outcome counts (L, C)
-    on cols and sizes n (L,), and the rows whose reward tilt zeroed every
-    sampled outcome (their masses are placeholders; the caller fails them).
+    on cols and sizes n (L,).
 
     pbar (L, C) holds the current mixture of each dataset's seed, read by the
-    mixture-loglik reward; memory holds the counts and sizes of the rolled
+    mixture-loglik reward; memory (L, C) the empirical rows of the rolled
     buffers, read by the memory-buffer rule. The rule fits the K outcomes
     (see _check_fit); smoothed-mle, which puts mass off the data, is given
-    every outcome.
+    every outcome. ValueError when a row's reward tilt zeroes every sampled
+    outcome.
     """
     k_space = counts.shape[1]
-    wiped = np.zeros(len(counts), dtype=bool)
     if rule.kind == "mle":
         mass = counts / n[:, None]
     elif rule.kind == "smoothed-mle":
         mass = (counts + rule.lam) / (n + rule.lam * k_space)[:, None]
     elif rule.kind == "memory-buffer":
-        buffer_counts, buffer_sizes = memory
-        buffer_emp = buffer_counts / buffer_sizes[:, None]
-        mass = rule.alpha_mem * buffer_emp + (1.0 - rule.alpha_mem) * (counts / n[:, None])
+        mass = rule.alpha_mem * memory + (1.0 - rule.alpha_mem) * (counts / n[:, None])
     else:  # reward-reweighted-mle; UpdateRule admits no other kind
         if rule.reward_source == "mixture-loglik":
             # exp(beta * ln pbar) = pbar ** beta, and 0 ** beta = 0 keeps
@@ -573,12 +567,11 @@ def update_agents(
             tilt = cols.take(_reward_tilt(rule.beta, rule.reward))
         weighted = counts * tilt
         total = cols.rowsum(weighted)
-        wiped = total[:, 0] <= 0.0
-        total[wiped] = 1.0
+        if (total <= 0.0).any():
+            raise ValueError(_TILT_WIPED)
         mass = weighted / total
-        mass[wiped] = 1.0
     mass /= cols.rowsum(mass)
-    return mass, wiped
+    return mass
 
 
 def neighborhood(space: OutcomeSpace, indices: Iterable[int], radius: int) -> np.ndarray:
@@ -638,28 +631,34 @@ _ROUND_ERRORS = (
 )
 
 
-def _by_rows(fn, rows: np.ndarray, errors: dict, *arrays):
-    """rows and fn(*arrays), each array holding one entry per row. When fn
-    raises one of _ROUND_ERRORS, each row runs alone: those that raise leave
-    rows for errors (which keeps a row's first error), and the results of
-    the others are joined."""
+def _by_rows(fn, rows: np.ndarray, errors: dict, *arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Which entries fn gave a result for (a mask), and fn(*arrays) with one
+    result per entry. Entry i of each array (or None) belongs to chunk row
+    rows[i]; rows is sorted, and a row may own consecutive entries (a
+    seed's datasets). When fn raises one of _ROUND_ERRORS, each row's
+    entries run alone: a row that raises goes to errors (which keeps a
+    row's first error) and its results are zeros. When every row raises, a
+    call on zero entries, where no arithmetic raises, gives the results'
+    shape."""
+    kept = np.ones(len(rows), dtype=bool)
     try:
-        return rows, fn(*arrays)
+        return kept, fn(*arrays)
     except _ROUND_ERRORS:
         pass
-    kept, results = [], []
-    for i, s in enumerate(rows):
+    results = []
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], len(rows)]):
         try:
-            result = fn(*(a[i : i + 1] for a in arrays))
+            results.append(fn(*(None if a is None else a[lo:hi] for a in arrays)))
         except _ROUND_ERRORS as exc:
-            errors.setdefault(int(s), exc)
-            continue
-        if int(s) not in errors:
-            kept.append(i)
-            results.append(result)
+            errors.setdefault(int(rows[lo]), exc)
+            kept[lo:hi] = False
     if not results:
-        return rows[:0], fn(*(a[:0] for a in arrays))
-    return rows[kept], np.concatenate(results)
+        with np.errstate(all="ignore"):
+            results.append(fn(*(None if a is None else a[:0] for a in arrays)))
+    out = np.zeros((len(rows), *results[0].shape[1:]), results[0].dtype)
+    out[kept] = np.concatenate(results)
+    return kept, out
 
 
 @dataclass(frozen=True, eq=False)
@@ -718,7 +717,7 @@ def _group_policies(intervention, space: OutcomeSpace, size: int) -> dict[str, l
 
 
 class _Chunk:
-    """Seeds advanced through the round in lock-step.
+    """Seeds of one _Batch advanced through the round in lock-step.
 
     Row i of every per-seed field belongs to run ids[i]. agents (S, M, K)
     and pt (S, K) are rebuilt each round, never changed once a record has
@@ -730,14 +729,15 @@ class _Chunk:
     per seed, of which sizes (S, B) entries are filled: a verifier gets a
     read-only view of the filled front of a block and its kept samples are
     written back there. live (S, B) marks the blocks no verifier emptied;
-    an emptied block keeps its samples. record fills column r of values
+    an emptied block keeps its samples. _record fills column r of values
     (S, P, R+1), masses and absent (S, N, R+1); fired and notes gather
-    (round, text) events. A seed whose round raises one of _ROUND_ERRORS
-    goes to `failed` as SimulationError(r) and loses its row; the other rows
-    go on. cols are the columns the stages compute on (see _Columns): the
-    reach _reach finds at each update, off which agents and pt are zero, or
-    every outcome; pbar lives on them, and scratch holds what each reach
-    borrows.
+    (round, text) events. Each phase of the round gathers the rows that
+    raise one of _ROUND_ERRORS, every batched call through _by_rows; after
+    the phase each such seed goes to `failed` as SimulationError(r) and
+    loses its row, and the other rows go on. cols are the columns the
+    stages compute on (see _Columns): the reach _reach finds at each update,
+    off which agents and pt are zero, or every outcome; pbar lives on them,
+    and scratch holds what each reach borrows.
     """
 
     _ROW_ARRAYS = (
@@ -746,17 +746,19 @@ class _Chunk:
     )
     _ROW_LISTS = ("ids", "rngs", "memory", "fired", "notes", "states")
 
-    def __init__(self, pops, cfg: EvolutionConfig, rngs, policies, ids):
+    def __init__(self, batch: _Batch, ids: range, pops: Sequence[Population]):
         rows = range(len(pops))
-        self.cfg = cfg
+        self.batch, self.cfg, self.policies = batch, batch.cfg, batch.policies
         self.space = pops[0].space
         self.weights = np.stack([p.weights for p in pops])
         self.agents = np.stack([np.stack([a.mass for a in p.agents]) for p in pops])
-        self.initial = self.agents if policies["entropy-release"] else None
+        self.initial = self.agents if batch.policies["entropy-release"] else None
         self.pbar = self.pt = self.data = self.sizes = self.live = None
-        self.values = self.masses = self.absent = None
-        self.ids, self.rngs, self.policies = list(ids), list(rngs), policies
-        self.checkpoints = [pol.initial_checkpoint(self.agents) for pol in policies["cooling"]]
+        shape = (len(pops), len(batch.monitor_sets), self.cfg.rounds + 1)
+        self.values = np.empty((shape[0], len(batch.probes), shape[2]))
+        self.masses, self.absent = np.empty(shape), np.zeros(shape, dtype=bool)
+        self.ids, self.rngs = list(ids), [make_rng(batch.seeds[i]) for i in ids]
+        self.checkpoints = [p.initial_checkpoint(self.agents) for p in batch.policies["cooling"]]
         self.memory = [np.zeros(0, np.int64) for _ in rows]
         self.cols, self.scratch = _EVERY, None
         for name in ("fired", "notes", "states"):
@@ -797,45 +799,47 @@ class _Chunk:
             self.agents = self.agents.copy()
         return self.agents
 
-    def _mixture(self) -> np.ndarray:
-        """Mixtures (S, C) of the current agents on cols, mixed once per change."""
+    def _mixture(self, errors: dict) -> np.ndarray:
+        """Mixtures (S, C) of the current agents on cols, mixed once per
+        change; a row whose mixture raises holds zeros until its phase ends."""
         if self.pbar is None:
-            self.pbar = mixture(self.weights, self.cols.take(self.agents), self.cols)
+            cols, every = self.cols, np.arange(len(self.ids))
+            mix = lambda *arrays: mixture(*arrays, cols)
+            _, self.pbar = _by_rows(mix, every, errors, self.weights, cols.take(self.agents))
         return self.pbar
 
     def _firing(self, pol, r: int, errors: dict) -> np.ndarray:
         """The rows whose schedule has pol act in round r."""
         every = np.arange(len(self.ids))
-        mixtures = self.cols.dense(self._mixture())
-        rows, fires = _by_rows(partial(pol.schedule.fires, r), every, errors, mixtures)
-        return rows[fires]
+        mixtures = self.cols.dense(self._mixture(errors))
+        _, fires = _by_rows(partial(pol.schedule.fires, r), every, errors, mixtures)
+        return np.flatnonzero(fires)
 
     def advance(self, r: int) -> None:
-        """Round r; before round 1 (no pt yet) only the set-up selection.
+        """Round r, as phases; after each, the seeds that raised in it fail.
 
-        Round r samples from pt, screens each dataset with the verifiers in
-        agent order, refits, then applies entropy release and cooling. It
-        ends by mixing and selecting the resulting population, diversity for
-        round r+1 included: that pt is what round r+1 samples from and what
-        the record of round r measures.
+        Round r >= 1 samples from pt, screens each dataset with the
+        verifiers in agent order, refits, then applies entropy release and
+        cooling. Every round, round 0 included, then mixes and selects the
+        population, diversity for round r+1 included: that pt is what round
+        r+1 samples from and what the record of round r measures. Once every
+        seed has failed, nothing runs.
         """
-        if self.pt is not None:
-            blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
-            n = self.cfg.sample_size
-            draws = sample_dataset(self.cols.take(self.pt), n * blocks, self.rngs, self.cols)
-            self.data = draws.reshape(len(self.ids), blocks, n)
-            self.sizes = np.full((len(self.ids), blocks), n)
-            self.live = np.ones((len(self.ids), blocks), dtype=bool)
-            for phase in (self._screen, self._update, self._release, self._cool):
-                errors: dict[int, Exception] = {}
-                phase(r, errors)
-                self._fail(errors, r)
-        rule = self.cfg.selection
-        pt, zero = apply_selection(rule, self.space, self._mixture(), self.cols)
-        self.pt = self.cols.dense(pt)
-        errors = {int(s): _zero_selection(rule) for s in np.flatnonzero(zero)}
-        self._diversify(r, errors)
-        self._fail(errors, r)
+        ahead = (self._sample, self._screen, self._update, self._release, self._cool)
+        for phase in (*(ahead if r else ()), self._select, self._diversify, self._record):
+            if not self.ids:
+                return
+            errors: dict[int, Exception] = {}
+            phase(r, errors)
+            self._fail(errors, r)
+
+    def _sample(self, r: int, errors: dict) -> None:
+        blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
+        n = self.cfg.sample_size
+        draws = sample_dataset(self.cols.take(self.pt), n * blocks, self.rngs, self.cols)
+        self.data = draws.reshape(len(self.ids), blocks, n)
+        self.sizes = np.full((len(self.ids), blocks), n)
+        self.live = np.ones((len(self.ids), blocks), dtype=bool)
 
     def _screen(self, r: int, errors: dict) -> None:
         for pol in self.policies["verifier"]:
@@ -893,21 +897,21 @@ class _Chunk:
                 fresh = self.data[s, 0, : self.sizes[s, 0]]
                 self.memory[s] = roll_memory(self.memory[s], fresh, rule.capacity)
         cols = self._reach()
-        pbar = cols.take(self.cols.dense(self._mixture()[rows])) if rule.reads_mixture else None
+        pbar = None
+        if rule.reads_mixture:
+            pbar = cols.take(self.cols.dense(self._mixture(errors)[rows]))
         self.pbar, self.cols = None, cols
         width = self.space.size if cols.index is None else len(cols.index)
-        buffer = None
+        memory = None
         if rule.kind == "memory-buffer":
-            memory = [self.memory[s] for s in rows]
-            sizes = np.array([len(b) for b in memory])
-            buffer = _counts(cols.positions(np.concatenate(memory)), sizes, width)
+            buffers = [self.memory[s] for s in rows]
+            lengths = np.array([len(b) for b in buffers])
+            buffered, lengths = _counts(cols.positions(np.concatenate(buffers)), lengths, width)
+            memory = buffered / lengths[:, None]
         held = self.live[:, :, None] & self._held()
-        try:
-            counts, n = _counts(cols.positions(self.data[held]), self.sizes[self.live], width)
-            mass, wiped = update_agents(rule, counts, n, pbar, buffer, cols)
-        except _ROUND_ERRORS as exc:  # a raising errstate fails every fitted seed
-            errors.update(dict.fromkeys(rows.tolist(), exc))
-            return
+        counts, n = _counts(cols.positions(self.data[held]), self.sizes[self.live], width)
+        fit = lambda *arrays: update_agents(rule, *arrays, cols)
+        _, mass = _by_rows(fit, rows, errors, counts, n, pbar, memory)
         mass = cols.dense(mass)
         if self.cfg.per_agent_datasets:
             self._own_agents()[rows, blocks] = mass
@@ -915,7 +919,6 @@ class _Chunk:
             self._own_agents()[rows] = mass[:, None, :]
         else:
             self.agents = np.broadcast_to(mass[:, None, :], self.agents.shape)
-        errors.update({int(rows[i]): ValueError(_TILT_WIPED) for i in np.flatnonzero(wiped)})
 
     def _release(self, r: int, errors: dict) -> None:
         for pol in self.policies["entropy-release"]:
@@ -923,8 +926,9 @@ class _Chunk:
             if not rows.size:
                 continue
             at = (self._own_agents()[rows], self.initial[rows])
-            rows, released = _by_rows(pol.adjust_population, rows, errors, *at)
-            self.agents[rows] = released
+            ok, released = _by_rows(pol.adjust_population, rows, errors, *at)
+            rows = rows[ok]
+            self.agents[rows] = released[ok]
             self.pbar = None
             for s in rows:
                 self.fired[s].append((r, pol.kind))
@@ -939,7 +943,7 @@ class _Chunk:
     def _cool(self, r: int, errors: dict) -> None:
         for pol, checkpoints in zip(self.policies["cooling"], self.checkpoints):
             rows = self._firing(pol, r, errors)
-            pbar = self._mixture()
+            pbar = self._mixture(errors)
             for s in rows:
                 current = (self._own_agents()[s], pbar[s])
                 try:
@@ -955,42 +959,44 @@ class _Chunk:
                 else:
                     self.notes[s].append((r, "cooling-refresh"))
 
+    def _select(self, r: int, errors: dict) -> None:
+        rule, cols, every = self.cfg.selection, self.cols, np.arange(len(self.ids))
+        select = lambda pbar: apply_selection(rule, self.space, pbar, cols)
+        _, pt = _by_rows(select, every, errors, self._mixture(errors))
+        self.pt = cols.dense(pt)
+
     def _diversify(self, r: int, errors: dict) -> None:
         for pol in self.policies["diversity"]:
             rows = self._firing(pol, r + 1, errors)
-            rows, tempered = _by_rows(pol.adjust_training, rows, errors, self.pt[rows])
-            self.pt[rows] = tempered
+            ok, tempered = _by_rows(pol.adjust_training, rows, errors, self.pt[rows])
+            rows = rows[ok]
+            self.pt[rows] = tempered[ok]
             if r < self.cfg.rounds:  # an event of round r+1, which samples this pt
                 for s in rows:
                     self.fired[s].append((r + 1, pol.kind))
 
-    def record(self, r: int, probes, ref, monitor_sets, monitor_hoods, keep_states: bool) -> None:
+    def _record(self, r: int, errors: dict) -> None:
         """Fill column r of every row (and keep its state). Each probe measures
         the chunk's rows in one call; a seed for which a probe raises one of
-        _ROUND_ERRORS, or which a probe gives no single value, fails instead.
-        Round 0 allocates the columns."""
-        if r == 0:
-            shape = (len(self.ids), len(monitor_sets), self.cfg.rounds + 1)
-            self.values = np.empty((shape[0], len(probes), shape[2]))
-            self.masses, self.absent = np.empty(shape), np.zeros(shape, dtype=bool)
+        _ROUND_ERRORS, or which a probe gives no single value, fails instead."""
+        batch = self.batch
         held = self._held() if r else None
-        for i, (idx, hood) in enumerate(zip(monitor_sets.values(), monitor_hoods.values())):
+        hoods = batch.monitor_hoods.values()
+        for i, (idx, hood) in enumerate(zip(batch.monitor_sets.values(), hoods)):
             self.masses[:, i, r] = np.take(self.pt, idx, axis=1).sum(axis=1)
             if r:  # did this round's data miss the neighborhood?
                 self.absent[:, i, r] = ~(hood[self.data] & held).any(axis=(1, 2))
-        errors = {}
         self.agents.setflags(write=False)  # a hook that writes copies it first
         self.pt.setflags(write=False)  # the probes read it whole
-        if probes:
+        if batch.probes:
             every = np.arange(len(self.ids))
-            measure = partial(_measure, r, probes, ref)
-            rows, values = _by_rows(measure, every, errors, self.pt, self.agents)
-            self.values[rows, :, r] = values
-        if keep_states:
+            measure = partial(_measure, r, batch.probes, batch.ref)
+            _, values = _by_rows(measure, every, errors, self.pt, self.agents)
+            self.values[:, :, r] = values
+        if batch.keep_states:
             for s in range(len(self.ids)):
                 if s not in errors:
                     self.states[s].append(self.population(s))
-        self._fail(errors, r)
 
 
 def _measure(r: int, probes, ref, pt: np.ndarray, agents: np.ndarray) -> np.ndarray:
@@ -998,7 +1004,7 @@ def _measure(r: int, probes, ref, pt: np.ndarray, agents: np.ndarray) -> np.ndar
     (S, K) and agent rows agents (S, M, K), each probe called once; a probe
     that gives other than S values raises ValueError."""
     values = np.empty((len(pt), len(probes)))
-    if not len(pt):  # every row failed
+    if not len(pt):  # the shape _by_rows asks for when every row failed
         return values
     for i, probe in enumerate(probes):
         column = np.asarray(probe.evaluator(r, pt, agents, ref), dtype=np.float64)
@@ -1036,20 +1042,12 @@ class _Batch:
         """The Trajectory, or SimulationError, of each run in ids, which start
         from pops and advance as one chunk."""
         cfg = self.cfg
-        chunk = _Chunk(pops, cfg, [make_rng(self.seeds[i]) for i in ids], self.policies, ids)
+        chunk = _Chunk(self, ids, pops)
         for r in range(cfg.rounds + 1):
             chunk.advance(r)
-            if chunk.ids:
-                chunk.record(
-                    r, self.probes, self.ref, self.monitor_sets, self.monitor_hoods,
-                    self.keep_states,
-                )
-            if not chunk.ids:
-                break
+        for columns in (chunk.values, chunk.masses, chunk.absent):
+            columns.setflags(write=False)
         rows = {i: s for s, i in enumerate(chunk.ids)}
-        if rows:  # round 0 was recorded
-            for columns in (chunk.values, chunk.masses, chunk.absent):
-                columns.setflags(write=False)
         names = tuple(p.name for p in self.probes)
         out: list[Trajectory | SimulationError] = []
         for i in ids:

@@ -24,7 +24,6 @@ from driftlab.evolution import (
     SelectionRule,
     UpdateRule,
     chunk_size,
-    make_rng,
     run,
     run_batch,
 )
@@ -217,31 +216,91 @@ def test_failing_seeds_leave_their_chunk_and_the_rest_go_on(small_chunks):
     assert any(o[0] != "failed" for o in alone)
 
 
+def _one_agent(*mass):
+    return evolution.Population.equal_weights([ProbVector(core.OutcomeSpace(len(mass)), mass)])
+
+
+def _two(first, second):
+    """The population of first's agents and then second's, equally weighted."""
+    return evolution.Population.equal_weights(first.agents + second.agents)
+
+
 # a subnormal alpha_mem leaves subnormal agent masses, and the KL of the
 # reference against them overflows log(p / q); under over="raise" each policy
 # hook that measures that drift (a kl: schedule or the cooling check) must fail
 # the seeds it overflows for, as each seed alone would, and only those
 SUBNORMAL_REF = two_tier_reference(7, 1.0, 0.5)
 KL_ANY = Schedule("kl-trigger", threshold=0.0, ref=SUBNORMAL_REF)
+SUBNORMAL_RUN = (
+    [build_population(PopulationSpec(1, "copy"), SUBNORMAL_REF, 0)] * 8,
+    EvolutionConfig(
+        sample_size=9, rounds=4,
+        update=UpdateRule("memory-buffer", capacity=10, alpha_mem=2.225073858507e-311),
+    ),
+)
+# under under="raise", each batched stage and hook whose arithmetic
+# underflows for some seeds: a mixture-loglik tilt of the update, a reward
+# tilt of the selection, the mixture of a subnormal agent, and a diversity
+# blend with a subnormal reference entry that underflows on any rows at all
+PLAIN, ODD = _one_agent(0.5, 0.5, 0, 0, 0, 0), _one_agent(0.45, 0.45, 0.01, 0.01, 0.04, 0.04)
+THREE = core.OutcomeSpace(3)
+FLAT = evolution.Population.equal_weights([ProbVector(THREE, [0.2, 0.3, 0.5])] * 2)
+TINY = evolution.Population.equal_weights(
+    [ProbVector(THREE, [0.5, 0.5 - 1e-310, 1e-310]), ProbVector(THREE, [0.2, 0.3, 0.5])]
+)
+TINY_REF = core.SafetyReference(ProbVector(THREE, [0.6, 0.4 - 1e-310, 1e-310]), (0, 1), 0.1)
+# case -> the populations and round settings, the policy, the raising error
+# state, and the round in which each failing seed fails
 OVERFLOWING = {
-    "kl-cooling": (CoolingPolicy(SUBNORMAL_REF, kl_threshold=1e9, schedule=KL_ANY), {4: 2}),
-    "cooling-check": (CoolingPolicy(SUBNORMAL_REF, kl_threshold=0.1), {1: 3, 4: 2}),
-    "kl-diversity": (DiversityPolicy(SUBNORMAL_REF, schedule=KL_ANY), {4: 2}),
-    "kl-release": (EntropyReleasePolicy(schedule=KL_ANY), {4: 2}),
+    "kl-cooling": (
+        *SUBNORMAL_RUN, CoolingPolicy(SUBNORMAL_REF, kl_threshold=1e9, schedule=KL_ANY),
+        "over", {4: 2},
+    ),
+    "cooling-check": (
+        *SUBNORMAL_RUN, CoolingPolicy(SUBNORMAL_REF, kl_threshold=0.1), "over", {1: 3, 4: 2},
+    ),
+    "kl-diversity": (
+        *SUBNORMAL_RUN, DiversityPolicy(SUBNORMAL_REF, schedule=KL_ANY), "over", {4: 2},
+    ),
+    "kl-release": (*SUBNORMAL_RUN, EntropyReleasePolicy(schedule=KL_ANY), "over", {4: 2}),
+    "update": (
+        [PLAIN, ODD, PLAIN, PLAIN],
+        EvolutionConfig(30, 3, update=UpdateRule(
+            "reward-reweighted-mle", beta=200, reward_source="mixture-loglik"
+        )),
+        None, "under", {0: 3, 1: 1},
+    ),
+    # each seed fits its two agents' datasets in one call, as alone
+    "update-per-agent": (
+        [_two(PLAIN, PLAIN), _two(PLAIN, ODD), _two(ODD, PLAIN), _two(PLAIN, PLAIN)],
+        EvolutionConfig(30, 2, update=UpdateRule(
+            "reward-reweighted-mle", beta=200, reward_source="mixture-loglik"
+        ), per_agent_datasets=True),
+        None, "under", {1: 1, 2: 1},
+    ),
+    "selection": (
+        [PLAIN] * 2,
+        EvolutionConfig(30, 3, selection=SelectionRule(
+            "reward-reweight", reward=(0, 0, 0, 0, 0, -1), beta=800
+        )),
+        None, "under", {0: 0, 1: 0},
+    ),
+    "mixture": ([FLAT, TINY, FLAT], EvolutionConfig(30, 3), None, "under", {1: 0}),
+    "zero-rows": (
+        [FLAT] * 2, EvolutionConfig(30, 3), DiversityPolicy(TINY_REF, temperature=1, rho=0.1),
+        "under", {0: 0, 1: 0},
+    ),
 }
 
 
 @pytest.mark.parametrize("case", OVERFLOWING)
 def test_an_overflowing_policy_hook_fails_only_its_seed(case):
-    policy, failures = OVERFLOWING[case]
-    pop = build_population(PopulationSpec(1, "copy"), SUBNORMAL_REF, 0)
-    rule = UpdateRule("memory-buffer", capacity=10, alpha_mem=2.225073858507e-311)
-    cfg = EvolutionConfig(sample_size=9, rounds=4, update=rule)
-    seeds = tuple(range(8))
+    pops, cfg, policy, raising, failures = OVERFLOWING[case]
+    seeds = tuple(range(len(pops)))
     alone = []
-    with np.errstate(over="raise"):
-        together = [_outcome(t) for t in run_batch([pop] * len(seeds), cfg, seeds, (), policy)]
-        for seed in seeds:
+    with np.errstate(**{raising: "raise"}):
+        together = [_outcome(t) for t in run_batch(pops, cfg, seeds, (), policy)]
+        for pop, seed in zip(pops, seeds):
             try:
                 alone.append(_outcome(run(pop, cfg, intervention=policy, seed=seed)))
             except SimulationError as exc:
@@ -250,6 +309,24 @@ def test_an_overflowing_policy_hook_fails_only_its_seed(case):
     failed = {s: o[2] for s, o in zip(seeds, together) if o[0] == "failed"}
     assert failed == failures
     assert all(together[s][3] == "FloatingPointError" for s in failed)
+
+
+def test_by_rows_runs_each_rows_entries_together_once_a_call_raises():
+    calls = []
+
+    def doubled(x):
+        calls.append(x[:, 0].tolist())
+        if len(x) > 2 or 3.0 in x:
+            raise FloatingPointError("refused")
+        return 2.0 * x
+
+    errors = {}
+    rows, x = np.array([0, 0, 1, 1, 2]), np.arange(5.0)[:, None]
+    kept, out = evolution._by_rows(doubled, rows, errors, x)
+    assert calls == [[0, 1, 2, 3, 4], [0, 1], [2, 3], [4]]
+    assert kept.tolist() == [True, True, False, False, True]
+    assert out[:, 0].tolist() == [0.0, 2.0, 0.0, 0.0, 8.0]
+    assert list(errors) == [1] and str(errors[1]) == "refused"
 
 
 def test_a_prune_that_empties_an_agent_fails_only_its_seed(small_chunks):
@@ -345,11 +422,12 @@ def test_a_raising_verifier_fails_only_its_seed():
 
 
 def _chunk(intervention=None, **cfg):
+    """A chunk of SEEDS that keeps its states, with no probe or monitor."""
     pops = _pops(SEEDS)
     policies = evolution._group_policies(intervention, pops[0].space, M)
-    rngs = [make_rng(seed) for seed in SEEDS]
     cfg = EvolutionConfig(sample_size=8, rounds=3, **cfg)
-    return evolution._Chunk(pops, cfg, rngs, policies, SEEDS)
+    batch = evolution._Batch(cfg, list(SEEDS), (), None, policies, {}, {}, {}, True)
+    return evolution._Chunk(batch, range(len(SEEDS)), pops)
 
 
 def test_shared_data_agents_are_one_row_until_a_hook_reads_them():
@@ -357,7 +435,6 @@ def test_shared_data_agents_are_one_row_until_a_hook_reads_them():
     chunk = _chunk()
     for r in range(3):
         chunk.advance(r)
-        chunk.record(r, (), None, {}, {}, keep_states=True)
         if r:
             assert chunk.agents.strides[1] == 0 and not chunk.agents.flags.writeable
     # each state, and the final population, shares one agent that owns its mass

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from driftlab.cli import main
+from driftlab.harness import format_value, load_experiment_config, run_drift_experiment
 
 
 TINY = """\
@@ -51,6 +53,21 @@ def test_simulate_writes_csv_and_json(tmp_path, tiny_cfg):
     assert len(payload["trajectories"]) == 2
     assert main(["simulate", tiny_cfg, "--csv", str(csv_b), "--quiet"]) == 0
     assert csv_a.read_bytes() == csv_b.read_bytes()
+
+
+def test_simulate_prints_the_median_of_an_even_seed_count(tmp_path, capsys):
+    # six seeds: the median of their low-visibility round counts is the mean
+    # of the middle two, which differ here
+    path = tmp_path / "six.cfg"
+    path.write_text(TINY.replace("experiment.seeds=2", "experiment.seeds=6"))
+    result = run_drift_experiment(load_experiment_config(str(path)))
+    counts = sorted(result.low_visibility_rounds.values())
+    assert counts[2] != counts[3]
+    assert main(["simulate", str(path)]) == 0
+    median = format_value(statistics.median(counts))
+    assert f"low-visibility rounds (monitored mass <= c/N): median {median} of 6\n" in (
+        capsys.readouterr().out
+    )
 
 
 def test_huge_seed_count_is_a_config_error(tmp_path, capsys):

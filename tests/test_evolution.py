@@ -45,9 +45,7 @@ def _mixture(pop):
 
 
 def _selected(p, rule):
-    pt, zero = apply_selection(rule, p.space, p.mass[None])
-    assert not zero[0]
-    return pt[0]
+    return apply_selection(rule, p.space, p.mass[None])[0]
 
 
 def _draws(p, n, rng):
@@ -59,12 +57,17 @@ def _counted(samples, k):
     return evolution._counts(samples, np.array([len(samples)]), k)
 
 
+def _empirical(samples, k):
+    """The empirical row (1, K) of one dataset."""
+    counts, sizes = _counted(samples, k)
+    return counts / sizes[:, None]
+
+
 def _fitted(rule, samples, k, pbar=None, memory=None):
-    """The mass rule fits to samples, and whether the reward tilt wiped it."""
-    buffer = None if memory is None else _counted(memory, k)
+    """The mass rule fits to samples."""
+    buffer = None if memory is None else _empirical(memory, k)
     pbar = None if pbar is None else pbar[None]
-    mass, wiped = update_agents(rule, *_counted(samples, k), pbar, buffer)
-    return mass[0], bool(wiped[0])
+    return update_agents(rule, *_counted(samples, k), pbar, buffer)[0]
 
 
 # --- population / mixture ----------------------------------------------------
@@ -154,9 +157,10 @@ def test_indicator_selection_renormalizes():
 def test_degenerate_selection_is_hard_error():
     p = pv(0.5, 0.5, 0.0)
     rule = SelectionRule("indicator", indices=(2,))
-    pt, zero = apply_selection(rule, p.space, np.stack([p.mass, pv(0.0, 0.5, 0.5).mass]))
-    assert zero.tolist() == [True, False]
-    assert pt[1].tolist() == [0.0, 0.0, 1.0]
+    with pytest.raises(DegenerateSelectionError):
+        apply_selection(rule, p.space, np.stack([p.mass, pv(0.0, 0.5, 0.5).mass]))
+    pt = apply_selection(rule, p.space, pv(0.0, 0.5, 0.5).mass[None])
+    assert pt[0].tolist() == [0.0, 0.0, 1.0]
     cfg = EvolutionConfig(sample_size=5, rounds=1, selection=rule)
     with pytest.raises(SimulationError) as err:
         run(Population.equal_weights([p]), cfg)
@@ -344,19 +348,19 @@ def _data(*samples):
 
 
 def test_mle_update_frozen():
-    mass, wiped = _fitted(UpdateRule("mle"), _data(0, 0, 0, 1), 2)
-    assert mass.tolist() == [0.75, 0.25] and not wiped
+    mass = _fitted(UpdateRule("mle"), _data(0, 0, 0, 1), 2)
+    assert mass.tolist() == [0.75, 0.25]
 
 
 def test_smoothed_mle_frozen():
-    mass, _ = _fitted(UpdateRule("smoothed-mle", lam=1.0), _data(0, 0, 0, 1), 2)
+    mass = _fitted(UpdateRule("smoothed-mle", lam=1.0), _data(0, 0, 0, 1), 2)
     np.testing.assert_allclose(mass, [4.0 / 6.0, 2.0 / 6.0], atol=1e-15)
 
 
 def test_memory_buffer_frozen():
     rule = UpdateRule("memory-buffer", capacity=4, alpha_mem=0.5)
     data = _data(1, 1)
-    mass, _ = _fitted(rule, data, 2, memory=roll_memory((0, 0), data, 4))
+    mass = _fitted(rule, data, 2, memory=roll_memory((0, 0), data, 4))
     # buffer (0,0,1,1) gives (0.5, 0.5); fresh data gives (0, 1); blend halves
     np.testing.assert_allclose(mass, [0.25, 0.75], atol=1e-15)
 
@@ -370,14 +374,14 @@ def test_reward_reweighted_update_fixed():
     rule = UpdateRule(
         "reward-reweighted-mle", beta=1.0, reward=(0.0, math.log(2.0)), reward_source="fixed"
     )
-    mass, _ = _fitted(rule, _data(0, 1), 2)
+    mass = _fitted(rule, _data(0, 1), 2)
     # counts (1,1) tilted by exp(r - max r) = (0.5, 1)
     np.testing.assert_allclose(mass, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
 
 
 def test_reward_reweighted_update_mixture_loglik():
     rule = UpdateRule("reward-reweighted-mle", beta=1.0, reward_source="mixture-loglik")
-    mass, _ = _fitted(rule, _data(0, 1), 2, pbar=pv(0.8, 0.2).mass)
+    mass = _fitted(rule, _data(0, 1), 2, pbar=pv(0.8, 0.2).mass)
     # tilt = pbar ** 1: counts (1,1) * (0.8, 0.2) -> (0.8, 0.2)
     np.testing.assert_allclose(mass, [0.8, 0.2], atol=1e-15)
 
@@ -385,8 +389,9 @@ def test_reward_reweighted_update_mixture_loglik():
 def test_reward_tilt_total_annihilation_is_error():
     # all sampled outcomes carry zero mixture mass, tilt kills everything
     rule = UpdateRule("reward-reweighted-mle", beta=1.0, reward_source="mixture-loglik")
-    _, wiped = _fitted(rule, _data(0, 0), 2, pbar=pv(0.0, 1.0).mass)
-    assert wiped
+    with pytest.raises(ValueError) as err:
+        _fitted(rule, _data(0, 0), 2, pbar=pv(0.0, 1.0).mass)
+    assert str(err.value) == evolution._TILT_WIPED
     # through the round: the indicator selection puts pt on outcome 0, whose
     # mixture mass 1e-200 tilts to 1e-200 ** 2 == 0.0
     cfg = EvolutionConfig(
@@ -410,7 +415,7 @@ def test_reward_tilt_total_annihilation_is_error():
 def test_smoothed_mle_floor_property(counts, lam):
     k = len(counts)
     samples = [i for i, c in enumerate(counts) for _ in range(c)]
-    mass, _ = _fitted(UpdateRule("smoothed-mle", lam=lam), np.array(samples, dtype=np.int64), k)
+    mass = _fitted(UpdateRule("smoothed-mle", lam=lam), np.array(samples, dtype=np.int64), k)
     n = len(samples)
     floor = lam / (n + lam * k)
     assert np.all(mass >= floor - 1e-15)
@@ -434,18 +439,16 @@ def _replay_round(weights, agents, cfg, rng, memory):
     the agents (1, M, K), dataset, training distribution (1, K) and buffer."""
     _, size, k = agents.shape
     pbar = mixture(weights, agents)
-    pt, zero = apply_selection(cfg.selection, OutcomeSpace(k), pbar)
-    assert not zero.any()
+    pt = apply_selection(cfg.selection, OutcomeSpace(k), pbar)
     n, blocks = cfg.sample_size, size if cfg.per_agent_datasets else 1
     dataset = sample_dataset(pt, n * blocks, [rng])[0]
     rule, buffer = cfg.update, None
     if rule.kind == "memory-buffer":
         memory = roll_memory(memory, dataset, rule.capacity)
-        buffer = _counted(memory, k)
+        buffer = _empirical(memory, k)
     counts, sizes = evolution._counts(dataset, np.full(blocks, n), k)
     pbars = np.repeat(pbar, blocks, axis=0) if rule.reads_mixture else None
-    mass, wiped = update_agents(rule, counts, sizes, pbars, buffer)
-    assert not wiped.any()
+    mass = update_agents(rule, counts, sizes, pbars, buffer)
     # one fit per block: every agent's with shared data, agent m's with block m
     return np.broadcast_to(mass[None], agents.shape), dataset, pt, memory
 

@@ -199,7 +199,7 @@ def test_expected_next_mass_monte_carlo_replay():
     reps = 10_000
     # one generator for every replicate draws as reps calls in turn would
     data = sample_dataset(np.tile(pt.mass, (reps, 1)), 4, [make_rng(5)] * reps)
-    fitted, _ = update_agents(rule, *_counts(data.ravel(), np.full(reps, 4), 2))
+    fitted = update_agents(rule, *_counts(data.ravel(), np.full(reps, 4), 2))
     masses = fitted[:, 1]
     absent = ~np.any(data == 1, axis=1)
     assert abs(float(masses.mean()) - res.unconditional) < 0.006
