@@ -32,19 +32,20 @@ runs, and any where fork is unsafe, stay in process. Either way a seed's
 bytes do not depend on the CPU count.
 
 An agent refitted to its own samples holds no mass on an outcome it did not
-draw. So after each update the chunk finds its reach: the sorted outcomes of
-the round's datasets (as the verifiers left them) and of its memory buffers.
-The four stages take a column set, every outcome or the reach, and until the
-next update they run on the reach's (S, C) columns. Each row sum is still
-taken over the dense row (the values at the reach, zeros elsewhere), and
-cumsum adds zeros exactly, so either column set gives the same bits; agents
-and pt stay dense (S, M, K) and (S, K) arrays. The reach is used only when
-the rule puts no mass off its data (mle, memory-buffer,
-reward-reweighted-mle; not smoothed-mle), every row was fitted this round
-(no verifier emptied a block), no diversity, entropy-release or cooling
-policy can move mass, and S * B * n samples plus S * capacity buffered ones
-are at most K / 2. That bound is checked first, so small spaces pay one
-comparison.
+draw. So after each update the chunk finds each row's reach: the sorted
+outcomes of that seed's datasets (as the verifiers left them) and of its
+memory buffer. The four stages take a column set, every outcome or the
+reach, and until the next update they run on one padded (S, C) index of
+the rows' reaches, C being the widest row; a shorter row's extra entries
+point at a sink and hold exactly 0.0. Each row sum is still taken over the
+dense row (the values at the reach, zeros elsewhere), and cumsum adds zeros
+exactly, so either column set gives the same bits; agents and pt stay
+dense (S, M, K) and (S, K) arrays. The reach is used only when the rule
+puts no mass off its data (mle, memory-buffer, reward-reweighted-mle; not
+smoothed-mle), every row was fitted this round (no verifier emptied a
+block), no diversity, entropy-release or cooling policy can move mass, and
+a row's B * n samples plus its capacity buffered ones are at most K / 2.
+That bound is checked first, so small spaces pay one comparison.
 
 This module deliberately knows nothing about the safety reference. It does
 not import SafetyReference and no function here accepts one; the closed loop
@@ -170,53 +171,71 @@ class Population:
 
 
 class _Columns:
-    """The outcomes a round's stages compute on: every one (index None), or a
-    chunk's reach, the sorted outcomes (C,) its data reached, off which each
-    row is zero. Elementwise work runs on these columns; rowsum sums each row
-    over the dense K (the values here, zeros elsewhere), so either column set
-    gives the same bits.
+    """The outcomes a round's stages compute on, row by row: every one (index
+    None), or each row's reach, the sorted outcomes its own data reached, off
+    which that row is zero. index (L, C) holds row l's reach at its front
+    and the sink column K behind it, C being the widest row; a row's values
+    at its sink entries are exactly 0.0 at every stage. Elementwise work
+    runs on these columns; rowsum sums each row over the dense K (the values
+    here, zeros elsewhere), so either column set gives the same bits.
 
-    A reach is built from the reached outcomes and its chunk's scratch:
-    zeros, (L, K) zero rows for rowsum, and lookup (K,), in which it writes
-    each reached outcome's column: positions holds for the newest reach only.
+    A reach borrows its chunk's zeros, at least L * K + 1 zero floats. In
+    them, as in the rows dense makes, entry l * K + k is row l's outcome k,
+    and entry L * K, behind the rows, takes every sink entry. cols[rows] are
+    the columns of those rows, as a stage called on those rows alone takes
+    them.
     """
 
-    def __init__(self, reached: np.ndarray | None = None, scratch=None):
-        self.index = None
-        if reached is not None:
-            self.index = sorted_unique(reached)
-            self.zeros, self.lookup = scratch
-            self.lookup[self.index] = np.arange(len(self.index))
+    def __init__(self, index=None, size: int = 0, zeros=None):
+        self.index, self.size, self.zeros = index, size, zeros
+        if index is not None:
+            rows = np.arange(len(index))[:, None]
+            self.sink = index == size
+            self.at = index + size * rows  # entry l * K + k
+            self.at[self.sink] = len(index) * size
+            self.offsets = index.shape[1] * rows
+
+    def __getitem__(self, rows) -> "_Columns":
+        return self if self.index is None else _Columns(self.index[rows], self.size, self.zeros)
 
     def take(self, x: np.ndarray) -> np.ndarray:
-        """x (..., K) on these columns (x itself for every outcome)."""
-        return x if self.index is None else x[..., self.index]
-
-    def dense(self, x: np.ndarray) -> np.ndarray:
-        """Rows (S, K) of x (S, C), zero off these columns."""
+        """x on these columns: a vector (K,) as rows (L, C), and rows (L, K) or
+        (L, M, K) as (L, C) or (L, M, C); x itself for every outcome."""
         if self.index is None:
             return x
-        out = np.zeros((len(x), self.zeros.shape[1]))
-        out[:, self.index] = x
-        return out
+        if x.ndim == 1:
+            return np.append(x, 0.0)[self.index]
+        if x.ndim == 3:
+            near = np.minimum(self.index, self.size - 1)
+            out = x.transpose(0, 2, 1)[np.arange(len(x))[:, None], near]  # (L, C, M)
+        else:
+            out = x.reshape(-1).take(self.at, mode="clip")
+        out[self.sink] = 0.0
+        return out if x.ndim == 2 else out.transpose(0, 2, 1)
 
-    def positions(self, outcomes: np.ndarray) -> np.ndarray:
-        """The positions of outcomes among these columns; each must be one."""
-        return outcomes if self.index is None else self.lookup[outcomes]
+    def dense(self, x: np.ndarray) -> np.ndarray:
+        """C-contiguous rows (L, K) of x (L, C), zero off these columns."""
+        if self.index is None:
+            return x
+        out = np.zeros(len(x) * self.size + 1)
+        out[self.at] = x
+        return out[:-1].reshape(len(x), self.size)
 
     def outcomes(self, positions: np.ndarray) -> np.ndarray:
-        """The outcomes at positions among these columns."""
-        return positions if self.index is None else self.index[positions]
+        """The outcomes at positions (L, n) among each row's columns."""
+        if self.index is None:
+            return positions
+        return self.index.reshape(-1).take(positions + self.offsets)
 
     def rowsum(self, x: np.ndarray) -> np.ndarray:
-        """Sums (S, 1) of the dense rows of x (S, C)."""
+        """Sums (L, 1) of the dense rows of x (L, C)."""
         if self.index is None:
             return x.sum(axis=1, keepdims=True)
-        dense = self.zeros[: len(x)]
-        dense[:, self.index] = x
-        total = dense.sum(axis=1, keepdims=True)
-        dense[:, self.index] = 0.0
-        return total
+        self.zeros[self.at] = x
+        try:
+            return self.zeros[: len(x) * self.size].reshape(len(x), self.size).sum(1, keepdims=True)
+        finally:
+            self.zeros[self.at] = 0.0  # as found, even if the sum raised
 
 
 _EVERY = _Columns()
@@ -422,13 +441,14 @@ def sample_dataset(
     uniforms = np.empty((len(rngs), n))
     for s, rng in enumerate(rngs):
         uniforms[s] = rng.random(n)
-    rows, order = np.arange(len(rngs))[:, None], np.argsort(uniforms, axis=1)
-    uniforms = uniforms[rows, order]
+    order = np.argsort(uniforms, axis=1)
+    order += np.arange(0, uniforms.size, n)[:, None]  # flat positions, row by row
+    uniforms = uniforms.reshape(-1)[order]
     found = np.empty((len(rngs), n), dtype=np.int64)
     for s in range(len(rngs)):
         found[s] = cum[s].searchsorted(uniforms[s], side="left")
     draws = np.empty_like(found)
-    draws[rows, order] = found
+    draws.reshape(-1)[order] = found
     np.clip(draws, first_positive[:, None], last_positive[:, None], out=draws)
     return cols.outcomes(draws)
 
@@ -735,9 +755,10 @@ class _Chunk:
     raise one of _ROUND_ERRORS, every batched call through _by_rows; after
     the phase each such seed goes to `failed` as SimulationError(r) and
     loses its row, and the other rows go on. cols are the columns the
-    stages compute on (see _Columns): the reach _reach finds at each update,
-    off which agents and pt are zero, or every outcome; pbar lives on them,
-    and scratch holds what each reach borrows.
+    stages compute on (see _Columns): each row's reach, which _reach finds
+    at each update and off which that row's agents and pt are zero, or
+    every outcome. pbar lives on them, they lose a failed seed's row with
+    the other row arrays, and scratch holds what each reach borrows.
     """
 
     _ROW_ARRAYS = (
@@ -789,6 +810,7 @@ class _Chunk:
             if arr is not None:
                 setattr(self, name, arr[np.asarray(keep)])
         self.checkpoints = [ck[np.asarray(keep)] for ck in self.checkpoints]
+        self.cols = self.cols[np.asarray(keep)]
         for name in self._ROW_LISTS:
             setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
 
@@ -804,8 +826,8 @@ class _Chunk:
         change; a row whose mixture raises holds zeros until its phase ends."""
         if self.pbar is None:
             cols, every = self.cols, np.arange(len(self.ids))
-            mix = lambda *arrays: mixture(*arrays, cols)
-            _, self.pbar = _by_rows(mix, every, errors, self.weights, cols.take(self.agents))
+            at = (self.weights, cols.take(self.agents), cols)
+            _, self.pbar = _by_rows(mixture, every, errors, *at)
         return self.pbar
 
     def _firing(self, pol, r: int, errors: dict) -> np.ndarray:
@@ -866,53 +888,73 @@ class _Chunk:
         """The filled positions (S, B, n) of data."""
         return np.arange(self.data.shape[2]) < self.sizes[:, :, None]
 
-    def _reach(self) -> _Columns:
-        """The columns of this round's update and of the stages after it: the
-        reach, the sorted outcomes of the datasets (as the verifiers left
-        them) and memory buffers, when every row is fitted by a rule that
-        puts no mass off its data and no hook moves mass; else every
-        outcome. The reach is sought only when S * B * n samples, plus S *
-        capacity buffered ones, are at most K / 2."""
-        rule = self.cfg.update
-        bound = self.data.size + len(self.ids) * rule.capacity  # capacity 0 but for the buffer
+    def _reach(self, owner: np.ndarray, samples: np.ndarray) -> tuple[_Columns, np.ndarray]:
+        """The columns of this round's update and of the stages after it, and
+        the position of each of the update's samples, samples[i] being read
+        for chunk row owner[i], among its row's columns. The columns are the
+        reach, each row's sorted outcomes of its datasets (as the verifiers
+        left them) and memory buffer, when every row is fitted by a rule that
+        puts no mass off its data and no hook moves mass; else every outcome,
+        at which each sample is its own position. A row's reach is sought
+        only when its B * n samples, plus capacity buffered ones, are at most
+        K / 2."""
+        rule, k_space = self.cfg.update, self.space.size
+        # a row's samples; capacity is 0 but for the buffer
+        per_row = self.data.shape[1] * self.data.shape[2] + rule.capacity
         if (
             rule.kind not in _DATA_BOUND
-            or 2 * bound > self.space.size
+            or 2 * per_row > k_space
             or not self.live.all()
             or any(self.policies[kind] for kind in ("diversity", "entropy-release", "cooling"))
         ):
-            return _EVERY
+            return _EVERY, samples
+        rows = len(self.ids)
         if self.scratch is None:  # rows only leave a chunk, so the first reach is the widest
-            k_space = self.space.size
-            self.scratch = (np.zeros((self.live.size, k_space)), np.empty(k_space, np.intp))
-        return _Columns(np.concatenate([self.data[self._held()], *self.memory]), self.scratch)
+            self.scratch = np.zeros(self.live.size * k_space + 1), np.empty(rows * k_space, np.intp)
+        zeros, lookup = self.scratch
+        keys = owner * k_space + samples  # entry s * K + k of (S, K) rows
+        if rows * k_space < 2**31:
+            keys = keys.astype(np.int32)  # sorted in half the time of int64
+        reached = sorted_unique(keys)  # row by row, each row's outcomes in order
+        seeds = reached // k_space
+        widths = np.bincount(seeds, minlength=rows)
+        filled = np.arange(widths.max()) < widths[:, None]
+        index = np.full(filled.shape, k_space)
+        index[filled] = reached - seeds * k_space
+        lookup[reached] = np.nonzero(filled)[1]
+        return _Columns(index, k_space, zeros), lookup[keys]
 
     def _update(self, r: int, errors: dict) -> None:
         rule = self.cfg.update
         rows, blocks = np.nonzero(self.live)
         if not rows.size:
             return
+        sizes = self.sizes[self.live]
+        samples = [self.data[self.live[:, :, None] & self._held()]]
+        owners = [np.repeat(rows, sizes)]
         if rule.kind == "memory-buffer":  # shared data: one block per row
             for s in rows:
                 fresh = self.data[s, 0, : self.sizes[s, 0]]
                 self.memory[s] = roll_memory(self.memory[s], fresh, rule.capacity)
-        cols = self._reach()
-        pbar = None
-        if rule.reads_mixture:
-            pbar = cols.take(self.cols.dense(self._mixture(errors)[rows]))
-        self.pbar, self.cols = None, cols
-        width = self.space.size if cols.index is None else len(cols.index)
-        memory = None
-        if rule.kind == "memory-buffer":
             buffers = [self.memory[s] for s in rows]
             lengths = np.array([len(b) for b in buffers])
-            buffered, lengths = _counts(cols.positions(np.concatenate(buffers)), lengths, width)
+            samples.extend(buffers)
+            owners.append(np.repeat(rows, lengths))
+        cols, positions = self._reach(np.concatenate(owners), np.concatenate(samples))
+        pbar = None
+        if rule.reads_mixture:
+            pbar = cols.take(self.cols.dense(self._mixture(errors)))[rows]
+        self.pbar, self.cols = None, cols
+        fitted = cols[rows]  # the columns of each dataset
+        width = self.space.size if cols.index is None else cols.index.shape[1]
+        memory = None
+        if rule.kind == "memory-buffer":
+            buffered, lengths = _counts(positions[len(samples[0]) :], lengths, width)
             memory = buffered / lengths[:, None]
-        held = self.live[:, :, None] & self._held()
-        counts, n = _counts(cols.positions(self.data[held]), self.sizes[self.live], width)
-        fit = lambda *arrays: update_agents(rule, *arrays, cols)
-        _, mass = _by_rows(fit, rows, errors, counts, n, pbar, memory)
-        mass = cols.dense(mass)
+        counts, n = _counts(positions[: len(samples[0])], sizes, width)
+        fit = partial(update_agents, rule)
+        _, mass = _by_rows(fit, rows, errors, counts, n, pbar, memory, fitted)
+        mass = fitted.dense(mass)
         if self.cfg.per_agent_datasets:
             self._own_agents()[rows, blocks] = mass
         elif len(rows) < len(self.ids):  # the verifier left some seeds unfitted
@@ -960,10 +1002,10 @@ class _Chunk:
                     self.notes[s].append((r, "cooling-refresh"))
 
     def _select(self, r: int, errors: dict) -> None:
-        rule, cols, every = self.cfg.selection, self.cols, np.arange(len(self.ids))
-        select = lambda pbar: apply_selection(rule, self.space, pbar, cols)
-        _, pt = _by_rows(select, every, errors, self._mixture(errors))
-        self.pt = cols.dense(pt)
+        every = np.arange(len(self.ids))
+        select = partial(apply_selection, self.cfg.selection, self.space)
+        _, pt = _by_rows(select, every, errors, self._mixture(errors), self.cols)
+        self.pt = self.cols.dense(pt)
 
     def _diversify(self, r: int, errors: dict) -> None:
         for pol in self.policies["diversity"]:
@@ -1079,6 +1121,9 @@ class _Batch:
 # seeds (M=4, K=1000, two chunks; 9 alternating pairs) the pool won 0, 4, 4
 # and 6 times at 0.52, 0.76, 1.01 and 1.25 * 2**23 elements (medians 96 vs
 # 80, 108 vs 108, 122 vs 123 and 124 vs 159 ms): it breaks even near 2**23.
+# Those runs used the dense kernel, in which every round computed on all K
+# outcomes. Rows that compute on their reach make an element of work cheaper,
+# so the break-even may now lie higher; it has not been measured again.
 POOL_ELEMENTS = 2**23
 
 
@@ -1200,7 +1245,8 @@ def run_batch(
     Trajectory, or the SimulationError of a seed whose run failed; the other
     seeds are unaffected by it. probes, intervention, monitors and
     keep_states apply to every seed, as in run(); an entropy-release anchor
-    "initial" is each seed's own start population.
+    "initial" is each seed's own start population. Each probe names one
+    column of values, so no two probes may share a name.
 
     Seeds advance in lock-step chunks of chunk_size(M, K). A run of at
     least 2 chunks and more than POOL_ELEMENTS elements of work, seeds *
@@ -1223,6 +1269,10 @@ def run_batch(
     """
     if probes and ref is None:
         raise ConfigError("probes were requested but no reference was given")
+    names = [probe.name for probe in probes]
+    for name in names:
+        if names.count(name) > 1:  # values holds one column per name
+            raise ConfigError(f"probe {name!r} is requested more than once")
     seeds = [_check_seed(seed) for seed in seeds]
     if hasattr(pops, "__len__") and len(pops) != len(seeds):
         raise ConfigError(_ONE_PER_SEED)

@@ -492,6 +492,19 @@ def test_run_batch_checks_its_runs_where_it_is_called(small_chunks):
         list(results)
 
 
+def test_a_repeated_probe_name_is_a_config_error_before_any_seed_runs(monkeypatch):
+    # values holds one column per probe name, so a repeat would lose one
+    ran = []
+    monkeypatch.setattr(evolution._Chunk, "advance", lambda chunk, r: ran.append(r))
+    cfg = _config("mle", "identity", False)
+    twice = resolve_probes(("kl_safety", "safe_mass", "kl_safety"), default_tau=0.01)
+    with pytest.raises(ConfigError, match="probe 'kl_safety' is requested more than once"):
+        run_batch(_pops(SEEDS), cfg, SEEDS, twice, ref=REF)
+    with pytest.raises(ConfigError, match="probe 'kl_safety' is requested more than once"):
+        run(_pops(SEEDS[:1])[0], cfg, twice, ref=REF)
+    assert ran == []
+
+
 def test_a_reference_on_another_space_is_one_config_error():
     # the probes would fail every seed in round 0; the call fails instead,
     # before any round runs, and so does run()

@@ -70,6 +70,18 @@ def test_simulate_prints_the_median_of_an_even_seed_count(tmp_path, capsys):
     )
 
 
+def test_a_repeated_probe_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTLAB_EXPERIMENT__PROBES", "kl_safety,kl_safety")
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY)
+    csv_out, json_out = tmp_path / "d.csv", tmp_path / "d.json"
+    argv = ["simulate", str(path), "--csv", str(csv_out), "--json", str(json_out), "--quiet"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "probe 'kl_safety' is requested more than once" in err
+    assert not csv_out.exists() and not json_out.exists()
+
+
 def test_huge_seed_count_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "huge.cfg"
     path.write_text(TINY.replace("experiment.seeds=2", "experiment.seeds=18446744073709551615"))

@@ -1,21 +1,23 @@
-"""The reach: rounds that compute on the outcomes their data reached.
+"""The reach: rounds that compute on the outcomes each row's data reached.
 
-After an update that puts no mass off its data, a chunk's rows are zero
-outside the outcomes its datasets and memory buffers hold, and the four
-stages run on those columns (evolution._Chunk._reach). These tests run a
-fixed grid twice, once as is and once with the reach declined, so that every
-stage runs on all K outcomes, and require the same bytes: every probe value,
-monitor mass and absence flag, event, kept state and final agent row.
+After an update that puts no mass off its data, a seed's rows are zero
+outside the outcomes its datasets and memory buffer hold, and the four
+stages run on those columns, one padded index per chunk
+(evolution._Chunk._reach). These tests run fixed grids twice, once as is and
+once with the reach declined, so that every stage runs on all K outcomes,
+and require the same bytes: every probe value, monitor mass and absence
+flag, event, kept state, final agent row and failure.
 """
 
 import numpy as np
 import pytest
 
 from driftlab import evolution
-from driftlab.core import two_tier_reference
+from driftlab.core import OutcomeSpace, make_prob_vector, two_tier_reference
 from driftlab.errors import SimulationError
 from driftlab.evolution import (
     EvolutionConfig,
+    Population,
     SelectionRule,
     UpdateRule,
     chunk_size,
@@ -49,7 +51,7 @@ UPDATES = {
 SELECTIONS = {
     "identity": SelectionRule("identity"),
     "indicator": SelectionRule("indicator", indices=tuple(range(3000))),
-    # past round 0 the reach holds at most 3 * M * N + 3 * 50 < 400 outcomes
+    # past round 0 a row's reach holds at most M * N or N + 50 < 400 outcomes
     "top-mass": SelectionRule("top-mass", k=400),
     "reward-reweight": SelectionRule(
         "reward-reweight", reward=tuple(np.linspace(1.0, 0.0, K)), beta=2.0
@@ -95,22 +97,28 @@ def _outcome(result):
     )
 
 
-def _run(cfg, policies, monkeypatch, reach: bool):
-    """The outcomes of SEEDS, and for each chunk-round whether it computed on
-    the reach; with reach False the gate declines every round."""
+def _perturbed(ref, seeds):
+    return [build_population(PopulationSpec(M, "perturbed", sigma=0.4), ref, s) for s in seeds]
+
+
+def _run(cfg, policies, monkeypatch, reach: bool, *, ref=REF, pops=None, seeds=SEEDS,
+         probes=PROBES, monitors=MONITORS):
+    """The outcomes of seeds, which start from pops (perturbed ones of ref by
+    default), and for each chunk-round whether it computed on the reach; with
+    reach False the gate declines every round."""
     taken = []
     gate = evolution._Chunk._reach
 
-    def recorded(chunk):
-        cols = gate(chunk) if reach else evolution._EVERY
+    def recorded(chunk, owner, samples):
+        cols, positions = gate(chunk, owner, samples) if reach else (evolution._EVERY, samples)
         taken.append(cols.index is not None)
-        return cols
+        return cols, positions
 
     monkeypatch.setattr(evolution._Chunk, "_reach", recorded)
-    pops = [build_population(PopulationSpec(M, "perturbed", sigma=0.4), REF, s) for s in SEEDS]
-    intervention = [realize_policy(spec, REF) for spec in policies] or None
+    pops = _perturbed(ref, seeds) if pops is None else pops
+    intervention = [realize_policy(spec, ref) for spec in policies] or None
     results = run_batch(
-        pops, cfg, SEEDS, PROBES, intervention, ref=REF, monitors=MONITORS, keep_states=True
+        pops, cfg, seeds, probes, intervention, ref=ref, monitors=monitors, keep_states=True
     )
     outcomes = [_outcome(result) for result in results]
     monkeypatch.undo()
@@ -161,3 +169,158 @@ def test_rows_that_may_hold_mass_off_their_data_never_take_the_reach(monkeypatch
     outcomes, taken = _run(cfg, policies, monkeypatch, reach=True)
     assert taken and not any(taken)
     assert not any(o[0] == "failed" for o in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# Rows whose own bound holds in a chunk whose summed bound does not
+# ---------------------------------------------------------------------------
+
+ROW_K = 1000
+ROW_SEEDS = tuple(range(21))  # 21 * N = 672 samples, past K / 2, in one chunk
+ROW_ROUNDS = 5
+ROW_REF = two_tier_reference(ROW_K, safe_mass=0.9, safe_fraction=0.5)
+ROW_PROBES = resolve_probes(("kl_safety", "internal_entropy"), default_tau=0.001)
+ROW_MONITORS = {"ends": (0, ROW_K - 1), "unsafe": tuple(range(ROW_K // 2, ROW_K))}
+ROW_UPDATES = {
+    **{kind: UPDATES[kind] for kind in ("mle", "memory-buffer", "reward-mixture-loglik")},
+    "reward-fixed": UpdateRule(
+        "reward-reweighted-mle", beta=1.5, reward=tuple(np.linspace(0.0, 1.0, ROW_K))
+    ),
+}
+ROW_SELECTIONS = {
+    "identity": SelectionRule("identity"),
+    "indicator": SelectionRule("indicator", indices=tuple(range(600))),
+    # past round 0 a row's reach holds at most M * N = 96 or N + 50 outcomes
+    "top-mass": SelectionRule("top-mass", k=100),
+    "reward-reweight": SelectionRule(
+        "reward-reweight", reward=tuple(np.linspace(1.0, 0.0, ROW_K)), beta=2.0
+    ),
+}
+ROW_POLICIES = {
+    "none": (),
+    # inspects 8 of 32 samples: it shortens datasets and never empties one
+    "verifier": (_policy("verifier", fp=0.3, fn_rate=0.5, budget=8),),
+}
+ROW_GRID = [
+    (update, selection, per_agent, policy)
+    for update in ROW_UPDATES
+    for selection in ROW_SELECTIONS
+    for per_agent in (False, True)
+    for policy in ROW_POLICIES
+    if not (per_agent and update == "memory-buffer")
+]
+
+
+def _ends_heavy(seeds):
+    """Perturbed start populations of ROW_REF with a third of each agent's
+    mass moved onto each end of the line. Nearly every row then reaches
+    outcomes 0 and K - 1 in every round, next to its padding."""
+    space = OutcomeSpace(ROW_K)
+    pops = []
+    for pop in _perturbed(ROW_REF, seeds):
+        agents = []
+        for agent in pop.agents:
+            weights = agent.mass / 3.0
+            weights[[0, -1]] += 1.0 / 3.0
+            agents.append(make_prob_vector(space, weights))
+        pops.append(Population.equal_weights(agents))
+    return pops
+
+
+def _run_rows(cfg, policies, monkeypatch, reach):
+    return _run(
+        cfg, policies, monkeypatch, reach, ref=ROW_REF, pops=_ends_heavy(ROW_SEEDS),
+        seeds=ROW_SEEDS, probes=ROW_PROBES, monitors=ROW_MONITORS,
+    )
+
+
+def test_the_row_grid_fits_each_row_and_not_the_chunk():
+    assert chunk_size(M, ROW_K) >= len(ROW_SEEDS)
+    # the bound of the chunk, summed over its rows, would decline every round
+    assert 2 * len(ROW_SEEDS) * N > ROW_K
+    assert 2 * max(M * N, N + UPDATES["memory-buffer"].capacity) <= ROW_K
+
+
+@pytest.mark.parametrize("update, selection, per_agent, policy", ROW_GRID)
+def test_each_row_on_its_own_reach_gives_the_bytes_of_every_outcome(
+    monkeypatch, update, selection, per_agent, policy
+):
+    cfg = EvolutionConfig(
+        sample_size=N, rounds=ROW_ROUNDS, selection=ROW_SELECTIONS[selection],
+        update=ROW_UPDATES[update], per_agent_datasets=per_agent,
+    )
+    on_reach, taken = _run_rows(cfg, ROW_POLICIES[policy], monkeypatch, reach=True)
+    on_every, _ = _run_rows(cfg, ROW_POLICIES[policy], monkeypatch, reach=False)
+    assert on_reach == on_every
+    assert sum(o[0] == "failed" for o in on_reach) < len(ROW_SEEDS)
+    assert taken and all(taken)
+
+
+def test_seeds_that_raise_on_their_reach_fail_as_on_every_outcome(monkeypatch):
+    # under a raising error state a subnormal blend weight underflows on the
+    # buffered outcomes of some rows and not of others, in several rounds;
+    # those rows leave the chunk after _by_rows has run each seed alone, each
+    # on the columns of its own row
+    retried = []
+    by_rows = evolution._by_rows
+
+    def spy(fn, rows, errors, *arrays):
+        def call(*parts):
+            cols = [p for p in parts if isinstance(p, evolution._Columns)]
+            if len(parts[0]) < len(arrays[0]) and cols and cols[0].index is not None:
+                retried.append(len(cols[0].index))
+            return fn(*parts)
+
+        return by_rows(call, rows, errors, *arrays)
+
+    cfg = EvolutionConfig(
+        sample_size=N, rounds=ROW_ROUNDS, selection=SelectionRule("top-mass", k=20),
+        update=UpdateRule("memory-buffer", capacity=100, alpha_mem=3e-306),
+    )
+    outcomes = []
+    for reach in (True, False):
+        monkeypatch.setattr(evolution, "_by_rows", spy)
+        with np.errstate(under="raise"):
+            outcomes.append(_run_rows(cfg, (), monkeypatch, reach))
+    (on_reach, taken), (on_every, _) = outcomes
+    assert on_reach == on_every
+    failed = {o[2] for o in on_reach if o[0] == "failed"}
+    assert len(failed) > 1 and sum(o[0] == "failed" for o in on_reach) < len(ROW_SEEDS)
+    assert all(taken) and 1 in retried  # a seed ran alone on its own row's columns
+
+
+SUBNORMAL = 5e-324
+
+
+@pytest.mark.parametrize(
+    "k_space", [2, 5, 7, 127, 129, 255, 257, 511, 513, 1000, 1023, 1025, 4095, 4097, 100_000]
+)
+def test_a_reach_row_sum_is_the_sum_of_the_contiguous_dense_row(k_space):
+    # sparse rows of mixed magnitudes, subnormals among them, and padding
+    rng = np.random.default_rng(k_space)
+    rows = 6
+    reached = [
+        np.sort(rng.choice(k_space, size=min(k_space, w), replace=False))
+        for w in rng.integers(1, 40, rows)
+    ]
+    width = max(len(r) for r in reached)
+    index = np.full((rows, width), k_space)
+    values = np.zeros((rows, width))
+    for s, r in enumerate(reached):
+        index[s, : len(r)] = r
+        v = rng.random(len(r)) * 10.0 ** rng.integers(-300, 3, len(r))
+        v[rng.random(len(r)) < 0.3] = SUBNORMAL * rng.integers(1, 2**20, 1)
+        values[s, : len(r)] = v
+    zeros = np.zeros(rows * k_space + 1)
+    cols = evolution._Columns(index, k_space, zeros)
+    dense = np.zeros((rows, k_space))
+    for s, r in enumerate(reached):
+        dense[s, r] = values[s, : len(r)]
+    assert (dense > 0).sum() == sum(len(r) for r in reached)
+    assert cols.rowsum(values).tobytes() == dense.sum(axis=1, keepdims=True).tobytes()
+    assert cols.dense(values).tobytes() == dense.tobytes()
+    assert not zeros.any()  # the scratch is left as it was found
+    # a row taken alone sums the same
+    for s in range(rows):
+        alone = cols[[s]].rowsum(values[[s]])
+        assert alone.tobytes() == dense[[s]].sum(axis=1, keepdims=True).tobytes()
