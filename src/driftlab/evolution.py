@@ -11,15 +11,16 @@ With per-agent datasets the round draws n * M outcomes instead and agent m is
 fitted to its own block of n.
 
 The engine advances a chunk of S seeds in lock-step. A chunk's agents are one
-(S, M, K) array and its training distributions one (S, K) array, so mixture,
+(S, M, C) array and its training distributions one (S, C) array, over all K
+outcomes or each row's reach (below), so mixture,
 selection, the cumulative sums, the update and every renormalization run once
 per chunk and round, as do the policy hooks over the rows they fire for.
 The round's data is one (S, B, n) int64 array, from draw to count: B blocks
 of n samples per seed (one block, or one per agent), with (S, B) arrays of
 filled sizes and live blocks. What is per seed by nature loops over the
 rows: the uniforms and their inverse-CDF search (in sorted order), verifier
-screening and the cooling check. Each probe measures the chunk's (S, K)
-training rows in one call per round. Round r's measurements fill column r
+screening and the cooling check. Each probe measures the chunk's training
+rows in one call per round. Round r's measurements fill column r
 of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
 seeds' Trajectory columns. The four stages are mixture, apply_selection,
 sample_dataset and update_agents, each over a chunk's rows. A stage or
@@ -37,10 +38,15 @@ outcomes of that seed's datasets (as the verifiers left them) and of its
 memory buffer. The four stages take a column set, every outcome or the
 reach, and until the next update they run on one padded (S, C) index of
 the rows' reaches, C being the widest row; a shorter row's extra entries
-point at a sink and hold exactly 0.0. Each row sum is still taken over the
-dense row (the values at the reach, zeros elsewhere), and cumsum adds zeros
-exactly, so either column set gives the same bits; agents and pt stay
-dense (S, M, K) and (S, K) arrays. The reach is used only when the rule
+point at a sink and hold exactly 0.0. The chunk's agents (S, M, C) and pt
+(S, C) live on those columns between stages too. Each row sum is still
+taken over the dense row (the values at the reach, zeros elsewhere), and
+cumsum adds zeros exactly, so either column set gives the same bits. The
+registry probes and the monitors measure pt on its reach as well, with
+their own bits (see metrics); K-long rows are built only for the readers
+that need them: policy schedules, custom probes, kept states and final
+populations, and the agents an update leaves unfitted when the gate
+declines the reach. The reach is used only when the rule
 puts no mass off its data (mle, memory-buffer, reward-reweighted-mle; not
 smoothed-mle), every row was fitted this round (no verifier emptied a
 block), no diversity, entropy-release or cooling policy can move mass, and
@@ -67,6 +73,7 @@ import math
 import os
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, islice
@@ -175,9 +182,11 @@ class _Columns:
     None), or each row's reach, the sorted outcomes its own data reached, off
     which that row is zero. index (L, C) holds row l's reach at its front
     and the sink column K behind it, C being the widest row; a row's values
-    at its sink entries are exactly 0.0 at every stage. Elementwise work
-    runs on these columns; rowsum sums each row over the dense K (the values
-    here, zeros elsewhere), so either column set gives the same bits.
+    at its sink entries are exactly 0.0 at every stage. A chunk's pt,
+    agents and mixtures live on these columns, as rows (L, C) or (L, M, C).
+    Elementwise work runs on them; rowsum sums each row over the dense K
+    (the values here, zeros elsewhere), so either column set gives the same
+    bits. dense builds K-long rows for a reader that needs them.
 
     A reach borrows its chunk's zeros, at least L * K + 1 zero floats. In
     them, as in the rows dense makes, entry l * K + k is row l's outcome k,
@@ -199,27 +208,35 @@ class _Columns:
         return self if self.index is None else _Columns(self.index[rows], self.size, self.zeros)
 
     def take(self, x: np.ndarray) -> np.ndarray:
-        """x on these columns: a vector (K,) as rows (L, C), and rows (L, K) or
-        (L, M, K) as (L, C) or (L, M, C); x itself for every outcome."""
+        """x on these columns: a vector (K,) as rows (L, C), and rows (L, K)
+        as (L, C); x itself for every outcome."""
         if self.index is None:
             return x
         if x.ndim == 1:
             return np.append(x, 0.0)[self.index]
-        if x.ndim == 3:
-            near = np.minimum(self.index, self.size - 1)
-            out = x.transpose(0, 2, 1)[np.arange(len(x))[:, None], near]  # (L, C, M)
-        else:
-            out = x.reshape(-1).take(self.at, mode="clip")
+        out = x.reshape(-1).take(self.at, mode="clip")
         out[self.sink] = 0.0
-        return out if x.ndim == 2 else out.transpose(0, 2, 1)
+        return out
 
     def dense(self, x: np.ndarray) -> np.ndarray:
-        """C-contiguous rows (L, K) of x (L, C), zero off these columns."""
+        """C-contiguous rows (L, K) of x (L, C), or (L, M, K) of x (L, M, C),
+        zero off these columns; x itself for every outcome."""
         if self.index is None:
             return x
+        if x.ndim == 3:
+            each = self[np.repeat(np.arange(len(x)), x.shape[1])]  # row l once per agent
+            return each.dense(x.reshape(-1, x.shape[2])).reshape(*x.shape[:2], self.size)
         out = np.zeros(len(x) * self.size + 1)
         out[self.at] = x
         return out[:-1].reshape(len(x), self.size)
+
+    def to(self, x: np.ndarray, cols: "_Columns") -> np.ndarray:
+        """Rows x (L, C) on these columns as rows on cols, the columns of the
+        same rows; x must be zero off them."""
+        if cols.index is None:
+            return self.dense(x)
+        with self.written(x) as rows:
+            return cols.take(rows)
 
     def outcomes(self, positions: np.ndarray) -> np.ndarray:
         """The outcomes at positions (L, n) among each row's columns."""
@@ -236,6 +253,23 @@ class _Columns:
             return self.zeros[: len(x) * self.size].reshape(len(x), self.size).sum(1, keepdims=True)
         finally:
             self.zeros[self.at] = 0.0  # as found, even if the sum raised
+
+    @contextmanager
+    def written(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """The dense rows (L, K) of x (L, C), to read inside the block: x
+        itself for every outcome; on a reach, x written into the borrowed
+        zeros, which are cleared on leaving it. Their layout is that of the
+        rows dense makes, so a sum over a block of them has dense's bits."""
+        if self.index is None:
+            yield x
+            return
+        self.zeros[self.at] = x
+        try:
+            rows = self.zeros[: len(x) * self.size].reshape(len(x), self.size)
+            rows.setflags(write=False)
+            yield rows
+        finally:
+            self.zeros[self.at] = 0.0
 
 
 _EVERY = _Columns()
@@ -440,7 +474,7 @@ def sample_dataset(
     last_positive = pt.shape[1] - 1 - np.argmax(pos[:, ::-1], axis=1)
     uniforms = np.empty((len(rngs), n))
     for s, rng in enumerate(rngs):
-        uniforms[s] = rng.random(n)
+        rng.random(out=uniforms[s])  # the stream rng.random(n) draws
     order = np.argsort(uniforms, axis=1)
     order += np.arange(0, uniforms.size, n)[:, None]  # flat positions, row by row
     uniforms = uniforms.reshape(-1)[order]
@@ -580,9 +614,13 @@ def update_agents(
         mass = rule.alpha_mem * memory + (1.0 - rule.alpha_mem) * (counts / n[:, None])
     else:  # reward-reweighted-mle; UpdateRule admits no other kind
         if rule.reward_source == "mixture-loglik":
-            # exp(beta * ln pbar) = pbar ** beta, and 0 ** beta = 0 keeps
-            # unsupported outcomes at zero weight without -inf arithmetic
-            tilt = pbar ** rule.beta if rule.beta != 0.0 else np.ones(k_space)
+            # exp(beta * ln pbar) = pbar ** beta, taken only where the data
+            # is: a zero count weighs zero whatever its tilt, and a tilt not
+            # taken cannot underflow, on a reach or over every outcome
+            if rule.beta == 0.0:
+                tilt = np.ones(k_space)
+            else:
+                tilt = np.power(pbar, rule.beta, out=np.zeros_like(pbar), where=counts > 0.0)
         else:
             tilt = cols.take(_reward_tilt(rule.beta, rule.reward))
         weighted = counts * tilt
@@ -739,13 +777,21 @@ def _group_policies(intervention, space: OutcomeSpace, size: int) -> dict[str, l
 class _Chunk:
     """Seeds of one _Batch advanced through the round in lock-step.
 
-    Row i of every per-seed field belongs to run ids[i]. agents (S, M, K)
-    and pt (S, K) are rebuilt each round, never changed once a record has
-    handed out views of them; a shared-data update of every row leaves them
-    one (S, K) array under a read-only stride-0 view, and hooks get agents
-    from _own_agents. initial keeps the start rows for entropy release,
-    checkpoints one array like them per cooling policy, and pbar mixes
-    agents (None while stale). data (S, B, n) holds the round's B datasets
+    Row i of every per-seed field belongs to run ids[i]. cols are the
+    columns the stages compute on (see _Columns): each row's reach, which
+    _reach finds at each update and off which that row's agents and pt are
+    zero, or every outcome. agents (S, M, C), pt (S, C) and pbar, which
+    mixes agents (None while stale), live on cols. They are rebuilt each
+    round, never changed once a record has handed out views of them; a
+    shared-data update of every row leaves agents one (S, C) array under a
+    read-only stride-0 view. K-long rows are built from cols only for the
+    readers that need them: policy schedules and hooks, custom probes, kept
+    states, population(), and the agents an update leaves unfitted when the
+    gate declines the reach. The hooks that can move mass decline it, so
+    they see every outcome and take agents from _own_agents. Registry
+    probes and monitors measure pt on cols. initial keeps the start rows
+    for an entropy release anchored on them, and checkpoints one array like
+    them per cooling policy. data (S, B, n) holds the round's B datasets
     per seed, of which sizes (S, B) entries are filled: a verifier gets a
     read-only view of the filled front of a block and its kept samples are
     written back there. live (S, B) marks the blocks no verifier emptied;
@@ -754,11 +800,8 @@ class _Chunk:
     (round, text) events. Each phase of the round gathers the rows that
     raise one of _ROUND_ERRORS, every batched call through _by_rows; after
     the phase each such seed goes to `failed` as SimulationError(r) and
-    loses its row, and the other rows go on. cols are the columns the
-    stages compute on (see _Columns): each row's reach, which _reach finds
-    at each update and off which that row's agents and pt are zero, or
-    every outcome. pbar lives on them, they lose a failed seed's row with
-    the other row arrays, and scratch holds what each reach borrows.
+    loses its row (cols included), and the other rows go on. scratch holds
+    what each reach borrows.
     """
 
     _ROW_ARRAYS = (
@@ -773,7 +816,8 @@ class _Chunk:
         self.space = pops[0].space
         self.weights = np.stack([p.weights for p in pops])
         self.agents = np.stack([np.stack([a.mass for a in p.agents]) for p in pops])
-        self.initial = self.agents if batch.policies["entropy-release"] else None
+        anchored = any(p.anchor == "initial" for p in batch.policies["entropy-release"])
+        self.initial = self.agents if anchored else None
         self.pbar = self.pt = self.data = self.sizes = self.live = None
         shape = (len(pops), len(batch.monitor_sets), self.cfg.rounds + 1)
         self.values = np.empty((shape[0], len(batch.probes), shape[2]))
@@ -790,7 +834,7 @@ class _Chunk:
         """Seed s's population over copies of its rows, which outlive the
         chunk; bit-equal rows, as a shared-data update leaves them, share one."""
         agents: list[ProbVector] = []
-        for row in self.agents[s]:
+        for row in self.cols[s : s + 1].dense(self.agents[s : s + 1])[0]:
             if agents and np.array_equal(agents[-1].mass.view(np.int64), row.view(np.int64)):
                 agents.append(agents[-1])
             else:
@@ -825,8 +869,8 @@ class _Chunk:
         """Mixtures (S, C) of the current agents on cols, mixed once per
         change; a row whose mixture raises holds zeros until its phase ends."""
         if self.pbar is None:
-            cols, every = self.cols, np.arange(len(self.ids))
-            at = (self.weights, cols.take(self.agents), cols)
+            every = np.arange(len(self.ids))
+            at = (self.weights, self.agents, self.cols)
             _, self.pbar = _by_rows(mixture, every, errors, *at)
         return self.pbar
 
@@ -858,7 +902,7 @@ class _Chunk:
     def _sample(self, r: int, errors: dict) -> None:
         blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
         n = self.cfg.sample_size
-        draws = sample_dataset(self.cols.take(self.pt), n * blocks, self.rngs, self.cols)
+        draws = sample_dataset(self.pt, n * blocks, self.rngs, self.cols)
         self.data = draws.reshape(len(self.ids), blocks, n)
         self.sizes = np.full((len(self.ids), blocks), n)
         self.live = np.ones((len(self.ids), blocks), dtype=bool)
@@ -897,7 +941,8 @@ class _Chunk:
         puts no mass off its data and no hook moves mass; else every outcome,
         at which each sample is its own position. A row's reach is sought
         only when its B * n samples, plus capacity buffered ones, are at most
-        K / 2."""
+        K / 2. A chunk of one row, as every chunk of a large space is, has
+        no padding to build: its sorted keys are its outcomes."""
         rule, k_space = self.cfg.update, self.space.size
         # a row's samples; capacity is 0 but for the buffer
         per_row = self.data.shape[1] * self.data.shape[2] + rule.capacity
@@ -916,12 +961,16 @@ class _Chunk:
         if rows * k_space < 2**31:
             keys = keys.astype(np.int32)  # sorted in half the time of int64
         reached = sorted_unique(keys)  # row by row, each row's outcomes in order
-        seeds = reached // k_space
-        widths = np.bincount(seeds, minlength=rows)
-        filled = np.arange(widths.max()) < widths[:, None]
-        index = np.full(filled.shape, k_space)
-        index[filled] = reached - seeds * k_space
-        lookup[reached] = np.nonzero(filled)[1]
+        if rows == 1:  # about 20 us of a 65 us reach at K = 10**5, 2200 keys
+            index, columns = reached.astype(np.int64)[None], np.arange(len(reached))
+        else:
+            seeds = reached // k_space
+            widths = np.bincount(seeds, minlength=rows)
+            filled = np.arange(widths.max()) < widths[:, None]
+            index = np.full(filled.shape, k_space)
+            index[filled] = reached - seeds * k_space
+            columns = np.nonzero(filled)[1]
+        lookup[reached] = columns
         return _Columns(index, k_space, zeros), lookup[keys]
 
     def _update(self, r: int, errors: dict) -> None:
@@ -943,7 +992,9 @@ class _Chunk:
         cols, positions = self._reach(np.concatenate(owners), np.concatenate(samples))
         pbar = None
         if rule.reads_mixture:
-            pbar = cols.take(self.cols.dense(self._mixture(errors)))[rows]
+            pbar = self.cols.to(self._mixture(errors), cols)[rows]
+        if rows.size < self.live.size:  # the unfitted keep their agents, on every outcome
+            self.agents = self.cols.dense(self.agents)
         self.pbar, self.cols = None, cols
         fitted = cols[rows]  # the columns of each dataset
         width = self.space.size if cols.index is None else cols.index.shape[1]
@@ -954,20 +1005,23 @@ class _Chunk:
         counts, n = _counts(positions[: len(samples[0])], sizes, width)
         fit = partial(update_agents, rule)
         _, mass = _by_rows(fit, rows, errors, counts, n, pbar, memory, fitted)
-        mass = fitted.dense(mass)
-        if self.cfg.per_agent_datasets:
+        shape = (len(self.ids), self.weights.shape[1], width)
+        if rows.size < self.live.size and self.cfg.per_agent_datasets:
             self._own_agents()[rows, blocks] = mass
-        elif len(rows) < len(self.ids):  # the verifier left some seeds unfitted
+        elif rows.size < self.live.size:
             self._own_agents()[rows] = mass[:, None, :]
+        elif self.cfg.per_agent_datasets:  # entry s * M + m fits agent m of seed s
+            self.agents = mass.reshape(shape)
         else:
-            self.agents = np.broadcast_to(mass[:, None, :], self.agents.shape)
+            self.agents = np.broadcast_to(mass[:, None, :], shape)
 
     def _release(self, r: int, errors: dict) -> None:
         for pol in self.policies["entropy-release"]:
             rows = self._firing(pol, r, errors)
             if not rows.size:
                 continue
-            at = (self._own_agents()[rows], self.initial[rows])
+            initial = self.initial[rows] if pol.anchor == "initial" else None
+            at = (self._own_agents()[rows], initial)
             ok, released = _by_rows(pol.adjust_population, rows, errors, *at)
             rows = rows[ok]
             self.agents[rows] = released[ok]
@@ -1004,8 +1058,7 @@ class _Chunk:
     def _select(self, r: int, errors: dict) -> None:
         every = np.arange(len(self.ids))
         select = partial(apply_selection, self.cfg.selection, self.space)
-        _, pt = _by_rows(select, every, errors, self._mixture(errors), self.cols)
-        self.pt = self.cols.dense(pt)
+        _, self.pt = _by_rows(select, every, errors, self._mixture(errors), self.cols)
 
     def _diversify(self, r: int, errors: dict) -> None:
         for pol in self.policies["diversity"]:
@@ -1023,33 +1076,49 @@ class _Chunk:
         _ROUND_ERRORS, or which a probe gives no single value, fails instead."""
         batch = self.batch
         held = self._held() if r else None
-        hoods = batch.monitor_hoods.values()
-        for i, (idx, hood) in enumerate(zip(batch.monitor_sets.values(), hoods)):
-            self.masses[:, i, r] = np.take(self.pt, idx, axis=1).sum(axis=1)
-            if r:  # did this round's data miss the neighborhood?
-                self.absent[:, i, r] = ~(hood[self.data] & held).any(axis=(1, 2))
         self.agents.setflags(write=False)  # a hook that writes copies it first
         self.pt.setflags(write=False)  # the probes read it whole
-        if batch.probes:
-            every = np.arange(len(self.ids))
-            measure = partial(_measure, r, batch.probes, batch.ref)
-            _, values = _by_rows(measure, every, errors, self.pt, self.agents)
-            self.values[:, :, r] = values
+        with self.cols.written(self.pt) as dense:
+            hoods = batch.monitor_hoods.values()
+            for i, (idx, hood) in enumerate(zip(batch.monitor_sets.values(), hoods)):
+                self.masses[:, i, r] = np.take(dense, idx, axis=1).sum(axis=1)
+                if r:  # did this round's data miss the neighborhood?
+                    self.absent[:, i, r] = ~(hood[self.data] & held).any(axis=(1, 2))
+            if batch.probes:
+                every = np.arange(len(self.ids))
+                measure = partial(_measure, r, batch.probes, batch.ref)
+                at = (self.pt, self.agents, self.cols, dense)
+                _, values = _by_rows(measure, every, errors, *at)
+                self.values[:, :, r] = values
         if batch.keep_states:
             for s in range(len(self.ids)):
                 if s not in errors:
                     self.states[s].append(self.population(s))
 
 
-def _measure(r: int, probes, ref, pt: np.ndarray, agents: np.ndarray) -> np.ndarray:
+def _measure(
+    r: int, probes, ref, pt: np.ndarray, agents: np.ndarray, cols: _Columns, dense: np.ndarray
+) -> np.ndarray:
     """The values (S, P) of the probes in round r on the training rows pt
-    (S, K) and agent rows agents (S, M, K), each probe called once; a probe
-    that gives other than S values raises ValueError."""
+    (S, C) and agent rows agents (S, M, C) on cols, dense being pt's dense
+    rows (S, K), each probe called once; a probe that gives other than S
+    values raises ValueError. On a reach a registry probe measures it (its
+    reach body) and any other probe gets K-long rows, built once."""
     values = np.empty((len(pt), len(probes)))
     if not len(pt):  # the shape _by_rows asks for when every row failed
         return values
+    on_every = None  # pt and agents on every outcome, as evaluator reads them
     for i, probe in enumerate(probes):
-        column = np.asarray(probe.evaluator(r, pt, agents, ref), dtype=np.float64)
+        on_reach = getattr(probe, "_on_reach", None)
+        if on_reach is not None and cols.index is not None:
+            column = on_reach(r, pt, cols.index, dense, ref)
+        else:
+            if on_every is None:
+                on_every = cols.dense(pt), cols.dense(agents)
+                for x in on_every:
+                    x.setflags(write=False)
+            column = probe.evaluator(r, *on_every, ref)
+        column = np.asarray(column, dtype=np.float64)
         if column.shape != (len(pt),):
             raise ValueError(
                 f"probe {probe.name!r} gave shape {column.shape} for {len(pt)} rows"

@@ -14,7 +14,8 @@ expose, so it must survive arithmetic, comparison, and serialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -77,6 +78,36 @@ def _row_sums(values: np.ndarray, at: np.ndarray, shape: tuple[int, int]) -> lis
         return [float(values.sum())]
     ends = at.searchsorted(np.arange(k_space, (s_rows + 1) * k_space, k_space)).tolist()
     return [float(values[a:b].sum()) for a, b in zip([0, *ends[:-1]], ends)]
+
+
+def _within(cols: slice | np.ndarray, index: np.ndarray, k_space: int) -> np.ndarray:
+    """Which rows of index (S, C), each row's sorted reach padded with K,
+    hold every column of cols: the rows that can be positive on all of
+    them. A reach narrower than cols holds them nowhere."""
+    if isinstance(cols, slice):
+        if cols.stop - cols.start > index.shape[1]:
+            return np.zeros(len(index), dtype=bool)
+        cols = np.arange(cols.start, cols.stop)
+    elif cols.size > index.shape[1]:
+        return np.zeros(len(index), dtype=bool)
+    # row s's entries, its padding included, lie in [s * (K + 1), s * (K + 1) + K]
+    shift = (k_space + 1) * np.arange(len(index))[:, None]
+    keys = (index + shift).ravel()
+    wanted = cols + shift
+    return (keys.take(keys.searchsorted(wanted), mode="clip") == wanted).all(axis=1)
+
+
+def _on_support(cols, index: np.ndarray, dense: np.ndarray, body: Callable) -> np.ndarray:
+    """body(rows) for the rows of dense (S, K), on reaches index (S, C),
+    that may be positive on every column of cols, and +inf for the others,
+    which are zero on one of them: the value body gives such a row."""
+    fits = _within(cols, index, dense.shape[1])
+    if fits.all():
+        return body(dense)
+    out = np.full(len(dense), math.inf)
+    if fits.any():
+        out[fits] = body(dense[fits])
+    return out
 
 
 def _kl_rows(p: ProbVector, q: np.ndarray) -> np.ndarray:
@@ -240,10 +271,14 @@ def coverage(ref: SafetyReference, pt: ProbVector, tau: float) -> CoverageResult
     return CoverageResult(visible, float(_covered_rows(ref, pt.mass[None], tau)[0]))
 
 
-def _covered_rows(ref: SafetyReference, pt: np.ndarray, tau: float) -> np.ndarray:
-    """pi_star's mass on {z : pt_s(z) >= tau} for each row pt_s of pt (S, K)."""
+def _covered_rows(
+    ref: SafetyReference, pt: np.ndarray, tau: float, index: np.ndarray | None = None
+) -> np.ndarray:
+    """pi_star's mass on {z : pt_s(z) >= tau} for each row pt_s of pt (S, K),
+    or of pt (S, C) on the columns index (S, C)."""
     at = np.flatnonzero(pt >= tau)
-    return np.array(_row_sums(ref.pi_star.mass[at % pt.shape[1]], at, pt.shape))
+    outcomes = at % pt.shape[1] if index is None else index.ravel()[at]
+    return np.array(_row_sums(ref.pi_star.mass[outcomes], at, pt.shape))
 
 
 class AbsenceProbability(NamedTuple):
@@ -348,6 +383,9 @@ def estimate_decay(trajectory, a_set: Iterable[int]) -> DecayEstimate:
 # ---------------------------------------------------------------------------
 
 ProbeFn = Callable[[int, np.ndarray, np.ndarray, SafetyReference], np.ndarray]
+# (round, pt (S, C), index (S, C), dense (S, K), reference) -> S reals: a
+# registry probe on rows that are zero off their reach (see _REACH_PROBES)
+ReachFn = Callable[[int, np.ndarray, np.ndarray, np.ndarray, SafetyReference], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -355,11 +393,39 @@ class MetricProbe:
     """Named per-round measurement of a chunk of seeds: (round, pt, agents,
     reference) -> S reals, pt being the seeds' read-only (S, K) training
     rows and agents their read-only (S, M, K) agent rows; value s belongs to
-    row s."""
+    row s. A registry probe also carries its body on the reach, which the
+    round calls instead when its rows are zero off their reach; it gives
+    the evaluator's bits."""
 
     name: str
     evaluator: ProbeFn
+    _on_reach: ReachFn | None = field(default=None, repr=False, compare=False)
 
+
+# The registry's bodies on a reach: pt (S, C) holds each row's values at its
+# reach, the sorted columns index (S, C) (padded with K, where pt is 0.0),
+# and dense (S, K) is pt's dense rows. Entropy and coverage read each row's
+# positive entries, which pt holds in column order. A divergence over
+# pi_star's support is +inf on a row whose reach misses a column of it, as
+# the row is zero there; the others, and the block sums, read dense as the
+# evaluators read pt. So each gives its evaluator's bits.
+_REACH_PROBES: dict[str, ReachFn] = {
+    "kl_safety": lambda t, pt, index, dense, ref: _on_support(
+        _support(ref.pi_star)[0], index, dense, partial(_kl_rows, ref.pi_star)
+    ),
+    "safe_mass": lambda t, pt, index, dense, ref: _safe_mass_rows(ref, dense),
+    "internal_entropy": lambda t, pt, index, dense, ref: _entropy_rows(pt),
+    "cross_entropy": lambda t, pt, index, dense, ref: _on_support(
+        _support(ref.pi_star)[0], index, dense, partial(_cross_entropy_rows, ref.pi_star)
+    ),
+    "mass_term": lambda t, pt, index, dense, ref: _mass_rows(ref, dense),
+    "in_safe_term": lambda t, pt, index, dense, ref: _on_support(
+        _sides(ref)[0][2], index, dense, lambda rows: _side_rows(ref, rows, 0)
+    ),
+    "out_safe_term": lambda t, pt, index, dense, ref: _on_support(
+        _sides(ref)[1][2], index, dense, lambda rows: _side_rows(ref, rows, 1)
+    ),
+}
 
 _SIMPLE_PROBES: dict[str, ProbeFn] = {
     "kl_safety": lambda t, pt, agents, ref: _kl_rows(ref.pi_star, pt),
@@ -384,7 +450,7 @@ def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
     names raise ConfigError listing the registry.
     """
     if name in _SIMPLE_PROBES:
-        return MetricProbe(name, _SIMPLE_PROBES[name])
+        return MetricProbe(name, _SIMPLE_PROBES[name], _REACH_PROBES[name])
     if name == "coverage" or name.startswith("coverage@"):
         if name == "coverage":
             if default_tau is None:
@@ -400,7 +466,11 @@ def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
                 raise ConfigError(f"unparseable coverage threshold in {name!r}") from exc
         if not (0.0 < tau <= 1.0):
             raise ConfigError(f"coverage threshold must lie in (0, 1], got {tau}")
-        return MetricProbe(name, lambda t, pt, agents, ref: _covered_rows(ref, pt, tau))
+        return MetricProbe(
+            name,
+            lambda t, pt, agents, ref: _covered_rows(ref, pt, tau),
+            lambda t, pt, index, dense, ref: _covered_rows(ref, pt, tau, index),
+        )
     raise ConfigError(
         f"unknown probe {name!r}; registry: {', '.join(probe_names())} "
         "(coverage also accepts coverage@<tau>)"

@@ -239,10 +239,14 @@ SUBNORMAL_RUN = (
     ),
 )
 # under under="raise", each batched stage and hook whose arithmetic
-# underflows for some seeds: a mixture-loglik tilt of the update, a reward
-# tilt of the selection, the mixture of a subnormal agent, and a diversity
-# blend with a subnormal reference entry that underflows on any rows at all
+# underflows for some seeds: a mixture-loglik tilt of the update on a
+# sampled outcome of small mixture mass, a reward tilt of the selection, the
+# mixture of a subnormal agent, and a diversity blend with a subnormal
+# reference entry that underflows on any rows at all
 PLAIN, ODD = _one_agent(0.5, 0.5, 0, 0, 0, 0), _one_agent(0.45, 0.45, 0.01, 0.01, 0.04, 0.04)
+# its draws of the 0.01 and 0.03 outcomes underflow the tilt, in round 1, or
+# in round 2 where the first refit kept them small
+LATE = _one_agent(0.41, 0.01, 0.4, 0.15, 0.03, 0)
 THREE = core.OutcomeSpace(3)
 FLAT = evolution.Population.equal_weights([ProbVector(THREE, [0.2, 0.3, 0.5])] * 2)
 TINY = evolution.Population.equal_weights(
@@ -264,11 +268,11 @@ OVERFLOWING = {
     ),
     "kl-release": (*SUBNORMAL_RUN, EntropyReleasePolicy(schedule=KL_ANY), "over", {4: 2}),
     "update": (
-        [PLAIN, ODD, PLAIN, PLAIN],
+        [PLAIN, LATE, LATE, LATE],
         EvolutionConfig(30, 3, update=UpdateRule(
             "reward-reweighted-mle", beta=200, reward_source="mixture-loglik"
         )),
-        None, "under", {0: 3, 1: 1},
+        None, "under", {2: 2, 3: 1},
     ),
     # each seed fits its two agents' datasets in one call, as alone
     "update-per-agent": (

@@ -244,8 +244,11 @@ class _ZeroDraws:
     """A generator stub whose uniforms are all exactly 0.0, which rng.random
     returns with probability 2**-53 per draw."""
 
-    def random(self, n):
-        return np.zeros(n)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
 
 
 def test_a_zero_uniform_never_draws_a_leading_zero_mass_outcome():
@@ -274,10 +277,12 @@ class _CountedDraws:
     def __init__(self, seed, quantum=None):
         self.rng, self.quantum, self.calls = make_rng(seed), quantum, []
 
-    def random(self, n):
-        self.calls.append(n)
-        u = self.rng.random(n)
-        return u if self.quantum is None else np.floor(u / self.quantum) * self.quantum
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        self.calls.append(u.size)
+        if self.quantum is not None:
+            u[...] = np.floor(u / self.quantum) * self.quantum
+        return u
 
 
 _DRAW_CASES = 7

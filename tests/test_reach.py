@@ -6,14 +6,16 @@ stages run on those columns, one padded index per chunk
 (evolution._Chunk._reach). These tests run fixed grids twice, once as is and
 once with the reach declined, so that every stage runs on all K outcomes,
 and require the same bytes: every probe value, monitor mass and absence
-flag, event, kept state, final agent row and failure.
+flag, event, kept state, final agent row and failure. On the reach the
+registry probes and the monitors measure the rows there, and a reference
+with zero entries lets the divergences read finite on it.
 """
 
 import numpy as np
 import pytest
 
 from driftlab import evolution
-from driftlab.core import OutcomeSpace, make_prob_vector, two_tier_reference
+from driftlab.core import OutcomeSpace, SafetyReference, make_prob_vector, two_tier_reference
 from driftlab.errors import SimulationError
 from driftlab.evolution import (
     EvolutionConfig,
@@ -24,7 +26,7 @@ from driftlab.evolution import (
     run_batch,
 )
 from driftlab.harness import PolicySpec, PopulationSpec, build_population, realize_policy
-from driftlab.metrics import probe_names, resolve_probes
+from driftlab.metrics import MetricProbe, probe_names, resolve_probes
 
 K = 4096
 M = 3
@@ -324,3 +326,122 @@ def test_a_reach_row_sum_is_the_sum_of_the_contiguous_dense_row(k_space):
     for s in range(rows):
         alone = cols[[s]].rowsum(values[[s]])
         assert alone.tobytes() == dense[[s]].sum(axis=1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("beta", [60, 80])
+def test_a_mixture_loglik_tilt_fails_the_same_seeds_on_the_reach_and_off_it(monkeypatch, beta):
+    # off a row's data the tilt multiplies a zero count; it is not taken
+    # there, so an unsampled outcome of tiny mixture mass cannot underflow it
+    # over every outcome when it would not on the reach
+    cfg = EvolutionConfig(
+        sample_size=N, rounds=ROW_ROUNDS,
+        update=UpdateRule("reward-reweighted-mle", beta=beta, reward_source="mixture-loglik"),
+    )
+    outcomes = []
+    for reach in (True, False):
+        with np.errstate(under="raise"):
+            outcomes.append(_run_rows(cfg, (), monkeypatch, reach))
+    (on_reach, taken), (on_every, _) = outcomes
+    assert on_reach == on_every
+    assert all(taken)
+    failed = sum(o[0] == "failed" for o in on_reach)
+    assert failed == 0 if beta == 60 else 0 < failed < len(ROW_SEEDS)
+
+
+# ---------------------------------------------------------------------------
+# Probes on the reach against a reference whose support can fit inside it
+# ---------------------------------------------------------------------------
+
+
+def _sparse_reference(k_space, safe, unsafe):
+    """pi_star with 0.8 of its mass on the outcomes safe and 0.2 on unsafe,
+    zero elsewhere; the safe set is the lower half of the line. A row whose
+    reach holds the support reads finite divergences on the reach."""
+    mass = np.zeros(k_space)
+    mass[list(safe)] = 0.8 / len(safe)
+    mass[list(unsafe)] = 0.2 / len(unsafe)
+    return SafetyReference(
+        make_prob_vector(OutcomeSpace(k_space), mass), tuple(range(k_space // 2)), 0.25
+    )
+
+
+def _leaning(ref, dense_ref, seeds, lean):
+    """Perturbed start populations of dense_ref with lean of each agent's mass
+    moved onto ref's pi_star: positive everywhere, heaviest on its support."""
+    space = ref.pi_star.space
+    return [
+        Population.equal_weights([
+            make_prob_vector(space, (1.0 - lean) * a.mass + lean * ref.pi_star.mass)
+            for a in pop.agents
+        ])
+        for pop in _perturbed(dense_ref, seeds)
+    ]
+
+
+def _dense_reader(t, pt, agents, ref):
+    """A custom probe: it gets K-long rows on the reach too."""
+    assert pt.shape[1] == agents.shape[2] == ref.pi_star.space.size
+    return (agents.sum(axis=1) * pt).sum(axis=1)
+
+
+SPARSE_REF = _sparse_reference(K, safe=(0, 100, 700, 2047), unsafe=(2048, 4095))
+SPARSE_PROBES = (*PROBES, MetricProbe("dense-reader", _dense_reader))
+SPARSE_MONITORS = {**MONITORS, "support": (0, 100, 700, 2047, 2048, 4095), "far": (3500, 3501)}
+# the probes whose value is finite only where pt holds pi_star's support
+FITTING = ("kl_safety", "cross_entropy", "mass_term", "in_safe_term", "out_safe_term")
+SPARSE_GRID = [
+    (update, selection, per_agent)
+    for update in ("mle", "memory-buffer", "reward-mixture-loglik")
+    for selection in ("identity", "top-mass")
+    for per_agent in (False, True)
+    if not (per_agent and update == "memory-buffer")
+]
+
+
+@pytest.mark.parametrize("update, selection, per_agent", SPARSE_GRID)
+def test_probes_on_a_reach_that_holds_the_support_give_the_bytes_of_every_outcome(
+    monkeypatch, update, selection, per_agent
+):
+    cfg = _config(update, selection, per_agent)
+    run = dict(
+        ref=SPARSE_REF, pops=_leaning(SPARSE_REF, REF, SEEDS, 0.6),
+        probes=SPARSE_PROBES, monitors=SPARSE_MONITORS,
+    )
+    on_reach, taken = _run(cfg, (), monkeypatch, True, **run)
+    on_every, _ = _run(cfg, (), monkeypatch, False, **run)
+    assert on_reach == on_every
+    assert taken and all(taken)
+    # past round 0, which precedes any reach, each probe reads finite for
+    # some seed: its reach then held pi_star's support
+    for name in FITTING:
+        values = [np.frombuffer(o[0][0][name])[1:] for o in on_reach if o[0] != "failed"]
+        assert np.isfinite(values).any(), name
+
+
+WIDE_K = 100_000
+WIDE_REF = _sparse_reference(WIDE_K, safe=(0, 7, 31_000, 49_999), unsafe=(50_000, WIDE_K - 1))
+
+
+def test_one_seed_at_large_k_on_its_reach_gives_the_bytes_of_every_outcome(monkeypatch):
+    # a chunk of one row, as every seed of a large space runs: its reach
+    # needs no padding; every registry probe, a monitor and kept states
+    assert chunk_size(M, WIDE_K) == 1
+    cfg = EvolutionConfig(
+        sample_size=200, rounds=4,
+        update=UpdateRule("memory-buffer", capacity=2000, alpha_mem=0.5, neighborhood_radius=1),
+    )
+    dense_ref = two_tier_reference(WIDE_K, safe_mass=0.95, safe_fraction=0.5)
+    run = dict(
+        ref=WIDE_REF, pops=_leaning(WIDE_REF, dense_ref, (0,), 0.5), seeds=(0,),
+        probes=resolve_probes(probe_names(), default_tau=1e-4),
+        monitors={"support": (0, 7, 31_000, 49_999, 50_000, WIDE_K - 1), "far": (70_000,)},
+    )
+    on_reach, taken = _run(cfg, (), monkeypatch, True, **run)
+    on_every, _ = _run(cfg, (), monkeypatch, False, **run)
+    assert on_reach == on_every
+    assert taken and all(taken)
+    (values, masses, _), *_ = on_reach[0]
+    for name in FITTING:  # the buffer holds pi_star's support
+        assert np.isfinite(np.frombuffer(values[name])[1:]).all(), name
+    assert np.frombuffer(masses["support"]).all()
+    assert not np.frombuffer(masses["far"])[1:].any()  # off every reach
