@@ -91,14 +91,18 @@ from .errors import (
 
 MAX_SEED = 2**64
 
-# A chunk holds max(1, BATCH_ELEMENTS // (M * K)) seeds, so an (S, M, K) array it
-# makes stays near 2**17 floats (1 MiB), and shared-data agents, one (S, K) row,
-# an M-th of that; a population with M * K >= 2**17 runs one seed at a time.
-# Larger chunks did not pay: in paired bench runs of the ensemble workload
-# (M=4, K=1000; 5 rounds of 2**17, 2**19, 2**20, medians; Python 3.11, numpy
-# 2.4, 2 cores) they took 0.900, 0.916 and 0.931 s, at 41.0, 49.6 and 54.9 MB
-# peak RSS.
-BATCH_ELEMENTS = 2**17
+# A chunk holds at most max(1, BATCH_ELEMENTS // (M * K)) seeds, so an
+# (S, M, K) array it makes stays within 2**19 floats (4 MiB), and shared-data
+# agents, one (S, K) row, an M-th of that; a population with M * K > 2**18
+# runs one seed at a time. On the reach a chunk-round costs mostly a fixed
+# amount per numpy call, paid once per chunk, so wide chunks pay. In paired
+# bench runs (5 alternating rounds of --seconds 5 at seed 0, medians; Python
+# 3.11, numpy 2.4.6, 2 cores), with chunks cut as run_batch cuts them, 2**17,
+# 2**18, 2**19 and 2**20 took 0.758, 0.706, 0.645 and 0.632 s on the ensemble
+# workload (M=4, K=1000), at 38.2, 38.7, 39.8 and 42.9 MB peak RSS, and 0.566,
+# 0.504, 0.493 and 0.450 s on drift. 2**20 adds 12 % to ensemble's peak RSS,
+# past the benchmark's 10 % bound.
+BATCH_ELEMENTS = 2**19
 
 
 def chunk_size(agents: int, outcomes: int) -> int:
@@ -205,15 +209,21 @@ class _Columns:
             self.offsets = index.shape[1] * rows
 
     def __getitem__(self, rows) -> "_Columns":
-        return self if self.index is None else _Columns(self.index[rows], self.size, self.zeros)
+        if self.index is None:
+            return self
+        every = np.arange(len(self.index))
+        if np.array_equal(every[rows], every):  # every row, in order
+            return self
+        return _Columns(self.index[rows], self.size, self.zeros)
 
     def take(self, x: np.ndarray) -> np.ndarray:
-        """x on these columns: a vector (K,) as rows (L, C), and rows (L, K)
-        as (L, C); x itself for every outcome."""
+        """x on these columns: a vector (K + 1,), whose last entry is the
+        sink's 0.0, as rows (L, C), or its first K entries for every outcome;
+        and rows (L, K) as (L, C), x itself for every outcome."""
+        if x.ndim == 1:
+            return x[:-1] if self.index is None else x[self.index]
         if self.index is None:
             return x
-        if x.ndim == 1:
-            return np.append(x, 0.0)[self.index]
         out = x.reshape(-1).take(self.at, mode="clip")
         out[self.sink] = 0.0
         return out
@@ -408,36 +418,61 @@ def _check_fit(rule: SelectionRule | UpdateRule, space: OutcomeSpace) -> None:
             )
 
 
+def _rule_vector(rule: SelectionRule | UpdateRule, k_space: int) -> np.ndarray | None:
+    """The fixed weights (K + 1,) a rule puts on the K outcomes, the sink's
+    0.0 behind them (see _Columns.take): an indicator's acceptance, and the
+    tilt of a reward-reweight selection or a fixed-reward update; None for
+    the other rules. The rule fits K outcomes (see _check_fit)."""
+    if rule.kind == "indicator":
+        a = np.zeros(k_space + 1)
+        a[list(rule.indices)] = 1.0
+        return a
+    if rule.kind == "reward-reweight" or (
+        rule.kind == "reward-reweighted-mle" and not rule.reads_mixture
+    ):
+        return np.append(_reward_tilt(rule.beta, rule.reward), 0.0)
+    return None
+
+
 def _acceptance(
-    rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray, cols: _Columns
+    rule: SelectionRule,
+    space: OutcomeSpace,
+    pbar: np.ndarray,
+    cols: _Columns,
+    vector: np.ndarray | None,
 ) -> np.ndarray:
     """Acceptance for mixtures pbar (S, C) on cols under a rule other than
-    identity: shape (C,), or (S, C) for top-mass. The rule fits space (see
-    _check_fit)."""
-    if rule.kind == "indicator":
-        a = np.zeros(space.size)
-        a[list(rule.indices)] = 1.0
-        return cols.take(a)
+    identity: shape (C,) from the rule's vector (built here when None), or
+    (S, C) for top-mass."""
     if rule.kind == "top-mass":
         # off cols the mixture is zero, so a k past C accepts no more mass
         order = np.argsort(-pbar, axis=1, kind="stable")
         a = np.zeros_like(pbar)
         np.put_along_axis(a, order[:, : rule.k], 1.0, axis=1)
         return a
-    # reward-reweight; SelectionRule admits no other kind
-    return cols.take(_reward_tilt(rule.beta, rule.reward))
+    if vector is None:  # indicator or reward-reweight
+        vector = _rule_vector(rule, space.size)
+    return cols.take(vector)
 
 
 def apply_selection(
-    rule: SelectionRule, space: OutcomeSpace, pbar: np.ndarray, cols: _Columns = _EVERY
+    rule: SelectionRule,
+    space: OutcomeSpace,
+    pbar: np.ndarray,
+    cols: _Columns = _EVERY,
+    vector: np.ndarray | None = None,
 ) -> np.ndarray:
     """Training distributions a * pbar / Z (S, C) on cols.
 
+    vector is the rule's _rule_vector over space, built here when None.
     DegenerateSelectionError when a row's Z is zero: the rule accepts no
     mass of that mixture.
     """
     # identity acceptance is all ones, and 1.0 * x == x
-    scaled = pbar if rule.kind == "identity" else _acceptance(rule, space, pbar, cols) * pbar
+    if rule.kind == "identity":
+        scaled = pbar
+    else:
+        scaled = _acceptance(rule, space, pbar, cols, vector) * pbar
     z = cols.rowsum(scaled)
     if (z <= 0.0).any():
         raise DegenerateSelectionError(
@@ -594,15 +629,17 @@ def update_agents(
     pbar: np.ndarray | None = None,
     memory: np.ndarray | None = None,
     cols: _Columns = _EVERY,
+    vector: np.ndarray | None = None,
 ) -> np.ndarray:
     """Masses (L, C) the rule fits to L datasets with outcome counts (L, C)
     on cols and sizes n (L,).
 
     pbar (L, C) holds the current mixture of each dataset's seed, read by the
     mixture-loglik reward; memory (L, C) the empirical rows of the rolled
-    buffers, read by the memory-buffer rule. The rule fits the K outcomes
-    (see _check_fit); smoothed-mle, which puts mass off the data, is given
-    every outcome. ValueError when a row's reward tilt zeroes every sampled
+    buffers, read by the memory-buffer rule; vector the fixed reward's
+    _rule_vector, built here when None. The rule fits the K outcomes (see
+    _check_fit); smoothed-mle, which puts mass off the data, is given every
+    outcome. ValueError when a row's reward tilt zeroes every sampled
     outcome.
     """
     k_space = counts.shape[1]
@@ -622,7 +659,9 @@ def update_agents(
             else:
                 tilt = np.power(pbar, rule.beta, out=np.zeros_like(pbar), where=counts > 0.0)
         else:
-            tilt = cols.take(_reward_tilt(rule.beta, rule.reward))
+            if vector is None:
+                vector = _rule_vector(rule, len(rule.reward))
+            tilt = cols.take(vector)
         weighted = counts * tilt
         total = cols.rowsum(weighted)
         if (total <= 0.0).any():
@@ -801,7 +840,8 @@ class _Chunk:
     raise one of _ROUND_ERRORS, every batched call through _by_rows; after
     the phase each such seed goes to `failed` as SimulationError(r) and
     loses its row (cols included), and the other rows go on. scratch holds
-    what each reach borrows.
+    what each reach borrows, and vectors the selection's and the update's
+    _rule_vector, or None where the stage builds its own.
     """
 
     _ROW_ARRAYS = (
@@ -826,6 +866,11 @@ class _Chunk:
         self.checkpoints = [p.initial_checkpoint(self.agents) for p in batch.policies["cooling"]]
         self.memory = [np.zeros(0, np.int64) for _ in rows]
         self.cols, self.scratch = _EVERY, None
+        rules = (self.cfg.selection, self.cfg.update)
+        try:  # under the error state in which the chunk's rounds run
+            self.vectors = [_rule_vector(rule, self.space.size) for rule in rules]
+        except _ROUND_ERRORS:  # each stage call builds its own, failing its rows there
+            self.vectors = [None, None]
         for name in ("fired", "notes", "states"):
             setattr(self, name, [[] for _ in rows])
         self.failed: dict[int, SimulationError] = {}
@@ -877,7 +922,10 @@ class _Chunk:
     def _firing(self, pol, r: int, errors: dict) -> np.ndarray:
         """The rows whose schedule has pol act in round r."""
         every = np.arange(len(self.ids))
-        mixtures = self.cols.dense(self._mixture(errors))
+        if pol.schedule.reads_mixture:
+            mixtures = self.cols.dense(self._mixture(errors))
+        else:  # the schedule reads how many rows there are
+            mixtures = np.empty((len(every), 0))
         _, fires = _by_rows(partial(pol.schedule.fires, r), every, errors, mixtures)
         return np.flatnonzero(fires)
 
@@ -1003,7 +1051,7 @@ class _Chunk:
             buffered, lengths = _counts(positions[len(samples[0]) :], lengths, width)
             memory = buffered / lengths[:, None]
         counts, n = _counts(positions[: len(samples[0])], sizes, width)
-        fit = partial(update_agents, rule)
+        fit = partial(update_agents, rule, vector=self.vectors[1])
         _, mass = _by_rows(fit, rows, errors, counts, n, pbar, memory, fitted)
         shape = (len(self.ids), self.weights.shape[1], width)
         if rows.size < self.live.size and self.cfg.per_agent_datasets:
@@ -1020,11 +1068,17 @@ class _Chunk:
             rows = self._firing(pol, r, errors)
             if not rows.size:
                 continue
-            initial = self.initial[rows] if pol.anchor == "initial" else None
-            at = (self._own_agents()[rows], initial)
+            initial = self.initial if pol.anchor == "initial" else None
+            every = rows.size == len(self.ids)  # then no row is gathered
+            at = (self._own_agents(), initial)
+            if not every:
+                at = tuple(None if a is None else a[rows] for a in at)
             ok, released = _by_rows(pol.adjust_population, rows, errors, *at)
-            rows = rows[ok]
-            self.agents[rows] = released[ok]
+            if every and ok.all():
+                self.agents = released
+            else:
+                rows = rows[ok]
+                self.agents[rows] = released[ok]
             self.pbar = None
             for s in rows:
                 self.fired[s].append((r, pol.kind))
@@ -1057,7 +1111,7 @@ class _Chunk:
 
     def _select(self, r: int, errors: dict) -> None:
         every = np.arange(len(self.ids))
-        select = partial(apply_selection, self.cfg.selection, self.space)
+        select = partial(apply_selection, self.cfg.selection, self.space, vector=self.vectors[0])
         _, self.pt = _by_rows(select, every, errors, self._mixture(errors), self.cols)
 
     def _diversify(self, r: int, errors: dict) -> None:
@@ -1183,25 +1237,26 @@ class _Batch:
 
 
 # A run forks worker processes only when its work, seeds * (rounds + 1) * M * K
-# elements, exceeds POOL_ELEMENTS; smaller runs stay in process. Measured on 2
-# cores (Python 3.11, numpy 2.4): importing multiprocessing took 7-9 ms,
-# forking 2 workers 11-14 ms and stopping them 2-3 ms, and a worker's first
-# chunk ran about 15 ms slower than in process. In fresh processes of 64
-# seeds (M=4, K=1000, two chunks; 9 alternating pairs) the pool won 0, 4, 4
-# and 6 times at 0.52, 0.76, 1.01 and 1.25 * 2**23 elements (medians 96 vs
-# 80, 108 vs 108, 122 vs 123 and 124 vs 159 ms): it breaks even near 2**23.
-# Those runs used the dense kernel, in which every round computed on all K
-# outcomes. Rows that compute on their reach make an element of work cheaper,
-# so the break-even may now lie higher; it has not been measured again.
+# elements, exceeds POOL_ELEMENTS; smaller runs stay in process. On 2 cores
+# (Python 3.11, numpy 2.4.6), with chunks cut as run_batch cuts them, the
+# bench workloads that fork ran faster pooled than in process (5 alternating
+# --seconds 5 rounds at seed 0, medians): compare, whose 40-seed arms hold
+# 1.9 * 2**23 elements each, 0.879 against 1.113 s, drift (9.6 * 2**23) 0.386
+# against 0.510 s and ensemble (19 * 2**23) 0.507 against 0.831 s. So 2**23
+# stands. An element on the reach is cheap, though: fresh processes of one
+# mle run_batch call (M=4, K=1000, no probes; 10 interleaved pairs) ran
+# slower pooled at every size from 0.49 to 9.6 * 2**23 elements (0 or 1 wins
+# of 10; at 1.9 * 2**23, 177 against 91 ms), each worker's CPU time about
+# half its wall time. The element count no longer tells the break-even alone.
 POOL_ELEMENTS = 2**23
 
 
-def _pool_size(chunks: int, work: int) -> int:
-    """How many worker processes run `chunks` chunks of `work` elements in
-    all; 1 runs them in this process. Workers are forked only where fork is
-    safe (Linux, one thread) and allowed (a daemonic process may have no
+def _pool_size(seeds: int, work: int) -> int:
+    """How many worker processes run `seeds` seeds of `work` elements in all;
+    1 runs them in this process. Workers are forked only where fork is safe
+    (Linux, one thread) and allowed (a daemonic process may have no
     children), when at least 2 CPUs are usable."""
-    if chunks < 2 or work <= POOL_ELEMENTS or sys.platform != "linux":
+    if seeds < 2 or work <= POOL_ELEMENTS or sys.platform != "linux":
         return 1
     if threading.active_count() > 1:
         return 1
@@ -1212,7 +1267,20 @@ def _pool_size(chunks: int, work: int) -> int:
 
     if multiprocessing.current_process().daemon:
         return 1
-    return min(cpus, chunks)
+    return min(cpus, seeds)
+
+
+def _spans(seeds: int, width: int, workers: int) -> list[range]:
+    """The chunks of seeds 0..seeds-1 for `workers` workers: the fewest no
+    wider than width, their count rounded up to a multiple of workers where
+    there are seeds enough, and their widths differing by at most one, the
+    wider first (as np.array_split cuts). Dealt in turn, the chunks give
+    each worker the same share of seeds, give or take one."""
+    least = -(-seeds // width)
+    chunks = min(seeds, workers * -(-least // workers))
+    width, wider = divmod(seeds, chunks)
+    edges = [j * width + min(j, wider) for j in range(chunks + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _serve(batch: _Batch, link) -> None:
@@ -1317,14 +1385,16 @@ def run_batch(
     "initial" is each seed's own start population. Each probe names one
     column of values, so no two probes may share a name.
 
-    Seeds advance in lock-step chunks of chunk_size(M, K). A run of at
-    least 2 chunks and more than POOL_ELEMENTS elements of work, seeds *
-    (rounds + 1) * M * K, runs its chunks on a pool of worker processes
-    forked for the call, one per usable CPU and at most one per chunk, where
-    fork is safe: on Linux, from a process of one thread that is not
-    daemonic. Its chunks are then at most an equal share of the seeds wide.
-    Any other run stays in this process. A seed's bytes are the same either
-    way, whatever the CPU count. Each worker holds one chunk at a time, so
+    Seeds advance in lock-step chunks, as few as chunk_size(M, K) seeds
+    wide allows, whose widths differ by at most one. A run of at least 2
+    seeds and more than POOL_ELEMENTS elements of work, seeds * (rounds + 1)
+    * M * K, runs its chunks on a pool of worker processes forked for the
+    call, one per usable CPU and at most one per seed, where fork is safe:
+    on Linux, from a process of one thread that is not daemonic. Its chunk
+    count is then a multiple of the worker count where the seeds allow, so
+    the workers' shares differ by at most one seed. Any other run stays in
+    this process. A seed's bytes are the same either way, whatever the CPU
+    count. Each worker holds one chunk at a time, so
     at most one chunk of start populations per worker is in flight (one
     chunk in process), and pops is read only as chunks are sent. A worker
     is forked with this call's probes and policies: what they record there
@@ -1378,11 +1448,9 @@ def run_batch(
     batch = _Batch(
         cfg, seeds, probes, ref, policies, monitor_sets, monitor_hoods, monitor_names, keep_states
     )
-    width = chunk_size(size, space.size)
     work = len(seeds) * (cfg.rounds + 1) * size * space.size
-    workers = _pool_size(-(-len(seeds) // width), work)
-    width = min(width, -(-len(seeds) // workers))
-    spans = [range(lo, min(lo + width, len(seeds))) for lo in range(0, len(seeds), width)]
+    workers = _pool_size(len(seeds), work)
+    spans = _spans(len(seeds), chunk_size(size, space.size), workers)
 
     def take(ids: range) -> list[Population]:
         if ready:  # the first chunk's, checked at the call

@@ -73,10 +73,16 @@ class Schedule:
 
     def fires(self, round_index: int, mixtures: np.ndarray) -> np.ndarray:
         """The mask (S,) of the mixture rows (S, K) that act in round_index:
-        every-k, all or none; kl-trigger, the rows that drift past the threshold."""
+        every-k, all or none (it reads only how many rows there are);
+        kl-trigger, the rows that drift past the threshold."""
         if self.kind == "every":
             return np.full(len(mixtures), round_index % self.k == 0)
         return _kl_rows(self.ref.pi_star, mixtures) > self.threshold
+
+    @property
+    def reads_mixture(self) -> bool:
+        """Whether fires reads the mixture rows, not just their count."""
+        return self.kind == "kl-trigger"
 
 
 class _Scheduled:

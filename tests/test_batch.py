@@ -1,8 +1,8 @@
 """The seed-batched engine: S seeds run together match each seed run alone.
 
-run_batch advances seeds in lock-step chunks of chunk_size(M, K). These
-tests shrink the chunk to CHUNK seeds, then run SEEDS = CHUNK + 1 seeds
-together (two chunks, the second of one seed), three seeds together, and
+run_batch advances seeds in lock-step chunks of at most chunk_size(M, K).
+These tests shrink that bound to CHUNK seeds, then run SEEDS = CHUNK + 1
+seeds together (two chunks, of 3 and 2 seeds), three seeds together, and
 every seed alone, over the update x selection x per-agent x policy grid. Each
 seed's CSV bytes, full trajectory (probe values, fired policies, notes,
 monitor masses and absence flags), final agents and failure text must agree.
@@ -253,6 +253,14 @@ TINY = evolution.Population.equal_weights(
     [ProbVector(THREE, [0.5, 0.5 - 1e-310, 1e-310]), ProbVector(THREE, [0.2, 0.3, 0.5])]
 )
 TINY_REF = core.SafetyReference(ProbVector(THREE, [0.6, 0.4 - 1e-310, 1e-310]), (0, 1), 0.1)
+# an agent of weight 1e-307 holds no subnormal product at round 0; refitted,
+# its mass on an outcome drawn a few times, or released toward uniform, is
+# small enough that the mixture underflows. An every-round release reads no
+# mixture: such a seed fails in the same round, where selection mixes
+LOPSIDED = evolution.Population(
+    (ProbVector(THREE, [1.0, 0.0, 0.0]), ProbVector(THREE, [0.2, 0.3, 0.5])),
+    np.array([1e-307, 1.0]),
+)
 # case -> the populations and round settings, the policy, the raising error
 # state, and the round in which each failing seed fails
 OVERFLOWING = {
@@ -290,6 +298,10 @@ OVERFLOWING = {
         None, "under", {0: 0, 1: 0},
     ),
     "mixture": ([FLAT, TINY, FLAT], EvolutionConfig(30, 3), None, "under", {1: 0}),
+    "every-release": (
+        [LOPSIDED] * 4, EvolutionConfig(30, 3), EntropyReleasePolicy(), "under",
+        {1: 3, 2: 1, 3: 1},
+    ),
     "zero-rows": (
         [FLAT] * 2, EvolutionConfig(30, 3), DiversityPolicy(TINY_REF, temperature=1, rho=0.1),
         "under", {0: 0, 1: 0},
@@ -461,10 +473,11 @@ def test_shared_data_agents_are_one_row_until_a_hook_reads_them():
 
 
 def test_chunk_size_rule():
-    assert chunk_size(4, 1000) == 32
-    # the wide benchmark population runs as a batch of one
-    assert chunk_size(4, 100_000) == 1
-    assert chunk_size(1, 2) == 2**16
+    assert chunk_size(4, 1000) == 131
+    # the wide benchmark population runs as a batch of one, as do 3 agents
+    assert chunk_size(4, 100_000) == chunk_size(3, 100_000) == 1
+    assert chunk_size(2, 100_000) == 2
+    assert chunk_size(1, 2) == 2**18
 
 
 def test_run_batch_checks_its_runs_where_it_is_called(small_chunks):
@@ -550,9 +563,9 @@ def test_each_round_calls_the_four_stages_by_name(small_chunks, monkeypatch):
     plain = _together(cfg, SEEDS, None)
     calls = dict.fromkeys(("mixture", "apply_selection", "sample_dataset", "update_agents"), 0)
     for name in calls:
-        def counted(*args, _stage=getattr(evolution, name), _name=name):
+        def counted(*args, _stage=getattr(evolution, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _stage(*args)
+            return _stage(*args, **kwargs)
 
         monkeypatch.setattr(evolution, name, counted)
     assert _together(cfg, SEEDS, None) == plain
@@ -733,7 +746,7 @@ def _read_only(result) -> bool:
 # every update, per-agent and policy case of GRID, each under one selection
 # in turn (each pooled run forks two workers; all of GRID would add about
 # 10 s to the suite), and seed-chunk widths 1, 2 and 4 in turn; for SEEDS and
-# 2 workers, width 4 gives chunks of 3 and 2
+# 2 workers, width 2 gives chunks of 2, 1, 1 and 1 and width 4 chunks of 3 and 2
 _COVER: dict[tuple, list] = {}
 for _case in GRID:
     _COVER.setdefault((_case[0], *_case[2:]), []).append(_case)
@@ -755,17 +768,56 @@ def test_the_pool_gives_the_bytes_of_the_run_in_process(
         ))
 
     pooled = results()
-    assert pool == [(-(-len(SEEDS) // min(width, 3)), 2)]
+    assert pool == [({1: 5, 2: 4, 4: 2}[width], 2)]
     assert all(_read_only(result) for result in pooled)
     monkeypatch.setattr(evolution, "POOL_ELEMENTS", 2**62)
     assert [_kept(r) for r in pooled] == [_kept(r) for r in results()]
     assert pool == [pool[0]]  # the second run stayed in process
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_seeds_split_into_chunks_of_equal_width_a_multiple_of_the_workers(workers):
+    for width in range(1, 9):
+        for seeds in range(1, 60):
+            spans = evolution._spans(seeds, width, workers)
+            widths = [len(ids) for ids in spans]
+            assert [i for ids in spans for i in ids] == list(range(seeds))
+            assert max(widths) <= width and max(widths) - min(widths) <= 1
+            assert widths == sorted(widths, reverse=True)
+            # the fewest chunks, rounded up to a multiple of the workers
+            least = -(-seeds // width)
+            if seeds >= workers * -(-least // workers):
+                assert len(spans) % workers == 0 and len(spans) - least < workers
+            else:  # too few seeds for that: one per chunk
+                assert widths == [1] * seeds
+    # ensemble-mi's 400 runs at the default M = 4, K = 1000, on 2 workers
+    assert [len(ids) for ids in evolution._spans(400, chunk_size(4, 1000), 2)] == [100] * 4
+    assert [len(ids) for ids in evolution._spans(41, chunk_size(4, 1000), workers)] == {
+        1: [41], 2: [21, 20], 3: [14, 14, 13],
+    }[workers]
+    # a large space runs one seed per chunk
+    for agents in (3, 4):
+        assert evolution._spans(5, chunk_size(agents, 100_000), workers) == [
+            range(s, s + 1) for s in range(5)
+        ]
+
+
+@pytest.mark.parametrize("seeds, chunks", [(3 * CHUNK, 3), (3 * CHUNK + 1, 6), (2, 2)])
+def test_three_cpus_take_a_multiple_of_three_chunks_where_the_seeds_allow(
+    monkeypatch, small_chunks, pool, seeds, chunks
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(seeds))
+    pooled = _together(cfg, seeds, None)
+    assert pool == [(chunks, min(3, len(seeds)))]
+    assert pooled == _alone(cfg, seeds, None)
+
+
 def test_failing_seeds_fail_alike_in_the_pool(small_chunks, pool):
     evo, seeds, inputs = _failing()
     pooled = _together(evo, seeds, **inputs)
-    assert pool == [(3, 2)]
+    assert pool == [(4, 2)]  # 12 seeds, 4 chunks of 3
     assert pooled == _alone(evo, seeds, **inputs)
     assert 0 < sum(o[0] == "failed" for o in pooled) < len(seeds)
 
@@ -809,7 +861,7 @@ def test_a_daemonic_process_runs_in_process(small_chunks, pool):
     assert daemon.exitcode == 0
     assert made == []  # no pool in the daemon
     assert outcomes == [_outcome(t) for t in run_batch(_pops(seeds), cfg, seeds)]
-    assert pool == [(3, 2)]  # and one here
+    assert pool == [(4, 2)]  # and one here
 
 
 def test_the_pool_reads_populations_at_most_one_chunk_per_worker_ahead(small_chunks, pool):
@@ -833,7 +885,7 @@ def test_the_pool_raises_a_later_chunks_config_error_after_the_earlier_results(
     small_chunks, pool
 ):
     cfg = _config("mle", "identity", False)
-    seeds = tuple(range(3 * CHUNK))
+    seeds = tuple(range(4 * CHUNK))  # 4 chunks of CHUNK on 2 workers
     pops = _pops(seeds)
     got = []
     with pytest.raises(ConfigError, match="one population per seed"):

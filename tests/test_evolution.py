@@ -125,7 +125,7 @@ def _mix_layouts(rng, s, m, k):
 def test_accumulating_mix_matches_the_broadcast_sum(k):
     # mixture adds agent m = 0..M-1 in turn; the reference is the broadcast-and-sum
     # over a C-contiguous copy of the same agents. Shapes past 2**22 elements are
-    # left out: no chunk holds one, as chunk_size runs M * K >= 2**17 one seed at a time
+    # left out: no chunk holds one, as chunk_size runs M * K > 2**18 one seed at a time
     rng = np.random.default_rng(k)
     for s in (1, 3, 32):
         for m in (1, 2, 3, 4, 6, 7, 13):

@@ -155,6 +155,54 @@ def test_rounds_on_the_reach_give_the_bytes_of_rounds_on_every_outcome(
         assert all(taken)
 
 
+# the rules with a fixed K-long vector, which a chunk builds once, on a
+# space past 10**4: a chunk of 3 rows at M = 3 still holds all three seeds
+VECTOR_K = 20_000
+VECTOR_REF = two_tier_reference(VECTOR_K, safe_mass=0.9, safe_fraction=0.5)
+VECTOR_RULES = {
+    "indicator": (
+        SelectionRule("indicator", indices=tuple(range(0, VECTOR_K, 3))), UpdateRule("mle")
+    ),
+    "reward-reweight": (
+        SelectionRule("reward-reweight", reward=tuple(np.linspace(1.0, 0.0, VECTOR_K)), beta=3.0),
+        UpdateRule("mle"),
+    ),
+    "reward-fixed": (
+        SelectionRule("identity"),
+        UpdateRule(
+            "reward-reweighted-mle", beta=2.0, reward=tuple(np.linspace(0.0, 1.0, VECTOR_K))
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("per_agent", [False, True])
+@pytest.mark.parametrize("case", VECTOR_RULES)
+def test_a_rules_vector_at_large_k_gives_the_bytes_of_every_outcome(monkeypatch, case, per_agent):
+    assert chunk_size(M, VECTOR_K) >= len(SEEDS)
+    selection, update = VECTOR_RULES[case]
+    cfg = EvolutionConfig(
+        sample_size=N, rounds=6, selection=selection, update=update,
+        per_agent_datasets=per_agent,
+    )
+    run = dict(
+        ref=VECTOR_REF, pops=_perturbed(VECTOR_REF, SEEDS),
+        probes=resolve_probes(("kl_safety", "safe_mass", "coverage"), default_tau=1e-4),
+        monitors={"ends": (0, VECTOR_K - 1), "unsafe": tuple(range(VECTOR_K // 2, VECTOR_K))},
+    )
+    built = []
+    rule_vector = evolution._rule_vector
+    monkeypatch.setattr(
+        evolution, "_rule_vector", lambda rule, k: built.append(rule) or rule_vector(rule, k)
+    )
+    on_reach, taken = _run(cfg, (), monkeypatch, True, **run)
+    assert built == [selection, update]  # once for the chunk, not once a round
+    on_every, _ = _run(cfg, (), monkeypatch, False, **run)
+    assert on_reach == on_every
+    assert taken and all(taken)
+    assert not any(o[0] == "failed" for o in on_reach)
+
+
 # the stages run on every outcome wherever a row may hold mass off its data
 NEVER = {
     "smoothed-mle": (UpdateRule("smoothed-mle", lam=0.5), ()),
@@ -326,6 +374,17 @@ def test_a_reach_row_sum_is_the_sum_of_the_contiguous_dense_row(k_space):
     for s in range(rows):
         alone = cols[[s]].rowsum(values[[s]])
         assert alone.tobytes() == dense[[s]].sum(axis=1, keepdims=True).tobytes()
+
+
+def test_the_columns_of_every_row_in_order_are_the_columns_themselves():
+    index = np.array([[0, 3, 4], [1, 4, 5], [2, 5, 5]])  # K = 5: entries 5 are sinks
+    cols = evolution._Columns(index, 5, np.zeros(3 * 5 + 1))
+    for every in (np.arange(3), slice(None), np.ones(3, dtype=bool)):
+        assert cols[every] is cols
+    for rows in (np.array([2, 1, 0]), np.array([0, 0, 1]), np.array([0, 2]), slice(1, 2)):
+        taken = cols[rows]
+        assert taken is not cols and (taken.index == index[rows]).all()
+        assert (taken.dense(np.ones(taken.index.shape)) == cols.dense(np.ones(index.shape))[rows]).all()
 
 
 @pytest.mark.parametrize("beta", [60, 80])
