@@ -42,11 +42,11 @@ point at a sink and hold exactly 0.0. The chunk's agents (S, M, C) and pt
 (S, C) live on those columns between stages too. Each row sum is still
 taken over the dense row (the values at the reach, zeros elsewhere), and
 cumsum adds zeros exactly, so either column set gives the same bits. The
-registry probes and the monitors measure pt on its reach as well, with
-their own bits (see metrics); K-long rows are built only for the readers
-that need them: policy schedules, custom probes, kept states and final
-populations, and the agents an update leaves unfitted when the gate
-declines the reach. The reach is used only when the rule
+monitors and each registry probe's one body measure pt on its columns as
+well, either set with the same bits (see metrics); K-long rows are built
+only for the readers that need them: policy schedules, custom probes, kept
+states and final populations, and the agents an update leaves unfitted
+when the gate declines the reach. The reach is used only when the rule
 puts no mass off its data (mle, memory-buffer, reward-reweighted-mle; not
 smoothed-mle), every row was fitted this round (no verifier emptied a
 block), no diversity, entropy-release or cooling policy can move mass, and
@@ -256,20 +256,16 @@ class _Columns:
 
     def rowsum(self, x: np.ndarray) -> np.ndarray:
         """Sums (L, 1) of the dense rows of x (L, C)."""
-        if self.index is None:
-            return x.sum(axis=1, keepdims=True)
-        self.zeros[self.at] = x
-        try:
-            return self.zeros[: len(x) * self.size].reshape(len(x), self.size).sum(1, keepdims=True)
-        finally:
-            self.zeros[self.at] = 0.0  # as found, even if the sum raised
+        with self.written(x) as rows:
+            return rows.sum(axis=1, keepdims=True)
 
     @contextmanager
     def written(self, x: np.ndarray) -> Iterator[np.ndarray]:
         """The dense rows (L, K) of x (L, C), to read inside the block: x
         itself for every outcome; on a reach, x written into the borrowed
-        zeros, which are cleared on leaving it. Their layout is that of the
-        rows dense makes, so a sum over a block of them has dense's bits."""
+        zeros, which are cleared on leaving it, even if the block raised.
+        Their layout is that of the rows dense makes, so a sum over a block
+        of them has dense's bits."""
         if self.index is None:
             yield x
             return
@@ -1156,16 +1152,16 @@ def _measure(
     """The values (S, P) of the probes in round r on the training rows pt
     (S, C) and agent rows agents (S, M, C) on cols, dense being pt's dense
     rows (S, K), each probe called once; a probe that gives other than S
-    values raises ValueError. On a reach a registry probe measures it (its
-    reach body) and any other probe gets K-long rows, built once."""
+    values raises ValueError. A registry probe measures pt on cols (its one
+    body); any other probe gets K-long rows, built once."""
     values = np.empty((len(pt), len(probes)))
     if not len(pt):  # the shape _by_rows asks for when every row failed
         return values
     on_every = None  # pt and agents on every outcome, as evaluator reads them
     for i, probe in enumerate(probes):
-        on_reach = getattr(probe, "_on_reach", None)
-        if on_reach is not None and cols.index is not None:
-            column = on_reach(r, pt, cols.index, dense, ref)
+        body = getattr(probe, "_body", None)
+        if body is not None:
+            column = body(r, pt, cols.index, dense, ref)
         else:
             if on_every is None:
                 on_every = cols.dense(pt), cols.dense(agents)

@@ -97,10 +97,12 @@ def _within(cols: slice | np.ndarray, index: np.ndarray, k_space: int) -> np.nda
     return (keys.take(keys.searchsorted(wanted), mode="clip") == wanted).all(axis=1)
 
 
-def _on_support(cols, index: np.ndarray, dense: np.ndarray, body: Callable) -> np.ndarray:
-    """body(rows) for the rows of dense (S, K), on reaches index (S, C),
-    that may be positive on every column of cols, and +inf for the others,
-    which are zero on one of them: the value body gives such a row."""
+def _on_support(cols, index: np.ndarray | None, dense: np.ndarray, body: Callable) -> np.ndarray:
+    """body(rows) for the rows of dense (S, K), on reaches index (S, C) or
+    every outcome (None), that may be positive on every column of cols, and
+    +inf for the others, which are zero on one of them: body's value there."""
+    if index is None:
+        return body(dense)
     fits = _within(cols, index, dense.shape[1])
     if fits.all():
         return body(dense)
@@ -383,9 +385,9 @@ def estimate_decay(trajectory, a_set: Iterable[int]) -> DecayEstimate:
 # ---------------------------------------------------------------------------
 
 ProbeFn = Callable[[int, np.ndarray, np.ndarray, SafetyReference], np.ndarray]
-# (round, pt (S, C), index (S, C), dense (S, K), reference) -> S reals: a
-# registry probe on rows that are zero off their reach (see _REACH_PROBES)
-ReachFn = Callable[[int, np.ndarray, np.ndarray, np.ndarray, SafetyReference], np.ndarray]
+# (round, pt (S, C), index (S, C) or None, dense (S, K), reference) -> S
+# reals: a registry probe's body (see _BODIES)
+BodyFn = Callable[[int, np.ndarray, np.ndarray | None, np.ndarray, SafetyReference], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -393,23 +395,28 @@ class MetricProbe:
     """Named per-round measurement of a chunk of seeds: (round, pt, agents,
     reference) -> S reals, pt being the seeds' read-only (S, K) training
     rows and agents their read-only (S, M, K) agent rows; value s belongs to
-    row s. A registry probe also carries its body on the reach, which the
-    round calls instead when its rows are zero off their reach; it gives
-    the evaluator's bits."""
+    row s. A registry probe also carries its one body, which the round
+    calls on every column set, every outcome or the reach; its evaluator is
+    that body on dense rows."""
 
     name: str
     evaluator: ProbeFn
-    _on_reach: ReachFn | None = field(default=None, repr=False, compare=False)
+    _body: BodyFn | None = field(default=None, repr=False, compare=False)
 
 
-# The registry's bodies on a reach: pt (S, C) holds each row's values at its
-# reach, the sorted columns index (S, C) (padded with K, where pt is 0.0),
-# and dense (S, K) is pt's dense rows. Entropy and coverage read each row's
-# positive entries, which pt holds in column order. A divergence over
-# pi_star's support is +inf on a row whose reach misses a column of it, as
-# the row is zero there; the others, and the block sums, read dense as the
-# evaluators read pt. So each gives its evaluator's bits.
-_REACH_PROBES: dict[str, ReachFn] = {
+def _registry_probe(name: str, body: BodyFn) -> MetricProbe:
+    """The probe of body, whose evaluator is body on every outcome."""
+    return MetricProbe(name, lambda t, pt, agents, ref: body(t, pt, None, pt, ref), body)
+
+
+# The registry's bodies. pt (S, C) holds each row's values at its columns
+# index (S, C), sorted and padded with K where pt is 0.0, or every outcome
+# when index is None; dense (S, K) is pt's dense rows. Entropy and coverage
+# read each row's positive entries, which pt holds in column order. A
+# divergence over pi_star's support is +inf on a row whose reach misses a
+# column of it, as the row is zero there; the others, and the block sums,
+# read dense. So either column set gives the same bits.
+_BODIES: dict[str, BodyFn] = {
     "kl_safety": lambda t, pt, index, dense, ref: _on_support(
         _support(ref.pi_star)[0], index, dense, partial(_kl_rows, ref.pi_star)
     ),
@@ -426,20 +433,12 @@ _REACH_PROBES: dict[str, ReachFn] = {
         _sides(ref)[1][2], index, dense, lambda rows: _side_rows(ref, rows, 1)
     ),
 }
-
-_SIMPLE_PROBES: dict[str, ProbeFn] = {
-    "kl_safety": lambda t, pt, agents, ref: _kl_rows(ref.pi_star, pt),
-    "safe_mass": lambda t, pt, agents, ref: _safe_mass_rows(ref, pt),
-    "internal_entropy": lambda t, pt, agents, ref: _entropy_rows(pt),
-    "cross_entropy": lambda t, pt, agents, ref: _cross_entropy_rows(ref.pi_star, pt),
-    "mass_term": lambda t, pt, agents, ref: _mass_rows(ref, pt),
-    "in_safe_term": lambda t, pt, agents, ref: _side_rows(ref, pt, 0),
-    "out_safe_term": lambda t, pt, agents, ref: _side_rows(ref, pt, 1),
-}
+# built once, so that resolving a name twice gives equal probes
+_PROBES = {name: _registry_probe(name, body) for name, body in _BODIES.items()}
 
 
 def probe_names() -> tuple[str, ...]:
-    return tuple(_SIMPLE_PROBES) + ("coverage",)
+    return tuple(_PROBES) + ("coverage",)
 
 
 def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
@@ -449,8 +448,8 @@ def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
     "coverage@0.001" pins an explicit threshold in the name itself. Unknown
     names raise ConfigError listing the registry.
     """
-    if name in _SIMPLE_PROBES:
-        return MetricProbe(name, _SIMPLE_PROBES[name], _REACH_PROBES[name])
+    if name in _PROBES:
+        return _PROBES[name]
     if name == "coverage" or name.startswith("coverage@"):
         if name == "coverage":
             if default_tau is None:
@@ -466,10 +465,8 @@ def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
                 raise ConfigError(f"unparseable coverage threshold in {name!r}") from exc
         if not (0.0 < tau <= 1.0):
             raise ConfigError(f"coverage threshold must lie in (0, 1], got {tau}")
-        return MetricProbe(
-            name,
-            lambda t, pt, agents, ref: _covered_rows(ref, pt, tau),
-            lambda t, pt, index, dense, ref: _covered_rows(ref, pt, tau, index),
+        return _registry_probe(
+            name, lambda t, pt, index, dense, ref: _covered_rows(ref, pt, tau, index)
         )
     raise ConfigError(
         f"unknown probe {name!r}; registry: {', '.join(probe_names())} "

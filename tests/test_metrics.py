@@ -657,6 +657,14 @@ def test_coverage_probe_tau_forms():
     )
 
 
+def test_a_registry_name_resolves_to_an_equal_probe():
+    # equal probes with equal hashes, as a set or dict key of them needs
+    for name in probe_names():
+        if name != "coverage":
+            assert resolve_probe(name) == resolve_probe(name)
+            assert hash(resolve_probe(name)) == hash(resolve_probe(name))
+
+
 def test_unknown_probe_rejected():
     with pytest.raises(ConfigError):
         resolve_probe("no_such_probe")

@@ -374,6 +374,11 @@ def test_a_reach_row_sum_is_the_sum_of_the_contiguous_dense_row(k_space):
     for s in range(rows):
         alone = cols[[s]].rowsum(values[[s]])
         assert alone.tobytes() == dense[[s]].sum(axis=1, keepdims=True).tobytes()
+    # a sum that raises leaves the borrowed zeros as clean
+    huge = evolution._Columns(np.array([[0, k_space - 1]]), k_space, zeros)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        huge.rowsum(np.array([[1e308, 1e308]]))
+    assert not zeros.any()
 
 
 def test_the_columns_of_every_row_in_order_are_the_columns_themselves():
@@ -470,6 +475,10 @@ def test_probes_on_a_reach_that_holds_the_support_give_the_bytes_of_every_outcom
     on_every, _ = _run(cfg, (), monkeypatch, False, **run)
     assert on_reach == on_every
     assert taken and all(taken)
+    # as custom probes, measured on K-long rows built from the reach
+    custom = tuple(MetricProbe(p.name, p.evaluator) for p in SPARSE_PROBES)
+    as_custom, _ = _run(cfg, (), monkeypatch, True, **{**run, "probes": custom})
+    assert as_custom == on_reach
     # past round 0, which precedes any reach, each probe reads finite for
     # some seed: its reach then held pi_star's support
     for name in FITTING:
