@@ -26,11 +26,13 @@ seeds' Trajectory columns. The four stages are mixture, apply_selection,
 sample_dataset and update_agents, each over a chunk's rows. A stage or
 policy hook that cannot compute a row raises; that call then runs seed by
 seed, and only the seeds that raise fail (see _by_rows). run_batch is the
-one entry point; run() is a batch of one, and a seed's trajectory is
-byte-identical whichever chunk it runs in. A sweep with enough work runs its
-chunks on every usable CPU, in worker processes forked for the call; smaller
-runs, and any where fork is unsafe, stay in process. Either way a seed's
-bytes do not depend on the CPU count.
+one public entry point; run() is a batch of one, and a seed's trajectory is
+byte-identical whichever chunk it runs in. A batch with enough work runs its
+chunks on every usable CPU, in one pool of worker processes forked once for
+the call, holding every batch of it (a comparison's arms are the batches of
+one call, see _run_batches); a call whose batches are each smaller, and any
+where fork is unsafe, stays in process. Either way a seed's bytes do
+not depend on the CPU count.
 
 An agent refitted to its own samples holds no mass on an outcome it did not
 draw. So after each update the chunk finds each row's reach: the sorted
@@ -73,10 +75,10 @@ import math
 import os
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
@@ -1198,6 +1200,7 @@ class _Batch:
     monitor_hoods: dict[str, np.ndarray]
     monitor_names: dict[str, tuple[int, ...]]
     keep_states: bool
+    width: int  # seeds per chunk at most, chunk_size(M, K)
 
     def results(self, ids: range, pops: Sequence[Population]) -> list[Trajectory | SimulationError]:
         """The Trajectory, or SimulationError, of each run in ids, which start
@@ -1232,18 +1235,20 @@ class _Batch:
         return out
 
 
-# A run forks worker processes only when its work, seeds * (rounds + 1) * M * K
-# elements, exceeds POOL_ELEMENTS; smaller runs stay in process. On 2 cores
-# (Python 3.11, numpy 2.4.6), with chunks cut as run_batch cuts them, the
-# bench workloads that fork ran faster pooled than in process (5 alternating
-# --seconds 5 rounds at seed 0, medians): compare, whose 40-seed arms hold
-# 1.9 * 2**23 elements each, 0.879 against 1.113 s, drift (9.6 * 2**23) 0.386
-# against 0.510 s and ensemble (19 * 2**23) 0.507 against 0.831 s. So 2**23
-# stands. An element on the reach is cheap, though: fresh processes of one
-# mle run_batch call (M=4, K=1000, no probes; 10 interleaved pairs) ran
-# slower pooled at every size from 0.49 to 9.6 * 2**23 elements (0 or 1 wins
-# of 10; at 1.9 * 2**23, 177 against 91 ms), each worker's CPU time about
-# half its wall time. The element count no longer tells the break-even alone.
+# A call forks worker processes only when one of its batches has more than
+# POOL_ELEMENTS elements of work, seeds * (rounds + 1) * M * K; a call whose
+# batches are each smaller stays in process, however many batches it has. On
+# 2 cores (Python 3.11, numpy 2.4.6), with chunks cut as run_batch cuts them,
+# the bench workloads that fork ran faster pooled than in process (5
+# alternating --seconds 5 rounds at seed 0, medians): compare, whose 40-seed
+# arms hold 1.9 * 2**23 elements each, 0.879 against 1.113 s, drift
+# (9.6 * 2**23) 0.386 against 0.510 s and ensemble (19 * 2**23) 0.507 against
+# 0.831 s. So 2**23 stands. An element on the reach is cheap, though: fresh
+# processes of one mle run_batch call (M=4, K=1000, no probes; 10 interleaved
+# pairs) ran slower pooled at every size from 0.49 to 9.6 * 2**23 elements
+# (0 or 1 wins of 10; at 1.9 * 2**23, 177 against 91 ms), each worker's CPU
+# time about half its wall time. The element count no longer tells the
+# break-even alone, so summing a call's batches would fork more such runs.
 POOL_ELEMENTS = 2**23
 
 
@@ -1279,18 +1284,18 @@ def _spans(seeds: int, width: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _serve(batch: _Batch, link) -> None:
-    """A pool worker: run each chunk that arrives on link under the parent's
-    numpy error state, and send back its results or the exception that
-    stopped it, until the parent closes link."""
+def _serve(batches: Sequence[_Batch], link) -> None:
+    """A pool worker: run each chunk that arrives on link, seeds ids of
+    batches[k], under the parent's numpy error state, and send back its
+    results or the exception that stopped it, until the parent closes link."""
     while True:
         try:
-            ids, pops, errstate = link.recv()
+            k, ids, pops, errstate = link.recv()
         except EOFError:
             return
         try:
             with np.errstate(**errstate):
-                out = batch.results(ids, pops)
+                out = batches[k].results(ids, pops)
         except Exception as exc:  # raised again in the parent
             import traceback  # a worker's import: start-up does not load it
 
@@ -1311,14 +1316,15 @@ def _received(link) -> list[Trajectory | SimulationError]:
     return out
 
 
-def _pooled(batch: _Batch, spans: list[range], take, workers: int):
-    """The results of the chunks spans, in order, from workers forked worker
-    processes; chunk j runs on worker j % workers. take(ids) gives a chunk's
-    checked start populations. A worker holds one chunk at a time and gets
-    its next one as soon as its results are in, so it never writes a result
-    while the parent writes to it; a later chunk's ConfigError is raised
-    after the results of the chunks before it. The workers are stopped
-    however the iteration ends."""
+def _pooled(batches: Sequence[_Batch], chunks: list[tuple[int, range]], take, workers: int):
+    """The results of each chunk (k, ids) of chunks, seeds ids of batches[k],
+    in order and one list per chunk, from workers forked worker processes
+    that hold every batch; chunk j runs on worker j % workers. take(k, ids)
+    gives a chunk's checked start populations. A worker holds one chunk at
+    a time and gets its next one as soon as its results are in, so it never
+    writes a result while the parent writes to it; a later chunk's
+    ConfigError is raised after the results of the chunks before it. The
+    workers are stopped however the iteration ends."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
@@ -1328,29 +1334,30 @@ def _pooled(batch: _Batch, spans: list[range], take, workers: int):
     def fill(upto: int) -> None:
         """Send chunks up to upto - 1 (and no further than a ConfigError)."""
         nonlocal sent, error
-        while error is None and sent < min(upto, len(spans)):
+        while error is None and sent < min(upto, len(chunks)):
+            k, ids = chunks[sent]
             try:
-                pops = take(spans[sent])
+                pops = take(k, ids)
             except ConfigError as exc:
                 error = exc
                 return
-            links[sent % workers].send((spans[sent], pops, np.geterr()))
+            links[sent % workers].send((k, ids, pops, np.geterr()))
             sent += 1
 
     try:
         for _ in range(workers):
             link, end = ctx.Pipe()
-            procs.append(ctx.Process(target=_serve, args=(batch, end), daemon=True))
+            procs.append(ctx.Process(target=_serve, args=(batches, end), daemon=True))
             procs[-1].start()
             end.close()
             links.append(link)
         fill(workers)
-        for j in range(len(spans)):
+        for j in range(len(chunks)):
             if j == sent:
                 raise error
             out = _received(links[j % workers])
             fill(j + 1 + workers)
-            yield from out
+            yield out
     finally:
         for proc in procs:
             proc.terminate()
@@ -1358,6 +1365,114 @@ def _pooled(batch: _Batch, spans: list[range], take, workers: int):
             proc.join()
         for link in links:
             link.close()
+
+
+def _starts(first: Population, rest: Iterator[Population], seeds: int) -> Iterator[Population]:
+    """A batch's seeds start populations: first, then the next seeds - 1 of
+    rest, each checked against first as it is read. Asked for one more, it
+    checks that rest holds no more."""
+    yield first
+    for _ in range(seeds - 1):
+        pop = next(rest, None)
+        if pop is None:
+            raise ConfigError(_ONE_PER_SEED)
+        if pop.space != first.space or pop.size != first.size:
+            raise ConfigError("the populations of a batch must share one space and size")
+        yield pop
+    if next(rest, None) is not None:
+        raise ConfigError(_ONE_PER_SEED)
+
+
+def _prepare(
+    pops, cfg, seeds, probes=(), intervention=None, *, ref=None, monitors=None, keep_states=False
+) -> tuple[_Batch, Iterator[Population], int] | None:
+    """The checks of a run_batch call with these arguments, which it
+    documents, and what the call runs: its _Batch, its start populations
+    (see _starts) and its work, seeds * (rounds + 1) * M * K elements; None
+    when seeds is empty."""
+    if probes and ref is None:
+        raise ConfigError("probes were requested but no reference was given")
+    names = [probe.name for probe in probes]
+    for name in names:
+        if names.count(name) > 1:  # values holds one column per name
+            raise ConfigError(f"probe {name!r} is requested more than once")
+    seeds = [_check_seed(seed) for seed in seeds]
+    if hasattr(pops, "__len__") and len(pops) != len(seeds):
+        raise ConfigError(_ONE_PER_SEED)
+    rest = iter(pops)
+    first = next(rest, None)
+    if (first is None) != (not seeds):
+        raise ConfigError(_ONE_PER_SEED)
+    if first is None:
+        return None
+    space, size = first.space, first.size
+    if getattr(ref, "space", space) != space:
+        raise ConfigError(
+            f"the reference lives on {ref.space.size} outcomes, the populations on {space.size}"
+        )
+    policies = _group_policies(intervention, space, size)
+    _check_fit(cfg.selection, space)
+    _check_fit(cfg.update, space)
+    radius = cfg.update.neighborhood_radius
+
+    monitor_sets: dict[str, np.ndarray] = {}
+    monitor_hoods: dict[str, np.ndarray] = {}
+    monitor_names: dict[str, tuple[int, ...]] = {}
+    for name, indices in (monitors or {}).items():
+        idx = space.validate_indices(indices)
+        if idx.size == 0:
+            raise ConfigError(f"monitored set {name!r} is empty")
+        monitor_sets[name] = idx
+        hood_mask = np.zeros(space.size, dtype=bool)
+        hood_mask[neighborhood(space, idx, radius)] = True
+        monitor_hoods[name] = hood_mask
+        monitor_names[name] = tuple(int(i) for i in idx)
+
+    batch = _Batch(
+        cfg, seeds, probes, ref, policies, monitor_sets, monitor_hoods, monitor_names,
+        keep_states, chunk_size(size, space.size),
+    )
+    work = len(seeds) * (cfg.rounds + 1) * size * space.size
+    return batch, _starts(first, rest, len(seeds)), work
+
+
+def _run_batches(
+    calls: Sequence[tuple[_Batch, Iterator[Population], int]],
+) -> Iterator[Trajectory | SimulationError]:
+    """The results of every (batch, starts, work) call that _prepare made, one
+    call after another, each as run_batch gives them. The worker count is
+    chosen once, the most that any one batch would take alone, and each
+    batch is cut into chunks for it; a pool's workers are forked once,
+    holding every batch. The first chunk of the first call's populations is
+    read here."""
+    batches = [batch for batch, _, _ in calls]
+    workers = max(_pool_size(len(batch.seeds), work) for batch, _, work in calls)
+    chunks = [
+        (k, ids)
+        for k, batch in enumerate(batches)
+        for ids in _spans(len(batch.seeds), batch.width, workers)
+    ]
+
+    def take(k: int, ids: range) -> list[Population]:
+        if ready:  # the first chunk's, read at the call
+            return ready.pop()
+        return list(islice(calls[k][1], len(ids)))
+
+    ready: list = []  # take hands out the first chunk, read here, once
+    ready.append(take(*chunks[0]))
+
+    def results() -> Iterator[Trajectory | SimulationError]:
+        if workers > 1:
+            outs = _pooled(batches, chunks, take, workers)
+        else:
+            outs = (batches[k].results(ids, take(k, ids)) for k, ids in chunks)
+        with closing(outs):  # a ConfigError below stops the pool too
+            for (k, ids), out in zip(chunks, outs):
+                yield from out
+                if ids.stop == len(batches[k].seeds):  # the batch's last chunk
+                    next(calls[k][1], None)  # its starts check that pops is done
+
+    return results()
 
 
 def run_batch(
@@ -1384,93 +1499,31 @@ def run_batch(
     Seeds advance in lock-step chunks, as few as chunk_size(M, K) seeds
     wide allows, whose widths differ by at most one. A run of at least 2
     seeds and more than POOL_ELEMENTS elements of work, seeds * (rounds + 1)
-    * M * K, runs its chunks on a pool of worker processes forked for the
+    * M * K, runs its chunks on one pool of worker processes forked for the
     call, one per usable CPU and at most one per seed, where fork is safe:
     on Linux, from a process of one thread that is not daemonic. Its chunk
     count is then a multiple of the worker count where the seeds allow, so
     the workers' shares differ by at most one seed. Any other run stays in
-    this process. A seed's bytes are the same either way, whatever the CPU
-    count. Each worker holds one chunk at a time, so
-    at most one chunk of start populations per worker is in flight (one
-    chunk in process), and pops is read only as chunks are sent. A worker
-    is forked with this call's probes and policies: what they record there
-    stays there. A worker's exception is raised here with its type and
-    message, the worker's traceback as its cause, and the workers are
-    stopped however the iteration ends.
+    this process. (The runners in harness hand several such calls, one per
+    comparison arm, to one pool, forked once when any one of them would
+    fork alone and as large as the largest of them would take.)
+    A seed's bytes are the same either way, whatever the CPU count. Each
+    worker holds one chunk at a time, so at most one chunk of start
+    populations per worker is in flight (one chunk in process), and pops is
+    read only as chunks are sent. A worker is forked with this call's probes
+    and policies: what they record there stays there. A worker's exception
+    is raised here with its type and message, the worker's traceback as its
+    cause, and the workers are stopped however the iteration ends.
 
     The arguments and the first chunk's populations are checked here; a
     later chunk's populations, and a pops iterable without len() that is
     longer or shorter than seeds, when the iterator reaches them.
     """
-    if probes and ref is None:
-        raise ConfigError("probes were requested but no reference was given")
-    names = [probe.name for probe in probes]
-    for name in names:
-        if names.count(name) > 1:  # values holds one column per name
-            raise ConfigError(f"probe {name!r} is requested more than once")
-    seeds = [_check_seed(seed) for seed in seeds]
-    if hasattr(pops, "__len__") and len(pops) != len(seeds):
-        raise ConfigError(_ONE_PER_SEED)
-    starts = iter(pops)
-    first = next(starts, None)
-    if (first is None) != (not seeds):
-        raise ConfigError(_ONE_PER_SEED)
-    if first is None:
-        return iter(())
-    starts = chain([first], starts)
-    space, size = first.space, first.size
-    if getattr(ref, "space", space) != space:
-        raise ConfigError(
-            f"the reference lives on {ref.space.size} outcomes, the populations on {space.size}"
-        )
-    policies = _group_policies(intervention, space, size)
-    _check_fit(cfg.selection, space)
-    _check_fit(cfg.update, space)
-    radius = cfg.update.neighborhood_radius
-
-    monitor_sets: dict[str, np.ndarray] = {}
-    monitor_hoods: dict[str, np.ndarray] = {}
-    monitor_names: dict[str, tuple[int, ...]] = {}
-    for name, indices in (monitors or {}).items():
-        idx = space.validate_indices(indices)
-        if idx.size == 0:
-            raise ConfigError(f"monitored set {name!r} is empty")
-        monitor_sets[name] = idx
-        hood_mask = np.zeros(space.size, dtype=bool)
-        hood_mask[neighborhood(space, idx, radius)] = True
-        monitor_hoods[name] = hood_mask
-        monitor_names[name] = tuple(int(i) for i in idx)
-
-    batch = _Batch(
-        cfg, seeds, probes, ref, policies, monitor_sets, monitor_hoods, monitor_names, keep_states
+    call = _prepare(
+        pops, cfg, seeds, probes, intervention, ref=ref, monitors=monitors,
+        keep_states=keep_states,
     )
-    work = len(seeds) * (cfg.rounds + 1) * size * space.size
-    workers = _pool_size(len(seeds), work)
-    spans = _spans(len(seeds), chunk_size(size, space.size), workers)
-
-    def take(ids: range) -> list[Population]:
-        if ready:  # the first chunk's, checked at the call
-            return ready.pop()
-        chunk = list(islice(starts, len(ids)))
-        if len(chunk) < len(ids):
-            raise ConfigError(_ONE_PER_SEED)
-        if any(p.space != space or p.size != size for p in chunk):
-            raise ConfigError("the populations of a batch must share one space and size")
-        return chunk
-
-    ready: list = []  # take hands out the first chunk, checked here, once
-    ready.append(take(spans[0]))
-
-    def results() -> Iterator[Trajectory | SimulationError]:
-        if workers > 1:
-            yield from _pooled(batch, spans, take, workers)
-        else:
-            for ids in spans:
-                yield from batch.results(ids, take(ids))
-        if next(starts, None) is not None:
-            raise ConfigError(_ONE_PER_SEED)
-
-    return results()
+    return _run_batches([call]) if call else iter(())
 
 
 def run(

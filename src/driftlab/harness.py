@@ -21,7 +21,10 @@ Experiments:
   run_ensemble_mi               reference-ensemble mutual information decay
 
 The first two sweep cfg.seeds through _sweep, which records a failed seed and
-goes on; each ensemble run starts from its own reference, and one failure
+goes on. It runs the sweep once per policy it is given (a comparison's
+baseline and arms) as one call of the engine: one pool of worker processes,
+forked once with every policy's batch when any one of them would fork
+alone. Each ensemble run starts from its own reference, and one failure
 fails the ensemble.
 
 Trajectories serialize to CSV (header "round,seed,<probes>", 17 significant
@@ -36,9 +39,10 @@ import json
 import math
 import os
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby, starmap
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,7 +61,9 @@ from .evolution import (
     EvolutionConfig,
     Population,
     Trajectory,
+    _prepare,
     _refuse_unread,
+    _run_batches,
     run,  # noqa: F401  (bench/test_bench.py expects driftlab.harness.run)
     run_batch,
 )
@@ -696,22 +702,30 @@ class DriftResult:
 
 
 def _sweep(
-    cfg: ExperimentConfig, ref: SafetyReference, probes, policy=None, monitors=None
-) -> tuple[dict[int, Trajectory], dict[int, str]]:
-    """Every seed of cfg from its own start population under cfg.evolution:
-    the trajectories, and the failure text of each seed whose run failed."""
-    trajectories: dict[int, Trajectory] = {}
-    failures: dict[int, str] = {}
-    results = run_batch(
-        (build_population(cfg.population, ref, seed) for seed in cfg.seeds),
-        cfg.evolution, cfg.seeds, probes, policy, ref=ref, monitors=monitors,
-    )
-    for seed, result in zip(cfg.seeds, results):
-        if isinstance(result, SimulationError):
-            failures[seed] = str(result)
-        else:
-            trajectories[seed] = result
-    return trajectories, failures
+    cfg: ExperimentConfig, ref: SafetyReference, probes, policies: Sequence, monitors=None
+) -> Iterator[tuple[dict[int, Trajectory], dict[int, str]]]:
+    """Every seed of cfg from its own start population under cfg.evolution,
+    once under each of policies, all on one pool (see run_batch): for each
+    policy in turn, the trajectories, and the failure text of each seed
+    whose run failed. A policy's pair is yielded as soon as its last seed
+    has run, and the next policy's runs start only when it is asked for."""
+    calls = [
+        _prepare(
+            (build_population(cfg.population, ref, seed) for seed in cfg.seeds),
+            cfg.evolution, cfg.seeds, probes, policy, ref=ref, monitors=monitors,
+        )
+        for policy in policies
+    ]
+    with closing(_run_batches(calls)) as results:  # the pool stops here
+        for _ in calls:
+            trajectories: dict[int, Trajectory] = {}
+            failures: dict[int, str] = {}
+            for seed, result in zip(cfg.seeds, results):
+                if isinstance(result, SimulationError):
+                    failures[seed] = str(result)
+                else:
+                    trajectories[seed] = result
+            yield trajectories, failures
 
 
 def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
@@ -727,7 +741,7 @@ def run_drift_experiment(cfg: ExperimentConfig) -> DriftResult:
     probes = resolve_probes(probe_list, default_tau=cfg.coverage_tau)
     monitored = monitored_rare_set(ref, cfg.delta)
     visibility_floor = cfg.visibility_c / cfg.evolution.sample_size
-    trajectories, failures = _sweep(cfg, ref, probes, monitors={"rare-safe": monitored})
+    [(trajectories, failures)] = _sweep(cfg, ref, probes, [None], {"rare-safe": monitored})
     trends = {
         name: compute_trend(name, {seed: t.values[name] for seed, t in trajectories.items()})
         for name in (probe_list if trajectories else ())
@@ -790,18 +804,12 @@ def paired_difference(arm_value: float, base_value: float) -> float:
     return arm_value - base_value
 
 
-def _run_arm(cfg: ExperimentConfig, ref: SafetyReference, name: str, policy) -> ArmSummary:
-    probes = resolve_probes(("kl_safety", "safe_mass"), default_tau=cfg.coverage_tau)
-    trajectories, failures = _sweep(cfg, ref, probes, policy)
-    terminal_kl = {seed: float(t.values["kl_safety"][-1]) for seed, t in trajectories.items()}
-    terminal_sm = {seed: float(t.values["safe_mass"][-1]) for seed, t in trajectories.items()}
-    return ArmSummary(
-        name=name,
-        median_terminal_kl=float(column_median(list(terminal_kl.values()))),
-        median_terminal_safe_mass=float(column_median(list(terminal_sm.values()))),
-        terminal_kl=terminal_kl,
-        terminal_safe_mass=terminal_sm,
-        failures=failures,
+def _terminal(trajectories: Mapping[int, Trajectory], failures: dict[int, str]) -> tuple:
+    """An arm's terminal KL and safe mass by seed, and its failures."""
+    return (
+        {seed: float(t.values["kl_safety"][-1]) for seed, t in trajectories.items()},
+        {seed: float(t.values["safe_mass"][-1]) for seed, t in trajectories.items()},
+        failures,
     )
 
 
@@ -826,8 +834,20 @@ def run_intervention_comparison(
     ref = build_reference(cfg)
     # every arm's policy is realized before any seed runs
     policies = [realize_policy(spec, ref) for spec in specs]
-    baseline = _run_arm(cfg, ref, "baseline", None)
-    arms = tuple(_run_arm(cfg, ref, n, p) for n, p in zip(names, policies))
+    probes = resolve_probes(("kl_safety", "safe_mass"), default_tau=cfg.coverage_tau)
+    # starmap keeps no arm once it is summarised: one arm's trajectories at a time
+    terminals = list(starmap(_terminal, _sweep(cfg, ref, probes, [None, *policies])))
+    baseline, *arms = (
+        ArmSummary(
+            name=name,
+            median_terminal_kl=float(column_median(list(kl.values()))),
+            median_terminal_safe_mass=float(column_median(list(sm.values()))),
+            terminal_kl=kl,
+            terminal_safe_mass=sm,
+            failures=failures,
+        )
+        for name, (kl, sm, failures) in zip(("baseline", *names), terminals)
+    )
     paired: dict[str, dict[int, float]] = {}
     for arm in arms:
         diffs = {}
@@ -835,7 +855,7 @@ def run_intervention_comparison(
             if seed in baseline.terminal_kl:
                 diffs[seed] = paired_difference(kl, baseline.terminal_kl[seed])
         paired[arm.name] = diffs
-    return ComparisonResult(baseline=baseline, arms=arms, paired_kl_diff=paired)
+    return ComparisonResult(baseline=baseline, arms=tuple(arms), paired_kl_diff=paired)
 
 
 # ---------------------------------------------------------------------------

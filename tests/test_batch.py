@@ -12,6 +12,7 @@ import io
 import json
 import multiprocessing
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,7 +33,11 @@ from driftlab.harness import (
     PopulationSpec,
     build_population,
     config_from_mapping,
+    default_policy_specs,
+    parse_policies_json,
+    plain,
     realize_policy,
+    run_intervention_comparison,
     save_trajectories_csv,
     save_trajectories_json,
 )
@@ -442,7 +447,7 @@ def _chunk(intervention=None, **cfg):
     pops = _pops(SEEDS)
     policies = evolution._group_policies(intervention, pops[0].space, M)
     cfg = EvolutionConfig(sample_size=8, rounds=3, **cfg)
-    batch = evolution._Batch(cfg, list(SEEDS), (), None, policies, {}, {}, {}, True)
+    batch = evolution._Batch(cfg, list(SEEDS), (), None, policies, {}, {}, {}, True, CHUNK)
     return evolution._Chunk(batch, range(len(SEEDS)), pops)
 
 
@@ -714,9 +719,9 @@ def pool(monkeypatch):
     made = []
     pooled = evolution._pooled
 
-    def counted(batch, spans, take, workers):
-        made.append((len(spans), workers))
-        return pooled(batch, spans, take, workers)
+    def counted(batches, chunks, take, workers):
+        made.append((len(chunks), workers))
+        return pooled(batches, chunks, take, workers)
 
     monkeypatch.setattr(evolution, "_pooled", counted)
     return made
@@ -901,3 +906,119 @@ def test_the_pool_raises_a_later_chunks_config_error_after_the_earlier_results(
     with pytest.raises(ConfigError, match="one population per seed"):
         list(run_batch(iter(pops + pops[:1]), cfg, seeds))
     assert multiprocessing.active_children() == []
+
+
+# --- one pool for the batches of one call ------------------------------------------
+
+ARMS = ("none", "verifier-ragged", "verifier-annihilation", "cooling-partial", "kl-schedules")
+
+
+def _calls(cfg, seeds, probes=PROBES, **kw):
+    """One batch per ARMS policy, as a comparison hands them to the runner."""
+    return [
+        evolution._prepare(
+            (pop for pop in _pops(seeds)), cfg, seeds, probes, _policies(arm), ref=REF, **kw
+        )
+        for arm in ARMS
+    ]
+
+
+def test_one_runner_call_runs_all_its_batches_on_one_pool(monkeypatch, small_chunks, pool):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(2 * CHUNK))  # two chunks per batch on 2 workers
+    kept = {"monitors": MONITORS, "keep_states": True}
+    pooled = list(evolution._run_batches(_calls(cfg, seeds, **kept)))
+    assert pool == [(2 * len(ARMS), 2)]  # forked once, not once per batch
+    monkeypatch.setattr(evolution, "POOL_ELEMENTS", 2**62)
+    alone = [
+        result
+        for arm in ARMS
+        for result in run_batch(_pops(seeds), cfg, seeds, PROBES, _policies(arm), ref=REF, **kept)
+    ]
+    assert [_kept(r) for r in pooled] == [_kept(r) for r in alone]
+    assert [_read_only(r) for r in pooled] == [_read_only(r) for r in alone] == [True] * len(alone)
+    assert len(pool) == 1  # each batch alone stayed in process
+
+    # and every batch ran on the same two worker processes
+    monkeypatch.setattr(evolution, "POOL_ELEMENTS", 0)
+
+    def pid(r, pt, agents, ref):
+        return np.full(len(pt), float(os.getpid()))
+
+    results = list(evolution._run_batches(_calls(cfg, seeds, [MetricProbe("pid", pid)])))
+    pids = [
+        {
+            int(v)
+            for t in results[k * len(seeds) : (k + 1) * len(seeds)]
+            if not isinstance(t, SimulationError)
+            for v in t.values["pid"]
+        }
+        for k in range(len(ARMS))
+    ]
+    assert len(pids[0]) == 2 and os.getpid() not in pids[0]
+    assert all(p == pids[0] for p in pids)
+
+
+def test_batches_each_too_small_to_fork_stay_in_process_together(monkeypatch, small_chunks, pool):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(2 * CHUNK))
+    calls = _calls(cfg, seeds)
+    work = calls[0][2]
+    assert all(w == work for *_, w in calls)
+    # each batch at the bound, so alone it stays in process; five are over it
+    monkeypatch.setattr(evolution, "POOL_ELEMENTS", work)
+    assert len(list(evolution._run_batches(calls))) == len(ARMS) * len(seeds)
+    assert pool == []
+    monkeypatch.setattr(evolution, "POOL_ELEMENTS", work - 1)
+    assert len(list(evolution._run_batches(_calls(cfg, seeds)))) == len(ARMS) * len(seeds)
+    assert pool == [(2 * len(ARMS), 2)]
+
+
+def test_a_failing_arm_fails_alone_in_a_pooled_comparison(monkeypatch, small_chunks, pool):
+    cfg = config_from_mapping({
+        "space.size": str(K), "population.size": str(M), "population.init": "perturbed",
+        "population.sigma": "0.4", "evolution.sample_size": "8", "evolution.rounds": "5",
+        "experiment.seeds": str(2 * CHUNK),
+    })
+    # the default arms, the entropy release's prune floor above every outcome's mass
+    prune_all = parse_policies_json(
+        '[{"kind": "entropy-release", "params": {"prune_floor": 0.9}}]'
+    )
+    specs = (*default_policy_specs()[:3], *prune_all)
+    pooled = run_intervention_comparison(cfg, specs)
+    assert pool == [(10, 2)]  # five arms of two chunks, one pool
+    assert multiprocessing.active_children() == []
+    assert pooled.arm("entropy-release").failures == {
+        seed: "round 1: prune floor 0.9 removed all of agent 0's mass" for seed in cfg.seeds
+    }
+    assert not pooled.baseline.failures
+    assert not any(arm.failures for arm in pooled.arms[:3])
+    monkeypatch.setattr(evolution, "POOL_ELEMENTS", 2**62)
+    assert plain(asdict(pooled)) == plain(asdict(run_intervention_comparison(cfg, specs)))
+    assert len(pool) == 1
+
+
+def test_a_later_batchs_worker_error_follows_the_earlier_results(small_chunks, pool):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(2 * CHUNK))
+
+    def broken(r, pt, agents, ref):
+        return pt.no_such_attribute
+
+    probe = MetricProbe("broken", broken)
+    last = evolution._prepare(_pops(seeds), cfg, seeds, [probe], ref=REF)
+    calls = [*_calls(cfg, seeds)[:2], last]
+    got = []
+    with pytest.raises(AttributeError, match="no_such_attribute"):
+        for result in evolution._run_batches(calls):
+            got.append(result)
+    assert len(got) == 2 * len(seeds)
+    assert multiprocessing.active_children() == []
+    # closed in its second batch, the runner stops the pool
+    results = evolution._run_batches(_calls(cfg, seeds))
+    for _ in range(len(seeds) + 1):
+        next(results)
+    assert multiprocessing.active_children()
+    results.close()
+    assert multiprocessing.active_children() == []
+    assert pool == [(6, 2), (10, 2)]
