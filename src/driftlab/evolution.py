@@ -652,10 +652,7 @@ def update_agents(
             # exp(beta * ln pbar) = pbar ** beta, taken only where the data
             # is: a zero count weighs zero whatever its tilt, and a tilt not
             # taken cannot underflow, on a reach or over every outcome
-            if rule.beta == 0.0:
-                tilt = np.ones(k_space)
-            else:
-                tilt = np.power(pbar, rule.beta, out=np.zeros_like(pbar), where=counts > 0.0)
+            tilt = np.power(pbar, rule.beta, out=np.zeros_like(pbar), where=counts > 0.0)
         else:
             if vector is None:
                 vector = _rule_vector(rule, len(rule.reward))
@@ -857,7 +854,7 @@ class _Chunk:
         anchored = any(p.anchor == "initial" for p in batch.policies["entropy-release"])
         self.initial = self.agents if anchored else None
         self.pbar = self.pt = self.data = self.sizes = self.live = None
-        shape = (len(pops), len(batch.monitor_sets), self.cfg.rounds + 1)
+        shape = (len(pops), len(batch.monitors), self.cfg.rounds + 1)
         self.values = np.empty((shape[0], len(batch.probes), shape[2]))
         self.masses, self.absent = np.empty(shape), np.zeros(shape, dtype=bool)
         self.ids, self.rngs = list(ids), [make_rng(batch.seeds[i]) for i in ids]
@@ -1131,8 +1128,7 @@ class _Chunk:
         self.agents.setflags(write=False)  # a hook that writes copies it first
         self.pt.setflags(write=False)  # the probes read it whole
         with self.cols.written(self.pt) as dense:
-            hoods = batch.monitor_hoods.values()
-            for i, (idx, hood) in enumerate(zip(batch.monitor_sets.values(), hoods)):
+            for i, (idx, hood) in enumerate(batch.monitors.values()):
                 self.masses[:, i, r] = np.take(dense, idx, axis=1).sum(axis=1)
                 if r:  # did this round's data miss the neighborhood?
                     self.absent[:, i, r] = ~(hood[self.data] & held).any(axis=(1, 2))
@@ -1163,7 +1159,7 @@ def _measure(
     for i, probe in enumerate(probes):
         body = getattr(probe, "_body", None)
         if body is not None:
-            column = body(r, pt, cols.index, dense, ref)
+            column = body(pt, cols.index, dense, ref)
         else:
             if on_every is None:
                 on_every = cols.dense(pt), cols.dense(agents)
@@ -1196,9 +1192,7 @@ class _Batch:
     probes: Sequence
     ref: object
     policies: dict[str, list]
-    monitor_sets: dict[str, np.ndarray]
-    monitor_hoods: dict[str, np.ndarray]
-    monitor_names: dict[str, tuple[int, ...]]
+    monitors: dict[str, tuple[np.ndarray, np.ndarray]]  # name: (outcomes, hood mask)
     keep_states: bool
     width: int  # seeds per chunk at most, chunk_size(M, K)
 
@@ -1213,6 +1207,7 @@ class _Batch:
             columns.setflags(write=False)
         rows = {i: s for s, i in enumerate(chunk.ids)}
         names = tuple(p.name for p in self.probes)
+        monitors = {name: tuple(idx.tolist()) for name, (idx, _) in self.monitors.items()}
         out: list[Trajectory | SimulationError] = []
         for i in ids:
             if i in chunk.failed:
@@ -1224,9 +1219,9 @@ class _Batch:
                 probe_names=names,
                 rounds=cfg.rounds,
                 values=dict(zip(names, chunk.values[s])),
-                monitors=dict(self.monitor_names),
-                monitor_mass=dict(zip(self.monitor_names, chunk.masses[s])),
-                monitor_absent=dict(zip(self.monitor_names, chunk.absent[s])),
+                monitors=dict(monitors),
+                monitor_mass=dict(zip(monitors, chunk.masses[s])),
+                monitor_absent=dict(zip(monitors, chunk.absent[s])),
                 fired=tuple(chunk.fired[s]),
                 notes=tuple(chunk.notes[s]),
                 final_population=chunk.population(s),
@@ -1415,22 +1410,17 @@ def _prepare(
     _check_fit(cfg.update, space)
     radius = cfg.update.neighborhood_radius
 
-    monitor_sets: dict[str, np.ndarray] = {}
-    monitor_hoods: dict[str, np.ndarray] = {}
-    monitor_names: dict[str, tuple[int, ...]] = {}
+    checked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, indices in (monitors or {}).items():
         idx = space.validate_indices(indices)
         if idx.size == 0:
             raise ConfigError(f"monitored set {name!r} is empty")
-        monitor_sets[name] = idx
-        hood_mask = np.zeros(space.size, dtype=bool)
-        hood_mask[neighborhood(space, idx, radius)] = True
-        monitor_hoods[name] = hood_mask
-        monitor_names[name] = tuple(int(i) for i in idx)
+        hood = np.zeros(space.size, dtype=bool)
+        hood[neighborhood(space, idx, radius)] = True
+        checked[name] = idx, hood
 
     batch = _Batch(
-        cfg, seeds, probes, ref, policies, monitor_sets, monitor_hoods, monitor_names,
-        keep_states, chunk_size(size, space.size),
+        cfg, seeds, probes, ref, policies, checked, keep_states, chunk_size(size, space.size)
     )
     work = len(seeds) * (cfg.rounds + 1) * size * space.size
     return batch, _starts(first, rest, len(seeds)), work

@@ -80,36 +80,15 @@ def _row_sums(values: np.ndarray, at: np.ndarray, shape: tuple[int, int]) -> lis
     return [float(values[a:b].sum()) for a, b in zip([0, *ends[:-1]], ends)]
 
 
-def _within(cols: slice | np.ndarray, index: np.ndarray, k_space: int) -> np.ndarray:
-    """Which rows of index (S, C), each row's sorted reach padded with K,
-    hold every column of cols: the rows that can be positive on all of
-    them. A reach narrower than cols holds them nowhere."""
-    if isinstance(cols, slice):
-        if cols.stop - cols.start > index.shape[1]:
-            return np.zeros(len(index), dtype=bool)
-        cols = np.arange(cols.start, cols.stop)
-    elif cols.size > index.shape[1]:
-        return np.zeros(len(index), dtype=bool)
-    # row s's entries, its padding included, lie in [s * (K + 1), s * (K + 1) + K]
-    shift = (k_space + 1) * np.arange(len(index))[:, None]
-    keys = (index + shift).ravel()
-    wanted = cols + shift
-    return (keys.take(keys.searchsorted(wanted), mode="clip") == wanted).all(axis=1)
-
-
-def _on_support(cols, index: np.ndarray | None, dense: np.ndarray, body: Callable) -> np.ndarray:
-    """body(rows) for the rows of dense (S, K), on reaches index (S, C) or
-    every outcome (None), that may be positive on every column of cols, and
-    +inf for the others, which are zero on one of them: body's value there."""
-    if index is None:
-        return body(dense)
-    fits = _within(cols, index, dense.shape[1])
-    if fits.all():
-        return body(dense)
-    out = np.full(len(dense), math.inf)
-    if fits.any():
-        out[fits] = body(dense[fits])
-    return out
+def _on_support(pp: np.ndarray, width: int, dense: np.ndarray, body: Callable) -> np.ndarray:
+    """body(dense) for rows dense (S, K) held on width columns each, body
+    summing over the pp.size columns of a support: +inf on every row when
+    width is below that size, as no row can be positive on all of them.
+    The width decides only that case; in any other, the values do, body
+    reading +inf on each row that is zero on a support column."""
+    if width < pp.size:
+        return np.full(len(dense), math.inf)
+    return body(dense)
 
 
 def _kl_rows(p: ProbVector, q: np.ndarray) -> np.ndarray:
@@ -385,9 +364,10 @@ def estimate_decay(trajectory, a_set: Iterable[int]) -> DecayEstimate:
 # ---------------------------------------------------------------------------
 
 ProbeFn = Callable[[int, np.ndarray, np.ndarray, SafetyReference], np.ndarray]
-# (round, pt (S, C), index (S, C) or None, dense (S, K), reference) -> S
-# reals: a registry probe's body (see _BODIES)
-BodyFn = Callable[[int, np.ndarray, np.ndarray | None, np.ndarray, SafetyReference], np.ndarray]
+# (pt (S, C), index (S, C) or None, dense (S, K), reference) -> S reals: a
+# registry probe's body (see _BODIES). Only coverage reads index; a
+# divergence reads C alone of pt, the width that _on_support tests.
+BodyFn = Callable[[np.ndarray, np.ndarray | None, np.ndarray, SafetyReference], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -406,31 +386,33 @@ class MetricProbe:
 
 def _registry_probe(name: str, body: BodyFn) -> MetricProbe:
     """The probe of body, whose evaluator is body on every outcome."""
-    return MetricProbe(name, lambda t, pt, agents, ref: body(t, pt, None, pt, ref), body)
+    return MetricProbe(name, lambda t, pt, agents, ref: body(pt, None, pt, ref), body)
 
 
 # The registry's bodies. pt (S, C) holds each row's values at its columns
 # index (S, C), sorted and padded with K where pt is 0.0, or every outcome
 # when index is None; dense (S, K) is pt's dense rows. Entropy and coverage
 # read each row's positive entries, which pt holds in column order. A
-# divergence over pi_star's support is +inf on a row whose reach misses a
-# column of it, as the row is zero there; the others, and the block sums,
-# read dense. So either column set gives the same bits.
+# divergence over pi_star's support is +inf on every row when C is below
+# the support's size, as each row then misses a column of it; the width
+# decides nothing else. Every other row, and every block sum, reads dense,
+# where a row whose reach misses a support column is zero there, and its
+# own sum reads +inf. So either column set gives the same bits.
 _BODIES: dict[str, BodyFn] = {
-    "kl_safety": lambda t, pt, index, dense, ref: _on_support(
-        _support(ref.pi_star)[0], index, dense, partial(_kl_rows, ref.pi_star)
+    "kl_safety": lambda pt, index, dense, ref: _on_support(
+        _support(ref.pi_star)[1], pt.shape[1], dense, partial(_kl_rows, ref.pi_star)
     ),
-    "safe_mass": lambda t, pt, index, dense, ref: _safe_mass_rows(ref, dense),
-    "internal_entropy": lambda t, pt, index, dense, ref: _entropy_rows(pt),
-    "cross_entropy": lambda t, pt, index, dense, ref: _on_support(
-        _support(ref.pi_star)[0], index, dense, partial(_cross_entropy_rows, ref.pi_star)
+    "safe_mass": lambda pt, index, dense, ref: _safe_mass_rows(ref, dense),
+    "internal_entropy": lambda pt, index, dense, ref: _entropy_rows(pt),
+    "cross_entropy": lambda pt, index, dense, ref: _on_support(
+        _support(ref.pi_star)[1], pt.shape[1], dense, partial(_cross_entropy_rows, ref.pi_star)
     ),
-    "mass_term": lambda t, pt, index, dense, ref: _mass_rows(ref, dense),
-    "in_safe_term": lambda t, pt, index, dense, ref: _on_support(
-        _sides(ref)[0][2], index, dense, lambda rows: _side_rows(ref, rows, 0)
+    "mass_term": lambda pt, index, dense, ref: _mass_rows(ref, dense),
+    "in_safe_term": lambda pt, index, dense, ref: _on_support(
+        _sides(ref)[0][3], pt.shape[1], dense, lambda rows: _side_rows(ref, rows, 0)
     ),
-    "out_safe_term": lambda t, pt, index, dense, ref: _on_support(
-        _sides(ref)[1][2], index, dense, lambda rows: _side_rows(ref, rows, 1)
+    "out_safe_term": lambda pt, index, dense, ref: _on_support(
+        _sides(ref)[1][3], pt.shape[1], dense, lambda rows: _side_rows(ref, rows, 1)
     ),
 }
 # built once, so that resolving a name twice gives equal probes
@@ -466,7 +448,7 @@ def resolve_probe(name: str, default_tau: float | None = None) -> MetricProbe:
         if not (0.0 < tau <= 1.0):
             raise ConfigError(f"coverage threshold must lie in (0, 1], got {tau}")
         return _registry_probe(
-            name, lambda t, pt, index, dense, ref: _covered_rows(ref, pt, tau, index)
+            name, lambda pt, index, dense, ref: _covered_rows(ref, pt, tau, index)
         )
     raise ConfigError(
         f"unknown probe {name!r}; registry: {', '.join(probe_names())} "

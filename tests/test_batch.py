@@ -447,7 +447,7 @@ def _chunk(intervention=None, **cfg):
     pops = _pops(SEEDS)
     policies = evolution._group_policies(intervention, pops[0].space, M)
     cfg = EvolutionConfig(sample_size=8, rounds=3, **cfg)
-    batch = evolution._Batch(cfg, list(SEEDS), (), None, policies, {}, {}, {}, True, CHUNK)
+    batch = evolution._Batch(cfg, list(SEEDS), (), None, policies, {}, True, CHUNK)
     return evolution._Chunk(batch, range(len(SEEDS)), pops)
 
 

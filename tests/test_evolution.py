@@ -24,8 +24,8 @@ from driftlab.evolution import (
     sample_dataset,
     update_agents,
 )
-from driftlab.harness import trajectory_to_dict
-from driftlab.metrics import resolve_probes
+from driftlab.harness import PopulationSpec, build_population, trajectory_to_dict
+from driftlab.metrics import probe_names, resolve_probes
 
 
 def pv(*mass):
@@ -424,6 +424,49 @@ def test_smoothed_mle_floor_property(counts, lam):
     n = len(samples)
     floor = lam / (n + lam * k)
     assert np.all(mass >= floor - 1e-15)
+
+
+def _beta_zero_run(update, per_agent, reach, monkeypatch):
+    """Every byte of a three-seed batch on K = 512 under update (probe
+    values, monitor masses and absence flags, final agents), and whether
+    each chunk-round computed on the reach; with reach False the gate
+    declines every round."""
+    k_space, seeds = 512, (0, 1, 2)
+    ref = two_tier_reference(k_space, safe_mass=0.9, safe_fraction=0.5)
+    taken = []
+    gate = evolution._Chunk._reach
+
+    def recorded(chunk, owner, samples):
+        cols, positions = gate(chunk, owner, samples) if reach else (evolution._EVERY, samples)
+        taken.append(cols.index is not None)
+        return cols, positions
+
+    monkeypatch.setattr(evolution._Chunk, "_reach", recorded)
+    cfg = EvolutionConfig(sample_size=16, rounds=8, update=update, per_agent_datasets=per_agent)
+    pops = [build_population(PopulationSpec(3, "perturbed", sigma=0.4), ref, s) for s in seeds]
+    results = evolution.run_batch(
+        pops, cfg, seeds, resolve_probes(probe_names(), default_tau=0.001), ref=ref,
+        monitors={"rare": (0, 1, 2), "unsafe": tuple(range(256, k_space))},
+    )
+    outcomes = [
+        ([{k: v.tobytes() for k, v in c.items()}
+          for c in (t.values, t.monitor_mass, t.monitor_absent)],
+         [a.mass.tobytes() for a in t.final_population.agents])
+        for t in results
+    ]
+    monkeypatch.undo()
+    return outcomes, taken
+
+
+@pytest.mark.parametrize("per_agent", [False, True])
+@pytest.mark.parametrize("reach", [True, False])
+def test_a_mixture_loglik_tilt_at_beta_zero_gives_the_bytes_of_mle(monkeypatch, per_agent, reach):
+    # pbar ** 0 is 1.0 on every sampled outcome (0.0 ** 0 too), so the
+    # tilted counts are the counts, on the reach and over every outcome
+    tilted = UpdateRule("reward-reweighted-mle", beta=0.0, reward_source="mixture-loglik")
+    outcomes, taken = _beta_zero_run(tilted, per_agent, reach, monkeypatch)
+    assert (outcomes, taken) == _beta_zero_run(UpdateRule("mle"), per_agent, reach, monkeypatch)
+    assert taken and all(taken) == reach and any(taken) == reach
 
 
 def test_neighborhood_dilation():

@@ -302,6 +302,58 @@ def test_cached_divergences_match_the_uncached_bodies_bitwise():
     assert all(seen == {True, False} for seen in paths.values())
 
 
+# --- the reach's width against pi_star's support --------------------------
+# A registry divergence body reads only the width C of a chunk on the reach:
+# below the size of the support its sums run over, every row is +inf; at
+# any other width the dense rows decide, each row alone.
+
+_WIDTH_K = 10
+_WIDTH_REF = SafetyReference(
+    ProbVector(OutcomeSpace(_WIDTH_K), [0.5, 0, 0, 0.3, 0, 0, 0, 0.2, 0, 0]), (0, 3), 0.25
+)
+_WIDTH_CHUNKS = {
+    # width 3, the support's size
+    "support": (
+        [[0, 3, 7], [0, 3, _WIDTH_K], [0, 3, 7]],
+        [[0.2, 0.5, 0.3], [0.4, 0.6, 0.0], [0.4, 0.6, 0.0]],
+    ),
+    # width 2, below the support and equal to the safe side's
+    "safe side": ([[0, 3], [0, 7]], [[0.5, 0.5], [0.9, 0.1]]),
+}
+
+
+@pytest.mark.parametrize("chunk", _WIDTH_CHUNKS)
+def test_a_divergence_body_on_the_reach_reads_each_dense_row_alone(chunk):
+    # rows: the reach exactly the support, a padded row that misses outcome 7
+    # and a row that holds 7 at pt = 0.0; then a chunk narrower than the
+    # support that still spans the safe side's support, or misses part of it
+    index, pt = (np.array(x) for x in _WIDTH_CHUNKS[chunk])
+    wide = np.zeros((len(index), _WIDTH_K + 1))
+    wide[np.arange(len(index))[:, None], index] = pt
+    dense = wide[:, :_WIDTH_K]
+    alone = [ProbVector(_WIDTH_REF.space, row) for row in dense]
+    public = {
+        "kl_safety": lambda q: kl_divergence(_WIDTH_REF.pi_star, q),
+        "cross_entropy": lambda q: cross_entropy(_WIDTH_REF.pi_star, q),
+        "in_safe_term": lambda q: kl_safe_set_decomposition(_WIDTH_REF, q).in_safe_term,
+        "out_safe_term": lambda q: kl_safe_set_decomposition(_WIDTH_REF, q).out_safe_term,
+    }
+    finite = {}
+    for name, fn in public.items():
+        probe = resolve_probe(name)
+        on_reach = probe._body(pt, index, dense, _WIDTH_REF)
+        assert on_reach.tobytes() == probe.evaluator(0, dense, None, _WIDTH_REF).tobytes(), name
+        assert [v.hex() for v in on_reach.tolist()] == [fn(q).hex() for q in alone], name
+        finite[name] = np.isfinite(on_reach).tolist()
+    # at the support's width the exact row stays finite
+    if chunk == "support":
+        assert finite["kl_safety"] == [True, False, False]
+        assert finite["in_safe_term"] == [True, True, True]
+    else:
+        assert finite["kl_safety"] == [False, False]
+        assert finite["in_safe_term"] == [True, False]
+
+
 # --- every registry probe on a chunk's rows, against each row alone --------
 # A probe reads the (S, K) rows of a chunk in one call. Each row's value must
 # carry the bits of the public function on that row alone and, where the
