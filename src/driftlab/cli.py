@@ -50,7 +50,7 @@ def _say(quiet: bool, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict, quiet: bool) -> None:
-    _write_text(path, json_text(payload))
+    _write_text(path, [json_text(payload)])
     _say(quiet, f"json -> {path}")
 
 
@@ -209,7 +209,7 @@ def cmd_ensemble_mi(args) -> int:
     _print_ensemble(result, args.quiet)
     if args.csv:
         rows = "".join(f"{t},{format_value(v)}\n" for t, v in enumerate(result.mi_series))
-        _write_text(args.csv, "round,mi\n" + rows)
+        _write_text(args.csv, ["round,mi\n", rows])
         _say(args.quiet, f"csv -> {args.csv}")
     if args.json:
         _write_json(args.json, plain(asdict(result)), args.quiet)

@@ -41,7 +41,7 @@ import os
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import groupby, starmap
+from itertools import groupby, islice, starmap
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ from .core import (
     _reference_on,
     dirichlet_reference,
     make_prob_vector,
+    sorted_unique,
     two_tier_reference,
     zipf_reference,
 )
@@ -1004,13 +1005,16 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
     return {name: plain(getattr(traj, name)) for name in _STORED}
 
 
-def _write_text(out, text: str) -> None:
-    """Write text to out, a path or an open text stream."""
+def _write_text(out, parts: Iterable[str]) -> None:
+    """Write each text of parts, in order, to out, a path or an open text
+    stream."""
     if hasattr(out, "write"):
-        out.write(text)
+        for text in parts:
+            out.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for text in parts:
+                fh.write(text)
 
 
 def save_trajectories_csv(trajectories: Iterable[Trajectory], out) -> None:
@@ -1022,19 +1026,38 @@ def save_trajectories_csv(trajectories: Iterable[Trajectory], out) -> None:
     probe_names = trajectories[0].probe_names
     if any(t.probe_names != probe_names for t in trajectories[1:]):
         raise ValueError("trajectories disagree on probe columns")
-    lines = ["round,seed" + "".join("," + name for name in probe_names)]
-    # format_value's format, one string per row
-    row = "%s,%s" + ",%.17g" * len(probe_names)
-    for t in trajectories:
-        columns = [t.values[name].tolist() for name in probe_names]
-        lines.extend(row % (r, t.seed, *cells) for r, *cells in zip(range(t.rounds + 1), *columns))
-    _write_text(out, "\n".join(lines) + "\n")
+    if any(len(t.values[name]) != t.rounds + 1 for t in trajectories for name in probe_names):
+        raise ValueError("a probe column does not hold one value per round")
+    columns = [
+        _cell_texts(np.concatenate([t.values[name] for t in trajectories], dtype=np.float64))
+        for name in probe_names
+    ]
+
+    def text():
+        """The file a block of rows at a time, so that it is never held whole."""
+        yield "round,seed" + "".join("," + name for name in probe_names) + "\n"
+        prefixes = (f"{r},{t.seed}" for t in trajectories for r in range(t.rounds + 1))
+        rows = map(",".join, zip(prefixes, *columns))
+        while block := list(islice(rows, 4096)):
+            yield "\n".join(block) + "\n"
+
+    _write_text(out, text())
+
+
+def _cell_texts(values: np.ndarray) -> np.ndarray:
+    """format_value's text of each entry of values, each distinct double
+    formatted once: keyed by its bits, as 0.0 and -0.0 are equal but print
+    0 and -0."""
+    bits = values.view(np.int64)
+    distinct = sorted_unique(bits)
+    texts = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[distinct.searchsorted(bits)]
 
 
 def save_trajectories_json(trajectories: Iterable[Trajectory], out) -> None:
     """{"trajectories": [...]} of trajectory_to_dict; out is a path or an
     open text stream."""
-    _write_text(out, json_text({"trajectories": [trajectory_to_dict(t) for t in trajectories]}))
+    _write_text(out, [json_text({"trajectories": [trajectory_to_dict(t) for t in trajectories]})])
 
 
 def load_trajectories(path: str) -> list[Trajectory]:

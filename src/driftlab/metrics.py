@@ -69,15 +69,24 @@ def _support_sums(qp: np.ndarray, terms: Callable, finish: Callable[[float], flo
     return out
 
 
-def _row_sums(values: np.ndarray, at: np.ndarray, shape: tuple[int, int]) -> list[float]:
+def _row_sums(values: np.ndarray, at: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Per row of an (S, K) array, the sum of values[i] over the sorted flat
-    positions at[i] that fall in the row, each row's run summed on its own
-    as a 1-D sum of it would be (np.add.reduceat adds in another order)."""
+    positions at[i] that fall in the row. Each row's run is packed to the
+    front of a zero row and every row is summed in one masked reduction,
+    which adds a row's run as one contiguous pairwise sum from 0.0, as a
+    1-D sum of the run does: each row gets the bits of its own sum.
+    test_row_sums_give_each_row_the_bits_of_its_own_sum (test_metrics.py)
+    pins that, so a numpy that sums masked runs another way fails it
+    rather than moving a byte."""
     s_rows, k_space = shape
     if s_rows == 1:  # a chunk of one seed, as at large K
-        return [float(values.sum())]
-    ends = at.searchsorted(np.arange(k_space, (s_rows + 1) * k_space, k_space)).tolist()
-    return [float(values[a:b].sum()) for a, b in zip([0, *ends[:-1]], ends)]
+        return values.sum(keepdims=True)
+    rows = at // k_space
+    lengths = np.bincount(rows, minlength=s_rows)
+    width = int(lengths.max())
+    packed = np.zeros((s_rows, width))
+    packed[rows, np.arange(at.size) - (np.cumsum(lengths) - lengths)[rows]] = values
+    return np.sum(packed, axis=1, where=np.arange(width) < lengths[:, None])
 
 
 def _on_support(pp: np.ndarray, width: int, dense: np.ndarray, body: Callable) -> np.ndarray:
@@ -108,7 +117,9 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     flat = p.ravel()
     at = np.flatnonzero(flat > 0.0)
     pos = flat[at]
-    return np.array([_clamp_nonneg(-v) for v in _row_sums(pos * np.log(pos), at, p.shape)])
+    h = -_row_sums(pos * np.log(pos), at, p.shape)
+    h[(-_NEG_EPS < h) & (h < 0.0)] = 0.0  # _clamp_nonneg on each row
+    return h
 
 
 def kl_divergence(p: ProbVector, q: ProbVector) -> float:
@@ -259,7 +270,7 @@ def _covered_rows(
     or of pt (S, C) on the columns index (S, C)."""
     at = np.flatnonzero(pt >= tau)
     outcomes = at % pt.shape[1] if index is None else index.ravel()[at]
-    return np.array(_row_sums(ref.pi_star.mass[outcomes], at, pt.shape))
+    return _row_sums(ref.pi_star.mass[outcomes], at, pt.shape)
 
 
 class AbsenceProbability(NamedTuple):

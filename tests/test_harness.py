@@ -894,6 +894,26 @@ def test_csv_cells_of_edge_floats(tmp_path):
     assert _csv_text(load_trajectories(str(stored))).splitlines() == expected
 
 
+def test_csv_cells_keep_equal_floats_that_print_apart():
+    # the export formats each distinct value of a column once: 0.0 and -0.0
+    # compare equal but print 0 and -0, and nan is unequal to itself
+    t_zero = _toy_trajectory(0, [(0.0, 1.0), (-0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0)], "ab")
+    t_one = _toy_trajectory(
+        1, [(-0.0, 0.0), (0.0, -0.0), (math.nan, math.nan), (math.inf, -math.inf)], "ab"
+    )
+    assert _csv_text([t_one, t_zero]).splitlines() == [
+        "round,seed,a,b",
+        "0,0,0,1",
+        "1,0,-0,1",
+        "2,0,inf,1",
+        "3,0,nan,1",
+        "0,1,-0,0",
+        "1,1,0,-0",
+        "2,1,nan,nan",
+        "3,1,inf,-inf",
+    ]
+
+
 def test_csv_lines_reject_mismatched_probes():
     t_a = _toy_trajectory(0, [(0.5,)], ("a",))
     t_b = _toy_trajectory(1, [(0.5,)], ("b",))
@@ -901,6 +921,12 @@ def test_csv_lines_reject_mismatched_probes():
         _csv_text([t_a, t_b])
     with pytest.raises(ValueError, match="no trajectories"):
         _csv_text([])
+    # the columns are written seed after seed: a column one round too long
+    # would shift every later seed's rows
+    t_long = _toy_trajectory(2, [(0.5,), (0.25,)], ("a",))
+    t_long = replace(t_long, values={"a": np.array([0.5, 0.25, 0.125])})
+    with pytest.raises(ValueError, match="one value per round"):
+        _csv_text([t_a, t_long])
 
 
 def test_json_round_trip_and_csv_stability(tmp_path):

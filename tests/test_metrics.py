@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftlab.core import OutcomeSpace, ProbVector, SafetyReference, two_tier_reference
 from driftlab.errors import ConfigError
 from driftlab.evolution import Population, Trajectory
 from driftlab.metrics import (
+    _row_sums,
     absence_probability,
     binarized_kl_lower_bound,
     coverage,
@@ -459,6 +460,71 @@ def test_every_probe_reads_a_chunks_rows_as_each_row_alone_bitwise(s_rows, k):
             assert np.array_equal(chunk[name].view(np.int64), np.array(values).view(np.int64))
     if s_rows > 4:  # the rows took the +inf path of every divergence
         assert {"kl_safety", "cross_entropy", "in_safe_term"} <= seen_inf
+
+
+# --- a chunk's row sums, against each row's 1-D sum ------------------------
+# _row_sums packs each row's run of values to the front of a zero row and
+# sums every row in one masked reduction. Each row must get the bits of the
+# 1-D sum of its run, the per-row loop it replaced, at the lengths where the
+# pairwise sum changes its blocking (8, 128, 8192) and around them.
+
+_RUN_LENGTHS = (0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1000, 8193)
+
+
+@given(
+    lengths=st.lists(st.sampled_from(_RUN_LENGTHS), min_size=1, max_size=6),
+    spare=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lengths=[8193], spare=0, seed=0)  # a one-row chunk
+@example(lengths=[0, 129, 0, 8193, 1], spare=3, seed=1)  # empty rows among long ones
+@settings(max_examples=100, deadline=None)
+def test_row_sums_give_each_row_the_bits_of_its_own_sum(lengths, spare, seed):
+    rng = np.random.default_rng(seed)
+    k = max(lengths) + spare + 1
+    at = np.concatenate(
+        [s * k + np.sort(rng.choice(k, n, replace=False)) for s, n in enumerate(lengths)]
+    ).astype(np.int64)
+    # signs and magnitudes mixed, so that the order of the adds shows in the bits
+    values = rng.standard_normal(at.size) * 10.0 ** rng.integers(-8, 9, at.size)
+    ends = np.cumsum(lengths)
+    expected = np.array([float(values[a:b].sum()) for a, b in zip(ends - lengths, ends)])
+    got = _row_sums(values, at, (len(lengths), k))
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def test_entropy_and_coverage_on_a_top_mass_reach_read_each_row_alone():
+    # a reach of C columns per row, sorted and padded with the sink K, where
+    # top-mass kept each row's k heaviest entries: the positive entries sit
+    # between zeros, not at the front of the row
+    rng = np.random.default_rng(30)
+    k_space, c, top = 400, 150, 40
+    ref = SafetyReference(
+        ProbVector(OutcomeSpace(k_space), rng.dirichlet(np.ones(k_space))), range(200), 0.9
+    )
+    widths = (150, 3, 90, 30, 1, 149, 13)
+    index = np.full((len(widths), c), k_space)
+    pt = np.zeros((len(widths), c))
+    for s, w in enumerate(widths):
+        index[s, :w] = np.sort(rng.choice(k_space, w, replace=False))
+        row = rng.dirichlet(np.full(w, 0.3))
+        row[np.argsort(-row, kind="stable")[top:]] = 0.0
+        pt[s, :w] = row / row.sum()
+    assert any(0.0 in row[: np.flatnonzero(row)[-1]] for row in pt)  # zeros between
+    wide = np.zeros((len(widths), k_space + 1))
+    wide[np.arange(len(widths))[:, None], index] = pt
+    dense = wide[:, :k_space]
+    alone = [ProbVector(ref.space, row) for row in dense]
+    public = {
+        "internal_entropy": shannon_entropy,
+        "coverage@0.001": lambda q: coverage(ref, q, 0.001).covered_mass,
+        "coverage@0.05": lambda q: coverage(ref, q, 0.05).covered_mass,
+    }
+    for name, fn in public.items():
+        probe = resolve_probe(name)
+        on_reach = probe._body(pt, index, dense, ref)
+        assert on_reach.tobytes() == probe.evaluator(0, dense, None, ref).tobytes(), name
+        assert [v.hex() for v in on_reach.tolist()] == [fn(q).hex() for q in alone], name
 
 
 # --- coverage ---------------------------------------------------------------
