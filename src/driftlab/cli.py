@@ -56,7 +56,7 @@ def _write_json(path: str, payload: dict, quiet: bool) -> None:
 
 def _load_cfg(args):
     cfg = load_experiment_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = cfg.with_seed_base(args.seed)
     return cfg
 
@@ -247,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("config", help="key=value experiment config")
+    def add_common(p):
+        p.add_argument("config", help="key=value experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="rebase the seed sweep to start here")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")

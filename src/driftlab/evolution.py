@@ -94,10 +94,10 @@ from .errors import (
 MAX_SEED = 2**64
 
 # A chunk holds at most max(1, BATCH_ELEMENTS // (M * K)) seeds, so an
-# (S, M, K) array it makes stays within 2**19 floats (4 MiB), and shared-data
-# agents, one (S, K) row, an M-th of that; a population with M * K > 2**18
-# runs one seed at a time. On the reach a chunk-round costs mostly a fixed
-# amount per numpy call, paid once per chunk, so wide chunks pay. In paired
+# (S, M, K) array it makes, its agents included, stays within 2**19 floats
+# (4 MiB); a population with M * K > 2**18 runs one seed at a time. On the
+# reach a chunk-round costs mostly a fixed amount per numpy call, paid once
+# per chunk, so wide chunks pay. In paired
 # bench runs (5 alternating rounds of --seconds 5 at seed 0, medians; Python
 # 3.11, numpy 2.4.6, 2 cores), with chunks cut as run_batch cuts them, 2**17,
 # 2**18, 2**19 and 2**20 took 0.758, 0.706, 0.645 and 0.632 s on the ensemble
@@ -286,8 +286,8 @@ _EVERY = _Columns()
 def mixture(weights: np.ndarray, agents: np.ndarray, cols: _Columns = _EVERY) -> np.ndarray:
     """Mixtures (S, C) of agents (S, M, C) under weights (S, M), renormalized;
     the C columns are cols (every outcome by default)."""
-    # agent m = 0..M-1 added in turn: for any layout of agents, the bits of
-    # (weights[:, :, None] * agents).sum(axis=1) on a C-contiguous array
+    # agent m = 0..M-1 added in turn: for the C-contiguous agents a chunk owns and for
+    # any layout a caller passes, the bits of (weights[:, :, None] * agents).sum(axis=1)
     pbar = np.multiply(weights[:, 0, None], agents[:, 0], order="C")
     for m in range(1, agents.shape[1]):
         pbar += weights[:, m, None] * agents[:, m]
@@ -815,28 +815,30 @@ class _Chunk:
     columns the stages compute on (see _Columns): each row's reach, which
     _reach finds at each update and off which that row's agents and pt are
     zero, or every outcome. agents (S, M, C), pt (S, C) and pbar, which
-    mixes agents (None while stale), live on cols. They are rebuilt each
-    round, never changed once a record has handed out views of them; a
-    shared-data update of every row leaves agents one (S, C) array under a
-    read-only stride-0 view. K-long rows are built from cols only for the
-    readers that need them: policy schedules and hooks, custom probes, kept
-    states, population(), and the agents an update leaves unfitted when the
-    gate declines the reach. The hooks that can move mass decline it, so
-    they see every outcome and take agents from _own_agents. Registry
-    probes and monitors measure pt on cols. initial keeps the start rows
-    for an entropy release anchored on them, and checkpoints one array like
-    them per cooling policy. data (S, B, n) holds the round's B datasets
-    per seed, of which sizes (S, B) entries are filled: a verifier gets a
-    read-only view of the filled front of a block and its kept samples are
-    written back there. live (S, B) marks the blocks no verifier emptied;
-    an emptied block keeps its samples. _record fills column r of values
-    (S, P, R+1), masses and absent (S, N, R+1); fired and notes gather
-    (round, text) events. Each phase of the round gathers the rows that
-    raise one of _ROUND_ERRORS, every batched call through _by_rows; after
-    the phase each such seed goes to `failed` as SimulationError(r) and
-    loses its row (cols included), and the other rows go on. scratch holds
-    what each reach borrows, and vectors the selection's and the update's
-    _rule_vector, or None where the stage builds its own.
+    mixes agents (None while stale), live on cols. agents is the chunk's
+    one writable, C-contiguous array: an update or entropy release of every
+    row builds a new one, and one of some rows and a cooling rollback write
+    into it in place, so its rows leave the chunk only as copies. pt and
+    pbar are rebuilt each round, never changed once a record has handed out
+    views of them. K-long rows are built from cols only for the readers
+    that need them: policy schedules and hooks, custom probes, kept states,
+    population(), and the agents an update leaves unfitted when the gate
+    declines the reach. The hooks that can move mass decline it, so they
+    see every outcome. Registry probes and monitors measure pt on cols.
+    initial copies the start rows for an entropy release anchored on them,
+    and checkpoints one array like them per cooling policy. data (S, B, n)
+    holds the round's B datasets per seed, of which sizes (S, B) entries
+    are filled: a verifier gets a read-only view of the filled front of a
+    block and its kept samples are written back there. live (S, B) marks
+    the blocks no verifier emptied; an emptied block keeps its samples.
+    _record fills column r of values (S, P, R+1), masses and absent
+    (S, N, R+1); fired and notes gather (round, text) events. Each phase of
+    the round gathers the rows that raise one of _ROUND_ERRORS, every
+    batched call through _by_rows; after the phase each such seed goes to
+    `failed` as SimulationError(r) and loses its row (cols included), and
+    the other rows go on. scratch holds what each reach borrows, and
+    vectors the selection's and the update's _rule_vector, or None where
+    the stage builds its own.
     """
 
     _ROW_ARRAYS = (
@@ -852,7 +854,7 @@ class _Chunk:
         self.weights = np.stack([p.weights for p in pops])
         self.agents = np.stack([np.stack([a.mass for a in p.agents]) for p in pops])
         anchored = any(p.anchor == "initial" for p in batch.policies["entropy-release"])
-        self.initial = self.agents if anchored else None
+        self.initial = self.agents.copy() if anchored else None
         self.pbar = self.pt = self.data = self.sizes = self.live = None
         shape = (len(pops), len(batch.monitors), self.cfg.rounds + 1)
         self.values = np.empty((shape[0], len(batch.probes), shape[2]))
@@ -897,13 +899,6 @@ class _Chunk:
         self.cols = self.cols[np.asarray(keep)]
         for name in self._ROW_LISTS:
             setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
-
-    def _own_agents(self) -> np.ndarray:
-        """agents, copied unless writable and C-contiguous: on strided rows (the
-        view, or what _fail keeps of it) a hook would sum K in another order."""
-        if not (self.agents.flags.writeable and self.agents.flags.c_contiguous):
-            self.agents = self.agents.copy()
-        return self.agents
 
     def _mixture(self, errors: dict) -> np.ndarray:
         """Mixtures (S, C) of the current agents on cols, mixed once per
@@ -1048,15 +1043,14 @@ class _Chunk:
         counts, n = _counts(positions[: len(samples[0])], sizes, width)
         fit = partial(update_agents, rule, vector=self.vectors[1])
         _, mass = _by_rows(fit, rows, errors, counts, n, pbar, memory, fitted)
-        shape = (len(self.ids), self.weights.shape[1], width)
         if rows.size < self.live.size and self.cfg.per_agent_datasets:
-            self._own_agents()[rows, blocks] = mass
+            self.agents[rows, blocks] = mass
         elif rows.size < self.live.size:
-            self._own_agents()[rows] = mass[:, None, :]
+            self.agents[rows] = mass[:, None, :]
         elif self.cfg.per_agent_datasets:  # entry s * M + m fits agent m of seed s
-            self.agents = mass.reshape(shape)
+            self.agents = mass.reshape(len(self.ids), -1, width)
         else:
-            self.agents = np.broadcast_to(mass[:, None, :], shape)
+            self.agents = np.repeat(mass[:, None, :], self.weights.shape[1], axis=1)
 
     def _release(self, r: int, errors: dict) -> None:
         for pol in self.policies["entropy-release"]:
@@ -1065,11 +1059,11 @@ class _Chunk:
                 continue
             initial = self.initial if pol.anchor == "initial" else None
             every = rows.size == len(self.ids)  # then no row is gathered
-            at = (self._own_agents(), initial)
+            at = (self.agents, initial)
             if not every:
                 at = tuple(None if a is None else a[rows] for a in at)
             ok, released = _by_rows(pol.adjust_population, rows, errors, *at)
-            if every and ok.all():
+            if every and ok.all():  # released is a new array like agents
                 self.agents = released
             else:
                 rows = rows[ok]
@@ -1090,7 +1084,7 @@ class _Chunk:
             rows = self._firing(pol, r, errors)
             pbar = self._mixture(errors)
             for s in rows:
-                current = (self._own_agents()[s], pbar[s])
+                current = (self.agents[s], pbar[s])
                 try:
                     cooled, checkpoints[s], rolled = pol.cool(current, checkpoints[s])
                 except _ROUND_ERRORS as exc:
@@ -1125,7 +1119,6 @@ class _Chunk:
         _ROUND_ERRORS, or which a probe gives no single value, fails instead."""
         batch = self.batch
         held = self._held() if r else None
-        self.agents.setflags(write=False)  # a hook that writes copies it first
         self.pt.setflags(write=False)  # the probes read it whole
         with self.cols.written(self.pt) as dense:
             for i, (idx, hood) in enumerate(batch.monitors.values()):
@@ -1151,7 +1144,8 @@ def _measure(
     (S, C) and agent rows agents (S, M, C) on cols, dense being pt's dense
     rows (S, K), each probe called once; a probe that gives other than S
     values raises ValueError. A registry probe measures pt on cols (its one
-    body); any other probe gets K-long rows, built once."""
+    body); any other probe gets K-long read-only rows, built once, its agent
+    rows sharing no memory with the chunk's, which the chunk writes in place."""
     values = np.empty((len(pt), len(probes)))
     if not len(pt):  # the shape _by_rows asks for when every row failed
         return values
@@ -1161,8 +1155,9 @@ def _measure(
         if body is not None:
             column = body(pt, cols.index, dense, ref)
         else:
-            if on_every is None:
-                on_every = cols.dense(pt), cols.dense(agents)
+            if on_every is None:  # on a reach, dense builds new agent rows
+                agents = agents.copy() if cols.index is None else cols.dense(agents)
+                on_every = cols.dense(pt), agents
                 for x in on_every:
                     x.setflags(write=False)
             column = probe.evaluator(r, *on_every, ref)

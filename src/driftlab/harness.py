@@ -966,10 +966,12 @@ def run_ensemble_mi(cfg: ExperimentConfig) -> EnsembleMIResult:
 # ---------------------------------------------------------------------------
 
 
+_VALUE_FORMAT = "%.17g"  # 17 significant digits; non-finite floats print as inf, -inf, nan
+
+
 def format_value(v: float) -> str:
-    """Fixed numeric formatting: 17 significant digits; "%.17g" writes the
-    non-finite floats as inf, -inf and nan."""
-    return "%.17g" % float(v)
+    """Fixed numeric formatting, _VALUE_FORMAT."""
+    return _VALUE_FORMAT % float(v)
 
 
 def plain(x):
@@ -1050,7 +1052,7 @@ def _cell_texts(values: np.ndarray) -> np.ndarray:
     0 and -0."""
     bits = values.view(np.int64)
     distinct = sorted_unique(bits)
-    texts = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    texts = np.array([_VALUE_FORMAT % v for v in distinct.view(np.float64).tolist()], dtype=object)
     return texts[distinct.searchsorted(bits)]
 
 

@@ -50,14 +50,15 @@ SIGNIFICANT_ABSENCE = 0.3
 
 
 def oracle_kl(p: Sequence[float], q: Sequence[float]) -> float:
-    """Divergence sum(p ln(p/q)) accumulated with fsum; inf on support escape."""
+    """Divergence sum(p (ln p - ln q)) accumulated with fsum, each log taken
+    alone so a ratio p/q past the float range stays finite; inf on support escape."""
     terms = []
     for pi, qi in zip(p, q):
         if pi == 0.0:
             continue
         if qi == 0.0:
             return math.inf
-        terms.append(pi * math.log(pi / qi))
+        terms.append(pi * (math.log(pi) - math.log(qi)))
     return math.fsum(terms)
 
 

@@ -451,30 +451,94 @@ def _chunk(intervention=None, **cfg):
     return evolution._Chunk(batch, range(len(SEEDS)), pops)
 
 
-def test_shared_data_agents_are_one_row_until_a_hook_reads_them():
-    # a shared-data update of every row keeps one (S, K) row, not M copies
+def test_a_chunk_owns_its_agents_as_one_writable_c_contiguous_array():
+    # every update and hook writes one array the chunk owns, never a view
+    def owned(chunk):
+        return chunk.agents.flags.writeable and chunk.agents.flags.c_contiguous
+
     chunk = _chunk()
     for r in range(3):
         chunk.advance(r)
-        if r:
-            assert chunk.agents.strides[1] == 0 and not chunk.agents.flags.writeable
+        assert owned(chunk)
     # each state, and the final population, shares one agent that owns its mass
     for pop in [chunk.population(s) for s in range(len(SEEDS))] + chunk.states[0][1:]:
         assert all(a is pop.agents[0] for a in pop.agents)
         assert pop.agents[0].mass.flags.owndata
         assert not np.shares_memory(pop.agents[0].mass, chunk.agents)
     assert not np.array_equal(chunk.states[0][1].agents[0].mass, chunk.states[0][2].agents[0].mass)
-    # a hook that reads the agents gets them whole and C-contiguous
-    for policy in (EntropyReleasePolicy(gamma=0.1), CoolingPolicy(REF, kl_threshold=1e9)):
+    # as do the hooks that write it in place, and a verifier that empties some
+    # blocks, after which the update writes only the rows it fitted
+    policies = (
+        EntropyReleasePolicy(gamma=0.1), CoolingPolicy(REF, kl_threshold=1e9),
+        VerifierPolicy(REF, fp=1.0, fn_rate=1.0),
+    )
+    for policy in policies:
         chunk = _chunk([policy])
-        chunk.advance(0)
-        chunk.advance(1)
-        assert chunk.agents.flags.c_contiguous and chunk.agents.strides[1] != 0
+        for r in range(3):
+            chunk.advance(r)
+            assert owned(chunk) and chunk.agents.strides[1] != 0
     # as does a per-agent update
     chunk = _chunk(per_agent_datasets=True)
-    chunk.advance(0)
-    chunk.advance(1)
-    assert chunk.agents.flags.c_contiguous and chunk.agents.strides[1] != 0
+    for r in range(3):
+        chunk.advance(r)
+        assert owned(chunk) and chunk.agents.strides[1] != 0
+
+
+def test_an_initial_anchor_reads_the_start_rows_after_an_update_in_place():
+    # a verifier that keeps only unsafe samples empties some blocks, so the
+    # update writes the rows it fits into the chunk's agents in place; an
+    # anchor "initial" still reads each seed's start rows, as an anchor on
+    # that seed's own start population does
+    ref = two_tier_reference(6, safe_mass=0.9)
+    seeds = tuple(range(20))
+    cfg = EvolutionConfig(sample_size=3, rounds=4, per_agent_datasets=True)
+    verifier = VerifierPolicy(ref, fp=1.0, fn_rate=1.0)
+
+    def start(seed):
+        return build_population(PopulationSpec(3, "dirichlet"), ref, seed)
+
+    initial = [verifier, EntropyReleasePolicy(gamma=0.5, anchor="initial")]
+    together = run_batch((start(s) for s in seeds), cfg, seeds, PROBES, initial, ref=ref)
+    for seed, result in zip(seeds, together):
+        explicit = [verifier, EntropyReleasePolicy(gamma=0.5, anchor=start(seed))]
+        alone = run(start(seed), cfg, PROBES, explicit, ref=ref, seed=seed)
+        assert _outcome(result) == _outcome(alone)
+
+
+def test_a_custom_probe_keeps_agent_rows_that_the_chunk_never_writes():
+    # a verifier that keeps only unsafe samples empties some blocks, so the
+    # update writes the rows it fits in place, and a cooling threshold of 0
+    # rolls every row halfway back in place; the rows a probe kept stay as it
+    # was handed them
+    ref = two_tier_reference(50, safe_mass=0.9)
+    seeds = tuple(range(6))
+    cfg = EvolutionConfig(sample_size=8, rounds=6)
+    cooling = CoolingPolicy(ref, kl_threshold=0.0, blend=0.5)
+    policies = [VerifierPolicy(ref, fp=1.0, fn_rate=1.0), cooling]
+    kept = []
+
+    def keeping(r, pt, agents, ref):
+        kept.append((agents, agents.copy()))
+        return agents[:, 0, 0]
+
+    def results(probes):
+        spec = PopulationSpec(M, "perturbed", sigma=0.4)
+        starts = (build_population(spec, ref, seed) for seed in seeds)
+        return list(run_batch(starts, cfg, seeds, probes, policies, ref=ref))
+
+    plain = results(PROBES)
+    kept_too = results([*PROBES, MetricProbe("keeping", keeping)])
+    for a, b in zip(kept_too, plain):
+        assert not isinstance(b, SimulationError)
+        assert all(a.values[name].tobytes() == b.values[name].tobytes() for name in b.probe_names)
+        assert (a.fired, a.notes) == (b.fired, b.notes)
+        assert any(text == "cooling-rollback" for _, text in b.notes)
+        assert [x.mass.tobytes() for x in a.final_population.agents] == [
+            x.mass.tobytes() for x in b.final_population.agents
+        ]
+    assert len(kept) == cfg.rounds + 1
+    for handed, copied in kept:
+        assert handed.tobytes() == copied.tobytes() and not handed.flags.writeable
 
 
 def test_chunk_size_rule():

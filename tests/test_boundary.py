@@ -17,7 +17,14 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from driftlab.cli import main as cli_main
-from driftlab.core import OutcomeSpace, ProbVector, two_tier_reference
+from driftlab.core import (
+    OutcomeSpace,
+    ProbVector,
+    SafetyReference,
+    dirichlet_reference,
+    two_tier_reference,
+    zipf_reference,
+)
 from driftlab.errors import ConfigError, SimulationError
 from driftlab.evolution import (
     EvolutionConfig,
@@ -26,6 +33,7 @@ from driftlab.evolution import (
     UpdateRule,
     _counts,
     apply_selection,
+    make_rng,
     run,
     run_batch,
     update_agents,
@@ -37,6 +45,7 @@ from driftlab.harness import (
     _KNOWN_KEYS,
     _POLICY_KINDS,
     PolicySpec,
+    _as_bool,
     PopulationSpec,
     build_population,
     build_reference,
@@ -52,7 +61,13 @@ from driftlab.interventions import (
     Schedule,
     VerifierPolicy,
 )
-from driftlab.metrics import MetricProbe, probe_names, resolve_probe, resolve_probes
+from driftlab.metrics import (
+    MetricProbe,
+    mutual_information_plugin,
+    probe_names,
+    resolve_probe,
+    resolve_probes,
+)
 
 NON_FINITE = ("nan", "inf", "-inf")
 
@@ -135,6 +150,78 @@ def test_constructors_reject_non_finite_numbers(bad):
         CoolingPolicy(REF, kl_threshold=bad)
     with pytest.raises(ConfigError):
         Schedule("kl-trigger", threshold=bad, ref=REF)
+
+
+PI = two_tier_reference(4).pi_star
+# one bad input per check a constructor or parser makes, with what it raises
+REFUSED = {
+    "update-kind": (lambda: UpdateRule("nope"), ConfigError, "unknown update kind 'nope'"),
+    "capacity-0": (
+        lambda: UpdateRule("memory-buffer", capacity=0), ConfigError,
+        "memory-buffer needs capacity >= 1, got 0",
+    ),
+    "alpha-mem-1.5": (
+        lambda: UpdateRule("memory-buffer", capacity=5, alpha_mem=1.5), ConfigError,
+        "memory blend alpha must lie in [0, 1], got 1.5",
+    ),
+    "reward-source": (
+        lambda: UpdateRule("reward-reweighted-mle", reward_source="x"), ConfigError,
+        "unknown reward source 'x'",
+    ),
+    "fixed-source-no-reward": (
+        lambda: UpdateRule("reward-reweighted-mle", beta=1.0), ConfigError,
+        "fixed-reward update needs a reward vector",
+    ),
+    "radius-minus-1": (
+        lambda: UpdateRule("mle", neighborhood_radius=-1), ConfigError,
+        "neighborhood radius must be >= 0, got -1",
+    ),
+    "seed-1.5": (lambda: make_rng(1.5), ConfigError, "seed must be an integer, got 1.5"),
+    "safe-set-empty": (lambda: SafetyReference(PI, (), 0.1), ConfigError, "safe set is empty"),
+    "safe-set-everything": (
+        lambda: SafetyReference(PI, (0, 1, 2, 3), 0.1), ConfigError,
+        "safe set must be a strict subset of the outcomes",
+    ),
+    "epsilon-0": (
+        lambda: SafetyReference(PI, (0,), 0.0), ConfigError, "epsilon must lie in (0, 1), got 0.0"
+    ),
+    "safe-fraction-1": (
+        lambda: two_tier_reference(10, safe_fraction=1.0), ConfigError,
+        "safe_fraction must lie in (0, 1), got 1.0",
+    ),
+    "zipf-exponent-0": (
+        lambda: zipf_reference(10, exponent=0.0), ConfigError,
+        "zipf exponent must be positive, got 0.0",
+    ),
+    "dirichlet-alpha-0": (
+        lambda: dirichlet_reference(10, alpha=0.0), ConfigError,
+        "dirichlet alpha must be positive, got 0.0",
+    ),
+    "mi-nan-cell": (
+        lambda: mutual_information_plugin([[0.5, math.nan], [0.25, 0.25]]), ValueError,
+        "joint table contains non-finite entries",
+    ),
+    "coverage-no-tau": (
+        lambda: resolve_probe("coverage"), ConfigError,
+        "probe 'coverage' needs a default threshold",
+    ),
+    "coverage-at-x": (
+        lambda: resolve_probe("coverage@x"), ConfigError,
+        "unparseable coverage threshold in 'coverage@x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, error, message", REFUSED.values(), ids=REFUSED)
+def test_each_bad_input_is_refused_with_its_message(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert type(caught.value) is error and str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize("text", ["off", "no", " Off "])
+def test_a_boolean_key_reads_off_and_no_as_false(text):
+    assert _as_bool("evolution.per_agent_datasets", text) is False
 
 
 def test_reward_spread_must_be_finite():

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from driftlab import cli
 from driftlab.cli import main
 from driftlab.harness import format_value, load_experiment_config, run_drift_experiment
+from driftlab.oracle import LemmaReport
 
 
 TINY = """\
@@ -28,6 +30,18 @@ selection.indices=3
 evolution.sample_size=10
 evolution.rounds=3
 experiment.seeds=2
+"""
+
+# the same selection over references whose outcome 3 holds mass 0 (safe mass
+# 1.0) or not: every run of the first reference dies in round 0
+ENSEMBLE_FAILING = """\
+space.size=4
+selection.kind=indicator
+selection.indices=3
+ensemble.safe_masses=1.0,0.9
+ensemble.runs_per_ref=3
+evolution.sample_size=10
+evolution.rounds=3
 """
 
 
@@ -96,6 +110,59 @@ def test_simulate_reports_failures(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "seed 0 failed" in err and "seed 1 failed" in err
+
+
+def test_an_ensemble_whose_runs_fail_exits_1_in_one_line(tmp_path, capsys):
+    path = tmp_path / "dead.cfg"
+    path.write_text(ENSEMBLE_FAILING)
+    assert main(["ensemble-mi", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "simulation failed: round 0: selection 'indicator' accepts zero total mass; "
+        "no training distribution exists\n"
+    )
+
+
+def test_a_compare_arm_whose_seeds_fail_exits_1_with_a_line_per_seed(
+    tmp_path, tiny_cfg, capsys
+):
+    policies = tmp_path / "prune.json"
+    policies.write_text('[{"kind": "entropy-release", "params": {"prune_floor": 0.9}}]')
+    assert main(["compare", tiny_cfg, "--policies", str(policies), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"entropy-release seed {seed} failed: round 1: prune floor 0.9 removed all of "
+        "agent 0's mass"
+        for seed in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "ensemble-mi"])
+def test_seed_rebases_the_sweep_to_start_there(tmp_path, capsys, command):
+    # --seed 7 over two seeds runs seeds 7 and 8, as a config listing them
+    # does, and not seeds 0 and 1
+    text = TINY.replace("evolution.sample_size=30", "evolution.sample_size=5")
+    if command == "ensemble-mi":
+        text += "ensemble.runs_per_ref=4\n"
+    (tmp_path / "base.cfg").write_text(text)
+    (tmp_path / "listed.cfg").write_text(text.replace("experiment.seeds=2", "experiment.seeds=7,8"))
+    written = {}
+    for name, cfg, extra in [
+        ("rebased", "base", ["--seed", "7"]), ("listed", "listed", []), ("base", "base", []),
+    ]:
+        out = tmp_path / f"{name}.json"
+        argv = [command, str(tmp_path / f"{cfg}.cfg"), *extra, "--json", str(out), "--quiet"]
+        assert main(argv) == 0
+        written[name] = out.read_bytes()
+    assert written["rebased"] == written["listed"] != written["base"]
+    if command == "simulate":
+        stored = json.loads(written["rebased"])["trajectories"]
+        assert [t["seed"] for t in stored] == [7, 8]
+
+
+def test_verify_lemmas_with_a_failing_check_exits_1(monkeypatch, capsys):
+    failing = LemmaReport("grouping", trials=5, max_violation=0.5, tolerance=1e-12, passed=False)
+    monkeypatch.setattr(cli, "run_all_lemma_checks", lambda seed, trials: [failing])
+    assert main(["verify-lemmas", "--trials", "5", "--quiet"]) == 1
+    assert capsys.readouterr().err == f"lemma check failed: {failing.line()}\n"
 
 
 def test_verify_lemmas_cli(tmp_path, capsys):
@@ -258,6 +325,16 @@ def test_export_csv_of_a_malformed_trajectory_exits_2(tmp_path, capsys, entry, p
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert problem in err
+
+
+def test_export_csv_of_trajectories_with_other_probe_columns_exits_2(tmp_path, capsys):
+    other = {**STORED, "seed": 1, "probe_names": ["b"], "values": {"b": [0.5, 0.25]}}
+    stored = tmp_path / "t.json"
+    stored.write_text(json.dumps({"trajectories": [STORED, other]}))
+    out = tmp_path / "out.csv"
+    assert main(["export", str(stored), "--format", "csv", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: trajectories disagree on probe columns\n"
+    assert not out.exists()
 
 
 def test_export_of_a_well_formed_trajectory_file(tmp_path, capsys):

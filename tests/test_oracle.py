@@ -94,6 +94,16 @@ def test_oracle_kl_support_escape_is_infinite():
     assert oracle_kl([1.0, 0.0], [1.0, 0.0]) == 0.0
 
 
+def test_oracle_kl_stays_finite_where_p_over_q_overflows():
+    # p/q reaches 5e310 here, past the float range; KL = CE - H must hold to
+    # a relative 1e-12, the lemma battery's identity tolerance
+    p = [0.5, 0.25, 0.25]
+    q = [1.0 - 2e-311, 1e-311, 1e-311]
+    kl = oracle_kl(p, q)
+    assert math.isfinite(kl)
+    assert kl == pytest.approx(oracle_cross_entropy(p, q) - oracle_entropy(p), rel=1e-12, abs=0.0)
+
+
 # --- lemma verification drivers --------------------------------------------------
 
 
