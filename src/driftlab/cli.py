@@ -7,7 +7,8 @@
     driftlab export TRAJECTORY --format {csv,json} [--out PATH]
 
 Exit status: 0 on success, 1 when a lemma check fails or a simulation
-aborts, 2 on configuration problems (bad files, bad keys, bad values).
+aborts (a worker process that dies mid-run included), 2 on configuration
+problems (bad files, bad keys, bad values).
 --seed rebases the sweep to S..S+n-1 while keeping its length.
 compare runs the arms of the --policies file, or the four built-in policies.
 export reads a file that simulate --json wrote and writes its trajectories
@@ -230,7 +231,7 @@ def cmd_export(args) -> int:
         return 0
     try:
         save_trajectories_csv(trajectories, out)
-    except ValueError as exc:  # the trajectories disagree on probe columns
+    except ValueError as exc:  # no trajectories, or probe columns that disagree or miss a round
         raise ConfigError(str(exc)) from exc
     return 0
 
@@ -297,15 +298,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (SimulationError, ChildProcessError) as exc:  # the latter, a dead worker, is an OSError
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:  # a read that fails is a ConfigError already
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("config error: the configured run does not fit in memory", file=sys.stderr)
         return 2
-    except SimulationError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -75,10 +75,11 @@ import math
 import os
 import sys
 import threading
-from contextlib import closing, contextmanager
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
@@ -241,14 +242,6 @@ class _Columns:
         out = np.zeros(len(x) * self.size + 1)
         out[self.at] = x
         return out[:-1].reshape(len(x), self.size)
-
-    def to(self, x: np.ndarray, cols: "_Columns") -> np.ndarray:
-        """Rows x (L, C) on these columns as rows on cols, the columns of the
-        same rows; x must be zero off them."""
-        if cols.index is None:
-            return self.dense(x)
-        with self.written(x) as rows:
-            return cols.take(rows)
 
     def outcomes(self, positions: np.ndarray) -> np.ndarray:
         """The outcomes at positions (L, n) among each row's columns."""
@@ -1030,7 +1023,7 @@ class _Chunk:
         cols, positions = self._reach(np.concatenate(owners), np.concatenate(samples))
         pbar = None
         if rule.reads_mixture:
-            pbar = self.cols.to(self._mixture(errors), cols)[rows]
+            pbar = cols.take(self.cols.dense(self._mixture(errors)))[rows]
         if rows.size < self.live.size:  # the unfitted keep their agents, on every outcome
             self.agents = self.cols.dense(self.agents)
         self.pbar, self.cols = None, cols
@@ -1295,44 +1288,44 @@ def _serve(batches: Sequence[_Batch], link) -> None:
 
 def _received(link) -> list[Trajectory | SimulationError]:
     """The results that a worker sends on link; its exception is raised, with
-    the worker's traceback as the cause."""
+    the worker's traceback as the cause, and ChildProcessError when the
+    worker has died."""
     try:
         out = link.recv()
     except EOFError:
-        raise RuntimeError("a run_batch worker process exited mid-run") from None
+        raise ChildProcessError("a run_batch worker process exited mid-run") from None
     if isinstance(out, tuple):
         exc, trace = out
         raise exc from RuntimeError(f"in a run_batch worker process:\n{trace}")
     return out
 
 
-def _pooled(batches: Sequence[_Batch], chunks: list[tuple[int, range]], take, workers: int):
-    """The results of each chunk (k, ids) of chunks, seeds ids of batches[k],
-    in order and one list per chunk, from workers forked worker processes
-    that hold every batch; chunk j runs on worker j % workers. take(k, ids)
-    gives a chunk's checked start populations. A worker holds one chunk at
-    a time and gets its next one as soon as its results are in, so it never
-    writes a result while the parent writes to it; a later chunk's
-    ConfigError is raised after the results of the chunks before it. The
-    workers are stopped however the iteration ends."""
+def _pooled(batches: Sequence[_Batch], chunks: Iterator[tuple[int, range, list]], workers: int):
+    """The results of each chunk (k, ids, pops) of chunks, seeds ids of
+    batches[k] from pops, in order and one at a time, from workers forked
+    worker processes that hold every batch. Each worker is sent a chunk, then
+    its next one as soon as its results are in, so it never writes a result
+    while the parent writes to it, and chunk j runs on worker j % workers. A
+    ConfigError that chunks raises is raised after the results of every
+    chunk sent before it. The workers are stopped however the iteration ends."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    links, procs = [], []
-    sent, error = 0, None
+    links, procs, error = [], [], None
 
-    def fill(upto: int) -> None:
-        """Send chunks up to upto - 1 (and no further than a ConfigError)."""
-        nonlocal sent, error
-        while error is None and sent < min(upto, len(chunks)):
-            k, ids = chunks[sent]
-            try:
-                pops = take(k, ids)
-            except ConfigError as exc:
-                error = exc
-                return
-            links[sent % workers].send((k, ids, pops, np.geterr()))
-            sent += 1
+    def send(link) -> bool:
+        """Send link the next chunk; False at the end of chunks, or at a
+        ConfigError, which is held (chunks then holds no more)."""
+        nonlocal error
+        try:
+            k, ids, pops = next(chunks)
+        except StopIteration:
+            return False
+        except ConfigError as exc:
+            error = exc
+            return False
+        link.send((k, ids, pops, np.geterr()))
+        return True
 
     try:
         for _ in range(workers):
@@ -1341,13 +1334,15 @@ def _pooled(batches: Sequence[_Batch], chunks: list[tuple[int, range]], take, wo
             procs[-1].start()
             end.close()
             links.append(link)
-        fill(workers)
-        for j in range(len(chunks)):
-            if j == sent:
-                raise error
-            out = _received(links[j % workers])
-            fill(j + 1 + workers)
-            yield out
+        busy = deque(link for link in links if send(link))
+        while busy:
+            link = busy.popleft()
+            out = _received(link)
+            if send(link):
+                busy.append(link)
+            yield from out
+        if error is not None:
+            raise error
     finally:
         for proc in procs:
             proc.terminate()
@@ -1357,29 +1352,13 @@ def _pooled(batches: Sequence[_Batch], chunks: list[tuple[int, range]], take, wo
             link.close()
 
 
-def _starts(first: Population, rest: Iterator[Population], seeds: int) -> Iterator[Population]:
-    """A batch's seeds start populations: first, then the next seeds - 1 of
-    rest, each checked against first as it is read. Asked for one more, it
-    checks that rest holds no more."""
-    yield first
-    for _ in range(seeds - 1):
-        pop = next(rest, None)
-        if pop is None:
-            raise ConfigError(_ONE_PER_SEED)
-        if pop.space != first.space or pop.size != first.size:
-            raise ConfigError("the populations of a batch must share one space and size")
-        yield pop
-    if next(rest, None) is not None:
-        raise ConfigError(_ONE_PER_SEED)
-
-
 def _prepare(
     pops, cfg, seeds, probes=(), intervention=None, *, ref=None, monitors=None, keep_states=False
 ) -> tuple[_Batch, Iterator[Population], int] | None:
     """The checks of a run_batch call with these arguments, which it
-    documents, and what the call runs: its _Batch, its start populations
-    (see _starts) and its work, seeds * (rounds + 1) * M * K elements; None
-    when seeds is empty."""
+    documents, and what the call runs: its _Batch, its start populations,
+    whose first is checked here and the rest as _chunks reads them, and its
+    work, seeds * (rounds + 1) * M * K elements; None when seeds is empty."""
     if probes and ref is None:
         raise ConfigError("probes were requested but no reference was given")
     names = [probe.name for probe in probes]
@@ -1418,7 +1397,29 @@ def _prepare(
         cfg, seeds, probes, ref, policies, checked, keep_states, chunk_size(size, space.size)
     )
     work = len(seeds) * (cfg.rounds + 1) * size * space.size
-    return batch, _starts(first, rest, len(seeds)), work
+    return batch, chain([first], rest), work
+
+
+def _chunks(
+    calls: Sequence[tuple[_Batch, Iterator[Population], int]], workers: int
+) -> Iterator[tuple[int, range, list[Population]]]:
+    """(k, ids, pops) for each chunk of each call's batch in turn, cut by
+    _spans for workers: seeds ids of batches[k] and their start populations,
+    read from the call's populations only when the chunk is asked for and
+    checked against the batch's first. Asked for more after a batch's last
+    chunk, it checks that the batch's populations hold no more."""
+    for k, (batch, starts, _) in enumerate(calls):
+        first = None
+        for ids in _spans(len(batch.seeds), batch.width, workers):
+            pops = list(islice(starts, len(ids)))
+            first = first or pops[0]
+            if any(pop.space != first.space or pop.size != first.size for pop in pops):
+                raise ConfigError("the populations of a batch must share one space and size")
+            if len(pops) < len(ids):
+                raise ConfigError(_ONE_PER_SEED)
+            yield k, ids, pops
+        if next(starts, None) is not None:
+            raise ConfigError(_ONE_PER_SEED)
 
 
 def _run_batches(
@@ -1427,37 +1428,17 @@ def _run_batches(
     """The results of every (batch, starts, work) call that _prepare made, one
     call after another, each as run_batch gives them. The worker count is
     chosen once, the most that any one batch would take alone, and each
-    batch is cut into chunks for it; a pool's workers are forked once,
-    holding every batch. The first chunk of the first call's populations is
-    read here."""
+    batch is cut into chunks for it (see _chunks); a pool's workers are
+    forked once, holding every batch. The first chunk of the first call's
+    populations is read here."""
     batches = [batch for batch, _, _ in calls]
     workers = max(_pool_size(len(batch.seeds), work) for batch, _, work in calls)
-    chunks = [
-        (k, ids)
-        for k, batch in enumerate(batches)
-        for ids in _spans(len(batch.seeds), batch.width, workers)
-    ]
-
-    def take(k: int, ids: range) -> list[Population]:
-        if ready:  # the first chunk's, read at the call
-            return ready.pop()
-        return list(islice(calls[k][1], len(ids)))
-
-    ready: list = []  # take hands out the first chunk, read here, once
-    ready.append(take(*chunks[0]))
-
-    def results() -> Iterator[Trajectory | SimulationError]:
-        if workers > 1:
-            outs = _pooled(batches, chunks, take, workers)
-        else:
-            outs = (batches[k].results(ids, take(k, ids)) for k, ids in chunks)
-        with closing(outs):  # a ConfigError below stops the pool too
-            for (k, ids), out in zip(chunks, outs):
-                yield from out
-                if ids.stop == len(batches[k].seeds):  # the batch's last chunk
-                    next(calls[k][1], None)  # its starts check that pops is done
-
-    return results()
+    chunks = _chunks(calls, workers)
+    # a one-shot iterator: a list passed to chain would hold the first chunk to the end
+    chunks = chain(iter([next(chunks)]), chunks)
+    if workers > 1:
+        return _pooled(batches, chunks, workers)
+    return (result for k, ids, pops in chunks for result in batches[k].results(ids, pops))
 
 
 def run_batch(
@@ -1498,7 +1479,8 @@ def run_batch(
     read only as chunks are sent. A worker is forked with this call's probes
     and policies: what they record there stays there. A worker's exception
     is raised here with its type and message, the worker's traceback as its
-    cause, and the workers are stopped however the iteration ends.
+    cause, and a worker that dies mid-run raises ChildProcessError; the
+    workers are stopped however the iteration ends.
 
     The arguments and the first chunk's populations are checked here; a
     later chunk's populations, and a pops iterable without len() that is

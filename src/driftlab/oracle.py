@@ -84,7 +84,7 @@ def oracle_mutual_information(joint: Sequence[Sequence[float]]) -> float:
     for i, row in enumerate(joint):
         for j, v in enumerate(row):
             if v > 0.0:
-                terms.append(v * math.log(v / (rows[i] * cols[j])))
+                terms.append(v * (math.log(v) - math.log(rows[i]) - math.log(cols[j])))
     return math.fsum(terms)
 
 

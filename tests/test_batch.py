@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from driftlab import core, evolution, metrics
+from driftlab import cli, core, evolution, metrics
 from driftlab.core import ProbVector, two_tier_reference
 from driftlab.errors import ConfigError, SimulationError
 from driftlab.evolution import (
@@ -783,9 +783,10 @@ def pool(monkeypatch):
     made = []
     pooled = evolution._pooled
 
-    def counted(batches, chunks, take, workers):
-        made.append((len(chunks), workers))
-        return pooled(batches, chunks, take, workers)
+    def counted(batches, chunks, workers):
+        spans = (evolution._spans(len(b.seeds), b.width, workers) for b in batches)
+        made.append((sum(map(len, spans)), workers))
+        return pooled(batches, chunks, workers)
 
     monkeypatch.setattr(evolution, "_pooled", counted)
     return made
@@ -912,6 +913,41 @@ def test_the_pool_leaves_no_process_behind(small_chunks, pool):
     assert "in broken" in str(raised.value.__cause__)
     assert multiprocessing.active_children() == []
     assert len(pool) == 3
+
+
+def _dying(monkeypatch):
+    """Make every chunk but the first end its worker process at once."""
+    results = evolution._Batch.results
+
+    def dying(batch, ids, pops):
+        if ids.start > 0:
+            os._exit(3)
+        return results(batch, ids, pops)
+
+    monkeypatch.setattr(evolution._Batch, "results", dying)
+
+
+def test_a_worker_that_dies_ends_the_run_with_a_child_process_error(
+    monkeypatch, small_chunks, pool
+):
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(3 * CHUNK))
+    _dying(monkeypatch)
+    with pytest.raises(ChildProcessError, match="a run_batch worker process exited mid-run"):
+        list(run_batch(_pops(seeds), cfg, seeds))
+    assert multiprocessing.active_children() == []
+    assert pool == [(4, 2)]
+
+
+def test_a_worker_that_dies_fails_the_cli_in_one_line(monkeypatch, tmp_path, capsys, pool):
+    path = tmp_path / "four.cfg"
+    path.write_text("space.size=40\nevolution.sample_size=30\nevolution.rounds=5\nexperiment.seeds=4\n")
+    _dying(monkeypatch)
+    assert cli.main(["simulate", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "simulation failed: a run_batch worker process exited mid-run\n"
+    assert multiprocessing.active_children() == []
+    assert pool == [(2, 2)]
 
 
 def test_a_daemonic_process_runs_in_process(small_chunks, pool):
@@ -1086,3 +1122,26 @@ def test_a_later_batchs_worker_error_follows_the_earlier_results(small_chunks, p
     results.close()
     assert multiprocessing.active_children() == []
     assert pool == [(6, 2), (10, 2)]
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_a_batchs_extra_population_fails_after_that_batchs_results(
+    monkeypatch, small_chunks, pool, pooled
+):
+    if not pooled:
+        monkeypatch.setattr(evolution, "POOL_ELEMENTS", 2**62)
+    cfg = _config("mle", "identity", False)
+    seeds = tuple(range(2 * CHUNK))  # two chunks per batch
+    pops = _pops(seeds)
+    calls = [
+        evolution._prepare(iter(pops + pops[:1]), cfg, seeds),
+        evolution._prepare(pops, cfg, seeds),
+    ]
+    got = []
+    with pytest.raises(ConfigError, match="one population per seed"):
+        for result in evolution._run_batches(calls):
+            got.append(result)
+    assert multiprocessing.active_children() == []
+    assert pool == ([(4, 2)] if pooled else [])
+    # every result of the first batch, and none of the second
+    assert [_outcome(r) for r in got] == [_outcome(r) for r in run_batch(pops, cfg, seeds)]

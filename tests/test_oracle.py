@@ -104,6 +104,15 @@ def test_oracle_kl_stays_finite_where_p_over_q_overflows():
     assert kl == pytest.approx(oracle_cross_entropy(p, q) - oracle_entropy(p), rel=1e-12, abs=0.0)
 
 
+def test_oracle_mutual_information_stays_finite_where_the_margins_product_underflows():
+    # the margins' product 1e-200 * 1e-200 underflows to 0 here; the MI of a
+    # diagonal joint is the entropy of its margin, to a relative 1e-12, the
+    # lemma battery's identity tolerance
+    tiny = 1e-200
+    mi = oracle_mutual_information([[tiny, 0.0], [0.0, 1.0 - tiny]])
+    assert mi == pytest.approx(oracle_entropy([tiny, 1.0 - tiny]), rel=1e-12, abs=0.0)
+
+
 # --- lemma verification drivers --------------------------------------------------
 
 
