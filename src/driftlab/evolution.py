@@ -20,19 +20,20 @@ of n samples per seed (one block, or one per agent), with (S, B) arrays of
 filled sizes and live blocks. What is per seed by nature loops over the
 rows: the uniforms and their inverse-CDF search (in sorted order), verifier
 screening and the cooling check. Each probe measures the chunk's training
-rows in one call per round. Round r's measurements fill column r
-of (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the
-seeds' Trajectory columns. The four stages are mixture, apply_selection,
-sample_dataset and update_agents, each over a chunk's rows. A stage or
-policy hook that cannot compute a row raises; that call then runs seed by
-seed, and only the seeds that raise fail (see _by_rows). run_batch is the
-one public entry point; run() is a batch of one, and a seed's trajectory is
-byte-identical whichever chunk it runs in. A batch with enough work runs its
-chunks on every usable CPU, in one pool of worker processes forked once for
-the call, holding every batch of it (a comparison's arms are the batches of
-one call, see _run_batches); a call whose batches are each smaller, and any
-where fork is unsafe, stays in process. Either way a seed's bytes do
-not depend on the CPU count.
+rows in one call per round. Round r's measurements fill column r of
+(S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the seeds'
+Trajectory columns. The four stages are mixture, apply_selection,
+sample_dataset and update_agents, each over a chunk's rows. A stage, hook
+or probe that cannot compute a row raises, and a chunk whose round raises
+runs again as two halves, down to the seeds that fail alone (see
+_Batch.results); a hook or probe may so be called again for rounds it has
+already seen. run_batch is the one public entry point; run() is a batch of
+one, and a seed's trajectory is byte-identical whichever chunk it runs in.
+A batch with enough work runs its chunks on every usable CPU, in one pool
+of worker processes forked once for the call, holding every batch of it (a
+comparison's arms are the batches of one call, see _run_batches); a call
+whose batches are each smaller, and any where fork is unsafe, stays in
+process. Either way a seed's bytes do not depend on the CPU count.
 
 An agent refitted to its own samples holds no mass on an outcome it did not
 draw. So after each update the chunk finds each row's reach: the sorted
@@ -78,7 +79,6 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence, Sized
 
@@ -707,43 +707,13 @@ class EvolutionConfig:
 # update kinds whose fit puts no mass off the data it is fitted to
 _DATA_BOUND = ("mle", "memory-buffer", "reward-reweighted-mle")
 
-# a round that raises one of these aborts its seed as a SimulationError
+# a round that raises one of these fails its seed as a SimulationError
 _ROUND_ERRORS = (
     DegenerateSelectionError,
     VerifierAnnihilationError,
     ValueError,
     FloatingPointError,
 )
-
-
-def _by_rows(fn, rows: np.ndarray, errors: dict, *arrays) -> tuple[np.ndarray, np.ndarray]:
-    """Which entries fn gave a result for (a mask), and fn(*arrays) with one
-    result per entry. Entry i of each array (or None) belongs to chunk row
-    rows[i]; rows is sorted, and a row may own consecutive entries (a
-    seed's datasets). When fn raises one of _ROUND_ERRORS, each row's
-    entries run alone: a row that raises goes to errors (which keeps a
-    row's first error) and its results are zeros. When every row raises, a
-    call on zero entries, where no arithmetic raises, gives the results'
-    shape."""
-    kept = np.ones(len(rows), dtype=bool)
-    try:
-        return kept, fn(*arrays)
-    except _ROUND_ERRORS:
-        pass
-    results = []
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    for lo, hi in zip(starts, [*starts[1:], len(rows)]):
-        try:
-            results.append(fn(*(None if a is None else a[lo:hi] for a in arrays)))
-        except _ROUND_ERRORS as exc:
-            errors.setdefault(int(rows[lo]), exc)
-            kept[lo:hi] = False
-    if not results:
-        with np.errstate(all="ignore"):
-            results.append(fn(*(None if a is None else a[:0] for a in arrays)))
-    out = np.zeros((len(rows), *results[0].shape[1:]), results[0].dtype)
-    out[kept] = np.concatenate(results)
-    return kept, out
 
 
 @dataclass(frozen=True, eq=False)
@@ -825,20 +795,12 @@ class _Chunk:
     block and its kept samples are written back there. live (S, B) marks
     the blocks no verifier emptied; an emptied block keeps its samples.
     _record fills column r of values (S, P, R+1), masses and absent
-    (S, N, R+1); fired and notes gather (round, text) events. Each phase of
-    the round gathers the rows that raise one of _ROUND_ERRORS, every
-    batched call through _by_rows; after the phase each such seed goes to
-    `failed` as SimulationError(r) and loses its row (cols included), and
-    the other rows go on. scratch holds what each reach borrows, and
-    vectors the selection's and the update's _rule_vector, or None where
-    the stage builds its own.
+    (S, N, R+1); fired and notes gather (round, text) events. A round that
+    raises one of _ROUND_ERRORS for any row stops the whole chunk, which
+    _Batch.results then runs again in halves. scratch holds what each reach
+    borrows, and vectors the selection's and the update's _rule_vector, or
+    None where the stage builds its own.
     """
-
-    _ROW_ARRAYS = (
-        "weights", "agents", "initial", "pbar", "pt", "data", "sizes", "live",
-        "values", "masses", "absent",
-    )
-    _ROW_LISTS = ("ids", "rngs", "memory", "fired", "notes", "states")
 
     def __init__(self, batch: _Batch, ids: range, pops: Sequence[Population]):
         rows = range(len(pops))
@@ -859,11 +821,10 @@ class _Chunk:
         rules = (self.cfg.selection, self.cfg.update)
         try:  # under the error state in which the chunk's rounds run
             self.vectors = [_rule_vector(rule, self.space.size) for rule in rules]
-        except _ROUND_ERRORS:  # each stage call builds its own, failing its rows there
+        except _ROUND_ERRORS:  # each stage call builds its own, failing the round there
             self.vectors = [None, None]
         for name in ("fired", "notes", "states"):
             setattr(self, name, [[] for _ in rows])
-        self.failed: dict[int, SimulationError] = {}
 
     def population(self, s: int) -> Population:
         """Seed s's population over copies of its rows, which outlive the
@@ -878,59 +839,34 @@ class _Chunk:
         weights.setflags(write=False)
         return Population._trusted(self.space, weights, tuple(agents))
 
-    def _fail(self, errors: Mapping[int, Exception], r: int) -> None:
-        if not errors:
-            return
-        for row, exc in errors.items():
-            self.failed[self.ids[row]] = SimulationError(r, exc)
-        keep = [row not in errors for row in range(len(self.ids))]
-        for name in self._ROW_ARRAYS:
-            arr = getattr(self, name)
-            if arr is not None:
-                setattr(self, name, arr[np.asarray(keep)])
-        self.checkpoints = [ck[np.asarray(keep)] for ck in self.checkpoints]
-        self.cols = self.cols[np.asarray(keep)]
-        for name in self._ROW_LISTS:
-            setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
-
-    def _mixture(self, errors: dict) -> np.ndarray:
-        """Mixtures (S, C) of the current agents on cols, mixed once per
-        change; a row whose mixture raises holds zeros until its phase ends."""
+    def _mixture(self) -> np.ndarray:
+        """Mixtures (S, C) of the current agents on cols, mixed once per change."""
         if self.pbar is None:
-            every = np.arange(len(self.ids))
-            at = (self.weights, self.agents, self.cols)
-            _, self.pbar = _by_rows(mixture, every, errors, *at)
+            self.pbar = mixture(self.weights, self.agents, self.cols)
         return self.pbar
 
-    def _firing(self, pol, r: int, errors: dict) -> np.ndarray:
+    def _firing(self, pol, r: int) -> np.ndarray:
         """The rows whose schedule has pol act in round r."""
-        every = np.arange(len(self.ids))
         if pol.schedule.reads_mixture:
-            mixtures = self.cols.dense(self._mixture(errors))
+            mixtures = self.cols.dense(self._mixture())
         else:  # the schedule reads how many rows there are
-            mixtures = np.empty((len(every), 0))
-        _, fires = _by_rows(partial(pol.schedule.fires, r), every, errors, mixtures)
-        return np.flatnonzero(fires)
+            mixtures = np.empty((len(self.ids), 0))
+        return np.flatnonzero(pol.schedule.fires(r, mixtures))
 
     def advance(self, r: int) -> None:
-        """Round r, as phases; after each, the seeds that raised in it fail.
+        """Round r, as phases; one that raises for any row stops the chunk.
 
         Round r >= 1 samples from pt, screens each dataset with the
         verifiers in agent order, refits, then applies entropy release and
         cooling. Every round, round 0 included, then mixes and selects the
         population, diversity for round r+1 included: that pt is what round
-        r+1 samples from and what the record of round r measures. Once every
-        seed has failed, nothing runs.
+        r+1 samples from and what the record of round r measures.
         """
         ahead = (self._sample, self._screen, self._update, self._release, self._cool)
         for phase in (*(ahead if r else ()), self._select, self._diversify, self._record):
-            if not self.ids:
-                return
-            errors: dict[int, Exception] = {}
-            phase(r, errors)
-            self._fail(errors, r)
+            phase(r)
 
-    def _sample(self, r: int, errors: dict) -> None:
+    def _sample(self, r: int) -> None:
         blocks = self.agents.shape[1] if self.cfg.per_agent_datasets else 1
         n = self.cfg.sample_size
         draws = sample_dataset(self.pt, n * blocks, self.rngs, self.cols)
@@ -938,9 +874,9 @@ class _Chunk:
         self.sizes = np.full((len(self.ids), blocks), n)
         self.live = np.ones((len(self.ids), blocks), dtype=bool)
 
-    def _screen(self, r: int, errors: dict) -> None:
+    def _screen(self, r: int) -> None:
         for pol in self.policies["verifier"]:
-            for s in self._firing(pol, r, errors):
+            for s in self._firing(pol, r):
                 blocks = np.flatnonzero(self.live[s])
                 if blocks.size:
                     self.fired[s].append((r, pol.kind))
@@ -953,9 +889,6 @@ class _Chunk:
                     except VerifierAnnihilationError:
                         self.notes[s].append((r, "verifier-annihilation: update skipped"))
                         self.live[s, m] = False
-                    except _ROUND_ERRORS as exc:  # the seed fails this round
-                        errors.setdefault(int(s), exc)
-                        break
                     else:
                         self.sizes[s, m] = len(kept)
 
@@ -985,7 +918,7 @@ class _Chunk:
         ):
             return _EVERY, samples
         rows = len(self.ids)
-        if self.scratch is None:  # rows only leave a chunk, so the first reach is the widest
+        if self.scratch is None:
             self.scratch = np.zeros(self.live.size * k_space + 1), np.empty(rows * k_space, np.intp)
         zeros, lookup = self.scratch
         keys = owner * k_space + samples  # entry s * K + k of (S, K) rows
@@ -1004,7 +937,7 @@ class _Chunk:
         lookup[reached] = columns
         return _Columns(index, k_space, zeros), lookup[keys]
 
-    def _update(self, r: int, errors: dict) -> None:
+    def _update(self, r: int) -> None:
         rule = self.cfg.update
         rows, blocks = np.nonzero(self.live)
         if not rows.size:
@@ -1023,7 +956,7 @@ class _Chunk:
         cols, positions = self._reach(np.concatenate(owners), np.concatenate(samples))
         pbar = None
         if rule.reads_mixture:
-            pbar = cols.take(self.cols.dense(self._mixture(errors)))[rows]
+            pbar = cols.take(self.cols.dense(self._mixture()))[rows]
         if rows.size < self.live.size:  # the unfitted keep their agents, on every outcome
             self.agents = self.cols.dense(self.agents)
         self.pbar, self.cols = None, cols
@@ -1034,8 +967,7 @@ class _Chunk:
             buffered, lengths = _counts(positions[len(samples[0]) :], lengths, width)
             memory = buffered / lengths[:, None]
         counts, n = _counts(positions[: len(samples[0])], sizes, width)
-        fit = partial(update_agents, rule, vector=self.vectors[1])
-        _, mass = _by_rows(fit, rows, errors, counts, n, pbar, memory, fitted)
+        mass = update_agents(rule, counts, n, pbar, memory, fitted, self.vectors[1])
         if rows.size < self.live.size and self.cfg.per_agent_datasets:
             self.agents[rows, blocks] = mass
         elif rows.size < self.live.size:
@@ -1045,22 +977,17 @@ class _Chunk:
         else:
             self.agents = np.repeat(mass[:, None, :], self.weights.shape[1], axis=1)
 
-    def _release(self, r: int, errors: dict) -> None:
+    def _release(self, r: int) -> None:
         for pol in self.policies["entropy-release"]:
-            rows = self._firing(pol, r, errors)
+            rows = self._firing(pol, r)
             if not rows.size:
                 continue
             initial = self.initial if pol.anchor == "initial" else None
-            every = rows.size == len(self.ids)  # then no row is gathered
-            at = (self.agents, initial)
-            if not every:
-                at = tuple(None if a is None else a[rows] for a in at)
-            ok, released = _by_rows(pol.adjust_population, rows, errors, *at)
-            if every and ok.all():  # released is a new array like agents
-                self.agents = released
+            if rows.size == len(self.ids):  # released is a new array like agents
+                self.agents = pol.adjust_population(self.agents, initial)
             else:
-                rows = rows[ok]
-                self.agents[rows] = released[ok]
+                initial = None if initial is None else initial[rows]
+                self.agents[rows] = pol.adjust_population(self.agents[rows], initial)
             self.pbar = None
             for s in rows:
                 self.fired[s].append((r, pol.kind))
@@ -1072,17 +999,13 @@ class _Chunk:
                         self.notes[s].append((r, f"memory prune dropped {dropped} samples"))
                     self.memory[s] = kept
 
-    def _cool(self, r: int, errors: dict) -> None:
+    def _cool(self, r: int) -> None:
         for pol, checkpoints in zip(self.policies["cooling"], self.checkpoints):
-            rows = self._firing(pol, r, errors)
-            pbar = self._mixture(errors)
+            rows = self._firing(pol, r)
+            pbar = self._mixture()
             for s in rows:
                 current = (self.agents[s], pbar[s])
-                try:
-                    cooled, checkpoints[s], rolled = pol.cool(current, checkpoints[s])
-                except _ROUND_ERRORS as exc:
-                    errors.setdefault(int(s), exc)
-                    continue
+                cooled, checkpoints[s], rolled = pol.cool(current, checkpoints[s])
                 if rolled:
                     self.agents[s] = cooled
                     self.pbar = None
@@ -1091,25 +1014,22 @@ class _Chunk:
                 else:
                     self.notes[s].append((r, "cooling-refresh"))
 
-    def _select(self, r: int, errors: dict) -> None:
-        every = np.arange(len(self.ids))
-        select = partial(apply_selection, self.cfg.selection, self.space, vector=self.vectors[0])
-        _, self.pt = _by_rows(select, every, errors, self._mixture(errors), self.cols)
+    def _select(self, r: int) -> None:
+        rule, space = self.cfg.selection, self.space
+        self.pt = apply_selection(rule, space, self._mixture(), self.cols, self.vectors[0])
 
-    def _diversify(self, r: int, errors: dict) -> None:
+    def _diversify(self, r: int) -> None:
         for pol in self.policies["diversity"]:
-            rows = self._firing(pol, r + 1, errors)
-            ok, tempered = _by_rows(pol.adjust_training, rows, errors, self.pt[rows])
-            rows = rows[ok]
-            self.pt[rows] = tempered[ok]
+            rows = self._firing(pol, r + 1)
+            self.pt[rows] = pol.adjust_training(self.pt[rows])
             if r < self.cfg.rounds:  # an event of round r+1, which samples this pt
                 for s in rows:
                     self.fired[s].append((r + 1, pol.kind))
 
-    def _record(self, r: int, errors: dict) -> None:
+    def _record(self, r: int) -> None:
         """Fill column r of every row (and keep its state). Each probe measures
-        the chunk's rows in one call; a seed for which a probe raises one of
-        _ROUND_ERRORS, or which a probe gives no single value, fails instead."""
+        the chunk's rows in one call; one that raises one of _ROUND_ERRORS,
+        or gives a row no single value, stops the chunk."""
         batch = self.batch
         held = self._held() if r else None
         self.pt.setflags(write=False)  # the probes read it whole
@@ -1119,15 +1039,11 @@ class _Chunk:
                 if r:  # did this round's data miss the neighborhood?
                     self.absent[:, i, r] = ~(hood[self.data] & held).any(axis=(1, 2))
             if batch.probes:
-                every = np.arange(len(self.ids))
-                measure = partial(_measure, r, batch.probes, batch.ref)
                 at = (self.pt, self.agents, self.cols, dense)
-                _, values = _by_rows(measure, every, errors, *at)
-                self.values[:, :, r] = values
+                self.values[:, :, r] = _measure(r, batch.probes, batch.ref, *at)
         if batch.keep_states:
             for s in range(len(self.ids)):
-                if s not in errors:
-                    self.states[s].append(self.population(s))
+                self.states[s].append(self.population(s))
 
 
 def _measure(
@@ -1140,8 +1056,6 @@ def _measure(
     body); any other probe gets K-long read-only rows, built once, its agent
     rows sharing no memory with the chunk's, which the chunk writes in place."""
     values = np.empty((len(pt), len(probes)))
-    if not len(pt):  # the shape _by_rows asks for when every row failed
-        return values
     on_every = None  # pt and agents on every outcome, as evaluator reads them
     for i, probe in enumerate(probes):
         body = getattr(probe, "_body", None)
@@ -1186,23 +1100,28 @@ class _Batch:
 
     def results(self, ids: range, pops: Sequence[Population]) -> list[Trajectory | SimulationError]:
         """The Trajectory, or SimulationError, of each run in ids, which start
-        from pops and advance as one chunk."""
+        from pops and advance as one chunk. When round r raises one of
+        _ROUND_ERRORS, a chunk of one seed gives SimulationError(r), and a
+        wider one the results of its two halves, each run again from its
+        start. A seed's bytes do not depend on its chunk-mates, so each seed
+        ends as it would alone: a chunk of S seeds with one failing runs
+        2 * log2(S) + 1 times."""
         cfg = self.cfg
         chunk = _Chunk(self, ids, pops)
-        for r in range(cfg.rounds + 1):
-            chunk.advance(r)
+        try:
+            for r in range(cfg.rounds + 1):
+                chunk.advance(r)
+        except _ROUND_ERRORS as exc:
+            if len(ids) == 1:
+                return [SimulationError(r, exc)]
+            half = len(ids) // 2
+            return self.results(ids[:half], pops[:half]) + self.results(ids[half:], pops[half:])
         for columns in (chunk.values, chunk.masses, chunk.absent):
             columns.setflags(write=False)
-        rows = {i: s for s, i in enumerate(chunk.ids)}
         names = tuple(p.name for p in self.probes)
         monitors = {name: tuple(idx.tolist()) for name, (idx, _) in self.monitors.items()}
-        out: list[Trajectory | SimulationError] = []
-        for i in ids:
-            if i in chunk.failed:
-                out.append(chunk.failed[i])
-                continue
-            s = rows[i]
-            out.append(Trajectory(
+        return [
+            Trajectory(
                 seed=self.seeds[i],
                 probe_names=names,
                 rounds=cfg.rounds,
@@ -1214,8 +1133,9 @@ class _Batch:
                 notes=tuple(chunk.notes[s]),
                 final_population=chunk.population(s),
                 states=tuple(chunk.states[s]) if self.keep_states else None,
-            ))
-        return out
+            )
+            for s, i in enumerate(ids)
+        ]
 
 
 # A call forks worker processes only when one of its batches has more than
@@ -1457,7 +1377,11 @@ def run_batch(
     The populations must share one space and size, and ref, when given, that
     space too. Yields, in input order and chunk by chunk, each seed's
     Trajectory, or the SimulationError of a seed whose run failed; the other
-    seeds are unaffected by it. probes, intervention, monitors and
+    seeds are unaffected by it. A chunk whose round fails runs again in
+    halves, down to the seeds that fail alone (see _Batch.results), so a
+    probe or policy hook may be called again for rounds it has already
+    seen, and a chunk of S seeds with one failing runs 2 * log2(S) + 1
+    times. probes, intervention, monitors and
     keep_states apply to every seed, as in run(); an entropy-release anchor
     "initial" is each seed's own start population. Each probe names one
     column of values, so no two probes may share a name.

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field, replace
@@ -1009,14 +1010,34 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 def _write_text(out, parts: Iterable[str]) -> None:
     """Write each text of parts, in order, to out, a path or an open text
-    stream."""
+    stream. A path that is missing or a regular file gets all of parts or
+    keeps what it held: they go to a new file beside it, under the umask,
+    which then replaces it, keeping an existing file's permission bits, or
+    is removed if writing raises. Any other path (/dev/stdout, a symlink)
+    is written in place."""
     if hasattr(out, "write"):
         for text in parts:
             out.write(text)
-    else:
+        return
+    try:
+        mode = os.lstat(out).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            for text in parts:
-                fh.write(text)
+            _write_text(fh, parts)
+        return
+    temporary = f"{os.fspath(out)}.{os.urandom(4).hex()}.tmp"
+    fh = open(temporary, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            _write_text(fh, parts)
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+        os.replace(temporary, out)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def save_trajectories_csv(trajectories: Iterable[Trajectory], out) -> None:

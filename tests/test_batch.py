@@ -332,24 +332,6 @@ def test_an_overflowing_policy_hook_fails_only_its_seed(case):
     assert all(together[s][3] == "FloatingPointError" for s in failed)
 
 
-def test_by_rows_runs_each_rows_entries_together_once_a_call_raises():
-    calls = []
-
-    def doubled(x):
-        calls.append(x[:, 0].tolist())
-        if len(x) > 2 or 3.0 in x:
-            raise FloatingPointError("refused")
-        return 2.0 * x
-
-    errors = {}
-    rows, x = np.array([0, 0, 1, 1, 2]), np.arange(5.0)[:, None]
-    kept, out = evolution._by_rows(doubled, rows, errors, x)
-    assert calls == [[0, 1, 2, 3, 4], [0, 1], [2, 3], [4]]
-    assert kept.tolist() == [True, True, False, False, True]
-    assert out[:, 0].tolist() == [0.0, 2.0, 0.0, 0.0, 8.0]
-    assert list(errors) == [1] and str(errors[1]) == "refused"
-
-
 def test_a_prune_that_empties_an_agent_fails_only_its_seed(small_chunks):
     # an mle agent at uniform over 3 outcomes sits wholly below the floor;
     # a peaked one keeps its top entry
@@ -414,6 +396,47 @@ def test_a_raising_probe_fails_only_its_seed():
     assert all(o[2] == 2 and o[3] == "ValueError" for o in failed)
     kept = [json.loads(o[1])["trajectories"][0] for o in together if o[0] != "failed"]
     assert all(len(td["values"]["refuse"]) == 5 for td in kept)
+
+
+def _refuse_a_point_mass_in_round_3(r, pt, agents, ref):
+    if r == 3 and (pt.max(axis=1) == 1.0).any():
+        raise ValueError("probe refuses a point mass")
+    return np.zeros(len(pt))
+
+
+def test_a_failing_seed_costs_its_chunk_one_run_per_halving(monkeypatch):
+    # seed 5 of 16 starts at (and an mle agent stays on) a point mass, which
+    # the probe refuses in round 3; the chunk runs again in halves down to it
+    ref = two_tier_reference(6, safe_mass=0.9, safe_fraction=0.5)
+    flat, point = _one_agent(*[1 / 6] * 6), _one_agent(0, 0, 0, 0, 0, 1.0)
+    cfg = EvolutionConfig(sample_size=20, rounds=4)
+    seeds = tuple(range(16))
+    assert chunk_size(1, 6) >= len(seeds)
+    pops = [point if s == 5 else flat for s in seeds]
+    refusing = (MetricProbe("refuse", _refuse_a_point_mass_in_round_3),)
+    quiet = (MetricProbe("refuse", lambda r, pt, agents, ref: np.zeros(len(pt))),)
+    attempts = []
+    init = evolution._Chunk.__init__
+
+    def counted(chunk, batch, ids, pops):
+        attempts.append(len(ids))
+        init(chunk, batch, ids, pops)
+
+    monkeypatch.setattr(evolution._Chunk, "__init__", counted)
+    failing = [_outcome(t) for t in run_batch(pops, cfg, seeds, refusing, ref=ref)]
+    assert sorted(attempts) == [1, 1, 2, 2, 4, 4, 8, 8, 16]  # 2 * log2(16) + 1
+    assert [o[:3] for o in failing if o[0] == "failed"] == [
+        ("failed", "round 3: probe refuses a point mass", 3)
+    ]
+    assert failing[5][0] == "failed"
+    attempts.clear()
+    clean = [_outcome(t) for t in run_batch(pops, cfg, seeds, quiet, ref=ref)]
+    assert attempts == [16]
+    assert failing[:5] + failing[6:] == clean[:5] + clean[6:]
+    attempts.clear()
+    with pytest.raises(SimulationError):
+        run(point, cfg, refusing, ref=ref, seed=5)
+    assert attempts == [1]
 
 
 def test_a_raising_verifier_fails_only_its_seed():

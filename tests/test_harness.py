@@ -942,6 +942,25 @@ def test_json_round_trip_and_csv_stability(tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
 
 
+def test_a_write_that_stops_leaves_the_old_file(tmp_path):
+    def stopping():
+        yield "round,seed\n"
+        raise ValueError("stopped mid-stream")
+
+    kept, missing = tmp_path / "kept.csv", tmp_path / "missing.csv"
+    kept.write_text("old bytes\n")
+    kept.chmod(0o640)
+    for path in (kept, missing):
+        with pytest.raises(ValueError, match="mid-stream"):
+            harness._write_text(str(path), stopping())
+    assert kept.read_text() == "old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+    harness._write_text(kept, ["new ", "bytes\n"])
+    assert kept.read_text() == "new bytes\n"
+    assert kept.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
 def test_load_trajectories_reads_the_columns_back(tmp_path):
     traj = replace(
         _toy_trajectory(4, [(0.5, -math.inf), (math.nan, 0.25)], ("a", "b")),

@@ -309,19 +309,16 @@ def test_each_row_on_its_own_reach_gives_the_bytes_of_every_outcome(
 def test_seeds_that_raise_on_their_reach_fail_as_on_every_outcome(monkeypatch):
     # under a raising error state a subnormal blend weight underflows on the
     # buffered outcomes of some rows and not of others, in several rounds;
-    # those rows leave the chunk after _by_rows has run each seed alone, each
-    # on the columns of its own row
+    # the chunk runs again in halves down to those seeds, each alone on the
+    # columns of its own row
     retried = []
-    by_rows = evolution._by_rows
+    gate = evolution._Chunk._reach
 
-    def spy(fn, rows, errors, *arrays):
-        def call(*parts):
-            cols = [p for p in parts if isinstance(p, evolution._Columns)]
-            if len(parts[0]) < len(arrays[0]) and cols and cols[0].index is not None:
-                retried.append(len(cols[0].index))
-            return fn(*parts)
-
-        return by_rows(call, rows, errors, *arrays)
+    def spy(chunk, owner, samples):
+        cols, positions = gate(chunk, owner, samples)
+        if len(chunk.ids) == 1 and cols.index is not None:
+            retried.append(len(cols.index))
+        return cols, positions
 
     cfg = EvolutionConfig(
         sample_size=N, rounds=ROW_ROUNDS, selection=SelectionRule("top-mass", k=20),
@@ -329,14 +326,14 @@ def test_seeds_that_raise_on_their_reach_fail_as_on_every_outcome(monkeypatch):
     )
     outcomes = []
     for reach in (True, False):
-        monkeypatch.setattr(evolution, "_by_rows", spy)
+        monkeypatch.setattr(evolution._Chunk, "_reach", spy)
         with np.errstate(under="raise"):
             outcomes.append(_run_rows(cfg, (), monkeypatch, reach))
     (on_reach, taken), (on_every, _) = outcomes
     assert on_reach == on_every
     failed = {o[2] for o in on_reach if o[0] == "failed"}
     assert len(failed) > 1 and sum(o[0] == "failed" for o in on_reach) < len(ROW_SEEDS)
-    assert all(taken) and 1 in retried  # a seed ran alone on its own row's columns
+    assert all(taken) and retried  # a seed ran alone on its own row's reach
 
 
 SUBNORMAL = 5e-324
