@@ -24,11 +24,11 @@ rows in one call per round. Round r's measurements fill column r of
 (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the seeds'
 Trajectory columns. The four stages are mixture, apply_selection,
 sample_dataset and update_agents, each over a chunk's rows. A stage, hook
-or probe that cannot compute a row raises, and a chunk whose round raises
-runs again as two halves, down to the seeds that fail alone (see
-_Batch.results); a hook or probe may so be called again for rounds it has
-already seen. run_batch is the one public entry point; run() is a batch of
-one, and a seed's trajectory is byte-identical whichever chunk it runs in.
+or probe that cannot compute a row raises. A chunk whose round raises runs
+again to that round and goes on in halves, down to the seeds that fail
+alone (see _Batch.results); a hook or probe may so see a round again.
+run_batch is the one public entry point; run() is a batch of one, and a
+seed's trajectory is byte-identical whichever chunk it runs in.
 A batch with enough work runs its chunks on every usable CPU, in one pool
 of worker processes forked once for the call, holding every batch of it (a
 comparison's arms are the batches of one call, see _run_batches); a call
@@ -72,6 +72,7 @@ reproducible for a given (config, seed).
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import sys
@@ -80,7 +81,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, Sequence, Sized
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -797,9 +798,9 @@ class _Chunk:
     _record fills column r of values (S, P, R+1), masses and absent
     (S, N, R+1); fired and notes gather (round, text) events. A round that
     raises one of _ROUND_ERRORS for any row stops the whole chunk, which
-    _Batch.results then runs again in halves. scratch holds what each reach
-    borrows, and vectors the selection's and the update's _rule_vector, or
-    None where the stage builds its own.
+    _Batch.results then cuts in halves with rows(). scratch holds what each
+    reach borrows, and vectors the selection's and the update's
+    _rule_vector, or None where the stage builds its own.
     """
 
     def __init__(self, batch: _Batch, ids: range, pops: Sequence[Population]):
@@ -825,6 +826,22 @@ class _Chunk:
             self.vectors = [None, None]
         for name in ("fired", "notes", "states"):
             setattr(self, name, [[] for _ in rows])
+
+    def rows(self, keep: slice) -> _Chunk:
+        """The rows keep of this chunk, between rounds, as a chunk that
+        shares nothing it writes with this one."""
+        part = copy.copy(self)
+        for name in ("weights", "agents", "initial", "pbar", "pt", "values", "masses", "absent"):
+            value = getattr(self, name)
+            setattr(part, name, None if value is None else value[keep].copy())
+        part.checkpoints = [value[keep].copy() for value in self.checkpoints]
+        part.ids, part.memory = self.ids[keep], self.memory[keep]  # a buffer is never written
+        part.rngs = copy.deepcopy(self.rngs[keep])
+        for name in ("fired", "notes", "states"):
+            setattr(part, name, [list(events) for events in getattr(self, name)[keep]])
+        part.cols, part.scratch = self.cols[keep], None
+        part.data = part.sizes = part.live = None  # each round draws its own
+        return part
 
     def population(self, s: int) -> Population:
         """Seed s's population over copies of its rows, which outlive the
@@ -1100,22 +1117,47 @@ class _Batch:
 
     def results(self, ids: range, pops: Sequence[Population]) -> list[Trajectory | SimulationError]:
         """The Trajectory, or SimulationError, of each run in ids, which start
-        from pops and advance as one chunk. When round r raises one of
-        _ROUND_ERRORS, a chunk of one seed gives SimulationError(r), and a
-        wider one the results of its two halves, each run again from its
-        start. A seed's bytes do not depend on its chunk-mates, so each seed
-        ends as it would alone: a chunk of S seeds with one failing runs
-        2 * log2(S) + 1 times."""
-        cfg = self.cfg
-        chunk = _Chunk(self, ids, pops)
+        from pops and advance as one chunk (see _results)."""
+        return self._results(0, lambda: _Chunk(self, ids, pops))
+
+    def _results(
+        self, start: int, build: Callable[[], _Chunk]
+    ) -> list[Trajectory | SimulationError]:
+        """The results of the chunk that build() gives at the start of round
+        `start`; a second call gives it again. When round r raises one of
+        _ROUND_ERRORS, a chunk of one seed gives SimulationError(r); a wider
+        one is built again, advanced to round r and cut in halves that go on
+        from there. A seed's bytes do not depend on its chunk-mates, so each
+        ends as it would alone, having run each round at most twice, and
+        round r once more per halving: about 2 * r + log2(S) rounds in all."""
+        chunk = build()
         try:
-            for r in range(cfg.rounds + 1):
+            for r in range(start, self.cfg.rounds + 1):
                 chunk.advance(r)
         except _ROUND_ERRORS as exc:
-            if len(ids) == 1:
+            if len(chunk.ids) == 1:
+                import traceback  # a failure's import: start-up does not load it
+
+                del chunk, build  # the cause keeps its traceback, whose frames reach here
+                traceback.clear_frames(exc.__traceback__)
                 return [SimulationError(r, exc)]
-            half = len(ids) // 2
-            return self.results(ids[:half], pops[:half]) + self.results(ids[half:], pops[half:])
+        else:
+            return self._trajectories(chunk)
+        del chunk  # one chunk at a time
+        chunk = build()
+        del build  # which may hold the start that chunk now is
+        for q in range(start, r):
+            chunk.advance(q)
+        half = len(chunk.ids) // 2
+        parts = [chunk.rows(slice(None, half)), chunk.rows(slice(half, None))]
+        del chunk
+        results = []
+        while parts:  # a half's one reference goes to the call that runs it
+            results += self._results(r, _copy_then(parts.pop(0)).__next__)
+        return results
+
+    def _trajectories(self, chunk: _Chunk) -> list[Trajectory]:
+        """The Trajectory of each row of a chunk that ran every round."""
         for columns in (chunk.values, chunk.masses, chunk.absent):
             columns.setflags(write=False)
         names = tuple(p.name for p in self.probes)
@@ -1124,7 +1166,7 @@ class _Batch:
             Trajectory(
                 seed=self.seeds[i],
                 probe_names=names,
-                rounds=cfg.rounds,
+                rounds=self.cfg.rounds,
                 values=dict(zip(names, chunk.values[s])),
                 monitors=dict(monitors),
                 monitor_mass=dict(zip(monitors, chunk.masses[s])),
@@ -1134,8 +1176,14 @@ class _Batch:
                 final_population=chunk.population(s),
                 states=tuple(chunk.states[s]) if self.keep_states else None,
             )
-            for s, i in enumerate(ids)
+            for s, i in enumerate(chunk.ids)
         ]
+
+
+def _copy_then(part: _Chunk) -> Iterator[_Chunk]:
+    """A copy of part to run, then part itself to run again."""
+    yield part.rows(slice(None))
+    yield part
 
 
 # A call forks worker processes only when one of its batches has more than
@@ -1377,11 +1425,11 @@ def run_batch(
     The populations must share one space and size, and ref, when given, that
     space too. Yields, in input order and chunk by chunk, each seed's
     Trajectory, or the SimulationError of a seed whose run failed; the other
-    seeds are unaffected by it. A chunk whose round fails runs again in
-    halves, down to the seeds that fail alone (see _Batch.results), so a
-    probe or policy hook may be called again for rounds it has already
-    seen, and a chunk of S seeds with one failing runs 2 * log2(S) + 1
-    times. probes, intervention, monitors and
+    seeds are unaffected by it. A chunk whose round fails runs again up to
+    that round and goes on from there in halves, down to the seeds that
+    fail alone (see _Batch.results), so a probe or policy hook may be
+    called again for rounds it has already seen; a failing seed runs each
+    round at most about twice. probes, intervention, monitors and
     keep_states apply to every seed, as in run(); an entropy-release anchor
     "initial" is each seed's own start population. Each probe names one
     column of values, so no two probes may share a name.

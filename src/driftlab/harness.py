@@ -1010,30 +1010,36 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 def _write_text(out, parts: Iterable[str]) -> None:
     """Write each text of parts, in order, to out, a path or an open text
-    stream. A path that is missing or a regular file gets all of parts or
-    keeps what it held: they go to a new file beside it, under the umask,
-    which then replaces it, keeping an existing file's permission bits, or
-    is removed if writing raises. Any other path (/dev/stdout, a symlink)
-    is written in place."""
+    stream. A missing path, or a regular file of one link that this process
+    owns, gets all of parts or keeps what it held: they go to a new file
+    beside it, under the umask and an existing file's permission bits,
+    which replaces it, or is removed if writing raises; a file this process
+    may not write refuses, as open(out, "w") does. Any other path
+    (/dev/stdout, a symlink, a file with other links or another owner) is
+    written in place."""
     if hasattr(out, "write"):
         for text in parts:
             out.write(text)
         return
     try:
-        mode = os.lstat(out).st_mode
+        st = os.lstat(out)
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+        st = None
+    if st is not None and (
+        not stat.S_ISREG(st.st_mode) or st.st_nlink > 1 or st.st_uid != os.geteuid()
+    ):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             _write_text(fh, parts)
         return
+    if st is not None:
+        open(out, "a").close()  # PermissionError where "w" would raise it
     temporary = f"{os.fspath(out)}.{os.urandom(4).hex()}.tmp"
     fh = open(temporary, "x", encoding="utf-8", newline="")
     try:
         with fh:
             _write_text(fh, parts)
-        if mode is not None:
-            os.chmod(temporary, stat.S_IMODE(mode))
+        if st is not None:
+            os.chmod(temporary, stat.S_IMODE(st.st_mode))
         os.replace(temporary, out)
     except BaseException:
         os.remove(temporary)

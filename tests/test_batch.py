@@ -11,7 +11,10 @@ monitor masses and absence flags), final agents and failure text must agree.
 import io
 import json
 import multiprocessing
+import operator
 import os
+import traceback
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -179,6 +182,39 @@ def test_seeds_run_together_match_each_seed_alone(
     alone = _alone(cfg, SEEDS, _policies(policy))
     assert _together(cfg, SEEDS, _policies(policy)) == alone
     assert _together(cfg, SEEDS[:3], _policies(policy)) == alone[:3]
+
+
+FAILS_AT = {2: 3, 0: 4}  # seed: the round after whose record it raises
+
+
+@pytest.mark.parametrize("update, selection, per_agent, policy", GRID)
+def test_the_halves_of_a_chunk_that_raised_run_on_as_they_would_have(
+    small_chunks, monkeypatch, update, selection, per_agent, policy
+):
+    # seed 2 raises after recording round 3 and seed 0 after round 4, so
+    # their chunk of four runs again to round 3, its half with seed 0 runs
+    # from a copy of its rows and again from them to round 4, and so on
+    cfg = _config(update, selection, per_agent)
+    record = evolution._Chunk._record
+
+    def recorded(chunk, r):
+        record(chunk, r)
+        if any(r == at and s in chunk.ids for s, at in FAILS_AT.items()):
+            raise FloatingPointError("refused")
+
+    def outcomes():
+        results = run_batch(
+            _pops(SEEDS), cfg, SEEDS, PROBES, _policies(policy),
+            ref=REF, monitors=MONITORS, keep_states=True,
+        )
+        return [_kept(result) for result in results]
+
+    clean = outcomes()
+    monkeypatch.setattr(evolution._Chunk, "_record", recorded)
+    failing = outcomes()
+    for s, at in FAILS_AT.items():
+        assert failing[s] == ("failed", f"round {at}: refused", at, "FloatingPointError")
+    assert [failing[s] for s in (1, 3, 4)] == [clean[s] for s in (1, 3, 4)]
 
 
 # a reward selection that accepts only the last outcome, fed by a diversity
@@ -404,9 +440,10 @@ def _refuse_a_point_mass_in_round_3(r, pt, agents, ref):
     return np.zeros(len(pt))
 
 
-def test_a_failing_seed_costs_its_chunk_one_run_per_halving(monkeypatch):
+def test_a_failing_seed_costs_its_chunk_one_rerun_and_its_round_per_halving(monkeypatch):
     # seed 5 of 16 starts at (and an mle agent stays on) a point mass, which
-    # the probe refuses in round 3; the chunk runs again in halves down to it
+    # the probe refuses in round 3; the chunk runs again up to round 3, where
+    # its halves run on from, and so on down to seed 5
     ref = two_tier_reference(6, safe_mass=0.9, safe_fraction=0.5)
     flat, point = _one_agent(*[1 / 6] * 6), _one_agent(0, 0, 0, 0, 0, 1.0)
     cfg = EvolutionConfig(sample_size=20, rounds=4)
@@ -415,28 +452,63 @@ def test_a_failing_seed_costs_its_chunk_one_run_per_halving(monkeypatch):
     pops = [point if s == 5 else flat for s in seeds]
     refusing = (MetricProbe("refuse", _refuse_a_point_mass_in_round_3),)
     quiet = (MetricProbe("refuse", lambda r, pt, agents, ref: np.zeros(len(pt))),)
-    attempts = []
-    init = evolution._Chunk.__init__
+    advanced = []
+    advance = evolution._Chunk.advance
 
-    def counted(chunk, batch, ids, pops):
-        attempts.append(len(ids))
-        init(chunk, batch, ids, pops)
+    def counted(chunk, r):
+        advanced.append((len(chunk.ids), r))
+        advance(chunk, r)
 
-    monkeypatch.setattr(evolution._Chunk, "__init__", counted)
+    monkeypatch.setattr(evolution._Chunk, "advance", counted)
     failing = [_outcome(t) for t in run_batch(pops, cfg, seeds, refusing, ref=ref)]
-    assert sorted(attempts) == [1, 1, 2, 2, 4, 4, 8, 8, 16]  # 2 * log2(16) + 1
+    assert advanced == [
+        *[(16, r) for r in (0, 1, 2, 3, 0, 1, 2)],  # fails in round 3; again to it
+        (8, 3),  # seeds 0-7 fail
+        (4, 3), (4, 4),  # 0-3 run on
+        (4, 3), (2, 3),  # 4-7 and 4-5 fail
+        (1, 3), (1, 4), (1, 3),  # 4 runs on, 5 fails
+        (2, 3), (2, 4), (8, 3), (8, 4),  # 6-7 and 8-15 run on
+    ]
     assert [o[:3] for o in failing if o[0] == "failed"] == [
         ("failed", "round 3: probe refuses a point mass", 3)
     ]
     assert failing[5][0] == "failed"
-    attempts.clear()
+    advanced.clear()
     clean = [_outcome(t) for t in run_batch(pops, cfg, seeds, quiet, ref=ref)]
-    assert attempts == [16]
+    assert advanced == [(16, r) for r in range(5)]
     assert failing[:5] + failing[6:] == clean[:5] + clean[6:]
-    attempts.clear()
+    advanced.clear()
     with pytest.raises(SimulationError):
         run(point, cfg, refusing, ref=ref, seed=5)
-    assert attempts == [1]
+    assert advanced == [(1, r) for r in range(4)]
+
+
+def test_a_failed_seed_keeps_its_traceback_but_no_chunk(monkeypatch):
+    # every chunk a failing run builds or copies is freed once the run ends,
+    # while the failed seed's cause still shows where it raised
+    ref = two_tier_reference(6, safe_mass=0.9, safe_fraction=0.5)
+    flat, point = _one_agent(*[1 / 6] * 6), _one_agent(0, 0, 0, 0, 0, 1.0)
+    pops = [point if s == 5 else flat for s in range(16)]
+    made = []
+    init, rows = evolution._Chunk.__init__, evolution._Chunk.rows
+
+    def built(chunk, *args):
+        init(chunk, *args)
+        made.append(weakref.ref(chunk))
+
+    def copied(chunk, keep):
+        made.append(weakref.ref(part := rows(chunk, keep)))
+        return part
+
+    monkeypatch.setattr(evolution._Chunk, "__init__", built)
+    monkeypatch.setattr(evolution._Chunk, "rows", copied)
+    probes = (MetricProbe("refuse", _refuse_a_point_mass_in_round_3),)
+    cfg = EvolutionConfig(sample_size=20, rounds=4)
+    results = list(run_batch(pops, cfg, range(16), probes, ref=ref))
+    assert isinstance(results[5], SimulationError) and len(made) > 2
+    assert [chunk() for chunk in made] == [None] * len(made)
+    shown = "".join(traceback.format_exception(results[5].__cause__))
+    assert "_refuse_a_point_mass_in_round_3" in shown and "advance" in shown
 
 
 def test_a_raising_verifier_fails_only_its_seed():
@@ -469,7 +541,7 @@ def _chunk(intervention=None, **cfg):
     """A chunk of SEEDS that keeps its states, with no probe or monitor."""
     pops = _pops(SEEDS)
     policies = evolution._group_policies(intervention, pops[0].space, M)
-    cfg = EvolutionConfig(sample_size=8, rounds=3, **cfg)
+    cfg = EvolutionConfig(sample_size=8, **{"rounds": 3, **cfg})
     batch = evolution._Batch(cfg, list(SEEDS), (), None, policies, {}, True, CHUNK)
     return evolution._Chunk(batch, range(len(SEEDS)), pops)
 
@@ -505,6 +577,46 @@ def test_a_chunk_owns_its_agents_as_one_writable_c_contiguous_array():
     for r in range(3):
         chunk.advance(r)
         assert owned(chunk) and chunk.agents.strides[1] != 0
+
+
+def test_the_rows_of_a_chunk_share_nothing_it_writes():
+    # rows 1-2 of a chunk after round 2, and a copy of them, share no array
+    # with each other or the chunk; the copy runs on first, then the rows,
+    # then the chunk, and each ends with the bytes of those rows run unsplit
+    def build():
+        update = UPDATES["memory-buffer"]
+        return _chunk(_policies("kl-schedules"), rounds=6, update=update)
+
+    def ended(chunk, start):
+        for r in range(start, 7):
+            chunk.advance(r)
+        return [
+            (
+                chunk.fired[s], chunk.notes[s], chunk.memory[s].tobytes(),
+                [[a.mass.tobytes() for a in pop.agents] for pop in chunk.states[s]],
+                [a.mass.tobytes() for a in chunk.population(s).agents],
+            )
+            for s in range(len(chunk.ids))
+        ]
+
+    expected = ended(build(), 0)[1:3]
+    assert any(note == "cooling-rollback" for row in expected for _, note in row[1])
+    chunk = build()
+    for r in range(3):
+        chunk.advance(r)
+    part = chunk.rows(slice(1, 3))
+    copied = part.rows(slice(None))
+    for one, other, keep in [(part, chunk, slice(1, 3)), (copied, part, slice(None))]:
+        for name, rows in vars(one).items():
+            if isinstance(rows, np.ndarray):
+                assert not np.shares_memory(rows, getattr(other, name)), name
+        for mine, theirs in zip(one.checkpoints, other.checkpoints):
+            assert not np.shares_memory(mine, theirs)
+        for name in ("rngs", "fired", "notes", "states"):  # memory is never written
+            assert all(map(operator.is_not, getattr(one, name), getattr(other, name)[keep]))
+    assert ended(copied, 3) == expected
+    assert ended(part, 3) == expected
+    assert ended(chunk, 3)[1:3] == expected
 
 
 def test_an_initial_anchor_reads_the_start_rows_after_an_update_in_place():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -959,6 +960,29 @@ def test_a_write_that_stops_leaves_the_old_file(tmp_path):
     assert kept.read_text() == "new bytes\n"
     assert kept.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
+def test_a_write_refuses_and_keeps_links_as_writing_in_place_does(tmp_path):
+    # a read-only file refuses as open(path, "w") does, unless this process
+    # may write any file (root); a file with a second name is written in
+    # place, so both names read the new bytes
+    locked = tmp_path / "locked.csv"
+    locked.write_text("old bytes\n")
+    locked.chmod(0o444)
+    if os.access(locked, os.W_OK):
+        harness._write_text(locked, ["new bytes\n"])
+        assert locked.read_text() == "new bytes\n"
+        assert locked.stat().st_mode & 0o777 == 0o444
+    else:
+        with pytest.raises(PermissionError):
+            harness._write_text(locked, ["new bytes\n"])
+        assert locked.read_text() == "old bytes\n"
+    linked, other = tmp_path / "linked.csv", tmp_path / "other.csv"
+    linked.write_text("old bytes\n")
+    os.link(linked, other)
+    harness._write_text(linked, ["new bytes\n"])
+    assert other.read_text() == "new bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["linked.csv", "locked.csv", "other.csv"]
 
 
 def test_load_trajectories_reads_the_columns_back(tmp_path):
