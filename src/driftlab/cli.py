@@ -10,6 +10,8 @@ Exit status: 0 on success, 1 when a lemma check fails or a simulation
 aborts (a worker process that dies mid-run included), 2 on configuration
 problems (bad files, bad keys, bad values).
 --seed rebases the sweep to S..S+n-1 while keeping its length.
+--quiet silences stdout alone: stderr, the exit status and the output files
+are those of the same command without it.
 compare runs the arms of the --policies file, or the four built-in policies.
 export reads a file that simulate --json wrote and writes its trajectories
 with simulate's own writers: the bytes of simulate's --csv or --json file.
@@ -18,6 +20,8 @@ with simulate's own writers: the bytes of simulate's --csv or --json file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import asdict
 
@@ -29,6 +33,7 @@ from .harness import (
     DriftResult,
     EnsembleMIResult,
     column_median,
+    _read_text,
     _write_text,
     format_value,
     json_text,
@@ -45,14 +50,9 @@ from .harness import (
 from .oracle import run_all_lemma_checks
 
 
-def _say(quiet: bool, text: str) -> None:
-    if not quiet:
-        print(text)
-
-
-def _write_json(path: str, payload: dict, quiet: bool) -> None:
+def _write_json(path: str, payload: dict) -> None:
     _write_text(path, [json_text(payload)])
-    _say(quiet, f"json -> {path}")
+    print(f"json -> {path}")
 
 
 def _load_cfg(args):
@@ -67,39 +67,29 @@ def _load_cfg(args):
 # ---------------------------------------------------------------------------
 
 
-def _print_drift_summary(result: DriftResult, quiet: bool) -> None:
+def _print_drift_summary(result: DriftResult) -> None:
     cfg = result.config
-    _say(
-        quiet,
+    print(
         f"drift sweep: {len(cfg.seeds)} seeds x {cfg.evolution.rounds} rounds, "
-        f"space {cfg.space_size}, sample {cfg.evolution.sample_size}",
+        f"space {cfg.space_size}, sample {cfg.evolution.sample_size}"
     )
-    _say(
-        quiet,
-        f"monitored rare-safe set: {len(result.monitored_set)} outcomes",
-    )
+    print(f"monitored rare-safe set: {len(result.monitored_set)} outcomes")
     for name in result.probes:
         trend = result.trends.get(name)
         if trend is None:
             continue
-        _say(
-            quiet,
+        print(
             f"{name:<16s} first={format_value(trend.first_median):<12s} "
             f"last={format_value(trend.last_median):<12s} "
-            f"spearman={trend.rank_correlation:+.3f}",
+            f"spearman={trend.rank_correlation:+.3f}"
         )
     counts = result.class_counts()
-    _say(
-        quiet,
-        "terminal classes: "
-        + "  ".join(f"{label}={count}" for label, count in counts.items()),
-    )
+    print("terminal classes: " + "  ".join(f"{label}={count}" for label, count in counts.items()))
     if result.low_visibility_rounds:
         median_low = column_median(list(result.low_visibility_rounds.values()))
-        _say(
-            quiet,
+        print(
             f"low-visibility rounds (monitored mass <= c/N): median "
-            f"{format_value(median_low)} of {cfg.evolution.rounds + 1}",
+            f"{format_value(median_low)} of {cfg.evolution.rounds + 1}"
         )
     for seed, reason in sorted(result.failures.items()):
         print(f"seed {seed} failed: {reason}", file=sys.stderr)
@@ -111,11 +101,11 @@ def cmd_simulate(args) -> int:
     trajs = [result.trajectories[s] for s in sorted(result.trajectories)]
     if args.csv and trajs:
         save_trajectories_csv(trajs, args.csv)
-        _say(args.quiet, f"csv -> {args.csv}")
+        print(f"csv -> {args.csv}")
     if args.json and trajs:
         save_trajectories_json(trajs, args.json)
-        _say(args.quiet, f"json -> {args.json}")
-    _print_drift_summary(result, args.quiet)
+        print(f"json -> {args.json}")
+    _print_drift_summary(result)
     return 1 if result.failures else 0
 
 
@@ -127,11 +117,11 @@ def cmd_simulate(args) -> int:
 def cmd_verify_lemmas(args) -> int:
     reports = run_all_lemma_checks(seed=args.seed, trials=args.trials)
     for report in reports:
-        _say(args.quiet, report.line())
+        print(report.line())
     all_passed = all(r.passed for r in reports)
     if args.json:
         payload = {"passed": all_passed, "reports": [plain(asdict(r)) for r in reports]}
-        _write_json(args.json, payload, args.quiet)
+        _write_json(args.json, payload)
     if not all_passed:
         for r in reports:
             if not r.passed:
@@ -151,7 +141,7 @@ def _nanmedian(values) -> float:
     return float(column_median(arr[~np.isnan(arr)]))
 
 
-def _print_comparison(result: ComparisonResult, quiet: bool) -> None:
+def _print_comparison(result: ComparisonResult) -> None:
     rows = [(result.baseline, None)]
     rows.extend((arm, result.paired_kl_diff[arm.name]) for arm in result.arms)
     for arm, diffs in rows:
@@ -161,24 +151,20 @@ def _print_comparison(result: ComparisonResult, quiet: bool) -> None:
         )
         if diffs is not None:
             line += f" paired dKL median={format_value(_nanmedian(diffs.values()))}"
-        _say(quiet, line)
+        print(line)
         for seed, reason in sorted(arm.failures.items()):
             print(f"{arm.name} seed {seed} failed: {reason}", file=sys.stderr)
 
 
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
-    specs = None
-    if args.policies:
-        try:
-            with open(args.policies, "r", encoding="utf-8") as fh:
-                specs = parse_policies_json(fh.read())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read policies file {args.policies!r}: {exc}") from exc
+    specs = (
+        parse_policies_json(_read_text(args.policies, "policies file")) if args.policies else None
+    )
     result = run_intervention_comparison(cfg, specs)
-    _print_comparison(result, args.quiet)
+    _print_comparison(result)
     if args.json:
-        _write_json(args.json, plain(asdict(result)), args.quiet)
+        _write_json(args.json, plain(asdict(result)))
     failed = bool(result.baseline.failures) or any(a.failures for a in result.arms)
     return 1 if failed else 0
 
@@ -188,32 +174,30 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _print_ensemble(result: EnsembleMIResult, quiet: bool) -> None:
+def _print_ensemble(result: EnsembleMIResult) -> None:
     series = result.mi_series
     rises = [series[t + 1] - series[t] for t in range(len(series) - 1)]
     max_rise = max(rises) if rises else 0.0
-    _say(
-        quiet,
+    print(
         f"ensemble MI: refs={result.n_refs} runs/ref={result.runs_per_ref} "
-        f"bins={result.bins} quantizer={result.quantizer:g}",
+        f"bins={result.bins} quantizer={result.quantizer:g}"
     )
-    _say(
-        quiet,
+    print(
         f"round 0 MI={format_value(series[0])}  terminal MI={format_value(series[-1])}  "
-        f"max one-step rise={format_value(max_rise)}",
+        f"max one-step rise={format_value(max_rise)}"
     )
 
 
 def cmd_ensemble_mi(args) -> int:
     cfg = _load_cfg(args)
     result = run_ensemble_mi(cfg)
-    _print_ensemble(result, args.quiet)
+    _print_ensemble(result)
     if args.csv:
         rows = "".join(f"{t},{format_value(v)}\n" for t, v in enumerate(result.mi_series))
         _write_text(args.csv, ["round,mi\n", rows])
-        _say(args.quiet, f"csv -> {args.csv}")
+        print(f"csv -> {args.csv}")
     if args.json:
-        _write_json(args.json, plain(asdict(result)), args.quiet)
+        _write_json(args.json, plain(asdict(result)))
     return 0
 
 
@@ -291,9 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "quiet", False):  # export has no --quiet
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                return args.func(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -109,14 +109,19 @@ def parse_config_text(text: str) -> dict[str, str]:
     return flat
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Load a key=value config into the flat dotted-key form."""
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the file at path; a ConfigError naming it as what
+    when it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_config_text(text)
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def load_config_file(path: str) -> dict[str, str]:
+    """Load a key=value config into the flat dotted-key form."""
+    return parse_config_text(_read_text(path, "config"))
 
 
 def apply_env_overrides(
@@ -543,12 +548,14 @@ def parse_policies_json(text: str) -> tuple[PolicySpec, ...]:
                 f"policy entry {i} has unknown key {', '.join(unread)}; "
                 "one of 'name', 'kind', 'schedule', 'params'"
             )
+        if not isinstance(entry.get("name", ""), str):
+            raise ConfigError(f"policy entry {i}: name must be a string")
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"policy entry {i}: params must be an object")
         specs.append(
             PolicySpec(
-                name=str(entry.get("name", entry["kind"])),
+                name=entry.get("name", str(entry["kind"])),
                 kind=str(entry["kind"]),
                 params=tuple(sorted((str(k), str(v)) for k, v in params.items())),
                 schedule=str(entry.get("schedule", "every:1")),
@@ -1015,8 +1022,8 @@ def _write_text(out, parts: Iterable[str]) -> None:
     beside it, under the umask and an existing file's permission bits,
     which replaces it, or is removed if writing raises; a file this process
     may not write refuses, as open(out, "w") does. Any other path
-    (/dev/stdout, a symlink, a file with other links or another owner) is
-    written in place."""
+    (/dev/stdout, a symlink, a file with other links or another owner, or a
+    file in a directory that refuses a new file) is written in place."""
     if hasattr(out, "write"):
         for text in parts:
             out.write(text)
@@ -1026,7 +1033,10 @@ def _write_text(out, parts: Iterable[str]) -> None:
     except FileNotFoundError:
         st = None
     if st is not None and (
-        not stat.S_ISREG(st.st_mode) or st.st_nlink > 1 or st.st_uid != os.geteuid()
+        not stat.S_ISREG(st.st_mode)
+        or st.st_nlink > 1
+        or st.st_uid != os.geteuid()
+        or not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK | os.X_OK)
     ):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             _write_text(fh, parts)
@@ -1092,11 +1102,9 @@ def save_trajectories_json(trajectories: Iterable[Trajectory], out) -> None:
 def load_trajectories(path: str) -> list[Trajectory]:
     """The trajectories of a file save_trajectories_json wrote, their columns
     read-only arrays; a trajectory read back has no final_population or states."""
+    text = _read_text(path, "trajectory file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read trajectory file {path!r}: {exc}") from exc
+        data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"trajectory file {path!r} is not valid JSON: {exc}") from exc
     stored = data.get("trajectories") if isinstance(data, dict) else None

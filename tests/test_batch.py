@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import operator
 import os
+import threading
 import traceback
 import weakref
 from dataclasses import asdict
@@ -978,6 +979,23 @@ def test_the_pool_gives_the_bytes_of_the_run_in_process(
     monkeypatch.setattr(evolution, "POOL_ELEMENTS", 2**62)
     assert [_kept(r) for r in pooled] == [_kept(r) for r in results()]
     assert pool == [pool[0]]  # the second run stayed in process
+
+
+def test_no_pool_is_forked_while_another_thread_runs(pool):
+    # a fork copies only the calling thread, so a process of more threads
+    # runs its chunks in process
+    cfg = _config("mle", "identity", False)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        alone = [_kept(r) for r in run_batch(_pops(SEEDS), cfg, SEEDS, PROBES, ref=REF)]
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive() and pool == []
+    assert [_kept(r) for r in run_batch(_pops(SEEDS), cfg, SEEDS, PROBES, ref=REF)] == alone
+    assert len(pool) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -182,6 +182,43 @@ def test_verify_lemmas_quiet(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{cfg}", "--csv", "{out}.csv", "--json", "{out}.json"],
+        ["simulate", "{failing}"],
+        ["compare", "{cfg}", "--json", "{out}.json"],
+        ["compare", "{cfg}", "--policies", "{prune}", "--json", "{out}.json"],
+        ["ensemble-mi", "{ensemble}", "--csv", "{out}.csv", "--json", "{out}.json"],
+        ["verify-lemmas", "--trials", "5", "--json", "{out}.json"],
+    ],
+)
+def test_quiet_silences_stdout_alone(tmp_path, tiny_cfg, capsys, argv):
+    # the exit status, stderr and every output file are the same with --quiet
+    inputs = {
+        "failing": FAILING,
+        "prune": '[{"kind": "entropy-release", "params": {"prune_floor": 0.9}}]',
+        "ensemble": TINY + "ensemble.runs_per_ref=4\nevolution.rounds=3\n",
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: tmp_path / name for name in inputs}
+    stdout, runs = {}, {}
+    for quiet in (False, True):
+        out = tmp_path / ("quiet" if quiet else "loud")
+        flags = ["--quiet"] if quiet else []
+        code = main([a.format(cfg=tiny_cfg, out=out, **paths) for a in argv] + flags)
+        captured = capsys.readouterr()
+        stdout[quiet] = captured.out
+        files = {p.suffix: p.read_bytes() for p in tmp_path.glob(out.name + ".*")}
+        runs[quiet] = (code, captured.err, files)
+    assert stdout[True] == ""
+    assert stdout[False]
+    loud = tmp_path / "loud"
+    assert all(f"{suffix[1:]} -> {loud}{suffix}\n" in stdout[False] for suffix in runs[False][2])
+    assert runs[True] == runs[False]
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_verify_lemmas_with_no_trials_exits_2(capsys, trials):
     # a check of zero trials checks nothing, and would read ok
@@ -434,6 +471,31 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert main(["simulate", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "update.lam" in err
+
+
+@pytest.mark.parametrize(
+    "command,env,problem",
+    [
+        # an empty list names no reference for the ensemble
+        (
+            "ensemble-mi", {"DRIFTLAB_ENSEMBLE__SAFE_MASSES": ""},
+            "ensemble.safe_masses must be a comma-separated number list",
+        ),
+        # a zipf reference's safe set is its heaviest fraction of the outcomes
+        (
+            "simulate",
+            {"DRIFTLAB_REFERENCE__GENERATOR": "zipf", "DRIFTLAB_REFERENCE__SAFE_FRACTION": "1.5"},
+            "safe fraction must lie in (0, 1), got 1.5",
+        ),
+    ],
+)
+def test_bad_values_from_the_environment_exit_2_in_one_line(
+    tiny_cfg, capsys, monkeypatch, command, env, problem
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([command, tiny_cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
 
 
 def test_overflowing_perturbation_sigma_exits_2(tmp_path, capsys):

@@ -531,6 +531,10 @@ def test_parse_policies_json():
         parse_policies_json('[{"params": {}}]')
     with pytest.raises(ConfigError, match="params must be an object"):
         parse_policies_json('[{"kind": "verifier", "params": 3}]')
+    # an arm's name is the text of its lines and JSON keys, never str() of a value
+    for name in ("null", "[1]"):
+        with pytest.raises(ConfigError, match="^policy entry 1: name must be a string$"):
+            parse_policies_json(f'[{{"kind": "cooling"}}, {{"name": {name}, "kind": "verifier"}}]')
 
 
 # --- trend statistics and classification --------------------------------------------
@@ -983,6 +987,25 @@ def test_a_write_refuses_and_keeps_links_as_writing_in_place_does(tmp_path):
     harness._write_text(linked, ["new bytes\n"])
     assert other.read_text() == "new bytes\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["linked.csv", "locked.csv", "other.csv"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may add a file to any directory")
+def test_a_file_in_a_directory_that_refuses_new_files_is_written_in_place(tmp_path):
+    # there is no room beside the file for a temporary one, so it is written
+    # as open(path, "w") writes it
+    folder = tmp_path / "read-only"
+    folder.mkdir()
+    out = folder / "out.csv"
+    out.write_text("old bytes\n")
+    out.chmod(0o640)
+    folder.chmod(0o555)
+    try:
+        harness._write_text(str(out), ["new ", "bytes\n"])
+        assert out.read_text() == "new bytes\n"
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert [p.name for p in folder.iterdir()] == ["out.csv"]
+    finally:
+        folder.chmod(0o755)
 
 
 def test_load_trajectories_reads_the_columns_back(tmp_path):

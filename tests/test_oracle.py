@@ -92,6 +92,7 @@ def test_oracle_kl_support_escape_is_infinite():
     assert oracle_cross_entropy([0.5, 0.5], [1.0, 0.0]) == math.inf
     # zero p entries contribute nothing even against zero q
     assert oracle_kl([1.0, 0.0], [1.0, 0.0]) == 0.0
+    assert oracle_cross_entropy([0.0, 0.5, 0.5], [0.0, 0.5, 0.5]) == math.log(2.0)
 
 
 def test_oracle_kl_stays_finite_where_p_over_q_overflows():
