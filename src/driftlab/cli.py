@@ -8,7 +8,8 @@
 
 Exit status: 0 on success, 1 when a lemma check fails or a simulation
 aborts (a worker process that dies mid-run included), 2 on configuration
-problems (bad files, bad keys, bad values).
+problems (bad files, bad keys, bad values), 130 after SIGINT and 143 after
+SIGTERM, each with one stderr line, no worker left and no partial file.
 --seed rebases the sweep to S..S+n-1 while keeping its length.
 --quiet silences stdout alone: stderr, the exit status and the output files
 are those of the same command without it.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import signal
 import sys
 from dataclasses import asdict
 
@@ -276,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM raises SystemExit, not an Exception: every cleanup on the way out runs
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
     try:
         if getattr(args, "quiet", False):  # export has no --quiet
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -293,6 +297,14 @@ def main(argv=None) -> int:
     except MemoryError:
         print("config error: the configured run does not fit in memory", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except SystemExit as exc:  # SIGTERM
+        print("terminated", file=sys.stderr)
+        return exc.code
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -48,12 +48,12 @@ cumsum adds zeros exactly, so either column set gives the same bits. The
 monitors and each registry probe's one body measure pt on its columns as
 well, either set with the same bits (see metrics); K-long rows are built
 only for the readers that need them: policy schedules, custom probes, kept
-states and final populations, and the agents an update leaves unfitted
-when the gate declines the reach. The reach is used only when the rule
-puts no mass off its data (mle, memory-buffer, reward-reweighted-mle; not
-smoothed-mle), every row was fitted this round (no verifier emptied a
-block), no diversity, entropy-release or cooling policy can move mass, and
-a row's B * n samples plus its capacity buffered ones are at most K / 2.
+states, and the agents an update leaves unfitted when the gate declines
+the reach. The reach is used only when the rule puts no mass off its data
+(mle, memory-buffer, reward-reweighted-mle; not smoothed-mle), every row
+was fitted this round (no verifier emptied a block), no diversity,
+entropy-release or cooling policy can move mass, and a row's B * n
+samples plus its capacity buffered ones are at most K / 2.
 That bound is checked first, so small spaces pay one comparison.
 
 This module deliberately knows nothing about the safety reference. It does
@@ -75,6 +75,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import signal
 import sys
 import threading
 from collections import deque
@@ -138,7 +139,6 @@ class Population:
     def __post_init__(self):
         if len(self.agents) == 0:
             raise ConfigError("population needs at least one agent")
-        space = self.agents[0].space
         for a in self.agents[1:]:
             require_same_space(self.agents[0], a)
         w = np.array(self.weights, dtype=np.float64, copy=True)
@@ -155,7 +155,6 @@ class Population:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "_space", space)
 
     def __setstate__(self, state):
         # numpy unpickles an array writeable; weights read back stay read-only
@@ -164,7 +163,7 @@ class Population:
 
     @property
     def space(self) -> OutcomeSpace:
-        return self._space  # type: ignore[attr-defined]
+        return self.agents[0].space
 
     @property
     def size(self) -> int:
@@ -177,11 +176,10 @@ class Population:
         return cls(tuple(agents), np.full(m, 1.0 / max(m, 1)))
 
     @staticmethod
-    def _trusted(space: OutcomeSpace, weights: np.ndarray, agents: tuple) -> "Population":
+    def _trusted(weights: np.ndarray, agents: tuple) -> "Population":
         pop = object.__new__(Population)
         object.__setattr__(pop, "agents", agents)
         object.__setattr__(pop, "weights", weights)
-        object.__setattr__(pop, "_space", space)
         return pop
 
 
@@ -729,9 +727,10 @@ class Trajectory:
     it; a dataset a verifier emptied keeps what it held before that verifier)
     missed the set's neighborhood entirely; round 0 precedes any dataset and
     reads False. fired and notes are (round, text) events in the order they
-    happened; states, when kept, holds the population after each round. A
-    trajectory that load_trajectories read back has final_population and
-    states None.
+    happened; states, when kept, holds the population after each round, so
+    states[-1] is the population the run ends with. A run without
+    keep_states, and a trajectory load_trajectories read back, has states
+    None.
     """
 
     seed: int
@@ -743,7 +742,6 @@ class Trajectory:
     monitor_absent: dict[str, np.ndarray]
     fired: tuple[tuple[int, str], ...]
     notes: tuple[tuple[int, str], ...]
-    final_population: Population | None
     states: tuple[Population, ...] | None = None
 
     def __setstate__(self, state):
@@ -785,8 +783,8 @@ class _Chunk:
     into it in place, so its rows leave the chunk only as copies. pt and
     pbar are rebuilt each round, never changed once a record has handed out
     views of them. K-long rows are built from cols only for the readers
-    that need them: policy schedules and hooks, custom probes, kept states,
-    population(), and the agents an update leaves unfitted when the gate
+    that need them: policy schedules and hooks, custom probes, kept states
+    (population()), and the agents an update leaves unfitted when the gate
     declines the reach. The hooks that can move mass decline it, so they
     see every outcome. Registry probes and monitors measure pt on cols.
     initial copies the start rows for an entropy release anchored on them,
@@ -854,7 +852,7 @@ class _Chunk:
                 agents.append(_wrap(self.space, row.copy()))
         weights = self.weights[s]
         weights.setflags(write=False)
-        return Population._trusted(self.space, weights, tuple(agents))
+        return Population._trusted(weights, tuple(agents))
 
     def _mixture(self) -> np.ndarray:
         """Mixtures (S, C) of the current agents on cols, mixed once per change."""
@@ -1173,7 +1171,6 @@ class _Batch:
                 monitor_absent=dict(zip(monitors, chunk.absent[s])),
                 fired=tuple(chunk.fired[s]),
                 notes=tuple(chunk.notes[s]),
-                final_population=chunk.population(s),
                 states=tuple(chunk.states[s]) if self.keep_states else None,
             )
             for s, i in enumerate(chunk.ids)
@@ -1210,10 +1207,8 @@ def _pool_size(seeds: int, work: int) -> int:
     children), when at least 2 CPUs are usable."""
     if seeds < 2 or work <= POOL_ELEMENTS or sys.platform != "linux":
         return 1
-    if threading.active_count() > 1:
-        return 1
     cpus = len(os.sched_getaffinity(0))
-    if cpus < 2:
+    if cpus < 2 or threading.active_count() > 1:
         return 1
     import multiprocessing  # here only: a run in process never pays for it
 
@@ -1239,6 +1234,8 @@ def _serve(batches: Sequence[_Batch], link) -> None:
     """A pool worker: run each chunk that arrives on link, seeds ids of
     batches[k], under the parent's numpy error state, and send back its
     results or the exception that stopped it, until the parent closes link."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's to handle: it stops the pool
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the parent's stop ends the worker at once
     while True:
         try:
             k, ids, pops, errstate = link.recv()
@@ -1489,18 +1486,14 @@ def run(
     cooling regardless of the order given. monitors maps names to outcome
     sets whose training mass and dataset-absence flags are recorded every
     round in monitor_mass[name] and monitor_absent[name] (the raw material
-    for decay estimation). The memory buffer starts empty. A failed round
-    raises SimulationError. This is run_batch on one seed, and gives the
-    bytes of run_batch's row for that seed.
+    for decay estimation). keep_states keeps the population after each
+    round in states, so states[-1] is the population the run ends with. The
+    memory buffer starts empty. A failed round raises SimulationError. This
+    is run_batch on one seed, and gives the bytes of run_batch's row for
+    that seed.
     """
     (result,) = run_batch(
-        [pop0],
-        cfg,
-        [seed],
-        probes,
-        intervention,
-        ref=ref,
-        monitors=monitors,
+        [pop0], cfg, [seed], probes, intervention, ref=ref, monitors=monitors,
         keep_states=keep_states,
     )
     if isinstance(result, SimulationError):

@@ -531,7 +531,12 @@ def default_policy_specs() -> tuple[PolicySpec, ...]:
 
 
 def parse_policies_json(text: str) -> tuple[PolicySpec, ...]:
-    """Policy arms from a JSON list of {name?, kind, schedule?, params?}."""
+    """Policy arms from a JSON list of {name?, kind, schedule?, params?}; a
+    kind, schedule or parameter value that is not a string is its JSON text."""
+
+    def spelt(value) -> str:
+        return value if isinstance(value, str) else json.dumps(value)
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -555,10 +560,10 @@ def parse_policies_json(text: str) -> tuple[PolicySpec, ...]:
             raise ConfigError(f"policy entry {i}: params must be an object")
         specs.append(
             PolicySpec(
-                name=entry.get("name", str(entry["kind"])),
-                kind=str(entry["kind"]),
-                params=tuple(sorted((str(k), str(v)) for k, v in params.items())),
-                schedule=str(entry.get("schedule", "every:1")),
+                name=entry.get("name", spelt(entry["kind"])),
+                kind=spelt(entry["kind"]),
+                params=tuple(sorted((k, spelt(v)) for k, v in params.items())),
+                schedule=spelt(entry.get("schedule", "every:1")),
             )
         )
     return tuple(specs)
@@ -704,10 +709,8 @@ class DriftResult:
     low_visibility_rounds: dict[int, int]
 
     def class_counts(self) -> dict[str, int]:
-        counts = {CLASS_LEAKAGE: 0, CLASS_COLLAPSE: 0, CLASS_STABLE: 0}
-        for label in self.classifications.values():
-            counts[label] += 1
-        return counts
+        counts = Counter(self.classifications.values())
+        return {label: counts[label] for label in (CLASS_LEAKAGE, CLASS_COLLAPSE, CLASS_STABLE)}
 
 
 def _sweep(
@@ -796,19 +799,12 @@ class ComparisonResult:
     paired_kl_diff: dict[str, dict[int, float]]
 
     def arm(self, name: str) -> ArmSummary:
-        for summary in self.arms:
-            if summary.name == name:
-                return summary
-        raise KeyError(name)
+        return {summary.name: summary for summary in self.arms}[name]
 
 
 def paired_difference(arm_value: float, base_value: float) -> float:
     """arm - base; two same-signed infinities compare as indeterminate (nan)."""
-    if (
-        math.isinf(arm_value)
-        and math.isinf(base_value)
-        and (arm_value > 0) == (base_value > 0)
-    ):
+    if math.isinf(arm_value) and arm_value == base_value:
         return math.nan
     return arm_value - base_value
 
@@ -857,13 +853,11 @@ def run_intervention_comparison(
         )
         for name, (kl, sm, failures) in zip(("baseline", *names), terminals)
     )
-    paired: dict[str, dict[int, float]] = {}
-    for arm in arms:
-        diffs = {}
-        for seed, kl in arm.terminal_kl.items():
-            if seed in baseline.terminal_kl:
-                diffs[seed] = paired_difference(kl, baseline.terminal_kl[seed])
-        paired[arm.name] = diffs
+    base = baseline.terminal_kl
+    paired = {
+        arm.name: {s: paired_difference(v, base[s]) for s, v in arm.terminal_kl.items() if s in base}
+        for arm in arms
+    }
     return ComparisonResult(baseline=baseline, arms=tuple(arms), paired_kl_diff=paired)
 
 
@@ -1010,8 +1004,8 @@ _STORED = (
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    """JSON-ready columns of traj: plain of every field but final_population
-    and states, so fired and notes become [round, text] pairs."""
+    """JSON-ready columns of traj: plain of every field but states, so fired
+    and notes become [round, text] pairs."""
     return {name: plain(getattr(traj, name)) for name in _STORED}
 
 
@@ -1101,7 +1095,7 @@ def save_trajectories_json(trajectories: Iterable[Trajectory], out) -> None:
 
 def load_trajectories(path: str) -> list[Trajectory]:
     """The trajectories of a file save_trajectories_json wrote, their columns
-    read-only arrays; a trajectory read back has no final_population or states."""
+    read-only arrays; a trajectory read back has no states."""
     text = _read_text(path, "trajectory file")
     try:
         data = json.loads(text)
@@ -1160,7 +1154,6 @@ def _stored_trajectory(i: int, entry) -> Trajectory:
         monitors={name: tuple(m) for name, m in monitors.items()}, **columns,
         fired=_stored_events(entry["fired"], rounds, f"fired of seed {seed}"),
         notes=_stored_events(entry["notes"], rounds, f"notes of seed {seed}"),
-        final_population=None,
     )
 
 

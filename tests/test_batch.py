@@ -5,7 +5,8 @@ These tests shrink that bound to CHUNK seeds, then run SEEDS = CHUNK + 1
 seeds together (two chunks, of 3 and 2 seeds), three seeds together, and
 every seed alone, over the update x selection x per-agent x policy grid. Each
 seed's CSV bytes, full trajectory (probe values, fired policies, notes,
-monitor masses and absence flags), final agents and failure text must agree.
+monitor masses and absence flags), final population and failure text must
+agree.
 """
 
 import io
@@ -13,6 +14,9 @@ import json
 import multiprocessing
 import operator
 import os
+import pickle
+import signal
+import sys
 import threading
 import traceback
 import weakref
@@ -121,16 +125,19 @@ def small_chunks(monkeypatch):
 
 
 def _outcome(result):
-    """Everything a run shows: CSV and JSON text, final agents or failure."""
+    """Everything a run shows: CSV and JSON text, and the final population,
+    weights and agents, of a run that kept its states; or its failure."""
     if isinstance(result, SimulationError):
         return ("failed", str(result), result.round_index, type(result.__cause__).__name__)
     csv, stored = io.StringIO(), io.StringIO()
     save_trajectories_csv([result], csv)
     save_trajectories_json([result], stored)
+    final = result.states[-1]
     return (
         csv.getvalue(),
         stored.getvalue(),
-        [a.mass.tobytes() for a in result.final_population.agents],
+        final.weights.tobytes(),
+        [a.mass.tobytes() for a in final.agents],
     )
 
 
@@ -157,7 +164,8 @@ def _alone(cfg, seeds, intervention, pops=_pops, ref=REF, monitors=MONITORS):
     for pop, seed in zip(pops(seeds), seeds):
         try:
             outcomes.append(_outcome(run(
-                pop, cfg, PROBES, intervention, ref=ref, monitors=monitors, seed=seed,
+                pop, cfg, PROBES, intervention, ref=ref, monitors=monitors, keep_states=True,
+                seed=seed,
             )))
         except SimulationError as exc:
             outcomes.append(_outcome(exc))
@@ -170,7 +178,8 @@ def _together(cfg, seeds, intervention, pops=_pops, ref=REF, monitors=MONITORS):
     return [
         _outcome(result)
         for result in run_batch(
-            starts, cfg, seeds, PROBES, intervention, ref=ref, monitors=monitors
+            starts, cfg, seeds, PROBES, intervention, ref=ref, monitors=monitors,
+            keep_states=True,
         )
     ]
 
@@ -357,10 +366,14 @@ def test_an_overflowing_policy_hook_fails_only_its_seed(case):
     seeds = tuple(range(len(pops)))
     alone = []
     with np.errstate(**{raising: "raise"}):
-        together = [_outcome(t) for t in run_batch(pops, cfg, seeds, (), policy)]
+        together = [
+            _outcome(t) for t in run_batch(pops, cfg, seeds, (), policy, keep_states=True)
+        ]
         for pop, seed in zip(pops, seeds):
             try:
-                alone.append(_outcome(run(pop, cfg, intervention=policy, seed=seed)))
+                alone.append(
+                    _outcome(run(pop, cfg, intervention=policy, keep_states=True, seed=seed))
+                )
             except SimulationError as exc:
                 alone.append(_outcome(exc))
     assert together == alone
@@ -420,11 +433,12 @@ def test_a_raising_probe_fails_only_its_seed():
     cfg = EvolutionConfig(sample_size=20, rounds=4)
     probes = (MetricProbe("refuse", _refuse_round_2),)
     seeds = tuple(range(8))
-    together = [_outcome(t) for t in run_batch([pop] * len(seeds), cfg, seeds, probes, ref=ref)]
+    kw = {"ref": ref, "keep_states": True}
+    together = [_outcome(t) for t in run_batch([pop] * len(seeds), cfg, seeds, probes, **kw)]
     alone = []
     for seed in seeds:
         try:
-            alone.append(_outcome(run(pop, cfg, probes, ref=ref, seed=seed)))
+            alone.append(_outcome(run(pop, cfg, probes, **kw, seed=seed)))
         except SimulationError as exc:
             alone.append(_outcome(exc))
     assert together == alone
@@ -461,7 +475,8 @@ def test_a_failing_seed_costs_its_chunk_one_rerun_and_its_round_per_halving(monk
         advance(chunk, r)
 
     monkeypatch.setattr(evolution._Chunk, "advance", counted)
-    failing = [_outcome(t) for t in run_batch(pops, cfg, seeds, refusing, ref=ref)]
+    kw = {"ref": ref, "keep_states": True}
+    failing = [_outcome(t) for t in run_batch(pops, cfg, seeds, refusing, **kw)]
     assert advanced == [
         *[(16, r) for r in (0, 1, 2, 3, 0, 1, 2)],  # fails in round 3; again to it
         (8, 3),  # seeds 0-7 fail
@@ -475,7 +490,7 @@ def test_a_failing_seed_costs_its_chunk_one_rerun_and_its_round_per_halving(monk
     ]
     assert failing[5][0] == "failed"
     advanced.clear()
-    clean = [_outcome(t) for t in run_batch(pops, cfg, seeds, quiet, ref=ref)]
+    clean = [_outcome(t) for t in run_batch(pops, cfg, seeds, quiet, **kw)]
     assert advanced == [(16, r) for r in range(5)]
     assert failing[:5] + failing[6:] == clean[:5] + clean[6:]
     advanced.clear()
@@ -556,8 +571,8 @@ def test_a_chunk_owns_its_agents_as_one_writable_c_contiguous_array():
     for r in range(3):
         chunk.advance(r)
         assert owned(chunk)
-    # each state, and the final population, shares one agent that owns its mass
-    for pop in [chunk.population(s) for s in range(len(SEEDS))] + chunk.states[0][1:]:
+    # each state, the last of every seed included, shares one agent that owns its mass
+    for pop in [states[-1] for states in chunk.states] + chunk.states[0][1:]:
         assert all(a is pop.agents[0] for a in pop.agents)
         assert pop.agents[0].mass.flags.owndata
         assert not np.shares_memory(pop.agents[0].mass, chunk.agents)
@@ -634,10 +649,11 @@ def test_an_initial_anchor_reads_the_start_rows_after_an_update_in_place():
         return build_population(PopulationSpec(3, "dirichlet"), ref, seed)
 
     initial = [verifier, EntropyReleasePolicy(gamma=0.5, anchor="initial")]
-    together = run_batch((start(s) for s in seeds), cfg, seeds, PROBES, initial, ref=ref)
+    kw = {"ref": ref, "keep_states": True}
+    together = run_batch((start(s) for s in seeds), cfg, seeds, PROBES, initial, **kw)
     for seed, result in zip(seeds, together):
         explicit = [verifier, EntropyReleasePolicy(gamma=0.5, anchor=start(seed))]
-        alone = run(start(seed), cfg, PROBES, explicit, ref=ref, seed=seed)
+        alone = run(start(seed), cfg, PROBES, explicit, **kw, seed=seed)
         assert _outcome(result) == _outcome(alone)
 
 
@@ -660,7 +676,7 @@ def test_a_custom_probe_keeps_agent_rows_that_the_chunk_never_writes():
     def results(probes):
         spec = PopulationSpec(M, "perturbed", sigma=0.4)
         starts = (build_population(spec, ref, seed) for seed in seeds)
-        return list(run_batch(starts, cfg, seeds, probes, policies, ref=ref))
+        return list(run_batch(starts, cfg, seeds, probes, policies, ref=ref, keep_states=True))
 
     plain = results(PROBES)
     kept_too = results([*PROBES, MetricProbe("keeping", keeping)])
@@ -669,9 +685,7 @@ def test_a_custom_probe_keeps_agent_rows_that_the_chunk_never_writes():
         assert all(a.values[name].tobytes() == b.values[name].tobytes() for name in b.probe_names)
         assert (a.fired, a.notes) == (b.fired, b.notes)
         assert any(text == "cooling-rollback" for _, text in b.notes)
-        assert [x.mass.tobytes() for x in a.final_population.agents] == [
-            x.mass.tobytes() for x in b.final_population.agents
-        ]
+        assert _kept(a)[2:] == _kept(b)[2:]  # all but the CSV and JSON text
     assert len(kept) == cfg.rounds + 1
     for handed, copied in kept:
         assert handed.tobytes() == copied.tobytes() and not handed.flags.writeable
@@ -811,7 +825,7 @@ def test_each_probe_measures_a_chunk_round_in_one_call(small_chunks, monkeypatch
 
         return MetricProbe(probe.name, evaluator)
 
-    cfg, results = _kl_schedule_run([counted(p) for p in PROBES])
+    cfg, results = _kl_schedule_run([counted(p) for p in PROBES], keep_states=True)
     wrapped, checked = [], []
 
     def wrap(space, arr):
@@ -826,7 +840,7 @@ def test_each_probe_measures_a_chunk_round_in_one_call(small_chunks, monkeypatch
     chunks = -(-len(SEEDS) // CHUNK)
     assert calls == dict.fromkeys(calls, chunks * (cfg.rounds + 1))
     assert checked == []
-    distinct = sum(len({id(a) for a in t.final_population.agents}) for t in trajectories)
+    distinct = sum(len({id(a) for a in p.agents}) for t in trajectories for p in t.states)
     assert wrapped == [True] * distinct
 
 
@@ -929,19 +943,18 @@ def pool(monkeypatch):
 
 
 def _kept(result):
-    """_outcome, the returned populations' bytes included."""
+    """_outcome, the bytes of every kept state included."""
     if isinstance(result, SimulationError):
         return _outcome(result)
-    pops = (result.final_population, *(result.states or ()))
     return _outcome(result) + (
-        [(p.weights.tobytes(), [a.mass.tobytes() for a in p.agents]) for p in pops],
+        [(p.weights.tobytes(), [a.mass.tobytes() for a in p.agents]) for p in result.states],
     )
 
 
 def _read_only(result) -> bool:
     if isinstance(result, SimulationError):
         return True
-    pops = (result.final_population, *(result.states or ()))
+    pops = result.states
     arrays = [
         *result.values.values(), *result.monitor_mass.values(), *result.monitor_absent.values(),
         *(p.weights for p in pops), *(a.mass for p in pops for a in p.agents),
@@ -986,16 +999,64 @@ def test_no_pool_is_forked_while_another_thread_runs(pool):
     # runs its chunks in process
     cfg = _config("mle", "identity", False)
     release = threading.Event()
+    kw = {"ref": REF, "keep_states": True}
     waiting = threading.Thread(target=release.wait)
     waiting.start()
     try:
-        alone = [_kept(r) for r in run_batch(_pops(SEEDS), cfg, SEEDS, PROBES, ref=REF)]
+        alone = [_kept(r) for r in run_batch(_pops(SEEDS), cfg, SEEDS, PROBES, **kw)]
     finally:
         release.set()
         waiting.join(timeout=10)
     assert not waiting.is_alive() and pool == []
-    assert [_kept(r) for r in run_batch(_pops(SEEDS), cfg, SEEDS, PROBES, ref=REF)] == alone
+    assert [_kept(r) for r in run_batch(_pops(SEEDS), cfg, SEEDS, PROBES, **kw)] == alone
     assert len(pool) == 1
+
+
+def test_one_usable_cpu_runs_in_process(monkeypatch, small_chunks, pool):
+    cfg = _config("mle", "identity", False)
+    kw = {"ref": REF, "monitors": MONITORS, "keep_states": True}
+    pooled = [_kept(r) for r in run_batch(_pops(SEEDS), cfg, SEEDS, PROBES, **kw)]
+    assert pool == [(2, 2)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert [_kept(r) for r in run_batch(_pops(SEEDS), cfg, SEEDS, PROBES, **kw)] == pooled
+    assert pool == [(2, 2)] and multiprocessing.active_children() == []
+
+
+def _arrays(obj):
+    """Every numpy array that obj holds, through containers and attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj))
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_a_trajectory_does_not_grow_with_the_space(monkeypatch, pool, pooled):
+    """Without keep_states a run returns its columns and events, and no
+    K-long row, whether a worker sends it back or it ran in process."""
+    if not pooled:
+        monkeypatch.setattr(evolution, "POOL_ELEMENTS", 2**62)
+    cfg = EvolutionConfig(sample_size=8, rounds=3)
+    seeds = tuple(range(4))
+
+    def results(k):
+        ref = two_tier_reference(k, safe_mass=0.9, safe_fraction=0.5)
+        spec = PopulationSpec(M, "perturbed", sigma=0.4)
+        pops = [build_population(spec, ref, seed) for seed in seeds]
+        got = list(run_batch(pops, cfg, seeds, PROBES, ref=ref, monitors={"rare": (0, 1)}))
+        assert not any(isinstance(t, SimulationError) for t in got)
+        return got
+
+    wide, narrow = results(10**4), results(10)
+    assert pool == ([(2, 2), (2, 2)] if pooled else [])
+    assert max(a.size for a in _arrays(wide)) == cfg.rounds + 1
+    assert abs(len(pickle.dumps(wide)) - len(pickle.dumps(narrow))) <= 64
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -1092,6 +1153,24 @@ def test_a_worker_that_dies_ends_the_run_with_a_child_process_error(
     assert pool == [(4, 2)]
 
 
+def test_a_worker_leaves_sigint_to_its_parent_and_takes_sigterm_at_its_default(pool):
+    # forked from a process with a SIGTERM handler, as cli.main installs one,
+    # a worker still dies at once when the parent's stop sends it SIGTERM
+    def dispositions(r, pt, agents, ref):
+        ignored = signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+        return np.full(len(pt), ignored and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+
+    cfg = _config("mle", "identity", False)
+    probe = MetricProbe("dispositions", dispositions)
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
+    try:
+        results = list(run_batch(_pops(SEEDS), cfg, SEEDS, [probe], ref=REF))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert pool == [(2, 2)]
+    assert all(t.values["dispositions"].all() for t in results)
+
+
 def test_a_worker_that_dies_fails_the_cli_in_one_line(monkeypatch, tmp_path, capsys, pool):
     path = tmp_path / "four.cfg"
     path.write_text("space.size=40\nevolution.sample_size=30\nevolution.rounds=5\nexperiment.seeds=4\n")
@@ -1109,7 +1188,8 @@ def test_a_daemonic_process_runs_in_process(small_chunks, pool):
     reader, writer = multiprocessing.Pipe(duplex=False)
 
     def child():
-        writer.send(([_outcome(t) for t in run_batch(_pops(seeds), cfg, seeds)], pool))
+        results = run_batch(_pops(seeds), cfg, seeds, keep_states=True)
+        writer.send(([_outcome(t) for t in results], pool))
 
     daemon = multiprocessing.get_context("fork").Process(target=child, daemon=True)
     daemon.start()
@@ -1118,7 +1198,7 @@ def test_a_daemonic_process_runs_in_process(small_chunks, pool):
     daemon.join(10)
     assert daemon.exitcode == 0
     assert made == []  # no pool in the daemon
-    assert outcomes == [_outcome(t) for t in run_batch(_pops(seeds), cfg, seeds)]
+    assert outcomes == [_outcome(t) for t in run_batch(_pops(seeds), cfg, seeds, keep_states=True)]
     assert pool == [(4, 2)]  # and one here
 
 
@@ -1287,8 +1367,8 @@ def test_a_batchs_extra_population_fails_after_that_batchs_results(
     seeds = tuple(range(2 * CHUNK))  # two chunks per batch
     pops = _pops(seeds)
     calls = [
-        evolution._prepare(iter(pops + pops[:1]), cfg, seeds),
-        evolution._prepare(pops, cfg, seeds),
+        evolution._prepare(iter(pops + pops[:1]), cfg, seeds, keep_states=True),
+        evolution._prepare(pops, cfg, seeds, keep_states=True),
     ]
     got = []
     with pytest.raises(ConfigError, match="one population per seed"):
@@ -1297,4 +1377,5 @@ def test_a_batchs_extra_population_fails_after_that_batchs_results(
     assert multiprocessing.active_children() == []
     assert pool == ([(4, 2)] if pooled else [])
     # every result of the first batch, and none of the second
-    assert [_outcome(r) for r in got] == [_outcome(r) for r in run_batch(pops, cfg, seeds)]
+    expected = run_batch(pops, cfg, seeds, keep_states=True)
+    assert [_outcome(r) for r in got] == [_outcome(r) for r in expected]

@@ -443,7 +443,7 @@ def test_the_reference_given_to_run_batch_reaches_only_the_probes(case, other_ma
         monitors = {"safe": ref_a.safe_indices, "first": (0,)}
         runs = [
             list(run_batch(pops, cfg, seeds, _PROBES, [p(ref) for p in policies],
-                           ref=ref, monitors=monitors))
+                           ref=ref, monitors=monitors, keep_states=True))
             for ref in (ref_a, ref_b)
         ]
     except ConfigError as exc:
@@ -461,7 +461,8 @@ def test_the_reference_given_to_run_batch_reaches_only_the_probes(case, other_ma
         for name in monitors:
             assert a.monitor_mass[name].tobytes() == b.monitor_mass[name].tobytes()
             assert a.monitor_absent[name].tobytes() == b.monitor_absent[name].tobytes()
-        agents = zip(a.final_population.agents, b.final_population.agents)
+        assert a.states[-1].weights.tobytes() == b.states[-1].weights.tobytes()
+        agents = zip(a.states[-1].agents, b.states[-1].agents)
         assert all(x.mass.tobytes() == y.mass.tobytes() for x, y in agents)
 
 

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import signal
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -731,3 +733,102 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys, command, extra):
     path.write_text(TINY + extra)
     assert main([command, str(path), "--quiet"]) == 2
     assert capsys.readouterr().err == "config error: the configured run does not fit in memory\n"
+
+
+# simulate on 2 pool workers, as the pool fixture of test_batch forks them;
+# each worker, or in "write" mode the CSV writer once it has written every
+# part, touches held.<pid> in the directory argv[2] and sleeps, so a signal
+# sent then finds the run, or its output file, mid-way
+HELD = """\
+import os, sys, time
+from driftlab import cli, evolution, harness
+evolution.POOL_ELEMENTS = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+mode, where, out = sys.argv[1:4]
+
+def hold():
+    open(os.path.join(where, f"held.{os.getpid()}"), "w").close()
+    time.sleep(60)
+
+if mode == "run":
+    evolution._Batch.results = lambda batch, ids, pops: hold()
+else:
+    write = harness._write_text
+    def held(path, parts):
+        def parts_then_hold():
+            yield from parts
+            hold()
+        write(path, parts_then_hold())
+    harness._write_text = held
+sys.exit(cli.main(["simulate", sys.argv[4], "--csv", out, "--quiet"]))
+"""
+
+
+def _children(pid: int) -> set[int]:
+    """The processes whose parent is pid, read from /proc."""
+    found = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except OSError:  # it has exited
+            continue
+        if int(fields[1]) == pid:
+            found.add(int(entry))
+    return found
+
+
+SIGNALS = {
+    "SIGINT": (signal.SIGINT, 130, "interrupted\n"),
+    "SIGTERM": (signal.SIGTERM, 143, "terminated\n"),
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks pool workers and reads /proc")
+@pytest.mark.parametrize("name", SIGNALS)
+@pytest.mark.parametrize(
+    "mode, group", [("run", False), ("run", True), ("write", False)],
+    ids=["run", "run-to-its-group", "write"],
+)
+def test_a_signal_ends_a_run_in_one_line_with_no_worker_or_partial_file_left(
+    tmp_path, tiny_cfg, mode, group, name
+):
+    """A run sent the signal (its process group too, as a terminal's Ctrl-C
+    or timeout(1) sends it) while its workers hold, or while it writes its
+    CSV, exits with one stderr line, stops its workers and leaves the CSV
+    as it was."""
+    signum, code, line = SIGNALS[name]
+    held = tmp_path / "held"
+    held.mkdir()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out.csv"
+    out.write_text("old bytes\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", HELD, mode, str(held), str(out), tiny_cfg],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath}, start_new_session=group,
+    )
+    workers = set()
+    try:
+        waited = 0.0
+        while len(os.listdir(held)) < (2 if mode == "run" else 1):
+            assert proc.poll() is None and waited < 60, proc.stderr.read()
+            time.sleep(0.05)
+            waited += 0.05
+        workers = _children(proc.pid)
+        (os.killpg if group else os.kill)(proc.pid, signum)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        left = {pid for pid in workers if os.path.exists(f"/proc/{pid}")}
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+    assert (proc.returncode, err) == (code, line)
+    assert out.read_text() == "old bytes\n" and list(tmp_path.glob("*.tmp")) == []
+    holders = {int(entry.split(".")[1]) for entry in os.listdir(held)}
+    # a run's workers are the two that held; a write comes after the pool stopped
+    assert workers == (holders if mode == "run" else set())
+    assert left == set()

@@ -446,12 +446,13 @@ def _beta_zero_run(update, per_agent, reach, monkeypatch):
     pops = [build_population(PopulationSpec(3, "perturbed", sigma=0.4), ref, s) for s in seeds]
     results = evolution.run_batch(
         pops, cfg, seeds, resolve_probes(probe_names(), default_tau=0.001), ref=ref,
-        monitors={"rare": (0, 1, 2), "unsafe": tuple(range(256, k_space))},
+        monitors={"rare": (0, 1, 2), "unsafe": tuple(range(256, k_space))}, keep_states=True,
     )
     outcomes = [
         ([{k: v.tobytes() for k, v in c.items()}
           for c in (t.values, t.monitor_mass, t.monitor_absent)],
-         [a.mass.tobytes() for a in t.final_population.agents])
+         t.states[-1].weights.tobytes(),
+         [a.mass.tobytes() for a in t.states[-1].agents])
         for t in results
     ]
     monkeypatch.undo()
@@ -658,12 +659,10 @@ def test_per_agent_run_differs_from_shared_run():
         keep_states=True,
         seed=3,
     )
-    final = [tuple(a.mass.tolist()) for a in per_agent.final_population.agents]
+    final = [tuple(a.mass.tolist()) for a in per_agent.states[-1].agents]
     assert len(set(final)) == 4
-    assert len({tuple(a.mass.tolist()) for a in shared.final_population.agents}) == 1
-    assert not np.array_equal(
-        _mixture(shared.final_population), _mixture(per_agent.final_population)
-    )
+    assert len({tuple(a.mass.tolist()) for a in shared.states[-1].agents}) == 1
+    assert not np.array_equal(_mixture(shared.states[-1]), _mixture(per_agent.states[-1]))
 
 
 @pytest.mark.parametrize(
@@ -734,9 +733,9 @@ def test_absence_flag_of_an_annihilation_round_reads_the_data_before_that_verifi
     verifier = VerifierPolicy(ref, fp=1.0, fn_rate=0.0)
     cfg = EvolutionConfig(sample_size=20, rounds=3)
     pop0 = Population.equal_weights([pi] * 2)
-    traj = run(pop0, cfg, intervention=verifier, monitors={"zero": (0,)}, seed=1)
+    traj = run(pop0, cfg, intervention=verifier, monitors={"zero": (0,)}, keep_states=True, seed=1)
     assert traj.notes == tuple((r, "verifier-annihilation: update skipped") for r in (1, 2, 3))
-    assert np.array_equal(traj.final_population.agents[0].mass, pi.mass)
+    assert np.array_equal(traj.states[-1].agents[0].mass, pi.mass)
     # the annihilated block keeps the samples it held before the verifier,
     # and those hit outcome 0: the flag reads "present" although the
     # verifier kept nothing
@@ -781,7 +780,7 @@ def test_uniform_population_mixture_unchanged_by_update_shape():
     # distinct they start
     pop = Population.equal_weights([pv(0.9, 0.1), pv(0.1, 0.9)])
     cfg = EvolutionConfig(sample_size=100, rounds=1)
-    final = run(pop, cfg, seed=9).final_population
+    final = run(pop, cfg, keep_states=True, seed=9).states[-1]
     assert np.array_equal(final.agents[0].mass, final.agents[1].mass)
     replayed = _replay_round(*_rows(pop), cfg, make_rng(9), ())[0]
     assert np.array_equal(replayed[0, 0], final.agents[0].mass)

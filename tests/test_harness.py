@@ -85,7 +85,6 @@ def small_cfg(**extra):
 def _toy_trajectory(seed, rows, probe_names):
     """rows[t] holds round t's value of each probe."""
     columns = np.array(rows, dtype=np.float64).T
-    agent = pv(0.5, 0.5)
     return Trajectory(
         seed=seed,
         probe_names=tuple(probe_names),
@@ -96,7 +95,6 @@ def _toy_trajectory(seed, rows, probe_names):
         monitor_absent={},
         fired=(),
         notes=(),
-        final_population=Population.equal_weights([agent]),
     )
 
 
@@ -535,6 +533,23 @@ def test_parse_policies_json():
     for name in ("null", "[1]"):
         with pytest.raises(ConfigError, match="^policy entry 1: name must be a string$"):
             parse_policies_json(f'[{{"kind": "cooling"}}, {{"name": {name}, "kind": "verifier"}}]')
+
+
+@pytest.mark.parametrize(
+    "arm, error",
+    [
+        ('{"kind": "cooling", "schedule": null}', "unknown schedule 'null'"),
+        ('{"kind": "verifier", "params": {"fp": true}}', "fp must be a number, got 'true'"),
+        ('{"kind": "entropy-release", "params": {"prune_memory": true}}', None),
+    ],
+)
+def test_a_policy_file_value_is_named_as_the_file_spells_it(arm, error):
+    (spec,) = parse_policies_json(f"[{arm}]")
+    if error is None:
+        assert realize_policy(spec, REF_SMALL).prune_memory is True
+        return
+    with pytest.raises(ConfigError, match=f"^{error}"):
+        realize_policy(spec, REF_SMALL)
 
 
 # --- trend statistics and classification --------------------------------------------
@@ -1028,7 +1043,7 @@ def test_load_trajectories_reads_the_columns_back(tmp_path):
     assert back.monitor_absent["tail"].dtype == bool
     assert back.monitor_absent["tail"].tolist() == [False, True]
     assert back.fired == ((1, "verifier"), (1, "cooling")) and back.notes == ((0, "start"),)
-    assert back.final_population is None and back.states is None
+    assert back.states is None
     columns = [*back.values.values(), *back.monitor_mass.values(), *back.monitor_absent.values()]
     assert not any(column.flags.writeable for column in columns)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from driftlab.core import OutcomeSpace, ProbVector, SafetyReference, two_tier_reference
 from driftlab.errors import ConfigError
-from driftlab.evolution import Population, Trajectory
+from driftlab.evolution import Trajectory
 from driftlab.metrics import (
     _row_sums,
     absence_probability,
@@ -24,7 +24,6 @@ from driftlab.metrics import (
     shannon_entropy,
 )
 
-S2 = OutcomeSpace(2)
 S3 = OutcomeSpace(3)
 
 
@@ -637,7 +636,6 @@ def test_mi_symmetry_and_entropy_cap(rows, cols, seed):
 
 def _synthetic_trajectory(masses, absent_flags):
     # a None flag reads False; estimate_decay never reads round 0's flag
-    agent = ProbVector(S2, [0.5, 0.5])
     return Trajectory(
         seed=0,
         probe_names=(),
@@ -648,7 +646,6 @@ def _synthetic_trajectory(masses, absent_flags):
         monitor_absent={"a": np.array(absent_flags, dtype=bool)},
         fired=(),
         notes=(),
-        final_population=Population.equal_weights([agent]),
     )
 
 

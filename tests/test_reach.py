@@ -94,8 +94,7 @@ def _outcome(result):
         result.fired,
         result.notes,
         [a.mass.tobytes() for pop in result.states for a in pop.agents],
-        [a.mass.tobytes() for a in result.final_population.agents],
-        result.final_population.weights.tobytes(),
+        [pop.weights.tobytes() for pop in result.states],
     )
 
 
