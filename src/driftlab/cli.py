@@ -10,6 +10,9 @@ Exit status: 0 on success, 1 when a lemma check fails or a simulation
 aborts (a worker process that dies mid-run included), 2 on configuration
 problems (bad files, bad keys, bad values), 130 after SIGINT and 143 after
 SIGTERM, each with one stderr line, no worker left and no partial file.
+main turns SIGTERM into exit 143 only when it runs in the main thread,
+the one thread that may set a signal handler; called from another thread
+it leaves SIGTERM's disposition as it finds it.
 --seed rebases the sweep to S..S+n-1 while keeping its length.
 --quiet silences stdout alone: stderr, the exit status and the output files
 are those of the same command without it.
@@ -25,6 +28,7 @@ import contextlib
 import os
 import signal
 import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -278,8 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # SIGTERM raises SystemExit, not an Exception: every cleanup on the way out runs
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
+    # SIGTERM raises SystemExit, not an Exception: every cleanup on the way
+    # out runs. Only the main thread may set a handler; off it, none is set
+    handles = threading.current_thread() is threading.main_thread()
+    if handles:
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
     try:
         if getattr(args, "quiet", False):  # export has no --quiet
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -304,7 +311,8 @@ def main(argv=None) -> int:
         print("terminated", file=sys.stderr)
         return exc.code
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if handles:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,10 @@ screening and the cooling check. Each probe measures the chunk's training
 rows in one call per round. Round r's measurements fill column r of
 (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the seeds'
 Trajectory columns. The four stages are mixture, apply_selection,
-sample_dataset and update_agents, each over a chunk's rows. A stage, hook
+sample_dataset and update_agents, each over a chunk's rows. A rule's fixed
+vector (an indicator's acceptance, a reward's tilt) is built by the chunk
+in the first round that reads it, round 0 for the selection and round 1
+for the update, and passed to the stage, which builds none. A stage, hook
 or probe that cannot compute a row raises. A chunk whose round raises runs
 again to that round and goes on in halves, down to the seeds that fail
 alone (see _Batch.results); a hook or probe may so see a round again.
@@ -424,45 +427,31 @@ def _rule_vector(rule: SelectionRule | UpdateRule, k_space: int) -> np.ndarray |
     return None
 
 
-def _acceptance(
-    rule: SelectionRule,
-    space: OutcomeSpace,
-    pbar: np.ndarray,
-    cols: _Columns,
-    vector: np.ndarray | None,
-) -> np.ndarray:
-    """Acceptance for mixtures pbar (S, C) on cols under a rule other than
-    identity: shape (C,) from the rule's vector (built here when None), or
-    (S, C) for top-mass."""
-    if rule.kind == "top-mass":
-        # off cols the mixture is zero, so a k past C accepts no more mass
-        order = np.argsort(-pbar, axis=1, kind="stable")
-        a = np.zeros_like(pbar)
-        np.put_along_axis(a, order[:, : rule.k], 1.0, axis=1)
-        return a
-    if vector is None:  # indicator or reward-reweight
-        vector = _rule_vector(rule, space.size)
-    return cols.take(vector)
-
-
 def apply_selection(
     rule: SelectionRule,
-    space: OutcomeSpace,
     pbar: np.ndarray,
     cols: _Columns = _EVERY,
     vector: np.ndarray | None = None,
 ) -> np.ndarray:
     """Training distributions a * pbar / Z (S, C) on cols.
 
-    vector is the rule's _rule_vector over space, built here when None.
+    The acceptance a is 1 under identity, 1 on each row's k heaviest
+    outcomes under top-mass, and under indicator and reward-reweight the
+    rule's _rule_vector, which the caller builds and passes as vector.
     DegenerateSelectionError when a row's Z is zero: the rule accepts no
     mass of that mixture.
     """
     # identity acceptance is all ones, and 1.0 * x == x
     if rule.kind == "identity":
         scaled = pbar
+    elif rule.kind == "top-mass":
+        # off cols the mixture is zero, so a k past C accepts no more mass
+        order = np.argsort(-pbar, axis=1, kind="stable")
+        a = np.zeros_like(pbar)
+        np.put_along_axis(a, order[:, : rule.k], 1.0, axis=1)
+        scaled = a * pbar
     else:
-        scaled = _acceptance(rule, space, pbar, cols, vector) * pbar
+        scaled = cols.take(vector) * pbar
     z = cols.rowsum(scaled)
     if (z <= 0.0).any():
         raise DegenerateSelectionError(
@@ -627,7 +616,7 @@ def update_agents(
     pbar (L, C) holds the current mixture of each dataset's seed, read by the
     mixture-loglik reward; memory (L, C) the empirical rows of the rolled
     buffers, read by the memory-buffer rule; vector the fixed reward's
-    _rule_vector, built here when None. The rule fits the K outcomes (see
+    _rule_vector, which the caller builds. The rule fits the K outcomes (see
     _check_fit); smoothed-mle, which puts mass off the data, is given every
     outcome. ValueError when a row's reward tilt zeroes every sampled
     outcome.
@@ -646,8 +635,6 @@ def update_agents(
             # taken cannot underflow, on a reach or over every outcome
             tilt = np.power(pbar, rule.beta, out=np.zeros_like(pbar), where=counts > 0.0)
         else:
-            if vector is None:
-                vector = _rule_vector(rule, len(rule.reward))
             tilt = cols.take(vector)
         weighted = counts * tilt
         total = cols.rowsum(weighted)
@@ -797,8 +784,8 @@ class _Chunk:
     (S, N, R+1); fired and notes gather (round, text) events. A round that
     raises one of _ROUND_ERRORS for any row stops the whole chunk, which
     _Batch.results then cuts in halves with rows(). scratch holds what each
-    reach borrows, and vectors the selection's and the update's
-    _rule_vector, or None where the stage builds its own.
+    reach borrows. vectors holds the selection's (0) and the update's (1)
+    _rule_vector, each built when a round first reads it (see _vector).
     """
 
     def __init__(self, batch: _Batch, ids: range, pops: Sequence[Population]):
@@ -816,18 +803,14 @@ class _Chunk:
         self.ids, self.rngs = list(ids), [make_rng(batch.seeds[i]) for i in ids]
         self.checkpoints = [p.initial_checkpoint(self.agents) for p in batch.policies["cooling"]]
         self.memory = [np.zeros(0, np.int64) for _ in rows]
-        self.cols, self.scratch = _EVERY, None
-        rules = (self.cfg.selection, self.cfg.update)
-        try:  # under the error state in which the chunk's rounds run
-            self.vectors = [_rule_vector(rule, self.space.size) for rule in rules]
-        except _ROUND_ERRORS:  # each stage call builds its own, failing the round there
-            self.vectors = [None, None]
+        self.cols, self.scratch, self.vectors = _EVERY, None, {}
         for name in ("fired", "notes", "states"):
             setattr(self, name, [[] for _ in rows])
 
     def rows(self, keep: slice) -> _Chunk:
         """The rows keep of this chunk, between rounds, as a chunk that
-        shares nothing it writes with this one."""
+        shares nothing it writes with this one but vectors, whose entries
+        are the same for every chunk of the batch."""
         part = copy.copy(self)
         for name in ("weights", "agents", "initial", "pbar", "pt", "values", "masses", "absent"):
             value = getattr(self, name)
@@ -853,6 +836,15 @@ class _Chunk:
         weights = self.weights[s]
         weights.setflags(write=False)
         return Population._trusted(weights, tuple(agents))
+
+    def _vector(self, stage: int) -> np.ndarray | None:
+        """The _rule_vector of the selection (stage 0) or the update (1),
+        built on first read: in the round, and under the error state, in
+        which a build that raises fails the chunk's seeds."""
+        if stage not in self.vectors:  # keyed by stage: hashing a rule hashes its K rewards
+            rule = (self.cfg.selection, self.cfg.update)[stage]
+            self.vectors[stage] = _rule_vector(rule, self.space.size)
+        return self.vectors[stage]
 
     def _mixture(self) -> np.ndarray:
         """Mixtures (S, C) of the current agents on cols, mixed once per change."""
@@ -982,7 +974,7 @@ class _Chunk:
             buffered, lengths = _counts(positions[len(samples[0]) :], lengths, width)
             memory = buffered / lengths[:, None]
         counts, n = _counts(positions[: len(samples[0])], sizes, width)
-        mass = update_agents(rule, counts, n, pbar, memory, fitted, self.vectors[1])
+        mass = update_agents(rule, counts, n, pbar, memory, fitted, self._vector(1))
         if rows.size < self.live.size and self.cfg.per_agent_datasets:
             self.agents[rows, blocks] = mass
         elif rows.size < self.live.size:
@@ -1030,8 +1022,7 @@ class _Chunk:
                     self.notes[s].append((r, "cooling-refresh"))
 
     def _select(self, r: int) -> None:
-        rule, space = self.cfg.selection, self.space
-        self.pt = apply_selection(rule, space, self._mixture(), self.cols, self.vectors[0])
+        self.pt = apply_selection(self.cfg.selection, self._mixture(), self.cols, self._vector(0))
 
     def _diversify(self, r: int) -> None:
         for pol in self.policies["diversity"]:
@@ -1204,17 +1195,19 @@ def _pool_size(seeds: int, work: int) -> int:
     """How many worker processes run `seeds` seeds of `work` elements in all;
     1 runs them in this process. Workers are forked only where fork is safe
     (Linux, one thread) and allowed (a daemonic process may have no
-    children), when at least 2 CPUs are usable."""
-    if seeds < 2 or work <= POOL_ELEMENTS or sys.platform != "linux":
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2 or threading.active_count() > 1:
+    children), one per usable CPU and at most one per seed."""
+    if (
+        seeds < 2
+        or work <= POOL_ELEMENTS
+        or sys.platform != "linux"
+        or threading.active_count() > 1
+    ):
         return 1
     import multiprocessing  # here only: a run in process never pays for it
 
     if multiprocessing.current_process().daemon:
         return 1
-    return min(cpus, seeds)
+    return min(len(os.sched_getaffinity(0)), seeds)
 
 
 def _spans(seeds: int, width: int, workers: int) -> list[range]:
@@ -1230,25 +1223,31 @@ def _spans(seeds: int, width: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _serve(batches: Sequence[_Batch], link) -> None:
+def _serve(batches: Sequence[_Batch], link, inherited: Sequence) -> None:
     """A pool worker: run each chunk that arrives on link, seeds ids of
     batches[k], under the parent's numpy error state, and send back its
-    results or the exception that stopped it, until the parent closes link."""
+    results or the exception that stopped it, until the parent closes link.
+    It first closes the parent's ends of the pipes, inherited, so that the
+    parent's exit, a SIGKILL included, closes link, and the worker returns
+    from recv or send: at EOF, or at a ConnectionError, which recv gets when
+    the parent exits with results unread and send when it has exited."""
+    for end in inherited:
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's to handle: it stops the pool
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the parent's stop ends the worker at once
-    while True:
-        try:
+    try:
+        while True:
             k, ids, pops, errstate = link.recv()
-        except EOFError:
-            return
-        try:
-            with np.errstate(**errstate):
-                out = batches[k].results(ids, pops)
-        except Exception as exc:  # raised again in the parent
-            import traceback  # a worker's import: start-up does not load it
+            try:
+                with np.errstate(**errstate):
+                    out = batches[k].results(ids, pops)
+            except Exception as exc:  # raised again in the parent
+                import traceback  # a worker's import: start-up does not load it
 
-            out = (exc, traceback.format_exc())
-        link.send(out)
+                out = (exc, traceback.format_exc())
+            link.send(out)
+    except (EOFError, ConnectionError):  # link is closed
+        return
 
 
 def _received(link) -> list[Trajectory | SimulationError]:
@@ -1295,10 +1294,11 @@ def _pooled(batches: Sequence[_Batch], chunks: Iterator[tuple[int, range, list]]
     try:
         for _ in range(workers):
             link, end = ctx.Pipe()
-            procs.append(ctx.Process(target=_serve, args=(batches, end), daemon=True))
+            links.append(link)
+            # the worker forks holding the parent's end of every pipe so far
+            procs.append(ctx.Process(target=_serve, args=(batches, end, links[:]), daemon=True))
             procs[-1].start()
             end.close()
-            links.append(link)
         busy = deque(link for link in links if send(link))
         while busy:
             link = busy.popleft()

@@ -291,9 +291,10 @@ SUBNORMAL_RUN = (
 )
 # under under="raise", each batched stage and hook whose arithmetic
 # underflows for some seeds: a mixture-loglik tilt of the update on a
-# sampled outcome of small mixture mass, a reward tilt of the selection, the
-# mixture of a subnormal agent, and a diversity blend with a subnormal
-# reference entry that underflows on any rows at all
+# sampled outcome of small mixture mass, a fixed reward's tilt of the
+# selection (built in round 0, which reads it first) and of the update
+# (round 1), the mixture of a subnormal agent, and a diversity blend with
+# a subnormal reference entry that underflows on any rows at all
 PLAIN, ODD = _one_agent(0.5, 0.5, 0, 0, 0, 0), _one_agent(0.45, 0.45, 0.01, 0.01, 0.04, 0.04)
 # its draws of the 0.01 and 0.03 outcomes underflow the tilt, in round 1, or
 # in round 2 where the first refit kept them small
@@ -347,6 +348,13 @@ OVERFLOWING = {
             "reward-reweight", reward=(0, 0, 0, 0, 0, -1), beta=800
         )),
         None, "under", {0: 0, 1: 0},
+    ),
+    "update-fixed-reward": (
+        [PLAIN] * 2,
+        EvolutionConfig(30, 3, update=UpdateRule(
+            "reward-reweighted-mle", reward=(0, 0, 0, 0, 0, -1), beta=800
+        )),
+        None, "under", {0: 1, 1: 1},
     ),
     "mixture": ([FLAT, TINY, FLAT], EvolutionConfig(30, 3), None, "under", {1: 0}),
     "every-release": (

@@ -32,6 +32,7 @@ from driftlab.evolution import (
     SelectionRule,
     UpdateRule,
     _counts,
+    _rule_vector,
     apply_selection,
     make_rng,
     run,
@@ -245,8 +246,9 @@ def test_reward_tilt_past_the_float_range_runs_without_overflow():
     cfg = EvolutionConfig(sample_size=20, rounds=3, **rules)
     counts = _counts(np.array([0, 1, 7, 7], dtype=np.int64), np.array([4]), 10)
     with np.errstate(over="raise"):
-        pt = apply_selection(rules["selection"], space, np.full((1, 10), 0.1))
-        mass = update_agents(rules["update"], *counts)
+        vectors = {name: _rule_vector(rule, 10) for name, rule in rules.items()}
+        pt = apply_selection(rules["selection"], np.full((1, 10), 0.1), vector=vectors["selection"])
+        mass = update_agents(rules["update"], *counts, vector=vectors["update"])
         traj = run(pop, cfg, keep_states=True, seed=0)
     assert (pt[0] > 0).tolist() == [False] * 5 + [True] * 5
     assert mass[0].tolist() == [0.0] * 7 + [1.0, 0.0, 0.0]

@@ -5,6 +5,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -832,3 +833,80 @@ def test_a_signal_ends_a_run_in_one_line_with_no_worker_or_partial_file_left(
     # a run's workers are the two that held; a write comes after the pool stopped
     assert workers == (holders if mode == "run" else set())
     assert left == set()
+
+
+# a pooled run_batch of one-seed chunks on 2 workers, as the pool fixture of
+# test_batch forks them; it touches argv[1] once the first results are in,
+# so that its workers are sending and receiving chunks when it is killed
+POOLED = """\
+import os, sys
+from driftlab import evolution
+from driftlab.core import OutcomeSpace, ProbVector
+evolution.POOL_ELEMENTS = 0
+evolution.BATCH_ELEMENTS = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+pop = evolution.Population.equal_weights([ProbVector(OutcomeSpace(4), [0.25] * 4)])
+seeds = range(20000)
+cfg = evolution.EvolutionConfig(sample_size=10, rounds=3)
+for i, _ in enumerate(evolution.run_batch((pop for _ in seeds), cfg, seeds)):
+    if i == 0:
+        open(sys.argv[1], "w").close()
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether pid runs, read from /proc; a zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:  # it has exited and been reaped
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks pool workers and reads /proc")
+def test_the_workers_of_a_killed_caller_exit_without_a_traceback(tmp_path):
+    """SIGKILL runs no cleanup in the caller, so its workers see it go only
+    as their pipes close: each returns from recv or send within 5 s."""
+    started, err = tmp_path / "started", tmp_path / "err"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open(err, "w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", POOLED, str(started)], stdout=subprocess.DEVNULL,
+            stderr=stderr, env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+    workers, left = set(), set()
+    try:
+        waited = 0.0
+        while not started.exists():
+            assert proc.poll() is None and waited < 60, err.read_text()
+            time.sleep(0.05)
+            waited += 0.05
+        workers = _children(proc.pid)
+        proc.kill()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = set(filter(_running, workers))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+    assert len(workers) == 2
+    assert left == set()
+    assert err.read_text() == ""
+
+
+def test_main_runs_off_the_main_thread_and_leaves_sigterm_as_it_found_it():
+    # only the main thread may set a signal handler
+    before, codes = signal.getsignal(signal.SIGTERM), []
+    thread = threading.Thread(
+        target=lambda: codes.append(main(["verify-lemmas", "--trials", "1", "--quiet"]))
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and codes == [0]
+    assert signal.getsignal(signal.SIGTERM) is before

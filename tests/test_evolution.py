@@ -45,7 +45,7 @@ def _mixture(pop):
 
 
 def _selected(p, rule):
-    return apply_selection(rule, p.space, p.mass[None])[0]
+    return apply_selection(rule, p.mass[None], vector=evolution._rule_vector(rule, p.space.size))[0]
 
 
 def _draws(p, n, rng):
@@ -67,7 +67,8 @@ def _fitted(rule, samples, k, pbar=None, memory=None):
     """The mass rule fits to samples."""
     buffer = None if memory is None else _empirical(memory, k)
     pbar = None if pbar is None else pbar[None]
-    return update_agents(rule, *_counted(samples, k), pbar, buffer)[0]
+    vector = evolution._rule_vector(rule, k)
+    return update_agents(rule, *_counted(samples, k), pbar, buffer, vector=vector)[0]
 
 
 # --- population / mixture ----------------------------------------------------
@@ -157,9 +158,10 @@ def test_indicator_selection_renormalizes():
 def test_degenerate_selection_is_hard_error():
     p = pv(0.5, 0.5, 0.0)
     rule = SelectionRule("indicator", indices=(2,))
+    vector = evolution._rule_vector(rule, p.space.size)
     with pytest.raises(DegenerateSelectionError):
-        apply_selection(rule, p.space, np.stack([p.mass, pv(0.0, 0.5, 0.5).mass]))
-    pt = apply_selection(rule, p.space, pv(0.0, 0.5, 0.5).mass[None])
+        apply_selection(rule, np.stack([p.mass, pv(0.0, 0.5, 0.5).mass]), vector=vector)
+    pt = apply_selection(rule, pv(0.0, 0.5, 0.5).mass[None], vector=vector)
     assert pt[0].tolist() == [0.0, 0.0, 1.0]
     cfg = EvolutionConfig(sample_size=5, rounds=1, selection=rule)
     with pytest.raises(SimulationError) as err:
@@ -488,7 +490,7 @@ def _replay_round(weights, agents, cfg, rng, memory):
     the agents (1, M, K), dataset, training distribution (1, K) and buffer."""
     _, size, k = agents.shape
     pbar = mixture(weights, agents)
-    pt = apply_selection(cfg.selection, OutcomeSpace(k), pbar)
+    pt = apply_selection(cfg.selection, pbar, vector=evolution._rule_vector(cfg.selection, k))
     n, blocks = cfg.sample_size, size if cfg.per_agent_datasets else 1
     dataset = sample_dataset(pt, n * blocks, [rng])[0]
     rule, buffer = cfg.update, None
@@ -497,7 +499,7 @@ def _replay_round(weights, agents, cfg, rng, memory):
         buffer = _empirical(memory, k)
     counts, sizes = evolution._counts(dataset, np.full(blocks, n), k)
     pbars = np.repeat(pbar, blocks, axis=0) if rule.reads_mixture else None
-    mass = update_agents(rule, counts, sizes, pbars, buffer)
+    mass = update_agents(rule, counts, sizes, pbars, buffer, vector=evolution._rule_vector(rule, k))
     # one fit per block: every agent's with shared data, agent m's with block m
     return np.broadcast_to(mass[None], agents.shape), dataset, pt, memory
 
