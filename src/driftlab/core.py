@@ -41,6 +41,20 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
+def _columns(idx: np.ndarray) -> slice | np.ndarray:
+    """Sorted column indices idx, as a slice when they are one run: rows
+    then read them as a view, with no gather."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _take(rows: np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+    """Columns cols of rows (S, K), each row's entries contiguous: a row's
+    sum over them adds in the order a 1-D sum of them would."""
+    return rows[:, cols] if isinstance(cols, slice) else np.take(rows, cols, axis=1)
+
+
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Finite outcome space; outcomes are indices 0..size-1."""

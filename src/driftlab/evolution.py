@@ -18,7 +18,8 @@ per chunk and round, as do the policy hooks over the rows they fire for.
 The round's data is one (S, B, n) int64 array, from draw to count: B blocks
 of n samples per seed (one block, or one per agent), with (S, B) arrays of
 filled sizes and live blocks. What is per seed by nature loops over the
-rows: the uniforms and their inverse-CDF search (in sorted order), verifier
+rows: the uniforms, the inverse-CDF search of rows wider than NARROW (rows
+as narrow as that count their draws, every row at once), verifier
 screening and the cooling check. Each probe measures the chunk's training
 rows in one call per round. Round r's measurements fill column r of
 (S, P, R+1) probe and (S, N, R+1) monitor arrays, whose rows are the seeds'
@@ -89,7 +90,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
 
-from .core import OutcomeSpace, ProbVector, _wrap, require_same_space, sorted_unique
+from .core import OutcomeSpace, ProbVector, _columns, _take, _wrap, require_same_space
 from .errors import (
     ConfigError,
     DegenerateSelectionError,
@@ -467,6 +468,20 @@ def apply_selection(
 # ---------------------------------------------------------------------------
 
 
+# Rows of pt at most NARROW columns wide are drawn by counting, wider ones
+# by the sorted search (see sample_dataset); a count fits its uint8 while
+# NARROW < 256. On the reach rows narrow fast: a 100-seed drift chunk's
+# widest row holds about 23 outcomes by round 20 and 7 by round 100. At
+# n = 200 (Python 3.11, numpy 2.4.6, one CPU, timeit, best of 21 runs),
+# counting 100 rows took 69, 143, 190, 266, 370, 497 and 743 us at 4, 8, 12,
+# 16, 24, 32 and 48 columns, and the sort and search 606 to 741 us; at 20
+# rows, compare's chunks on two CPUs, 89 and 132 us at 16 and 24 columns
+# against 115 and 119 us. One row searches faster (about 20 us at any width,
+# against 25 to 120 us counting at 4 to 24 columns), at most about 10 ms over
+# a 100-round run of one seed.
+NARROW = 24
+
+
 def sample_dataset(
     pt: np.ndarray, n: int, rngs: Sequence[np.random.Generator], cols: _Columns = _EVERY
 ) -> np.ndarray:
@@ -474,11 +489,16 @@ def sample_dataset(
     rngs[s].
 
     Returns an (S, n) int64 array of outcomes; exact boundary ties go to the
-    lower index. Each row's uniforms are searched in sorted order, which
-    keeps the binary search's branches predictable, and scattered back:
-    every uniform gets the index an unsorted search would give it. Adding
-    the +0.0 off cols leaves a sequential cumsum as it is, so the search
-    on cols finds the outcome the search over all K finds.
+    lower index. A draw is the number of its row's cumulative points
+    strictly below its uniform, the index searchsorted(side="left") finds
+    in a non-decreasing cumsum, found one of two ways. Rows at most NARROW
+    columns wide count them, one compare of every uniform per column,
+    which costs less than any search at so few columns. Wider rows search
+    each row's uniforms in sorted order, which keeps the binary search's
+    branches predictable, and scatter the indices back. Either way every
+    uniform gets the index an unsorted search would give it. Adding the
+    +0.0 off cols leaves a sequential cumsum as it is, so a draw on cols
+    is the outcome a draw over all K finds.
     """
     cum = np.cumsum(pt, axis=1)
     # u beyond the last cumulative point (float shortfall) lands on the last
@@ -489,14 +509,21 @@ def sample_dataset(
     uniforms = np.empty((len(rngs), n))
     for s, rng in enumerate(rngs):
         rng.random(out=uniforms[s])  # the stream rng.random(n) draws
-    order = np.argsort(uniforms, axis=1)
-    order += np.arange(0, uniforms.size, n)[:, None]  # flat positions, row by row
-    uniforms = uniforms.reshape(-1)[order]
-    found = np.empty((len(rngs), n), dtype=np.int64)
-    for s in range(len(rngs)):
-        found[s] = cum[s].searchsorted(uniforms[s], side="left")
-    draws = np.empty_like(found)
-    draws.reshape(-1)[order] = found
+    if pt.shape[1] <= NARROW:
+        below, mask = np.zeros(uniforms.shape, dtype=np.uint8), np.empty(uniforms.shape, dtype=bool)
+        for point in cum.T:
+            np.greater(uniforms, point[:, None], out=mask)
+            below += mask.view(np.uint8)  # uint8 + uint8: the flags need no cast
+        draws = below.astype(np.int64)
+    else:
+        order = np.argsort(uniforms, axis=1)
+        order += np.arange(0, uniforms.size, n)[:, None]  # flat positions, row by row
+        uniforms = uniforms.reshape(-1)[order]
+        found = np.empty((len(rngs), n), dtype=np.int64)
+        for s in range(len(rngs)):
+            found[s] = cum[s].searchsorted(uniforms[s], side="left")
+        draws = np.empty_like(found)
+        draws.reshape(-1)[order] = found
     np.clip(draws, first_positive[:, None], last_positive[:, None], out=draws)
     return cols.outcomes(draws)
 
@@ -783,8 +810,8 @@ class _Chunk:
     _record fills column r of values (S, P, R+1), masses and absent
     (S, N, R+1); fired and notes gather (round, text) events. A round that
     raises one of _ROUND_ERRORS for any row stops the whole chunk, which
-    _Batch.results then cuts in halves with rows(). scratch holds what each
-    reach borrows. vectors holds the selection's (0) and the update's (1)
+    _Batch.results then cuts in halves with rows(). scratch holds the zeros
+    each reach borrows and the lookup and flags _reach works in. vectors holds the selection's (0) and the update's (1)
     _rule_vector, each built when a round first reads it (see _vector).
     """
 
@@ -899,9 +926,12 @@ class _Chunk:
                     else:
                         self.sizes[s, m] = len(kept)
 
-    def _held(self) -> np.ndarray:
-        """The filled positions (S, B, n) of data."""
-        return np.arange(self.data.shape[2]) < self.sizes[:, :, None]
+    def _held(self) -> np.ndarray | None:
+        """The filled positions (S, B, n) of data; None when every block is full."""
+        n = self.data.shape[2]
+        if (self.sizes == n).all():
+            return None
+        return np.arange(n) < self.sizes[:, :, None]
 
     def _reach(self, owner: np.ndarray, samples: np.ndarray) -> tuple[_Columns, np.ndarray]:
         """The columns of this round's update and of the stages after it, and
@@ -912,8 +942,11 @@ class _Chunk:
         puts no mass off its data and no hook moves mass; else every outcome,
         at which each sample is its own position. A row's reach is sought
         only when its B * n samples, plus capacity buffered ones, are at most
-        K / 2. A chunk of one row, as every chunk of a large space is, has
-        no padding to build: its sorted keys are its outcomes."""
+        K / 2. The keys s * K + k are marked in the chunk's (S, K) flags and
+        read back in ascending order, which is row by row, each row's
+        outcomes sorted; the marks are then cleared for the next update. A
+        chunk of one row, as every chunk of a large space is, has no padding
+        to build: its marked keys are its outcomes."""
         rule, k_space = self.cfg.update, self.space.size
         # a row's samples; capacity is 0 but for the buffer
         per_row = self.data.shape[1] * self.data.shape[2] + rule.capacity
@@ -926,14 +959,18 @@ class _Chunk:
             return _EVERY, samples
         rows = len(self.ids)
         if self.scratch is None:
-            self.scratch = np.zeros(self.live.size * k_space + 1), np.empty(rows * k_space, np.intp)
-        zeros, lookup = self.scratch
+            self.scratch = (
+                np.zeros(self.live.size * k_space + 1),
+                np.empty(rows * k_space, np.intp),
+                np.zeros(rows * k_space, dtype=bool),
+            )
+        zeros, lookup, seen = self.scratch
         keys = owner * k_space + samples  # entry s * K + k of (S, K) rows
-        if rows * k_space < 2**31:
-            keys = keys.astype(np.int32)  # sorted in half the time of int64
-        reached = sorted_unique(keys)  # row by row, each row's outcomes in order
-        if rows == 1:  # about 20 us of a 65 us reach at K = 10**5, 2200 keys
-            index, columns = reached.astype(np.int64)[None], np.arange(len(reached))
+        seen[keys] = True
+        reached = np.flatnonzero(seen)  # row by row, each row's outcomes in order
+        seen[reached] = False
+        if rows == 1:
+            index, columns = reached[None], np.arange(len(reached))
         else:
             seeds = reached // k_space
             widths = np.bincount(seeds, minlength=rows)
@@ -950,7 +987,12 @@ class _Chunk:
         if not rows.size:
             return
         sizes = self.sizes[self.live]
-        samples = [self.data[self.live[:, :, None] & self._held()]]
+        held = self._held()
+        if held is None and rows.size == self.live.size:  # every block live and full
+            samples = [self.data.reshape(-1)]
+        else:
+            held = np.ones(self.data.shape, dtype=bool) if held is None else held
+            samples = [self.data[self.live[:, :, None] & held]]
         owners = [np.repeat(rows, sizes)]
         if rule.kind == "memory-buffer":  # shared data: one block per row
             for s in rows:
@@ -1041,9 +1083,12 @@ class _Chunk:
         self.pt.setflags(write=False)  # the probes read it whole
         with self.cols.written(self.pt) as dense:
             for i, (idx, hood) in enumerate(batch.monitors.values()):
-                self.masses[:, i, r] = np.take(dense, idx, axis=1).sum(axis=1)
+                self.masses[:, i, r] = _take(dense, _columns(idx)).sum(axis=1)
                 if r:  # did this round's data miss the neighborhood?
-                    self.absent[:, i, r] = ~(hood[self.data] & held).any(axis=(1, 2))
+                    reached = hood[self.data]
+                    if held is not None:
+                        reached &= held
+                    self.absent[:, i, r] = ~reached.any(axis=(1, 2))
             if batch.probes:
                 at = (self.pt, self.agents, self.cols, dense)
                 self.values[:, :, r] = _measure(r, batch.probes, batch.ref, *at)

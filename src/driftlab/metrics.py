@@ -20,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .core import ProbVector, SafetyReference, require_same_space
+from .core import ProbVector, SafetyReference, _columns, _take, require_same_space
 from .errors import ConfigError
 
 _NEG_EPS = 1e-12  # float guard: clamp tiny negative rounding on provably >= 0 sums
@@ -30,20 +30,6 @@ def _clamp_nonneg(value: float) -> float:
     if -_NEG_EPS < value < 0.0:
         return 0.0
     return value
-
-
-def _columns(idx: np.ndarray) -> slice | np.ndarray:
-    """Sorted column indices idx, as a slice when they are one run: rows
-    then read them as a view, with no gather."""
-    if idx.size and idx[-1] - idx[0] == idx.size - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-def _take(rows: np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
-    """Columns cols of rows (S, K), each row's entries contiguous: a row's
-    sum over them adds in the order a 1-D sum of them would."""
-    return rows[:, cols] if isinstance(cols, slice) else np.take(rows, cols, axis=1)
 
 
 def _support(p: ProbVector) -> tuple[slice | np.ndarray, np.ndarray]:

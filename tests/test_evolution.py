@@ -260,7 +260,8 @@ def test_a_zero_uniform_never_draws_a_leading_zero_mass_outcome():
 
 
 def _unsorted_draw(pt, n, rngs):
-    """sample_dataset as it was before the sorted search: one unsorted search per row."""
+    """sample_dataset as it was before the sorted search and the count: one
+    unsorted search per row."""
     cum = np.cumsum(pt, axis=1)
     pos = pt > 0.0
     first_positive = np.argmax(pos, axis=1)
@@ -317,8 +318,13 @@ def _draw_rows(k, count, first_case):
     return rows
 
 
+# rows up to evolution.NARROW columns wide are drawn by counting, wider ones
+# by the sorted search: both sides of the threshold, and each side at it
+_DRAW_WIDTHS = (2, 7, evolution.NARROW - 1, evolution.NARROW, evolution.NARROW + 1, 1000)
+
+
 @pytest.mark.parametrize(
-    "rows, k", [(s, k) for s in (1, 3, 32) for k in (2, 7, 1000)] + [(1, 100_000), (3, 100_000)]
+    "rows, k", [(s, k) for s in (1, 3, 32) for k in _DRAW_WIDTHS] + [(1, 100_000), (3, 100_000)]
 )
 @pytest.mark.parametrize("uniforms", ["philox", "repeating", "zero"])
 def test_sorted_draw_matches_the_unsorted_search_bitwise(rows, k, uniforms):
@@ -337,6 +343,34 @@ def test_sorted_draw_matches_the_unsorted_search_bitwise(rows, k, uniforms):
             assert [rng.calls for rng in rngs] == [[n]] * rows
         assert draws.dtype == np.int64 and draws.shape == (rows, n)
         assert np.array_equal(draws, expected)
+
+
+def _narrow_run(narrow, per_agent, monkeypatch):
+    """Every byte of a four-seed mle batch on K = 40, each round's rows drawn
+    by the sorted search when narrow is 0 and by counting when it is 255.
+    Shared data (12 samples a round) runs on each row's reach, per-agent
+    data (3 blocks of 12) on every outcome."""
+    k_space, seeds = 40, (0, 1, 2, 3)
+    ref = two_tier_reference(k_space, safe_mass=0.9, safe_fraction=0.5)
+    monkeypatch.setattr(evolution, "NARROW", narrow)
+    cfg = EvolutionConfig(sample_size=12, rounds=30, per_agent_datasets=per_agent)
+    pops = [build_population(PopulationSpec(3, "perturbed", sigma=0.4), ref, s) for s in seeds]
+    results = evolution.run_batch(
+        pops, cfg, seeds, resolve_probes(probe_names(), default_tau=0.001), ref=ref,
+        monitors={"rare": (0, 1, 2), "unsafe": tuple(range(20, k_space))}, keep_states=True,
+    )
+    monkeypatch.undo()
+    return [
+        ([{k: v.tobytes() for k, v in c.items()}
+          for c in (t.values, t.monitor_mass, t.monitor_absent)],
+         [a.mass.tobytes() for pop in t.states for a in pop.agents])
+        for t in results
+    ]
+
+
+@pytest.mark.parametrize("per_agent", [False, True])
+def test_counted_and_searched_rows_give_the_same_trajectories(monkeypatch, per_agent):
+    assert _narrow_run(0, per_agent, monkeypatch) == _narrow_run(255, per_agent, monkeypatch)
 
 
 def test_sampling_goodness_of_fit():

@@ -154,6 +154,32 @@ def test_rounds_on_the_reach_give_the_bytes_of_rounds_on_every_outcome(
         assert all(taken)
 
 
+@pytest.mark.parametrize("update", ["mle", "memory-buffer"])
+def test_a_reach_that_shrinks_holds_only_its_rounds_outcomes(monkeypatch, update):
+    # each update marks its keys in the chunk's flags and clears them again,
+    # so a row's reach is its own round's outcomes, not those of every round
+    # before it; the rows narrow as they lose support
+    cfg = _config(update, "identity", False)
+    reaches = []
+    gate = evolution._Chunk._reach
+
+    def recorded(chunk, owner, samples):
+        cols, positions = gate(chunk, owner, samples)
+        for row in range(len(chunk.ids)):
+            reached = cols.index[row][cols.index[row] < K]
+            assert reached.tolist() == np.unique(samples[owner == row]).tolist()
+            reaches.append(len(reached))
+        return cols, positions
+
+    monkeypatch.setattr(evolution._Chunk, "_reach", recorded)
+    on_reach, taken = _run(cfg, (), monkeypatch, True)
+    on_every, _ = _run(cfg, (), monkeypatch, False)
+    assert on_reach == on_every
+    assert taken and all(taken)
+    widths = np.array(reaches).reshape(ROUNDS, len(SEEDS))
+    assert (np.diff(widths, axis=0) < 0).any(axis=0).all()  # every row's reach shrinks
+
+
 # the rules with a fixed K-long vector, which a chunk builds once, on a
 # space past 10**4: a chunk of 3 rows at M = 3 still holds all three seeds
 VECTOR_K = 20_000
